@@ -42,13 +42,13 @@ from .expand import (
     fourth_order_expansion,
     second_order_bounds,
     skewness_correction,
+    solve_and_compare,
     third_order_bounds,
     verify_expansion,
 )
 from .harness import ExperimentConfig
 from .linalg import (
     SpdOperator,
-    apply_power,
     as_vector,
     kappa_between,
     spd_from_dense,
@@ -57,18 +57,13 @@ from .linalg import (
 )
 from .oracle import (
     CustomOracle,
-    LinearPerturbation,
     LogisticOracle,
     LogSumExpOracle,
     Oracle,
-    PerturbationSpec,
     PsdQuadraticOracle,
     QuadraticOracle,
-    QuadraticPerturbation,
     ScaledOracle,
-    SmoothPerturbation,
     SumOracle,
-    apply_perturbation,
     fd_probe,
     linearly_perturb,
     make_logistic,
@@ -79,6 +74,7 @@ from .oracle import (
 )
 from .penalty import (
     PenaltyBiasReport,
+    bias_for_order,
     ridge_bias_bounds,
     ridge_bias_exact_quadratic,
     ridge_bias_fourth_order,
@@ -118,7 +114,6 @@ __all__ = [
     "as_vector",
     "spd_from_dense",
     "spd_power_operator",
-    "apply_power",
     "weighted_norm",
     "kappa_between",
     # oracles and perturbations
@@ -130,14 +125,9 @@ __all__ = [
     "CustomOracle",
     "SumOracle",
     "ScaledOracle",
-    "LinearPerturbation",
-    "QuadraticPerturbation",
-    "SmoothPerturbation",
-    "PerturbationSpec",
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
-    "apply_perturbation",
     "make_quadratic",
     "make_logistic",
     "make_logsumexp",
@@ -177,9 +167,11 @@ __all__ = [
     "distance_to_optimum",
     "cubic_bound_check",
     "compare_with_solution",
+    "solve_and_compare",
     "verify_expansion",
     # penalty bias
     "PenaltyBiasReport",
+    "bias_for_order",
     "ridge_bias_exact_quadratic",
     "ridge_bias_bounds",
     "ridge_bias_fourth_order",

@@ -62,6 +62,7 @@ __all__ = [
     "distance_to_optimum",
     "cubic_bound_check",
     "verify_expansion",
+    "solve_and_compare",
     "compare_with_solution",
 ]
 
@@ -194,17 +195,6 @@ class ExpansionReport:
     anchor: str = "base-minimizer"
 
     def to_dict(self) -> dict[str, Any]:
-        cert = None
-        if self.certificate is not None:
-            c = self.certificate
-            cert = {
-                "radius": c.radius,
-                "kappa": c.kappa,
-                "omega": c.omega,
-                "tau3": c.tau3,
-                "tau4": c.tau4,
-                "provenance": c.provenance,
-            }
         return {
             "order": self.order,
             "anchor": self.anchor,
@@ -215,7 +205,7 @@ class ExpansionReport:
                 None if self.skew_correction is None else self.skew_correction.tolist()
             ),
             "bounds": self.bounds.to_dict(),
-            "certificate": cert,
+            "certificate": None if self.certificate is None else self.certificate.to_dict(),
         }
 
 
@@ -831,6 +821,37 @@ def compare_with_solution(
     )
 
 
+def solve_and_compare(
+    g: Oracle,
+    xstar,
+    reports: list[ExpansionReport],
+    tol: float | None = None,
+    max_iter: int = 100,
+) -> list[ComparisonReport]:
+    """Solve a perturbed problem once and compare every report against it.
+
+    ``g`` is minimized from ``x*`` by the damped Newton reference solver;
+    the resulting shift ``x~ - x*`` and value change ``g(x~) - g(x*)`` are
+    measured against every radius of each report.  With no reports there
+    is nothing to check and no solve is made.
+    """
+    if not reports:
+        return []
+    xstar = as_vector(xstar, g.dim)
+    sol: SolveResult = newton_minimize(g, xstar, tol=tol, max_iter=max_iter)
+    actual_shift = sol.xhat - xstar
+    actual_value_change = sol.value - g.value(xstar)
+    solver_info = {
+        "iterations": sol.iterations,
+        "grad_norm_dual": sol.grad_norm_dual,
+        "converged": sol.converged,
+    }
+    return [
+        compare_with_solution(report, actual_shift, actual_value_change, dict(solver_info))
+        for report in reports
+    ]
+
+
 def verify_expansion(
     f: Oracle,
     xstar,
@@ -839,24 +860,6 @@ def verify_expansion(
     tol: float | None = None,
     max_iter: int = 100,
 ) -> ComparisonReport:
-    """Solve the tilted problem to high accuracy and compare with a report.
-
-    The perturbed objective ``g = f + <., A>`` is minimized from ``x*`` by
-    the damped Newton reference solver; the resulting shift and value
-    change are measured against every radius in ``report.bounds``.
-    """
-    xstar = as_vector(xstar, f.dim)
+    """Solve the tilted problem ``f + <., A>`` and compare with one report."""
     g = linearly_perturb(f, as_vector(A, f.dim))
-    sol: SolveResult = newton_minimize(g, xstar, tol=tol, max_iter=max_iter)
-    actual_shift = sol.xhat - xstar
-    actual_value_change = sol.value - g.value(xstar)
-    return compare_with_solution(
-        report,
-        actual_shift,
-        actual_value_change,
-        solver_info={
-            "iterations": sol.iterations,
-            "grad_norm_dual": sol.grad_norm_dual,
-            "converged": sol.converged,
-        },
-    )
+    return solve_and_compare(g, xstar, [report], tol=tol, max_iter=max_iter)[0]

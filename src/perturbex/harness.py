@@ -24,11 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import constants
-from .errors import (
-    MissingFourthDerivative,
-    MissingThirdDerivative,
-    PerturbexError,
-)
+from .errors import MissingFourthDerivative, MissingThirdDerivative
 from .expand import (
     ComparisonReport,
     ExpansionReport,
@@ -37,6 +33,7 @@ from .expand import (
     expansion_for_order,
     fourth_order_expansion,
     skewness_correction,
+    solve_and_compare,
     verify_expansion,
 )
 from .linalg import SpdOperator, spd_from_dense, spd_power_operator
@@ -48,17 +45,12 @@ from .oracle import (
     ScaledOracle,
     fd_probe,
     linearly_perturb,
-    quadratically_penalize,
     smoothly_penalize,
 )
-from .penalty import (
-    PenaltyBiasReport,
-    ridge_bias_exact_quadratic,
-    smooth_penalty_bias,
-    verify_penalty_bias,
-)
+from .penalty import PenaltyBiasReport, bias_for_order, ridge_bias_exact_quadratic
 from .smoothness import (
     SmoothnessCertificate,
+    check_anchor,
     declared_certificate,
     estimate_certificate,
     taylor_diagnostics,
@@ -350,29 +342,30 @@ def _build_certificate(
     )
 
 
-def _cert_summary(cert: SmoothnessCertificate) -> dict[str, Any]:
-    return {
-        "radius": cert.radius,
-        "kappa": cert.kappa,
-        "omega": cert.omega,
-        "tau3": cert.tau3,
-        "tau4": cert.tau4,
-        "provenance": cert.provenance,
-    }
+def _penalized_problem(
+    cfg: ExperimentConfig, f: Oracle, xstar: np.ndarray, pen: Oracle
+) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
+    """Build ``f + pen`` once, with its drive, factored curvature and certificate."""
+    g = smoothly_penalize(f, pen)
+    FG = spd_from_dense(g.hessian(xstar))
+    cert = _build_certificate(cfg, g, xstar, FG, include_omega=False)
+    check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
+    return g, pen.gradient(xstar), FG, cert
 
 
-def _result_entry(
-    order, report: ExpansionReport | PenaltyBiasReport | None,
-    comparison: ComparisonReport | None,
-    skipped: str | None = None,
-) -> dict[str, Any]:
-    entry: dict[str, Any] = {"order": str(order)}
-    if skipped is not None:
-        entry["skipped"] = skipped
-        return entry
-    entry["report"] = report.to_dict()
-    entry["verification"] = comparison.to_dict()
-    return entry
+def _verify(
+    g: Oracle,
+    xstar: np.ndarray,
+    reports: list[ExpansionReport | PenaltyBiasReport],
+    solver_cfg: dict[str, Any],
+) -> list[ComparisonReport]:
+    """Solve the perturbed problem ``g`` once and check every report against it."""
+    views = [r.expansion_view() if isinstance(r, PenaltyBiasReport) else r for r in reports]
+    return solve_and_compare(
+        g, xstar, views,
+        tol=solver_cfg.get("tol"),
+        max_iter=int(solver_cfg.get("max_iter", 100)),
+    )
 
 
 def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
@@ -435,93 +428,62 @@ def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
 
 
 def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str, Any]:
-    """Run the configured expansion orders and verify each against the solver."""
+    """Run the configured expansion orders and verify each against the solver.
+
+    The perturbed problem is built, factored and solved once; every order's
+    report is checked against that one solution.
+    """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
     anchor = _solve_anchor(f, prob.x0, cfg.solver)
     xstar = anchor.xhat
-    warnings: list[str] = []
-    results: list[dict[str, Any]] = []
     kind = cfg.perturbation["kind"]
-    solver_cfg = cfg.solver
 
     if kind == "linear":
         A = _linear_tilt(cfg, f.dim)
-        F = spd_from_dense(f.hessian(xstar))
+        g = linearly_perturb(f, A)
+        F = spd_from_dense(g.hessian(xstar))
         cert = _build_certificate(cfg, f, xstar, F, include_omega=True)
-        D = cert.metric
-        for order in cfg.orders:
-            if order == "exact":
-                if prob.kind != "quadratic":
-                    msg = "exact expansion needs a quadratic objective; skipped"
-                    warnings.append(msg)
-                    results.append(_result_entry(order, None, None, skipped=msg))
-                    continue
-                rep = exact_quadratic_expansion(F, A)
-            else:
-                try:
-                    rep = expansion_for_order(f, xstar, F, D, A, cert, order, cfg.nu)
-                except (MissingThirdDerivative, MissingFourthDerivative) as exc:
-                    msg = f"order {order} skipped: {exc}"
-                    warnings.append(msg)
-                    results.append(_result_entry(order, None, None, skipped=msg))
-                    continue
-            comp = verify_expansion(
-                f, xstar, A, rep,
-                tol=solver_cfg.get("tol"),
-                max_iter=int(solver_cfg.get("max_iter", 100)),
-            )
-            results.append(_result_entry(order, rep, comp))
-        cert_summary = _cert_summary(cert)
+
+        def build(order):
+            if order == "exact" and prob.kind != "quadratic":
+                return "exact expansion needs a quadratic objective; skipped"
+            return expansion_for_order(f, xstar, F, cert.metric, A, cert, order, cfg.nu)
     else:
-        if kind == "quadratic":
-            pen_matrix = _quadratic_penalty_matrix(cfg, f.dim)
-            pen = None
-            fG = quadratically_penalize(f, pen_matrix)
+        ridge = kind == "quadratic"
+        pen = (
+            PsdQuadraticOracle(_quadratic_penalty_matrix(cfg, f.dim))
+            if ridge
+            else _smooth_penalty(cfg, f.dim)
+        )
+        g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
+
+        def build(order):
+            if order == "exact" and not (ridge and prob.kind == "quadratic"):
+                return "exact bias needs a quadratic objective and a ridge penalty; skipped"
+            if order == 2:
+                return "penalty bias is stated at orders 3 and 4 only; skipped"
+            return bias_for_order(g, xstar, FG, cert.metric, M, cert, order)
+
+    # build() returns a report, or the reason the order is skipped.
+    warnings: list[str] = []
+    results: list[dict[str, Any]] = []
+    reports = []
+    for order in cfg.orders:
+        try:
+            rep = build(order)
+        except (MissingThirdDerivative, MissingFourthDerivative) as exc:
+            rep = f"order {order} skipped: {exc}"
+        if isinstance(rep, str):
+            warnings.append(rep)
+            results.append({"order": str(order), "skipped": rep})
         else:
-            pen = _smooth_penalty(cfg, f.dim)
-            pen_matrix = None
-            fG = smoothly_penalize(f, pen)
-        FG = spd_from_dense(fG.hessian(xstar))
-        cert = _build_certificate(cfg, fG, xstar, FG, include_omega=False)
-        D = cert.metric
-        for order in cfg.orders:
-            if order == "exact":
-                if prob.kind != "quadratic" or pen_matrix is None:
-                    msg = (
-                        "exact bias needs a quadratic objective and a ridge "
-                        "penalty; skipped"
-                    )
-                    warnings.append(msg)
-                    results.append(_result_entry(order, None, None, skipped=msg))
-                    continue
-                rep = ridge_bias_exact_quadratic(prob.curvature, pen_matrix, xstar)
-                rep.penalized = fG
-            elif order == 2:
-                msg = "penalty bias is stated at orders 3 and 4 only; skipped"
-                warnings.append(msg)
-                results.append(_result_entry(order, None, None, skipped=msg))
-                continue
-            else:
-                pen_oracle = (
-                    pen
-                    if pen is not None
-                    else _ridge_oracle_for(pen_matrix)
-                )
-                try:
-                    rep = smooth_penalty_bias(f, xstar, pen_oracle, D, cert, order)
-                except (MissingThirdDerivative, MissingFourthDerivative) as exc:
-                    msg = f"order {order} skipped: {exc}"
-                    warnings.append(msg)
-                    results.append(_result_entry(order, None, None, skipped=msg))
-                    continue
-            comp = verify_penalty_bias(
-                rep, xstar,
-                tol=solver_cfg.get("tol"),
-                max_iter=int(solver_cfg.get("max_iter", 100)),
-            )
-            results.append(_result_entry(order, rep, comp))
-        cert_summary = _cert_summary(cert)
+            reports.append(rep)
+            results.append({"order": str(order), "report": rep.to_dict()})
+    comparisons = iter(_verify(g, xstar, reports, cfg.solver))
+    for entry in results:
+        if "report" in entry:
+            entry["verification"] = next(comparisons).to_dict()
 
     exit_code = _aggregate_exit(results, require_gates)
     return {
@@ -537,15 +499,11 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
                 "grad_norm_dual": anchor.grad_norm_dual,
             },
         },
-        "certificate": cert_summary,
+        "certificate": cert.to_dict(),
         "results": results,
         "warnings": warnings,
         "exit_code": exit_code,
     }
-
-
-def _ridge_oracle_for(pen_matrix: np.ndarray) -> PsdQuadraticOracle:
-    return PsdQuadraticOracle(pen_matrix)
 
 
 def cmd_certify(
@@ -702,45 +660,37 @@ def _sweep_base_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 
 
 def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str, Any]:
-    """Sweep ridge weights and verify the order-3 and order-4 bias radii."""
+    """Sweep ridge weights and verify the order-3 and order-4 bias radii.
+
+    Each weight is one perturbed problem, built, factored and solved once.
+    """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
     anchor = _solve_anchor(f, prob.x0, cfg.solver)
     xstar = anchor.xhat
     base = _sweep_base_matrix(cfg, f.dim)
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
-    solver_cfg = cfg.solver
     want_fourth = f.has_third and f.has_fourth
+    orders = [3, 4] if want_fourth else [3]
 
     rows = []
     results = []
+    verified = []
     for lam in grid:
-        G2 = lam * base
-        fG = quadratically_penalize(f, G2)
-        FG = spd_from_dense(fG.hessian(xstar))
-        cert = _build_certificate(cfg, fG, xstar, FG, include_omega=False)
-        D = cert.metric
-        pen_oracle = _ridge_oracle_for(G2)
-        rep3 = smooth_penalty_bias(f, xstar, pen_oracle, D, cert, order=3)
-        comp3 = verify_penalty_bias(
-            rep3, xstar,
-            tol=solver_cfg.get("tol"), max_iter=int(solver_cfg.get("max_iter", 100)),
-        )
-        entry = {
-            "lambda": lam,
-            "order3": {"report": rep3.to_dict(), "verification": comp3.to_dict()},
-        }
-        if want_fourth:
-            rep4 = smooth_penalty_bias(f, xstar, pen_oracle, D, cert, order=4)
-            comp4 = verify_penalty_bias(
-                rep4, xstar,
-                tol=solver_cfg.get("tol"),
-                max_iter=int(solver_cfg.get("max_iter", 100)),
-            )
-            entry["order4"] = {"report": rep4.to_dict(), "verification": comp4.to_dict()}
-        else:
-            rep4 = comp4 = None
+        pen = PsdQuadraticOracle(lam * base)
+        g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
+        reps = [bias_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
+        comps = _verify(g, xstar, reps, cfg.solver)
+        entry: dict[str, Any] = {"lambda": lam}
+        for rep, comp in zip(reps, comps):
+            entry[f"order{rep.order}"] = {
+                "report": rep.to_dict(),
+                "verification": comp.to_dict(),
+            }
+            verified.append(entry[f"order{rep.order}"])
         results.append(entry)
+        rep3, comp3 = reps[0], comps[0]
+        rep4, comp4 = (reps[1], comps[1]) if want_fourth else (None, None)
 
         gate3 = rep3.bounds.gate("tau3_dnorm").satisfied
         gate4 = (
@@ -776,12 +726,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
             ]
         )
 
-    flat = []
-    for entry in results:
-        flat.append({"order": "3", "verification": entry["order3"]["verification"]})
-        if "order4" in entry:
-            flat.append({"order": "4", "verification": entry["order4"]["verification"]})
-    exit_code = _aggregate_exit(flat, require_gates)
+    exit_code = _aggregate_exit(verified, require_gates)
     return {
         "schema": REPORT_SCHEMA,
         "command": "ridge-sweep",

@@ -22,7 +22,6 @@ __all__ = [
     "SpdOperator",
     "spd_from_dense",
     "spd_power_operator",
-    "apply_power",
     "weighted_norm",
     "kappa_between",
     "as_vector",
@@ -138,11 +137,6 @@ def spd_power_operator(M: SpdOperator, t: float) -> SpdOperator:
     vecs = M.eigenvectors[:, order].copy()
     dense = (vecs * vals) @ vecs.T
     return SpdOperator(matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs)
-
-
-def apply_power(M: SpdOperator, t: float, v) -> np.ndarray:
-    """Free-function form of :meth:`SpdOperator.apply_power`."""
-    return M.apply_power(t, v)
 
 
 def weighted_norm(M: SpdOperator, v) -> float:

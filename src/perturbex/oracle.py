@@ -16,8 +16,7 @@ flags tell certified operations whether the analytic forms exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -34,14 +33,9 @@ __all__ = [
     "CustomOracle",
     "SumOracle",
     "ScaledOracle",
-    "LinearPerturbation",
-    "QuadraticPerturbation",
-    "SmoothPerturbation",
-    "PerturbationSpec",
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
-    "apply_perturbation",
     "make_quadratic",
     "make_logistic",
     "make_logsumexp",
@@ -453,43 +447,6 @@ class _LinearShiftOracle(Oracle):
         return self.base.fourth_dir(x, u)
 
 
-# ---------------------------------------------------------------------------
-# Perturbation specifications
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class LinearPerturbation:
-    """Add the tilt ``<x, vector>`` to the objective."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", as_vector(self.vector))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticPerturbation:
-    """Add the ridge ``0.5 x' penalty_sq x``; the matrix is ``G^2`` itself."""
-
-    penalty_sq: np.ndarray
-
-    def __post_init__(self) -> None:
-        Q = np.asarray(self.penalty_sq, dtype=float)
-        PsdQuadraticOracle(Q)  # validates symmetry and positive semidefiniteness
-        object.__setattr__(self, "penalty_sq", 0.5 * (Q + Q.T))
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothPerturbation:
-    """Add a smooth convex penalty given as its own oracle."""
-
-    penalty: Oracle
-
-
-PerturbationSpec = Union[LinearPerturbation, QuadraticPerturbation, SmoothPerturbation]
-
-
 def linearly_perturb(f: Oracle, A) -> Oracle:
     """Return ``g(x) = f(x) + <x, A>``."""
     return _LinearShiftOracle(f, A)
@@ -510,10 +467,14 @@ def smoothly_penalize(f: Oracle, pen: Oracle, probe_seed: int = 0) -> Oracle:
 
     Convexity cannot be verified globally from black-box access; a handful
     of seeded probe points must have positive semidefinite penalty Hessians,
-    which catches sign errors without pretending to be a proof.
+    which catches sign errors without pretending to be a proof.  A
+    :class:`PsdQuadraticOracle` is not probed: its constructor already
+    checked symmetry and positive semidefiniteness exactly.
     """
     if pen.dim != f.dim:
         raise DimensionMismatch(f"penalty has dimension {pen.dim}, objective has {f.dim}")
+    if isinstance(pen, PsdQuadraticOracle):
+        return SumOracle(f, pen)
     rng = np.random.default_rng(probe_seed)
     for _ in range(5):
         point = rng.standard_normal(pen.dim)
@@ -522,17 +483,6 @@ def smoothly_penalize(f: Oracle, pen: Oracle, probe_seed: int = 0) -> Oracle:
         if float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) < -1e-8 * scale:
             raise NotPsd("penalty Hessian is indefinite at a probe point")
     return SumOracle(f, pen)
-
-
-def apply_perturbation(f: Oracle, spec: PerturbationSpec) -> Oracle:
-    """Dispatch a perturbation specification onto ``f``."""
-    if isinstance(spec, LinearPerturbation):
-        return linearly_perturb(f, spec.vector)
-    if isinstance(spec, QuadraticPerturbation):
-        return quadratically_penalize(f, spec.penalty_sq)
-    if isinstance(spec, SmoothPerturbation):
-        return smoothly_penalize(f, spec.penalty)
-    raise TypeError(f"unknown perturbation spec {type(spec).__name__}")
 
 
 def make_quadratic(F, center=None) -> QuadraticOracle:

@@ -11,8 +11,10 @@ minimized at ``x*``.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` has ``M = G2 x*`` and
 ``F_pen = F + G2``; the general smooth case only needs oracle access to
-the penalty.  Both entry points share one implementation, so the ridge
-results agree bit for bit with the smooth ones fed a quadratic penalty.
+the penalty.  Every entry point builds ``f + pen``, its drive and its
+factored curvature once and hands them to :func:`bias_for_order`, so the
+ridge results agree bit for bit with the smooth ones fed a quadratic
+penalty.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Any
 import numpy as np
 
 from . import constants
-from .errors import NotAtMinimum
 from .expand import (
     BoundSet,
     ComparisonReport,
@@ -33,17 +34,17 @@ from .expand import (
     RadiusBound,
     TARGET_NEWTON,
     ValueBound,
-    compare_with_solution,
     fourth_order_expansion,
+    solve_and_compare,
     third_order_bounds,
 )
 from .linalg import SpdOperator, as_vector, spd_from_dense, weighted_norm
 from .oracle import Oracle, PsdQuadraticOracle, smoothly_penalize
-from .smoothness import SmoothnessCertificate
-from .solver import newton_minimize
+from .smoothness import SmoothnessCertificate, check_anchor
 
 __all__ = [
     "PenaltyBiasReport",
+    "bias_for_order",
     "ridge_bias_exact_quadratic",
     "ridge_bias_bounds",
     "ridge_bias_fourth_order",
@@ -104,28 +105,7 @@ class PenaltyBiasReport:
         }
 
 
-def _check_bias_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator) -> None:
-    g = f.gradient(xstar)
-    resid = float(np.linalg.norm(D.apply_power(-1.0, g)))
-    scale = 1.0 + abs(f.value(xstar))
-    if resid > constants.BIAS_ANCHOR_GRAD_RTOL * scale:
-        raise NotAtMinimum(
-            f"metric-dual gradient norm {resid:.3e} at the anchor exceeds "
-            f"{constants.BIAS_ANCHOR_GRAD_RTOL:.0e} * {scale:.3g}"
-        )
-
-
-def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> PenaltyBiasReport:
-    """Closed-form ridge bias when the base objective is exactly quadratic.
-
-    With penalized curvature ``F_G = F + G2`` and drive ``M = G2 x*``:
-    bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
-    both exact (zero radii).
-    """
-    pen = PsdQuadraticOracle(G2)
-    upsstar = as_vector(upsstar, F.dim)
-    FG = spd_from_dense(F.matrix + pen.Q)
-    M = pen.gradient(upsstar)
+def _exact_bias(FG: SpdOperator, M: np.ndarray, fG: Oracle | None) -> PenaltyBiasReport:
     bias = -FG.apply_power(-1.0, M)
     xi = float(np.linalg.norm(FG.apply_power(-0.5, M)))
     bounds = BoundSet(
@@ -140,22 +120,41 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> PenaltyBiasReport
         bounds=bounds,
         penalized_curvature=FG,
         drive=M,
-        penalized=None,  # set by callers that know the base oracle
+        penalized=fG,
     )
 
 
-def _penalty_bias(
-    f: Oracle,
+def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> PenaltyBiasReport:
+    """Closed-form ridge bias when the base objective is exactly quadratic.
+
+    With penalized curvature ``F_G = F + G2`` and drive ``M = G2 x*``:
+    bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
+    both exact (zero radii).  The report carries no penalized oracle;
+    callers that know the base oracle set ``penalized`` to verify it.
+    """
+    pen = PsdQuadraticOracle(G2)
+    M = pen.gradient(as_vector(upsstar, F.dim))
+    return _exact_bias(spd_from_dense(F.matrix + pen.Q), M, None)
+
+
+def bias_for_order(
+    fG: Oracle,
     upsstar: np.ndarray,
-    pen: Oracle,
+    FG: SpdOperator,
     D: SpdOperator,
+    M: np.ndarray,
     cert: SmoothnessCertificate,
-    order: int,
+    order: int | str,
 ) -> PenaltyBiasReport:
-    _check_bias_anchor(f, upsstar, D)
-    fG = smoothly_penalize(f, pen)
-    M = pen.gradient(upsstar)
-    FG = spd_from_dense(fG.hessian(upsstar))
+    """Build the bias report for one order (``"exact"``, 3 or 4).
+
+    Takes the penalized problem as built once by the caller: the oracle
+    ``fG = f + pen``, the drive ``M = grad pen(x*)`` and the factored
+    curvature ``FG = grad^2 fG(x*)``; ``x*`` must minimize ``f``.  The
+    exact order is valid only for a quadratic ``f`` with a ridge penalty.
+    """
+    if order in ("exact", "exact-quadratic"):
+        return _exact_bias(FG, M, fG)
     u0 = FG.apply_power(-1.0, M)
     bG = weighted_norm(D, u0)
     predicted_bias = -u0
@@ -175,7 +174,7 @@ def _penalty_bias(
             certificate=cert,
         )
     if order != 4:
-        raise ValueError(f"unsupported order {order!r}; use 3 or 4")
+        raise ValueError(f"unsupported order {order!r}; use 'exact', 3 or 4")
 
     exp = fourth_order_expansion(fG, upsstar, FG, D, M, cert)
     mu = exp.predicted_shift
@@ -203,6 +202,23 @@ def _penalty_bias(
     )
 
 
+def _penalty_bias(
+    f: Oracle,
+    upsstar,
+    pen: Oracle,
+    D: SpdOperator,
+    cert: SmoothnessCertificate,
+    order: int,
+) -> PenaltyBiasReport:
+    if order not in (3, 4):
+        raise ValueError(f"unsupported order {order!r}; use 3 or 4")
+    upsstar = as_vector(upsstar, f.dim)
+    check_anchor(f, upsstar, D, constants.BIAS_ANCHOR_GRAD_RTOL)
+    fG = smoothly_penalize(f, pen)
+    FG = spd_from_dense(fG.hessian(upsstar))
+    return bias_for_order(fG, upsstar, FG, D, pen.gradient(upsstar), cert, order)
+
+
 def ridge_bias_bounds(
     f: Oracle,
     upsstar,
@@ -216,9 +232,7 @@ def ridge_bias_bounds(
     metric (for the ridge, third and fourth derivatives coincide with
     those of ``f``; the curvature gains ``G2``).
     """
-    return _penalty_bias(
-        f, as_vector(upsstar, f.dim), PsdQuadraticOracle(G2), D, cert, order=3
-    )
+    return _penalty_bias(f, upsstar, PsdQuadraticOracle(G2), D, cert, order=3)
 
 
 def ridge_bias_fourth_order(
@@ -235,9 +249,7 @@ def ridge_bias_fourth_order(
     same line with the opposite inner sign is emitted for contrast; it is
     of order ``2 bG``, not ``bG^2``).
     """
-    return _penalty_bias(
-        f, as_vector(upsstar, f.dim), PsdQuadraticOracle(G2), D, cert, order=4
-    )
+    return _penalty_bias(f, upsstar, PsdQuadraticOracle(G2), D, cert, order=4)
 
 
 def smooth_penalty_bias(
@@ -255,7 +267,7 @@ def smooth_penalty_bias(
     is that of ``f + pen``.  Feeding a quadratic penalty reproduces the
     ridge results exactly.
     """
-    return _penalty_bias(f, as_vector(upsstar, f.dim), pen, D, cert, order=order)
+    return _penalty_bias(f, upsstar, pen, D, cert, order)
 
 
 def verify_penalty_bias(
@@ -267,18 +279,6 @@ def verify_penalty_bias(
     """Solve the penalized problem and compare against a bias report."""
     if report.penalized is None:
         raise ValueError("report carries no penalized oracle to solve")
-    fG = report.penalized
-    upsstar = as_vector(upsstar, fG.dim)
-    sol = newton_minimize(fG, upsstar, tol=tol, max_iter=max_iter)
-    bias = sol.xhat - upsstar
-    dval = sol.value - fG.value(upsstar)
-    return compare_with_solution(
-        report.expansion_view(),
-        bias,
-        dval,
-        solver_info={
-            "iterations": sol.iterations,
-            "grad_norm_dual": sol.grad_norm_dual,
-            "converged": sol.converged,
-        },
-    )
+    return solve_and_compare(
+        report.penalized, upsstar, [report.expansion_view()], tol=tol, max_iter=max_iter
+    )[0]

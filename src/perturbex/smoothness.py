@@ -75,6 +75,17 @@ class SmoothnessCertificate:
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
+    def to_dict(self) -> dict[str, Any]:
+        """The constants and provenance; the metric itself is not serialized."""
+        return {
+            "radius": self.radius,
+            "kappa": self.kappa,
+            "omega": self.omega,
+            "tau3": self.tau3,
+            "tau4": self.tau4,
+            "provenance": self.provenance,
+        }
+
 
 def _metric_direction(rng: np.random.Generator, D: SpdOperator) -> np.ndarray:
     """A vector with ``||D v|| = 1``, direction uniform in the metric."""
@@ -90,13 +101,15 @@ def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
-def _check_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator, rtol: float) -> None:
+def check_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator, rtol: float) -> None:
+    """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)``."""
     g = f.gradient(xstar)
     resid = float(np.linalg.norm(D.apply_power(-1.0, g)))
     scale = 1.0 + abs(f.value(xstar))
     if resid > rtol * scale:
         raise NotAtMinimum(
-            f"metric-dual gradient norm {resid:.3e} exceeds {rtol:.0e} * {scale:.3g}"
+            f"metric-dual gradient norm {resid:.3e} at the anchor exceeds "
+            f"{rtol:.0e} * {scale:.3g}"
         )
 
 
@@ -119,7 +132,7 @@ def estimate_omega(
     xstar = as_vector(xstar, f.dim)
     if samples < 1:
         raise ValueError("samples must be positive")
-    _check_anchor(f, xstar, D, constants.ANCHOR_GRAD_RTOL)
+    check_anchor(f, xstar, D, constants.ANCHOR_GRAD_RTOL)
     fstar = f.value(xstar)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
+import numpy as np
 import pytest
 
 import perturbex.constants as constants
+import perturbex.harness as harness
+import perturbex.solver as solver
+from perturbex import oracle_from_descriptor, verify_expansion, verify_penalty_bias
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
 
@@ -139,6 +144,108 @@ class TestCertify:
         cfg = _write(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Objectives passed to ``newton_minimize``, through every module holding it."""
+    original = solver.newton_minimize
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return original(f, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "perturbex" or name.startswith("perturbex."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def _recording(monkeypatch, name):
+    """Keep every report the harness builds through ``harness.<name>``."""
+    original = getattr(harness, name)
+    built = []
+
+    def record(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        built.append(rep)
+        return rep
+
+    monkeypatch.setattr(harness, name, record)
+    return built
+
+
+def _verified_entries(report):
+    return [r for r in report["results"] if "verification" in r]
+
+
+class TestOneSolvePerProblem:
+    def test_certify_solves_anchor_and_one_verification(self, tmp_path, solves):
+        cfg = _write(tmp_path, "cfg.json", _base_config())
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(solves) == 2
+
+    def test_ridge_sweep_solves_once_per_lambda(self, tmp_path, solves):
+        payload = {
+            "seed": 8,
+            "problem": {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.15, "seed": 9},
+            "certificate": {"mode": "estimated", "samples": 60, "seed": 31, "radius": 0.5},
+            "sweep": {"lambda_grid": [0.05, 0.1], "g2": {"mode": "identity"}},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(solves) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert all({"order3", "order4"} <= set(entry) for entry in report["results"])
+
+    def test_all_orders_skipped_solves_only_the_anchor(self, tmp_path, solves):
+        payload = _base_config()
+        payload["orders"] = ["exact"]
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert len(solves) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert "skipped" in report["results"][0]
+
+    def test_linear_orders_match_single_report_verification(self, tmp_path, monkeypatch):
+        built = _recording(monkeypatch, "expansion_for_order")
+        cfg = _write(tmp_path, "cfg.json", _base_config())
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        f = oracle_from_descriptor(report["problem"]).oracle
+        xstar = np.array(report["anchor"]["xstar"])
+        entries = _verified_entries(report)
+        assert len(entries) == len(built) == 3
+        for entry, rep in zip(entries, built):
+            alone = verify_expansion(f, xstar, rep.tilt, rep).to_dict()
+            assert entry["verification"] == json.loads(json.dumps(alone))
+
+    def test_ridge_orders_match_single_report_verification(self, tmp_path, monkeypatch):
+        built = _recording(monkeypatch, "bias_for_order")
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "quadratic", "dim": 4, "seed": 2, "cond": 8},
+            "perturbation": {"kind": "quadratic", "lambda": 0.2},
+            "orders": ["exact", 2, 3, 4],
+            "certificate": {"mode": "estimated", "samples": 40, "seed": 4},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        xstar = np.array(report["anchor"]["xstar"])
+        entries = _verified_entries(report)
+        assert [e["order"] for e in entries] == ["exact", "3", "4"]
+        assert len(built) == 3
+        for entry, rep in zip(entries, built):
+            alone = verify_penalty_bias(rep, xstar).to_dict()
+            assert entry["verification"] == json.loads(json.dumps(alone))
 
 
 class TestConfigValidation:

@@ -140,14 +140,6 @@ class TestPerturbations:
         with pytest.raises(NotPsd):
             px.smoothly_penalize(f, concave)
 
-    def test_apply_perturbation_dispatch(self, rng):
-        f = _zoo("logistic").oracle
-        A = rng.standard_normal(f.dim)
-        g1 = px.apply_perturbation(f, px.LinearPerturbation(A))
-        g2 = px.linearly_perturb(f, A)
-        x = rng.standard_normal(f.dim)
-        assert g1.value(x) == g2.value(x)
-
 
 class TestScaledOracle:
     def test_scales_all_orders(self, rng):
