@@ -66,21 +66,11 @@ from .oracle import (
     SumOracle,
     fd_probe,
     linearly_perturb,
-    make_logistic,
-    make_logsumexp,
     make_quadratic,
     quadratically_penalize,
     smoothly_penalize,
 )
-from .penalty import (
-    PenaltyBiasReport,
-    bias_for_order,
-    ridge_bias_bounds,
-    ridge_bias_exact_quadratic,
-    ridge_bias_fourth_order,
-    smooth_penalty_bias,
-    verify_penalty_bias,
-)
+from .penalty import ridge_bias_exact_quadratic, smooth_penalty_bias
 from .smoothness import (
     SmoothnessCertificate,
     declared_certificate,
@@ -129,8 +119,6 @@ __all__ = [
     "quadratically_penalize",
     "smoothly_penalize",
     "make_quadratic",
-    "make_logistic",
-    "make_logsumexp",
     "fd_probe",
     # problem zoo
     "ZooProblem",
@@ -170,13 +158,8 @@ __all__ = [
     "solve_and_compare",
     "verify_expansion",
     # penalty bias
-    "PenaltyBiasReport",
-    "bias_for_order",
     "ridge_bias_exact_quadratic",
-    "ridge_bias_bounds",
-    "ridge_bias_fourth_order",
     "smooth_penalty_bias",
-    "verify_penalty_bias",
     # harness
     "ExperimentConfig",
 ]

@@ -17,7 +17,6 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import PerturbexError
 from .harness import (
     EXIT_ERROR,
     cmd_certify,
@@ -83,10 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ridge-sweep":
             return cmd_ridge_sweep(args.config, args.out, args.seed, args.require_gates)
         return cmd_selftest(args.out, args.seed)
-    except (PerturbexError, ValueError, OSError) as exc:
-        print(f"perturbex: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:  # jsonschema.ValidationError and friends
+    except Exception as exc:  # PerturbexError, jsonschema.ValidationError, OSError, ...
         print(f"perturbex: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -463,8 +463,11 @@ def fourth_order_expansion(
       + kappa^2 (tau4 + 2 kappa^2 tau3^2)^2 / 4 * b^6``
     - the order-3 shift radius ``(3/2) b`` still applies.
 
-    The computed skew magnitude is reported against its own cap
-    ``|T| <= (tau3 / 6) b^3`` as a sanity line.
+    Reported as diagnostics: how far the corrected shift sits from the
+    Newton prediction, ``||D (abar + F^{-1} A)|| <= (tau3 / 2) b^2`` (the
+    same line with the opposite inner sign is emitted for contrast; it is
+    of order ``2 b``, not ``b^2``), and the computed skew magnitude against
+    its own cap ``|T| <= (tau3 / 6) b^3``.
     """
     if cert.tau3 is None:
         raise MissingThirdDerivative("certificate lacks tau3")
@@ -491,6 +494,7 @@ def fourth_order_expansion(
     all_names = tuple(g.name for g in gates)
     third_names = ("metric_dominated", "dnorm_radius", "tau3_dnorm")
     skew_radius = (0.5 * tau4 + kappa**2 * tau3**2) * b**3
+    proximity = 0.5 * tau3 * b**2
     value_radius = (
         (tau4 + 4.0 * kappa**2 * tau3**2) / 8.0 * b**4
         + kappa**2 * (tau4 + 2.0 * kappa**2 * tau3**2) ** 2 / 4.0 * b**6
@@ -506,7 +510,9 @@ def fourth_order_expansion(
         ],
         value_bound=ValueBound(-value_radius, value_radius, all_names),
         diagnostics=[
-            Gate("skew_magnitude", abs(T_val), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b**3)
+            Gate("mu_proximity", weighted_norm(D, shift + u0), proximity),
+            Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - u0), proximity),
+            Gate("skew_magnitude", abs(T_val), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b**3),
         ],
     )
     return ExpansionReport(
@@ -582,19 +588,8 @@ def distance_to_optimum(
     local_kappa = kappa_between(D, F)
     if local_kappa > cert.kappa:
         cert = replace(cert, kappa=local_kappa)
-    A = f.gradient(xk)
-    bounds = third_order_bounds(F, D, A, cert)
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    return ExpansionReport(
-        order="3",
-        predicted_shift=-F.apply_power(-1.0, A),
-        predicted_value_change=-0.5 * xi**2,
-        bounds=bounds,
-        curvature=F,
-        tilt=A,
-        certificate=cert,
-        anchor="iterate",
-    )
+    rep = expansion_for_order(f, xk, F, D, f.gradient(xk), cert, 3)
+    return replace(rep, anchor="iterate")
 
 
 # ---------------------------------------------------------------------------

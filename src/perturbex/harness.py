@@ -36,7 +36,7 @@ from .expand import (
     solve_and_compare,
     verify_expansion,
 )
-from .linalg import SpdOperator, spd_from_dense, spd_power_operator
+from .linalg import SpdOperator, spd_from_dense, spd_power_operator, weighted_norm
 from .oracle import (
     CustomOracle,
     Oracle,
@@ -47,7 +47,7 @@ from .oracle import (
     linearly_perturb,
     smoothly_penalize,
 )
-from .penalty import PenaltyBiasReport, bias_for_order, ridge_bias_exact_quadratic
+from .penalty import ridge_bias_exact_quadratic
 from .smoothness import (
     SmoothnessCertificate,
     check_anchor,
@@ -75,7 +75,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v1"
+REPORT_SCHEMA = "perturbex.report.v2"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _PROBLEM_SCHEMA = {
@@ -356,13 +356,12 @@ def _penalized_problem(
 def _verify(
     g: Oracle,
     xstar: np.ndarray,
-    reports: list[ExpansionReport | PenaltyBiasReport],
+    reports: list[ExpansionReport],
     solver_cfg: dict[str, Any],
 ) -> list[ComparisonReport]:
     """Solve the perturbed problem ``g`` once and check every report against it."""
-    views = [r.expansion_view() if isinstance(r, PenaltyBiasReport) else r for r in reports]
     return solve_and_compare(
-        g, xstar, views,
+        g, xstar, reports,
         tol=solver_cfg.get("tol"),
         max_iter=int(solver_cfg.get("max_iter", 100)),
     )
@@ -430,8 +429,11 @@ def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
 def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str, Any]:
     """Run the configured expansion orders and verify each against the solver.
 
-    The perturbed problem is built, factored and solved once; every order's
-    report is checked against that one solution.
+    A penalty is a linear tilt of ``f + pen`` with drive ``grad pen(x*)``, so
+    both kinds of perturbation build the same reports; they differ only in
+    the perturbed problem and in which orders they state.  The perturbed
+    problem is built, factored and solved once; every order's report is
+    checked against that one solution.
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
@@ -439,16 +441,15 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     xstar = anchor.xhat
     kind = cfg.perturbation["kind"]
 
+    # Orders a perturbation does not state, with the reason each is skipped.
+    skips: dict[int | str, str] = {}
     if kind == "linear":
-        A = _linear_tilt(cfg, f.dim)
-        g = linearly_perturb(f, A)
+        drive = _linear_tilt(cfg, f.dim)
+        g = linearly_perturb(f, drive)
         F = spd_from_dense(g.hessian(xstar))
         cert = _build_certificate(cfg, f, xstar, F, include_omega=True)
-
-        def build(order):
-            if order == "exact" and prob.kind != "quadratic":
-                return "exact expansion needs a quadratic objective; skipped"
-            return expansion_for_order(f, xstar, F, cert.metric, A, cert, order, cfg.nu)
+        if prob.kind != "quadratic":
+            skips["exact"] = "exact expansion needs a quadratic objective; skipped"
     else:
         ridge = kind == "quadratic"
         pen = (
@@ -456,24 +457,21 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
             if ridge
             else _smooth_penalty(cfg, f.dim)
         )
-        g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
+        g, drive, F, cert = _penalized_problem(cfg, f, xstar, pen)
+        if not (ridge and prob.kind == "quadratic"):
+            skips["exact"] = "exact bias needs a quadratic objective and a ridge penalty; skipped"
+        skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
-        def build(order):
-            if order == "exact" and not (ridge and prob.kind == "quadratic"):
-                return "exact bias needs a quadratic objective and a ridge penalty; skipped"
-            if order == 2:
-                return "penalty bias is stated at orders 3 and 4 only; skipped"
-            return bias_for_order(g, xstar, FG, cert.metric, M, cert, order)
-
-    # build() returns a report, or the reason the order is skipped.
     warnings: list[str] = []
     results: list[dict[str, Any]] = []
     reports = []
     for order in cfg.orders:
-        try:
-            rep = build(order)
-        except (MissingThirdDerivative, MissingFourthDerivative) as exc:
-            rep = f"order {order} skipped: {exc}"
+        rep = skips.get(order)
+        if rep is None:
+            try:
+                rep = expansion_for_order(g, xstar, F, cert.metric, drive, cert, order, cfg.nu)
+            except (MissingThirdDerivative, MissingFourthDerivative) as exc:
+                rep = f"order {order} skipped: {exc}"
         if isinstance(rep, str):
             warnings.append(rep)
             results.append({"order": str(order), "skipped": rep})
@@ -679,7 +677,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     for lam in grid:
         pen = PsdQuadraticOracle(lam * base)
         g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
-        reps = [bias_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
+        reps = [expansion_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
         comps = _verify(g, xstar, reps, cfg.solver)
         entry: dict[str, Any] = {"lambda": lam}
         for rep, comp in zip(reps, comps):
@@ -712,10 +710,10 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         rows.append(
             [
                 lam,
-                rep3.bG,
+                weighted_norm(cert.metric, rep3.predicted_shift),
                 int(gate3),
                 int(gate4) if gate4 != "" else "",
-                float(np.linalg.norm(rep3.predicted_bias)),
+                float(np.linalg.norm(rep3.predicted_shift)),
                 float(np.linalg.norm(comp3.actual_shift)),
                 radius3,
                 resid3,
@@ -826,8 +824,8 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
     rep1 = ridge_bias_exact_quadratic(F1, np.array([[1.0]]), np.array([1.0]))
     check(
         "ridge closed form",
-        abs(rep1.predicted_bias[0] + 0.5) < 1e-14
-        and abs(rep1.value_prediction + 0.25) < 1e-14,
+        abs(rep1.predicted_shift[0] + 0.5) < 1e-14
+        and abs(rep1.predicted_value_change + 0.25) < 1e-14,
     )
 
     # Taylor diagnostics with inflated constants on a small logistic problem.

@@ -58,6 +58,8 @@ class SpdOperator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     dim: int = field(init=False)
+    # kappa_between(D, self) by metric operator; both are immutable.
+    _kappa_by_metric: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", int(self.matrix.shape[0]))
@@ -159,8 +161,13 @@ def kappa_between(D, F: SpdOperator) -> float:
 
     ``D`` may be an :class:`SpdOperator` or any symmetric positive
     semidefinite array (a zero metric gives ``kappa = 0``).  Computed as the
-    square root of the largest eigenvalue of ``F^{-1/2} D^2 F^{-1/2}``.
+    square root of the largest eigenvalue of ``F^{-1/2} D^2 F^{-1/2}``, once
+    per pair of operators: the value is kept on ``F`` keyed by an operator
+    ``D`` (array metrics are recomputed on every call).
     """
+    cached = F._kappa_by_metric.get(D) if isinstance(D, SpdOperator) else None
+    if cached is not None:
+        return cached
     D2 = _square_of(D)
     if D2.shape[0] != F.dim:
         raise DimensionMismatch(
@@ -170,4 +177,7 @@ def kappa_between(D, F: SpdOperator) -> float:
     S = Fmh @ D2 @ Fmh
     S = 0.5 * (S + S.T)
     top = float(np.linalg.eigvalsh(S)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    kappa = float(np.sqrt(max(top, 0.0)))
+    if isinstance(D, SpdOperator):
+        F._kappa_by_metric[D] = kappa
+    return kappa

@@ -37,8 +37,6 @@ __all__ = [
     "quadratically_penalize",
     "smoothly_penalize",
     "make_quadratic",
-    "make_logistic",
-    "make_logsumexp",
     "fd_probe",
 ]
 
@@ -490,14 +488,6 @@ def make_quadratic(F, center=None) -> QuadraticOracle:
     if not isinstance(F, SpdOperator):
         F = spd_from_dense(F)
     return QuadraticOracle(F, center)
-
-
-def make_logistic(X, y, reg: float = 0.0) -> LogisticOracle:
-    return LogisticOracle(X, y, reg)
-
-
-def make_logsumexp(X, temp: float = 1.0, reg: float = 0.0) -> LogSumExpOracle:
-    return LogSumExpOracle(X, temp, reg)
 
 
 # ---------------------------------------------------------------------------

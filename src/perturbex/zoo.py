@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SpdOperator, spd_from_dense
-from .oracle import Oracle, QuadraticOracle, make_logistic, make_logsumexp
+from .oracle import LogisticOracle, LogSumExpOracle, Oracle, QuadraticOracle
 
 __all__ = ["ZooProblem", "random_spd", "oracle_from_descriptor"]
 
@@ -96,9 +96,9 @@ def oracle_from_descriptor(desc: dict) -> ZooProblem:
     reg = float(desc.get("reg", 0.1))
     if kind == "logistic":
         X, y = _logistic_data(rng, n, dim)
-        oracle = make_logistic(X, y, reg)
+        oracle = LogisticOracle(X, y, reg)
     else:
         temp = float(desc.get("temp", 1.0))
         X = rng.standard_normal((n, dim)) / np.sqrt(dim)
-        oracle = make_logsumexp(X, temp, reg)
+        oracle = LogSumExpOracle(X, temp, reg)
     return ZooProblem(oracle=oracle, descriptor=dict(desc), x0=np.zeros(dim))

@@ -108,18 +108,17 @@ class _Tally:
         self.instances += 1
 
 
-def _verify_bias_pair(tally: _Tally, rep3, rep4, xstar, label: str) -> None:
-    """Solve the penalized problem once, then grade both bias orders."""
-    fG = rep3.penalized
+def _verify_bias_pair(tally: _Tally, fG, rep3, rep4, xstar, label: str) -> None:
+    """Solve the penalized problem ``fG`` once, then grade both bias orders."""
     sol = px.newton_minimize(fG, xstar)
     bias = sol.xhat - xstar
     dval = sol.value - fG.value(xstar)
     comps = {}
     for rep in (rep3, rep4):
-        comp = px.compare_with_solution(rep.expansion_view(), bias, dval)
+        comp = px.compare_with_solution(rep, bias, dval)
         tally.add(f"{label}/order{rep.order}", rep, comp)
         comps[rep.order] = comp
-    prox = {g.name: g for g in rep4.diagnostics}["mu_proximity"]
+    prox = {g.name: g for g in rep4.bounds.diagnostics}["mu_proximity"]
     if not prox.satisfied:
         tally.gate_failures.append(
             f"{label}: mu_proximity {prox.lhs:.3g} > {prox.rhs:.3g}"
@@ -200,10 +199,11 @@ def theorem_suite():
             f, xstar, lambda u: px.PsdQuadraticOracle(u * base), 0.02,
             samples=120, seed=5000 + j,
         )
-        G2 = w * base
-        rep3 = px.ridge_bias_bounds(f, xstar, G2, cert.metric, cert)
-        rep4 = px.ridge_bias_fourth_order(f, xstar, G2, cert.metric, cert)
-        _verify_bias_pair(tally, rep3, rep4, xstar, f"ridge-{j}")
+        pen = px.PsdQuadraticOracle(w * base)
+        rep3 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=3)
+        rep4 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=4)
+        fG = px.smoothly_penalize(f, pen)
+        _verify_bias_pair(tally, fG, rep3, rep4, xstar, f"ridge-{j}")
 
     # General smooth penalties (scaled soft-max terms) at orders 3 and 4.
     for m in range(14):
@@ -227,7 +227,8 @@ def theorem_suite():
         )
         rep3 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=3)
         rep4 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=4)
-        _verify_bias_pair(tally, rep3, rep4, xstar, f"smooth-{m}")
+        fG = px.smoothly_penalize(f, pen)
+        _verify_bias_pair(tally, fG, rep3, rep4, xstar, f"smooth-{m}")
 
     return {
         "instances": tally.instances,
@@ -290,8 +291,8 @@ def test_ridge_bias_is_exact_on_quadratics(criterion):
         else:
             G2 = lam * px.random_spd(rng, dim, cond=8.0).matrix
         rep = px.ridge_bias_exact_quadratic(prob.curvature, G2, prob.minimizer)
-        rep.penalized = px.quadratically_penalize(prob.oracle, G2)
-        comp = px.verify_penalty_bias(rep, prob.minimizer)
+        penalized = px.quadratically_penalize(prob.oracle, G2)
+        comp = px.solve_and_compare(penalized, prob.minimizer, [rep])[0]
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, lam, comp.residual_norms))
     elapsed = time.perf_counter() - t0

@@ -211,6 +211,17 @@ class TestFourthOrder:
             atol=1e-15,
         )
 
+    def test_tilt_reports_mu_proximity(self, logistic_certificate):
+        """The corrected shift sits within (tau3 / 2) b^2 of the Newton step."""
+        f, xstar, F, cert = logistic_certificate
+        A = 0.02 * np.arange(1.0, f.dim + 1)
+        rep = px.fourth_order_expansion(f, xstar, F, cert.metric, A, cert)
+        diag = {g.name: g for g in rep.bounds.diagnostics}
+        assert diag["mu_proximity"].satisfied
+        b = px.weighted_norm(cert.metric, F.apply_power(-1.0, A))
+        assert diag["mu_proximity"].rhs == 0.5 * cert.tau3 * b**2
+        assert not diag["mu_proximity_opposite_sign"].satisfied
+
     def test_tau4_gate(self):
         f = px.QuadraticOracle(_I1, np.zeros(1))
         cert = px.declared_certificate(

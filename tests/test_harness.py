@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
+import importlib.util
 import json
+import os
 import sys
 
 import numpy as np
@@ -9,8 +12,15 @@ import pytest
 
 import perturbex.constants as constants
 import perturbex.harness as harness
+import perturbex.linalg as linalg
 import perturbex.solver as solver
-from perturbex import oracle_from_descriptor, verify_expansion, verify_penalty_bias
+from perturbex import (
+    PsdQuadraticOracle,
+    oracle_from_descriptor,
+    smoothly_penalize,
+    solve_and_compare,
+    verify_expansion,
+)
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
 
@@ -37,7 +47,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v1"
+        assert report["schema"] == "perturbex.report.v2"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -227,7 +237,7 @@ class TestOneSolvePerProblem:
             assert entry["verification"] == json.loads(json.dumps(alone))
 
     def test_ridge_orders_match_single_report_verification(self, tmp_path, monkeypatch):
-        built = _recording(monkeypatch, "bias_for_order")
+        built = _recording(monkeypatch, "expansion_for_order")
         payload = {
             "seed": 1,
             "problem": {"kind": "quadratic", "dim": 4, "seed": 2, "cond": 8},
@@ -239,20 +249,67 @@ class TestOneSolvePerProblem:
         out = tmp_path / "o"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
+        f = oracle_from_descriptor(report["problem"]).oracle
+        penalized = smoothly_penalize(f, PsdQuadraticOracle(0.2 * np.eye(4)))
         xstar = np.array(report["anchor"]["xstar"])
         entries = _verified_entries(report)
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            alone = verify_penalty_bias(rep, xstar).to_dict()
+            alone = solve_and_compare(penalized, xstar, [rep])[0].to_dict()
             assert entry["verification"] == json.loads(json.dumps(alone))
+
+
+class TestKappaOncePerPair:
+    """``kappa_between`` solves one eigenproblem per (metric, curvature) pair."""
+
+    @pytest.fixture
+    def kappa_solves(self, monkeypatch):
+        original = np.linalg.eigvalsh
+        calls = []
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_code is linalg.kappa_between.__code__:
+                calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_certify_computes_kappa_once(self, tmp_path, kappa_solves):
+        cfg = _write(tmp_path, "cfg.json", _base_config())
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(kappa_solves) == 1
+
+    def test_ridge_sweep_computes_kappa_once_per_lambda(self, tmp_path, kappa_solves):
+        payload = {
+            "seed": 8,
+            "problem": {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.15, "seed": 9},
+            "certificate": {"mode": "estimated", "samples": 60, "seed": 31, "radius": 0.5},
+            "sweep": {"lambda_grid": [0.05, 0.1], "g2": {"mode": "identity"}},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(kappa_solves) == 2
+
+
+class TestBenchmarkTracerHooks:
+    def test_traced_names_exist(self):
+        """``bench/tracer.py`` patches each of these names; all must resolve."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, name in tracer.TRACED_FUNCTIONS:
+            assert callable(getattr(importlib.import_module(f"perturbex.{module}"), name))
+        assert isinstance(harness.ExperimentConfig.__dict__["from_file"], classmethod)
 
 
 class TestConfigValidation:
     def test_missing_problem_exits_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json", {"seed": 1})
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("perturbex: error: ")
 
     def test_unknown_keys_are_rejected(self, tmp_path):
         payload = _base_config()
@@ -260,10 +317,11 @@ class TestConfigValidation:
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    def test_missing_file_exits_one(self, tmp_path):
+    def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(
             ["certify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
         ) == 1
+        assert capsys.readouterr().err.startswith("perturbex: error: ")
 
     def test_estimated_mode_requires_a_seed(self):
         with pytest.raises(ValueError):

@@ -27,12 +27,24 @@ def ridge_setup():
     return f, xstar, G2, cert
 
 
+def _ridge(f, xstar, G2, cert, order=3):
+    return px.smooth_penalty_bias(
+        f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order
+    )
+
+
+def _verify(f, xstar, G2, rep):
+    """Solve ``f + ridge`` from ``x*`` and check one bias report against it."""
+    penalized = px.smoothly_penalize(f, px.PsdQuadraticOracle(G2))
+    return px.solve_and_compare(penalized, xstar, [rep])[0]
+
+
 class TestExactRidge:
     def test_one_dimensional_closed_form(self):
         """F = 1, G^2 = 1, anchor 1: bias -1/2 and value change -1/4."""
         rep = px.ridge_bias_exact_quadratic(_I1, np.array([[1.0]]), np.array([1.0]))
-        assert rep.predicted_bias[0] == pytest.approx(-0.5, abs=1e-15)
-        assert rep.value_prediction == pytest.approx(-0.25, abs=1e-15)
+        assert rep.predicted_shift[0] == pytest.approx(-0.5, abs=1e-15)
+        assert rep.predicted_value_change == pytest.approx(-0.25, abs=1e-15)
         assert all(b.radius == 0.0 for b in rep.bounds.shift_bounds)
 
     def test_matches_solver_on_random_quadratic(self, rng):
@@ -41,41 +53,36 @@ class TestExactRidge:
         f = px.QuadraticOracle(F, center)
         G2mat = 0.3 * np.eye(4)
         rep = px.ridge_bias_exact_quadratic(F, G2mat, center)
-        rep.penalized = px.quadratically_penalize(f, G2mat)
-        comp = px.verify_penalty_bias(rep, center)
+        penalized = px.quadratically_penalize(f, G2mat)
+        comp = px.solve_and_compare(penalized, center, [rep])[0]
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
-
-    def test_verify_needs_the_penalized_oracle(self):
-        rep = px.ridge_bias_exact_quadratic(_I1, np.array([[1.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            px.verify_penalty_bias(rep, np.array([1.0]))
 
     def test_zero_penalty_is_a_fixed_point(self, rng):
         F = px.random_spd(rng, 3, cond=5.0)
         rep = px.ridge_bias_exact_quadratic(F, np.zeros((3, 3)), rng.standard_normal(3))
-        np.testing.assert_array_equal(rep.predicted_bias, np.zeros(3))
-        assert rep.value_prediction == 0.0
-        assert rep.bG == 0.0
+        np.testing.assert_array_equal(rep.predicted_shift, np.zeros(3))
+        assert rep.predicted_value_change == 0.0
+        np.testing.assert_array_equal(rep.tilt, np.zeros(3))
 
 
 class TestRidgeBounds:
     def test_order3_certifies(self, ridge_setup):
         f, xstar, G2, cert = ridge_setup
-        rep = px.ridge_bias_bounds(f, xstar, G2, cert.metric, cert)
+        rep = _ridge(f, xstar, G2, cert)
         assert rep.order == "3"
         assert rep.bounds.all_gates_pass
-        comp = px.verify_penalty_bias(rep, xstar)
+        comp = _verify(f, xstar, G2, rep)
         assert comp.certifying
         assert comp.violations == []
         assert comp.max_certified_slack <= 1.0
 
     def test_order4_certifies_and_is_tighter(self, ridge_setup):
         f, xstar, G2, cert = ridge_setup
-        rep3 = px.ridge_bias_bounds(f, xstar, G2, cert.metric, cert)
-        rep4 = px.ridge_bias_fourth_order(f, xstar, G2, cert.metric, cert)
-        comp3 = px.verify_penalty_bias(rep3, xstar)
-        comp4 = px.verify_penalty_bias(rep4, xstar)
+        rep3 = _ridge(f, xstar, G2, cert)
+        rep4 = _ridge(f, xstar, G2, cert, order=4)
+        comp3 = _verify(f, xstar, G2, rep3)
+        comp4 = _verify(f, xstar, G2, rep4)
         assert comp4.violations == []
         resid3 = comp3.residual_norms["newton_residual_dinvf"]
         resid4 = comp4.residual_norms["skew_residual_dinvf"]
@@ -87,9 +94,7 @@ class TestRidgeBounds:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.3, tau4=0.2
         )
-        rep = px.ridge_bias_fourth_order(
-            f, np.zeros(1), np.array([[0.0]]), cert.metric, cert
-        )
+        rep = _ridge(f, np.zeros(1), np.array([[0.0]]), cert, order=4)
         # Zero penalty gives bG = 0; drive the formula through a tilt instead:
         # reuse the bound expression by checking the fourth-order expansion
         # with b = 0.5 directly.
@@ -100,14 +105,14 @@ class TestRidgeBounds:
             b for b in exp.bounds.shift_bounds if b.name == "skew_residual_dinvf"
         )
         assert skew.radius == pytest.approx(0.02375, rel=1e-12)
-        assert rep.bG == 0.0
+        assert px.weighted_norm(cert.metric, rep.predicted_shift) == 0.0
 
     def test_mu_proximity_diagnostic(self, ridge_setup):
         """The corrected direction sits within O(tau3 bG^2) of the Newton bias;
         flipping the sign of the Newton term breaks it by ~2 bG."""
         f, xstar, G2, cert = ridge_setup
-        rep = px.ridge_bias_fourth_order(f, xstar, G2, cert.metric, cert)
-        diag = {g.name: g for g in rep.diagnostics}
+        rep = _ridge(f, xstar, G2, cert, order=4)
+        diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
         assert not diag["mu_proximity_opposite_sign"].satisfied
         assert diag["mu_proximity_opposite_sign"].lhs > 10 * diag["mu_proximity"].lhs
@@ -120,24 +125,28 @@ class TestRidgeBounds:
         )
         mags = []
         for lam in (0.1, 0.3, 0.9):
-            rep = px.ridge_bias_bounds(
-                f, np.array([1.0]), np.array([[lam]]), _I1, cert
+            rep = px.smooth_penalty_bias(
+                f, np.array([1.0]), px.PsdQuadraticOracle([[lam]]), _I1, cert
             )
-            mags.append(abs(rep.predicted_bias[0]))
-            assert rep.predicted_bias[0] == pytest.approx(-lam / (1 + lam), rel=1e-12)
+            mags.append(abs(rep.predicted_shift[0]))
+            assert rep.predicted_shift[0] == pytest.approx(-lam / (1 + lam), rel=1e-12)
         assert mags == sorted(mags)
 
 
 class TestSmoothPenalty:
     def test_ridge_and_smooth_paths_are_bit_identical(self, ridge_setup):
         f, xstar, G2, cert = ridge_setup
-        rep_r = px.ridge_bias_bounds(f, xstar, G2, cert.metric, cert)
+        fG = px.quadratically_penalize(f, G2)
+        FG = px.spd_from_dense(fG.hessian(xstar))
+        rep_r = px.expansion_for_order(fG, xstar, FG, cert.metric, G2 @ xstar, cert, 3)
         rep_s = px.smooth_penalty_bias(
             f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order=3
         )
-        np.testing.assert_array_equal(rep_r.predicted_bias, rep_s.predicted_bias)
-        assert rep_r.value_prediction == rep_s.value_prediction
-        assert rep_r.bG == rep_s.bG
+        np.testing.assert_array_equal(rep_r.predicted_shift, rep_s.predicted_shift)
+        assert rep_r.predicted_value_change == rep_s.predicted_value_change
+        assert px.weighted_norm(cert.metric, rep_r.predicted_shift) == px.weighted_norm(
+            cert.metric, rep_s.predicted_shift
+        )
         radii_r = [b.radius for b in rep_r.bounds.shift_bounds]
         radii_s = [b.radius for b in rep_s.bounds.shift_bounds]
         assert radii_r == radii_s
@@ -160,14 +169,14 @@ class TestSmoothPenalty:
         )
         for order in (3, 4):
             rep = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order)
-            comp = px.verify_penalty_bias(rep, xstar)
+            comp = px.solve_and_compare(fG, xstar, [rep])[0]
             assert comp.certifying, rep.bounds.failed_gates()
             assert comp.violations == []
 
     def test_rejects_off_minimum_anchor(self, ridge_setup):
         f, xstar, G2, cert = ridge_setup
         with pytest.raises(NotAtMinimum):
-            px.ridge_bias_bounds(f, xstar + 0.5, G2, cert.metric, cert)
+            _ridge(f, xstar + 0.5, G2, cert)
 
     def test_order_validation(self, ridge_setup):
         f, xstar, G2, cert = ridge_setup
@@ -176,18 +185,3 @@ class TestSmoothPenalty:
                 f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order=2
             )
 
-
-class TestExpansionView:
-    def test_order3_view_uses_the_newton_bias(self, ridge_setup):
-        f, xstar, G2, cert = ridge_setup
-        rep = px.ridge_bias_bounds(f, xstar, G2, cert.metric, cert)
-        view = rep.expansion_view()
-        np.testing.assert_array_equal(view.predicted_shift, rep.predicted_bias)
-        assert view.order == "3"
-
-    def test_order4_view_uses_the_corrected_direction(self, ridge_setup):
-        f, xstar, G2, cert = ridge_setup
-        rep = px.ridge_bias_fourth_order(f, xstar, G2, cert.metric, cert)
-        view = rep.expansion_view()
-        np.testing.assert_array_equal(view.predicted_shift, rep.mu_correction)
-        assert not np.array_equal(view.predicted_shift, rep.predicted_bias)
