@@ -49,6 +49,7 @@ from .expand import (
 from .harness import ExperimentConfig
 from .linalg import (
     SpdOperator,
+    as_matrix,
     as_vector,
     kappa_between,
     spd_from_dense,
@@ -102,6 +103,7 @@ __all__ = [
     # linear algebra
     "SpdOperator",
     "as_vector",
+    "as_matrix",
     "spd_from_dense",
     "spd_power_operator",
     "weighted_norm",

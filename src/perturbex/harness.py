@@ -187,6 +187,11 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Checking the schema itself takes tens of milliseconds, so it is done once
+# here and every config load reuses the validator.
+jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 @dataclass
 class ExperimentConfig:
@@ -196,7 +201,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        jsonschema.validate(raw, CONFIG_SCHEMA)
+        # The error jsonschema.validate(raw, CONFIG_SCHEMA) would raise.
+        error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+        if error is not None:
+            raise error
         cert = raw.get("certificate", {"mode": "estimated"})
         if cert.get("mode") == "estimated" and "seed" not in cert:
             if "seed" not in raw:

@@ -25,6 +25,7 @@ __all__ = [
     "weighted_norm",
     "kappa_between",
     "as_vector",
+    "as_matrix",
 ]
 
 
@@ -37,6 +38,18 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected length {dim}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
+    return arr
+
+
+def as_matrix(M, dim: int) -> np.ndarray:
+    """Coerce a block of column vectors to a finite 2-d float array with ``dim`` rows."""
+    arr = np.asarray(M, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {arr.shape}")
+    if arr.shape[0] != dim:
+        raise DimensionMismatch(f"expected {dim} rows, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     return arr
 
 

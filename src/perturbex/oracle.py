@@ -12,6 +12,17 @@ only higher-order access the rest of the package ever needs:
 Problems that lack analytic higher derivatives fall back to symmetric
 finite differences of the Hessian; the ``has_third`` / ``has_fourth``
 flags tell certified operations whether the analytic forms exist.
+
+The sampled certificates evaluate many points at once through the batched
+forms ``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P,
+V)``: column ``j`` of ``P`` is a point, column ``j`` of ``V`` the direction
+paired with it, and column ``j`` of the result is what the scalar method
+returns for that pair.  The base class loops the scalar methods over the
+columns, so every oracle (finite-difference fallbacks included) has them.
+Logistic, log-sum-exp and quadratic problems override them with closed forms
+built on a few matrix-matrix products (``X @ P``, ``X @ V``, ``X.T @ W``),
+and sums, scalings and linear tilts forward them to their parts.  Batched
+and looped results agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from .diagnostics import CheckResult, DiagnosticsRecord
 from .errors import BadLabels, DimensionMismatch, NotPsd
-from .linalg import SpdOperator, as_vector, spd_from_dense
+from .linalg import SpdOperator, as_matrix, as_vector, spd_from_dense
 
 __all__ = [
     "Oracle",
@@ -43,12 +54,33 @@ __all__ = [
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
 
 
+def _block_pair(P, V, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a block of points and the block of directions paired with it."""
+    P = as_matrix(P, dim)
+    V = as_matrix(V, dim)
+    if P.shape != V.shape:
+        raise DimensionMismatch(
+            f"points of shape {P.shape} and directions of shape {V.shape} differ"
+        )
+    return P, V
+
+
+def _col_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column-wise inner products ``sum_i A[i, j] B[i, j]``."""
+    return np.einsum("ij,ij->j", A, B)
+
+
 class Oracle:
     """Base class; concrete problems override the derivative methods.
 
     ``third_dir`` and ``fourth_dir`` have finite-difference defaults so
     diagnostics can always run; subclasses with closed forms set
     ``has_third`` / ``has_fourth`` to advertise certified accuracy.
+
+    ``value_many``, ``third_dir_many`` and ``fourth_dir_many`` take points
+    (and directions) as the columns of ``dim``-row blocks.  Here they loop
+    the scalar methods over the columns; subclasses with closed forms
+    override them with matrix-matrix products.
     """
 
     dim: int
@@ -76,12 +108,53 @@ class Oracle:
         h = FD_DIR_STEP / (1.0 + float(np.linalg.norm(u)))
         return (self.third_dir(x + h * u, u) - self.third_dir(x - h * u, u)) / (2.0 * h)
 
+    def value_many(self, P) -> np.ndarray:
+        """Values at the columns of ``P``, shape ``(k,)``."""
+        P = as_matrix(P, self.dim)
+        return np.array([self.value(p) for p in P.T], dtype=float)
 
-class QuadraticOracle(Oracle):
-    """``f(x) = 0.5 (x - c)' F (x - c)`` with positive definite ``F``."""
+    def third_dir_many(self, P, V) -> np.ndarray:
+        """``third_dir`` at column pairs of ``P`` and ``V``, one result per column."""
+        P, V = _block_pair(P, V, self.dim)
+        out = np.empty(P.shape)
+        for j in range(P.shape[1]):
+            out[:, j] = as_vector(self.third_dir(P[:, j], V[:, j]), self.dim)
+        return out
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        """``fourth_dir`` at column pairs of ``P`` and ``V``, one result per column."""
+        P, V = _block_pair(P, V, self.dim)
+        out = np.empty(P.shape)
+        for j in range(P.shape[1]):
+            out[:, j] = as_vector(self.fourth_dir(P[:, j], V[:, j]), self.dim)
+        return out
+
+
+class _ZeroTensorOracle(Oracle):
+    """A quadratic: third and fourth derivatives vanish identically."""
 
     has_third = True
     has_fourth = True
+
+    def third_dir(self, x, u) -> np.ndarray:
+        as_vector(x, self.dim)
+        as_vector(u, self.dim)
+        return np.zeros(self.dim)
+
+    def fourth_dir(self, x, u) -> np.ndarray:
+        as_vector(x, self.dim)
+        as_vector(u, self.dim)
+        return np.zeros(self.dim)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
+
+
+class QuadraticOracle(_ZeroTensorOracle):
+    """``f(x) = 0.5 (x - c)' F (x - c)`` with positive definite ``F``."""
 
     def __init__(self, curvature: SpdOperator, center=None) -> None:
         self.curvature = curvature
@@ -101,26 +174,17 @@ class QuadraticOracle(Oracle):
         as_vector(x, self.dim)
         return self.curvature.matrix.copy()
 
-    def third_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
+    def value_many(self, P) -> np.ndarray:
+        Dp = as_matrix(P, self.dim) - self.center[:, None]
+        return 0.5 * _col_dot(Dp, self.curvature.matrix @ Dp)
 
 
-class PsdQuadraticOracle(Oracle):
+class PsdQuadraticOracle(_ZeroTensorOracle):
     """``f(x) = 0.5 x' Q x`` for symmetric positive semidefinite ``Q``.
 
     Unlike :class:`QuadraticOracle` the matrix may be singular; this is the
     shape of a ridge penalty ``0.5 x' G^2 x``.
     """
-
-    has_third = True
-    has_fourth = True
 
     def __init__(self, Q) -> None:
         Q = np.asarray(Q, dtype=float)
@@ -146,15 +210,9 @@ class PsdQuadraticOracle(Oracle):
         as_vector(x, self.dim)
         return self.Q.copy()
 
-    def third_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
+    def value_many(self, P) -> np.ndarray:
+        P = as_matrix(P, self.dim)
+        return 0.5 * _col_dot(P, self.Q @ P)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -234,6 +292,32 @@ class LogisticOracle(Oracle):
         proj = self.X @ u
         return self.X.T @ (l4 * proj**3) / self.n
 
+    def _sigmoid_many(self, P: np.ndarray) -> np.ndarray:
+        return _sigmoid(self.y[:, None] * (self.X @ P))
+
+    def value_many(self, P) -> np.ndarray:
+        P = as_matrix(P, self.dim)
+        # One point per row, so each mean is a pairwise sum as in value(): the
+        # sampled remainders f(x + u) - f(x) - ... cancel most of the value.
+        T = (P.T @ self.X.T) * self.y
+        loss = np.mean(np.logaddexp(0.0, -T), axis=1)
+        return loss + 0.5 * self.reg * _col_dot(P, P)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        P, V = _block_pair(P, V, self.dim)
+        S = self._sigmoid_many(P)
+        L3 = S * (1.0 - S) * (1.0 - 2.0 * S)
+        proj = self.X @ V
+        return self.X.T @ (L3 * self.y[:, None] * proj**2) / self.n
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        P, V = _block_pair(P, V, self.dim)
+        S = self._sigmoid_many(P)
+        L4 = S * (1.0 - S) * (1.0 - 6.0 * S * (1.0 - S))
+        proj = self.X @ V
+        # proj**2 * proj: an integer power other than 2 goes through pow().
+        return self.X.T @ (L4 * (proj**2 * proj)) / self.n
+
 
 class LogSumExpOracle(Oracle):
     """Soft maximum of linear scores plus a ridge.
@@ -248,6 +332,8 @@ class LogSumExpOracle(Oracle):
     - Hessian:  ``beta (sum_i pi_i x_i x_i' - mu mu') + reg I``
     - third:    ``beta^2 sum_i pi_i ((s_i - m)^2 - V) x_i``
     - fourth:   ``beta^3 sum_i pi_i ((s_i - m)^3 - 3 V (s_i - m) - k3) x_i``
+
+    The batched forms take the softmax and the cumulants column by column.
     """
 
     has_third = True
@@ -267,16 +353,21 @@ class LogSumExpOracle(Oracle):
         self.n, self.dim = X.shape
 
     def _softmax(self, v: np.ndarray) -> np.ndarray:
+        # Softmax weights of a point, or of each column of a block of points.
         z = self.X @ v / self.temp
-        z = z - z.max()
+        z = z - z.max(axis=0)
         e = np.exp(z)
-        return e / e.sum()
+        return e / e.sum(axis=0)
+
+    @staticmethod
+    def _lse(z: np.ndarray) -> np.ndarray:
+        # Log-sum-exp over the last axis: scores of one point per row.
+        m = z.max(axis=-1, keepdims=True)
+        return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
 
     def value(self, x) -> float:
         v = as_vector(x, self.dim)
-        z = self.X @ v / self.temp
-        m = z.max()
-        lse = m + np.log(np.exp(z - m).sum())
+        lse = self._lse(self.X @ v / self.temp)
         return self.temp * float(lse) + 0.5 * self.reg * float(v @ v)
 
     def gradient(self, x) -> np.ndarray:
@@ -313,6 +404,36 @@ class LogSumExpOracle(Oracle):
         k3 = float(pi @ c**3)
         beta = 1.0 / self.temp
         return beta**3 * (self.X.T @ (pi * (c**3 - 3.0 * V * c - k3)))
+
+    def _centered_many(self, P: np.ndarray, V: np.ndarray):
+        """Softmax weights and centered score projections, one column per pair."""
+        Pi = self._softmax(P)
+        S = self.X @ V
+        return Pi, S - _col_dot(Pi, S)
+
+    def value_many(self, P) -> np.ndarray:
+        P = as_matrix(P, self.dim)
+        # One point per row, so each sum is pairwise as in value().
+        lse = self._lse(P.T @ self.X.T / self.temp)
+        return self.temp * lse + 0.5 * self.reg * _col_dot(P, P)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        P, V = _block_pair(P, V, self.dim)
+        Pi, C = self._centered_many(P, V)
+        C2 = C**2
+        var = _col_dot(Pi, C2)
+        beta = 1.0 / self.temp
+        return beta**2 * (self.X.T @ (Pi * (C2 - var)))
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        P, V = _block_pair(P, V, self.dim)
+        Pi, C = self._centered_many(P, V)
+        C2 = C**2
+        C3 = C2 * C
+        var = _col_dot(Pi, C2)
+        k3 = _col_dot(Pi, C3)
+        beta = 1.0 / self.temp
+        return beta**3 * (self.X.T @ (Pi * (C3 - 3.0 * var * C - k3)))
 
 
 class CustomOracle(Oracle):
@@ -389,6 +510,15 @@ class SumOracle(Oracle):
     def fourth_dir(self, x, u) -> np.ndarray:
         return self.first.fourth_dir(x, u) + self.second.fourth_dir(x, u)
 
+    def value_many(self, P) -> np.ndarray:
+        return self.first.value_many(P) + self.second.value_many(P)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return self.first.third_dir_many(P, V) + self.second.third_dir_many(P, V)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return self.first.fourth_dir_many(P, V) + self.second.fourth_dir_many(P, V)
+
 
 class ScaledOracle(Oracle):
     """``c * f`` for a nonnegative weight ``c``."""
@@ -418,6 +548,15 @@ class ScaledOracle(Oracle):
     def fourth_dir(self, x, u) -> np.ndarray:
         return self.weight * self.base.fourth_dir(x, u)
 
+    def value_many(self, P) -> np.ndarray:
+        return self.weight * self.base.value_many(P)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return self.weight * self.base.third_dir_many(P, V)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return self.weight * self.base.fourth_dir_many(P, V)
+
 
 class _LinearShiftOracle(Oracle):
     """``g(x) = f(x) + <x, A>``; all curvature is inherited from ``f``."""
@@ -443,6 +582,16 @@ class _LinearShiftOracle(Oracle):
 
     def fourth_dir(self, x, u) -> np.ndarray:
         return self.base.fourth_dir(x, u)
+
+    def value_many(self, P) -> np.ndarray:
+        P = as_matrix(P, self.dim)
+        return self.base.value_many(P) + self.tilt @ P
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return self.base.third_dir_many(P, V)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return self.base.fourth_dir_many(P, V)
 
 
 def linearly_perturb(f: Oracle, A) -> Oracle:

@@ -20,6 +20,11 @@ provenance so a reviewer can rescale or resample.
 Sampling uses one seeded generator drawing a fixed number of variates per
 sample, so the first ``k`` samples of a longer run coincide with a shorter
 run: estimates are nondecreasing in the sample count for a fixed seed.
+The estimators draw every variate first, in that per-sample order, and then
+evaluate the samples through the oracle's batched forms in blocks of
+``SAMPLE_BLOCK`` columns.  The last block is padded to full width, so a
+sample is always computed at the same block position with the same array
+shapes, and a longer run extends a shorter one bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 from . import constants
 from .diagnostics import CheckResult, DiagnosticsRecord
 from .errors import (
+    DimensionMismatch,
     MissingFourthDerivative,
     MissingThirdDerivative,
     NotAtMinimum,
@@ -48,6 +54,11 @@ __all__ = [
     "estimate_certificate",
     "declared_certificate",
 ]
+
+# Columns per batched oracle call in the sampled estimators.  Wide enough for
+# matrix-matrix products to pay, narrow enough to keep the temporaries (a few
+# n x SAMPLE_BLOCK arrays) small.
+SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,16 +112,61 @@ def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
+def _value_at(f: Oracle, x: np.ndarray) -> float:
+    # Through the batched form, like the sampled values it is compared with.
+    return float(f.value_many(x[:, None])[0])
+
+
 def check_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator, rtol: float) -> None:
     """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)``."""
     g = f.gradient(xstar)
     resid = float(np.linalg.norm(D.apply_power(-1.0, g)))
-    scale = 1.0 + abs(f.value(xstar))
+    scale = 1.0 + abs(_value_at(f, xstar))
     if resid > rtol * scale:
         raise NotAtMinimum(
             f"metric-dual gradient norm {resid:.3e} at the anchor exceeds "
             f"{rtol:.0e} * {scale:.3g}"
         )
+
+
+def _draw_samples(
+    rng: np.random.Generator, dim: int, r: float, samples: int, paired: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every variate of a run, drawn in the per-sample order of the generator.
+
+    Per sample: a normal vector for the offset direction, the radial law,
+    and (``paired``) a normal vector for the tensor direction.  Sample ``i``
+    is column ``i % SAMPLE_BLOCK`` of block ``i // SAMPLE_BLOCK``; each block
+    is a contiguous ``(dim, SAMPLE_BLOCK)`` array (radii: ``SAMPLE_BLOCK``).
+    The last block is padded with unit vectors and radius 0, which evaluate
+    at the anchor and are discarded.
+    """
+    blocks = -(-samples // SAMPLE_BLOCK)
+    Z = np.ones((blocks, dim, SAMPLE_BLOCK))
+    W = np.ones((blocks, dim, SAMPLE_BLOCK)) if paired else None
+    rad = np.zeros((blocks, SAMPLE_BLOCK))
+    for i in range(samples):
+        b, j = divmod(i, SAMPLE_BLOCK)
+        Z[b, :, j] = rng.standard_normal(dim)
+        rad[b, j] = _radial(rng, r, dim)
+        if paired:
+            W[b, :, j] = rng.standard_normal(dim)
+    return Z, rad, W
+
+
+def _metric_block(D: SpdOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``v = D^{-1} z / ||z||`` and their metric norms ``||D v||``."""
+    coeffs = (D.eigenvectors.T @ (Z / np.linalg.norm(Z, axis=0))) / D.eigenvalues[:, None]
+    return D.eigenvectors @ coeffs, np.linalg.norm(D.eigenvalues[:, None] * coeffs, axis=0)
+
+
+def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An oracle's batched result, checked for its shape and finite entries."""
+    if block.shape != shape:
+        raise DimensionMismatch(f"expected a block of shape {shape}, got {block.shape}")
+    if not np.all(np.isfinite(block)):
+        raise ValueError("oracle returned non-finite entries")
+    return block
 
 
 def estimate_omega(
@@ -133,17 +189,18 @@ def estimate_omega(
     if samples < 1:
         raise ValueError("samples must be positive")
     check_anchor(f, xstar, D, constants.ANCHOR_GRAD_RTOL)
-    fstar = f.value(xstar)
-    rng = np.random.default_rng(seed)
+    fstar = _value_at(f, xstar)
+    Z, rad, _ = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=False)
     worst = 0.0
-    for _ in range(samples):
-        direction = _metric_direction(rng, D)
-        rad = _radial(rng, r, f.dim)
-        u = rad * direction
-        quad = 0.5 * float(u @ F.apply(u))
-        remainder = abs(f.value(xstar + u) - fstar - quad)
-        den = float(np.linalg.norm(D.apply(u))) ** 2
-        worst = max(worst, 2.0 * remainder / den)
+    for b in range(len(rad)):
+        directions, dnorm = _metric_block(D, Z[b])
+        U = directions * rad[b]
+        quad = 0.5 * np.einsum("ij,ij->j", U, F.matrix @ U)
+        values = _checked(f.value_many(xstar[:, None] + U), (SAMPLE_BLOCK,))
+        live = slice(0, samples - b * SAMPLE_BLOCK)  # padding has radius 0: no ratio
+        remainder = np.abs(values[live] - fstar - quad[live])
+        ratio = 2.0 * remainder / (dnorm[live] * rad[b, live]) ** 2
+        worst = max(worst, float(ratio.max()))
     return worst
 
 
@@ -156,23 +213,20 @@ def _estimate_tensor_sup(
     seed: int,
     order: int,
 ) -> float:
-    rng = np.random.default_rng(seed)
+    Z, rad, W = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=True)
+    rad[0, 0] = 0.0  # the anchor itself is always sampled
+    contract = f.third_dir_many if order == 3 else f.fourth_dir_many
     worst = 0.0
-    for i in range(samples):
-        direction = _metric_direction(rng, D)
-        rad = _radial(rng, r, f.dim)
-        v = _metric_direction(rng, D)
-        u = np.zeros(f.dim) if i == 0 else rad * direction
-        if order == 3:
-            tens = f.third_dir(x + u, v)
-            den = float(np.linalg.norm(D.apply(v))) ** 2
-        else:
-            tens = f.fourth_dir(x + u, v)
-            den = float(np.linalg.norm(D.apply(v))) ** 3
+    for b in range(len(rad)):
+        directions, _ = _metric_block(D, Z[b])
+        V, vnorm = _metric_block(D, W[b])
+        tens = _checked(contract(x[:, None] + directions * rad[b], V), V.shape)
         # The last slot is maximized in closed form: over ||D w|| = 1 the
-        # largest pairing with the contracted tensor is its dual norm.
-        numer = float(np.linalg.norm(D.apply_power(-1.0, tens)))
-        worst = max(worst, numer / den)
+        # largest pairing with the contracted tensor is its dual norm,
+        # ||D^{-1} t||, taken here in the eigenbasis of D.
+        numer = np.linalg.norm((D.eigenvectors.T @ tens) / D.eigenvalues[:, None], axis=0)
+        ratio = numer / vnorm ** (order - 1)
+        worst = max(worst, float(ratio[: samples - b * SAMPLE_BLOCK].max()))
     return worst
 
 

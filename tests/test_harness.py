@@ -7,6 +7,7 @@ import json
 import os
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -337,6 +338,27 @@ class TestConfigValidation:
         payload["orders"] = [7]
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.pop("problem"),
+            lambda c: c.update(certifcate=c.pop("certificate")),
+            lambda c: c.update(orders=[7]),
+            lambda c: c["problem"].update(dim="six"),
+            lambda c: c["certificate"].update(samples=-3, radius="wide"),
+        ],
+    )
+    def test_cached_validator_raises_what_validate_raises(self, edit):
+        """The validator built once at import reports the error jsonschema.validate would."""
+        raw = _base_config()
+        edit(raw)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, harness.CONFIG_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            ExperimentConfig.from_dict(raw)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestScaling:

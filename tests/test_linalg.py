@@ -102,6 +102,22 @@ class TestVectors:
         with pytest.raises(ValueError):
             px.as_vector([np.nan, 0.0], 2)
 
+    def test_as_matrix_keeps_columns(self):
+        M = px.as_matrix([[1, 2, 3], [4, 5, 6]], 2)
+        assert M.dtype == float
+        np.testing.assert_array_equal(M[:, 1], [2.0, 5.0])
+
+    def test_as_matrix_rejects_a_nan_column(self):
+        M = np.ones((3, 4))
+        M[:, 2] = np.nan
+        with pytest.raises(ValueError):
+            px.as_matrix(M, 3)
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones(3), np.ones((3, 4, 1))])
+    def test_as_matrix_rejects_bad_shape(self, bad):
+        with pytest.raises(DimensionMismatch):
+            px.as_matrix(bad, 3)
+
     def test_weighted_norm(self):
         D = px.spd_from_dense(np.diag([2.0, 3.0]))
         assert px.weighted_norm(D, [1.0, 0.0]) == pytest.approx(2.0)

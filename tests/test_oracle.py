@@ -181,3 +181,85 @@ class TestFiniteDifferenceFallbacks:
         both = px.SumOracle(quad, blind)
         assert not both.has_third
         assert not both.has_fourth
+
+
+def _quartic_custom(dim, analytic):
+    """``0.5 |x|^2 + sum x_i^4 / 12``, with or without closed-form tensors."""
+    tensors = {}
+    if analytic:
+        tensors = {
+            "third_dir": lambda x, u: 2.0 * x * u**2,
+            "fourth_dir": lambda x, u: 2.0 * u**3,
+        }
+    return px.CustomOracle(
+        dim=dim,
+        value=lambda x: 0.5 * float(x @ x) + float(np.sum(x**4)) / 12.0,
+        gradient=lambda x: x + x**3 / 3.0,
+        hessian=lambda x: np.diag(1.0 + x**2),
+        **tensors,
+    )
+
+
+def _batched_zoo():
+    """Every oracle class, keyed by a test id; all of dimension 4."""
+    rng = np.random.default_rng(11)
+    logistic = _zoo("logistic").oracle
+    logsumexp = _zoo("logsumexp").oracle
+    psd = px.PsdQuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]))
+    return {
+        "logistic": logistic,
+        "logsumexp": logsumexp,
+        "logsumexp-temp0.3": px.LogSumExpOracle(rng.standard_normal((25, 4)), temp=0.3, reg=0.05),
+        "quadratic": px.QuadraticOracle(px.random_spd(rng, 4, cond=8.0), rng.standard_normal(4)),
+        "psd-quadratic": psd,
+        "sum": px.SumOracle(logistic, psd),
+        "scaled": px.ScaledOracle(logsumexp, 0.25),
+        "linear-tilt": px.linearly_perturb(logistic, rng.standard_normal(4)),
+        "custom-analytic": _quartic_custom(4, analytic=True),
+        "custom-fd": _quartic_custom(4, analytic=False),
+    }
+
+
+class TestBatchedForms:
+    """Each batched form equals the column loop of its scalar method.
+
+    The batched forms sum in another order (matrix-matrix products,
+    column-wise reductions), so they agree to rounding: ``rtol=1e-12``, and
+    an entry that cancels to almost nothing is held to ``1e-12`` times the
+    largest entry of its block.
+    """
+
+    @pytest.mark.parametrize("name", list(_batched_zoo()))
+    @pytest.mark.parametrize("width", [1, 31, 32, 33])
+    def test_batched_equals_looped(self, name, width):
+        f = _batched_zoo()[name]
+        rng = np.random.default_rng(width)
+        P = 0.3 * rng.standard_normal((f.dim, width))
+        V = rng.standard_normal((f.dim, width))
+        looped = np.array([f.value(P[:, j]) for j in range(width)])
+        np.testing.assert_allclose(f.value_many(P), looped, rtol=1e-12)
+        for many, one in (
+            (f.third_dir_many, f.third_dir),
+            (f.fourth_dir_many, f.fourth_dir),
+        ):
+            batched = many(P, V)
+            assert batched.shape == (f.dim, width)
+            looped = np.column_stack([one(P[:, j], V[:, j]) for j in range(width)])
+            np.testing.assert_allclose(
+                batched, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max()
+            )
+
+    @pytest.mark.parametrize("name", ["logistic", "custom-analytic"])
+    def test_block_inputs_are_checked(self, name):
+        f = _batched_zoo()[name]
+        P = np.zeros((f.dim, 3))
+        bad = P.copy()
+        bad[:, 1] = np.nan
+        with pytest.raises(ValueError):
+            f.value_many(bad)
+        with pytest.raises(ValueError):
+            f.third_dir_many(P, bad)
+        with pytest.raises(DimensionMismatch):
+            f.value_many(np.zeros((f.dim + 1, 3)))
+        with pytest.raises(DimensionMismatch):
+            f.fourth_dir_many(P, np.zeros((f.dim, 2)))

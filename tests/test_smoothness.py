@@ -198,3 +198,46 @@ def test_certificate_skips_tau4_when_unavailable():
     cert = px.estimate_certificate(only_third, np.zeros(1), radius=0.3, samples=20)
     assert cert.tau3 is not None
     assert cert.tau4 is None
+
+
+@pytest.fixture(scope="module")
+def logsumexp_anchor():
+    prob = px.oracle_from_descriptor(
+        {"kind": "logsumexp", "dim": 5, "n": 30, "reg": 0.2, "temp": 0.5, "seed": 4}
+    )
+    sol = px.newton_minimize(prob.oracle, prob.x0)
+    return prob.oracle, sol.xhat
+
+
+class TestBatchedEstimators:
+    @pytest.mark.parametrize("which", ["logistic", "logsumexp"])
+    def test_closed_forms_make_no_scalar_calls(
+        self, which, logistic_anchor, logsumexp_anchor, monkeypatch
+    ):
+        """The sampled constants go through the batched forms only."""
+        f, xstar = logistic_anchor if which == "logistic" else logsumexp_anchor
+        calls = []
+        for method in ("value", "third_dir", "fourth_dir"):
+            original = getattr(type(f), method)
+
+            def counted(self, *args, _original=original, _method=method):
+                calls.append(_method)
+                return _original(self, *args)
+
+            monkeypatch.setattr(type(f), method, counted)
+        cert = px.estimate_certificate(f, xstar, radius=0.5, samples=70, seed=3)
+        assert cert.tau3 > 0 and cert.tau4 > 0 and cert.omega > 0
+        assert calls == []
+
+    def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
+        f, xstar = logistic_anchor
+        F = px.spd_from_dense(f.hessian(xstar))
+        D = px.spd_power_operator(F, 0.5)
+        counts = (31, 32, 33, 64, 65)
+        estimates = {
+            "omega": [px.estimate_omega(f, xstar, D, F, 0.5, n, seed=8) for n in counts],
+            "tau3": [px.estimate_tau3(f, xstar, D, 0.5, n, seed=8) for n in counts],
+            "tau4": [px.estimate_tau4(f, xstar, D, 0.5, n, seed=8) for n in counts],
+        }
+        for name, values in estimates.items():
+            assert values == sorted(values), (name, values)
