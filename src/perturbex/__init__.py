@@ -67,7 +67,6 @@ from .oracle import (
     SumOracle,
     fd_probe,
     linearly_perturb,
-    make_quadratic,
     quadratically_penalize,
     smoothly_penalize,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
-    "make_quadratic",
     "fd_probe",
     # problem zoo
     "ZooProblem",

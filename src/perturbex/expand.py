@@ -198,14 +198,12 @@ class ExpansionReport:
         return {
             "order": self.order,
             "anchor": self.anchor,
-            "tilt": self.tilt.tolist(),
             "predicted_shift": self.predicted_shift.tolist(),
             "predicted_value_change": self.predicted_value_change,
             "skew_correction": (
                 None if self.skew_correction is None else self.skew_correction.tolist()
             ),
             "bounds": self.bounds.to_dict(),
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
         }
 
 

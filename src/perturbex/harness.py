@@ -26,8 +26,6 @@ import numpy as np
 from . import constants
 from .errors import MissingFourthDerivative, MissingThirdDerivative
 from .expand import (
-    ComparisonReport,
-    ExpansionReport,
     cubic_bound_check,
     exact_quadratic_expansion,
     expansion_for_order,
@@ -75,7 +73,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v2"
+REPORT_SCHEMA = "perturbex.report.v3"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _PROBLEM_SCHEMA = {
@@ -241,7 +239,9 @@ class ExperimentConfig:
 
     @property
     def solver(self) -> dict[str, Any]:
-        return dict(self.raw.get("solver", {}))
+        """The ``tol`` / ``max_iter`` keywords of every Newton solve of the run."""
+        spec = self.raw.get("solver", {})
+        return {"tol": spec.get("tol"), "max_iter": int(spec.get("max_iter", 100))}
 
     @property
     def nu(self) -> float:
@@ -272,13 +272,15 @@ def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
         fh.write(buf.getvalue())
 
 
-def _solve_anchor(f: Oracle, x0: np.ndarray, solver_cfg: dict[str, Any]):
-    return newton_minimize(
-        f,
-        x0,
-        tol=solver_cfg.get("tol"),
-        max_iter=int(solver_cfg.get("max_iter", 100)),
-    )
+def _run_command(config_path: str, out_dir: str, seed: int | None, run) -> dict[str, Any]:
+    """Load a config, apply a seed override, run it and write ``report.json``."""
+    cfg = ExperimentConfig.from_file(config_path)
+    if seed is not None:
+        cfg.raw["seed"] = seed
+    report = run(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "report.json"), report)
+    return report
 
 
 def _linear_tilt(cfg: ExperimentConfig, dim: int) -> np.ndarray:
@@ -361,20 +363,6 @@ def _penalized_problem(
     return g, pen.gradient(xstar), FG, cert
 
 
-def _verify(
-    g: Oracle,
-    xstar: np.ndarray,
-    reports: list[ExpansionReport],
-    solver_cfg: dict[str, Any],
-) -> list[ComparisonReport]:
-    """Solve the perturbed problem ``g`` once and check every report against it."""
-    return solve_and_compare(
-        g, xstar, reports,
-        tol=solver_cfg.get("tol"),
-        max_iter=int(solver_cfg.get("max_iter", 100)),
-    )
-
-
 def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
     header = [
         "order",
@@ -445,7 +433,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = _solve_anchor(f, prob.x0, cfg.solver)
+    anchor = newton_minimize(f, prob.x0, **cfg.solver)
     xstar = anchor.xhat
     kind = cfg.perturbation["kind"]
 
@@ -486,7 +474,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         else:
             reports.append(rep)
             results.append({"order": str(order), "report": rep.to_dict()})
-    comparisons = iter(_verify(g, xstar, reports, cfg.solver))
+    comparisons = iter(solve_and_compare(g, xstar, reports, **cfg.solver))
     for entry in results:
         if "report" in entry:
             entry["verification"] = next(comparisons).to_dict()
@@ -505,6 +493,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
                 "grad_norm_dual": anchor.grad_norm_dual,
             },
         },
+        "tilt": drive.tolist(),
         "certificate": cert.to_dict(),
         "results": results,
         "warnings": warnings,
@@ -518,14 +507,10 @@ def cmd_certify(
     seed: int | None = None,
     require_gates: bool = False,
 ) -> int:
-    cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.raw["seed"] = seed
-    report = run_certify(cfg, require_gates)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    header, rows = _summary_rows(report["results"])
-    _write_csv(os.path.join(out_dir, "summary.csv"), header, rows)
+    report = _run_command(
+        config_path, out_dir, seed, lambda cfg: run_certify(cfg, require_gates)
+    )
+    _write_csv(os.path.join(out_dir, "summary.csv"), *_summary_rows(report["results"]))
     return int(report["exit_code"])
 
 
@@ -559,12 +544,10 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = _solve_anchor(f, prob.x0, cfg.solver)
-    xstar = anchor.xhat
+    xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
     A0 = _linear_tilt(cfg, f.dim)
     F = spd_from_dense(f.hessian(xstar))
     eps_grid = list(cfg.raw.get("scaling", {}).get("eps_grid", DEFAULT_EPS_GRID))
-    solver_cfg = cfg.solver
 
     use_skew = f.has_third
     rows = []
@@ -577,11 +560,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     for eps in eps_grid:
         A = eps * A0
         g = linearly_perturb(f, A)
-        sol = newton_minimize(
-            g, xstar,
-            tol=solver_cfg.get("tol"),
-            max_iter=int(solver_cfg.get("max_iter", 100)),
-        )
+        sol = newton_minimize(g, xstar, **cfg.solver)
         shift = sol.xhat - xstar
         dval = sol.value - g.value(xstar)
         u0 = F.apply_power(-1.0, A)
@@ -620,12 +599,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def cmd_scaling(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.raw["seed"] = seed
-    report = run_scaling(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    report = _run_command(config_path, out_dir, seed, run_scaling)
     _write_csv(
         os.path.join(out_dir, "scaling.csv"),
         ["eps", "newton_residual", "skew_residual", "value_error_2", "value_error_4"],
@@ -672,8 +646,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = _solve_anchor(f, prob.x0, cfg.solver)
-    xstar = anchor.xhat
+    xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
     base = _sweep_base_matrix(cfg, f.dim)
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
     want_fourth = f.has_third and f.has_fourth
@@ -686,8 +659,8 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         pen = PsdQuadraticOracle(lam * base)
         g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
         reps = [expansion_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
-        comps = _verify(g, xstar, reps, cfg.solver)
-        entry: dict[str, Any] = {"lambda": lam}
+        comps = solve_and_compare(g, xstar, reps, **cfg.solver)
+        entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
         for rep, comp in zip(reps, comps):
             entry[f"order{rep.order}"] = {
                 "report": rep.to_dict(),
@@ -767,12 +740,9 @@ def cmd_ridge_sweep(
     seed: int | None = None,
     require_gates: bool = False,
 ) -> int:
-    cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.raw["seed"] = seed
-    report = run_ridge_sweep(cfg, require_gates)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    report = _run_command(
+        config_path, out_dir, seed, lambda cfg: run_ridge_sweep(cfg, require_gates)
+    )
     _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, report["rows"])
     return int(report["exit_code"])
 

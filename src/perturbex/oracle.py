@@ -13,16 +13,16 @@ Problems that lack analytic higher derivatives fall back to symmetric
 finite differences of the Hessian; the ``has_third`` / ``has_fourth``
 flags tell certified operations whether the analytic forms exist.
 
-The sampled certificates evaluate many points at once through the batched
-forms ``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P,
-V)``: column ``j`` of ``P`` is a point, column ``j`` of ``V`` the direction
-paired with it, and column ``j`` of the result is what the scalar method
-returns for that pair.  The base class loops the scalar methods over the
-columns, so every oracle (finite-difference fallbacks included) has them.
-Logistic, log-sum-exp and quadratic problems override them with closed forms
-built on a few matrix-matrix products (``X @ P``, ``X @ V``, ``X.T @ W``),
-and sums, scalings and linear tilts forward them to their parts.  Batched
-and looped results agree to rounding, not bit for bit.
+Each value and tensor formula exists once, in batched form:
+``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P, V)``
+take points as the columns of ``P`` and the directions paired with them as
+the columns of ``V``, and return one result per column.  Logistic,
+log-sum-exp and quadratic problems implement them on a few matrix-matrix
+products (``X @ P``, ``X @ V``, ``X.T @ W``); sums, scalings and linear tilts
+forward them to their parts.  The scalar ``value``, ``third_dir`` and
+``fourth_dir`` are one-column calls of the batched forms, defined once on
+:class:`Oracle`, so a scalar result is bit for bit column 0 of a batched
+call at the same point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .diagnostics import CheckResult, DiagnosticsRecord
 from .errors import BadLabels, DimensionMismatch, NotPsd
-from .linalg import SpdOperator, as_matrix, as_vector, spd_from_dense
+from .linalg import SpdOperator, as_matrix, as_vector
 
 __all__ = [
     "Oracle",
@@ -47,7 +47,6 @@ __all__ = [
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
-    "make_quadratic",
     "fd_probe",
 ]
 
@@ -65,29 +64,36 @@ def _block_pair(P, V, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return P, V
 
 
+def _one_column(x, u, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A point and a direction as one-column blocks."""
+    return as_vector(x, dim)[:, None], as_vector(u, dim)[:, None]
+
+
 def _col_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-wise inner products ``sum_i A[i, j] B[i, j]``."""
     return np.einsum("ij,ij->j", A, B)
 
 
+def _fd_steps(V: np.ndarray) -> np.ndarray:
+    """Central-difference step of each direction column, ``FD_DIR_STEP / (1 + ||v||)``."""
+    return FD_DIR_STEP / (1.0 + np.linalg.norm(V, axis=0))
+
+
 class Oracle:
-    """Base class; concrete problems override the derivative methods.
+    """Base class of every problem oracle.
 
-    ``third_dir`` and ``fourth_dir`` have finite-difference defaults so
-    diagnostics can always run; subclasses with closed forms set
-    ``has_third`` / ``has_fourth`` to advertise certified accuracy.
-
-    ``value_many``, ``third_dir_many`` and ``fourth_dir_many`` take points
-    (and directions) as the columns of ``dim``-row blocks.  Here they loop
-    the scalar methods over the columns; subclasses with closed forms
-    override them with matrix-matrix products.
+    A subclass implements ``value_many``, ``gradient`` and ``hessian``, and
+    may implement ``third_dir_many`` / ``fourth_dir_many`` in closed form
+    (setting ``has_third`` / ``has_fourth``).  The fallbacks take central
+    differences with the per-column step ``FD_DIR_STEP / (1 + ||v||)``.
     """
 
     dim: int
     has_third: bool = False
     has_fourth: bool = False
 
-    def value(self, x) -> float:
+    def value_many(self, P) -> np.ndarray:
+        """Values at the columns of ``P``, shape ``(k,)``."""
         raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
@@ -96,38 +102,35 @@ class Oracle:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def third_dir(self, x, u) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        h = FD_DIR_STEP / (1.0 + float(np.linalg.norm(u)))
-        return (self.hessian(x + h * u) - self.hessian(x - h * u)) @ u / (2.0 * h)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        h = FD_DIR_STEP / (1.0 + float(np.linalg.norm(u)))
-        return (self.third_dir(x + h * u, u) - self.third_dir(x - h * u, u)) / (2.0 * h)
-
-    def value_many(self, P) -> np.ndarray:
-        """Values at the columns of ``P``, shape ``(k,)``."""
-        P = as_matrix(P, self.dim)
-        return np.array([self.value(p) for p in P.T], dtype=float)
-
     def third_dir_many(self, P, V) -> np.ndarray:
-        """``third_dir`` at column pairs of ``P`` and ``V``, one result per column."""
+        """Third directional derivative at column pairs of ``P`` and ``V``.
+
+        The fallback differences the Hessian column by column.
+        """
         P, V = _block_pair(P, V, self.dim)
         out = np.empty(P.shape)
-        for j in range(P.shape[1]):
-            out[:, j] = as_vector(self.third_dir(P[:, j], V[:, j]), self.dim)
+        for j, h in enumerate(_fd_steps(V)):
+            p, v = P[:, j], V[:, j]
+            out[:, j] = (self.hessian(p + h * v) - self.hessian(p - h * v)) @ v / (2.0 * h)
         return out
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
-        """``fourth_dir`` at column pairs of ``P`` and ``V``, one result per column."""
+        """Fourth directional derivative at column pairs of ``P`` and ``V``.
+
+        The fallback differences ``third_dir_many`` over the whole block.
+        """
         P, V = _block_pair(P, V, self.dim)
-        out = np.empty(P.shape)
-        for j in range(P.shape[1]):
-            out[:, j] = as_vector(self.fourth_dir(P[:, j], V[:, j]), self.dim)
-        return out
+        h = _fd_steps(V)
+        return (self.third_dir_many(P + h * V, V) - self.third_dir_many(P - h * V, V)) / (2.0 * h)
+
+    def value(self, x) -> float:
+        return float(self.value_many(as_vector(x, self.dim)[:, None])[0])
+
+    def third_dir(self, x, u) -> np.ndarray:
+        return self.third_dir_many(*_one_column(x, u, self.dim))[:, 0]
+
+    def fourth_dir(self, x, u) -> np.ndarray:
+        return self.fourth_dir_many(*_one_column(x, u, self.dim))[:, 0]
 
 
 class _ZeroTensorOracle(Oracle):
@@ -135,16 +138,6 @@ class _ZeroTensorOracle(Oracle):
 
     has_third = True
     has_fourth = True
-
-    def third_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        as_vector(x, self.dim)
-        as_vector(u, self.dim)
-        return np.zeros(self.dim)
 
     def third_dir_many(self, P, V) -> np.ndarray:
         return np.zeros(_block_pair(P, V, self.dim)[0].shape)
@@ -162,10 +155,6 @@ class QuadraticOracle(_ZeroTensorOracle):
         self.center = (
             np.zeros(self.dim) if center is None else as_vector(center, self.dim)
         )
-
-    def value(self, x) -> float:
-        d = as_vector(x, self.dim) - self.center
-        return 0.5 * float(d @ self.curvature.apply(d))
 
     def gradient(self, x) -> np.ndarray:
         return self.curvature.apply(as_vector(x, self.dim) - self.center)
@@ -198,10 +187,6 @@ class PsdQuadraticOracle(_ZeroTensorOracle):
             raise NotPsd(f"penalty matrix has negative eigenvalue {lo:.3e}")
         self.Q = 0.5 * (Q + Q.T)
         self.dim = Q.shape[0]
-
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim)
-        return 0.5 * float(x @ self.Q @ x)
 
     def gradient(self, x) -> np.ndarray:
         return self.Q @ as_vector(x, self.dim)
@@ -258,12 +243,6 @@ class LogisticOracle(Oracle):
     def _margins(self, v: np.ndarray) -> np.ndarray:
         return self.y * (self.X @ v)
 
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        t = self._margins(v)
-        loss = float(np.mean(np.logaddexp(0.0, -t)))
-        return loss + 0.5 * self.reg * float(v @ v)
-
     def gradient(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
         s = _sigmoid(self._margins(v))
@@ -276,28 +255,12 @@ class LogisticOracle(Oracle):
         H = (self.X.T * w) @ self.X / self.n
         return H + self.reg * np.eye(self.dim)
 
-    def third_dir(self, x, u) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        s = _sigmoid(self._margins(v))
-        l3 = s * (1.0 - s) * (1.0 - 2.0 * s)
-        proj = self.X @ u
-        return self.X.T @ (l3 * self.y * proj**2) / self.n
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        s = _sigmoid(self._margins(v))
-        l4 = s * (1.0 - s) * (1.0 - 6.0 * s * (1.0 - s))
-        proj = self.X @ u
-        return self.X.T @ (l4 * proj**3) / self.n
-
     def _sigmoid_many(self, P: np.ndarray) -> np.ndarray:
         return _sigmoid(self.y[:, None] * (self.X @ P))
 
     def value_many(self, P) -> np.ndarray:
         P = as_matrix(P, self.dim)
-        # One point per row, so each mean is a pairwise sum as in value(): the
+        # One point per row, so each mean is a pairwise sum over the data: the
         # sampled remainders f(x + u) - f(x) - ... cancel most of the value.
         T = (P.T @ self.X.T) * self.y
         loss = np.mean(np.logaddexp(0.0, -T), axis=1)
@@ -365,11 +328,6 @@ class LogSumExpOracle(Oracle):
         m = z.max(axis=-1, keepdims=True)
         return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
 
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        lse = self._lse(self.X @ v / self.temp)
-        return self.temp * float(lse) + 0.5 * self.reg * float(v @ v)
-
     def gradient(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
         pi = self._softmax(v)
@@ -382,29 +340,6 @@ class LogSumExpOracle(Oracle):
         H = (self.X.T * pi) @ self.X - np.outer(mu, mu)
         return H / self.temp + self.reg * np.eye(self.dim)
 
-    def third_dir(self, x, u) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        pi = self._softmax(v)
-        s = self.X @ u
-        m = float(pi @ s)
-        c = s - m
-        V = float(pi @ c**2)
-        beta = 1.0 / self.temp
-        return beta**2 * (self.X.T @ (pi * (c**2 - V)))
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        u = as_vector(u, self.dim)
-        pi = self._softmax(v)
-        s = self.X @ u
-        m = float(pi @ s)
-        c = s - m
-        V = float(pi @ c**2)
-        k3 = float(pi @ c**3)
-        beta = 1.0 / self.temp
-        return beta**3 * (self.X.T @ (pi * (c**3 - 3.0 * V * c - k3)))
-
     def _centered_many(self, P: np.ndarray, V: np.ndarray):
         """Softmax weights and centered score projections, one column per pair."""
         Pi = self._softmax(P)
@@ -413,7 +348,7 @@ class LogSumExpOracle(Oracle):
 
     def value_many(self, P) -> np.ndarray:
         P = as_matrix(P, self.dim)
-        # One point per row, so each sum is pairwise as in value().
+        # One point per row, so each sum over the data is pairwise.
         lse = self._lse(P.T @ self.X.T / self.temp)
         return self.temp * lse + 0.5 * self.reg * _col_dot(P, P)
 
@@ -457,8 +392,9 @@ class CustomOracle(Oracle):
         self.has_third = third_dir is not None
         self.has_fourth = fourth_dir is not None
 
-    def value(self, x) -> float:
-        return float(self._value(as_vector(x, self.dim)))
+    def value_many(self, P) -> np.ndarray:
+        P = as_matrix(P, self.dim)
+        return np.array([float(self._value(P[:, j])) for j in range(P.shape[1])])
 
     def gradient(self, x) -> np.ndarray:
         return np.asarray(self._gradient(as_vector(x, self.dim)), dtype=float)
@@ -466,19 +402,22 @@ class CustomOracle(Oracle):
     def hessian(self, x) -> np.ndarray:
         return np.asarray(self._hessian(as_vector(x, self.dim)), dtype=float)
 
-    def third_dir(self, x, u) -> np.ndarray:
-        if self._third is None:
-            return super().third_dir(x, u)
-        return np.asarray(
-            self._third(as_vector(x, self.dim), as_vector(u, self.dim)), dtype=float
-        )
+    def _looped(self, fn, P, V) -> np.ndarray:
+        P, V = _block_pair(P, V, self.dim)
+        out = np.empty(P.shape)
+        for j in range(P.shape[1]):
+            out[:, j] = as_vector(fn(P[:, j], V[:, j]), self.dim)
+        return out
 
-    def fourth_dir(self, x, u) -> np.ndarray:
+    def third_dir_many(self, P, V) -> np.ndarray:
+        if self._third is None:
+            return super().third_dir_many(P, V)
+        return self._looped(self._third, P, V)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
         if self._fourth is None:
-            return super().fourth_dir(x, u)
-        return np.asarray(
-            self._fourth(as_vector(x, self.dim), as_vector(u, self.dim)), dtype=float
-        )
+            return super().fourth_dir_many(P, V)
+        return self._looped(self._fourth, P, V)
 
 
 class SumOracle(Oracle):
@@ -486,29 +425,18 @@ class SumOracle(Oracle):
 
     def __init__(self, first: Oracle, second: Oracle) -> None:
         if first.dim != second.dim:
-            raise DimensionMismatch(
-                f"summands have dimensions {first.dim} and {second.dim}"
-            )
+            raise DimensionMismatch(f"summands have dimensions {first.dim} and {second.dim}")
         self.first = first
         self.second = second
         self.dim = first.dim
         self.has_third = first.has_third and second.has_third
         self.has_fourth = first.has_fourth and second.has_fourth
 
-    def value(self, x) -> float:
-        return self.first.value(x) + self.second.value(x)
-
     def gradient(self, x) -> np.ndarray:
         return self.first.gradient(x) + self.second.gradient(x)
 
     def hessian(self, x) -> np.ndarray:
         return self.first.hessian(x) + self.second.hessian(x)
-
-    def third_dir(self, x, u) -> np.ndarray:
-        return self.first.third_dir(x, u) + self.second.third_dir(x, u)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        return self.first.fourth_dir(x, u) + self.second.fourth_dir(x, u)
 
     def value_many(self, P) -> np.ndarray:
         return self.first.value_many(P) + self.second.value_many(P)
@@ -533,20 +461,11 @@ class ScaledOracle(Oracle):
         self.has_third = base.has_third
         self.has_fourth = base.has_fourth
 
-    def value(self, x) -> float:
-        return self.weight * self.base.value(x)
-
     def gradient(self, x) -> np.ndarray:
         return self.weight * self.base.gradient(x)
 
     def hessian(self, x) -> np.ndarray:
         return self.weight * self.base.hessian(x)
-
-    def third_dir(self, x, u) -> np.ndarray:
-        return self.weight * self.base.third_dir(x, u)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        return self.weight * self.base.fourth_dir(x, u)
 
     def value_many(self, P) -> np.ndarray:
         return self.weight * self.base.value_many(P)
@@ -568,20 +487,11 @@ class _LinearShiftOracle(Oracle):
         self.has_third = base.has_third
         self.has_fourth = base.has_fourth
 
-    def value(self, x) -> float:
-        return self.base.value(x) + float(as_vector(x, self.dim) @ self.tilt)
-
     def gradient(self, x) -> np.ndarray:
         return self.base.gradient(x) + self.tilt
 
     def hessian(self, x) -> np.ndarray:
         return self.base.hessian(x)
-
-    def third_dir(self, x, u) -> np.ndarray:
-        return self.base.third_dir(x, u)
-
-    def fourth_dir(self, x, u) -> np.ndarray:
-        return self.base.fourth_dir(x, u)
 
     def value_many(self, P) -> np.ndarray:
         P = as_matrix(P, self.dim)
@@ -609,7 +519,7 @@ def quadratically_penalize(f: Oracle, penalty_sq) -> Oracle:
     return SumOracle(f, pen)
 
 
-def smoothly_penalize(f: Oracle, pen: Oracle, probe_seed: int = 0) -> Oracle:
+def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
     """Return ``f + pen`` after spot-checking that ``pen`` is convex.
 
     Convexity cannot be verified globally from black-box access; a handful
@@ -622,7 +532,7 @@ def smoothly_penalize(f: Oracle, pen: Oracle, probe_seed: int = 0) -> Oracle:
         raise DimensionMismatch(f"penalty has dimension {pen.dim}, objective has {f.dim}")
     if isinstance(pen, PsdQuadraticOracle):
         return SumOracle(f, pen)
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(0)
     for _ in range(5):
         point = rng.standard_normal(pen.dim)
         H = pen.hessian(point)
@@ -630,13 +540,6 @@ def smoothly_penalize(f: Oracle, pen: Oracle, probe_seed: int = 0) -> Oracle:
         if float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) < -1e-8 * scale:
             raise NotPsd("penalty Hessian is indefinite at a probe point")
     return SumOracle(f, pen)
-
-
-def make_quadratic(F, center=None) -> QuadraticOracle:
-    """Quadratic oracle from an :class:`SpdOperator` or dense SPD matrix."""
-    if not isinstance(F, SpdOperator):
-        F = spd_from_dense(F)
-    return QuadraticOracle(F, center)
 
 
 # ---------------------------------------------------------------------------

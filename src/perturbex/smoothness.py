@@ -112,16 +112,11 @@ def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
-def _value_at(f: Oracle, x: np.ndarray) -> float:
-    # Through the batched form, like the sampled values it is compared with.
-    return float(f.value_many(x[:, None])[0])
-
-
 def check_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator, rtol: float) -> None:
     """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)``."""
     g = f.gradient(xstar)
     resid = float(np.linalg.norm(D.apply_power(-1.0, g)))
-    scale = 1.0 + abs(_value_at(f, xstar))
+    scale = 1.0 + abs(f.value_many(xstar[:, None])[0])
     if resid > rtol * scale:
         raise NotAtMinimum(
             f"metric-dual gradient norm {resid:.3e} at the anchor exceeds "
@@ -189,7 +184,7 @@ def estimate_omega(
     if samples < 1:
         raise ValueError("samples must be positive")
     check_anchor(f, xstar, D, constants.ANCHOR_GRAD_RTOL)
-    fstar = _value_at(f, xstar)
+    fstar = f.value_many(xstar[:, None])[0]
     Z, rad, _ = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=False)
     worst = 0.0
     for b in range(len(rad)):
@@ -391,7 +386,6 @@ def estimate_certificate(
     samples: int = 200,
     seed: int = 0,
     inflation: float = constants.ESTIMATE_INFLATION,
-    include_tau4: bool = True,
     include_omega: bool = True,
 ) -> SmoothnessCertificate:
     """Measure a full certificate at a minimizer.
@@ -421,7 +415,7 @@ def estimate_certificate(
     )
     raw_tau4 = (
         estimate_tau4(f, xstar, metric, radius, samples, seed + 2)
-        if include_tau4 and f.has_fourth
+        if f.has_fourth
         else None
     )
     return SmoothnessCertificate(

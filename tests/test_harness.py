@@ -48,7 +48,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v2"
+        assert report["schema"] == "perturbex.report.v3"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -75,7 +75,7 @@ class TestCertify:
         main(["certify", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "99"])
         a = json.loads((tmp_path / "a" / "report.json").read_text())
         b = json.loads((tmp_path / "b" / "report.json").read_text())
-        assert a["results"][0]["report"]["tilt"] != b["results"][0]["report"]["tilt"]
+        assert a["tilt"] != b["tilt"]
 
     def test_exact_order_on_quadratic_problem(self, tmp_path):
         payload = {

@@ -223,10 +223,11 @@ def _batched_zoo():
 class TestBatchedForms:
     """Each batched form equals the column loop of its scalar method.
 
-    The batched forms sum in another order (matrix-matrix products,
-    column-wise reductions), so they agree to rounding: ``rtol=1e-12``, and
-    an entry that cancels to almost nothing is held to ``1e-12`` times the
-    largest entry of its block.
+    A scalar method is a one-column call of its batched form, so at width 1
+    the two agree bit for bit.  Wider blocks sum in another order
+    (matrix-matrix products, column-wise reductions), so they agree to
+    rounding: ``rtol=1e-12``, and an entry that cancels to almost nothing is
+    held to ``1e-12`` times the largest entry of its block.
     """
 
     @pytest.mark.parametrize("name", list(_batched_zoo()))
@@ -237,6 +238,8 @@ class TestBatchedForms:
         P = 0.3 * rng.standard_normal((f.dim, width))
         V = rng.standard_normal((f.dim, width))
         looped = np.array([f.value(P[:, j]) for j in range(width)])
+        if width == 1:
+            np.testing.assert_array_equal(f.value_many(P), looped)
         np.testing.assert_allclose(f.value_many(P), looped, rtol=1e-12)
         for many, one in (
             (f.third_dir_many, f.third_dir),
@@ -245,6 +248,8 @@ class TestBatchedForms:
             batched = many(P, V)
             assert batched.shape == (f.dim, width)
             looped = np.column_stack([one(P[:, j], V[:, j]) for j in range(width)])
+            if width == 1:
+                np.testing.assert_array_equal(batched, looped)
             np.testing.assert_allclose(
                 batched, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max()
             )
