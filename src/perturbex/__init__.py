@@ -34,7 +34,6 @@ from .expand import (
     RadiusBound,
     ValueBound,
     compare_with_solution,
-    concentration_certificate,
     cubic_bound_check,
     distance_to_optimum,
     exact_quadratic_expansion,
@@ -146,7 +145,6 @@ __all__ = [
     "ExpansionReport",
     "ComparisonReport",
     "exact_quadratic_expansion",
-    "concentration_certificate",
     "second_order_bounds",
     "third_order_bounds",
     "skewness_correction",

@@ -53,7 +53,6 @@ __all__ = [
     "ExpansionReport",
     "ComparisonReport",
     "exact_quadratic_expansion",
-    "concentration_certificate",
     "second_order_bounds",
     "third_order_bounds",
     "skewness_correction",
@@ -266,40 +265,6 @@ def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
         bounds=bounds,
         curvature=F,
         tilt=A,
-    )
-
-
-def concentration_certificate(
-    F: SpdOperator,
-    D,
-    A,
-    nu: float,
-    r: float,
-    kappa: float,
-    delta2: float,
-) -> BoundSet:
-    """Localization of the perturbed minimizer in a curvature ball.
-
-    ``r`` is a radius in the curvature norm ``||F^{1/2} .||`` and
-    ``delta2`` bounds the second-order remainder ratio on that ball.  If
-    the tilt uses at most the ``nu`` fraction of the radius and the margin
-    ``1 - nu - delta2 kappa^2`` is positive, the shift stays inside the
-    ball: ``||F^{1/2}(x~ - x*)|| <= r`` and ``||D (x~ - x*)|| <= kappa r``.
-    """
-    A = as_vector(A, F.dim)
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    gates = [
-        Gate("nu_below_one", nu, 1.0, strict=True),
-        Gate("tilt_fraction", xi, nu * r),
-        Gate("stability_margin", delta2 * kappa**2, 1.0 - nu, strict=True),
-    ]
-    names = tuple(g.name for g in gates)
-    return BoundSet(
-        preconditions=gates,
-        shift_bounds=[
-            RadiusBound("shift_fhalf", NORM_FHALF, TARGET_SHIFT, r, names),
-            RadiusBound("shift_d", NORM_D, TARGET_SHIFT, kappa * r, names),
-        ],
     )
 
 

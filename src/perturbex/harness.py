@@ -353,11 +353,19 @@ def _build_certificate(
 
 
 def _penalized_problem(
-    cfg: ExperimentConfig, f: Oracle, xstar: np.ndarray, pen: Oracle
+    cfg: ExperimentConfig,
+    f: Oracle,
+    xstar: np.ndarray,
+    pen: Oracle,
+    curvature: SpdOperator | None = None,
 ) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
-    """Build ``f + pen`` once, with its drive, factored curvature and certificate."""
+    """Build ``f + pen`` once, with its drive, factored curvature and certificate.
+
+    ``curvature`` is the factored Hessian of ``f + pen`` at ``x*`` when the
+    caller already has it; otherwise it is factored here.
+    """
     g = smoothly_penalize(f, pen)
-    FG = spd_from_dense(g.hessian(xstar))
+    FG = spd_from_dense(g.hessian(xstar)) if curvature is None else curvature
     cert = _build_certificate(cfg, g, xstar, FG, include_omega=False)
     check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     return g, pen.gradient(xstar), FG, cert
@@ -643,21 +651,28 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     """Sweep ridge weights and verify the order-3 and order-4 bias radii.
 
     Each weight is one perturbed problem, built, factored and solved once.
+    The weights are one family: every penalized curvature is
+    ``H0 + lam G2`` with ``H0 = grad^2 f(x*)`` evaluated once, ``G2`` is
+    checked for positive semidefiniteness once (a weight is never
+    negative), and ``G2 = I`` shifts the spectrum of one factored ``H0``
+    instead of factoring each ``H0 + lam I`` again.
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
     xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
-    base = _sweep_base_matrix(cfg, f.dim)
+    ridge = PsdQuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
     want_fourth = f.has_third and f.has_fourth
     orders = [3, 4] if want_fourth else [3]
+    H0 = f.hessian(xstar)
+    F0 = spd_from_dense(H0) if np.array_equal(ridge.Q, np.eye(f.dim)) else None
 
     rows = []
     results = []
     verified = []
     for lam in grid:
-        pen = PsdQuadraticOracle(lam * base)
-        g, M, FG, cert = _penalized_problem(cfg, f, xstar, pen)
+        curvature = F0.shifted(lam) if F0 is not None else spd_from_dense(H0 + lam * ridge.Q)
+        g, M, FG, cert = _penalized_problem(cfg, f, xstar, ridge.scaled(lam), curvature)
         reps = [expansion_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
         comps = solve_and_compare(g, xstar, reps, **cfg.solver)
         entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}

@@ -7,6 +7,17 @@ for metric-normalized residuals.  A single eigendecomposition per operator,
 computed at construction and reused for every power, is the cheapest safe
 way to get all of them at the problem sizes this package targets
 (dimension up to a few hundred).
+
+Operators that share an eigenbasis share its eigendecomposition:
+
+- ``F.shifted(lam)`` is ``F + lam I`` (a ridge with identity ``G2``), with
+  eigenvalues ``F.eigenvalues + lam`` and ``F``'s eigenvectors;
+- ``spd_power_operator(F, t)`` is ``F^t``, and it records
+  ``kappa_between(F^t, F)`` from the eigenvalues, so a metric that is a
+  power of the curvature never costs an eigensolve for ``kappa``.
+
+Every operator, factored or derived, passes the same SPD floor and
+eigenfactor round-trip checks.
 """
 
 from __future__ import annotations
@@ -95,12 +106,44 @@ class SpdOperator:
         out = scaled @ self.eigenvectors.T
         return 0.5 * (out + out.T)
 
+    def shifted(self, lam: float) -> SpdOperator:
+        """``M + lam I`` in the same eigenbasis, with no new eigensolve.
+
+        The shifted operator passes the same SPD floor and round-trip
+        checks as one built by :func:`spd_from_dense`.
+        """
+        sym = self.matrix + lam * np.eye(self.dim)
+        return _checked_spd(sym, self.eigenvalues + lam, self.eigenvectors)
+
     @property
     def condition_number(self) -> float:
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
     def __repr__(self) -> str:  # keep reprs short in reports and tracebacks
         return f"SpdOperator(dim={self.dim}, cond={self.condition_number:.3g})"
+
+
+def _checked_spd(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> SpdOperator:
+    """Wrap a symmetric matrix and its descending eigenpairs after the SPD checks.
+
+    The smallest eigenvalue must clear the floor relative to the largest,
+    and the eigenpairs must rebuild the matrix to ``RECONSTRUCTION_RTOL``.
+    """
+    if vals[0] <= 0.0 or vals[-1] <= constants.SPD_EIG_FLOOR * vals[0]:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {vals[-1]:.3e} below floor "
+            f"{constants.SPD_EIG_FLOOR:.0e} * {vals[0]:.3e}"
+        )
+    # Both Frobenius norms in units of the largest entry, so that entries
+    # near the top of the float range cannot overflow them.
+    scale = np.abs(sym).max()
+    unit = sym / scale
+    err = np.linalg.norm((vecs * (vals / scale)) @ vecs.T - unit)
+    if err > constants.RECONSTRUCTION_RTOL * max(np.linalg.norm(unit), 1e-300):
+        raise NotPositiveDefinite(
+            f"eigenfactor round-trip error {err:.3e} (in units of the largest entry) too large"
+        )
+    return SpdOperator(matrix=sym, eigenvalues=vals, eigenvectors=vecs)
 
 
 def spd_from_dense(matrix) -> SpdOperator:
@@ -130,28 +173,24 @@ def spd_from_dense(matrix) -> SpdOperator:
         )
     sym = 0.5 * (M + M.T)
     vals, vecs = np.linalg.eigh(sym)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    if vals[0] <= 0.0 or vals[-1] <= constants.SPD_EIG_FLOOR * vals[0]:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[-1]:.3e} below floor "
-            f"{constants.SPD_EIG_FLOOR:.0e} * {vals[0]:.3e}"
-        )
-    recon = (vecs * vals) @ vecs.T
-    err = np.linalg.norm(recon - sym)
-    if err > constants.RECONSTRUCTION_RTOL * max(np.linalg.norm(sym), 1e-300):
-        raise NotPositiveDefinite(f"eigenfactor round-trip error {err:.3e} too large")
-    return SpdOperator(matrix=sym, eigenvalues=vals, eigenvectors=vecs)
+    return _checked_spd(sym, vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 def spd_power_operator(M: SpdOperator, t: float) -> SpdOperator:
-    """Build ``M^t`` as a new :class:`SpdOperator`, reusing the eigenbasis."""
+    """Build ``M^t`` as a new :class:`SpdOperator`, reusing the eigenbasis.
+
+    ``kappa_between(M^t, M)`` is recorded on ``M`` as
+    ``sqrt(max_i lambda_i(M)^(2t - 1))``: ``(M^t)^2 = M^(2t)`` and ``M``
+    share eigenvectors, so no eigensolve is needed.
+    """
     vals = M.eigenvalues**t
     order = np.argsort(vals)[::-1]
     vals = vals[order].copy()
     vecs = M.eigenvectors[:, order].copy()
     dense = (vecs * vals) @ vecs.T
-    return SpdOperator(matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs)
+    D = SpdOperator(matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs)
+    M._kappa_by_metric[D] = float(np.sqrt((M.eigenvalues ** (2.0 * t - 1.0)).max()))
+    return D
 
 
 def weighted_norm(M: SpdOperator, v) -> float:
@@ -176,7 +215,8 @@ def kappa_between(D, F: SpdOperator) -> float:
     semidefinite array (a zero metric gives ``kappa = 0``).  Computed as the
     square root of the largest eigenvalue of ``F^{-1/2} D^2 F^{-1/2}``, once
     per pair of operators: the value is kept on ``F`` keyed by an operator
-    ``D`` (array metrics are recomputed on every call).
+    ``D`` (array metrics are recomputed on every call).  A metric built by
+    :func:`spd_power_operator` from ``F`` finds its value already kept.
     """
     cached = F._kappa_by_metric.get(D) if isinstance(D, SpdOperator) else None
     if cached is not None:

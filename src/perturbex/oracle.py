@@ -27,6 +27,7 @@ call at the same point.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -188,6 +189,19 @@ class PsdQuadraticOracle(_ZeroTensorOracle):
         self.Q = 0.5 * (Q + Q.T)
         self.dim = Q.shape[0]
 
+    def scaled(self, weight: float) -> PsdQuadraticOracle:
+        """``0.5 x' (weight Q) x`` for a nonnegative weight.
+
+        Not checked again: a nonnegative multiple of a checked matrix is
+        symmetric positive semidefinite.
+        """
+        weight = float(weight)
+        if weight < 0:
+            raise ValueError(f"weight must be nonnegative, got {weight}")
+        out = copy.copy(self)
+        out.Q = weight * self.Q
+        return out
+
     def gradient(self, x) -> np.ndarray:
         return self.Q @ as_vector(x, self.dim)
 
@@ -308,6 +322,10 @@ class LogSumExpOracle(Oracle):
             raise DimensionMismatch(f"design matrix must be 2-d, got {X.shape}")
         if temp <= 0:
             raise ValueError("temp must be positive")
+        with np.errstate(all="ignore"):
+            # Derivatives up to the fourth scale as 1/temp**3: keep one power spare.
+            if not np.isfinite(1.0 / np.float64(temp) ** 4):
+                raise ValueError(f"temp {temp!r} is too small: 1/temp**4 overflows")
         if reg < 0:
             raise ValueError("reg must be nonnegative")
         self.X = X

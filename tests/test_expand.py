@@ -55,33 +55,6 @@ class TestExactQuadratic:
         assert cross == pytest.approx(-float(B @ F.apply_power(-1.0, A)), rel=1e-12)
 
 
-class TestConcentration:
-    def test_radii_and_gates(self):
-        F = px.spd_from_dense(np.eye(2))
-        bounds = px.concentration_certificate(
-            F, np.eye(2), np.array([0.3, 0.0]), nu=0.5, r=1.0, kappa=1.0, delta2=0.2
-        )
-        assert bounds.all_gates_pass
-        by_name = {b.name: b.radius for b in bounds.shift_bounds}
-        assert by_name == {"shift_fhalf": 1.0, "shift_d": 1.0}
-
-    def test_tilt_fraction_gate_fails_for_large_tilt(self):
-        F = px.spd_from_dense(np.eye(2))
-        bounds = px.concentration_certificate(
-            F, np.eye(2), np.array([0.9, 0.0]), nu=0.5, r=1.0, kappa=1.0, delta2=0.2
-        )
-        assert not bounds.gate("tilt_fraction").satisfied
-        assert bounds.gate("nu_below_one").satisfied
-
-    def test_stability_margin_is_strict(self):
-        F = px.spd_from_dense(np.eye(2))
-        bounds = px.concentration_certificate(
-            F, np.eye(2), np.array([0.1, 0.0]), nu=0.5, r=1.0, kappa=1.0, delta2=0.5
-        )
-        # delta2 * kappa^2 = 0.5 equals 1 - nu: strict comparison fails.
-        assert not bounds.gate("stability_margin").satisfied
-
-
 class TestSecondOrder:
     """Frozen example: omega = 0.2, kappa = 1, b = xi = 1, radius 2."""
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -16,6 +17,7 @@ import perturbex.harness as harness
 import perturbex.linalg as linalg
 import perturbex.solver as solver
 from perturbex import (
+    LogisticOracle,
     PsdQuadraticOracle,
     oracle_from_descriptor,
     smoothly_penalize,
@@ -261,8 +263,18 @@ class TestOneSolvePerProblem:
             assert entry["verification"] == json.loads(json.dumps(alone))
 
 
+def _sweep_config(grid, g2=None):
+    return {
+        "seed": 8,
+        "problem": {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.15, "seed": 9},
+        "certificate": {"mode": "estimated", "samples": 60, "seed": 31, "radius": 0.5},
+        "sweep": {"lambda_grid": grid, "g2": g2 or {"mode": "identity"}},
+    }
+
+
 class TestKappaOncePerPair:
-    """``kappa_between`` solves one eigenproblem per (metric, curvature) pair."""
+    """One ``kappa`` per (metric, curvature) pair, with no eigensolve when the
+    metric is a power of the curvature."""
 
     @pytest.fixture
     def kappa_solves(self, monkeypatch):
@@ -279,19 +291,93 @@ class TestKappaOncePerPair:
 
     def test_certify_computes_kappa_once(self, tmp_path, kappa_solves):
         cfg = _write(tmp_path, "cfg.json", _base_config())
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(kappa_solves) == 1
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert len(kappa_solves) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["kappa"] == 1.0
+        gates = report["results"][0]["report"]["bounds"]["preconditions"]
+        dominated = next(g for g in gates if g["name"] == "metric_dominated")
+        assert dominated["lhs"] == 1.0 and dominated["satisfied"]
 
     def test_ridge_sweep_computes_kappa_once_per_lambda(self, tmp_path, kappa_solves):
-        payload = {
-            "seed": 8,
-            "problem": {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.15, "seed": 9},
-            "certificate": {"mode": "estimated", "samples": 60, "seed": 31, "radius": 0.5},
-            "sweep": {"lambda_grid": [0.05, 0.1], "g2": {"mode": "identity"}},
-        }
+        cfg = _write(tmp_path, "cfg.json", _sweep_config([0.05, 0.1]))
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(kappa_solves) == 0
+
+    def test_unrelated_pair_solves_once(self, kappa_solves):
+        # D^2 = diag(1, 4, 9) against F = diag(4, 9, 1): the ratio peaks at 9.
+        F = linalg.spd_from_dense(np.diag([4.0, 9.0, 1.0]))
+        D = linalg.spd_from_dense(np.diag([1.0, 2.0, 3.0]))
+        assert linalg.kappa_between(D, F) == pytest.approx(3.0, rel=1e-14)
+        assert linalg.kappa_between(D, F) == pytest.approx(3.0, rel=1e-14)
+        assert len(kappa_solves) == 1
+
+
+class TestSweepIsOneFactoredFamily:
+    """A sweep evaluates ``grad^2 f(x*)`` once; ``G2 = I`` factors it once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        eigh = np.linalg.eigh
+        hessian = LogisticOracle.hessian
+        in_solver = solver.newton_minimize.__code__
+        seen = {"eigh": 0, "hessian_points": []}
+
+        def counting_eigh(*args, **kwargs):
+            seen["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counting_hessian(oracle, x):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not in_solver:
+                frame = frame.f_back
+            if frame is None:  # not a Newton step of the anchor or a verification
+                seen["hessian_points"].append(np.array(x))
+            return hessian(oracle, x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(LogisticOracle, "hessian", counting_hessian)
+        return seen
+
+    @pytest.mark.parametrize(
+        "g2, eighs",
+        [
+            ({"mode": "identity"}, 1),
+            ({"mode": "matrix", "matrix": np.eye(5).tolist()}, 1),
+            ({"mode": "rank1", "seed": 12}, 3),
+        ],
+    )
+    def test_factor_and_hessian_counts(self, tmp_path, counts, g2, eighs):
+        payload = _sweep_config([0.0, 0.05, 0.1], g2)
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(kappa_solves) == 2
+        assert counts["eigh"] == eighs
+        prob = oracle_from_descriptor(payload["problem"])
+        xstar = solver.newton_minimize(prob.oracle, prob.x0).xhat
+        assert len(counts["hessian_points"]) == 1
+        np.testing.assert_array_equal(counts["hessian_points"][0], xstar)
+
+    def test_shifted_family_matches_refactoring(self, tmp_path, monkeypatch):
+        """Shifting one factored ``H0`` gives the sweep that factoring each
+        ``H0 + lam I`` gives, up to rounding."""
+        cfg = _write(tmp_path, "cfg.json", _sweep_config([0.0, 0.1, 0.4]))
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(
+            linalg.SpdOperator,
+            "shifted",
+            lambda op, lam: linalg.spd_from_dense(op.matrix + lam * np.eye(op.dim)),
+        )
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        with open(tmp_path / "a" / "sweep.csv", newline="") as fa:
+            rows_a = list(csv.reader(fa))
+        with open(tmp_path / "b" / "sweep.csv", newline="") as fb:
+            rows_b = list(csv.reader(fb))
+        assert rows_a[0] == rows_b[0]
+        for ra, rb in zip(rows_a[1:], rows_b[1:]):
+            for va, vb in zip(ra, rb):
+                if va != vb:
+                    assert float(va) == pytest.approx(float(vb), rel=1e-6, abs=1e-12)
 
 
 class TestBenchmarkTracerHooks:
@@ -317,6 +403,22 @@ class TestConfigValidation:
         payload["certifcate"] = payload.pop("certificate")  # typo'd key
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_tiny_temp_is_a_one_line_error(self, tmp_path, capsys):
+        payload = _base_config()
+        payload["problem"] = {"kind": "logsumexp", "dim": 4, "n": 20, "temp": 1e-300, "seed": 1}
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "temp" in err
+
+    def test_huge_reg_runs_without_warnings(self, tmp_path):
+        payload = _base_config()
+        payload["problem"]["reg"] = 1e300
+        cfg = _write(tmp_path, "cfg.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,63 @@ class TestSpdFromDense:
         op = px.spd_from_dense(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+
+class TestScaleNearOverflow:
+    """The round-trip check works in units of the largest entry."""
+
+    def _huge(self, rng):
+        return 1e300 * px.random_spd(rng, 6, cond=10.0).matrix
+
+    def test_factors_without_warnings(self, rng):
+        M = self._huge(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = px.spd_from_dense(M)
+        assert op.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(M / 1e300)[-1] * 1e300)
+
+    def test_corrupted_eigenbasis_still_raises(self, rng, monkeypatch):
+        M = self._huge(rng)
+        eigh = np.linalg.eigh
+
+        def corrupted(A):
+            vals, vecs = eigh(A)
+            vecs = vecs.copy()
+            vecs[:, [0, 1]] = vecs[:, [1, 0]]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="round-trip"):
+                px.spd_from_dense(M)
+
+
+class TestShifted:
+    def test_matches_refactoring(self, rng):
+        F = px.random_spd(rng, 5, cond=20.0)
+        shifted = F.shifted(0.3)
+        direct = px.spd_from_dense(F.matrix + 0.3 * np.eye(5))
+        assert shifted.eigenvectors is F.eigenvectors
+        np.testing.assert_allclose(shifted.eigenvalues, direct.eigenvalues, rtol=1e-13)
+        np.testing.assert_array_equal(shifted.matrix, F.matrix + 0.3 * np.eye(5))
+        v = rng.standard_normal(5)
+        np.testing.assert_allclose(
+            shifted.apply_power(-1.0, v), direct.apply_power(-1.0, v), rtol=1e-12
+        )
+
+    def test_floor_check_runs(self):
+        F = px.spd_from_dense(np.diag([2.0, 1.0]))
+        with pytest.raises(NotPositiveDefinite, match="below floor"):
+            F.shifted(-1.0)
+
+    def test_round_trip_check_runs(self):
+        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        bad = px.SpdOperator(
+            matrix=np.diag([3.0, 1.0]), eigenvalues=np.array([3.0, 1.0]), eigenvectors=vecs
+        )
+        with pytest.raises(NotPositiveDefinite, match="round-trip"):
+            bad.shifted(0.5)
 
 
 class TestPowers:
@@ -75,6 +134,15 @@ class TestKappaBetween:
         F = px.spd_from_dense(np.array([[3.0, 1.0], [1.0, 2.0]]))
         D = px.spd_power_operator(F, 0.5)
         assert px.kappa_between(D, F) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 0.25, 1.0, 1.5])
+    def test_power_metric_kept_from_eigenvalues(self, rng, t):
+        """A power of ``F`` finds its kappa kept; the eigensolve form agrees."""
+        F = px.random_spd(rng, 6, cond=4.0)
+        D = px.spd_power_operator(F, t)
+        kept = px.kappa_between(D, F)
+        assert kept == np.sqrt((F.eigenvalues ** (2.0 * t - 1.0)).max())
+        assert kept == pytest.approx(px.kappa_between(D.matrix, F), rel=1e-14)
 
     def test_identity_metric_against_diagonal(self):
         # D = I, F = diag(4, 9): D^2 <= c^2 F first holds at c^2 = 1/4.

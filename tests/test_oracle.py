@@ -89,6 +89,11 @@ class TestLogSumExp:
         with pytest.raises(ValueError):
             px.LogSumExpOracle(rng.standard_normal((4, 2)), temp=0.0)
 
+    def test_rejects_temp_whose_quartic_inverse_overflows(self, rng):
+        with pytest.raises(ValueError, match="temp"):
+            px.LogSumExpOracle(rng.standard_normal((4, 2)), temp=1e-300)
+        px.LogSumExpOracle(rng.standard_normal((4, 2)), temp=1e-70)
+
 
 class TestQuadratics:
     def test_minimum_at_center(self, rng):
@@ -105,6 +110,17 @@ class TestQuadratics:
     def test_psd_quadratic_rejects_indefinite(self):
         with pytest.raises(NotPsd):
             px.PsdQuadraticOracle(np.diag([1.0, -1e-3]))
+
+    def test_psd_quadratic_scaled_skips_the_check(self, rng, monkeypatch):
+        v = rng.standard_normal(3)
+        base = px.PsdQuadraticOracle(np.outer(v, v))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a second check would fail
+        pen = base.scaled(0.3)
+        assert isinstance(pen, px.PsdQuadraticOracle) and pen.Q is not base.Q
+        np.testing.assert_array_equal(pen.Q, 0.3 * np.outer(v, v))
+        np.testing.assert_array_equal(base.Q, np.outer(v, v))
+        with pytest.raises(ValueError):
+            base.scaled(-1.0)
 
 
 class TestPerturbations:
