@@ -208,16 +208,31 @@ class ExpansionReport:
 
 @dataclass
 class ComparisonReport:
-    """Solver-truth residuals measured against one report's radii."""
+    """Solver-truth residuals measured against one report's radii.
+
+    ``entries`` holds one record per radius and one for the value bracket;
+    the other views are derived from them.
+    """
 
     actual_shift: np.ndarray
     actual_value_change: float
-    residual_norms: dict[str, float]
-    slack_ratios: dict[str, float]
     certifying: bool
-    violations: list[str]
     entries: list[dict[str, Any]] = field(default_factory=list)
     solver: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def residual_norms(self) -> dict[str, float]:
+        return {e["name"]: e["residual"] for e in self.entries}
+
+    @property
+    def slack_ratios(self) -> dict[str, float]:
+        return {e["name"]: e["slack"] for e in self.entries}
+
+    @property
+    def violations(self) -> list[str]:
+        """Certified entries whose residual exceeds the radius beyond tolerance."""
+        tol = 1.0 + constants.SLACK_TOLERANCE
+        return [e["name"] for e in self.entries if e["certified"] and e["slack"] > tol]
 
     @property
     def max_certified_slack(self) -> float:
@@ -243,29 +258,61 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Prediction:
+    """Each order's prediction of a tilt's effect, from one Newton step.
+
+    ``u0 = F^{-1} A`` and ``xi = ||F^{-1/2} A||``.  Every order predicts the
+    shift ``-u0`` and the value change ``-xi^2 / 2``; order 4 adds
+    ``skew = -F^{-1} gradT(u0)`` to the shift and subtracts ``T = T(u0)``.
+    """
+
+    F: SpdOperator
+    A: np.ndarray
+    u0: np.ndarray
+    xi: float
+    skew: np.ndarray | None = None
+    T: float = 0.0
+
+    @property
+    def newton_value(self) -> float:
+        return -0.5 * self.xi**2
+
+    @property
+    def shift(self) -> np.ndarray:
+        return -self.u0 if self.skew is None else -self.u0 + self.skew
+
+    def report(
+        self, order: str, bounds: BoundSet, cert: SmoothnessCertificate | None = None
+    ) -> ExpansionReport:
+        value = self.newton_value if self.skew is None else self.newton_value - self.T
+        return ExpansionReport(order, self.shift, value, bounds, self.F, self.A, self.skew, cert)
+
+
+def _predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> _Prediction:
+    """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term too."""
+    A = as_vector(A, F.dim)
+    u0 = F.apply_power(-1.0, A)
+    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
+    if f is None:
+        return _Prediction(F, A, u0, xi)
+    T, gradT = skewness_correction(f, xstar, u0)
+    return _Prediction(F, A, u0, xi, -F.apply_power(-1.0, gradT), T)
+
+
 def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
     """Closed-form shift and value change when ``f`` is exactly quadratic.
 
     ``x~ - x* = -F^{-1} A`` and ``g(x~) - g(x*) = -||F^{-1/2} A||^2 / 2``,
     with no remainder; the report carries zero radii.
     """
-    A = as_vector(A, F.dim)
-    shift = -F.apply_power(-1.0, A)
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
     bounds = BoundSet(
         shift_bounds=[
             RadiusBound("newton_residual_exact", NORM_FHALF, TARGET_NEWTON, 0.0)
         ],
         value_bound=ValueBound(0.0, 0.0),
     )
-    return ExpansionReport(
-        order="exact-quadratic",
-        predicted_shift=shift,
-        predicted_value_change=-0.5 * xi**2,
-        bounds=bounds,
-        curvature=F,
-        tilt=A,
-    )
+    return _predict(F, A).report("exact-quadratic", bounds)
 
 
 def second_order_bounds(
@@ -273,7 +320,6 @@ def second_order_bounds(
     D: SpdOperator,
     A,
     cert: SmoothnessCertificate,
-    nu: float = constants.NU_DEFAULT,
 ) -> BoundSet:
     """Two-sided value sandwich and shift radii from the omega constant.
 
@@ -290,18 +336,17 @@ def second_order_bounds(
 
     The certificate radius lives in the metric norm; the tilt-fraction gate
     uses the curvature ball of radius ``cert.radius / kappa``, which the
-    metric ball contains.
+    metric ball contains; ``nu`` is ``constants.NU_DEFAULT``.
     """
-    A = as_vector(A, F.dim)
     kappa = cert.kappa
     omega = cert.omega
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    b = weighted_norm(D, F.apply_power(-1.0, A))
+    p = _predict(F, A)
+    b = weighted_norm(D, p.u0)
     gates = [
         _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
         Gate("omega_cap", omega, constants.OMEGA_MAX),
-        Gate("tilt_fraction", xi, nu * cert.radius / max(kappa, 1e-300)),
-        Gate("stability_margin", omega * kappa**2, 1.0 - nu, strict=True),
+        Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / max(kappa, 1e-300)),
+        Gate("stability_margin", omega * kappa**2, 1.0 - constants.NU_DEFAULT, strict=True),
     ]
     names = tuple(g.name for g in gates)
     denom_minus = 1.0 - kappa**2 * omega
@@ -348,12 +393,11 @@ def third_order_bounds(
     """
     if cert.tau3 is None:
         raise MissingThirdDerivative("certificate lacks tau3")
-    A = as_vector(A, F.dim)
     kappa = cert.kappa
     tau3 = cert.tau3
     r = cert.radius
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    b = weighted_norm(D, F.apply_power(-1.0, A))
+    p = _predict(F, A)
+    xi, b = p.xi, weighted_norm(D, p.u0)
     gates = [
         _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
         Gate("fnorm_radius", constants.RADIUS_FACTOR_FNORM * kappa * xi, r),
@@ -436,17 +480,13 @@ def fourth_order_expansion(
         raise MissingThirdDerivative("certificate lacks tau3")
     if cert.tau4 is None:
         raise MissingFourthDerivative("certificate lacks tau4")
-    A = as_vector(A, F.dim)
     kappa = cert.kappa
     tau3 = cert.tau3
     tau4 = cert.tau4
     r = cert.radius
-    u0 = F.apply_power(-1.0, A)
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    b = weighted_norm(D, u0)
-    T_val, gradT = skewness_correction(f, xstar, u0)
-    skew = -F.apply_power(-1.0, gradT)
-    shift = -u0 + skew
+    p = _predict(F, A, f, xstar)
+    b = weighted_norm(D, p.u0)
+    shift = p.shift
 
     gates = [
         _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
@@ -473,21 +513,12 @@ def fourth_order_expansion(
         ],
         value_bound=ValueBound(-value_radius, value_radius, all_names),
         diagnostics=[
-            Gate("mu_proximity", weighted_norm(D, shift + u0), proximity),
-            Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - u0), proximity),
-            Gate("skew_magnitude", abs(T_val), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b**3),
+            Gate("mu_proximity", weighted_norm(D, shift + p.u0), proximity),
+            Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - p.u0), proximity),
+            Gate("skew_magnitude", abs(p.T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b**3),
         ],
     )
-    return ExpansionReport(
-        order="4",
-        predicted_shift=shift,
-        predicted_value_change=-0.5 * xi**2 - T_val,
-        bounds=bounds,
-        curvature=F,
-        tilt=A,
-        skew_correction=skew,
-        certificate=cert,
-    )
+    return p.report("4", bounds, cert)
 
 
 def expansion_for_order(
@@ -498,30 +529,19 @@ def expansion_for_order(
     A,
     cert: SmoothnessCertificate,
     order: int | str,
-    nu: float = constants.NU_DEFAULT,
 ) -> ExpansionReport:
     """Build the report for one requested order (2, 3, 4, or ``"exact"``)."""
     if order in ("exact", "exact-quadratic"):
         return exact_quadratic_expansion(F, A)
-    A = as_vector(A, F.dim)
     if order == 4:
         return fourth_order_expansion(f, xstar, F, D, A, cert)
     if order == 2:
-        bounds = second_order_bounds(F, D, A, cert, nu)
+        bounds = second_order_bounds(F, D, A, cert)
     elif order == 3:
         bounds = third_order_bounds(F, D, A, cert)
     else:
         raise ValueError(f"unsupported order {order!r}")
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    return ExpansionReport(
-        order=str(order),
-        predicted_shift=-F.apply_power(-1.0, A),
-        predicted_value_change=-0.5 * xi**2,
-        bounds=bounds,
-        curvature=F,
-        tilt=A,
-        certificate=cert,
-    )
+    return _predict(F, A).report(str(order), bounds, cert)
 
 
 def distance_to_optimum(
@@ -711,22 +731,28 @@ def compare_with_solution(
         1.0 + abs(report.predicted_value_change)
     )
 
-    residual_norms: dict[str, float] = {}
-    slack_ratios: dict[str, float] = {}
-    entries: list[dict[str, Any]] = []
-    violations: list[str] = []
+    checks = [
+        (bound, _norm_of(bound.norm, F, D, targets[bound.target]), bound.radius, shift_floor)
+        for bound in bounds.shift_bounds
+    ]
+    vb = bounds.value_bound
+    if vb is not None:
+        resid = actual_value_change - report.predicted_value_change
+        # A positive residual is measured against the bracket's upper end, a
+        # negative one against its lower end.
+        denom = vb.upper if resid >= 0 else -vb.lower
+        radius = max(abs(vb.lower), abs(vb.upper))
+        value = RadiusBound("value", "value", "value", radius, vb.requires)
+        checks.append((value, resid, denom, value_floor))
 
-    for bound in bounds.shift_bounds:
-        resid = _norm_of(bound.norm, F, D, targets[bound.target])
-        if bound.radius <= shift_floor:
-            slack = 0.0 if resid <= shift_floor else np.inf
+    entries = []
+    for bound, resid, denom, floor in checks:
+        # One rule for every check: a denominator at or below the floor is an
+        # exactness claim, met only by a residual at or below the floor.
+        if denom <= floor:
+            slack = 0.0 if abs(resid) <= floor else np.inf
         else:
-            slack = resid / bound.radius
-        certified = bounds.gates_hold(bound.requires)
-        if certified and slack > 1.0 + constants.SLACK_TOLERANCE:
-            violations.append(bound.name)
-        residual_norms[bound.name] = resid
-        slack_ratios[bound.name] = slack
+            slack = abs(resid) / denom
         entries.append(
             {
                 "name": bound.name,
@@ -735,45 +761,14 @@ def compare_with_solution(
                 "radius": bound.radius,
                 "residual": resid,
                 "slack": slack,
-                "certified": certified,
-            }
-        )
-
-    if bounds.value_bound is not None:
-        vb = bounds.value_bound
-        resid = actual_value_change - report.predicted_value_change
-        if resid >= 0:
-            denom = vb.upper
-        else:
-            denom = -vb.lower
-        if denom <= value_floor:
-            slack = 0.0 if abs(resid) <= value_floor else np.inf
-        else:
-            slack = abs(resid) / denom
-        certified = bounds.gates_hold(vb.requires)
-        if certified and slack > 1.0 + constants.SLACK_TOLERANCE:
-            violations.append("value")
-        residual_norms["value"] = resid
-        slack_ratios["value"] = slack
-        entries.append(
-            {
-                "name": "value",
-                "norm": "value",
-                "target": "value",
-                "radius": max(abs(vb.lower), abs(vb.upper)),
-                "residual": resid,
-                "slack": slack,
-                "certified": certified,
+                "certified": bounds.gates_hold(bound.requires),
             }
         )
 
     return ComparisonReport(
         actual_shift=actual_shift,
         actual_value_change=actual_value_change,
-        residual_norms=residual_norms,
-        slack_ratios=slack_ratios,
         certifying=bounds.all_gates_pass,
-        violations=violations,
         entries=entries,
         solver=solver_info or {},
     )

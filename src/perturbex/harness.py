@@ -24,13 +24,13 @@ import jsonschema
 import numpy as np
 
 from . import constants
-from .errors import MissingFourthDerivative, MissingThirdDerivative
+from .errors import MissingFourthDerivative, MissingThirdDerivative, PreconditionViolated
 from .expand import (
+    _predict,
     cubic_bound_check,
     exact_quadratic_expansion,
     expansion_for_order,
     fourth_order_expansion,
-    skewness_correction,
     solve_and_compare,
     verify_expansion,
 )
@@ -144,7 +144,6 @@ CONFIG_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "nu": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "scaling": {
             "type": "object",
             "properties": {
@@ -242,10 +241,6 @@ class ExperimentConfig:
         """The ``tol`` / ``max_iter`` keywords of every Newton solve of the run."""
         spec = self.raw.get("solver", {})
         return {"tol": spec.get("tol"), "max_iter": int(spec.get("max_iter", 100))}
-
-    @property
-    def nu(self) -> float:
-        return float(self.raw.get("nu", constants.NU_DEFAULT))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +403,41 @@ def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[A
     return header, rows
 
 
+def _verified_orders(
+    cfg: ExperimentConfig,
+    xstar: np.ndarray,
+    perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
+    orders: list,
+    skips: dict[int | str, str],
+) -> list[dict[str, Any]]:
+    """Each order's report for ``perturbed = (g, drive, F, cert)``, verified by one solve.
+
+    Returns one result per order, ``{"order", "report", "verification"}``,
+    or ``{"order", "skipped"}`` with the reason when ``skips`` names the
+    order or the oracle or certificate lacks a derivative it needs.
+    """
+    g, drive, F, cert = perturbed
+    results: list[dict[str, Any]] = []
+    reports = []
+    for order in orders:
+        rep = skips.get(order)
+        if rep is None:
+            try:
+                rep = expansion_for_order(g, xstar, F, cert.metric, drive, cert, order)
+            except (MissingThirdDerivative, MissingFourthDerivative) as exc:
+                rep = f"order {order} skipped: {exc}"
+        if isinstance(rep, str):
+            results.append({"order": str(order), "skipped": rep})
+        else:
+            reports.append(rep)
+            results.append({"order": str(order), "report": rep.to_dict()})
+    comparisons = iter(solve_and_compare(g, xstar, reports, **cfg.solver))
+    for res in results:
+        if "report" in res:
+            res["verification"] = next(comparisons).to_dict()
+    return results
+
+
 def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
     violated = False
     gate_failed = False
@@ -466,27 +496,8 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
             skips["exact"] = "exact bias needs a quadratic objective and a ridge penalty; skipped"
         skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
-    warnings: list[str] = []
-    results: list[dict[str, Any]] = []
-    reports = []
-    for order in cfg.orders:
-        rep = skips.get(order)
-        if rep is None:
-            try:
-                rep = expansion_for_order(g, xstar, F, cert.metric, drive, cert, order, cfg.nu)
-            except (MissingThirdDerivative, MissingFourthDerivative) as exc:
-                rep = f"order {order} skipped: {exc}"
-        if isinstance(rep, str):
-            warnings.append(rep)
-            results.append({"order": str(order), "skipped": rep})
-        else:
-            reports.append(rep)
-            results.append({"order": str(order), "report": rep.to_dict()})
-    comparisons = iter(solve_and_compare(g, xstar, reports, **cfg.solver))
-    for entry in results:
-        if "report" in entry:
-            entry["verification"] = next(comparisons).to_dict()
-
+    results = _verified_orders(cfg, xstar, (g, drive, F, cert), cfg.orders, skips)
+    warnings = [res["skipped"] for res in results if "skipped" in res]
     exit_code = _aggregate_exit(results, require_gates)
     return {
         "schema": REPORT_SCHEMA,
@@ -541,6 +552,9 @@ def _fit_slope(eps: list[float], vals: list[float]) -> dict[str, Any]:
     return {"slope": slope, "points_used": len(pts), "note": ""}
 
 
+SCALING_HEADER = ["eps", "newton_residual", "skew_residual", "value_error_2", "value_error_4"]
+
+
 def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     """Shrink a linear tilt geometrically and measure residual decay rates.
 
@@ -550,6 +564,9 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     prediction (plus the order-2 value error for reference).  Log-log
     slopes are fitted over the points above the 1e-12 numerical floor.
     """
+    kind = cfg.perturbation["kind"]
+    if kind != "linear":
+        raise ValueError(f"scaling shrinks a linear tilt; perturbation.kind is {kind!r}")
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
     xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
@@ -557,43 +574,24 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     F = spd_from_dense(f.hessian(xstar))
     eps_grid = list(cfg.raw.get("scaling", {}).get("eps_grid", DEFAULT_EPS_GRID))
 
-    use_skew = f.has_third
     rows = []
-    series: dict[str, list[float]] = {
-        "newton_residual": [],
-        "skew_residual": [],
-        "value_error_2": [],
-        "value_error_4": [],
-    }
     for eps in eps_grid:
         A = eps * A0
         g = linearly_perturb(f, A)
         sol = newton_minimize(g, xstar, **cfg.solver)
         shift = sol.xhat - xstar
         dval = sol.value - g.value(xstar)
-        u0 = F.apply_power(-1.0, A)
-        xi2 = float(np.linalg.norm(F.apply_power(-0.5, A))) ** 2
-        r_newton = float(np.linalg.norm(shift + u0))
-        err_val2 = abs(dval + 0.5 * xi2)
-        if use_skew:
-            T_val, gradT = skewness_correction(f, xstar, u0)
-            abar = -u0 - F.apply_power(-1.0, gradT)
-            r_skew = float(np.linalg.norm(shift - abar))
-            err_val4 = abs(dval + 0.5 * xi2 + T_val)
-        else:
-            r_skew = float("nan")
-            err_val4 = float("nan")
-        series["newton_residual"].append(r_newton)
-        series["skew_residual"].append(r_skew)
-        series["value_error_2"].append(err_val2)
-        series["value_error_4"].append(err_val4)
-        rows.append([eps, r_newton, r_skew, err_val2, err_val4])
+        p = _predict(F, A, f, xstar)
+        r_newton = float(np.linalg.norm(shift + p.u0))
+        r_skew = float(np.linalg.norm(shift - p.shift))
+        # The order-4 value error is the order-2 one plus T: the same as
+        # dval minus the order-4 prediction, but T is added after dval and
+        # -xi^2/2 have cancelled, so it is not rounded at the scale of xi^2.
+        resid2 = dval - p.newton_value
+        rows.append([eps, r_newton, r_skew, abs(resid2), abs(resid2 + p.T)])
 
-    slopes = {
-        name: _fit_slope(eps_grid, vals)
-        for name, vals in series.items()
-        if not any(math.isnan(v) for v in vals)
-    }
+    columns = list(zip(*rows))[1:]
+    slopes = {name: _fit_slope(eps_grid, col) for name, col in zip(SCALING_HEADER[1:], columns)}
     return {
         "schema": REPORT_SCHEMA,
         "command": "scaling",
@@ -608,11 +606,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
 
 def cmd_scaling(config_path: str, out_dir: str, seed: int | None = None) -> int:
     report = _run_command(config_path, out_dir, seed, run_scaling)
-    _write_csv(
-        os.path.join(out_dir, "scaling.csv"),
-        ["eps", "newton_residual", "skew_residual", "value_error_2", "value_error_4"],
-        report["rows"],
-    )
+    _write_csv(os.path.join(out_dir, "scaling.csv"), SCALING_HEADER, report["rows"])
     slope_rows = [
         [name, info["slope"] if info["slope"] is not None else "floor",
          info["points_used"]]
@@ -641,10 +635,17 @@ def _sweep_base_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         return np.outer(v, v)
+    if "matrix" not in spec:
+        raise ValueError("sweep.g2.mode 'matrix' needs the matrix in sweep.g2.matrix")
     G2 = np.asarray(spec["matrix"], dtype=float)
     if G2.shape != (dim, dim):
         raise ValueError(f"sweep matrix has shape {G2.shape}, need ({dim},{dim})")
     return G2
+
+
+def _named(items: list[dict[str, Any]], name: str) -> dict[str, Any]:
+    """The gate or verification entry called ``name``."""
+    return next(item for item in items if item["name"] == name)
 
 
 def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str, Any]:
@@ -662,64 +663,44 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
     ridge = PsdQuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
-    want_fourth = f.has_third and f.has_fourth
-    orders = [3, 4] if want_fourth else [3]
     H0 = f.hessian(xstar)
     F0 = spd_from_dense(H0) if np.array_equal(ridge.Q, np.eye(f.dim)) else None
 
     rows = []
     results = []
-    verified = []
     for lam in grid:
         curvature = F0.shifted(lam) if F0 is not None else spd_from_dense(H0 + lam * ridge.Q)
-        g, M, FG, cert = _penalized_problem(cfg, f, xstar, ridge.scaled(lam), curvature)
-        reps = [expansion_for_order(g, xstar, FG, cert.metric, M, cert, order) for order in orders]
-        comps = solve_and_compare(g, xstar, reps, **cfg.solver)
+        perturbed = _penalized_problem(cfg, f, xstar, ridge.scaled(lam), curvature)
+        _, M, _, cert = perturbed
         entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
-        for rep, comp in zip(reps, comps):
-            entry[f"order{rep.order}"] = {
-                "report": rep.to_dict(),
-                "verification": comp.to_dict(),
-            }
-            verified.append(entry[f"order{rep.order}"])
+        for res in _verified_orders(cfg, xstar, perturbed, [3, 4], {}):
+            if "skipped" in res:
+                raise PreconditionViolated(res["skipped"])
+            entry[f"order{res.pop('order')}"] = res
         results.append(entry)
-        rep3, comp3 = reps[0], comps[0]
-        rep4, comp4 = (reps[1], comps[1]) if want_fourth else (None, None)
 
-        gate3 = rep3.bounds.gate("tau3_dnorm").satisfied
-        gate4 = (
-            rep4.bounds.gate("tau4_dnorm").satisfied if rep4 is not None else ""
-        )
-        radius3 = next(
-            b.radius for b in rep3.bounds.shift_bounds if b.name == "newton_residual_dinvf"
-        )
-        resid3 = comp3.residual_norms["newton_residual_dinvf"]
-        slack3 = comp3.slack_ratios["newton_residual_dinvf"]
-        if rep4 is not None:
-            radius4 = next(
-                b.radius for b in rep4.bounds.shift_bounds if b.name == "skew_residual_dinvf"
-            )
-            resid4 = comp4.residual_norms["skew_residual_dinvf"]
-            slack4 = comp4.slack_ratios["skew_residual_dinvf"]
-        else:
-            radius4 = resid4 = slack4 = ""
+        o3, o4 = entry["order3"], entry["order4"]
+        pred = np.asarray(o3["report"]["predicted_shift"])
+        e3 = _named(o3["verification"]["entries"], "newton_residual_dinvf")
+        e4 = _named(o4["verification"]["entries"], "skew_residual_dinvf")
         rows.append(
             [
                 lam,
-                weighted_norm(cert.metric, rep3.predicted_shift),
-                int(gate3),
-                int(gate4) if gate4 != "" else "",
-                float(np.linalg.norm(rep3.predicted_shift)),
-                float(np.linalg.norm(comp3.actual_shift)),
-                radius3,
-                resid3,
-                radius4,
-                resid4,
-                slack3,
-                slack4,
+                weighted_norm(cert.metric, pred),
+                int(_named(o3["report"]["bounds"]["preconditions"], "tau3_dnorm")["satisfied"]),
+                int(_named(o4["report"]["bounds"]["preconditions"], "tau4_dnorm")["satisfied"]),
+                float(np.linalg.norm(pred)),
+                float(np.linalg.norm(o3["verification"]["actual_shift"])),
+                e3["radius"],
+                e3["residual"],
+                e4["radius"],
+                e4["residual"],
+                e3["slack"],
+                e4["slack"],
             ]
         )
 
+    verified = [entry[key] for entry in results for key in ("order3", "order4")]
     exit_code = _aggregate_exit(verified, require_gates)
     return {
         "schema": REPORT_SCHEMA,

@@ -529,12 +529,7 @@ def linearly_perturb(f: Oracle, A) -> Oracle:
 
 def quadratically_penalize(f: Oracle, penalty_sq) -> Oracle:
     """Return ``f(x) + 0.5 x' G^2 x`` for symmetric positive semidefinite ``G^2``."""
-    pen = PsdQuadraticOracle(penalty_sq)
-    if pen.dim != f.dim:
-        raise DimensionMismatch(
-            f"penalty has dimension {pen.dim}, objective has {f.dim}"
-        )
-    return SumOracle(f, pen)
+    return smoothly_penalize(f, PsdQuadraticOracle(penalty_sq))
 
 
 def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:

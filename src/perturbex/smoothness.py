@@ -201,13 +201,16 @@ def estimate_omega(
 
 def _estimate_tensor_sup(
     f: Oracle,
-    x: np.ndarray,
+    x,
     D: SpdOperator,
     r: float,
     samples: int,
     seed: int,
     order: int,
 ) -> float:
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    x = as_vector(x, f.dim)
     Z, rad, W = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=True)
     rad[0, 0] = 0.0  # the anchor itself is always sampled
     contract = f.third_dir_many if order == 3 else f.fourth_dir_many
@@ -243,9 +246,7 @@ def estimate_tau3(
     """
     if not f.has_third:
         raise MissingThirdDerivative("oracle lacks analytic third derivatives")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    return _estimate_tensor_sup(f, as_vector(x, f.dim), D, r, samples, seed, order=3)
+    return _estimate_tensor_sup(f, x, D, r, samples, seed, order=3)
 
 
 def estimate_tau4(
@@ -259,9 +260,7 @@ def estimate_tau4(
     """Sampled fourth-derivative constant; same scheme as :func:`estimate_tau3`."""
     if not f.has_fourth:
         raise MissingFourthDerivative("oracle lacks analytic fourth derivatives")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    return _estimate_tensor_sup(f, as_vector(x, f.dim), D, r, samples, seed, order=4)
+    return _estimate_tensor_sup(f, x, D, r, samples, seed, order=4)
 
 
 def taylor_diagnostics(

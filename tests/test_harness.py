@@ -420,6 +420,12 @@ class TestConfigValidation:
             warnings.simplefilter("error")
             assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_nu_is_not_a_config_key(self, tmp_path):
+        payload = _base_config()
+        payload["nu"] = 0.5
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(
             ["certify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -483,6 +489,23 @@ class TestScaling:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("kind", ["smooth", "quadratic"])
+    def test_non_linear_perturbation_is_rejected(self, tmp_path, capsys, kind):
+        payload = {
+            "seed": 2,
+            "problem": {"kind": "quadratic", "dim": 4, "seed": 4, "cond": 5},
+            "perturbation": {
+                "kind": kind,
+                "penalty": {"kind": "logsumexp", "dim": 4, "n": 8, "seed": 1},
+            },
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "perturbation.kind" in err and kind in err
+        assert not out.exists()
+
     def test_floor_annotation_when_all_points_sink(self, tmp_path):
         payload = {
             "seed": 2,
@@ -528,6 +551,32 @@ class TestRidgeSweep:
         assert main(["ridge-sweep", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["results"][0]["order3"]["verification"]["violations"] == []
+
+
+    def test_matrix_mode_without_matrix_names_the_key(self, tmp_path, capsys):
+        payload = {
+            "seed": 8,
+            "problem": {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": 10},
+            "certificate": {"mode": "estimated", "samples": 20, "seed": 33},
+            "sweep": {"lambda_grid": [0.1], "g2": {"mode": "matrix"}},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep.g2.matrix" in err
+
+    def test_certificate_without_tau4_is_an_error(self, tmp_path, capsys):
+        """A sweep states orders 3 and 4 for every weight; it does not skip one."""
+        payload = {
+            "seed": 8,
+            "problem": {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": 10},
+            "certificate": {"mode": "declared", "radius": 0.5, "omega": 0.1, "tau3": 0.5},
+            "sweep": {"lambda_grid": [0.1]},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tau4" in err
 
 
 class TestSelftest:
