@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ridge-sweep":
             return cmd_ridge_sweep(args.config, args.out, args.seed, args.require_gates)
         return cmd_selftest(args.out, args.seed)
-    except Exception as exc:  # PerturbexError, jsonschema.ValidationError, OSError, ...
+    except Exception as exc:  # PerturbexError, ValueError (bad config), OSError, ...
         print(f"perturbex: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -774,13 +774,7 @@ def compare_with_solution(
     )
 
 
-def solve_and_compare(
-    g: Oracle,
-    xstar,
-    reports: list[ExpansionReport],
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> list[ComparisonReport]:
+def solve_and_compare(g: Oracle, xstar, reports: list[ExpansionReport]) -> list[ComparisonReport]:
     """Solve a perturbed problem once and compare every report against it.
 
     ``g`` is minimized from ``x*`` by the damped Newton reference solver;
@@ -791,7 +785,7 @@ def solve_and_compare(
     if not reports:
         return []
     xstar = as_vector(xstar, g.dim)
-    sol: SolveResult = newton_minimize(g, xstar, tol=tol, max_iter=max_iter)
+    sol: SolveResult = newton_minimize(g, xstar)
     actual_shift = sol.xhat - xstar
     actual_value_change = sol.value - g.value(xstar)
     solver_info = {
@@ -805,14 +799,7 @@ def solve_and_compare(
     ]
 
 
-def verify_expansion(
-    f: Oracle,
-    xstar,
-    A,
-    report: ExpansionReport,
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> ComparisonReport:
+def verify_expansion(f: Oracle, xstar, A, report: ExpansionReport) -> ComparisonReport:
     """Solve the tilted problem ``f + <., A>`` and compare with one report."""
     g = linearly_perturb(f, as_vector(A, f.dim))
-    return solve_and_compare(g, xstar, [report], tol=tol, max_iter=max_iter)[0]
+    return solve_and_compare(g, xstar, [report])[0]

@@ -76,118 +76,145 @@ EXIT_GATE_FAILED = 3
 REPORT_SCHEMA = "perturbex.report.v3"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["quadratic", "logistic", "logsumexp"]},
-        "dim": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "n": {"type": "integer", "minimum": 1},
-        "reg": {"type": "number", "minimum": 0},
-        "temp": {"type": "number", "exclusiveMinimum": 0},
-        "cond": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind", "dim", "seed"],
-    "additionalProperties": False,
-}
+_INTEGER = {"type": "integer"}
+_COUNT = {"type": "integer", "minimum": 1}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_VECTOR = {"type": "array", "items": {"type": "number"}}
+_MATRIX = {"type": "array", "items": _VECTOR}
 
+
+def _variant(tag: str, value: str, *names: str, types=None, required=()) -> dict[str, Any]:
+    """Accept only the keys ``value`` reads in an object whose ``tag`` is ``value``.
+
+    Those are ``tag``, ``names`` (typed by the enclosing object) and the keys
+    of ``types``, which only this variant reads.  The check applies only
+    once the tag is valid, so a wrong tag is reported as such.  The keys are
+    one ``propertyNames`` list, titled for error messages, not one ``True``
+    subschema each: the import-time meta-check costs a metaschema pass per
+    subschema.
+    """
+    keys = {"enum": [tag, *names, *(types or {})], "title": f"keys read when {tag} is {value!r}"}
+    then = {"properties": types or {}, "propertyNames": keys, "required": list(required)}
+    return {"if": {"properties": {tag: {"const": value}}, "required": [tag]}, "then": then}
+
+
+def _object(properties: dict[str, Any], *variants: dict[str, Any], required=()) -> dict[str, Any]:
+    """An object of ``properties``, closed by ``variants`` or, with none, by itself."""
+    schema = {"type": "object", "properties": properties, "required": list(required)}
+    if variants:
+        schema["allOf"] = list(variants)
+    else:
+        schema["additionalProperties"] = False
+    return schema
+
+
+def _command(**properties: Any) -> dict[str, Any]:
+    """A command's config: ``seed``, ``problem`` and the other keys it reads."""
+    problem = {"$ref": "#/$defs/problem"}
+    return _object({"seed": _INTEGER, "problem": problem, **properties}, required=["problem"])
+
+
+# One document: the parts several commands share, and one entry per command
+# that accepts only the keys the command reads.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer"},
-        "problem": _PROBLEM_SCHEMA,
-        "perturbation": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["linear", "quadratic", "smooth"]},
-                "vector": {"type": "array", "items": {"type": "number"}},
-                "seed": {"type": "integer"},
-                "scale": {"type": "number", "minimum": 0},
-                "lambda": {"type": "number", "minimum": 0},
-                "matrix": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-                "penalty": _PROBLEM_SCHEMA,
-                "weight": {"type": "number", "minimum": 0},
+    "$defs": {
+        "problem": _object(
+            {
+                "kind": {"enum": ["quadratic", "logistic", "logsumexp"]},
+                "dim": _COUNT, "seed": _INTEGER, "n": _COUNT,
+                "reg": _NONNEGATIVE, "temp": _POSITIVE, "cond": _POSITIVE,
             },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "orders": {
-            "type": "array",
-            "items": {"enum": ["exact", 2, 3, 4]},
-            "minItems": 1,
-        },
-        "certificate": {
-            "type": "object",
-            "properties": {
+            _variant("kind", "quadratic", "dim", "seed", "cond"),
+            _variant("kind", "logistic", "dim", "seed", "n", "reg"),
+            _variant("kind", "logsumexp", "dim", "seed", "n", "reg", "temp"),
+            required=["kind", "dim", "seed"],
+        ),
+        "linear": _variant(
+            "kind", "linear", types={"vector": _VECTOR, "seed": _INTEGER, "scale": _NONNEGATIVE}
+        ),
+        "certificate": _object(
+            {
                 "mode": {"enum": ["estimated", "declared"]},
-                "samples": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "inflation": {"type": "number", "minimum": 1},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "kappa": {"type": "number", "minimum": 0},
-                "omega": {"type": "number", "minimum": 0},
-                "tau3": {"type": "number", "minimum": 0},
-                "tau4": {"type": "number", "minimum": 0},
+                "samples": _COUNT, "seed": _INTEGER,
+                "inflation": {"type": "number", "minimum": 1}, "radius": _POSITIVE,
+                "kappa": _NONNEGATIVE, "omega": _NONNEGATIVE,
+                "tau3": _NONNEGATIVE, "tau4": _NONNEGATIVE,
             },
-            "required": ["mode"],
-            "additionalProperties": False,
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "tol": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "scaling": {
-            "type": "object",
-            "properties": {
-                "eps_grid": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 2,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "sweep": {
-            "type": "object",
-            "properties": {
-                "lambda_grid": {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0},
-                    "minItems": 1,
-                },
-                "g2": {
-                    "type": "object",
-                    "properties": {
-                        "mode": {"enum": ["identity", "rank1", "matrix"]},
-                        "seed": {"type": "integer"},
-                        "matrix": {
-                            "type": "array",
-                            "items": {"type": "array", "items": {"type": "number"}},
+            _variant("mode", "estimated", "samples", "seed", "inflation", "radius"),
+            _variant("mode", "declared", "radius", "kappa", "omega", "tau3", "tau4"),
+            required=["mode"],
+        ),
+        "certify": _command(
+            perturbation=_object(
+                {"kind": {"enum": ["linear", "quadratic", "smooth"]}},
+                {"$ref": "#/$defs/linear"},
+                _variant("kind", "quadratic", types={"lambda": _NONNEGATIVE, "matrix": _MATRIX}),
+                _variant(
+                    "kind", "smooth",
+                    types={"penalty": {"$ref": "#/$defs/problem"}, "weight": _NONNEGATIVE},
+                    required=["penalty"],
+                ),
+                required=["kind"],
+            ),
+            orders={"type": "array", "items": {"enum": ["exact", 2, 3, 4]}, "minItems": 1},
+            certificate={"$ref": "#/$defs/certificate"},
+        ),
+        "scaling": _command(
+            perturbation=_object(
+                {"kind": {"enum": ["linear"]}}, {"$ref": "#/$defs/linear"}, required=["kind"]
+            ),
+            scaling=_object({"eps_grid": {"type": "array", "items": _POSITIVE, "minItems": 2}}),
+        ),
+        "ridge-sweep": _command(
+            certificate={"$ref": "#/$defs/certificate"},
+            sweep=_object(
+                {
+                    "lambda_grid": {"type": "array", "items": _NONNEGATIVE, "minItems": 1},
+                    # ``seed`` stays legal in every mode: the benchmark pools set
+                    # it with ``identity``.
+                    "g2": _object(
+                        {
+                            "mode": {"enum": ["identity", "rank1", "matrix"]},
+                            "seed": _INTEGER, "matrix": _MATRIX,
                         },
-                    },
-                    "required": ["mode"],
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
+                        _variant("mode", "identity", "seed"),
+                        _variant("mode", "rank1", "seed"),
+                        _variant("mode", "matrix", "seed", "matrix", required=["matrix"]),
+                        required=["mode"],
+                    ),
+                }
+            ),
+        ),
     },
-    "required": ["problem"],
-    "additionalProperties": False,
 }
 
+# The schema a config of each command must satisfy: the document, entered at
+# that command's entry.
+COMMANDS = ("certify", "scaling", "ridge-sweep")
+COMMAND_SCHEMAS = {cmd: {**CONFIG_SCHEMA, "$ref": f"#/$defs/{cmd}"} for cmd in COMMANDS}
+
 # Checking the schema itself takes tens of milliseconds, so it is done once
-# here and every config load reuses the validator.
+# here and every config load reuses its command's validator.
 jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_VALIDATORS = {cmd: jsonschema.Draft202012Validator(s) for cmd, s in COMMAND_SCHEMAS.items()}
+
+
+def _config_error_line(error: jsonschema.ValidationError, command: str) -> str:
+    """``<dotted.path>: <message>``; a missing or unread key ends the path."""
+    path = [str(part) for part in error.absolute_path]
+    message = error.message
+    if error.validator == "required":
+        path.append(next(k for k in error.validator_value if k not in error.instance))
+        message = "required key is missing"
+    elif error.validator == "additionalProperties":
+        path.append(next(k for k in error.instance if k not in error.schema["properties"]))
+        message = f"not read by {command}"
+    elif "propertyNames" in error.schema_path:  # a variant's keys, see _variant
+        path.append(error.instance)
+        message = f"not one of the {error.schema['title']}"
+    return f"{'.'.join(path) or 'config'}: {message}"
 
 
 @dataclass
@@ -197,24 +224,29 @@ class ExperimentConfig:
     raw: dict[str, Any]
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        # The error jsonschema.validate(raw, CONFIG_SCHEMA) would raise.
-        error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    def from_dict(cls, raw: dict[str, Any], command: str) -> "ExperimentConfig":
+        """Validate ``raw`` as a config of ``command``."""
+        # The error jsonschema.validate(raw, COMMAND_SCHEMAS[command]) would raise.
+        error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(raw))
         if error is not None:
             raise error
-        cert = raw.get("certificate", {"mode": "estimated"})
-        if cert.get("mode") == "estimated" and "seed" not in cert:
-            if "seed" not in raw:
+        if "certificate" in CONFIG_SCHEMA["$defs"][command]["properties"]:
+            cert = raw.get("certificate", {"mode": "estimated"})
+            if cert["mode"] == "estimated" and "seed" not in cert and "seed" not in raw:
                 raise ValueError(
-                    "estimated certificates need a seed: set certificate.seed "
-                    "or a top-level seed"
+                    "estimated certificates need a seed: set certificate.seed, "
+                    "a top-level seed or --seed"
                 )
         return cls(raw=raw)
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def from_file(cls, path: str, command: str, seed: int | None = None) -> "ExperimentConfig":
+        """Load and validate a config file; ``seed`` overrides its top-level seed."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            raw = json.load(fh)
+        if seed is not None and isinstance(raw, dict):
+            raw["seed"] = seed
+        return cls.from_dict(raw, command)
 
     @property
     def seed(self) -> int:
@@ -235,12 +267,6 @@ class ExperimentConfig:
     @property
     def certificate(self) -> dict[str, Any]:
         return dict(self.raw.get("certificate", {"mode": "estimated"}))
-
-    @property
-    def solver(self) -> dict[str, Any]:
-        """The ``tol`` / ``max_iter`` keywords of every Newton solve of the run."""
-        spec = self.raw.get("solver", {})
-        return {"tol": spec.get("tol"), "max_iter": int(spec.get("max_iter", 100))}
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +293,14 @@ def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
         fh.write(buf.getvalue())
 
 
-def _run_command(config_path: str, out_dir: str, seed: int | None, run) -> dict[str, Any]:
-    """Load a config, apply a seed override, run it and write ``report.json``."""
-    cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.raw["seed"] = seed
+def _run_command(
+    command: str, config_path: str, out_dir: str, seed: int | None, run
+) -> dict[str, Any]:
+    """Load ``command``'s config with a seed override, run it and write ``report.json``."""
+    try:
+        cfg = ExperimentConfig.from_file(config_path, command, seed)
+    except jsonschema.ValidationError as error:
+        raise ValueError(_config_error_line(error, command)) from None
     report = run(cfg)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), report)
@@ -295,24 +324,15 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 def _quadratic_penalty_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     pert = cfg.perturbation
     if "matrix" in pert:
-        G2 = np.asarray(pert["matrix"], dtype=float)
-        if G2.shape != (dim, dim):
-            raise ValueError(f"penalty matrix has shape {G2.shape}, need ({dim},{dim})")
-        return G2
+        return np.asarray(pert["matrix"], dtype=float)
     lam = float(pert.get("lambda", 0.1))
     return lam * np.eye(dim)
 
 
-def _smooth_penalty(cfg: ExperimentConfig, dim: int) -> Oracle:
+def _smooth_penalty(cfg: ExperimentConfig) -> Oracle:
     pert = cfg.perturbation
-    if "penalty" not in pert:
-        raise ValueError("smooth perturbation needs a 'penalty' descriptor")
-    desc = dict(pert["penalty"])
-    if int(desc["dim"]) != dim:
-        raise ValueError("penalty dimension does not match the problem")
-    pen = oracle_from_descriptor(desc).oracle
-    weight = float(pert.get("weight", 1.0))
-    return ScaledOracle(pen, weight)
+    pen = oracle_from_descriptor(pert["penalty"]).oracle
+    return ScaledOracle(pen, float(pert.get("weight", 1.0)))
 
 
 def _build_certificate(
@@ -431,7 +451,7 @@ def _verified_orders(
         else:
             reports.append(rep)
             results.append({"order": str(order), "report": rep.to_dict()})
-    comparisons = iter(solve_and_compare(g, xstar, reports, **cfg.solver))
+    comparisons = iter(solve_and_compare(g, xstar, reports))
     for res in results:
         if "report" in res:
             res["verification"] = next(comparisons).to_dict()
@@ -471,7 +491,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = newton_minimize(f, prob.x0, **cfg.solver)
+    anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     kind = cfg.perturbation["kind"]
 
@@ -489,7 +509,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         pen = (
             PsdQuadraticOracle(_quadratic_penalty_matrix(cfg, f.dim))
             if ridge
-            else _smooth_penalty(cfg, f.dim)
+            else _smooth_penalty(cfg)
         )
         g, drive, F, cert = _penalized_problem(cfg, f, xstar, pen)
         if not (ridge and prob.kind == "quadratic"):
@@ -527,7 +547,7 @@ def cmd_certify(
     require_gates: bool = False,
 ) -> int:
     report = _run_command(
-        config_path, out_dir, seed, lambda cfg: run_certify(cfg, require_gates)
+        "certify", config_path, out_dir, seed, lambda cfg: run_certify(cfg, require_gates)
     )
     _write_csv(os.path.join(out_dir, "summary.csv"), *_summary_rows(report["results"]))
     return int(report["exit_code"])
@@ -564,12 +584,9 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     prediction (plus the order-2 value error for reference).  Log-log
     slopes are fitted over the points above the 1e-12 numerical floor.
     """
-    kind = cfg.perturbation["kind"]
-    if kind != "linear":
-        raise ValueError(f"scaling shrinks a linear tilt; perturbation.kind is {kind!r}")
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
+    xstar = newton_minimize(f, prob.x0).xhat
     A0 = _linear_tilt(cfg, f.dim)
     F = spd_from_dense(f.hessian(xstar))
     eps_grid = list(cfg.raw.get("scaling", {}).get("eps_grid", DEFAULT_EPS_GRID))
@@ -578,7 +595,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     for eps in eps_grid:
         A = eps * A0
         g = linearly_perturb(f, A)
-        sol = newton_minimize(g, xstar, **cfg.solver)
+        sol = newton_minimize(g, xstar)
         shift = sol.xhat - xstar
         dval = sol.value - g.value(xstar)
         p = _predict(F, A, f, xstar)
@@ -605,7 +622,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def cmd_scaling(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    report = _run_command(config_path, out_dir, seed, run_scaling)
+    report = _run_command("scaling", config_path, out_dir, seed, run_scaling)
     _write_csv(os.path.join(out_dir, "scaling.csv"), SCALING_HEADER, report["rows"])
     slope_rows = [
         [name, info["slope"] if info["slope"] is not None else "floor",
@@ -635,8 +652,6 @@ def _sweep_base_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         return np.outer(v, v)
-    if "matrix" not in spec:
-        raise ValueError("sweep.g2.mode 'matrix' needs the matrix in sweep.g2.matrix")
     G2 = np.asarray(spec["matrix"], dtype=float)
     if G2.shape != (dim, dim):
         raise ValueError(f"sweep matrix has shape {G2.shape}, need ({dim},{dim})")
@@ -660,7 +675,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    xstar = newton_minimize(f, prob.x0, **cfg.solver).xhat
+    xstar = newton_minimize(f, prob.x0).xhat
     ridge = PsdQuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
     H0 = f.hessian(xstar)
@@ -737,7 +752,7 @@ def cmd_ridge_sweep(
     require_gates: bool = False,
 ) -> int:
     report = _run_command(
-        config_path, out_dir, seed, lambda cfg: run_ridge_sweep(cfg, require_gates)
+        "ridge-sweep", config_path, out_dir, seed, lambda cfg: run_ridge_sweep(cfg, require_gates)
     )
     _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, report["rows"])
     return int(report["exit_code"])

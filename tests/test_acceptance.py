@@ -346,7 +346,8 @@ def test_error_decay_rates_match_orders(criterion):
             "seed": 5,
             "problem": {"kind": "logistic", "dim": 10, "n": 80, "reg": 0.1, "seed": 5},
             "perturbation": {"kind": "linear", "seed": 11, "scale": 0.5},
-        }
+        },
+        "scaling",
     )
     report = run_scaling(cfg)
     elapsed = time.perf_counter() - t0

@@ -44,6 +44,20 @@ def _base_config():
     }
 
 
+def _command_config(command):
+    """A small valid config of ``command`` that sets every top-level key it reads."""
+    if command == "certify":
+        return _base_config()
+    payload = {key: _base_config()[key] for key in ("seed", "problem")}
+    if command == "scaling":
+        payload["perturbation"] = {"kind": "linear", "scale": 0.5, "seed": 7}
+        payload["scaling"] = {"eps_grid": [0.5, 0.25, 0.125]}
+    else:
+        payload["certificate"] = {"mode": "estimated", "samples": 20, "seed": 11}
+        payload["sweep"] = {"lambda_grid": [0.1], "g2": {"mode": "identity"}}
+    return payload
+
+
 class TestCertify:
     def test_exit_zero_with_artifacts(self, tmp_path):
         cfg = _write(tmp_path, "cfg.json", _base_config())
@@ -438,7 +452,8 @@ class TestConfigValidation:
                 {
                     "problem": {"kind": "quadratic", "dim": 2, "seed": 0},
                     "certificate": {"mode": "estimated"},
-                }
+                },
+                "certify",
             )
 
     def test_bad_order_value_rejected(self, tmp_path):
@@ -455,6 +470,7 @@ class TestConfigValidation:
             lambda c: c.update(orders=[7]),
             lambda c: c["problem"].update(dim="six"),
             lambda c: c["certificate"].update(samples=-3, radius="wide"),
+            lambda c: c["certificate"].update(tau3=99.0),
         ],
     )
     def test_cached_validator_raises_what_validate_raises(self, edit):
@@ -462,11 +478,75 @@ class TestConfigValidation:
         raw = _base_config()
         edit(raw)
         with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(raw, harness.CONFIG_SCHEMA)
+            jsonschema.validate(raw, harness.COMMAND_SCHEMAS["certify"])
         with pytest.raises(jsonschema.ValidationError) as got:
-            ExperimentConfig.from_dict(raw)
+            ExperimentConfig.from_dict(raw, "certify")
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "command, edit, key",
+        [
+            ("ridge-sweep", lambda c: c.update(perturbation={"kind": "linear"}), "perturbation"),
+            ("ridge-sweep", lambda c: c.update(orders=[3, 4]), "orders"),
+            ("certify", lambda c: c.update(sweep={"lambda_grid": [0.1]}), "sweep"),
+            ("certify", lambda c: c.update(scaling={"eps_grid": [0.5, 0.25]}), "scaling"),
+            ("scaling", lambda c: c.update(certificate={"mode": "estimated"}), "certificate"),
+            ("scaling", lambda c: c.update(orders=[2]), "orders"),
+            ("certify", lambda c: c["certificate"].update(tau3=99.0), "certificate.tau3"),
+            (
+                "certify",
+                lambda c: c.update(problem={"kind": "quadratic", "dim": 6, "seed": 3, "reg": 0.1}),
+                "problem.reg",
+            ),
+            ("certify", lambda c: c["perturbation"].update({"lambda": 0.1}), "perturbation.lambda"),
+            ("certify", lambda c: c.update(solver={"tol": 1e-9}), "solver"),
+            ("scaling", lambda c: c.update(solver={"max_iter": 50}), "solver"),
+            ("ridge-sweep", lambda c: c.update(solver={}), "solver"),
+        ],
+    )
+    def test_unread_key_is_a_one_line_error(self, tmp_path, capsys, command, edit, key):
+        """A key the command does not read exits 1 with one line naming it."""
+        payload = _command_config(command)
+        edit(payload)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"perturbex: error: {key}: not ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "perturbation",
+        [
+            {"kind": "linear", "vector": [0.1, 0.2]},
+            {"kind": "quadratic", "matrix": np.eye(2).tolist()},
+            {"kind": "smooth", "penalty": {"kind": "logsumexp", "dim": 2, "n": 4, "seed": 1}},
+        ],
+    )
+    def test_wrong_dimension_is_a_one_line_error(self, tmp_path, capsys, perturbation):
+        payload = _base_config()
+        payload["perturbation"] = perturbation
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("dimension 2" in err or "shape (2,)" in err)
+
+    def test_seed_flag_satisfies_the_seed_rule(self, tmp_path):
+        payload = _base_config()
+        del payload["seed"], payload["certificate"]["seed"]
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+        out = tmp_path / "b"
+        assert main(["certify", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["seed"] == 4
+
+    def test_scaling_needs_no_seed(self, tmp_path):
+        """The seed rule is about certificates, which scaling does not build."""
+        payload = _command_config("scaling")
+        del payload["seed"]
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestScaling:
