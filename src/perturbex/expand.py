@@ -18,10 +18,11 @@ exact     ``-F^{-1} A`` (quadratic ``f`` only)        0
                                                       kappa^2 tau3^2) b^3``
 ========  ==========================================  =======================
 
-where ``b = ||D F^{-1} A||`` and ``T(u) = <grad^3 f(x*), u^3> / 6`` is the
-skew term.  Gates (the inequalities each theorem assumes) are always
-reported with both sides, never raised: a failed gate downgrades the radii
-to advisory.
+where ``b = ||D F^{-1} A||``, ``D = cert.metric`` is the metric the
+certificate was measured in (every radius is stated in it), and
+``T(u) = <grad^3 f(x*), u^3> / 6`` is the skew term.  Gates (the
+inequalities each theorem assumes) are always reported with both sides,
+never raised: a failed gate downgrades the radii to advisory.
 """
 
 from __future__ import annotations
@@ -97,13 +98,15 @@ class Gate:
         }
 
 
-def _tolerant_gate(name: str, lhs: float, rhs: float) -> Gate:
-    """A nonstrict gate with a tiny relative tolerance folded into ``rhs``.
+def _metric_gate(F: SpdOperator, cert: SmoothnessCertificate) -> Gate:
+    """``D^2 <= kappa^2 F`` for the certificate's metric ``D`` and ``kappa``.
 
-    Used for computed-vs-stored comparisons (metric domination) where exact
-    float equality is the expected case.
+    A tiny relative tolerance is folded into ``rhs``: the certificate's
+    ``kappa`` is usually this very ratio, so exact float equality is the
+    expected case.
     """
-    return Gate(name, lhs, rhs * (1.0 + constants.GATE_RTOL) + 1e-300)
+    rhs = cert.kappa * (1.0 + constants.GATE_RTOL) + 1e-300
+    return Gate("metric_dominated", kappa_between(cert.metric, F), rhs)
 
 
 @dataclass(frozen=True)
@@ -315,12 +318,7 @@ def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
     return _predict(F, A).report("exact-quadratic", bounds)
 
 
-def second_order_bounds(
-    F: SpdOperator,
-    D: SpdOperator,
-    A,
-    cert: SmoothnessCertificate,
-) -> BoundSet:
+def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundSet:
     """Two-sided value sandwich and shift radii from the omega constant.
 
     With ``b = ||D F^{-1} A||`` and ``omega <= 1/3``, the value change
@@ -341,9 +339,9 @@ def second_order_bounds(
     kappa = cert.kappa
     omega = cert.omega
     p = _predict(F, A)
-    b = weighted_norm(D, p.u0)
+    b = weighted_norm(cert.metric, p.u0)
     gates = [
-        _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
+        _metric_gate(F, cert),
         Gate("omega_cap", omega, constants.OMEGA_MAX),
         Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / max(kappa, 1e-300)),
         Gate("stability_margin", omega * kappa**2, 1.0 - constants.NU_DEFAULT, strict=True),
@@ -370,12 +368,7 @@ def second_order_bounds(
     )
 
 
-def third_order_bounds(
-    F: SpdOperator,
-    D: SpdOperator,
-    A,
-    cert: SmoothnessCertificate,
-) -> BoundSet:
+def third_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundSet:
     """Cubic-term radii for the Newton prediction ``-F^{-1} A``.
 
     Curvature-ball statements (gated by ``r >= (4 kappa / 3) xi`` and
@@ -397,9 +390,9 @@ def third_order_bounds(
     tau3 = cert.tau3
     r = cert.radius
     p = _predict(F, A)
-    xi, b = p.xi, weighted_norm(D, p.u0)
+    xi, b = p.xi, weighted_norm(cert.metric, p.u0)
     gates = [
-        _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
+        _metric_gate(F, cert),
         Gate("fnorm_radius", constants.RADIUS_FACTOR_FNORM * kappa * xi, r),
         Gate("tau3_fnorm", kappa**3 * tau3 * xi, constants.TAU3_GATE_FNORM, strict=True),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
@@ -451,12 +444,7 @@ def skewness_correction(f: Oracle, xstar, u) -> tuple[float, np.ndarray]:
 
 
 def fourth_order_expansion(
-    f: Oracle,
-    xstar,
-    F: SpdOperator,
-    D: SpdOperator,
-    A,
-    cert: SmoothnessCertificate,
+    f: Oracle, xstar, F: SpdOperator, A, cert: SmoothnessCertificate
 ) -> ExpansionReport:
     """Skew-corrected prediction with quartic-scale radii.
 
@@ -484,12 +472,13 @@ def fourth_order_expansion(
     tau3 = cert.tau3
     tau4 = cert.tau4
     r = cert.radius
+    D = cert.metric
     p = _predict(F, A, f, xstar)
     b = weighted_norm(D, p.u0)
     shift = p.shift
 
     gates = [
-        _tolerant_gate("metric_dominated", kappa_between(D, F), kappa),
+        _metric_gate(F, cert),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
         Gate("tau3_dnorm", kappa**2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
         Gate("tau4_dnorm", kappa**2 * tau4 * b**2, constants.TAU4_GATE_DNORM, strict=True),
@@ -525,31 +514,25 @@ def expansion_for_order(
     f: Oracle,
     xstar,
     F: SpdOperator,
-    D: SpdOperator,
     A,
     cert: SmoothnessCertificate,
     order: int | str,
 ) -> ExpansionReport:
     """Build the report for one requested order (2, 3, 4, or ``"exact"``)."""
-    if order in ("exact", "exact-quadratic"):
+    if order == "exact":
         return exact_quadratic_expansion(F, A)
     if order == 4:
-        return fourth_order_expansion(f, xstar, F, D, A, cert)
+        return fourth_order_expansion(f, xstar, F, A, cert)
     if order == 2:
-        bounds = second_order_bounds(F, D, A, cert)
+        bounds = second_order_bounds(F, A, cert)
     elif order == 3:
-        bounds = third_order_bounds(F, D, A, cert)
+        bounds = third_order_bounds(F, A, cert)
     else:
         raise ValueError(f"unsupported order {order!r}")
     return _predict(F, A).report(str(order), bounds, cert)
 
 
-def distance_to_optimum(
-    f: Oracle,
-    xk,
-    cert: SmoothnessCertificate,
-    D: SpdOperator | None = None,
-) -> ExpansionReport:
+def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> ExpansionReport:
     """Certified Newton prediction of the optimum from an off-minimum point.
 
     ``f`` is a linear tilt of the function ``f(x) - <x, grad f(xk)>`` whose
@@ -566,12 +549,10 @@ def distance_to_optimum(
         F = spd_from_dense(f.hessian(xk))
     except NotPositiveDefinite as exc:
         raise HessianNotPd(str(exc)) from exc
-    if D is None:
-        D = cert.metric
-    local_kappa = kappa_between(D, F)
+    local_kappa = kappa_between(cert.metric, F)
     if local_kappa > cert.kappa:
         cert = replace(cert, kappa=local_kappa)
-    rep = expansion_for_order(f, xk, F, D, f.gradient(xk), cert, 3)
+    rep = expansion_for_order(f, xk, F, f.gradient(xk), cert, 3)
     return replace(rep, anchor="iterate")
 
 
@@ -799,7 +780,7 @@ def solve_and_compare(g: Oracle, xstar, reports: list[ExpansionReport]) -> list[
     ]
 
 
-def verify_expansion(f: Oracle, xstar, A, report: ExpansionReport) -> ComparisonReport:
-    """Solve the tilted problem ``f + <., A>`` and compare with one report."""
-    g = linearly_perturb(f, as_vector(A, f.dim))
+def verify_expansion(f: Oracle, xstar, report: ExpansionReport) -> ComparisonReport:
+    """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report."""
+    g = linearly_perturb(f, report.tilt)
     return solve_and_compare(g, xstar, [report])[0]

@@ -90,9 +90,7 @@ def _variant(tag: str, value: str, *names: str, types=None, required=()) -> dict
     Those are ``tag``, ``names`` (typed by the enclosing object) and the keys
     of ``types``, which only this variant reads.  The check applies only
     once the tag is valid, so a wrong tag is reported as such.  The keys are
-    one ``propertyNames`` list, titled for error messages, not one ``True``
-    subschema each: the import-time meta-check costs a metaschema pass per
-    subschema.
+    one ``propertyNames`` list, titled so that an error can name them.
     """
     keys = {"enum": [tag, *names, *(types or {})], "title": f"keys read when {tag} is {value!r}"}
     then = {"properties": types or {}, "propertyNames": keys, "required": list(required)}
@@ -151,6 +149,18 @@ CONFIG_SCHEMA = {
                 {"kind": {"enum": ["linear", "quadratic", "smooth"]}},
                 {"$ref": "#/$defs/linear"},
                 _variant("kind", "quadratic", types={"lambda": _NONNEGATIVE, "matrix": _MATRIX}),
+                # A quadratic penalty reads ``lambda`` only when it has no ``matrix``.
+                {
+                    "if": {
+                        "properties": {"kind": {"const": "quadratic"}},
+                        "required": ["kind", "matrix"],
+                    },
+                    "then": {
+                        "propertyNames": {
+                            "enum": ["kind", "matrix"], "title": "keys read when matrix is set"
+                        }
+                    },
+                },
                 _variant(
                     "kind", "smooth",
                     types={"penalty": {"$ref": "#/$defs/problem"}, "weight": _NONNEGATIVE},
@@ -195,9 +205,8 @@ CONFIG_SCHEMA = {
 COMMANDS = ("certify", "scaling", "ridge-sweep")
 COMMAND_SCHEMAS = {cmd: {**CONFIG_SCHEMA, "$ref": f"#/$defs/{cmd}"} for cmd in COMMANDS}
 
-# Checking the schema itself takes tens of milliseconds, so it is done once
-# here and every config load reuses its command's validator.
-jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+# Built once; every config load reuses its command's validator.  The document
+# itself is checked against the metaschema by the tests, not on every import.
 _VALIDATORS = {cmd: jsonschema.Draft202012Validator(s) for cmd, s in COMMAND_SCHEMAS.items()}
 
 
@@ -243,7 +252,9 @@ class ExperimentConfig:
     def from_file(cls, path: str, command: str, seed: int | None = None) -> "ExperimentConfig":
         """Load and validate a config file; ``seed`` overrides its top-level seed."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # NaN and Infinity are not JSON numbers.  Loaded as strings, they
+            # fail the schema's type checks, which name the key holding them.
+            raw = json.load(fh, parse_constant=str)
         if seed is not None and isinstance(raw, dict):
             raw["seed"] = seed
         return cls.from_dict(raw, command)
@@ -424,7 +435,6 @@ def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[A
 
 
 def _verified_orders(
-    cfg: ExperimentConfig,
     xstar: np.ndarray,
     perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
     orders: list,
@@ -443,7 +453,7 @@ def _verified_orders(
         rep = skips.get(order)
         if rep is None:
             try:
-                rep = expansion_for_order(g, xstar, F, cert.metric, drive, cert, order)
+                rep = expansion_for_order(g, xstar, F, drive, cert, order)
             except (MissingThirdDerivative, MissingFourthDerivative) as exc:
                 rep = f"order {order} skipped: {exc}"
         if isinstance(rep, str):
@@ -516,7 +526,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
             skips["exact"] = "exact bias needs a quadratic objective and a ridge penalty; skipped"
         skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
-    results = _verified_orders(cfg, xstar, (g, drive, F, cert), cfg.orders, skips)
+    results = _verified_orders(xstar, (g, drive, F, cert), cfg.orders, skips)
     warnings = [res["skipped"] for res in results if "skipped" in res]
     exit_code = _aggregate_exit(results, require_gates)
     return {
@@ -688,7 +698,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         perturbed = _penalized_problem(cfg, f, xstar, ridge.scaled(lam), curvature)
         _, M, _, cert = perturbed
         entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
-        for res in _verified_orders(cfg, xstar, perturbed, [3, 4], {}):
+        for res in _verified_orders(xstar, perturbed, [3, 4], {}):
             if "skipped" in res:
                 raise PreconditionViolated(res["skipped"])
             entry[f"order{res.pop('order')}"] = res
@@ -800,7 +810,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
     quad = QuadraticOracle(F, np.zeros(4))
     A = 0.3 * np.random.default_rng(seed + 6).standard_normal(4)
     rep = exact_quadratic_expansion(F, A)
-    comp = verify_expansion(quad, np.zeros(4), A, rep)
+    comp = verify_expansion(quad, np.zeros(4), rep)
     check(
         "quadratic exactness",
         not comp.violations and comp.max_certified_slack <= 1.0,
@@ -846,9 +856,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
 
     # Zero tilt must produce a zero prediction and zero radii.
     cert_q = estimate_certificate(quad, np.zeros(4), radius=1.0, samples=40, seed=seed)
-    rep0 = expansion_for_order(
-        quad, np.zeros(4), F, cert_q.metric, np.zeros(4), cert_q, 3
-    )
+    rep0 = expansion_for_order(quad, np.zeros(4), F, np.zeros(4), cert_q, 3)
     radii = [b.radius for b in rep0.bounds.shift_bounds]
     check(
         "zero tilt",
@@ -869,7 +877,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
         provenance={"mode": "declared"},
     )
     try:
-        fourth_order_expansion(blind, np.zeros(2), Fb, Fb, np.array([0.1, 0.0]), cert_b)
+        fourth_order_expansion(blind, np.zeros(2), Fb, np.array([0.1, 0.0]), cert_b)
         check("capability gate", False, "order-4 ran without third derivatives")
     except MissingThirdDerivative:
         lines.append(

@@ -7,8 +7,8 @@ penalized minimizer; the displacement is driven by the penalty gradient
 objective is exactly a linear tilt, with drive ``M``, of a function
 minimized at ``x*``, so a bias report is the :class:`ExpansionReport` that
 :func:`expansion_for_order` builds for ``f + pen`` with ``A = M`` and
-``F = F_pen``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``,
-same verification.
+``F = F_pen``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``
+in the certificate's metric ``D``, same verification.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`PsdQuadraticOracle`
 penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
@@ -44,21 +44,20 @@ def smooth_penalty_bias(
     f: Oracle,
     upsstar,
     pen: Oracle,
-    D: SpdOperator,
     cert: SmoothnessCertificate,
     order: int = 3,
 ) -> ExpansionReport:
     """Bias report of order 3 or 4 for a smooth convex penalty.
 
-    ``x*`` must minimize ``f``; the certificate must describe ``f + pen``
-    around ``x*`` in the metric ``D``.  A :class:`PsdQuadraticOracle`
-    penalty gives the ridge bias.  Verify the report against the
-    penalized problem ``smoothly_penalize(f, pen)``.
+    ``x*`` must minimize ``f``, measured in the certificate's metric; the
+    certificate must describe ``f + pen`` around ``x*``.  A
+    :class:`PsdQuadraticOracle` penalty gives the ridge bias.  Verify the
+    report against the penalized problem ``smoothly_penalize(f, pen)``.
     """
     if order not in (3, 4):
         raise ValueError(f"unsupported order {order!r}; use 3 or 4")
     upsstar = as_vector(upsstar, f.dim)
-    check_anchor(f, upsstar, D, constants.BIAS_ANCHOR_GRAD_RTOL)
+    check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     fG = smoothly_penalize(f, pen)
     FG = spd_from_dense(fG.hessian(upsstar))
-    return expansion_for_order(fG, upsstar, FG, D, pen.gradient(upsstar), cert, order)
+    return expansion_for_order(fG, upsstar, FG, pen.gradient(upsstar), cert, order)

@@ -161,7 +161,7 @@ def theorem_suite():
         label = f"{desc['kind']}-{i}"
         by_order = {}
         for order in (2, 3, 4):
-            rep = px.expansion_for_order(f, xstar, F, cert.metric, A, cert, order)
+            rep = px.expansion_for_order(f, xstar, F, A, cert, order)
             comp = px.compare_with_solution(rep, shift, dval)
             tally.add(f"{label}/order{order}", rep, comp)
             by_order[order] = comp
@@ -200,8 +200,8 @@ def theorem_suite():
             samples=120, seed=5000 + j,
         )
         pen = px.PsdQuadraticOracle(w * base)
-        rep3 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=3)
-        rep4 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=4)
+        rep3 = px.smooth_penalty_bias(f, xstar, pen, cert, order=3)
+        rep4 = px.smooth_penalty_bias(f, xstar, pen, cert, order=4)
         fG = px.smoothly_penalize(f, pen)
         _verify_bias_pair(tally, fG, rep3, rep4, xstar, f"ridge-{j}")
 
@@ -225,8 +225,8 @@ def theorem_suite():
             f, xstar, lambda u: px.ScaledOracle(lse, u), 0.05,
             samples=120, seed=800 + m,
         )
-        rep3 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=3)
-        rep4 = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order=4)
+        rep3 = px.smooth_penalty_bias(f, xstar, pen, cert, order=3)
+        rep4 = px.smooth_penalty_bias(f, xstar, pen, cert, order=4)
         fG = px.smoothly_penalize(f, pen)
         _verify_bias_pair(tally, fG, rep3, rep4, xstar, f"smooth-{m}")
 
@@ -259,7 +259,7 @@ def test_quadratic_predictions_are_exact(criterion):
         rng = np.random.default_rng(900 + k)
         A = 10.0 ** ((k % 5) - 3) * rng.standard_normal(dim)
         rep = px.exact_quadratic_expansion(prob.curvature, A)
-        comp = px.verify_expansion(prob.oracle, prob.minimizer, A, rep)
+        comp = px.verify_expansion(prob.oracle, prob.minimizer, rep)
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, comp.residual_norms))
     elapsed = time.perf_counter() - t0

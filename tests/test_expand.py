@@ -39,7 +39,7 @@ class TestExactQuadratic:
         f = px.QuadraticOracle(F, center)
         A = rng.standard_normal(6)
         rep = px.exact_quadratic_expansion(F, A)
-        comp = px.verify_expansion(f, center, A, rep)
+        comp = px.verify_expansion(f, center, rep)
         assert comp.certifying
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
@@ -60,7 +60,7 @@ class TestSecondOrder:
 
     def _bounds(self):
         cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.2)
-        return px.second_order_bounds(_I1, _I1, np.array([1.0]), cert)
+        return px.second_order_bounds(_I1, np.array([1.0]), cert)
 
     def test_gates_all_pass(self):
         assert self._bounds().all_gates_pass
@@ -83,7 +83,7 @@ class TestSecondOrder:
 
     def test_omega_cap_gate(self):
         cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.4)
-        bounds = px.second_order_bounds(_I1, _I1, np.array([0.1]), cert)
+        bounds = px.second_order_bounds(_I1, np.array([0.1]), cert)
         assert not bounds.gate("omega_cap").satisfied
 
 
@@ -93,7 +93,7 @@ class TestThirdOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
         )
-        bounds = px.third_order_bounds(_I1, _I1, np.array([1.0]), cert)
+        bounds = px.third_order_bounds(_I1, np.array([1.0]), cert)
         by_name = {b.name: b.radius for b in bounds.shift_bounds}
         assert by_name["newton_residual_dinvf"] == pytest.approx(0.3, rel=1e-14)
         assert by_name["shift_d"] == pytest.approx(1.5, rel=1e-14)
@@ -109,7 +109,7 @@ class TestThirdOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
         )
-        bounds = px.third_order_bounds(_I1, _I1, np.array([0.5]), cert)
+        bounds = px.third_order_bounds(_I1, np.array([0.5]), cert)
         assert bounds.all_gates_pass
         newton = next(
             b for b in bounds.shift_bounds if b.name == "newton_residual_dinvf"
@@ -119,7 +119,7 @@ class TestThirdOrder:
     def test_requires_tau3(self):
         cert = px.declared_certificate(_I1, radius=1.0, kappa=1.0, omega=0.1)
         with pytest.raises(MissingThirdDerivative):
-            px.third_order_bounds(_I1, _I1, np.array([0.1]), cert)
+            px.third_order_bounds(_I1, np.array([0.1]), cert)
 
 
 class TestSkewness:
@@ -152,7 +152,7 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4, tau4=0.3
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, _I1, np.array([1.0]), cert)
+        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
         assert rep.bounds.all_gates_pass
         skew = next(
             b for b in rep.bounds.shift_bounds if b.name == "skew_residual_dinvf"
@@ -167,7 +167,7 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=1.0, tau3=1.0, tau4=0.0
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, _I1, np.array([1.0]), cert)
+        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
         assert rep.skew_correction[0] == pytest.approx(-0.5, abs=1e-15)
         assert rep.predicted_shift[0] == pytest.approx(-1.5, abs=1e-15)
         assert rep.predicted_value_change == pytest.approx(-0.5 - 1.0 / 6.0, abs=1e-15)
@@ -176,8 +176,8 @@ class TestFourthOrder:
         """shift(A) + shift(-A) = 2 * skew(A): the Newton parts cancel exactly."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        plus = px.fourth_order_expansion(f, xstar, F, cert.metric, A, cert)
-        minus = px.fourth_order_expansion(f, xstar, F, cert.metric, -A, cert)
+        plus = px.fourth_order_expansion(f, xstar, F, A, cert)
+        minus = px.fourth_order_expansion(f, xstar, F, -A, cert)
         np.testing.assert_allclose(
             plus.predicted_shift + minus.predicted_shift,
             2.0 * plus.skew_correction,
@@ -188,7 +188,7 @@ class TestFourthOrder:
         """The corrected shift sits within (tau3 / 2) b^2 of the Newton step."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        rep = px.fourth_order_expansion(f, xstar, F, cert.metric, A, cert)
+        rep = px.fourth_order_expansion(f, xstar, F, A, cert)
         diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
         b = px.weighted_norm(cert.metric, F.apply_power(-1.0, A))
@@ -200,7 +200,7 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.5
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, _I1, np.array([1.0]), cert)
+        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
         assert not rep.bounds.gate("tau4_dnorm").satisfied
 
 
@@ -208,13 +208,13 @@ class TestDispatch:
     def test_unknown_order(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         with pytest.raises(ValueError):
-            px.expansion_for_order(f, xstar, F, cert.metric, np.zeros(f.dim), cert, 5)
+            px.expansion_for_order(f, xstar, F, np.zeros(f.dim), cert, 5)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_order_tag_matches(self, order, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, cert.metric, A, cert, order)
+        rep = px.expansion_for_order(f, xstar, F, A, cert, order)
         assert rep.order == str(order)
         assert rep.anchor == "base-minimizer"
 
@@ -226,8 +226,8 @@ class TestVerification:
         rng = np.random.default_rng(17)
         v = rng.standard_normal(f.dim)
         A = 0.02 * v / np.linalg.norm(v)
-        rep = px.expansion_for_order(f, xstar, F, cert.metric, A, cert, order)
-        comp = px.verify_expansion(f, xstar, A, rep)
+        rep = px.expansion_for_order(f, xstar, F, A, cert, order)
+        comp = px.verify_expansion(f, xstar, rep)
         assert comp.certifying, rep.bounds.failed_gates()
         assert comp.violations == []
         assert comp.max_certified_slack <= 1.0
@@ -235,8 +235,8 @@ class TestVerification:
     def test_zero_tilt_has_zero_slack(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = np.zeros(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, cert.metric, A, cert, 3)
-        comp = px.verify_expansion(f, xstar, A, rep)
+        rep = px.expansion_for_order(f, xstar, F, A, cert, 3)
+        comp = px.verify_expansion(f, xstar, rep)
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -247,9 +247,9 @@ class TestVerification:
             _I1, radius=1.0, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
         )
         A = np.array([0.3])
-        rep = px.expansion_for_order(f, np.zeros(1), _I1, _I1, A, lying, 3)
+        rep = px.expansion_for_order(f, np.zeros(1), _I1, A, lying, 3)
         assert rep.bounds.all_gates_pass  # the lie makes every gate easy
-        comp = px.verify_expansion(f, np.zeros(1), A, rep)
+        comp = px.verify_expansion(f, np.zeros(1), rep)
         assert "newton_residual_dinvf" in comp.violations
 
     def test_uncertified_bounds_never_raise_violations(self):
@@ -259,17 +259,17 @@ class TestVerification:
             _I1, radius=0.1, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
         )
         A = np.array([0.3])  # dnorm_radius gate fails: 0.45 > 0.1
-        rep = px.expansion_for_order(f, np.zeros(1), _I1, _I1, A, cert, 3)
+        rep = px.expansion_for_order(f, np.zeros(1), _I1, A, cert, 3)
         assert not rep.bounds.all_gates_pass
-        comp = px.verify_expansion(f, np.zeros(1), A, rep)
+        comp = px.verify_expansion(f, np.zeros(1), rep)
         assert not comp.certifying
         assert comp.violations == []
 
     def test_report_roundtrips_through_json(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.ones(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, cert.metric, A, cert, 4)
-        comp = px.verify_expansion(f, xstar, A, rep)
+        rep = px.expansion_for_order(f, xstar, F, A, cert, 4)
+        comp = px.verify_expansion(f, xstar, rep)
         blob = json.dumps({"report": rep.to_dict(), "verification": comp.to_dict()})
         parsed = json.loads(blob)
         assert parsed["report"]["order"] == "4"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import importlib
 import importlib.util
@@ -148,6 +149,36 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert any(r.get("verification", {}).get("violations") for r in report["results"])
 
+    def test_sampled_underestimate_is_caught(self, tmp_path):
+        """Sampled constants too small for this log-sum-exp case fail verification.
+
+        At the default 200 samples and inflation 1.5 the order-2 value bound
+        and the order-3 Newton residual radius are violated although every
+        gate each one requires passes; the run exits 2.
+        """
+        payload = {
+            "seed": 3,
+            "problem": {
+                "kind": "logsumexp", "dim": 30, "seed": 3, "temp": 1.0, "n": 30, "reg": 0.01,
+            },
+            "perturbation": {"kind": "linear", "seed": 3, "scale": 0.05},
+            "orders": [2, 3, 4],
+            "certificate": {"mode": "estimated", "samples": 200, "inflation": 1.5, "radius": 0.5},
+        }
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        gates_held = {}
+        for res in report["results"]:
+            bounds = res["report"]["bounds"]
+            requires = {b["name"]: b["requires"] for b in bounds["shift_bounds"]}
+            requires["value"] = bounds["value_bound"]["requires"]
+            satisfied = {g["name"]: g["satisfied"] for g in bounds["preconditions"]}
+            for name in res["verification"]["violations"]:
+                gates_held[res["order"], name] = all(satisfied[g] for g in requires[name])
+        assert gates_held == {("2", "value"): True, ("3", "newton_residual_dinvf"): True}
+
     def test_require_gates_exits_three(self, tmp_path):
         payload = _base_config()
         payload["perturbation"]["scale"] = 5.0  # way past every gate budget
@@ -250,7 +281,7 @@ class TestOneSolvePerProblem:
         entries = _verified_entries(report)
         assert len(entries) == len(built) == 3
         for entry, rep in zip(entries, built):
-            alone = verify_expansion(f, xstar, rep.tilt, rep).to_dict()
+            alone = verify_expansion(f, xstar, rep).to_dict()
             assert entry["verification"] == json.loads(json.dumps(alone))
 
     def test_ridge_orders_match_single_report_verification(self, tmp_path, monkeypatch):
@@ -462,6 +493,14 @@ class TestConfigValidation:
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_schema_document_satisfies_the_metaschema(self):
+        """The document is a constant, so it is checked here, not on every import."""
+        jsonschema.Draft202012Validator.check_schema(harness.CONFIG_SCHEMA)
+        broken = copy.deepcopy(harness.CONFIG_SCHEMA)
+        broken["$defs"]["certify"]["properties"]["seed"] = {"type": "integr"}
+        with pytest.raises(jsonschema.SchemaError):
+            jsonschema.Draft202012Validator.check_schema(broken)
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -500,6 +539,14 @@ class TestConfigValidation:
                 "problem.reg",
             ),
             ("certify", lambda c: c["perturbation"].update({"lambda": 0.1}), "perturbation.lambda"),
+            pytest.param(
+                "certify",
+                lambda c: c.update(
+                    perturbation={"kind": "quadratic", "lambda": 5.0, "matrix": np.eye(6).tolist()}
+                ),
+                "perturbation.lambda",
+                id="certify-lambda-beside-matrix",
+            ),
             ("certify", lambda c: c.update(solver={"tol": 1e-9}), "solver"),
             ("scaling", lambda c: c.update(solver={"max_iter": 50}), "solver"),
             ("ridge-sweep", lambda c: c.update(solver={}), "solver"),
@@ -531,6 +578,27 @@ class TestConfigValidation:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ("dimension 2" in err or "shape (2,)" in err)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("certificate", "radius", {"mode": "declared", "radius": float("nan")}),
+            ("certificate", "radius", {"mode": "estimated", "radius": float("nan")}),
+            ("perturbation", "scale", {"kind": "linear", "scale": float("inf")}),
+        ],
+    )
+    def test_non_finite_number_is_a_one_line_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        """NaN and Infinity are not JSON numbers: the key is named and nothing is written."""
+        payload = _base_config()
+        payload[section] = value
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"perturbex: error: {section}.{key}: ")
+        assert not out.exists()
 
     def test_seed_flag_satisfies_the_seed_rule(self, tmp_path):
         payload = _base_config()

@@ -29,7 +29,7 @@ def ridge_setup():
 
 def _ridge(f, xstar, G2, cert, order=3):
     return px.smooth_penalty_bias(
-        f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order
+        f, xstar, px.PsdQuadraticOracle(G2), cert, order
     )
 
 
@@ -99,7 +99,7 @@ class TestRidgeBounds:
         # reuse the bound expression by checking the fourth-order expansion
         # with b = 0.5 directly.
         exp = px.fourth_order_expansion(
-            f, np.zeros(1), _I1, _I1, np.array([0.5]), cert
+            f, np.zeros(1), _I1, np.array([0.5]), cert
         )
         skew = next(
             b for b in exp.bounds.shift_bounds if b.name == "skew_residual_dinvf"
@@ -126,7 +126,7 @@ class TestRidgeBounds:
         mags = []
         for lam in (0.1, 0.3, 0.9):
             rep = px.smooth_penalty_bias(
-                f, np.array([1.0]), px.PsdQuadraticOracle([[lam]]), _I1, cert
+                f, np.array([1.0]), px.PsdQuadraticOracle([[lam]]), cert
             )
             mags.append(abs(rep.predicted_shift[0]))
             assert rep.predicted_shift[0] == pytest.approx(-lam / (1 + lam), rel=1e-12)
@@ -138,9 +138,9 @@ class TestSmoothPenalty:
         f, xstar, G2, cert = ridge_setup
         fG = px.quadratically_penalize(f, G2)
         FG = px.spd_from_dense(fG.hessian(xstar))
-        rep_r = px.expansion_for_order(fG, xstar, FG, cert.metric, G2 @ xstar, cert, 3)
+        rep_r = px.expansion_for_order(fG, xstar, FG, G2 @ xstar, cert, 3)
         rep_s = px.smooth_penalty_bias(
-            f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order=3
+            f, xstar, px.PsdQuadraticOracle(G2), cert, order=3
         )
         np.testing.assert_array_equal(rep_r.predicted_shift, rep_s.predicted_shift)
         assert rep_r.predicted_value_change == rep_s.predicted_value_change
@@ -168,7 +168,7 @@ class TestSmoothPenalty:
             include_omega=False,
         )
         for order in (3, 4):
-            rep = px.smooth_penalty_bias(f, xstar, pen, cert.metric, cert, order)
+            rep = px.smooth_penalty_bias(f, xstar, pen, cert, order)
             comp = px.solve_and_compare(fG, xstar, [rep])[0]
             assert comp.certifying, rep.bounds.failed_gates()
             assert comp.violations == []
@@ -182,6 +182,6 @@ class TestSmoothPenalty:
         f, xstar, G2, cert = ridge_setup
         with pytest.raises(ValueError):
             px.smooth_penalty_bias(
-                f, xstar, px.PsdQuadraticOracle(G2), cert.metric, cert, order=2
+                f, xstar, px.PsdQuadraticOracle(G2), cert, order=2
             )
 
