@@ -285,8 +285,28 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _strict_json(value: Any) -> Any:
+    """``value`` with each non-finite float as the string a config's constant loads as."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def _write_json(path: str, payload: dict[str, Any]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write ``payload`` as strict JSON with sorted keys.
+
+    JSON has no non-finite numbers, but an advisory radius or the slack of
+    a missed exactness claim can be infinite; only a payload that holds one
+    pays for the conversion by :func:`_strict_json`.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.write("\n")
@@ -872,10 +892,7 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
         hessian=lambda x: np.eye(2),
     )
     Fb = spd_from_dense(np.eye(2))
-    cert_b = SmoothnessCertificate(
-        metric=Fb, radius=1.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.1,
-        provenance={"mode": "declared"},
-    )
+    cert_b = declared_certificate(Fb, radius=1.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.1)
     try:
         fourth_order_expansion(blind, np.zeros(2), Fb, np.array([0.1, 0.0]), cert_b)
         check("capability gate", False, "order-4 ran without third derivatives")

@@ -16,8 +16,9 @@ Operators that share an eigenbasis share its eigendecomposition:
   ``kappa_between(F^t, F)`` from the eigenvalues, so a metric that is a
   power of the curvature never costs an eigensolve for ``kappa``.
 
-Every operator, factored or derived, passes the same SPD floor and
-eigenfactor round-trip checks.
+Every operator, factored or derived, passes the same SPD floor.  A factored
+or shifted operator also passes the eigenfactor round-trip check; a power
+reuses eigenpairs that already passed it.
 """
 
 from __future__ import annotations
@@ -123,17 +124,22 @@ class SpdOperator:
         return f"SpdOperator(dim={self.dim}, cond={self.condition_number:.3g})"
 
 
-def _checked_spd(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> SpdOperator:
-    """Wrap a symmetric matrix and its descending eigenpairs after the SPD checks.
-
-    The smallest eigenvalue must clear the floor relative to the largest,
-    and the eigenpairs must rebuild the matrix to ``RECONSTRUCTION_RTOL``.
-    """
+def _check_floor(vals: np.ndarray) -> None:
+    """The smallest of descending eigenvalues must clear the floor relative to the largest."""
     if vals[0] <= 0.0 or vals[-1] <= constants.SPD_EIG_FLOOR * vals[0]:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {vals[-1]:.3e} below floor "
             f"{constants.SPD_EIG_FLOOR:.0e} * {vals[0]:.3e}"
         )
+
+
+def _checked_spd(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> SpdOperator:
+    """Wrap a symmetric matrix and its descending eigenpairs after the SPD checks.
+
+    The eigenvalues must clear the floor (:func:`_check_floor`), and the
+    eigenpairs must rebuild the matrix to ``RECONSTRUCTION_RTOL``.
+    """
+    _check_floor(vals)
     # Both Frobenius norms in units of the largest entry, so that entries
     # near the top of the float range cannot overflow them.
     scale = np.abs(sym).max()
@@ -181,11 +187,14 @@ def spd_power_operator(M: SpdOperator, t: float) -> SpdOperator:
 
     ``kappa_between(M^t, M)`` is recorded on ``M`` as
     ``sqrt(max_i lambda_i(M)^(2t - 1))``: ``(M^t)^2 = M^(2t)`` and ``M``
-    share eigenvectors, so no eigensolve is needed.
+    share eigenvectors, so no eigensolve is needed.  The eigenvalues of
+    ``M^t`` must clear the SPD floor; the eigenpairs are ``M``'s, already
+    checked, so no round trip is taken.
     """
     vals = M.eigenvalues**t
     order = np.argsort(vals)[::-1]
     vals = vals[order].copy()
+    _check_floor(vals)
     vecs = M.eigenvectors[:, order].copy()
     dense = (vecs * vals) @ vecs.T
     D = SpdOperator(matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs)

@@ -18,11 +18,16 @@ Each value and tensor formula exists once, in batched form:
 take points as the columns of ``P`` and the directions paired with them as
 the columns of ``V``, and return one result per column.  Logistic,
 log-sum-exp and quadratic problems implement them on a few matrix-matrix
-products (``X @ P``, ``X @ V``, ``X.T @ W``); sums, scalings and linear tilts
-forward them to their parts.  The scalar ``value``, ``third_dir`` and
-``fourth_dir`` are one-column calls of the batched forms, defined once on
-:class:`Oracle`, so a scalar result is bit for bit column 0 of a batched
-call at the same point.
+products (``X @ P``, ``X @ V``, ``X.T @ W``).  The scalar ``value``,
+``third_dir`` and ``fourth_dir`` are one-column calls of the batched forms,
+defined once on :class:`Oracle`, so a scalar result is bit for bit column 0
+of a batched call at the same point.
+
+Every quadratic is one :class:`QuadraticOracle` ``0.5 (x - c)' Q (x - c)``:
+an objective built from a factored :class:`SpdOperator`, or a penalty from a
+positive semidefinite array.  Every perturbed objective is one
+:class:`SumOracle` ``sum_i w_i f_i + <., A>`` with nonnegative weights: a
+linear tilt, a scaling and a penalty differ only in their terms.
 """
 
 from __future__ import annotations
@@ -134,63 +139,38 @@ class Oracle:
         return self.fourth_dir_many(*_one_column(x, u, self.dim))[:, 0]
 
 
-class _ZeroTensorOracle(Oracle):
-    """A quadratic: third and fourth derivatives vanish identically."""
+class QuadraticOracle(Oracle):
+    """``f(x) = 0.5 (x - c)' Q (x - c)`` for symmetric positive semidefinite ``Q``.
+
+    ``Q`` is a factored :class:`SpdOperator`, trusted as checked, or an
+    array, checked here for symmetry and positive semidefiniteness (it may
+    be singular, as a ridge penalty ``0.5 x' G2 x`` is).  The center ``c``
+    defaults to the origin; third and fourth derivatives vanish.
+    """
 
     has_third = True
     has_fourth = True
 
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
-
-
-class QuadraticOracle(_ZeroTensorOracle):
-    """``f(x) = 0.5 (x - c)' F (x - c)`` with positive definite ``F``."""
-
-    def __init__(self, curvature: SpdOperator, center=None) -> None:
-        self.curvature = curvature
-        self.dim = curvature.dim
-        self.center = (
-            np.zeros(self.dim) if center is None else as_vector(center, self.dim)
-        )
-
-    def gradient(self, x) -> np.ndarray:
-        return self.curvature.apply(as_vector(x, self.dim) - self.center)
-
-    def hessian(self, x) -> np.ndarray:
-        as_vector(x, self.dim)
-        return self.curvature.matrix.copy()
-
-    def value_many(self, P) -> np.ndarray:
-        Dp = as_matrix(P, self.dim) - self.center[:, None]
-        return 0.5 * _col_dot(Dp, self.curvature.matrix @ Dp)
-
-
-class PsdQuadraticOracle(_ZeroTensorOracle):
-    """``f(x) = 0.5 x' Q x`` for symmetric positive semidefinite ``Q``.
-
-    Unlike :class:`QuadraticOracle` the matrix may be singular; this is the
-    shape of a ridge penalty ``0.5 x' G^2 x``.
-    """
-
-    def __init__(self, Q) -> None:
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {Q.shape}")
-        scale = max(np.abs(Q).max(), 1e-300)
-        if np.abs(Q - Q.T).max() > 1e-12 * scale:
-            raise NotPsd("penalty matrix is not symmetric")
-        lo = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[0])
-        if lo < -1e-10 * scale:
-            raise NotPsd(f"penalty matrix has negative eigenvalue {lo:.3e}")
-        self.Q = 0.5 * (Q + Q.T)
+    def __init__(self, Q, center=None) -> None:
+        if isinstance(Q, SpdOperator):
+            Q = Q.matrix
+        else:
+            Q = np.asarray(Q, dtype=float)
+            if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+                raise DimensionMismatch(f"expected a square matrix, got shape {Q.shape}")
+            scale = max(np.abs(Q).max(), 1e-300)
+            if np.abs(Q - Q.T).max() > 1e-12 * scale:
+                raise NotPsd("quadratic matrix is not symmetric")
+            Q = 0.5 * (Q + Q.T)
+            lo = float(np.linalg.eigvalsh(Q)[0])
+            if lo < -1e-10 * scale:
+                raise NotPsd(f"quadratic matrix has negative eigenvalue {lo:.3e}")
+        self.Q = Q
         self.dim = Q.shape[0]
+        self.center = np.zeros(self.dim) if center is None else as_vector(center, self.dim)
 
-    def scaled(self, weight: float) -> PsdQuadraticOracle:
-        """``0.5 x' (weight Q) x`` for a nonnegative weight.
+    def scaled(self, weight: float) -> QuadraticOracle:
+        """``0.5 (x - c)' (weight Q) (x - c)`` for a nonnegative weight.
 
         Not checked again: a nonnegative multiple of a checked matrix is
         symmetric positive semidefinite.
@@ -203,15 +183,28 @@ class PsdQuadraticOracle(_ZeroTensorOracle):
         return out
 
     def gradient(self, x) -> np.ndarray:
-        return self.Q @ as_vector(x, self.dim)
+        return self.Q @ (as_vector(x, self.dim) - self.center)
 
     def hessian(self, x) -> np.ndarray:
         as_vector(x, self.dim)
         return self.Q.copy()
 
     def value_many(self, P) -> np.ndarray:
-        P = as_matrix(P, self.dim)
-        return 0.5 * _col_dot(P, self.Q @ P)
+        Dp = as_matrix(P, self.dim) - self.center[:, None]
+        return 0.5 * _col_dot(Dp, self.Q @ Dp)
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
+
+
+class PsdQuadraticOracle(QuadraticOracle):
+    """``f(x) = 0.5 x' Q x``: a :class:`QuadraticOracle` centered at the origin."""
+
+    def __init__(self, Q) -> None:
+        super().__init__(Q)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -439,97 +432,75 @@ class CustomOracle(Oracle):
 
 
 class SumOracle(Oracle):
-    """Pointwise sum of two oracles on the same space."""
+    """``sum_i w_i f_i + <., tilt>``: nonnegatively weighted oracles and a tilt.
 
-    def __init__(self, first: Oracle, second: Oracle) -> None:
-        if first.dim != second.dim:
-            raise DimensionMismatch(f"summands have dimensions {first.dim} and {second.dim}")
-        self.first = first
-        self.second = second
-        self.dim = first.dim
-        self.has_third = first.has_third and second.has_third
-        self.has_fourth = first.has_fourth and second.has_fourth
+    The one composition rule: a sum ``SumOracle(f, g)``, a scaling
+    (:class:`ScaledOracle`), a linear tilt (:func:`linearly_perturb`) and a
+    penalized objective (:func:`smoothly_penalize`) are each one of these.
+    Every form is the sum of the terms' forms in term order, each term
+    multiplied by its weight unless the weight is 1.  The tilt enters the
+    value and the gradient only.  A closed form exists when every term has it.
+    """
+
+    def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
+        weights = [1.0] * len(oracles) if weights is None else [float(w) for w in weights]
+        self.terms = list(zip(weights, oracles, strict=True))
+        if not self.terms:
+            raise ValueError("a sum needs at least one oracle")
+        self.dim = oracles[0].dim
+        for weight, f in self.terms:
+            if weight < 0:
+                raise ValueError(f"weight must be nonnegative, got {weight}")
+            if f.dim != self.dim:
+                raise DimensionMismatch(f"a summand has dimension {f.dim}, the first {self.dim}")
+        self.tilt = None if tilt is None else as_vector(tilt, self.dim)
+        self.has_third = all(f.has_third for f in oracles)
+        self.has_fourth = all(f.has_fourth for f in oracles)
+
+    def _sum(self, form: Callable[[Oracle], np.ndarray]) -> np.ndarray:
+        total = None
+        for weight, f in self.terms:
+            part = form(f)
+            if weight != 1.0:
+                part = weight * part
+            total = part if total is None else total + part
+        return total
 
     def gradient(self, x) -> np.ndarray:
-        return self.first.gradient(x) + self.second.gradient(x)
+        grad = self._sum(lambda f: f.gradient(x))
+        return grad if self.tilt is None else grad + self.tilt
 
     def hessian(self, x) -> np.ndarray:
-        return self.first.hessian(x) + self.second.hessian(x)
+        return self._sum(lambda f: f.hessian(x))
 
     def value_many(self, P) -> np.ndarray:
-        return self.first.value_many(P) + self.second.value_many(P)
+        if self.tilt is None:
+            return self._sum(lambda f: f.value_many(P))
+        P = as_matrix(P, self.dim)
+        return self._sum(lambda f: f.value_many(P)) + self.tilt @ P
 
     def third_dir_many(self, P, V) -> np.ndarray:
-        return self.first.third_dir_many(P, V) + self.second.third_dir_many(P, V)
+        return self._sum(lambda f: f.third_dir_many(P, V))
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self.first.fourth_dir_many(P, V) + self.second.fourth_dir_many(P, V)
+        return self._sum(lambda f: f.fourth_dir_many(P, V))
 
 
-class ScaledOracle(Oracle):
-    """``c * f`` for a nonnegative weight ``c``."""
+class ScaledOracle(SumOracle):
+    """``weight * base`` for a nonnegative weight."""
 
     def __init__(self, base: Oracle, weight: float) -> None:
-        weight = float(weight)
-        if weight < 0:
-            raise ValueError(f"weight must be nonnegative, got {weight}")
-        self.base = base
-        self.weight = weight
-        self.dim = base.dim
-        self.has_third = base.has_third
-        self.has_fourth = base.has_fourth
-
-    def gradient(self, x) -> np.ndarray:
-        return self.weight * self.base.gradient(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return self.weight * self.base.hessian(x)
-
-    def value_many(self, P) -> np.ndarray:
-        return self.weight * self.base.value_many(P)
-
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return self.weight * self.base.third_dir_many(P, V)
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self.weight * self.base.fourth_dir_many(P, V)
-
-
-class _LinearShiftOracle(Oracle):
-    """``g(x) = f(x) + <x, A>``; all curvature is inherited from ``f``."""
-
-    def __init__(self, base: Oracle, tilt: np.ndarray) -> None:
-        self.base = base
-        self.tilt = as_vector(tilt, base.dim)
-        self.dim = base.dim
-        self.has_third = base.has_third
-        self.has_fourth = base.has_fourth
-
-    def gradient(self, x) -> np.ndarray:
-        return self.base.gradient(x) + self.tilt
-
-    def hessian(self, x) -> np.ndarray:
-        return self.base.hessian(x)
-
-    def value_many(self, P) -> np.ndarray:
-        P = as_matrix(P, self.dim)
-        return self.base.value_many(P) + self.tilt @ P
-
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return self.base.third_dir_many(P, V)
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self.base.fourth_dir_many(P, V)
+        super().__init__(base, weights=(weight,))
 
 
 def linearly_perturb(f: Oracle, A) -> Oracle:
     """Return ``g(x) = f(x) + <x, A>``."""
-    return _LinearShiftOracle(f, A)
+    return SumOracle(f, tilt=A)
 
 
 def quadratically_penalize(f: Oracle, penalty_sq) -> Oracle:
     """Return ``f(x) + 0.5 x' G^2 x`` for symmetric positive semidefinite ``G^2``."""
-    return smoothly_penalize(f, PsdQuadraticOracle(penalty_sq))
+    return smoothly_penalize(f, QuadraticOracle(penalty_sq))
 
 
 def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
@@ -538,13 +509,12 @@ def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
     Convexity cannot be verified globally from black-box access; a handful
     of seeded probe points must have positive semidefinite penalty Hessians,
     which catches sign errors without pretending to be a proof.  A
-    :class:`PsdQuadraticOracle` is not probed: its constructor already
-    checked symmetry and positive semidefiniteness exactly.
+    :class:`QuadraticOracle` is not probed: its matrix was checked
+    positive semidefinite when it was built.
     """
-    if pen.dim != f.dim:
-        raise DimensionMismatch(f"penalty has dimension {pen.dim}, objective has {f.dim}")
-    if isinstance(pen, PsdQuadraticOracle):
-        return SumOracle(f, pen)
+    penalized = SumOracle(f, pen)
+    if isinstance(pen, QuadraticOracle):
+        return penalized
     rng = np.random.default_rng(0)
     for _ in range(5):
         point = rng.standard_normal(pen.dim)
@@ -552,7 +522,7 @@ def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
         scale = max(np.abs(H).max(), 1e-300)
         if float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) < -1e-8 * scale:
             raise NotPsd("penalty Hessian is indefinite at a probe point")
-    return SumOracle(f, pen)
+    return penalized
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,27 @@ class TestCertify:
                 gates_held[res["order"], name] = all(satisfied[g] for g in requires[name])
         assert gates_held == {("2", "value"): True, ("3", "newton_residual_dinvf"): True}
 
+    def test_infinite_advisory_radius_is_strict_json(self, tmp_path):
+        """A failed ``stability_margin`` gate leaves infinite advisory radii.
+
+        They are written as the strings ``"Infinity"`` / ``"-Infinity"``, so
+        the report parses under a parser that rejects non-finite numbers.
+        """
+        payload = _base_config()
+        payload["orders"] = [2]
+        payload["certificate"] = {"mode": "declared", "radius": 0.5, "kappa": 1.0, "omega": 2.0}
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        bounds = report["results"][0]["report"]["bounds"]
+        assert {b["radius"] for b in bounds["shift_bounds"]} == {"Infinity"}
+        assert bounds["value_bound"]["lower"] == "-Infinity"
+
     def test_require_gates_exits_three(self, tmp_path):
         payload = _base_config()
         payload["perturbation"]["scale"] = 5.0  # way past every gate budget
@@ -435,6 +456,63 @@ class TestBenchmarkTracerHooks:
         for module, name in tracer.TRACED_FUNCTIONS:
             assert callable(getattr(importlib.import_module(f"perturbex.{module}"), name))
         assert isinstance(harness.ExperimentConfig.__dict__["from_file"], classmethod)
+
+    def test_trace_mode_wraps_once_and_restores(self, tmp_path):
+        """Installing the tracer over a run wraps each target once; uninstalling undoes it.
+
+        A class that defines only ``__init__`` inherits its methods, so it
+        must not be patched a second time: no wrapper may wrap another one.
+        """
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+
+        oracle_module = sys.modules["perturbex.oracle"]
+        owners = [
+            mod for name, mod in sys.modules.items()
+            if name == "perturbex" or name.startswith("perturbex.")
+        ]
+        owners.append(harness.ExperimentConfig)
+        owners += [
+            value for value in vars(oracle_module).values()
+            if isinstance(value, type) and issubclass(value, oracle_module.Oracle)
+        ]
+
+        def attributes():
+            return {
+                (owner.__name__, attr): value
+                for owner in owners
+                for attr, value in vars(owner).items()
+            }
+
+        def function(value):
+            return value.__func__ if isinstance(value, classmethod) else value
+
+        certify_cfg = _write(tmp_path, "certify.json", _command_config("certify"))
+        sweep_cfg = _write(tmp_path, "sweep.json", _command_config("ridge-sweep"))
+        before = attributes()
+        tracer = tracer_module.Tracer()
+        tracer.install(0)
+        try:
+            during = attributes()
+            wrapped = [key for key, value in during.items() if value is not before[key]]
+            assert ("SumOracle", "hessian") in wrapped
+            for key in wrapped:
+                inner = function(during[key]).__wrapped__
+                assert inner is function(before[key]), key
+                assert not hasattr(inner, "__wrapped__"), key
+            assert main(["certify", "--config", certify_cfg, "--out", str(tmp_path / "c")]) == 0
+            assert main(["ridge-sweep", "--config", sweep_cfg, "--out", str(tmp_path / "s")]) == 0
+        finally:
+            tracer.uninstall()
+
+        after = attributes()
+        assert [key for key, value in before.items() if after.get(key) is not value] == []
+        names = {span[0] for span in tracer.spans}
+        assert {
+            "oracle.hessian", "solver.anchor", "solver.verify", "smoothness.certificate"
+        } <= names
 
 
 class TestConfigValidation:

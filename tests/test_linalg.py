@@ -122,6 +122,16 @@ class TestPowers:
         op = px.spd_from_dense(np.eye(3))
         assert np.array_equal(px.spd_power_operator(op, -0.5).matrix, np.eye(3))
 
+    def test_power_below_the_floor_raises(self):
+        """``M^2`` at condition 1e12 fails the floor that ``spd_from_dense`` applies."""
+        M = np.diag(np.geomspace(1.0, 1e-6, 5))
+        op = px.spd_from_dense(M)
+        with pytest.raises(NotPositiveDefinite, match="floor"):
+            px.spd_from_dense(M @ M)
+        with pytest.raises(NotPositiveDefinite, match="floor"):
+            px.spd_power_operator(op, 2.0)
+        assert px.spd_power_operator(op, 0.5).condition_number == pytest.approx(1e3)
+
 
 class TestKappaBetween:
     """kappa is the smallest c with D^2 <= c^2 F."""

@@ -171,6 +171,107 @@ class TestScaledOracle:
             px.ScaledOracle(_zoo("quadratic").oracle, -1.0)
 
 
+def _five_forms(f, x, P, V):
+    """Every derivative form of ``f``: at a point ``x`` or on column blocks ``P``, ``V``."""
+    return {
+        "value_many": f.value_many(P),
+        "gradient": f.gradient(x),
+        "hessian": f.hessian(x),
+        "third_dir_many": f.third_dir_many(P, V),
+        "fourth_dir_many": f.fourth_dir_many(P, V),
+    }
+
+
+class TestOneSum:
+    """Every composition is ``sum_i w_i f_i + <., tilt>``, computed in term order."""
+
+    @staticmethod
+    def _explicit(weighted, tilt, x, P, V):
+        forms = [(w, _five_forms(f, x, P, V)) for w, f in weighted]
+        out = {}
+        for name in forms[0][1]:
+            total = forms[0][0] * forms[0][1][name]
+            for w, form in forms[1:]:
+                total = total + w * form[name]
+            out[name] = total
+        if tilt is not None:
+            out["value_many"] = out["value_many"] + tilt @ P
+            out["gradient"] = out["gradient"] + tilt
+        return out
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_forms_equal_the_explicit_sum_bit_for_bit(self, nested, rng):
+        logistic = _zoo("logistic").oracle
+        logsumexp = _zoo("logsumexp").oracle
+        quad = px.QuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]), rng.standard_normal(4))
+        tilt = rng.standard_normal(4)
+        if nested:
+            g = px.linearly_perturb(
+                px.smoothly_penalize(logistic, px.ScaledOracle(logsumexp, 0.3)), tilt
+            )
+            weighted = [(1.0, logistic), (0.3, logsumexp)]
+        else:
+            g = px.SumOracle(logistic, logsumexp, quad, weights=(1.0, 0.3, 2.0), tilt=tilt)
+            weighted = [(1.0, logistic), (0.3, logsumexp), (2.0, quad)]
+        x = 0.3 * rng.standard_normal(4)
+        P = 0.3 * rng.standard_normal((4, 5))
+        V = rng.standard_normal((4, 5))
+        expected = self._explicit(weighted, tilt, x, P, V)
+        for name, value in _five_forms(g, x, P, V).items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+    def test_flags_are_the_and_of_the_terms(self):
+        third_only = px.CustomOracle(
+            dim=4,
+            value=lambda x: 0.0,
+            gradient=lambda x: np.zeros(4),
+            hessian=lambda x: np.zeros((4, 4)),
+            third_dir=lambda x, u: np.zeros(4),
+        )
+        oracles = [_zoo("logistic").oracle, _quartic_custom(4, analytic=False), third_only]
+        for a in oracles:
+            for b in oracles:
+                both = px.SumOracle(a, b, weights=(0.5, 2.0), tilt=np.ones(4))
+                assert both.has_third == (a.has_third and b.has_third)
+                assert both.has_fourth == (a.has_fourth and b.has_fourth)
+            for g in (px.ScaledOracle(a, 0.5), px.linearly_perturb(a, np.ones(4))):
+                assert (g.has_third, g.has_fourth) == (a.has_third, a.has_fourth)
+
+    def test_rejects_mismatched_terms(self):
+        f = _zoo("logistic").oracle
+        with pytest.raises(ValueError):
+            px.SumOracle(f, f, weights=(1.0, -0.5))
+        with pytest.raises(ValueError):
+            px.SumOracle(f, f, weights=(1.0,))
+        with pytest.raises(ValueError):
+            px.SumOracle()
+        with pytest.raises(DimensionMismatch):
+            px.SumOracle(f, _zoo("logistic", dim=3).oracle)
+
+    def test_operator_and_array_quadratics_agree(self, rng):
+        F = px.random_spd(rng, 4, cond=8.0)
+        center = rng.standard_normal(4)
+        trusted = px.QuadraticOracle(F, center)
+        checked = px.QuadraticOracle(F.matrix, center)
+        np.testing.assert_array_equal(trusted.Q, checked.Q)
+        x = rng.standard_normal(4)
+        P = rng.standard_normal((4, 3))
+        V = rng.standard_normal((4, 3))
+        expected = _five_forms(checked, x, P, V)
+        for name, value in _five_forms(trusted, x, P, V).items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+    def test_quadratic_penalties_are_not_probed(self, rng, monkeypatch):
+        f = _zoo("logistic").oracle
+        F = px.random_spd(rng, 4, cond=8.0)
+        penalties = [px.QuadraticOracle(F), px.QuadraticOracle(F.matrix)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a probe would fail
+        for pen in penalties:
+            assert isinstance(px.smoothly_penalize(f, pen), px.SumOracle)
+        with pytest.raises(TypeError):
+            px.smoothly_penalize(f, px.ScaledOracle(_zoo("logsumexp").oracle, 0.5))
+
+
 class TestFiniteDifferenceFallbacks:
     """Oracles without closed forms still expose usable tensor directions."""
 
