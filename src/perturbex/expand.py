@@ -755,20 +755,25 @@ def compare_with_solution(
     )
 
 
-def solve_and_compare(g: Oracle, xstar, reports: list[ExpansionReport]) -> list[ComparisonReport]:
+def solve_and_compare(
+    g: Oracle, xstar, reports: list[ExpansionReport], hessian=None
+) -> list[ComparisonReport]:
     """Solve a perturbed problem once and compare every report against it.
 
     ``g`` is minimized from ``x*`` by the damped Newton reference solver;
     the resulting shift ``x~ - x*`` and value change ``g(x~) - g(x*)`` are
-    measured against every radius of each report.  With no reports there
-    is nothing to check and no solve is made.
+    measured against every radius of each report.  ``hessian`` is
+    ``g``'s Hessian at ``x*`` when the caller holds it: the solver's first
+    step uses it instead of evaluating it again, and the start is never
+    the prediction, so the reference does not depend on what it checks.
+    With no reports there is nothing to check and no solve is made.
     """
     if not reports:
         return []
     xstar = as_vector(xstar, g.dim)
-    sol: SolveResult = newton_minimize(g, xstar)
+    sol: SolveResult = newton_minimize(g, xstar, hessian=hessian)
     actual_shift = sol.xhat - xstar
-    actual_value_change = sol.value - g.value(xstar)
+    actual_value_change = sol.value - sol.start_value
     solver_info = {
         "iterations": sol.iterations,
         "grad_norm_dual": sol.grad_norm_dual,

@@ -59,6 +59,14 @@ __all__ = [
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
 
 
+def _weight(w) -> float:
+    """A term weight as a float, checked finite and nonnegative."""
+    w = float(w)
+    if not (np.isfinite(w) and w >= 0):
+        raise ValueError(f"weight must be finite and nonnegative, got {w}")
+    return w
+
+
 def _block_pair(P, V, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Check a block of points and the block of directions paired with it."""
     P = as_matrix(P, dim)
@@ -143,9 +151,10 @@ class QuadraticOracle(Oracle):
     """``f(x) = 0.5 (x - c)' Q (x - c)`` for symmetric positive semidefinite ``Q``.
 
     ``Q`` is a factored :class:`SpdOperator`, trusted as checked, or an
-    array, checked here for symmetry and positive semidefiniteness (it may
-    be singular, as a ridge penalty ``0.5 x' G2 x`` is).  The center ``c``
-    defaults to the origin; third and fourth derivatives vanish.
+    array, checked here for finiteness, symmetry and positive
+    semidefiniteness (it may be singular, as a ridge penalty ``0.5 x' G2 x``
+    is).  The center ``c`` defaults to the origin; third and fourth
+    derivatives vanish.
     """
 
     has_third = True
@@ -158,6 +167,7 @@ class QuadraticOracle(Oracle):
             Q = np.asarray(Q, dtype=float)
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
                 raise DimensionMismatch(f"expected a square matrix, got shape {Q.shape}")
+            as_matrix(Q, Q.shape[0])  # finite entries
             scale = max(np.abs(Q).max(), 1e-300)
             if np.abs(Q - Q.T).max() > 1e-12 * scale:
                 raise NotPsd("quadratic matrix is not symmetric")
@@ -170,16 +180,13 @@ class QuadraticOracle(Oracle):
         self.center = np.zeros(self.dim) if center is None else as_vector(center, self.dim)
 
     def scaled(self, weight: float) -> QuadraticOracle:
-        """``0.5 (x - c)' (weight Q) (x - c)`` for a nonnegative weight.
+        """``0.5 (x - c)' (weight Q) (x - c)`` for a finite nonnegative weight.
 
         Not checked again: a nonnegative multiple of a checked matrix is
         symmetric positive semidefinite.
         """
-        weight = float(weight)
-        if weight < 0:
-            raise ValueError(f"weight must be nonnegative, got {weight}")
         out = copy.copy(self)
-        out.Q = weight * self.Q
+        out.Q = _weight(weight) * self.Q
         return out
 
     def gradient(self, x) -> np.ndarray:
@@ -443,14 +450,12 @@ class SumOracle(Oracle):
     """
 
     def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
-        weights = [1.0] * len(oracles) if weights is None else [float(w) for w in weights]
+        weights = [1.0] * len(oracles) if weights is None else [_weight(w) for w in weights]
         self.terms = list(zip(weights, oracles, strict=True))
         if not self.terms:
             raise ValueError("a sum needs at least one oracle")
         self.dim = oracles[0].dim
-        for weight, f in self.terms:
-            if weight < 0:
-                raise ValueError(f"weight must be nonnegative, got {weight}")
+        for f in oracles:
             if f.dim != self.dim:
                 raise DimensionMismatch(f"a summand has dimension {f.dim}, the first {self.dim}")
         self.tilt = None if tilt is None else as_vector(tilt, self.dim)
@@ -487,7 +492,7 @@ class SumOracle(Oracle):
 
 
 class ScaledOracle(SumOracle):
-    """``weight * base`` for a nonnegative weight."""
+    """``weight * base`` for a finite nonnegative weight."""
 
     def __init__(self, base: Oracle, weight: float) -> None:
         super().__init__(base, weights=(weight,))

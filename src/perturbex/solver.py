@@ -5,6 +5,14 @@ Convergence is declared in the Hessian-dual norm
 natural scale-free measure for the certified comparisons downstream: a
 decrement of ``1e-12`` pins the minimizer far below every tolerance the
 bound checks use.
+
+The solver hands curvature over in both directions.  A caller that already
+holds ``f``'s Hessian at the start point passes it as ``hessian`` and the
+first Newton step uses it instead of evaluating it again; the result
+carries the Hessian at the returned point, which the converging iteration
+has just evaluated, and the value at the start point.  A verification
+solve started at ``x*`` thus takes the anchor's curvature, and
+``g(x~) - g(x*)`` needs no extra value call.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HessianNotPd, LineSearchFailed, MaxIterExceeded
-from .linalg import as_vector
+from .errors import DimensionMismatch, HessianNotPd, LineSearchFailed, MaxIterExceeded
+from .linalg import as_matrix, as_vector
 from .oracle import Oracle
 
 __all__ = ["SolveResult", "newton_minimize"]
@@ -28,11 +36,19 @@ PURE_NEWTON_THRESHOLD = 1e-5
 
 @dataclass
 class SolveResult:
+    """A converged solve.
+
+    ``value`` and ``hessian`` are ``f`` and its Hessian at ``xhat``;
+    ``start_value`` is ``f`` at the start point.
+    """
+
     xhat: np.ndarray
     value: float
     grad_norm_dual: float
     iterations: int
     converged: bool
+    start_value: float
+    hessian: np.ndarray
 
 
 def newton_minimize(
@@ -40,6 +56,7 @@ def newton_minimize(
     x0,
     tol: float | None = None,
     max_iter: int = 100,
+    hessian=None,
 ) -> SolveResult:
     """Minimize ``f`` from ``x0`` by damped Newton with backtracking.
 
@@ -53,30 +70,45 @@ def newton_minimize(
         Target Newton decrement.  Defaults to ``1e-12 * (1 + |f(x0)|)``.
     max_iter : int
         Iteration cap; exceeding it raises :class:`MaxIterExceeded`.
+    hessian : array_like, optional
+        ``f``'s Hessian at ``x0``, when the caller holds it; the first
+        Newton step uses it in place of ``f.hessian(x0)``.  It is checked
+        for shape and finiteness here and must pass the same Cholesky test
+        as an evaluated Hessian.  A matrix that is not bit for bit
+        ``f.hessian(x0)`` changes the iterates.
 
     Returns
     -------
     SolveResult
-        With ``converged=True`` and ``grad_norm_dual <= tol``.
+        With ``converged=True``, ``grad_norm_dual <= tol``, the Hessian at
+        ``xhat`` and the value at ``x0``.
 
     Raises
     ------
     HessianNotPd
         If a Cholesky factorization fails at some iterate.
+    DimensionMismatch
+        If ``hessian`` is not a ``dim x dim`` matrix.
     LineSearchFailed
         If backtracking underflows the step size.
     MaxIterExceeded
         If the tolerance is not reached within ``max_iter`` steps.
     """
     x = as_vector(x0, f.dim).copy()
-    fx = f.value(x)
+    if hessian is not None:
+        hessian = as_matrix(hessian, f.dim)
+        if hessian.shape[1] != f.dim:
+            raise DimensionMismatch(
+                f"expected a {f.dim}x{f.dim} Hessian, got shape {hessian.shape}"
+            )
+    fx = start_value = f.value(x)
     if tol is None:
         tol = 1e-12 * (1.0 + abs(fx))
     dual_norm = np.inf
 
     for iteration in range(max_iter):
         g = f.gradient(x)
-        H = f.hessian(x)
+        H = hessian if iteration == 0 and hessian is not None else f.hessian(x)
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
@@ -86,8 +118,8 @@ def newton_minimize(
         dual_norm = float(np.sqrt(max(decrement_sq, 0.0)))
         if dual_norm <= tol:
             return SolveResult(
-                xhat=x, value=fx, grad_norm_dual=dual_norm,
-                iterations=iteration, converged=True,
+                xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
+                converged=True, start_value=start_value, hessian=H,
             )
         if dual_norm <= PURE_NEWTON_THRESHOLD:
             # Quadratic convergence zone: the Armijo decrease (~ decrement^2)

@@ -381,13 +381,17 @@ class TestKappaOncePerPair:
 
 
 class TestSweepIsOneFactoredFamily:
-    """A sweep evaluates ``grad^2 f(x*)`` once; ``G2 = I`` factors it once."""
+    """A run evaluates ``grad^2 f(x*)`` once; a sweep with ``G2 = I`` factors it once.
+
+    Every Hessian evaluation counts, the Newton steps of the anchor and the
+    verification solves included: the anchor's converging step is the one
+    evaluation at ``x*``, and each verification solve starts from it.
+    """
 
     @pytest.fixture
     def counts(self, monkeypatch):
         eigh = np.linalg.eigh
         hessian = LogisticOracle.hessian
-        in_solver = solver.newton_minimize.__code__
         seen = {"eigh": 0, "hessian_points": []}
 
         def counting_eigh(*args, **kwargs):
@@ -395,16 +399,23 @@ class TestSweepIsOneFactoredFamily:
             return eigh(*args, **kwargs)
 
         def counting_hessian(oracle, x):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not in_solver:
-                frame = frame.f_back
-            if frame is None:  # not a Newton step of the anchor or a verification
-                seen["hessian_points"].append(np.array(x))
+            seen["hessian_points"].append(np.array(x))
             return hessian(oracle, x)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(LogisticOracle, "hessian", counting_hessian)
         return seen
+
+    @staticmethod
+    def _evaluations_at_anchor(counts, payload, run):
+        """Run ``run`` and count its Hessian evaluations at the problem's ``x*``."""
+        prob = oracle_from_descriptor(payload["problem"])
+        xstar = solver.newton_minimize(prob.oracle, prob.x0).xhat
+        counts["eigh"] = 0
+        counts["hessian_points"].clear()
+        run()
+        assert len(counts["hessian_points"]) > 1  # the solves' later steps count too
+        return sum(np.array_equal(x, xstar) for x in counts["hessian_points"])
 
     @pytest.mark.parametrize(
         "g2, eighs",
@@ -417,12 +428,25 @@ class TestSweepIsOneFactoredFamily:
     def test_factor_and_hessian_counts(self, tmp_path, counts, g2, eighs):
         payload = _sweep_config([0.0, 0.05, 0.1], g2)
         cfg = _write(tmp_path, "cfg.json", payload)
-        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = str(tmp_path / "o")
+        at_xstar = self._evaluations_at_anchor(
+            counts, payload, lambda: main(["ridge-sweep", "--config", cfg, "--out", out])
+        )
+        assert at_xstar == 1
         assert counts["eigh"] == eighs
-        prob = oracle_from_descriptor(payload["problem"])
-        xstar = solver.newton_minimize(prob.oracle, prob.x0).xhat
-        assert len(counts["hessian_points"]) == 1
-        np.testing.assert_array_equal(counts["hessian_points"][0], xstar)
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["exit_code"] == 0
+
+    def test_certify_evaluates_one_hessian_at_anchor(self, tmp_path, counts):
+        payload = _base_config()
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = str(tmp_path / "o")
+        at_xstar = self._evaluations_at_anchor(
+            counts, payload, lambda: main(["certify", "--config", cfg, "--out", out])
+        )
+        assert at_xstar == 1
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["exit_code"] == 0
 
     def test_shifted_family_matches_refactoring(self, tmp_path, monkeypatch):
         """Shifting one factored ``H0`` gives the sweep that factoring each

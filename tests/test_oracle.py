@@ -171,6 +171,29 @@ class TestScaledOracle:
             px.ScaledOracle(_zoo("quadratic").oracle, -1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: px.QuadraticOracle(np.array([[np.nan]])),
+        lambda f: px.QuadraticOracle(np.diag([1.0, np.inf])),
+        lambda f: px.ScaledOracle(f, np.nan),
+        lambda f: px.ScaledOracle(f, np.inf),
+        lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.inf),
+        lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.nan),
+        lambda f: px.SumOracle(f, f, weights=(1.0, np.nan)),
+        lambda f: px.SumOracle(f, weights=(-np.inf,)),
+    ],
+    ids=[
+        "quadratic-nan", "quadratic-inf", "scaled-nan", "scaled-inf",
+        "quadratic-scaled-inf", "quadratic-scaled-nan", "sum-nan", "sum-minus-inf",
+    ],
+)
+def test_non_finite_input_is_rejected(build):
+    """A NaN or infinite matrix entry or weight fails at construction, not later."""
+    with pytest.raises(ValueError):
+        build(_zoo("logistic").oracle)
+
+
 def _five_forms(f, x, P, V):
     """Every derivative form of ``f``: at a point ``x`` or on column blocks ``P``, ``V``."""
     return {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import perturbex as px
-from perturbex.errors import HessianNotPd, MaxIterExceeded
+from perturbex.errors import DimensionMismatch, HessianNotPd, MaxIterExceeded
 
 
 def test_quadratic_converges_in_one_newton_step(rng):
@@ -70,3 +70,70 @@ def test_solution_is_stationary_for_every_start(rng):
         x0 = rng.standard_normal(5)
         sol = px.newton_minimize(prob.oracle, x0)
         assert np.linalg.norm(prob.oracle.gradient(sol.xhat)) < 1e-9
+
+
+@pytest.fixture(params=["logistic", "logsumexp"])
+def tilted(request):
+    """A tilted problem ``g`` and its verification start, the untilted minimizer."""
+    desc = {"kind": request.param, "dim": 7, "n": 42, "reg": 0.1, "seed": 11}
+    prob = px.oracle_from_descriptor(desc)
+    xstar = px.newton_minimize(prob.oracle, prob.x0).xhat
+    A = 0.2 * np.random.default_rng(3).standard_normal(prob.oracle.dim)
+    return px.linearly_perturb(prob.oracle, A), xstar
+
+
+class TestHeldHessian:
+    """A held Hessian at the start point stands in for the first evaluation."""
+
+    def test_held_hessian_is_bit_identical(self, tilted):
+        g, x0 = tilted
+        plain = px.newton_minimize(g, x0)
+        held = px.newton_minimize(g, x0, hessian=g.hessian(x0))
+        assert plain.iterations >= 1
+        np.testing.assert_array_equal(held.xhat, plain.xhat)
+        assert held.value == plain.value
+        assert held.grad_norm_dual == plain.grad_norm_dual
+        assert held.iterations == plain.iterations
+        np.testing.assert_array_equal(held.hessian, plain.hessian)
+
+    def test_first_hessian_is_not_evaluated(self, tilted, monkeypatch):
+        g, x0 = tilted
+        points = []
+        hessian = type(g).hessian
+
+        def counting(oracle, x):
+            points.append(np.array(x))
+            return hessian(oracle, x)
+
+        H0 = g.hessian(x0)
+        monkeypatch.setattr(type(g), "hessian", counting)
+        sol = px.newton_minimize(g, x0, hessian=H0)
+        assert len(points) == sol.iterations
+        assert not any(np.array_equal(p, x0) for p in points)
+
+    def test_result_carries_end_hessian_and_start_value(self, tilted):
+        g, x0 = tilted
+        sol = px.newton_minimize(g, x0)
+        np.testing.assert_array_equal(sol.hessian, g.hessian(sol.xhat))
+        assert sol.start_value == g.value(x0)
+        assert sol.value == g.value(sol.xhat)
+
+    def test_indefinite_held_matrix_raises(self, tilted):
+        g, x0 = tilted
+        H = g.hessian(x0)
+        H[0, 0] = -1.0
+        with pytest.raises(HessianNotPd):
+            px.newton_minimize(g, x0, hessian=H)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (6, 7), (7,), (7, 7, 1)])
+    def test_wrong_shape_raises(self, tilted, shape):
+        g, x0 = tilted
+        with pytest.raises(DimensionMismatch):
+            px.newton_minimize(g, x0, hessian=np.ones(shape))
+
+    def test_non_finite_held_matrix_raises(self, tilted):
+        g, x0 = tilted
+        H = g.hessian(x0)
+        H[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            px.newton_minimize(g, x0, hessian=H)
