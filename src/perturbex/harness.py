@@ -470,8 +470,8 @@ def _verified_orders(
 
     ``H`` is ``g``'s Hessian at ``x*`` as the oracle computes it and ``F`` is
     ``H`` factored.  The solve starts at ``x*`` from the raw ``H``, not from
-    ``F.matrix``: that is symmetrized, and a GEMM Hessian is not symmetric
-    to the last bit, so it would round the first step differently.
+    ``F.matrix``: that is symmetrized, and an oracle's Hessian need not be
+    symmetric to the last bit, so it would round the first step differently.
 
     Returns one result per order, ``{"order", "report", "verification"}``,
     or ``{"order", "skipped"}`` with the reason when ``skips`` names the

@@ -18,10 +18,17 @@ Each value and tensor formula exists once, in batched form:
 take points as the columns of ``P`` and the directions paired with them as
 the columns of ``V``, and return one result per column.  Logistic,
 log-sum-exp and quadratic problems implement them on a few matrix-matrix
-products (``X @ P``, ``X @ V``, ``X.T @ W``).  The scalar ``value``,
+products (``X @ P``, ``X @ V``, ``X.T @ W``) and run their elementwise
+chains in place on the product they start from.  The scalar ``value``,
 ``third_dir`` and ``fourth_dir`` are one-column calls of the batched forms,
 defined once on :class:`Oracle`, so a scalar result is bit for bit column 0
 of a batched call at the same point.
+
+A logistic or log-sum-exp Hessian is a weighted Gram matrix
+``X' diag(w) X``.  It is formed as ``B' B`` with ``B = diag(sqrt(w)) X``, a
+product of an array with its own transpose that NumPy hands to BLAS
+``syrk``: half the flops of a general product, and a result symmetric to
+the last bit.
 
 Every quadratic is one :class:`QuadraticOracle` ``0.5 (x - c)' Q (x - c)``:
 an objective built from a factored :class:`SpdOperator`, or a penalty from a
@@ -215,8 +222,29 @@ class PsdQuadraticOracle(QuadraticOracle):
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free for any argument sign
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
+    """``0.5 (1 + tanh(t / 2))``, overflow-free for any sign; overwrites ``t``."""
+    t *= 0.5
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
+
+
+def _gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``X' diag(w) X`` for nonnegative row weights ``w``.
+
+    Formed as ``B' B`` with ``B = diag(sqrt(w)) X``: NumPy sends a product of
+    an array with its own transpose to BLAS ``syrk``, which computes one
+    triangle and mirrors it.
+    """
+    B = X * np.sqrt(w)[:, None]
+    return B.T @ B
+
+
+def _add_to_diagonal(H: np.ndarray, c: float) -> np.ndarray:
+    """``H + c I``, in place."""
+    H.flat[:: H.shape[0] + 1] += c
+    return H
 
 
 class LogisticOracle(Oracle):
@@ -255,7 +283,10 @@ class LogisticOracle(Oracle):
         self.n, self.dim = X.shape
 
     def _margins(self, v: np.ndarray) -> np.ndarray:
-        return self.y * (self.X @ v)
+        """``t = y x' v`` per data point, with one column per column of ``v``."""
+        t = self.X @ v
+        t *= self.y if t.ndim == 1 else self.y[:, None]
+        return t
 
     def gradient(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
@@ -263,37 +294,65 @@ class LogisticOracle(Oracle):
         return self.X.T @ (self.y * (s - 1.0)) / self.n + self.reg * v
 
     def hessian(self, x) -> np.ndarray:
+        """``X' diag(s (1 - s) / n) X + reg I``, the Gram matrix on BLAS ``syrk``."""
         v = as_vector(x, self.dim)
         s = _sigmoid(self._margins(v))
-        w = s * (1.0 - s)
-        H = (self.X.T * w) @ self.X / self.n
-        return H + self.reg * np.eye(self.dim)
-
-    def _sigmoid_many(self, P: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.y[:, None] * (self.X @ P))
+        H = _gram(self.X, s * (1.0 - s) / self.n)
+        return _add_to_diagonal(H, self.reg)
 
     def value_many(self, P) -> np.ndarray:
+        """Mean loss ``log(1 + exp(-t))`` per column, plus the ridge.
+
+        The loss is ``max(-t, 0) + log1p(exp(-|t|))``, the formula
+        ``np.logaddexp`` evaluates entry by entry, here on vector ufuncs.
+        """
         P = as_matrix(P, self.dim)
         # One point per row, so each mean is a pairwise sum over the data: the
         # sampled remainders f(x + u) - f(x) - ... cancel most of the value.
-        T = (P.T @ self.X.T) * self.y
-        loss = np.mean(np.logaddexp(0.0, -T), axis=1)
-        return loss + 0.5 * self.reg * _col_dot(P, P)
+        T = P.T @ self.X.T
+        T *= self.y
+        loss = np.abs(T)
+        np.negative(loss, out=loss)
+        np.exp(loss, out=loss)
+        np.log1p(loss, out=loss)
+        np.negative(T, out=T)
+        np.maximum(T, 0.0, out=T)
+        loss += T
+        return np.mean(loss, axis=1) + 0.5 * self.reg * _col_dot(P, P)
+
+    # The tensor forms work in place on the sigmoid block but keep the left
+    # to right order of the class docstring's formulas, so every entry
+    # rounds as the plain expression would.
 
     def third_dir_many(self, P, V) -> np.ndarray:
         P, V = _block_pair(P, V, self.dim)
-        S = self._sigmoid_many(P)
-        L3 = S * (1.0 - S) * (1.0 - 2.0 * S)
+        S = _sigmoid(self._margins(P))
+        L = 1.0 - S
+        L *= S
+        L *= np.subtract(1.0, 2.0 * S, out=S)
+        L *= self.y[:, None]
         proj = self.X @ V
-        return self.X.T @ (L3 * self.y[:, None] * proj**2) / self.n
+        L *= np.square(proj, out=proj)
+        out = self.X.T @ L
+        out /= self.n
+        return out
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
         P, V = _block_pair(P, V, self.dim)
-        S = self._sigmoid_many(P)
-        L4 = S * (1.0 - S) * (1.0 - 6.0 * S * (1.0 - S))
+        S = _sigmoid(self._margins(P))
+        Q = 1.0 - S
+        L = S * Q
+        S *= 6.0
+        S *= Q
+        L *= np.subtract(1.0, S, out=S)
         proj = self.X @ V
         # proj**2 * proj: an integer power other than 2 goes through pow().
-        return self.X.T @ (L4 * (proj**2 * proj)) / self.n
+        cube = np.square(proj, out=Q)
+        cube *= proj
+        L *= cube
+        out = self.X.T @ L
+        out /= self.n
+        return out
 
 
 class LogSumExpOracle(Oracle):
@@ -335,16 +394,12 @@ class LogSumExpOracle(Oracle):
 
     def _softmax(self, v: np.ndarray) -> np.ndarray:
         # Softmax weights of a point, or of each column of a block of points.
-        z = self.X @ v / self.temp
-        z = z - z.max(axis=0)
-        e = np.exp(z)
-        return e / e.sum(axis=0)
-
-    @staticmethod
-    def _lse(z: np.ndarray) -> np.ndarray:
-        # Log-sum-exp over the last axis: scores of one point per row.
-        m = z.max(axis=-1, keepdims=True)
-        return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+        z = self.X @ v
+        z /= self.temp
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        return z
 
     def gradient(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
@@ -352,41 +407,61 @@ class LogSumExpOracle(Oracle):
         return self.X.T @ pi + self.reg * v
 
     def hessian(self, x) -> np.ndarray:
+        """``(X' diag(pi) X - mu mu') / temp + reg I``, the Gram matrix on BLAS ``syrk``."""
         v = as_vector(x, self.dim)
         pi = self._softmax(v)
         mu = self.X.T @ pi
-        H = (self.X.T * pi) @ self.X - np.outer(mu, mu)
-        return H / self.temp + self.reg * np.eye(self.dim)
+        H = _gram(self.X, pi)
+        H -= np.outer(mu, mu)
+        H /= self.temp
+        return _add_to_diagonal(H, self.reg)
 
     def _centered_many(self, P: np.ndarray, V: np.ndarray):
         """Softmax weights and centered score projections, one column per pair."""
         Pi = self._softmax(P)
         S = self.X @ V
-        return Pi, S - _col_dot(Pi, S)
+        S -= _col_dot(Pi, S)
+        return Pi, S
 
     def value_many(self, P) -> np.ndarray:
         P = as_matrix(P, self.dim)
-        # One point per row, so each sum over the data is pairwise.
-        lse = self._lse(P.T @ self.X.T / self.temp)
+        # Scores of one point per row, so each sum over the data is pairwise.
+        Z = P.T @ self.X.T
+        Z /= self.temp
+        m = Z.max(axis=1, keepdims=True)
+        Z -= m
+        np.exp(Z, out=Z)
+        lse = (m + np.log(Z.sum(axis=1, keepdims=True)))[:, 0]
         return self.temp * lse + 0.5 * self.reg * _col_dot(P, P)
+
+    # The tensor forms work in place on the centered projections but keep the
+    # left to right order of the class docstring's cumulants, so every entry
+    # rounds as the plain expression would.
 
     def third_dir_many(self, P, V) -> np.ndarray:
         P, V = _block_pair(P, V, self.dim)
         Pi, C = self._centered_many(P, V)
-        C2 = C**2
-        var = _col_dot(Pi, C2)
-        beta = 1.0 / self.temp
-        return beta**2 * (self.X.T @ (Pi * (C2 - var)))
+        C2 = np.square(C, out=C)
+        C2 -= _col_dot(Pi, C2)
+        C2 *= Pi
+        out = self.X.T @ C2
+        out *= (1.0 / self.temp) ** 2
+        return out
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
         P, V = _block_pair(P, V, self.dim)
         Pi, C = self._centered_many(P, V)
-        C2 = C**2
-        C3 = C2 * C
-        var = _col_dot(Pi, C2)
+        C3 = np.square(C)
+        var = _col_dot(Pi, C3)
+        C3 *= C
         k3 = _col_dot(Pi, C3)
-        beta = 1.0 / self.temp
-        return beta**3 * (self.X.T @ (Pi * (C3 - 3.0 * var * C - k3)))
+        C *= 3.0 * var
+        C3 -= C
+        C3 -= k3
+        C3 *= Pi
+        out = self.X.T @ C3
+        out *= (1.0 / self.temp) ** 3
+        return out
 
 
 class CustomOracle(Oracle):

@@ -79,6 +79,11 @@ class SmoothnessCertificate:
     provenance: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison quietly, so finiteness is checked first.
+        for name in ("radius", "kappa", "omega", "tau3", "tau4"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         for name in ("kappa", "omega", "tau3", "tau4"):
@@ -107,8 +112,9 @@ def _metric_direction(rng: np.random.Generator, D: SpdOperator) -> np.ndarray:
 
 def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
     # Radius law biased toward the shell; floored away from zero so ratios
-    # of tiny cancellations cannot dominate the running max.
-    u = rng.uniform()
+    # of tiny cancellations cannot dominate the running max.  ``random()``
+    # draws the same double as ``uniform()`` on [0, 1).
+    u = rng.random()
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
@@ -135,18 +141,21 @@ def _draw_samples(
     is a contiguous ``(dim, SAMPLE_BLOCK)`` array (radii: ``SAMPLE_BLOCK``).
     The last block is padded with unit vectors and radius 0, which evaluate
     at the anchor and are discarded.
+
+    The generator writes each vector into a contiguous row, one sample per
+    row; the blocks are that array transposed once.
     """
     blocks = -(-samples // SAMPLE_BLOCK)
-    Z = np.ones((blocks, dim, SAMPLE_BLOCK))
-    W = np.ones((blocks, dim, SAMPLE_BLOCK)) if paired else None
-    rad = np.zeros((blocks, SAMPLE_BLOCK))
+    rows = np.ones((2 if paired else 1, blocks * SAMPLE_BLOCK, dim))
+    rad = np.zeros(blocks * SAMPLE_BLOCK)
     for i in range(samples):
-        b, j = divmod(i, SAMPLE_BLOCK)
-        Z[b, :, j] = rng.standard_normal(dim)
-        rad[b, j] = _radial(rng, r, dim)
+        rng.standard_normal(out=rows[0, i])
+        rad[i] = _radial(rng, r, dim)
         if paired:
-            W[b, :, j] = rng.standard_normal(dim)
-    return Z, rad, W
+            rng.standard_normal(out=rows[1, i])
+    cols = rows.reshape(len(rows), blocks, SAMPLE_BLOCK, dim).transpose(0, 1, 3, 2)
+    cols = np.ascontiguousarray(cols)
+    return cols[0], rad.reshape(blocks, SAMPLE_BLOCK), cols[1] if paired else None
 
 
 def _metric_block(D: SpdOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -408,3 +408,97 @@ class TestBatchedForms:
             f.value_many(np.zeros((f.dim + 1, 3)))
         with pytest.raises(DimensionMismatch):
             f.fourth_dir_many(P, np.zeros((f.dim, 2)))
+
+
+def _kernel_pair(seed=5, n=60, dim=7):
+    """A logistic and a log-sum-exp oracle on one design, with a point block."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    logistic = px.LogisticOracle(X, y, reg=0.1)
+    logsumexp = px.LogSumExpOracle(X, temp=0.7, reg=0.05)
+    P = 0.5 * rng.standard_normal((dim, 9))
+    V = rng.standard_normal((dim, 9))
+    return logistic, logsumexp, P, V
+
+
+def _reference_sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+def _reference_softmax(f, P):
+    z = f.X @ P / f.temp
+    z = z - z.max(axis=0)
+    e = np.exp(z)
+    return e / e.sum(axis=0)
+
+
+def _col(A, B):
+    return np.einsum("ij,ij->j", A, B)
+
+
+class TestKernels:
+    """The d-dimensional kernels against the plain expressions they replace."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_logistic_value_matches_logaddexp(self):
+        margins = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                            745.0, -745.0, 1e4, -1e4])
+        # One data point x = 1, y = 1: the margin of the point p is p itself.
+        f = px.LogisticOracle(np.ones((1, 1)), np.ones(1))
+        with np.errstate(all="raise", under="ignore"):
+            got = f.value_many(margins[None, :])
+        expected = np.logaddexp(0.0, -margins)
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+        assert got[0] == np.log(2.0)
+
+    @pytest.mark.parametrize("which", ["logistic", "logsumexp"])
+    def test_hessian_is_the_two_sided_gram_matrix(self, which):
+        logistic, logsumexp, P, _ = _kernel_pair()
+        f = logistic if which == "logistic" else logsumexp
+        for x in P.T:
+            H = f.hessian(x)
+            if which == "logistic":
+                s = _reference_sigmoid(f.y * (f.X @ x))
+                expected = (f.X.T * (s * (1.0 - s))) @ f.X / f.n
+            else:
+                pi = _reference_softmax(f, x)
+                mu = f.X.T @ pi
+                expected = ((f.X.T * pi) @ f.X - np.outer(mu, mu)) / f.temp
+            expected = expected + f.reg * np.eye(f.dim)
+            np.testing.assert_allclose(H, expected, rtol=1e-13, atol=0.0)
+            assert np.abs(H - H.T).max() <= 1e-15 * np.abs(H).max()
+
+    def test_logistic_tensor_forms_are_the_plain_expressions(self):
+        f, _, P, V = _kernel_pair()
+        S = _reference_sigmoid(f.y[:, None] * (f.X @ P))
+        proj = f.X @ V
+        L3 = S * (1.0 - S) * (1.0 - 2.0 * S)
+        third = f.X.T @ (L3 * f.y[:, None] * proj**2) / f.n
+        L4 = S * (1.0 - S) * (1.0 - 6.0 * S * (1.0 - S))
+        fourth = f.X.T @ (L4 * (proj**2 * proj)) / f.n
+        np.testing.assert_array_equal(f.third_dir_many(P, V), third)
+        np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+
+    def test_logsumexp_tensor_forms_are_the_plain_expressions(self):
+        _, f, P, V = _kernel_pair()
+        Pi = _reference_softmax(f, P)
+        S = f.X @ V
+        C = S - _col(Pi, S)
+        C2 = C**2
+        C3 = C2 * C
+        var = _col(Pi, C2)
+        k3 = _col(Pi, C3)
+        beta = 1.0 / f.temp
+        third = beta**2 * (f.X.T @ (Pi * (C2 - var)))
+        fourth = beta**3 * (f.X.T @ (Pi * (C3 - 3.0 * var * C - k3)))
+        np.testing.assert_array_equal(f.third_dir_many(P, V), third)
+        np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+
+    def test_logsumexp_value_is_the_plain_expression(self):
+        _, f, P, _ = _kernel_pair()
+        z = P.T @ f.X.T / f.temp
+        m = z.max(axis=-1, keepdims=True)
+        lse = (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+        expected = f.temp * lse + 0.5 * f.reg * _col(P, P)
+        np.testing.assert_array_equal(f.value_many(P), expected)

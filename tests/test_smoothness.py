@@ -5,6 +5,7 @@ import pytest
 
 import perturbex as px
 from perturbex.errors import MissingThirdDerivative, NotAtMinimum
+from perturbex.smoothness import SAMPLE_BLOCK, _draw_samples
 
 
 def _cubic_1d():
@@ -127,6 +128,16 @@ class TestCertificate:
         with pytest.raises(ValueError):
             px.declared_certificate(D, radius=-1.0, kappa=1.0, omega=0.1)
 
+    @pytest.mark.parametrize("field", ["radius", "kappa", "omega", "tau3", "tau4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, field, bad):
+        """NaN fails every comparison quietly, so each field is checked finite."""
+        D = px.spd_from_dense(np.eye(2))
+        constants = {"radius": 1.0, "kappa": 1.0, "omega": 0.1, "tau3": 0.3, "tau4": 0.2}
+        constants[field] = bad
+        with pytest.raises(ValueError, match=field):
+            px.declared_certificate(D, **constants)
+
 
 class TestTaylorDiagnostics:
     def test_quadratic_remainders_vanish(self, rng):
@@ -241,3 +252,35 @@ class TestBatchedEstimators:
         }
         for name, values in estimates.items():
             assert values == sorted(values), (name, values)
+
+
+def _reference_draw(rng, dim, r, samples, paired):
+    """The sampling stream as one loop over samples, column by column."""
+    blocks = -(-samples // SAMPLE_BLOCK)
+    Z = np.ones((blocks, dim, SAMPLE_BLOCK))
+    W = np.ones((blocks, dim, SAMPLE_BLOCK)) if paired else None
+    rad = np.zeros((blocks, SAMPLE_BLOCK))
+    for i in range(samples):
+        b, j = divmod(i, SAMPLE_BLOCK)
+        Z[b, :, j] = rng.standard_normal(dim)
+        rad[b, j] = r * (0.05 + 0.95 * rng.uniform() ** (1.0 / dim))
+        if paired:
+            W[b, :, j] = rng.standard_normal(dim)
+    return Z, rad, W
+
+
+@pytest.mark.parametrize("samples", [1, 16, 31, 32, 33, 200])
+@pytest.mark.parametrize("paired", [False, True])
+def test_sampling_stream_is_pinned(samples, paired):
+    """Every variate lands where the per-sample loop puts it, bit for bit."""
+    dim, r = 7, 0.4
+    Z, rad, W = _draw_samples(np.random.default_rng(17), dim, r, samples, paired)
+    Zr, radr, Wr = _reference_draw(np.random.default_rng(17), dim, r, samples, paired)
+    np.testing.assert_array_equal(Z, Zr)
+    np.testing.assert_array_equal(rad, radr)
+    assert Z.flags.c_contiguous and all(block.flags.c_contiguous for block in Z)
+    if paired:
+        np.testing.assert_array_equal(W, Wr)
+        assert W.flags.c_contiguous
+    else:
+        assert W is None
