@@ -33,6 +33,10 @@ class MissingFourthDerivative(PerturbexError):
     """An operation needs analytic fourth derivatives the oracle does not provide."""
 
 
+class MissingConstant(PerturbexError):
+    """An operation needs a certificate constant the certificate does not state."""
+
+
 class NotAtMinimum(PerturbexError):
     """The supplied anchor point does not have a (numerically) vanishing gradient."""
 

@@ -36,6 +36,7 @@ from . import constants
 from .diagnostics import CheckResult, DiagnosticsRecord
 from .errors import (
     HessianNotPd,
+    MissingConstant,
     MissingFourthDerivative,
     MissingThirdDerivative,
     NotPositiveDefinite,
@@ -336,6 +337,8 @@ def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> Bound
     uses the curvature ball of radius ``cert.radius / kappa``, which the
     metric ball contains; ``nu`` is ``constants.NU_DEFAULT``.
     """
+    if cert.omega is None:
+        raise MissingConstant("certificate lacks omega")
     kappa = cert.kappa
     omega = cert.omega
     p = _predict(F, A)
@@ -755,6 +758,12 @@ def compare_with_solution(
     )
 
 
+def _solve_from(g: Oracle, xstar: np.ndarray, hessian) -> tuple[SolveResult, np.ndarray, float]:
+    """The reference solve of ``g`` from ``x*``, its shift and its value change."""
+    sol = newton_minimize(g, xstar, hessian=hessian)
+    return sol, sol.xhat - xstar, sol.value - sol.start_value
+
+
 def solve_and_compare(
     g: Oracle, xstar, reports: list[ExpansionReport], hessian=None
 ) -> list[ComparisonReport]:
@@ -770,10 +779,7 @@ def solve_and_compare(
     """
     if not reports:
         return []
-    xstar = as_vector(xstar, g.dim)
-    sol: SolveResult = newton_minimize(g, xstar, hessian=hessian)
-    actual_shift = sol.xhat - xstar
-    actual_value_change = sol.value - sol.start_value
+    sol, actual_shift, actual_value_change = _solve_from(g, as_vector(xstar, g.dim), hessian)
     solver_info = {
         "iterations": sol.iterations,
         "grad_norm_dual": sol.grad_norm_dual,

@@ -24,28 +24,16 @@ import jsonschema
 import numpy as np
 
 from . import constants
-from .errors import MissingFourthDerivative, MissingThirdDerivative, PreconditionViolated
-from .expand import (
-    _predict,
-    cubic_bound_check,
-    exact_quadratic_expansion,
-    expansion_for_order,
-    fourth_order_expansion,
-    solve_and_compare,
-    verify_expansion,
+from .errors import (
+    MissingConstant,
+    MissingFourthDerivative,
+    MissingThirdDerivative,
+    PreconditionViolated,
 )
+from .expand import _predict, _solve_from, expansion_for_order, solve_and_compare
 from .linalg import SpdOperator, spd_from_dense, spd_power_operator, weighted_norm
-from .oracle import (
-    CustomOracle,
-    Oracle,
-    PsdQuadraticOracle,
-    QuadraticOracle,
-    ScaledOracle,
-    fd_probe,
-    linearly_perturb,
-    smoothly_penalize,
-)
-from .penalty import ridge_bias_exact_quadratic
+from .oracle import Oracle, PsdQuadraticOracle, ScaledOracle, fd_probe, linearly_perturb
+from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
     SmoothnessCertificate,
     check_anchor,
@@ -54,7 +42,7 @@ from .smoothness import (
     taylor_diagnostics,
 )
 from .solver import newton_minimize
-from .zoo import oracle_from_descriptor, random_spd
+from .zoo import oracle_from_descriptor
 
 __all__ = [
     "ExperimentConfig",
@@ -175,7 +163,8 @@ CONFIG_SCHEMA = {
             perturbation=_object(
                 {"kind": {"enum": ["linear"]}}, {"$ref": "#/$defs/linear"}, required=["kind"]
             ),
-            scaling=_object({"eps_grid": {"type": "array", "items": _POSITIVE, "minItems": 2}}),
+            scaling=_object({"eps_grid": {"type": "array", "items": _POSITIVE, "minItems": 2,
+                                         "uniqueItems": True}}),
         ),
         "ridge-sweep": _command(
             certificate={"$ref": "#/$defs/certificate"},
@@ -356,18 +345,14 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     return scale * v / np.linalg.norm(v)
 
 
-def _quadratic_penalty_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
+def _penalty(cfg: ExperimentConfig, dim: int) -> Oracle:
+    """The configured ridge ``0.5 x' G2 x`` or weighted smooth penalty."""
     pert = cfg.perturbation
-    if "matrix" in pert:
-        return np.asarray(pert["matrix"], dtype=float)
-    lam = float(pert.get("lambda", 0.1))
-    return lam * np.eye(dim)
-
-
-def _smooth_penalty(cfg: ExperimentConfig) -> Oracle:
-    pert = cfg.perturbation
-    pen = oracle_from_descriptor(pert["penalty"]).oracle
-    return ScaledOracle(pen, float(pert.get("weight", 1.0)))
+    if pert["kind"] == "smooth":
+        pen = oracle_from_descriptor(pert["penalty"]).oracle
+        return ScaledOracle(pen, float(pert.get("weight", 1.0)))
+    G2 = pert["matrix"] if "matrix" in pert else float(pert.get("lambda", 0.1)) * np.eye(dim)
+    return PsdQuadraticOracle(G2)
 
 
 def _build_certificate(
@@ -385,7 +370,7 @@ def _build_certificate(
             metric=metric,
             radius=radius,
             kappa=float(spec.get("kappa", 1.0)),
-            omega=float(spec.get("omega", 0.0)),
+            omega=float(spec["omega"]) if "omega" in spec else None,  # 0 would claim f quadratic
             tau3=spec.get("tau3"),
             tau4=spec.get("tau4"),
         )
@@ -402,25 +387,26 @@ def _build_certificate(
     )
 
 
-def _penalized_problem(
+def _perturbed_problem(
     cfg: ExperimentConfig,
     f: Oracle,
     xstar: np.ndarray,
-    pen: Oracle,
-    g: Oracle,
-    H: np.ndarray,
+    perturbation: np.ndarray | Oracle,
+    hessian: np.ndarray,
     curvature: SpdOperator | None = None,
-) -> tuple[np.ndarray, SpdOperator, SmoothnessCertificate]:
-    """The drive, factored curvature and certificate of ``g = smoothly_penalize(f, pen)``.
+) -> tuple[Oracle, np.ndarray, np.ndarray, SpdOperator, SmoothnessCertificate]:
+    """:func:`as_tilt`'s ``(g, drive, H, F)`` for a tilt or a penalty, and the certificate.
 
-    ``H`` is ``g``'s Hessian at ``x*``, which the caller forms from the
-    anchor's ``grad^2 f(x*)``.  ``curvature`` is ``H`` factored when the
-    caller already has it; otherwise it is factored here.
+    A tilt's certificate describes ``f``.  A penalty's describes ``f + pen``,
+    which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
+    checked to minimize ``f`` in its metric.
     """
-    FG = spd_from_dense(H) if curvature is None else curvature
-    cert = _build_certificate(cfg, g, xstar, FG, include_omega=False)
-    check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    return pen.gradient(xstar), FG, cert
+    g, drive, H, F = as_tilt(f, xstar, perturbation, hessian, curvature)
+    penalty = isinstance(perturbation, Oracle)
+    cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
+    if penalty:
+        check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
+    return g, drive, H, F, cert
 
 
 def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
@@ -485,7 +471,7 @@ def _verified_orders(
         if rep is None:
             try:
                 rep = expansion_for_order(g, xstar, F, drive, cert, order)
-            except (MissingThirdDerivative, MissingFourthDerivative) as exc:
+            except (MissingConstant, MissingThirdDerivative, MissingFourthDerivative) as exc:
                 rep = f"order {order} skipped: {exc}"
         if isinstance(rep, str):
             results.append({"order": str(order), "skipped": rep})
@@ -499,19 +485,16 @@ def _verified_orders(
     return results
 
 
+def _verified(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The results that were verified, not skipped."""
+    return [res for res in results if "skipped" not in res]
+
+
 def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
-    violated = False
-    gate_failed = False
-    for res in results:
-        if "skipped" in res:
-            continue
-        if res["verification"]["violations"]:
-            violated = True
-        if not res["verification"]["certifying"]:
-            gate_failed = True
-    if violated:
+    verified = [res["verification"] for res in _verified(results)]
+    if any(ver["violations"] for ver in verified):
         return EXIT_BOUND_VIOLATED
-    if gate_failed and require_gates:
+    if require_gates and not all(ver["certifying"] for ver in verified):
         return EXIT_GATE_FAILED
     return EXIT_OK
 
@@ -525,12 +508,10 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """Run the configured expansion orders and verify each against the solver.
 
     A penalty is a linear tilt of ``f + pen`` with drive ``grad pen(x*)``, so
-    both kinds of perturbation build the same reports; they differ only in
-    the perturbed problem and in which orders they state.  The perturbed
-    problem is built, factored and solved once; every order's report is
-    checked against that one solution.  ``grad^2 f(x*)`` is evaluated once,
-    by the anchor solve's converging step, and every later use takes it
-    from there.
+    both kinds are one perturbed problem (:func:`_perturbed_problem`) and
+    differ only in the orders they state.  It is built, factored and solved
+    once, from the ``grad^2 f(x*)`` that the anchor solve's converging step
+    evaluated, and every order's report is checked against that solution.
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
@@ -541,32 +522,18 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     # Orders a perturbation does not state, with the reason each is skipped.
     skips: dict[int | str, str] = {}
     if kind == "linear":
-        drive = _linear_tilt(cfg, f.dim)
-        g = linearly_perturb(f, drive)
-        # A tilt has no curvature: g's Hessian is f's, bit for bit.
-        H = anchor.hessian
-        F = spd_from_dense(H)
-        cert = _build_certificate(cfg, f, xstar, F, include_omega=True)
+        perturbation = _linear_tilt(cfg, f.dim)
         if prob.kind != "quadratic":
             skips["exact"] = "exact expansion needs a quadratic objective; skipped"
     else:
-        ridge = kind == "quadratic"
-        pen = (
-            PsdQuadraticOracle(_quadratic_penalty_matrix(cfg, f.dim))
-            if ridge
-            else _smooth_penalty(cfg)
-        )
-        g = smoothly_penalize(f, pen)
-        # g sums its terms' Hessians in this order: g.hessian(x*) bit for bit.
-        H = anchor.hessian + pen.hessian(xstar)
-        drive, F, cert = _penalized_problem(cfg, f, xstar, pen, g, H)
-        if not (ridge and prob.kind == "quadratic"):
+        perturbation = _penalty(cfg, f.dim)
+        if not (kind == "quadratic" and prob.kind == "quadratic"):
             skips["exact"] = "exact bias needs a quadratic objective and a ridge penalty; skipped"
         skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
-    results = _verified_orders(xstar, (g, drive, H, F, cert), cfg.orders, skips)
-    warnings = [res["skipped"] for res in results if "skipped" in res]
-    exit_code = _aggregate_exit(results, require_gates)
+    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian)
+    _, drive, _, _, cert = perturbed
+    results = _verified_orders(xstar, perturbed, cfg.orders, skips)
     return {
         "schema": REPORT_SCHEMA,
         "command": "certify",
@@ -583,8 +550,8 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         "tilt": drive.tolist(),
         "certificate": cert.to_dict(),
         "results": results,
-        "warnings": warnings,
-        "exit_code": exit_code,
+        "warnings": [res["skipped"] for res in results if "skipped" in res],
+        "exit_code": _aggregate_exit(results, require_gates),
     }
 
 
@@ -643,10 +610,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     rows = []
     for eps in eps_grid:
         A = eps * A0
-        g = linearly_perturb(f, A)
-        sol = newton_minimize(g, xstar, hessian=anchor.hessian)
-        shift = sol.xhat - xstar
-        dval = sol.value - sol.start_value
+        _, shift, dval = _solve_from(linearly_perturb(f, A), xstar, anchor.hessian)
         p = _predict(F, A, f, xstar)
         r_newton = float(np.linalg.norm(shift + p.u0))
         r_skew = float(np.linalg.norm(shift - p.shift))
@@ -736,13 +700,9 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     rows = []
     results = []
     for lam in grid:
-        pen = ridge.scaled(lam)
-        # g's Hessian at x* bit for bit: pen's Hessian is a copy of lam * Q.
-        H = H0 + lam * ridge.Q
-        g = smoothly_penalize(f, pen)
         shifted = F0.shifted(lam) if F0 is not None else None
-        M, F, cert = _penalized_problem(cfg, f, xstar, pen, g, H, shifted)
-        perturbed = (g, M, H, F, cert)
+        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
+        _, M, _, _, cert = perturbed
         entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
         for res in _verified_orders(xstar, perturbed, [3, 4], {}):
             if "skipped" in res:
@@ -772,7 +732,6 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         )
 
     verified = [entry[key] for entry in results for key in ("order3", "order4")]
-    exit_code = _aggregate_exit(verified, require_gates)
     return {
         "schema": REPORT_SCHEMA,
         "command": "ridge-sweep",
@@ -781,7 +740,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         "lambda_grid": grid,
         "rows": rows,
         "results": results,
-        "exit_code": exit_code,
+        "exit_code": _aggregate_exit(verified, require_gates),
     }
 
 
@@ -851,18 +810,6 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
         record = fd_probe(prob.oracle, point, directions=6, seed=seed + 4)
         check(f"fd probe {desc['kind']}", record.passed)
 
-    # Exact quadratic shift against the solver.
-    F = random_spd(np.random.default_rng(seed + 5), 4, cond=8.0)
-    quad = QuadraticOracle(F, np.zeros(4))
-    A = 0.3 * np.random.default_rng(seed + 6).standard_normal(4)
-    rep = exact_quadratic_expansion(F, A)
-    comp = verify_expansion(quad, np.zeros(4), rep)
-    check(
-        "quadratic exactness",
-        not comp.violations and comp.max_certified_slack <= 1.0,
-        f"slack {comp.max_certified_slack:.2e}",
-    )
-
     # One-dimensional ridge bias in closed form: curvature 1, ridge 1,
     # anchor 1 gives bias -1/2 and value change -1/4.
     F1 = spd_from_dense(np.array([[1.0]]))
@@ -874,60 +821,54 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
     )
 
     # Taylor diagnostics with inflated constants on a small logistic problem.
-    prob = oracle_from_descriptor(
-        {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": seed + 7}
-    )
+    logistic = {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": seed + 7}
+    prob = oracle_from_descriptor(logistic)
     sol = newton_minimize(prob.oracle, prob.x0)
-    cert = estimate_certificate(
-        prob.oracle, sol.xhat, radius=0.5, samples=120, seed=seed + 8
-    )
+    cert = estimate_certificate(prob.oracle, sol.xhat, radius=0.5, samples=120, seed=seed + 8)
     diag = taylor_diagnostics(prob.oracle, sol.xhat, cert, samples=80, seed=seed + 9)
     worst = max(c.worst_ratio for c in diag.checks)
     check("taylor remainders", diag.passed, f"worst ratio {worst:.3f}")
 
-    # Envelope inequalities on a few seeded instances.
-    env_ok = True
-    for k in range(3):
-        erng = np.random.default_rng(seed + 10 + k)
-        dim = 2 + k
-        U = random_spd(erng, dim, cond=4.0)
-        U = spd_from_dense(U.matrix + (1.0 - U.eigenvalues[-1] + 0.5) * np.eye(dim))
-        r = 1.0
-        s = erng.standard_normal(dim)
-        s *= (0.8 * r) / np.linalg.norm(s)
-        tau = 0.3 / r
-        record = cubic_bound_check(U, s, tau, r, samples=20_000, seed=seed + 20 + k)
-        env_ok = env_ok and record.passed
-    check("cubic envelope", env_ok)
+    # The commands, run in-process through the schema, the harness and the
+    # verification solve; each run states one property of its report.
+    def command(name: str, raw: dict[str, Any]) -> dict[str, Any]:
+        cfg = ExperimentConfig.from_dict(raw, name)
+        return run_certify(cfg) if name == "certify" else run_ridge_sweep(cfg)
 
-    # Zero tilt must produce a zero prediction and zero radii.
-    cert_q = estimate_certificate(quad, np.zeros(4), radius=1.0, samples=40, seed=seed)
-    rep0 = expansion_for_order(quad, np.zeros(4), F, np.zeros(4), cert_q, 3)
-    radii = [b.radius for b in rep0.bounds.shift_bounds]
+    quad = {
+        "problem": {"kind": "quadratic", "dim": 4, "seed": seed + 5, "cond": 8.0},
+        "perturbation": {"kind": "linear", "scale": 0.3, "seed": seed + 6},
+    }
+    report = command("certify", {**quad, "orders": ["exact"], "certificate": {"mode": "declared"}})
+    slacks = [r["verification"]["max_certified_slack"] for r in _verified(report["results"])]
     check(
-        "zero tilt",
-        float(np.linalg.norm(rep0.predicted_shift)) == 0.0 and max(radii) == 0.0,
+        "certify quadratic: exact order met with slack 0",
+        report["exit_code"] == EXIT_OK and slacks == [0.0],
+        f"slacks {slacks}",
     )
 
-    # Capability gate: an oracle without analytic third derivatives must be
-    # skipped at order 4 with a warning, not crash.
-    blind = CustomOracle(
-        dim=2,
-        value=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: x,
-        hessian=lambda x: np.eye(2),
+    declared = {"mode": "declared", "tau3": 0.0}
+    report = command("certify", {**quad, "orders": [3, 4], "certificate": declared})
+    lines.extend(f"selftest: warning: {warning}" for warning in report["warnings"])
+    check(
+        "certify without tau4: order 4 skipped",
+        report["exit_code"] == EXIT_OK
+        and len(_verified(report["results"])) == 1
+        and report["warnings"] == ["order 4 skipped: certificate lacks tau4"],
     )
-    Fb = spd_from_dense(np.eye(2))
-    cert_b = declared_certificate(Fb, radius=1.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.1)
-    try:
-        fourth_order_expansion(blind, np.zeros(2), Fb, np.array([0.1, 0.0]), cert_b)
-        check("capability gate", False, "order-4 ran without third derivatives")
-    except MissingThirdDerivative:
-        lines.append(
-            "selftest: warning: order-4 request skipped for an oracle without "
-            "analytic third derivatives"
-        )
-        check("capability gate", True)
+
+    report = command(
+        "ridge-sweep",
+        {"problem": logistic, "sweep": {"lambda_grid": [0.0]},
+         "certificate": {"mode": "estimated", "samples": 16, "seed": seed + 8}},
+    )
+    orders = [entry[key] for entry in report["results"] for key in ("order3", "order4")]
+    check(
+        "ridge-sweep at weight 0: zero shift and zero radii",
+        report["exit_code"] == EXIT_OK
+        and not any(np.any(res["report"]["predicted_shift"]) for res in orders)
+        and all(e["radius"] == 0.0 for res in orders for e in res["verification"]["entries"]),
+    )
 
     code = EXIT_OK if failures == 0 else EXIT_BOUND_VIOLATED
     lines.append(f"selftest: {'all checks passed' if failures == 0 else f'{failures} failure(s)'}")

@@ -8,7 +8,9 @@ objective is exactly a linear tilt, with drive ``M``, of a function
 minimized at ``x*``, so a bias report is the :class:`ExpansionReport` that
 :func:`expansion_for_order` builds for ``f + pen`` with ``A = M`` and
 ``F = F_pen``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``
-in the certificate's metric ``D``, same verification.
+in the certificate's metric ``D``, same verification.  :func:`as_tilt`
+states a tilt ``f + <., A>`` or a penalty in these terms; every perturbed
+problem, here and in the harness, is built by it.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`PsdQuadraticOracle`
 penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
@@ -19,13 +21,32 @@ from __future__ import annotations
 from . import constants
 from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order
 from .linalg import SpdOperator, as_vector, spd_from_dense
-from .oracle import Oracle, PsdQuadraticOracle, smoothly_penalize
+from .oracle import Oracle, QuadraticOracle, linearly_perturb, smoothly_penalize
 from .smoothness import SmoothnessCertificate, check_anchor
 
 __all__ = [
     "ridge_bias_exact_quadratic",
     "smooth_penalty_bias",
 ]
+
+
+def as_tilt(f: Oracle, xstar, perturbation, hessian=None, curvature: SpdOperator | None = None):
+    """``(g, drive, H, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
+
+    ``drive`` is ``A`` or ``grad pen(x*)``, ``H`` is ``g.hessian(x*)`` bit for
+    bit and ``F`` is ``H`` factored.  ``hessian`` (``grad^2 f(x*)``) and
+    ``curvature`` (``F``) are reused when the caller holds them.
+    """
+    xstar = as_vector(xstar, f.dim)
+    H = f.hessian(xstar) if hessian is None else hessian
+    if isinstance(perturbation, Oracle):
+        g = smoothly_penalize(f, perturbation)
+        drive = perturbation.gradient(xstar)
+        H = H + perturbation.hessian(xstar)
+    else:
+        drive = as_vector(perturbation, f.dim)
+        g = linearly_perturb(f, drive)
+    return g, drive, H, spd_from_dense(H) if curvature is None else curvature
 
 
 def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
@@ -35,9 +56,8 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
     bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
     both exact (zero radii).
     """
-    pen = PsdQuadraticOracle(G2)
-    M = pen.gradient(as_vector(upsstar, F.dim))
-    return exact_quadratic_expansion(spd_from_dense(F.matrix + pen.Q), M)
+    _, M, _, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F.matrix)
+    return exact_quadratic_expansion(FG, M)
 
 
 def smooth_penalty_bias(
@@ -58,6 +78,5 @@ def smooth_penalty_bias(
         raise ValueError(f"unsupported order {order!r}; use 3 or 4")
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    fG = smoothly_penalize(f, pen)
-    FG = spd_from_dense(fG.hessian(upsstar))
-    return expansion_for_order(fG, upsstar, FG, pen.gradient(upsstar), cert, order)
+    g, drive, _, F = as_tilt(f, upsstar, pen)
+    return expansion_for_order(g, upsstar, F, drive, cert, order)

@@ -66,14 +66,15 @@ class SmoothnessCertificate:
     """Constants of one anchor point, in the geometry of ``metric``.
 
     ``radius`` is measured in ``||D .||``; the constants are only claimed
-    on that ball.  ``tau3`` / ``tau4`` may be ``None`` when the oracle has
-    no analytic derivatives of that order.
+    on that ball.  A constant is ``None`` when it is not stated: ``tau3`` /
+    ``tau4`` for an oracle without derivatives of that order, or any one a
+    declared certificate omits.
     """
 
     metric: SpdOperator
     radius: float
     kappa: float
-    omega: float
+    omega: float | None
     tau3: float | None = None
     tau4: float | None = None
     provenance: dict[str, Any] | None = None
@@ -173,6 +174,13 @@ def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return block
 
 
+def _running_max(worst: float, ratio: np.ndarray, name: str, r: float) -> float:
+    """``worst`` raised to the largest ``ratio``, which must be finite (``max`` drops NaN)."""
+    if not np.all(np.isfinite(ratio)):
+        raise ValueError(f"sampled {name} is not finite at radius {r:g}; use a larger radius")
+    return max(worst, float(ratio.max()))
+
+
 def estimate_omega(
     f: Oracle,
     xstar,
@@ -203,8 +211,9 @@ def estimate_omega(
         values = _checked(f.value_many(xstar[:, None] + U), (SAMPLE_BLOCK,))
         live = slice(0, samples - b * SAMPLE_BLOCK)  # padding has radius 0: no ratio
         remainder = np.abs(values[live] - fstar - quad[live])
-        ratio = 2.0 * remainder / (dnorm[live] * rad[b, live]) ** 2
-        worst = max(worst, float(ratio.max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = 2.0 * remainder / (dnorm[live] * rad[b, live]) ** 2
+        worst = _running_max(worst, ratio, "omega", r)
     return worst
 
 
@@ -233,7 +242,7 @@ def _estimate_tensor_sup(
         # ||D^{-1} t||, taken here in the eigenbasis of D.
         numer = np.linalg.norm((D.eigenvectors.T @ tens) / D.eigenvalues[:, None], axis=0)
         ratio = numer / vnorm ** (order - 1)
-        worst = max(worst, float(ratio[: samples - b * SAMPLE_BLOCK].max()))
+        worst = _running_max(worst, ratio[: samples - b * SAMPLE_BLOCK], f"tau{order}", r)
     return worst
 
 
@@ -447,11 +456,11 @@ def declared_certificate(
     metric: SpdOperator,
     radius: float,
     kappa: float,
-    omega: float,
+    omega: float | None,
     tau3: float | None = None,
     tau4: float | None = None,
 ) -> SmoothnessCertificate:
-    """Certificate from externally supplied constants (no sampling)."""
+    """Certificate from externally supplied constants (no sampling); ``None`` is not stated."""
     return SmoothnessCertificate(
         metric=metric,
         radius=radius,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -20,13 +21,16 @@ import perturbex.solver as solver
 from perturbex import (
     LogisticOracle,
     PsdQuadraticOracle,
+    ScaledOracle,
     oracle_from_descriptor,
+    smooth_penalty_bias,
     smoothly_penalize,
     solve_and_compare,
     verify_expansion,
 )
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
+from perturbex.penalty import as_tilt
 
 
 def _write(tmp_path, name, payload):
@@ -842,3 +846,142 @@ class TestSelftest:
         assert code == 2
         assert "FAIL" in lines[0]
         assert "OMEGA_MAX" in lines[0]
+
+    def test_log_names_each_command_run(self):
+        code, lines = run_selftest(verbose=False)
+        assert code == 0
+        assert any(line.startswith("selftest: certify ") for line in lines)
+        assert any(line.startswith("selftest: ridge-sweep ") for line in lines)
+        assert any("order 4 skipped: certificate lacks tau4" in line for line in lines)
+        assert not any("envelope" in line for line in lines)
+
+    def test_broken_command_path_fails(self, monkeypatch):
+        original = harness.expansion_for_order
+
+        def shifted(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            return dataclasses.replace(
+                rep,
+                predicted_shift=rep.predicted_shift + 1e-3,
+                predicted_value_change=rep.predicted_value_change + 1e-3,
+            )
+
+        monkeypatch.setattr(harness, "expansion_for_order", shifted)
+        code, lines = run_selftest(verbose=False)
+        assert code == 2
+        failed = [line for line in lines if "... FAIL" in line]
+        assert len(failed) == 3
+        assert all(" certify " in line or " ridge-sweep " in line for line in failed)
+
+
+class TestOneTiltBuilder:
+    """Every perturbed problem is stated by ``penalty.as_tilt``."""
+
+    def test_smooth_penalty_bias_matches_certify(self, tmp_path, monkeypatch):
+        certs = _recording(monkeypatch, "_build_certificate")
+        penalty = {"kind": "logsumexp", "dim": 5, "n": 12, "reg": 0.0, "temp": 1.0, "seed": 9}
+        payload = {
+            "seed": 4,
+            "problem": {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.1, "seed": 6},
+            "perturbation": {"kind": "smooth", "penalty": penalty, "weight": 0.3},
+            "orders": [3, 4],
+            "certificate": {"mode": "estimated", "samples": 60, "seed": 5, "radius": 0.5},
+        }
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        f = oracle_from_descriptor(payload["problem"]).oracle
+        pen = ScaledOracle(oracle_from_descriptor(penalty).oracle, 0.3)
+        xstar = np.array(report["anchor"]["xstar"])
+        (cert,) = certs
+        entries = _verified_entries(report)
+        assert [entry["order"] for entry in entries] == ["3", "4"]
+        for entry in entries:
+            rep = smooth_penalty_bias(f, xstar, pen, cert, order=int(entry["order"])).to_dict()
+            # smooth_penalty_bias factors F_pen afresh, so the metric gate's
+            # kappa(D, F_pen) comes from an eigensolve, not from the closed
+            # form kept on the harness's factor; it agrees to rounding.
+            gate = rep["bounds"]["preconditions"][0]
+            held = entry["report"]["bounds"]["preconditions"][0]
+            assert gate["name"] == held["name"] == "metric_dominated"
+            assert held["lhs"] == 1.0 and gate["lhs"] == pytest.approx(1.0, rel=1e-14)
+            gate["lhs"] = held["lhs"]
+            assert json.dumps(entry["report"], sort_keys=True) == json.dumps(rep, sort_keys=True)
+
+    @pytest.mark.parametrize("kind", ["tilt", "ridge", "smooth"])
+    def test_held_hessian_and_factor_give_the_same_problem(self, kind):
+        desc = {"kind": "logistic", "dim": 4, "n": 30, "reg": 0.1, "seed": 2}
+        prob = oracle_from_descriptor(desc)
+        f = prob.oracle
+        anchor = solver.newton_minimize(f, prob.x0)
+        perturbation = {
+            "tilt": np.array([0.1, -0.2, 0.05, 0.0]),
+            "ridge": PsdQuadraticOracle(0.2 * np.eye(4)),
+            "smooth": ScaledOracle(LogisticOracle(np.eye(4), np.ones(4)), 0.3),
+        }[kind]
+        g, drive, H, F = as_tilt(f, anchor.xhat, perturbation)
+        _, drive2, H2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian, F)
+        np.testing.assert_array_equal(H, g.hessian(anchor.xhat))
+        np.testing.assert_array_equal(H2, H)
+        np.testing.assert_array_equal(drive2, drive)
+        assert F2 is F
+        np.testing.assert_array_equal(g.gradient(anchor.xhat), f.gradient(anchor.xhat) + drive)
+
+
+class TestDeclaredOmega:
+    def test_omitted_omega_is_not_stated(self, tmp_path):
+        payload = {
+            "problem": {"kind": "logistic", "dim": 3, "n": 30, "seed": 1},
+            "certificate": {"mode": "declared"},
+        }
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["omega"] is None
+        assert "order 2 skipped: certificate lacks omega" in report["warnings"]
+
+    def test_stated_omega_builds_order_two(self, tmp_path):
+        payload = _base_config()
+        payload["orders"] = [2, 3]
+        payload["certificate"] = {"mode": "declared", "radius": 0.5, "omega": 0.1, "tau3": 0.5}
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["omega"] == 0.1
+        assert [entry["order"] for entry in _verified_entries(report)] == ["2", "3"]
+
+
+class TestNonFiniteSamples:
+    def test_underflowing_radius_is_a_one_line_error(self, tmp_path, capsys):
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "logistic", "dim": 3, "n": 30, "seed": 1},
+            "certificate": {"mode": "estimated", "radius": 1e-300},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["certify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "omega" in err and "radius" in err
+        assert [str(w.message) for w in caught] == []
+
+    def test_repeated_eps_is_a_one_line_error(self, tmp_path, capsys):
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "logistic", "dim": 3, "n": 30, "seed": 1},
+            "scaling": {"eps_grid": [0.5, 0.5]},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["scaling", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "scaling.eps_grid" in err and "non-unique" in err
+        assert caught == [] and not out.exists()

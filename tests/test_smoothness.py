@@ -5,7 +5,7 @@ import pytest
 
 import perturbex as px
 from perturbex.errors import MissingThirdDerivative, NotAtMinimum
-from perturbex.smoothness import SAMPLE_BLOCK, _draw_samples
+from perturbex.smoothness import SAMPLE_BLOCK, _draw_samples, _running_max
 
 
 def _cubic_1d():
@@ -284,3 +284,28 @@ def test_sampling_stream_is_pinned(samples, paired):
         assert W.flags.c_contiguous
     else:
         assert W is None
+
+
+class TestNonFiniteRatios:
+    """A sampled ratio that is NaN or infinite is an error, never a dropped sample."""
+
+    def test_underflowing_omega_radius_raises(self, logistic_anchor):
+        f, xstar = logistic_anchor
+        F = px.spd_from_dense(f.hessian(xstar))
+        with pytest.raises(ValueError, match="omega.*radius 1e-300"):
+            px.estimate_omega(f, xstar, F, F, 1e-300, samples=40, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_running_max_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="tau3"):
+            _running_max(0.5, np.array([0.1, bad]), "tau3", 1.0)
+        assert _running_max(0.5, np.array([0.1, 2.0]), "tau3", 1.0) == 2.0
+
+    def test_tensor_estimate_rejects_non_finite_ratio(self, monkeypatch, logistic_anchor):
+        f, xstar = logistic_anchor
+        monkeypatch.setattr(
+            type(f), "third_dir_many", lambda self, P, V: np.full(V.shape, np.finfo(float).max)
+        )
+        D = px.spd_from_dense(1e-10 * np.eye(f.dim))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="tau3"):
+            px.estimate_tau3(f, xstar, D, 0.5, samples=8, seed=0)
