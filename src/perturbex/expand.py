@@ -758,30 +758,33 @@ def compare_with_solution(
     )
 
 
-def _solve_from(g: Oracle, xstar: np.ndarray, hessian) -> tuple[SolveResult, np.ndarray, float]:
+def _solve_from(
+    g: Oracle, xstar: np.ndarray, curvature: SpdOperator | None
+) -> tuple[SolveResult, np.ndarray, float]:
     """The reference solve of ``g`` from ``x*``, its shift and its value change."""
-    sol = newton_minimize(g, xstar, hessian=hessian)
+    sol = newton_minimize(g, xstar, curvature=curvature)
     return sol, sol.xhat - xstar, sol.value - sol.start_value
 
 
 def solve_and_compare(
-    g: Oracle, xstar, reports: list[ExpansionReport], hessian=None
+    g: Oracle, xstar, reports: list[ExpansionReport], curvature: SpdOperator | None = None
 ) -> list[ComparisonReport]:
     """Solve a perturbed problem once and compare every report against it.
 
     ``g`` is minimized from ``x*`` by the damped Newton reference solver;
     the resulting shift ``x~ - x*`` and value change ``g(x~) - g(x*)`` are
-    measured against every radius of each report.  ``hessian`` is
-    ``g``'s Hessian at ``x*`` when the caller holds it: the solver's first
-    step uses it instead of evaluating it again, and the start is never
+    measured against every radius of each report.  ``curvature`` is
+    ``g``'s factored Hessian at ``x*`` when the caller holds it: the solver
+    steps with it instead of evaluating it again, and the start is never
     the prediction, so the reference does not depend on what it checks.
     With no reports there is nothing to check and no solve is made.
     """
     if not reports:
         return []
-    sol, actual_shift, actual_value_change = _solve_from(g, as_vector(xstar, g.dim), hessian)
+    sol, actual_shift, actual_value_change = _solve_from(g, as_vector(xstar, g.dim), curvature)
     solver_info = {
         "iterations": sol.iterations,
+        "hessians": sol.hessians,
         "grad_norm_dual": sol.grad_norm_dual,
         "converged": sol.converged,
     }
@@ -792,6 +795,10 @@ def solve_and_compare(
 
 
 def verify_expansion(f: Oracle, xstar, report: ExpansionReport) -> ComparisonReport:
-    """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report."""
+    """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report.
+
+    The tilt leaves ``f``'s Hessian as it is, so the solve starts from the
+    report's curvature.
+    """
     g = linearly_perturb(f, report.tilt)
-    return solve_and_compare(g, xstar, [report])[0]
+    return solve_and_compare(g, xstar, [report], report.curvature)[0]

@@ -394,19 +394,19 @@ def _perturbed_problem(
     perturbation: np.ndarray | Oracle,
     hessian: np.ndarray,
     curvature: SpdOperator | None = None,
-) -> tuple[Oracle, np.ndarray, np.ndarray, SpdOperator, SmoothnessCertificate]:
-    """:func:`as_tilt`'s ``(g, drive, H, F)`` for a tilt or a penalty, and the certificate.
+) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
+    """:func:`as_tilt`'s ``(g, drive, F)`` for a tilt or a penalty, and the certificate.
 
     A tilt's certificate describes ``f``.  A penalty's describes ``f + pen``,
     which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
     checked to minimize ``f`` in its metric.
     """
-    g, drive, H, F = as_tilt(f, xstar, perturbation, hessian, curvature)
+    g, drive, F = as_tilt(f, xstar, perturbation, hessian, curvature)
     penalty = isinstance(perturbation, Oracle)
     cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
     if penalty:
         check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    return g, drive, H, F, cert
+    return g, drive, F, cert
 
 
 def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
@@ -448,22 +448,20 @@ def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[A
 
 def _verified_orders(
     xstar: np.ndarray,
-    perturbed: tuple[Oracle, np.ndarray, np.ndarray, SpdOperator, SmoothnessCertificate],
+    perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
     orders: list,
     skips: dict[int | str, str],
 ) -> list[dict[str, Any]]:
-    """Each order's report for ``perturbed = (g, drive, H, F, cert)``, verified by one solve.
+    """Each order's report for ``perturbed = (g, drive, F, cert)``, verified by one solve.
 
-    ``H`` is ``g``'s Hessian at ``x*`` as the oracle computes it and ``F`` is
-    ``H`` factored.  The solve starts at ``x*`` from the raw ``H``, not from
-    ``F.matrix``: that is symmetrized, and an oracle's Hessian need not be
-    symmetric to the last bit, so it would round the first step differently.
+    ``F`` is ``g``'s factored Hessian at ``x*``; the solve starts at ``x*``
+    from it.
 
     Returns one result per order, ``{"order", "report", "verification"}``,
     or ``{"order", "skipped"}`` with the reason when ``skips`` names the
     order or the oracle or certificate lacks a derivative it needs.
     """
-    g, drive, H, F, cert = perturbed
+    g, drive, F, cert = perturbed
     results: list[dict[str, Any]] = []
     reports = []
     for order in orders:
@@ -478,7 +476,7 @@ def _verified_orders(
         else:
             reports.append(rep)
             results.append({"order": str(order), "report": rep.to_dict()})
-    comparisons = iter(solve_and_compare(g, xstar, reports, hessian=H))
+    comparisons = iter(solve_and_compare(g, xstar, reports, curvature=F))
     for res in results:
         if "report" in res:
             res["verification"] = next(comparisons).to_dict()
@@ -532,7 +530,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
     perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian)
-    _, drive, _, _, cert = perturbed
+    _, drive, _, cert = perturbed
     results = _verified_orders(xstar, perturbed, cfg.orders, skips)
     return {
         "schema": REPORT_SCHEMA,
@@ -544,6 +542,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
             "value": anchor.value,
             "solver": {
                 "iterations": anchor.iterations,
+                "hessians": anchor.hessians,
                 "grad_norm_dual": anchor.grad_norm_dual,
             },
         },
@@ -610,7 +609,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     rows = []
     for eps in eps_grid:
         A = eps * A0
-        _, shift, dval = _solve_from(linearly_perturb(f, A), xstar, anchor.hessian)
+        _, shift, dval = _solve_from(linearly_perturb(f, A), xstar, F)
         p = _predict(F, A, f, xstar)
         r_newton = float(np.linalg.norm(shift + p.u0))
         r_skew = float(np.linalg.norm(shift - p.shift))
@@ -702,7 +701,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     for lam in grid:
         shifted = F0.shifted(lam) if F0 is not None else None
         perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
-        _, M, _, _, cert = perturbed
+        _, M, _, cert = perturbed
         entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
         for res in _verified_orders(xstar, perturbed, [3, 4], {}):
             if "skipped" in res:

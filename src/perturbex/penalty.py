@@ -31,11 +31,11 @@ __all__ = [
 
 
 def as_tilt(f: Oracle, xstar, perturbation, hessian=None, curvature: SpdOperator | None = None):
-    """``(g, drive, H, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
+    """``(g, drive, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
 
-    ``drive`` is ``A`` or ``grad pen(x*)``, ``H`` is ``g.hessian(x*)`` bit for
-    bit and ``F`` is ``H`` factored.  ``hessian`` (``grad^2 f(x*)``) and
-    ``curvature`` (``F``) are reused when the caller holds them.
+    ``drive`` is ``A`` or ``grad pen(x*)`` and ``F`` is ``g.hessian(x*)``
+    factored.  ``hessian`` (``grad^2 f(x*)``) and ``curvature`` (``F``) are
+    reused when the caller holds them.
     """
     xstar = as_vector(xstar, f.dim)
     H = f.hessian(xstar) if hessian is None else hessian
@@ -46,7 +46,7 @@ def as_tilt(f: Oracle, xstar, perturbation, hessian=None, curvature: SpdOperator
     else:
         drive = as_vector(perturbation, f.dim)
         g = linearly_perturb(f, drive)
-    return g, drive, H, spd_from_dense(H) if curvature is None else curvature
+    return g, drive, spd_from_dense(H) if curvature is None else curvature
 
 
 def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
@@ -56,7 +56,7 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
     bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
     both exact (zero radii).
     """
-    _, M, _, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F.matrix)
+    _, M, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F.matrix)
     return exact_quadratic_expansion(FG, M)
 
 
@@ -78,5 +78,5 @@ def smooth_penalty_bias(
         raise ValueError(f"unsupported order {order!r}; use 3 or 4")
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    g, drive, _, F = as_tilt(f, upsstar, pen)
+    g, drive, F = as_tilt(f, upsstar, pen)
     return expansion_for_order(g, upsstar, F, drive, cert, order)

@@ -412,7 +412,8 @@ def estimate_certificate(
     before storage, and the raw values are retained in the provenance.
     Pass ``include_omega=False`` when the anchor is not a minimizer of
     ``f`` (the quadratic-remainder constant is anchored to a vanishing
-    gradient, but the tensor constants are not).
+    gradient, but the tensor constants are not); ``omega`` is then not
+    stated (``None``).
     """
     xstar = as_vector(xstar, f.dim)
     if curvature is None:
@@ -439,7 +440,7 @@ def estimate_certificate(
         metric=metric,
         radius=radius,
         kappa=kappa,
-        omega=0.0 if raw_omega is None else raw_omega * inflation,
+        omega=None if raw_omega is None else raw_omega * inflation,
         tau3=None if raw_tau3 is None else raw_tau3 * inflation,
         tau4=None if raw_tau4 is None else raw_tau4 * inflation,
         provenance={

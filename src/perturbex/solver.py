@@ -6,12 +6,21 @@ natural scale-free measure for the certified comparisons downstream: a
 decrement of ``1e-12`` pins the minimizer far below every tolerance the
 bound checks use.
 
-The solver hands curvature over in both directions.  A caller that already
-holds ``f``'s Hessian at the start point passes it as ``hessian`` and the
-first Newton step uses it instead of evaluating it again; the result
-carries the Hessian at the returned point, which the converging iteration
-has just evaluated, and the value at the start point.  A verification
-solve started at ``x*`` thus takes the anchor's curvature, and
+Each step uses the newest curvature the solve holds (the chord method;
+Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003,
+section 2.3).  A caller that holds ``f``'s factored Hessian at the start
+point passes it as ``curvature``, and the first step uses it.  The step
+after an exact one reuses its curvature, and further steps keep it while
+each cuts the decrement by ``CHORD_CONTRACTION``; otherwise, and once the
+decrement is ``CHORD_CONTRACTION * tol`` or less, the Hessian at the
+current point is evaluated.  Stepping one contraction past ``tol`` keeps
+the returned point well inside the tolerance, as the quadratic last step
+of plain Newton does.  The stopping rule stays exact: the decrement is
+measured with ``f``'s Hessian at the returned point, which passed a
+Cholesky test (or is the caller's curvature, when that point is the
+start).  A verification solve started near ``x*`` thus evaluates one
+Hessian, at its last iterate.  The result carries that Hessian, the value
+at the start point and the number of Hessians evaluated, so
 ``g(x~) - g(x*)`` needs no extra value call.
 """
 
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HessianNotPd, LineSearchFailed, MaxIterExceeded
-from .linalg import as_matrix, as_vector
+from .linalg import SpdOperator, as_vector
 from .oracle import Oracle
 
 __all__ = ["SolveResult", "newton_minimize"]
@@ -32,6 +41,9 @@ BACKTRACK_FACTOR = 0.5
 MIN_STEP = 1e-18
 # Below this Newton decrement the damping is dropped; see the loop body.
 PURE_NEWTON_THRESHOLD = 1e-5
+# A held curvature is kept while each step made with it cuts the decrement by
+# this factor.
+CHORD_CONTRACTION = 0.1
 
 
 @dataclass
@@ -39,13 +51,15 @@ class SolveResult:
     """A converged solve.
 
     ``value`` and ``hessian`` are ``f`` and its Hessian at ``xhat``;
-    ``start_value`` is ``f`` at the start point.
+    ``start_value`` is ``f`` at the start point.  ``iterations`` counts the
+    steps taken and ``hessians`` the Hessians evaluated.
     """
 
     xhat: np.ndarray
     value: float
     grad_norm_dual: float
     iterations: int
+    hessians: int
     converged: bool
     start_value: float
     hessian: np.ndarray
@@ -56,7 +70,7 @@ def newton_minimize(
     x0,
     tol: float | None = None,
     max_iter: int = 100,
-    hessian=None,
+    curvature: SpdOperator | None = None,
 ) -> SolveResult:
     """Minimize ``f`` from ``x0`` by damped Newton with backtracking.
 
@@ -70,12 +84,11 @@ def newton_minimize(
         Target Newton decrement.  Defaults to ``1e-12 * (1 + |f(x0)|)``.
     max_iter : int
         Iteration cap; exceeding it raises :class:`MaxIterExceeded`.
-    hessian : array_like, optional
-        ``f``'s Hessian at ``x0``, when the caller holds it; the first
-        Newton step uses it in place of ``f.hessian(x0)``.  It is checked
-        for shape and finiteness here and must pass the same Cholesky test
-        as an evaluated Hessian.  A matrix that is not bit for bit
-        ``f.hessian(x0)`` changes the iterates.
+    curvature : SpdOperator, optional
+        ``f``'s factored Hessian at ``x0``, when the caller holds it; the
+        first step and the decrement at ``x0`` use it in place of
+        ``f.hessian(x0)``.  Another matrix changes the iterates and the
+        Hessians evaluated, not the exact stopping rule away from ``x0``.
 
     Returns
     -------
@@ -86,41 +99,53 @@ def newton_minimize(
     Raises
     ------
     HessianNotPd
-        If a Cholesky factorization fails at some iterate.
+        If a Cholesky factorization of an evaluated Hessian fails.
     DimensionMismatch
-        If ``hessian`` is not a ``dim x dim`` matrix.
+        If ``curvature`` is not ``f.dim``-dimensional.
     LineSearchFailed
         If backtracking underflows the step size.
     MaxIterExceeded
         If the tolerance is not reached within ``max_iter`` steps.
     """
     x = as_vector(x0, f.dim).copy()
-    if hessian is not None:
-        hessian = as_matrix(hessian, f.dim)
-        if hessian.shape[1] != f.dim:
-            raise DimensionMismatch(
-                f"expected a {f.dim}x{f.dim} Hessian, got shape {hessian.shape}"
-            )
+    if curvature is not None and curvature.dim != f.dim:
+        raise DimensionMismatch(
+            f"expected a {f.dim}-dimensional curvature, got {curvature.dim}"
+        )
     fx = start_value = f.value(x)
     if tol is None:
         tol = 1e-12 * (1.0 + abs(fx))
-    dual_norm = np.inf
+    dual_norm = previous = np.inf
+    # The newest curvature, whether it was taken at the current x, and
+    # whether the last step was made with it held from an earlier point.
+    held, exact, chord, hessians = curvature, curvature is not None, False, 0
 
     for iteration in range(max_iter):
         g = f.gradient(x)
-        H = hessian if iteration == 0 and hessian is not None else f.hessian(x)
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise HessianNotPd(f"Hessian not positive definite at iteration {iteration}")
-        d = -np.linalg.solve(H, g)
-        decrement_sq = float(-g @ d)
-        dual_norm = float(np.sqrt(max(decrement_sq, 0.0)))
-        if dual_norm <= tol:
+        if held is not None:
+            d, dual_norm = _newton_step(held, g)
+        # A curvature held from an earlier point steps on while its steps
+        # contract, to one contraction below tol; convergence is only
+        # declared on the Hessian at x.
+        usable = held is not None and dual_norm > CHORD_CONTRACTION * tol
+        if chord:
+            usable = usable and dual_norm <= CHORD_CONTRACTION * previous
+        if not (exact or usable):
+            held = f.hessian(x)
+            hessians += 1
+            exact = True
+            try:
+                np.linalg.cholesky(held)
+            except np.linalg.LinAlgError:
+                raise HessianNotPd(f"Hessian not positive definite at iteration {iteration}")
+            d, dual_norm = _newton_step(held, g)
+        if exact and dual_norm <= tol:
             return SolveResult(
                 xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
-                converged=True, start_value=start_value, hessian=H,
+                hessians=hessians, converged=True, start_value=start_value,
+                hessian=held.matrix if isinstance(held, SpdOperator) else held,
             )
+        previous, chord, exact = dual_norm, not exact, False
         if dual_norm <= PURE_NEWTON_THRESHOLD:
             # Quadratic convergence zone: the Armijo decrease (~ decrement^2)
             # is below the floating-point resolution of the value, so take
@@ -144,3 +169,12 @@ def newton_minimize(
         fx = ftrial
 
     raise MaxIterExceeded(f"Newton decrement {dual_norm:.3e} > {tol:.3e} after {max_iter} iterations")
+
+
+def _newton_step(held: SpdOperator | np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step ``-H^{-1} g`` and its decrement, for a factored or an evaluated ``H``."""
+    if isinstance(held, SpdOperator):
+        d = -held.apply_power(-1.0, g)
+    else:
+        d = -np.linalg.solve(held, g)
+    return d, float(np.sqrt(max(float(-g @ d), 0.0)))

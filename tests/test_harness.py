@@ -329,7 +329,7 @@ class TestOneSolvePerProblem:
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            alone = solve_and_compare(penalized, xstar, [rep])[0].to_dict()
+            alone = solve_and_compare(penalized, xstar, [rep], curvature=rep.curvature)[0].to_dict()
             assert entry["verification"] == json.loads(json.dumps(alone))
 
 
@@ -389,7 +389,10 @@ class TestSweepIsOneFactoredFamily:
 
     Every Hessian evaluation counts, the Newton steps of the anchor and the
     verification solves included: the anchor's converging step is the one
-    evaluation at ``x*``, and each verification solve starts from it.
+    evaluation at ``x*``, and each verification solve starts from it.  The
+    anchor evaluates two Hessians (at the start point and at ``x*``), each
+    verification solve at a non-zero tilt one (at its end) and a weight-0
+    solve none.
     """
 
     @pytest.fixture
@@ -437,9 +440,13 @@ class TestSweepIsOneFactoredFamily:
             counts, payload, lambda: main(["ridge-sweep", "--config", cfg, "--out", out])
         )
         assert at_xstar == 1
+        assert len(counts["hessian_points"]) == 2 + 2
         assert counts["eigh"] == eighs
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
+        solvers = [entry[key]["verification"]["solver"]
+                   for entry in report["results"] for key in ("order3", "order4")]
+        assert [s["hessians"] for s in solvers] == [0, 0, 1, 1, 1, 1]
 
     def test_certify_evaluates_one_hessian_at_anchor(self, tmp_path, counts):
         payload = _base_config()
@@ -449,8 +456,11 @@ class TestSweepIsOneFactoredFamily:
             counts, payload, lambda: main(["certify", "--config", cfg, "--out", out])
         )
         assert at_xstar == 1
+        assert len(counts["hessian_points"]) == 2 + 1
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
+        assert report["anchor"]["solver"]["hessians"] == 2
+        assert [r["verification"]["solver"]["hessians"] for r in report["results"]] == [1, 1, 1]
 
     def test_shifted_family_matches_refactoring(self, tmp_path, monkeypatch):
         """Shifting one factored ``H0`` gives the sweep that factoring each
@@ -920,13 +930,36 @@ class TestOneTiltBuilder:
             "ridge": PsdQuadraticOracle(0.2 * np.eye(4)),
             "smooth": ScaledOracle(LogisticOracle(np.eye(4), np.ones(4)), 0.3),
         }[kind]
-        g, drive, H, F = as_tilt(f, anchor.xhat, perturbation)
-        _, drive2, H2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian, F)
-        np.testing.assert_array_equal(H, g.hessian(anchor.xhat))
-        np.testing.assert_array_equal(H2, H)
+        g, drive, F = as_tilt(f, anchor.xhat, perturbation)
+        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian, F)
+        _, _, F3 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian)
+        H = g.hessian(anchor.xhat)
+        np.testing.assert_array_equal(F.matrix, linalg.spd_from_dense(H).matrix)
+        np.testing.assert_array_equal(F3.matrix, F.matrix)
         np.testing.assert_array_equal(drive2, drive)
         assert F2 is F
         np.testing.assert_array_equal(g.gradient(anchor.xhat), f.gradient(anchor.xhat) + drive)
+
+
+class TestPenaltyOmega:
+    def test_penalty_certificates_state_no_omega(self, tmp_path):
+        """A penalty's certificate samples no remainder, so it claims no omega."""
+        out = tmp_path / "sweep"
+        cfg = _write(tmp_path, "sweep.json", _sweep_config([0.0, 0.1]))
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        assert [entry["certificate"]["omega"] for entry in report["results"]] == [None, None]
+        assert '"omega": 0.0' not in text
+        payload = _base_config()
+        payload["perturbation"] = {"kind": "quadratic", "lambda": 0.05}
+        out = tmp_path / "certify"
+        cfg = _write(tmp_path, "certify.json", payload)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["certificate"]["omega"] is None
+        assert report["certificate"]["provenance"]["raw"]["omega"] is None
+        assert report["results"][0]["order"] == "2" and "skipped" in report["results"][0]
 
 
 class TestDeclaredOmega:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perturbex as px
 from perturbex.errors import DimensionMismatch, HessianNotPd, MaxIterExceeded
@@ -72,68 +74,146 @@ def test_solution_is_stationary_for_every_start(rng):
         assert np.linalg.norm(prob.oracle.gradient(sol.xhat)) < 1e-9
 
 
-@pytest.fixture(params=["logistic", "logsumexp"])
-def tilted(request):
-    """A tilted problem ``g`` and its verification start, the untilted minimizer."""
-    desc = {"kind": request.param, "dim": 7, "n": 42, "reg": 0.1, "seed": 11}
+def _tilted(kind: str, scale: float):
+    """A tilted problem ``g``, its verification start (the untilted minimizer)
+    and ``g``'s factored Hessian there."""
+    desc = {"kind": kind, "dim": 7, "n": 42, "reg": 0.1, "seed": 11}
     prob = px.oracle_from_descriptor(desc)
     xstar = px.newton_minimize(prob.oracle, prob.x0).xhat
-    A = 0.2 * np.random.default_rng(3).standard_normal(prob.oracle.dim)
-    return px.linearly_perturb(prob.oracle, A), xstar
+    A = scale * np.random.default_rng(3).standard_normal(prob.oracle.dim)
+    g = px.linearly_perturb(prob.oracle, A)
+    return g, xstar, px.spd_from_dense(g.hessian(xstar))
+
+
+@pytest.fixture(params=["logistic", "logsumexp"])
+def tilted(request):
+    return _tilted(request.param, 0.2)
+
+
+def _exact_decrement(g, x) -> float:
+    """``sqrt(grad' H^{-1} grad)`` at ``x`` from ``g``'s own Hessian there."""
+    grad = g.gradient(x)
+    return float(np.sqrt(grad @ np.linalg.solve(g.hessian(x), grad)))
+
+
+def _hessian_points(monkeypatch, g) -> list:
+    """The points at which ``g``'s Hessian is evaluated from now on."""
+    points = []
+    hessian = type(g).hessian
+
+    def counting(oracle, x):
+        points.append(np.array(x))
+        return hessian(oracle, x)
+
+    monkeypatch.setattr(type(g), "hessian", counting)
+    return points
 
 
 class TestHeldHessian:
-    """A held Hessian at the start point stands in for the first evaluation."""
+    """A held curvature steps the solve; the stopping rule stays exact."""
 
-    def test_held_hessian_is_bit_identical(self, tilted):
-        g, x0 = tilted
+    def test_decrement_is_exact_at_xhat(self, tilted):
+        g, x0, F = tilted
+        sol = px.newton_minimize(g, x0, curvature=F)
+        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+        assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(x0)))
+
+    def test_held_and_plain_solves_agree(self, tilted):
+        g, x0, F = tilted
         plain = px.newton_minimize(g, x0)
-        held = px.newton_minimize(g, x0, hessian=g.hessian(x0))
+        held = px.newton_minimize(g, x0, curvature=F)
         assert plain.iterations >= 1
-        np.testing.assert_array_equal(held.xhat, plain.xhat)
-        assert held.value == plain.value
-        assert held.grad_norm_dual == plain.grad_norm_dual
-        assert held.iterations == plain.iterations
-        np.testing.assert_array_equal(held.hessian, plain.hessian)
+        np.testing.assert_allclose(held.xhat, plain.xhat, rtol=0, atol=1e-10)
+        assert held.value == pytest.approx(plain.value, rel=1e-14)
+        assert held.hessians < plain.hessians
 
     def test_first_hessian_is_not_evaluated(self, tilted, monkeypatch):
-        g, x0 = tilted
-        points = []
-        hessian = type(g).hessian
-
-        def counting(oracle, x):
-            points.append(np.array(x))
-            return hessian(oracle, x)
-
-        H0 = g.hessian(x0)
-        monkeypatch.setattr(type(g), "hessian", counting)
-        sol = px.newton_minimize(g, x0, hessian=H0)
-        assert len(points) == sol.iterations
+        g, x0, F = tilted
+        points = _hessian_points(monkeypatch, g)
+        sol = px.newton_minimize(g, x0, curvature=F)
+        assert sol.hessians == len(points) < sol.iterations
         assert not any(np.array_equal(p, x0) for p in points)
+        np.testing.assert_array_equal(points[-1], sol.xhat)
+
+    @pytest.mark.parametrize("kind", ["logistic", "logsumexp"])
+    def test_small_tilt_evaluates_one_hessian(self, kind, monkeypatch):
+        """Near the start a held curvature contracts every step, so the only
+        Hessian evaluated is the one that confirms convergence."""
+        g, x0, F = _tilted(kind, 0.02)
+        points = _hessian_points(monkeypatch, g)
+        sol = px.newton_minimize(g, x0, curvature=F)
+        assert sol.hessians == len(points) == 1
+        assert sol.iterations >= 2
+        np.testing.assert_array_equal(points[0], sol.xhat)
 
     def test_result_carries_end_hessian_and_start_value(self, tilted):
-        g, x0 = tilted
-        sol = px.newton_minimize(g, x0)
-        np.testing.assert_array_equal(sol.hessian, g.hessian(sol.xhat))
-        assert sol.start_value == g.value(x0)
-        assert sol.value == g.value(sol.xhat)
+        g, x0, F = tilted
+        for curvature in (None, F):
+            sol = px.newton_minimize(g, x0, curvature=curvature)
+            np.testing.assert_array_equal(sol.hessian, g.hessian(sol.xhat))
+            assert sol.start_value == g.value(x0)
+            assert sol.value == g.value(sol.xhat)
 
-    def test_indefinite_held_matrix_raises(self, tilted):
-        g, x0 = tilted
-        H = g.hessian(x0)
-        H[0, 0] = -1.0
+    def test_minimizer_start_evaluates_no_hessian(self, tilted, monkeypatch):
+        g, x0, F = tilted
+        xhat = px.newton_minimize(g, x0).xhat
+        G = px.spd_from_dense(g.hessian(xhat))
+        points = _hessian_points(monkeypatch, g)
+        sol = px.newton_minimize(g, xhat, curvature=G)
+        assert sol.iterations == sol.hessians == len(points) == 0
+        assert sol.hessian is G.matrix
+
+    @pytest.mark.parametrize("poor", ["10H", "H/10", "identity"])
+    def test_poor_curvature_still_converges(self, tilted, poor):
+        g, x0, F = tilted
+        curvature = {
+            "10H": px.spd_from_dense(10.0 * F.matrix),
+            "H/10": px.spd_from_dense(F.matrix / 10.0),
+            "identity": px.spd_from_dense(np.eye(g.dim)),
+        }[poor]
+        sol = px.newton_minimize(g, x0, curvature=curvature)
+        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+        assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(x0)))
+        np.testing.assert_allclose(sol.xhat, px.newton_minimize(g, x0).xhat, rtol=0, atol=1e-10)
+
+    def test_indefinite_hessian_at_last_iterate_raises(self, tilted):
+        g, x0, F = tilted
+
+        def indefinite(x):
+            H = g.hessian(x)
+            H[0, 0] = -1.0
+            return H
+
+        f = px.CustomOracle(dim=g.dim, value=g.value, gradient=g.gradient, hessian=indefinite)
         with pytest.raises(HessianNotPd):
-            px.newton_minimize(g, x0, hessian=H)
+            px.newton_minimize(f, x0, curvature=F)
 
-    @pytest.mark.parametrize("shape", [(7, 6), (6, 7), (7,), (7, 7, 1)])
+    @pytest.mark.parametrize("shape", [(6, 6), (8, 8), (1, 1), (14, 14)])
     def test_wrong_shape_raises(self, tilted, shape):
-        g, x0 = tilted
+        g, x0, _ = tilted
         with pytest.raises(DimensionMismatch):
-            px.newton_minimize(g, x0, hessian=np.ones(shape))
+            px.newton_minimize(g, x0, curvature=px.spd_from_dense(np.eye(shape[0])))
 
-    def test_non_finite_held_matrix_raises(self, tilted):
-        g, x0 = tilted
-        H = g.hessian(x0)
-        H[1, 2] = np.nan
-        with pytest.raises(ValueError):
-            px.newton_minimize(g, x0, hessian=H)
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "logsumexp"]),
+    dim=st.integers(2, 6),
+    seed=st.integers(0, 1000),
+    scale=st.floats(0.0, 2.0),
+    held_scale=st.floats(0.1, 10.0),
+)
+def test_any_held_curvature_reaches_the_exact_decrement(kind, dim, seed, scale, held_scale):
+    """Small problems, tilts up to 2 and held curvatures off by up to 10x."""
+    desc = {"kind": kind, "dim": dim, "n": 8 * dim, "reg": 0.1, "seed": seed}
+    prob = px.oracle_from_descriptor(desc)
+    xstar = px.newton_minimize(prob.oracle, prob.x0).xhat
+    A = scale * np.random.default_rng(seed).standard_normal(dim) / np.sqrt(dim)
+    g = px.linearly_perturb(prob.oracle, A)
+    held = px.spd_from_dense(held_scale * g.hessian(xstar))
+    sol = px.newton_minimize(g, xstar, curvature=held)
+    tol = 1e-12 * (1 + abs(g.value(xstar)))
+    if sol.iterations:
+        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+    assert sol.grad_norm_dual <= tol
+    np.testing.assert_allclose(sol.xhat, px.newton_minimize(g, xstar).xhat, rtol=0, atol=1e-9)
