@@ -32,6 +32,7 @@ from .expand import (
     ExpansionReport,
     Gate,
     RadiusBound,
+    Solution,
     ValueBound,
     compare_with_solution,
     cubic_bound_check,
@@ -60,9 +61,7 @@ from .oracle import (
     LogisticOracle,
     LogSumExpOracle,
     Oracle,
-    PsdQuadraticOracle,
     QuadraticOracle,
-    ScaledOracle,
     SumOracle,
     fd_probe,
     linearly_perturb,
@@ -109,12 +108,10 @@ __all__ = [
     # oracles and perturbations
     "Oracle",
     "QuadraticOracle",
-    "PsdQuadraticOracle",
     "LogisticOracle",
     "LogSumExpOracle",
     "CustomOracle",
     "SumOracle",
-    "ScaledOracle",
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
@@ -144,6 +141,7 @@ __all__ = [
     "BoundSet",
     "ExpansionReport",
     "ComparisonReport",
+    "Solution",
     "exact_quadratic_expansion",
     "second_order_bounds",
     "third_order_bounds",

@@ -22,13 +22,7 @@ class CheckResult:
     details: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "worst_ratio": self.worst_ratio,
-            "passed": self.passed,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -50,9 +44,4 @@ class DiagnosticsRecord:
         raise KeyError(name)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "metadata": self.metadata,
-        }
+        return {**vars(self), "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}

@@ -22,11 +22,13 @@ where ``b = ||D F^{-1} A||``, ``D = cert.metric`` is the metric the
 certificate was measured in (every radius is stated in it), and
 ``T(u) = <grad^3 f(x*), u^3> / 6`` is the skew term.  Gates (the
 inequalities each theorem assumes) are always reported with both sides,
-never raised: a failed gate downgrades the radii to advisory.
+never raised: a failed gate downgrades the radii to advisory.  A radius
+past the float range is ``+inf``, behind a gate that fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -45,7 +47,7 @@ from .errors import (
 from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense, weighted_norm
 from .oracle import Oracle, linearly_perturb
 from .smoothness import SmoothnessCertificate
-from .solver import SolveResult, newton_minimize
+from .solver import newton_minimize
 
 __all__ = [
     "Gate",
@@ -54,6 +56,7 @@ __all__ = [
     "BoundSet",
     "ExpansionReport",
     "ComparisonReport",
+    "Solution",
     "exact_quadratic_expansion",
     "second_order_bounds",
     "third_order_bounds",
@@ -86,17 +89,32 @@ class Gate:
     satisfied: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lhs", _no_claim(self.lhs))
+        object.__setattr__(self, "rhs", _no_claim(self.rhs))
         ok = self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
         object.__setattr__(self, "satisfied", bool(ok))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "strict": self.strict,
-            "satisfied": self.satisfied,
-        }
+        return dict(vars(self))
+
+
+def _power(x: float, k: int) -> float:
+    """``x**k`` for ``x >= 0``, or ``+inf`` where a Python float raises ``OverflowError``."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+def _no_claim(value: float, sign: float = 1.0) -> float:
+    """``value``, or ``sign * inf`` when it is NaN.
+
+    A radius, bracket end or gate side is NaN only where an overflowed
+    :func:`_power` met a zero factor (a ``tau3`` that underflowed to 0,
+    say).  As an infinity it claims nothing: a radius is advisory, and a
+    gate whose left side it is fails.
+    """
+    return sign * math.inf if math.isnan(value) else value
 
 
 def _metric_gate(F: SpdOperator, cert: SmoothnessCertificate) -> Gate:
@@ -120,14 +138,11 @@ class RadiusBound:
     radius: float
     requires: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "radius", _no_claim(self.radius))
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "norm": self.norm,
-            "target": self.target,
-            "radius": self.radius,
-            "requires": list(self.requires),
-        }
+        return {**vars(self), "requires": list(self.requires)}
 
 
 @dataclass(frozen=True)
@@ -138,8 +153,12 @@ class ValueBound:
     upper: float
     requires: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lower", _no_claim(self.lower, -1.0))
+        object.__setattr__(self, "upper", _no_claim(self.upper))
+
     def to_dict(self) -> dict[str, Any]:
-        return {"lower": self.lower, "upper": self.upper, "requires": list(self.requires)}
+        return {**vars(self), "requires": list(self.requires)}
 
 
 @dataclass
@@ -218,19 +237,12 @@ class ComparisonReport:
     the other views are derived from them.
     """
 
-    actual_shift: np.ndarray
-    actual_value_change: float
     certifying: bool
     entries: list[dict[str, Any]] = field(default_factory=list)
-    solver: dict[str, Any] = field(default_factory=dict)
 
     @property
     def residual_norms(self) -> dict[str, float]:
         return {e["name"]: e["residual"] for e in self.entries}
-
-    @property
-    def slack_ratios(self) -> dict[str, float]:
-        return {e["name"]: e["slack"] for e in self.entries}
 
     @property
     def violations(self) -> list[str]:
@@ -245,16 +257,28 @@ class ComparisonReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "actual_shift": self.actual_shift.tolist(),
-            "actual_value_change": self.actual_value_change,
-            "residual_norms": self.residual_norms,
-            "slack_ratios": self.slack_ratios,
             "certifying": self.certifying,
             "violations": self.violations,
             "max_certified_slack": self.max_certified_slack,
             "entries": self.entries,
-            "solver": self.solver,
         }
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The verification solve of one perturbed problem ``g``, from ``x*``.
+
+    ``actual_shift`` is ``x~ - x*`` and ``actual_value_change`` is
+    ``g(x~) - g(x*)``; ``solver`` holds the solve's ``iterations``,
+    ``hessians`` (evaluated), final ``grad_norm_dual`` and ``converged``.
+    """
+
+    actual_shift: np.ndarray
+    actual_value_change: float
+    solver: dict[str, Any]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {**vars(self), "actual_shift": self.actual_shift.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +304,7 @@ class _Prediction:
 
     @property
     def newton_value(self) -> float:
-        return -0.5 * self.xi**2
+        return -0.5 * _power(self.xi, 2)
 
     @property
     def shift(self) -> np.ndarray:
@@ -296,8 +320,11 @@ class _Prediction:
 def _predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> _Prediction:
     """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term too."""
     A = as_vector(A, F.dim)
-    u0 = F.apply_power(-1.0, A)
-    xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = F.apply_power(-1.0, A)
+        xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
+    if not (np.isfinite(u0).all() and math.isfinite(xi)):
+        raise ValueError("the Newton step F^-1 A of the tilt is not finite")
     if f is None:
         return _Prediction(F, A, u0, xi)
     T, gradT = skewness_correction(f, xstar, u0)
@@ -341,26 +368,27 @@ def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> Bound
         raise MissingConstant("certificate lacks omega")
     kappa = cert.kappa
     omega = cert.omega
+    k2 = _power(kappa, 2)
     p = _predict(F, A)
     b = weighted_norm(cert.metric, p.u0)
     gates = [
         _metric_gate(F, cert),
         Gate("omega_cap", omega, constants.OMEGA_MAX),
         Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / max(kappa, 1e-300)),
-        Gate("stability_margin", omega * kappa**2, 1.0 - constants.NU_DEFAULT, strict=True),
+        Gate("stability_margin", omega * k2, 1.0 - constants.NU_DEFAULT, strict=True),
     ]
     names = tuple(g.name for g in gates)
-    denom_minus = 1.0 - kappa**2 * omega
-    denom_plus = 1.0 + kappa**2 * omega
+    denom_minus = 1.0 - k2 * omega
+    denom_plus = 1.0 + k2 * omega
     if denom_minus > 0:
-        newton_radius = 2.0 * np.sqrt(omega) / denom_minus * b
-        shift_radius = (1.0 + 2.0 * np.sqrt(omega)) / denom_minus * b
-        lower = -omega / (2.0 * denom_minus) * b**2
+        newton_radius = 2.0 * math.sqrt(omega) / denom_minus * b
+        shift_radius = (1.0 + 2.0 * math.sqrt(omega)) / denom_minus * b
+        lower = -omega / (2.0 * denom_minus) * _power(b, 2)
     else:  # advisory only; the stability gate has already failed
         newton_radius = np.inf
         shift_radius = np.inf
         lower = -np.inf
-    upper = omega / (2.0 * denom_plus) * b**2
+    upper = omega / (2.0 * denom_plus) * _power(b, 2)
     return BoundSet(
         preconditions=gates,
         shift_bounds=[
@@ -397,9 +425,9 @@ def third_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundS
     gates = [
         _metric_gate(F, cert),
         Gate("fnorm_radius", constants.RADIUS_FACTOR_FNORM * kappa * xi, r),
-        Gate("tau3_fnorm", kappa**3 * tau3 * xi, constants.TAU3_GATE_FNORM, strict=True),
+        Gate("tau3_fnorm", _power(kappa, 3) * tau3 * xi, constants.TAU3_GATE_FNORM, strict=True),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
-        Gate("tau3_dnorm", kappa**2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
+        Gate("tau3_dnorm", _power(kappa, 2) * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
     ]
     fnorm_gates = ("metric_dominated", "fnorm_radius", "tau3_fnorm")
     dnorm_gates = ("metric_dominated", "dnorm_radius", "tau3_dnorm")
@@ -420,12 +448,12 @@ def third_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundS
             ),
             RadiusBound(
                 "newton_residual_dinvf", NORM_DINVF, TARGET_NEWTON,
-                constants.NEWTON_RESIDUAL_FACTOR * tau3 * b**2, dnorm_gates,
+                constants.NEWTON_RESIDUAL_FACTOR * tau3 * _power(b, 2), dnorm_gates,
             ),
         ],
         value_bound=ValueBound(
-            -constants.VALUE_FACTOR_THIRD * tau3 * b**3,
-            constants.VALUE_FACTOR_THIRD * tau3 * b**3,
+            -constants.VALUE_FACTOR_THIRD * tau3 * _power(b, 3),
+            constants.VALUE_FACTOR_THIRD * tau3 * _power(b, 3),
             fnorm_gates,
         ),
     )
@@ -479,20 +507,21 @@ def fourth_order_expansion(
     p = _predict(F, A, f, xstar)
     b = weighted_norm(D, p.u0)
     shift = p.shift
+    k2, t3sq, b3 = _power(kappa, 2), _power(tau3, 2), _power(b, 3)
 
     gates = [
         _metric_gate(F, cert),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
-        Gate("tau3_dnorm", kappa**2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
-        Gate("tau4_dnorm", kappa**2 * tau4 * b**2, constants.TAU4_GATE_DNORM, strict=True),
+        Gate("tau3_dnorm", k2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
+        Gate("tau4_dnorm", k2 * tau4 * _power(b, 2), constants.TAU4_GATE_DNORM, strict=True),
     ]
     all_names = tuple(g.name for g in gates)
     third_names = ("metric_dominated", "dnorm_radius", "tau3_dnorm")
-    skew_radius = (0.5 * tau4 + kappa**2 * tau3**2) * b**3
-    proximity = 0.5 * tau3 * b**2
+    skew_radius = (0.5 * tau4 + k2 * t3sq) * b3
+    proximity = 0.5 * tau3 * _power(b, 2)
     value_radius = (
-        (tau4 + 4.0 * kappa**2 * tau3**2) / 8.0 * b**4
-        + kappa**2 * (tau4 + 2.0 * kappa**2 * tau3**2) ** 2 / 4.0 * b**6
+        (tau4 + 4.0 * k2 * t3sq) / 8.0 * _power(b, 4)
+        + k2 * _power(tau4 + 2.0 * k2 * t3sq, 2) / 4.0 * _power(b, 6)
     )
     bounds = BoundSet(
         preconditions=gates,
@@ -507,7 +536,7 @@ def fourth_order_expansion(
         diagnostics=[
             Gate("mu_proximity", weighted_norm(D, shift + p.u0), proximity),
             Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - p.u0), proximity),
-            Gate("skew_magnitude", abs(p.T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b**3),
+            Gate("skew_magnitude", abs(p.T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b3),
         ],
     )
     return p.report("4", bounds, cert)
@@ -689,10 +718,7 @@ def _norm_of(tag: str, F: SpdOperator, D: SpdOperator | None, v: np.ndarray) -> 
 
 
 def compare_with_solution(
-    report: ExpansionReport,
-    actual_shift: np.ndarray,
-    actual_value_change: float,
-    solver_info: dict[str, Any] | None = None,
+    report: ExpansionReport, actual_shift: np.ndarray, actual_value_change: float
 ) -> ComparisonReport:
     """Measure solver-truth residuals against a report's radii.
 
@@ -748,27 +774,24 @@ def compare_with_solution(
                 "certified": bounds.gates_hold(bound.requires),
             }
         )
-
-    return ComparisonReport(
-        actual_shift=actual_shift,
-        actual_value_change=actual_value_change,
-        certifying=bounds.all_gates_pass,
-        entries=entries,
-        solver=solver_info or {},
-    )
+    return ComparisonReport(certifying=bounds.all_gates_pass, entries=entries)
 
 
-def _solve_from(
-    g: Oracle, xstar: np.ndarray, curvature: SpdOperator | None
-) -> tuple[SolveResult, np.ndarray, float]:
-    """The reference solve of ``g`` from ``x*``, its shift and its value change."""
+def _solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator | None) -> Solution:
+    """The reference solve of ``g`` from ``x*``."""
     sol = newton_minimize(g, xstar, curvature=curvature)
-    return sol, sol.xhat - xstar, sol.value - sol.start_value
+    solver = {
+        "iterations": sol.iterations,
+        "hessians": sol.hessians,
+        "grad_norm_dual": sol.grad_norm_dual,
+        "converged": sol.converged,
+    }
+    return Solution(sol.xhat - xstar, sol.value - sol.start_value, solver)
 
 
 def solve_and_compare(
     g: Oracle, xstar, reports: list[ExpansionReport], curvature: SpdOperator | None = None
-) -> list[ComparisonReport]:
+) -> tuple[Solution | None, list[ComparisonReport]]:
     """Solve a perturbed problem once and compare every report against it.
 
     ``g`` is minimized from ``x*`` by the damped Newton reference solver;
@@ -777,28 +800,28 @@ def solve_and_compare(
     ``g``'s factored Hessian at ``x*`` when the caller holds it: the solver
     steps with it instead of evaluating it again, and the start is never
     the prediction, so the reference does not depend on what it checks.
-    With no reports there is nothing to check and no solve is made.
+
+    Returns the one :class:`Solution` and a comparison per report.  With no
+    reports there is nothing to check, no solve is made and the solution
+    is ``None``.
     """
     if not reports:
-        return []
-    sol, actual_shift, actual_value_change = _solve_from(g, as_vector(xstar, g.dim), curvature)
-    solver_info = {
-        "iterations": sol.iterations,
-        "hessians": sol.hessians,
-        "grad_norm_dual": sol.grad_norm_dual,
-        "converged": sol.converged,
-    }
-    return [
-        compare_with_solution(report, actual_shift, actual_value_change, dict(solver_info))
+        return None, []
+    solution = _solve_from(g, as_vector(xstar, g.dim), curvature)
+    return solution, [
+        compare_with_solution(report, solution.actual_shift, solution.actual_value_change)
         for report in reports
     ]
 
 
-def verify_expansion(f: Oracle, xstar, report: ExpansionReport) -> ComparisonReport:
+def verify_expansion(
+    f: Oracle, xstar, report: ExpansionReport
+) -> tuple[Solution, ComparisonReport]:
     """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report.
 
     The tilt leaves ``f``'s Hessian as it is, so the solve starts from the
     report's curvature.
     """
     g = linearly_perturb(f, report.tilt)
-    return solve_and_compare(g, xstar, [report], report.curvature)[0]
+    solution, (comparison,) = solve_and_compare(g, xstar, [report], report.curvature)
+    return solution, comparison

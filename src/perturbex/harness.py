@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expand import _predict, _solve_from, expansion_for_order, solve_and_compare
 from .linalg import SpdOperator, spd_from_dense, spd_power_operator, weighted_norm
-from .oracle import Oracle, PsdQuadraticOracle, ScaledOracle, fd_probe, linearly_perturb
+from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
 from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
     SmoothnessCertificate,
@@ -61,7 +61,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v3"
+REPORT_SCHEMA = "perturbex.report.v4"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _INTEGER = {"type": "integer"}
@@ -350,9 +350,9 @@ def _penalty(cfg: ExperimentConfig, dim: int) -> Oracle:
     pert = cfg.perturbation
     if pert["kind"] == "smooth":
         pen = oracle_from_descriptor(pert["penalty"]).oracle
-        return ScaledOracle(pen, float(pert.get("weight", 1.0)))
+        return SumOracle(pen, weights=(float(pert.get("weight", 1.0)),))
     G2 = pert["matrix"] if "matrix" in pert else float(pert.get("lambda", 0.1)) * np.eye(dim)
-    return PsdQuadraticOracle(G2)
+    return QuadraticOracle(G2)
 
 
 def _build_certificate(
@@ -439,27 +439,35 @@ def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[A
                 verdicts,
                 failed,
                 ver["max_certified_slack"],
-                ver["slack_ratios"].get("value", ""),
+                next((e["slack"] for e in ver["entries"] if e["name"] == "value"), ""),
                 ";".join(ver["violations"]),
             ]
         )
     return header, rows
 
 
-def _verified_orders(
+def _verified(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The results that were verified, not skipped."""
+    return [res for res in results if "skipped" not in res]
+
+
+def _verified_problem(
     xstar: np.ndarray,
     perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
     orders: list,
     skips: dict[int | str, str],
-) -> list[dict[str, Any]]:
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Each order's report for ``perturbed = (g, drive, F, cert)``, verified by one solve.
 
     ``F`` is ``g``'s factored Hessian at ``x*``; the solve starts at ``x*``
     from it.
 
-    Returns one result per order, ``{"order", "report", "verification"}``,
-    or ``{"order", "skipped"}`` with the reason when ``skips`` names the
-    order or the oracle or certificate lacks a derivative it needs.
+    Returns what a report states once per perturbed problem, ``{"tilt",
+    "certificate", "solution"}`` (the solution is ``None`` when every order
+    is skipped, as no solve is made), and one result per order, ``{"order",
+    "report", "verification"}``, or ``{"order", "skipped"}`` with the reason
+    when ``skips`` names the order or the oracle or certificate lacks a
+    derivative it needs.
     """
     g, drive, F, cert = perturbed
     results: list[dict[str, Any]] = []
@@ -476,16 +484,15 @@ def _verified_orders(
         else:
             reports.append(rep)
             results.append({"order": str(order), "report": rep.to_dict()})
-    comparisons = iter(solve_and_compare(g, xstar, reports, curvature=F))
-    for res in results:
-        if "report" in res:
-            res["verification"] = next(comparisons).to_dict()
-    return results
-
-
-def _verified(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """The results that were verified, not skipped."""
-    return [res for res in results if "skipped" not in res]
+    solution, comparisons = solve_and_compare(g, xstar, reports, curvature=F)
+    for res, comparison in zip(_verified(results), comparisons):
+        res["verification"] = comparison.to_dict()
+    problem = {
+        "tilt": drive.tolist(),
+        "certificate": cert.to_dict(),
+        "solution": None if solution is None else solution.to_dict(),
+    }
+    return problem, results
 
 
 def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
@@ -530,8 +537,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
 
     perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian)
-    _, drive, _, cert = perturbed
-    results = _verified_orders(xstar, perturbed, cfg.orders, skips)
+    problem, results = _verified_problem(xstar, perturbed, cfg.orders, skips)
     return {
         "schema": REPORT_SCHEMA,
         "command": "certify",
@@ -546,8 +552,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
                 "grad_norm_dual": anchor.grad_norm_dual,
             },
         },
-        "tilt": drive.tolist(),
-        "certificate": cert.to_dict(),
+        **problem,
         "results": results,
         "warnings": [res["skipped"] for res in results if "skipped" in res],
         "exit_code": _aggregate_exit(results, require_gates),
@@ -609,7 +614,8 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     rows = []
     for eps in eps_grid:
         A = eps * A0
-        _, shift, dval = _solve_from(linearly_perturb(f, A), xstar, F)
+        solution = _solve_from(linearly_perturb(f, A), xstar, F)
+        shift, dval = solution.actual_shift, solution.actual_value_change
         p = _predict(F, A, f, xstar)
         r_newton = float(np.linalg.norm(shift + p.u0))
         r_skew = float(np.linalg.norm(shift - p.shift))
@@ -691,7 +697,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     f = prob.oracle
     anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
-    ridge = PsdQuadraticOracle(_sweep_base_matrix(cfg, f.dim))
+    ridge = QuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
     H0 = anchor.hessian
     F0 = spd_from_dense(H0) if np.array_equal(ridge.Q, np.eye(f.dim)) else None
@@ -701,9 +707,10 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     for lam in grid:
         shifted = F0.shifted(lam) if F0 is not None else None
         perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
-        _, M, _, cert = perturbed
-        entry: dict[str, Any] = {"lambda": lam, "tilt": M.tolist(), "certificate": cert.to_dict()}
-        for res in _verified_orders(xstar, perturbed, [3, 4], {}):
+        _, _, _, cert = perturbed
+        problem, verified = _verified_problem(xstar, perturbed, [3, 4], {})
+        entry: dict[str, Any] = {"lambda": lam, **problem}
+        for res in verified:
             if "skipped" in res:
                 raise PreconditionViolated(res["skipped"])
             entry[f"order{res.pop('order')}"] = res
@@ -720,7 +727,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
                 int(_named(o3["report"]["bounds"]["preconditions"], "tau3_dnorm")["satisfied"]),
                 int(_named(o4["report"]["bounds"]["preconditions"], "tau4_dnorm")["satisfied"]),
                 float(np.linalg.norm(pred)),
-                float(np.linalg.norm(o3["verification"]["actual_shift"])),
+                float(np.linalg.norm(entry["solution"]["actual_shift"])),
                 e3["radius"],
                 e3["residual"],
                 e4["radius"],

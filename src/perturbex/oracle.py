@@ -51,12 +51,10 @@ from .linalg import SpdOperator, as_matrix, as_vector
 __all__ = [
     "Oracle",
     "QuadraticOracle",
-    "PsdQuadraticOracle",
     "LogisticOracle",
     "LogSumExpOracle",
     "CustomOracle",
     "SumOracle",
-    "ScaledOracle",
     "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
@@ -212,13 +210,6 @@ class QuadraticOracle(Oracle):
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
         return np.zeros(_block_pair(P, V, self.dim)[0].shape)
-
-
-class PsdQuadraticOracle(QuadraticOracle):
-    """``f(x) = 0.5 x' Q x``: a :class:`QuadraticOracle` centered at the origin."""
-
-    def __init__(self, Q) -> None:
-        super().__init__(Q)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -517,7 +508,7 @@ class SumOracle(Oracle):
     """``sum_i w_i f_i + <., tilt>``: nonnegatively weighted oracles and a tilt.
 
     The one composition rule: a sum ``SumOracle(f, g)``, a scaling
-    (:class:`ScaledOracle`), a linear tilt (:func:`linearly_perturb`) and a
+    ``SumOracle(f, weights=(w,))``, a linear tilt (:func:`linearly_perturb`) and a
     penalized objective (:func:`smoothly_penalize`) are each one of these.
     Every form is the sum of the terms' forms in term order, each term
     multiplied by its weight unless the weight is 1.  The tilt enters the
@@ -564,13 +555,6 @@ class SumOracle(Oracle):
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
         return self._sum(lambda f: f.fourth_dir_many(P, V))
-
-
-class ScaledOracle(SumOracle):
-    """``weight * base`` for a finite nonnegative weight."""
-
-    def __init__(self, base: Oracle, weight: float) -> None:
-        super().__init__(base, weights=(weight,))
 
 
 def linearly_perturb(f: Oracle, A) -> Oracle:

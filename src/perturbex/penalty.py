@@ -12,7 +12,7 @@ in the certificate's metric ``D``, same verification.  :func:`as_tilt`
 states a tilt ``f + <., A>`` or a penalty in these terms; every perturbed
 problem, here and in the harness, is built by it.
 
-The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`PsdQuadraticOracle`
+The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`QuadraticOracle`
 penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
 """
 
@@ -71,7 +71,7 @@ def smooth_penalty_bias(
 
     ``x*`` must minimize ``f``, measured in the certificate's metric; the
     certificate must describe ``f + pen`` around ``x*``.  A
-    :class:`PsdQuadraticOracle` penalty gives the ridge bias.  Verify the
+    :class:`QuadraticOracle` penalty gives the ridge bias.  Verify the
     report against the penalized problem ``smoothly_penalize(f, pen)``.
     """
     if order not in (3, 4):

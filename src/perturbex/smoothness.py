@@ -94,14 +94,7 @@ class SmoothnessCertificate:
 
     def to_dict(self) -> dict[str, Any]:
         """The constants and provenance; the metric itself is not serialized."""
-        return {
-            "radius": self.radius,
-            "kappa": self.kappa,
-            "omega": self.omega,
-            "tau3": self.tau3,
-            "tau4": self.tau4,
-            "provenance": self.provenance,
-        }
+        return {key: value for key, value in vars(self).items() if key != "metric"}
 
 
 def _metric_direction(rng: np.random.Generator, D: SpdOperator) -> np.ndarray:

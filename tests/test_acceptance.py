@@ -196,10 +196,10 @@ def theorem_suite():
         else:
             base = px.random_spd(rng, dim, cond=5.0).matrix
         w, _, cert = _calibrated_penalty(
-            f, xstar, lambda u: px.PsdQuadraticOracle(u * base), 0.02,
+            f, xstar, lambda u: px.QuadraticOracle(u * base), 0.02,
             samples=120, seed=5000 + j,
         )
-        pen = px.PsdQuadraticOracle(w * base)
+        pen = px.QuadraticOracle(w * base)
         rep3 = px.smooth_penalty_bias(f, xstar, pen, cert, order=3)
         rep4 = px.smooth_penalty_bias(f, xstar, pen, cert, order=4)
         fG = px.smoothly_penalize(f, pen)
@@ -222,7 +222,7 @@ def theorem_suite():
             }
         ).oracle
         w, pen, cert = _calibrated_penalty(
-            f, xstar, lambda u: px.ScaledOracle(lse, u), 0.05,
+            f, xstar, lambda u: px.SumOracle(lse, weights=(u,)), 0.05,
             samples=120, seed=800 + m,
         )
         rep3 = px.smooth_penalty_bias(f, xstar, pen, cert, order=3)
@@ -259,7 +259,7 @@ def test_quadratic_predictions_are_exact(criterion):
         rng = np.random.default_rng(900 + k)
         A = 10.0 ** ((k % 5) - 3) * rng.standard_normal(dim)
         rep = px.exact_quadratic_expansion(prob.curvature, A)
-        comp = px.verify_expansion(prob.oracle, prob.minimizer, rep)
+        _, comp = px.verify_expansion(prob.oracle, prob.minimizer, rep)
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, comp.residual_norms))
     elapsed = time.perf_counter() - t0
@@ -292,7 +292,7 @@ def test_ridge_bias_is_exact_on_quadratics(criterion):
             G2 = lam * px.random_spd(rng, dim, cond=8.0).matrix
         rep = px.ridge_bias_exact_quadratic(prob.curvature, G2, prob.minimizer)
         penalized = px.quadratically_penalize(prob.oracle, G2)
-        comp = px.solve_and_compare(penalized, prob.minimizer, [rep])[0]
+        _, (comp,) = px.solve_and_compare(penalized, prob.minimizer, [rep])
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, lam, comp.residual_norms))
     elapsed = time.perf_counter() - t0

@@ -20,8 +20,8 @@ import perturbex.linalg as linalg
 import perturbex.solver as solver
 from perturbex import (
     LogisticOracle,
-    PsdQuadraticOracle,
-    ScaledOracle,
+    QuadraticOracle,
+    SumOracle,
     oracle_from_descriptor,
     smooth_penalty_bias,
     smoothly_penalize,
@@ -69,7 +69,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v3"
+        assert report["schema"] == "perturbex.report.v4"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -265,6 +265,13 @@ def _verified_entries(report):
     return [r for r in report["results"] if "verification" in r]
 
 
+def _order_results(report):
+    for res in report["results"]:
+        for block in (res, res.get("order3"), res.get("order4")):
+            if block is not None and "report" in block:
+                yield block
+
+
 class TestOneSolvePerProblem:
     def test_certify_solves_anchor_and_one_verification(self, tmp_path, solves):
         cfg = _write(tmp_path, "cfg.json", _base_config())
@@ -306,8 +313,9 @@ class TestOneSolvePerProblem:
         entries = _verified_entries(report)
         assert len(entries) == len(built) == 3
         for entry, rep in zip(entries, built):
-            alone = verify_expansion(f, xstar, rep).to_dict()
-            assert entry["verification"] == json.loads(json.dumps(alone))
+            solution, alone = verify_expansion(f, xstar, rep)
+            assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
+            assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 
     def test_ridge_orders_match_single_report_verification(self, tmp_path, monkeypatch):
         built = _recording(monkeypatch, "expansion_for_order")
@@ -323,14 +331,54 @@ class TestOneSolvePerProblem:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         f = oracle_from_descriptor(report["problem"]).oracle
-        penalized = smoothly_penalize(f, PsdQuadraticOracle(0.2 * np.eye(4)))
+        penalized = smoothly_penalize(f, QuadraticOracle(0.2 * np.eye(4)))
         xstar = np.array(report["anchor"]["xstar"])
         entries = _verified_entries(report)
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            alone = solve_and_compare(penalized, xstar, [rep], curvature=rep.curvature)[0].to_dict()
-            assert entry["verification"] == json.loads(json.dumps(alone))
+            solution, (alone,) = solve_and_compare(penalized, xstar, [rep], curvature=rep.curvature)
+            assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
+            assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
+
+
+class TestSolutionOncePerProblem:
+    """A perturbed problem's solve is stated once, beside its tilt and certificate."""
+
+    VERIFICATION_KEYS = {"entries", "certifying", "violations", "max_certified_slack"}
+    SOLUTION_KEYS = {"actual_shift", "actual_value_change", "solver"}
+
+    def test_solution_placement(self, tmp_path):
+        runs = {
+            "certify": ("certify", _base_config()),
+            "skipped": ("certify", {**_base_config(), "orders": ["exact"]}),
+            "sweep": ("ridge-sweep", _sweep_config([0.0, 0.05])),
+        }
+        reports = {}
+        for name, (command, payload) in runs.items():
+            cfg = _write(tmp_path, f"{name}.json", payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+
+        certify = reports["certify"]
+        assert set(certify["solution"]) == self.SOLUTION_KEYS
+        assert len(certify["solution"]["actual_shift"]) == len(certify["tilt"])
+        assert reports["skipped"]["solution"] is None
+        for entry in reports["sweep"]["results"]:
+            assert set(entry["solution"]) == self.SOLUTION_KEYS
+            assert len(entry["solution"]["actual_shift"]) == len(entry["tilt"])
+        assert "solution" not in reports["sweep"]
+
+        blocks = [
+            res["verification"] for report in reports.values() for res in _order_results(report)
+        ]
+        assert len(blocks) == 3 + 2 * 2
+        for ver in blocks:
+            assert set(ver) == self.VERIFICATION_KEYS
+        text = json.dumps(reports)
+        for key in ("residual_norms", "slack_ratios"):
+            assert key not in text
+        assert text.count('"actual_shift"') == 1 + 2
 
 
 def _sweep_config(grid, g2=None):
@@ -444,9 +492,8 @@ class TestSweepIsOneFactoredFamily:
         assert counts["eigh"] == eighs
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
-        solvers = [entry[key]["verification"]["solver"]
-                   for entry in report["results"] for key in ("order3", "order4")]
-        assert [s["hessians"] for s in solvers] == [0, 0, 1, 1, 1, 1]
+        solvers = [entry["solution"]["solver"] for entry in report["results"]]
+        assert [s["hessians"] for s in solvers] == [0, 1, 1]
 
     def test_certify_evaluates_one_hessian_at_anchor(self, tmp_path, counts):
         payload = _base_config()
@@ -460,7 +507,7 @@ class TestSweepIsOneFactoredFamily:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
         assert report["anchor"]["solver"]["hessians"] == 2
-        assert [r["verification"]["solver"]["hessians"] for r in report["results"]] == [1, 1, 1]
+        assert report["solution"]["solver"]["hessians"] == 1
 
     def test_shifted_family_matches_refactoring(self, tmp_path, monkeypatch):
         """Shifting one factored ``H0`` gives the sweep that factoring each
@@ -902,7 +949,7 @@ class TestOneTiltBuilder:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         f = oracle_from_descriptor(payload["problem"]).oracle
-        pen = ScaledOracle(oracle_from_descriptor(penalty).oracle, 0.3)
+        pen = SumOracle(oracle_from_descriptor(penalty).oracle, weights=(0.3,))
         xstar = np.array(report["anchor"]["xstar"])
         (cert,) = certs
         entries = _verified_entries(report)
@@ -927,8 +974,8 @@ class TestOneTiltBuilder:
         anchor = solver.newton_minimize(f, prob.x0)
         perturbation = {
             "tilt": np.array([0.1, -0.2, 0.05, 0.0]),
-            "ridge": PsdQuadraticOracle(0.2 * np.eye(4)),
-            "smooth": ScaledOracle(LogisticOracle(np.eye(4), np.ones(4)), 0.3),
+            "ridge": QuadraticOracle(0.2 * np.eye(4)),
+            "smooth": SumOracle(LogisticOracle(np.eye(4), np.ones(4)), weights=(0.3,)),
         }[kind]
         g, drive, F = as_tilt(f, anchor.xhat, perturbation)
         _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian, F)
@@ -987,6 +1034,65 @@ class TestDeclaredOmega:
         assert [entry["order"] for entry in _verified_entries(report)] == ["2", "3"]
 
 
+class TestOverflowingRadii:
+    """A radius past the float range is an advisory ``+inf`` behind a failed gate."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (
+                "certify",
+                {
+                    "problem": {"kind": "logistic", "dim": 2, "n": 20, "seed": 1},
+                    "certificate": {
+                        "mode": "declared", "omega": 1e308, "tau3": 1e308, "tau4": 1e308,
+                    },
+                },
+            ),
+            (
+                "ridge-sweep",
+                {
+                    "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
+                    "sweep": {"lambda_grid": [1e300]},
+                },
+            ),
+            (
+                "certify",
+                {
+                    "problem": {"kind": "logistic", "dim": 2, "n": 20, "seed": 1},
+                    "perturbation": {
+                        "kind": "smooth",
+                        "penalty": {"kind": "quadratic", "dim": 2, "seed": 3},
+                        "weight": 1e300,
+                    },
+                },
+            ),
+        ],
+        ids=["declared-constants", "ridge-weight", "smooth-weight"],
+    )
+    def test_exits_cleanly_with_infinite_radii(self, tmp_path, capsys, command, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out), "--seed", "1"]
+        assert main(argv) == 0
+        assert main(argv + ["--require-gates"]) == 3
+        assert capsys.readouterr().err == ""
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text
+        infinite = 0
+        for res in _order_results(json.loads(text)):
+            bounds = res["report"]["bounds"]
+            satisfied = {g["name"]: g["satisfied"] for g in bounds["preconditions"]}
+            value = bounds["value_bound"]
+            sides = [(b["radius"], b["requires"]) for b in bounds["shift_bounds"]]
+            sides += [(value["lower"], value["requires"]), (value["upper"], value["requires"])]
+            for side, requires in sides:
+                if side in ("Infinity", "-Infinity"):
+                    infinite += 1
+                    assert not all(satisfied[g] for g in requires)
+        assert infinite > 0
+
+
 class TestNonFiniteSamples:
     def test_underflowing_radius_is_a_one_line_error(self, tmp_path, capsys):
         payload = {
@@ -1001,6 +1107,22 @@ class TestNonFiniteSamples:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "omega" in err and "radius" in err
+        assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_tilt_step_is_a_one_line_error(self, tmp_path, capsys):
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "logistic", "dim": 2, "n": 20, "seed": 1},
+            "perturbation": {"kind": "linear", "vector": [1e308, 1e308]},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["certify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "perturbex: error: the Newton step F^-1 A of the tilt is not finite\n"
+        )
         assert [str(w.message) for w in caught] == []
 
     def test_repeated_eps_is_a_one_line_error(self, tmp_path, capsys):

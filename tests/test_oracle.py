@@ -104,19 +104,19 @@ class TestQuadratics:
         assert f.has_third and f.has_fourth
 
     def test_psd_quadratic_allows_singular(self):
-        pen = px.PsdQuadraticOracle(np.diag([1.0, 0.0]))
+        pen = px.QuadraticOracle(np.diag([1.0, 0.0]))
         assert pen.value(np.array([2.0, 5.0])) == pytest.approx(2.0)
 
     def test_psd_quadratic_rejects_indefinite(self):
         with pytest.raises(NotPsd):
-            px.PsdQuadraticOracle(np.diag([1.0, -1e-3]))
+            px.QuadraticOracle(np.diag([1.0, -1e-3]))
 
     def test_psd_quadratic_scaled_skips_the_check(self, rng, monkeypatch):
         v = rng.standard_normal(3)
-        base = px.PsdQuadraticOracle(np.outer(v, v))
+        base = px.QuadraticOracle(np.outer(v, v))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a second check would fail
         pen = base.scaled(0.3)
-        assert isinstance(pen, px.PsdQuadraticOracle) and pen.Q is not base.Q
+        assert isinstance(pen, px.QuadraticOracle) and pen.Q is not base.Q
         np.testing.assert_array_equal(pen.Q, 0.3 * np.outer(v, v))
         np.testing.assert_array_equal(base.Q, np.outer(v, v))
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestPerturbations:
 class TestScaledOracle:
     def test_scales_all_orders(self, rng):
         f = _zoo("logistic").oracle
-        g = px.ScaledOracle(f, 0.25)
+        g = px.SumOracle(f, weights=(0.25,))
         x = 0.1 * rng.standard_normal(f.dim)
         u = rng.standard_normal(f.dim)
         assert g.value(x) == pytest.approx(0.25 * f.value(x))
@@ -168,7 +168,7 @@ class TestScaledOracle:
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
-            px.ScaledOracle(_zoo("quadratic").oracle, -1.0)
+            px.SumOracle(_zoo("quadratic").oracle, weights=(-1.0,))
 
 
 @pytest.mark.parametrize(
@@ -176,8 +176,8 @@ class TestScaledOracle:
     [
         lambda f: px.QuadraticOracle(np.array([[np.nan]])),
         lambda f: px.QuadraticOracle(np.diag([1.0, np.inf])),
-        lambda f: px.ScaledOracle(f, np.nan),
-        lambda f: px.ScaledOracle(f, np.inf),
+        lambda f: px.SumOracle(f, weights=(np.nan,)),
+        lambda f: px.SumOracle(f, weights=(np.inf,)),
         lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.inf),
         lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.nan),
         lambda f: px.SumOracle(f, f, weights=(1.0, np.nan)),
@@ -230,7 +230,7 @@ class TestOneSum:
         tilt = rng.standard_normal(4)
         if nested:
             g = px.linearly_perturb(
-                px.smoothly_penalize(logistic, px.ScaledOracle(logsumexp, 0.3)), tilt
+                px.smoothly_penalize(logistic, px.SumOracle(logsumexp, weights=(0.3,))), tilt
             )
             weighted = [(1.0, logistic), (0.3, logsumexp)]
         else:
@@ -257,7 +257,7 @@ class TestOneSum:
                 both = px.SumOracle(a, b, weights=(0.5, 2.0), tilt=np.ones(4))
                 assert both.has_third == (a.has_third and b.has_third)
                 assert both.has_fourth == (a.has_fourth and b.has_fourth)
-            for g in (px.ScaledOracle(a, 0.5), px.linearly_perturb(a, np.ones(4))):
+            for g in (px.SumOracle(a, weights=(0.5,)), px.linearly_perturb(a, np.ones(4))):
                 assert (g.has_third, g.has_fourth) == (a.has_third, a.has_fourth)
 
     def test_rejects_mismatched_terms(self):
@@ -292,7 +292,7 @@ class TestOneSum:
         for pen in penalties:
             assert isinstance(px.smoothly_penalize(f, pen), px.SumOracle)
         with pytest.raises(TypeError):
-            px.smoothly_penalize(f, px.ScaledOracle(_zoo("logsumexp").oracle, 0.5))
+            px.smoothly_penalize(f, px.SumOracle(_zoo("logsumexp").oracle, weights=(0.5,)))
 
 
 class TestFiniteDifferenceFallbacks:
@@ -345,7 +345,7 @@ def _batched_zoo():
     rng = np.random.default_rng(11)
     logistic = _zoo("logistic").oracle
     logsumexp = _zoo("logsumexp").oracle
-    psd = px.PsdQuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]))
+    psd = px.QuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]))
     return {
         "logistic": logistic,
         "logsumexp": logsumexp,
@@ -353,7 +353,7 @@ def _batched_zoo():
         "quadratic": px.QuadraticOracle(px.random_spd(rng, 4, cond=8.0), rng.standard_normal(4)),
         "psd-quadratic": psd,
         "sum": px.SumOracle(logistic, psd),
-        "scaled": px.ScaledOracle(logsumexp, 0.25),
+        "scaled": px.SumOracle(logsumexp, weights=(0.25,)),
         "linear-tilt": px.linearly_perturb(logistic, rng.standard_normal(4)),
         "custom-analytic": _quartic_custom(4, analytic=True),
         "custom-fd": _quartic_custom(4, analytic=False),

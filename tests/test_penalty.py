@@ -29,14 +29,14 @@ def ridge_setup():
 
 def _ridge(f, xstar, G2, cert, order=3):
     return px.smooth_penalty_bias(
-        f, xstar, px.PsdQuadraticOracle(G2), cert, order
+        f, xstar, px.QuadraticOracle(G2), cert, order
     )
 
 
 def _verify(f, xstar, G2, rep):
     """Solve ``f + ridge`` from ``x*`` and check one bias report against it."""
-    penalized = px.smoothly_penalize(f, px.PsdQuadraticOracle(G2))
-    return px.solve_and_compare(penalized, xstar, [rep])[0]
+    penalized = px.smoothly_penalize(f, px.QuadraticOracle(G2))
+    return px.solve_and_compare(penalized, xstar, [rep])[1][0]
 
 
 class TestExactRidge:
@@ -54,7 +54,7 @@ class TestExactRidge:
         G2mat = 0.3 * np.eye(4)
         rep = px.ridge_bias_exact_quadratic(F, G2mat, center)
         penalized = px.quadratically_penalize(f, G2mat)
-        comp = px.solve_and_compare(penalized, center, [rep])[0]
+        _, (comp,) = px.solve_and_compare(penalized, center, [rep])
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -126,7 +126,7 @@ class TestRidgeBounds:
         mags = []
         for lam in (0.1, 0.3, 0.9):
             rep = px.smooth_penalty_bias(
-                f, np.array([1.0]), px.PsdQuadraticOracle([[lam]]), cert
+                f, np.array([1.0]), px.QuadraticOracle([[lam]]), cert
             )
             mags.append(abs(rep.predicted_shift[0]))
             assert rep.predicted_shift[0] == pytest.approx(-lam / (1 + lam), rel=1e-12)
@@ -140,7 +140,7 @@ class TestSmoothPenalty:
         FG = px.spd_from_dense(fG.hessian(xstar))
         rep_r = px.expansion_for_order(fG, xstar, FG, G2 @ xstar, cert, 3)
         rep_s = px.smooth_penalty_bias(
-            f, xstar, px.PsdQuadraticOracle(G2), cert, order=3
+            f, xstar, px.QuadraticOracle(G2), cert, order=3
         )
         np.testing.assert_array_equal(rep_r.predicted_shift, rep_s.predicted_shift)
         assert rep_r.predicted_value_change == rep_s.predicted_value_change
@@ -160,7 +160,7 @@ class TestSmoothPenalty:
         pen_prob = px.oracle_from_descriptor(
             {"kind": "logsumexp", "dim": 4, "n": 16, "seed": 15, "temp": 1.0, "reg": 0.0}
         )
-        pen = px.ScaledOracle(pen_prob.oracle, 0.05)
+        pen = px.SumOracle(pen_prob.oracle, weights=(0.05,))
         fG = px.smoothly_penalize(f, pen)
         FG = px.spd_from_dense(fG.hessian(xstar))
         cert = px.estimate_certificate(
@@ -169,7 +169,7 @@ class TestSmoothPenalty:
         )
         for order in (3, 4):
             rep = px.smooth_penalty_bias(f, xstar, pen, cert, order)
-            comp = px.solve_and_compare(fG, xstar, [rep])[0]
+            _, (comp,) = px.solve_and_compare(fG, xstar, [rep])
             assert comp.certifying, rep.bounds.failed_gates()
             assert comp.violations == []
 
@@ -182,6 +182,6 @@ class TestSmoothPenalty:
         f, xstar, G2, cert = ridge_setup
         with pytest.raises(ValueError):
             px.smooth_penalty_bias(
-                f, xstar, px.PsdQuadraticOracle(G2), cert, order=2
+                f, xstar, px.QuadraticOracle(G2), cert, order=2
             )
 
