@@ -323,12 +323,15 @@ def _predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> _Predict
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = F.apply_power(-1.0, A)
         xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
-    if not (np.isfinite(u0).all() and math.isfinite(xi)):
-        raise ValueError("the Newton step F^-1 A of the tilt is not finite")
-    if f is None:
-        return _Prediction(F, A, u0, xi)
-    T, gradT = skewness_correction(f, xstar, u0)
-    return _Prediction(F, A, u0, xi, -F.apply_power(-1.0, gradT), T)
+        if not (np.isfinite(u0).all() and math.isfinite(xi)):
+            raise ValueError("the Newton step F^-1 A of the tilt is not finite")
+        if f is None:
+            return _Prediction(F, A, u0, xi)
+        T, gradT = skewness_correction(f, xstar, u0)
+        skew = -F.apply_power(-1.0, gradT)
+        if not (np.isfinite(skew).all() and math.isfinite(T)):
+            raise ValueError("the skew term of the tilt is not finite")
+    return _Prediction(F, A, u0, xi, skew, T)
 
 
 def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
@@ -550,8 +553,10 @@ def expansion_for_order(
     cert: SmoothnessCertificate,
     order: int | str,
 ) -> ExpansionReport:
-    """Build the report for one requested order (2, 3, 4, or ``"exact"``)."""
+    """The report for one order: 2, 3, 4, or ``"exact"``, which needs ``f.quadratic``."""
     if order == "exact":
+        if not f.quadratic:
+            raise PreconditionViolated("objective is not quadratic")
         return exact_quadratic_expansion(F, A)
     if order == 4:
         return fourth_order_expansion(f, xstar, F, A, cert)
@@ -777,8 +782,8 @@ def compare_with_solution(
     return ComparisonReport(certifying=bounds.all_gates_pass, entries=entries)
 
 
-def _solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator | None) -> Solution:
-    """The reference solve of ``g`` from ``x*``."""
+def _solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution:
+    """The reference solve of ``g`` from ``x*``, stepping on ``g``'s factored Hessian there."""
     sol = newton_minimize(g, xstar, curvature=curvature)
     solver = {
         "iterations": sol.iterations,
@@ -790,16 +795,16 @@ def _solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator | None) -> 
 
 
 def solve_and_compare(
-    g: Oracle, xstar, reports: list[ExpansionReport], curvature: SpdOperator | None = None
+    g: Oracle, xstar, reports: list[ExpansionReport]
 ) -> tuple[Solution | None, list[ComparisonReport]]:
     """Solve a perturbed problem once and compare every report against it.
 
     ``g`` is minimized from ``x*`` by the damped Newton reference solver;
     the resulting shift ``x~ - x*`` and value change ``g(x~) - g(x*)`` are
-    measured against every radius of each report.  ``curvature`` is
-    ``g``'s factored Hessian at ``x*`` when the caller holds it: the solver
-    steps with it instead of evaluating it again, and the start is never
-    the prediction, so the reference does not depend on what it checks.
+    measured against every radius of each report.  The solver steps on the
+    reports' one curvature, ``g``'s factored Hessian at ``x*`` (reports that
+    differ in it raise ``ValueError``), and the start is never the
+    prediction, so the reference does not depend on what it checks.
 
     Returns the one :class:`Solution` and a comparison per report.  With no
     reports there is nothing to check, no solve is made and the solution
@@ -807,6 +812,9 @@ def solve_and_compare(
     """
     if not reports:
         return None, []
+    curvature = reports[0].curvature
+    if not all(np.array_equal(rep.curvature.matrix, curvature.matrix) for rep in reports[1:]):
+        raise ValueError("the reports state different curvatures, so not one perturbed problem")
     solution = _solve_from(g, as_vector(xstar, g.dim), curvature)
     return solution, [
         compare_with_solution(report, solution.actual_shift, solution.actual_value_change)
@@ -819,9 +827,9 @@ def verify_expansion(
 ) -> tuple[Solution, ComparisonReport]:
     """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report.
 
-    The tilt leaves ``f``'s Hessian as it is, so the solve starts from the
-    report's curvature.
+    The tilt leaves ``f``'s Hessian as it is, so the report's curvature is
+    the tilted problem's too.
     """
     g = linearly_perturb(f, report.tilt)
-    solution, (comparison,) = solve_and_compare(g, xstar, [report], report.curvature)
+    solution, (comparison,) = solve_and_compare(g, xstar, [report])
     return solution, comparison

@@ -455,7 +455,6 @@ def _verified_problem(
     xstar: np.ndarray,
     perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
     orders: list,
-    skips: dict[int | str, str],
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Each order's report for ``perturbed = (g, drive, F, cert)``, verified by one solve.
 
@@ -466,25 +465,23 @@ def _verified_problem(
     "certificate", "solution"}`` (the solution is ``None`` when every order
     is skipped, as no solve is made), and one result per order, ``{"order",
     "report", "verification"}``, or ``{"order", "skipped"}`` with the reason
-    when ``skips`` names the order or the oracle or certificate lacks a
-    derivative it needs.
+    :func:`expansion_for_order` gives when ``g`` or the certificate does
+    not support the order.
     """
     g, drive, F, cert = perturbed
     results: list[dict[str, Any]] = []
     reports = []
     for order in orders:
-        rep = skips.get(order)
-        if rep is None:
-            try:
-                rep = expansion_for_order(g, xstar, F, drive, cert, order)
-            except (MissingConstant, MissingThirdDerivative, MissingFourthDerivative) as exc:
-                rep = f"order {order} skipped: {exc}"
-        if isinstance(rep, str):
-            results.append({"order": str(order), "skipped": rep})
-        else:
-            reports.append(rep)
-            results.append({"order": str(order), "report": rep.to_dict()})
-    solution, comparisons = solve_and_compare(g, xstar, reports, curvature=F)
+        try:
+            rep = expansion_for_order(g, xstar, F, drive, cert, order)
+        except (
+            MissingConstant, MissingThirdDerivative, MissingFourthDerivative, PreconditionViolated
+        ) as exc:
+            results.append({"order": str(order), "skipped": f"order {order} skipped: {exc}"})
+            continue
+        reports.append(rep)
+        results.append({"order": str(order), "report": rep.to_dict()})
+    solution, comparisons = solve_and_compare(g, xstar, reports)
     for res, comparison in zip(_verified(results), comparisons):
         res["verification"] = comparison.to_dict()
     problem = {
@@ -513,31 +510,20 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """Run the configured expansion orders and verify each against the solver.
 
     A penalty is a linear tilt of ``f + pen`` with drive ``grad pen(x*)``, so
-    both kinds are one perturbed problem (:func:`_perturbed_problem`) and
-    differ only in the orders they state.  It is built, factored and solved
-    once, from the ``grad^2 f(x*)`` that the anchor solve's converging step
-    evaluated, and every order's report is checked against that solution.
+    both kinds are one perturbed problem (:func:`_perturbed_problem`).  It is
+    built, factored and solved once, from the ``grad^2 f(x*)`` that the
+    anchor solve's converging step evaluated, and every order's report is
+    checked against that solution; an order that ``g`` or its certificate
+    does not support is skipped with a warning.
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
     anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
-    kind = cfg.perturbation["kind"]
-
-    # Orders a perturbation does not state, with the reason each is skipped.
-    skips: dict[int | str, str] = {}
-    if kind == "linear":
-        perturbation = _linear_tilt(cfg, f.dim)
-        if prob.kind != "quadratic":
-            skips["exact"] = "exact expansion needs a quadratic objective; skipped"
-    else:
-        perturbation = _penalty(cfg, f.dim)
-        if not (kind == "quadratic" and prob.kind == "quadratic"):
-            skips["exact"] = "exact bias needs a quadratic objective and a ridge penalty; skipped"
-        skips[2] = "penalty bias is stated at orders 3 and 4 only; skipped"
-
+    linear = cfg.perturbation["kind"] == "linear"
+    perturbation = _linear_tilt(cfg, f.dim) if linear else _penalty(cfg, f.dim)
     perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian)
-    problem, results = _verified_problem(xstar, perturbed, cfg.orders, skips)
+    problem, results = _verified_problem(xstar, perturbed, cfg.orders)
     return {
         "schema": REPORT_SCHEMA,
         "command": "certify",
@@ -614,9 +600,10 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     rows = []
     for eps in eps_grid:
         A = eps * A0
+        # Predicted first: a tilt too large to predict is an error before its solve.
+        p = _predict(F, A, f, xstar)
         solution = _solve_from(linearly_perturb(f, A), xstar, F)
         shift, dval = solution.actual_shift, solution.actual_value_change
-        p = _predict(F, A, f, xstar)
         r_newton = float(np.linalg.norm(shift + p.u0))
         r_skew = float(np.linalg.norm(shift - p.shift))
         # The order-4 value error is the order-2 one plus T: the same as
@@ -708,7 +695,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         shifted = F0.shifted(lam) if F0 is not None else None
         perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
         _, _, _, cert = perturbed
-        problem, verified = _verified_problem(xstar, perturbed, [3, 4], {})
+        problem, verified = _verified_problem(xstar, perturbed, [3, 4])
         entry: dict[str, Any] = {"lambda": lam, **problem}
         for res in verified:
             if "skipped" in res:

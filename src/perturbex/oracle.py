@@ -11,7 +11,8 @@ only higher-order access the rest of the package ever needs:
 
 Problems that lack analytic higher derivatives fall back to symmetric
 finite differences of the Hessian; the ``has_third`` / ``has_fourth``
-flags tell certified operations whether the analytic forms exist.
+flags tell certified operations whether the analytic forms exist, and
+``quadratic`` whether the function is exactly quadratic.
 
 Each value and tensor formula exists once, in batched form:
 ``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P, V)``
@@ -110,6 +111,7 @@ class Oracle:
     dim: int
     has_third: bool = False
     has_fourth: bool = False
+    quadratic: bool = False
 
     def value_many(self, P) -> np.ndarray:
         """Values at the columns of ``P``, shape ``(k,)``."""
@@ -164,6 +166,7 @@ class QuadraticOracle(Oracle):
 
     has_third = True
     has_fourth = True
+    quadratic = True
 
     def __init__(self, Q, center=None) -> None:
         if isinstance(Q, SpdOperator):
@@ -512,7 +515,7 @@ class SumOracle(Oracle):
     penalized objective (:func:`smoothly_penalize`) are each one of these.
     Every form is the sum of the terms' forms in term order, each term
     multiplied by its weight unless the weight is 1.  The tilt enters the
-    value and the gradient only.  A closed form exists when every term has it.
+    value and the gradient only.  Each flag holds when it holds for every term.
     """
 
     def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
@@ -527,6 +530,7 @@ class SumOracle(Oracle):
         self.tilt = None if tilt is None else as_vector(tilt, self.dim)
         self.has_third = all(f.has_third for f in oracles)
         self.has_fourth = all(f.has_fourth for f in oracles)
+        self.quadratic = all(f.quadratic for f in oracles)
 
     def _sum(self, form: Callable[[Oracle], np.ndarray]) -> np.ndarray:
         total = None
@@ -573,11 +577,11 @@ def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
     Convexity cannot be verified globally from black-box access; a handful
     of seeded probe points must have positive semidefinite penalty Hessians,
     which catches sign errors without pretending to be a proof.  A
-    :class:`QuadraticOracle` is not probed: its matrix was checked
-    positive semidefinite when it was built.
+    quadratic penalty is not probed: its :class:`QuadraticOracle` matrices
+    were checked positive semidefinite when they were built.
     """
     penalized = SumOracle(f, pen)
-    if isinstance(pen, QuadraticOracle):
+    if pen.quadratic:
         return penalized
     rng = np.random.default_rng(0)
     for _ in range(5):

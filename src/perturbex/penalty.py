@@ -65,17 +65,16 @@ def smooth_penalty_bias(
     upsstar,
     pen: Oracle,
     cert: SmoothnessCertificate,
-    order: int = 3,
+    order: int | str = 3,
 ) -> ExpansionReport:
-    """Bias report of order 3 or 4 for a smooth convex penalty.
+    """Bias report of one order for a smooth convex penalty.
 
     ``x*`` must minimize ``f``, measured in the certificate's metric; the
     certificate must describe ``f + pen`` around ``x*``.  A
-    :class:`QuadraticOracle` penalty gives the ridge bias.  Verify the
-    report against the penalized problem ``smoothly_penalize(f, pen)``.
+    :class:`QuadraticOracle` penalty gives the ridge bias.  The order is
+    :func:`expansion_for_order`'s, for ``f + pen``.  Verify the report
+    against the penalized problem ``smoothly_penalize(f, pen)``.
     """
-    if order not in (3, 4):
-        raise ValueError(f"unsupported order {order!r}; use 3 or 4")
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     g, drive, F = as_tilt(f, upsstar, pen)

@@ -24,7 +24,7 @@ Descriptor fields
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class ZooProblem:
     x0: np.ndarray
     minimizer: np.ndarray | None = None  # known in closed form, if ever
     curvature: SpdOperator | None = None  # exact Hessian when constant
-    kind: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.kind = self.descriptor["kind"]
 
 
 def random_spd(rng: np.random.Generator, dim: int, cond: float = 10.0) -> SpdOperator:

@@ -218,8 +218,28 @@ class TestDispatch:
         assert rep.order == str(order)
         assert rep.anchor == "base-minimizer"
 
+    def test_exact_order_needs_a_quadratic_objective(self, logistic_certificate):
+        f, xstar, F, cert = logistic_certificate
+        A = 0.01 * np.ones(f.dim)
+        for g in (f, px.linearly_perturb(f, A)):
+            with pytest.raises(PreconditionViolated, match="not quadratic"):
+                px.expansion_for_order(g, xstar, F, A, cert, "exact")
+
 
 class TestVerification:
+    def test_reports_of_one_problem_share_its_curvature(self, logistic_certificate):
+        f, xstar, F, cert = logistic_certificate
+        A = 0.01 * np.ones(f.dim)
+        g = px.linearly_perturb(f, A)
+        reports = [px.expansion_for_order(f, xstar, F, A, cert, order) for order in (2, 3)]
+        solution, comps = px.solve_and_compare(g, xstar, reports)
+        assert len(comps) == 2 and solution.solver["converged"]
+        assert px.solve_and_compare(g, xstar, []) == (None, [])
+        other = px.spd_from_dense(2.0 * F.matrix)
+        reports.append(px.expansion_for_order(f, xstar, other, A, cert, 3))
+        with pytest.raises(ValueError, match="different curvatures"):
+            px.solve_and_compare(g, xstar, reports)
+
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_logistic_orders_certify_with_slack(self, order, logistic_certificate):
         f, xstar, F, cert = logistic_certificate

@@ -123,7 +123,7 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert "skipped" in report["results"][0]
-        assert report["warnings"]
+        assert report["warnings"] == ["order exact skipped: objective is not quadratic"]
 
     def test_declared_certificate_without_tau4_skips_order4(self, tmp_path):
         payload = _base_config()
@@ -337,7 +337,7 @@ class TestOneSolvePerProblem:
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            solution, (alone,) = solve_and_compare(penalized, xstar, [rep], curvature=rep.curvature)
+            solution, (alone,) = solve_and_compare(penalized, xstar, [rep])
             assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
             assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 
@@ -1009,6 +1009,54 @@ class TestPenaltyOmega:
         assert report["results"][0]["order"] == "2" and "skipped" in report["results"][0]
 
 
+class TestSkipsComeFromTheLibrary:
+    """An order is skipped where the perturbed problem or its certificate lacks
+    what the order needs, whatever the kind of perturbation."""
+
+    def _certify(self, tmp_path, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    def test_ridge_with_default_orders_skips_order_two(self, tmp_path):
+        payload = _base_config()
+        del payload["orders"]
+        payload["perturbation"] = {"kind": "quadratic", "lambda": 0.05}
+        report = self._certify(tmp_path, payload)
+        assert report["warnings"] == ["order 2 skipped: certificate lacks omega"]
+        assert [entry["order"] for entry in _verified_entries(report)] == ["3", "4"]
+
+    def test_smooth_quadratic_penalty_states_the_exact_order(self, tmp_path):
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "quadratic", "dim": 4, "seed": 2, "cond": 8},
+            "perturbation": {
+                "kind": "smooth",
+                "penalty": {"kind": "quadratic", "dim": 4, "seed": 5},
+                "weight": 0.2,
+            },
+            "orders": ["exact", 2, 3],
+            "certificate": {"mode": "estimated", "samples": 40, "seed": 4},
+        }
+        report = self._certify(tmp_path, payload)
+        assert report["warnings"] == ["order 2 skipped: certificate lacks omega"]
+        exact, third = _verified_entries(report)
+        assert exact["order"] == "exact" and third["order"] == "3"
+        assert exact["verification"]["max_certified_slack"] == 0.0
+        assert exact["verification"]["violations"] == []
+
+    def test_declared_penalty_omega_builds_order_two(self, tmp_path):
+        payload = _base_config()
+        payload["perturbation"] = {"kind": "quadratic", "lambda": 0.05}
+        payload["certificate"] = {
+            "mode": "declared", "radius": 0.5, "omega": 0.1, "tau3": 0.5, "tau4": 0.5,
+        }
+        report = self._certify(tmp_path, payload)
+        assert report["warnings"] == []
+        assert [entry["order"] for entry in _verified_entries(report)] == ["2", "3", "4"]
+
+
 class TestDeclaredOmega:
     def test_omitted_omega_is_not_stated(self, tmp_path):
         payload = {
@@ -1124,6 +1172,35 @@ class TestNonFiniteSamples:
             "perturbex: error: the Newton step F^-1 A of the tilt is not finite\n"
         )
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "problem, eps_grid, message",
+        [
+            ({"kind": "logistic", "dim": 3, "n": 30, "seed": 1}, [1e300, 1e200], "Newton step"),
+            ({"kind": "quadratic", "dim": 5, "seed": 1}, [1e-6, 1e200], "Newton step"),
+            ({"kind": "logistic", "dim": 3, "n": 30, "seed": 1}, [1e150, 1e50], "skew term"),
+        ],
+        ids=["logistic-newton", "quadratic-newton", "logistic-skew"],
+    )
+    def test_unpredictable_scaling_row_is_a_one_line_error(
+        self, tmp_path, capsys, problem, eps_grid, message
+    ):
+        """Each row is predicted before its solve, so a tilt too large fails there."""
+        payload = {
+            "seed": 1,
+            "problem": problem,
+            "perturbation": {"kind": "linear", "scale": 1},
+            "scaling": {"eps_grid": eps_grid},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["scaling", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert [str(w.message) for w in caught] == [] and not out.exists()
 
     def test_repeated_eps_is_a_one_line_error(self, tmp_path, capsys):
         payload = {

@@ -260,6 +260,19 @@ class TestOneSum:
             for g in (px.SumOracle(a, weights=(0.5,)), px.linearly_perturb(a, np.ones(4))):
                 assert (g.has_third, g.has_fourth) == (a.has_third, a.has_fourth)
 
+    def test_quadratic_flag_composes_like_the_tensor_flags(self, rng):
+        F = px.random_spd(rng, 4, cond=8.0)
+        quad = px.QuadraticOracle(F, rng.standard_normal(4))
+        ridge = px.QuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]))
+        logistic = _zoo("logistic").oracle
+        assert quad.quadratic and ridge.scaled(0.3).quadratic
+        assert not px.Oracle.quadratic and not logistic.quadratic
+        assert not _quartic_custom(4, analytic=True).quadratic
+        assert px.SumOracle(quad, ridge, weights=(0.5, 2.0), tilt=np.ones(4)).quadratic
+        assert px.linearly_perturb(px.smoothly_penalize(quad, ridge), np.ones(4)).quadratic
+        assert not px.SumOracle(quad, logistic, weights=(0.5, 2.0)).quadratic
+        assert not px.linearly_perturb(logistic, np.ones(4)).quadratic
+
     def test_rejects_mismatched_terms(self):
         f = _zoo("logistic").oracle
         with pytest.raises(ValueError):
@@ -287,7 +300,11 @@ class TestOneSum:
     def test_quadratic_penalties_are_not_probed(self, rng, monkeypatch):
         f = _zoo("logistic").oracle
         F = px.random_spd(rng, 4, cond=8.0)
-        penalties = [px.QuadraticOracle(F), px.QuadraticOracle(F.matrix)]
+        penalties = [
+            px.QuadraticOracle(F),
+            px.QuadraticOracle(F.matrix),
+            px.SumOracle(px.QuadraticOracle(F), weights=(0.5,)),
+        ]
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a probe would fail
         for pen in penalties:
             assert isinstance(px.smoothly_penalize(f, pen), px.SumOracle)

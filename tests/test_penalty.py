@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import perturbex as px
-from perturbex.errors import NotAtMinimum
+from perturbex.errors import MissingConstant, NotAtMinimum, PreconditionViolated
 
 _I1 = px.spd_from_dense(np.eye(1))
 
@@ -179,9 +179,27 @@ class TestSmoothPenalty:
             _ridge(f, xstar + 0.5, G2, cert)
 
     def test_order_validation(self, ridge_setup):
+        """The certificate and the problem decide the orders; no order list does."""
         f, xstar, G2, cert = ridge_setup
-        with pytest.raises(ValueError):
-            px.smooth_penalty_bias(
-                f, xstar, px.QuadraticOracle(G2), cert, order=2
-            )
+        with pytest.raises(MissingConstant, match="omega"):
+            _ridge(f, xstar, G2, cert, order=2)
+        with pytest.raises(PreconditionViolated, match="not quadratic"):
+            _ridge(f, xstar, G2, cert, order="exact")
+        with pytest.raises(ValueError, match="unsupported order"):
+            _ridge(f, xstar, G2, cert, order=5)
+
+    def test_exact_order_is_the_closed_form(self, rng):
+        F = px.random_spd(rng, 4, cond=7.0)
+        center = rng.standard_normal(4)
+        G2 = 0.3 * np.eye(4)
+        metric = px.spd_power_operator(px.spd_from_dense(F.matrix + G2), 0.5)
+        cert = px.declared_certificate(metric=metric, radius=1.0, kappa=1.0, omega=None)
+        rep = px.smooth_penalty_bias(
+            px.QuadraticOracle(F, center), center, px.QuadraticOracle(G2), cert, "exact"
+        )
+        closed = px.ridge_bias_exact_quadratic(F, G2, center)
+        assert rep.order == closed.order == "exact-quadratic"
+        np.testing.assert_array_equal(rep.predicted_shift, closed.predicted_shift)
+        assert rep.predicted_value_change == closed.predicted_value_change
+        assert rep.to_dict() == closed.to_dict()
 
