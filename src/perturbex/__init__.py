@@ -31,6 +31,7 @@ from .expand import (
     ComparisonReport,
     ExpansionReport,
     Gate,
+    Prediction,
     RadiusBound,
     Solution,
     ValueBound,
@@ -40,9 +41,11 @@ from .expand import (
     exact_quadratic_expansion,
     expansion_for_order,
     fourth_order_expansion,
+    predict,
     second_order_bounds,
     skewness_correction,
     solve_and_compare,
+    solve_from,
     third_order_bounds,
     verify_expansion,
 )
@@ -142,6 +145,8 @@ __all__ = [
     "ExpansionReport",
     "ComparisonReport",
     "Solution",
+    "Prediction",
+    "predict",
     "exact_quadratic_expansion",
     "second_order_bounds",
     "third_order_bounds",
@@ -151,6 +156,7 @@ __all__ = [
     "distance_to_optimum",
     "cubic_bound_check",
     "compare_with_solution",
+    "solve_from",
     "solve_and_compare",
     "verify_expansion",
     # penalty bias

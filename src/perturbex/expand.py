@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -57,6 +58,8 @@ __all__ = [
     "ExpansionReport",
     "ComparisonReport",
     "Solution",
+    "Prediction",
+    "predict",
     "exact_quadratic_expansion",
     "second_order_bounds",
     "third_order_bounds",
@@ -66,6 +69,7 @@ __all__ = [
     "distance_to_optimum",
     "cubic_bound_check",
     "verify_expansion",
+    "solve_from",
     "solve_and_compare",
     "compare_with_solution",
 ]
@@ -198,35 +202,23 @@ class BoundSet:
             "shift_bounds": [b.to_dict() for b in self.shift_bounds],
             "value_bound": None if self.value_bound is None else self.value_bound.to_dict(),
             "diagnostics": [g.to_dict() for g in self.diagnostics],
-            "certifying": self.all_gates_pass,
         }
 
 
 @dataclass
 class ExpansionReport:
-    """A prediction of the perturbed minimizer plus its certified radii."""
+    """One order's reading of the shared ``prediction`` plus its certified radii."""
 
     order: str
     predicted_shift: np.ndarray
     predicted_value_change: float
     bounds: BoundSet
-    curvature: SpdOperator
-    tilt: np.ndarray
-    skew_correction: np.ndarray | None = None
+    prediction: Prediction
     certificate: SmoothnessCertificate | None = None
     anchor: str = "base-minimizer"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "order": self.order,
-            "anchor": self.anchor,
-            "predicted_shift": self.predicted_shift.tolist(),
-            "predicted_value_change": self.predicted_value_change,
-            "skew_correction": (
-                None if self.skew_correction is None else self.skew_correction.tolist()
-            ),
-            "bounds": self.bounds.to_dict(),
-        }
+        return {"order": self.order, "anchor": self.anchor, "bounds": self.bounds.to_dict()}
 
 
 @dataclass
@@ -287,54 +279,69 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class _Prediction:
-    """Each order's prediction of a tilt's effect, from one Newton step.
+class Prediction:
+    """The prediction of one perturbed problem ``f + <., A>``, made once for every order.
 
     ``u0 = F^{-1} A`` and ``xi = ||F^{-1/2} A||``.  Every order predicts the
-    shift ``-u0`` and the value change ``-xi^2 / 2``; order 4 adds
-    ``skew = -F^{-1} gradT(u0)`` to the shift and subtracts ``T = T(u0)``.
+    Newton shift ``-u0`` and value change ``-xi^2 / 2``; order 4 adds
+    ``skew_correction = -F^{-1} gradT(u0)`` to the shift and subtracts
+    ``T(u0)``.  The skew term needs ``f`` and ``x*`` and is computed on
+    first use, once.
     """
 
     F: SpdOperator
     A: np.ndarray
     u0: np.ndarray
     xi: float
-    skew: np.ndarray | None = None
-    T: float = 0.0
+    f: Oracle | None = None
+    xstar: np.ndarray | None = None
 
     @property
-    def newton_value(self) -> float:
+    def objective(self) -> Oracle:
+        if self.f is None:
+            raise ValueError("the prediction was made without f and x*")
+        return self.f
+
+    @property
+    def newton_value_change(self) -> float:
         return -0.5 * _power(self.xi, 2)
 
-    @property
-    def shift(self) -> np.ndarray:
-        return -self.u0 if self.skew is None else -self.u0 + self.skew
+    @cached_property
+    def skew(self) -> tuple[np.ndarray, float]:
+        """``(skew_correction, T(u0))``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            T, gradT = skewness_correction(self.objective, self.xstar, self.u0)
+            correction = -self.F.apply_power(-1.0, gradT)
+            if not (np.isfinite(correction).all() and math.isfinite(T)):
+                raise ValueError("the skew term of the tilt is not finite")
+        return correction, T
 
-    def report(
-        self, order: str, bounds: BoundSet, cert: SmoothnessCertificate | None = None
-    ) -> ExpansionReport:
-        value = self.newton_value if self.skew is None else self.newton_value - self.T
-        return ExpansionReport(order, self.shift, value, bounds, self.F, self.A, self.skew, cert)
+    def report(self, order: str, bounds: BoundSet, cert=None) -> ExpansionReport:
+        return ExpansionReport(order, -self.u0, self.newton_value_change, bounds, self, cert)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The Newton pair, and the skew pair once an order-4 report computed it."""
+        correction, T = vars(self).get("skew", (None, None))
+        return {
+            "newton_shift": (-self.u0).tolist(),
+            "newton_value_change": self.newton_value_change,
+            "skew_correction": None if correction is None else correction.tolist(),
+            "skew_value": T,
+        }
 
 
-def _predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> _Prediction:
-    """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term too."""
+def predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> Prediction:
+    """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term on demand."""
     A = as_vector(A, F.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = F.apply_power(-1.0, A)
         xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
         if not (np.isfinite(u0).all() and math.isfinite(xi)):
             raise ValueError("the Newton step F^-1 A of the tilt is not finite")
-        if f is None:
-            return _Prediction(F, A, u0, xi)
-        T, gradT = skewness_correction(f, xstar, u0)
-        skew = -F.apply_power(-1.0, gradT)
-        if not (np.isfinite(skew).all() and math.isfinite(T)):
-            raise ValueError("the skew term of the tilt is not finite")
-    return _Prediction(F, A, u0, xi, skew, T)
+    return Prediction(F, A, u0, xi, f, xstar)
 
 
-def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
+def exact_quadratic_expansion(p: Prediction) -> ExpansionReport:
     """Closed-form shift and value change when ``f`` is exactly quadratic.
 
     ``x~ - x* = -F^{-1} A`` and ``g(x~) - g(x*) = -||F^{-1/2} A||^2 / 2``,
@@ -346,10 +353,10 @@ def exact_quadratic_expansion(F: SpdOperator, A) -> ExpansionReport:
         ],
         value_bound=ValueBound(0.0, 0.0),
     )
-    return _predict(F, A).report("exact-quadratic", bounds)
+    return p.report("exact-quadratic", bounds)
 
 
-def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundSet:
+def second_order_bounds(p: Prediction, cert: SmoothnessCertificate) -> BoundSet:
     """Two-sided value sandwich and shift radii from the omega constant.
 
     With ``b = ||D F^{-1} A||`` and ``omega <= 1/3``, the value change
@@ -372,10 +379,9 @@ def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> Bound
     kappa = cert.kappa
     omega = cert.omega
     k2 = _power(kappa, 2)
-    p = _predict(F, A)
     b = weighted_norm(cert.metric, p.u0)
     gates = [
-        _metric_gate(F, cert),
+        _metric_gate(p.F, cert),
         Gate("omega_cap", omega, constants.OMEGA_MAX),
         Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / max(kappa, 1e-300)),
         Gate("stability_margin", omega * k2, 1.0 - constants.NU_DEFAULT, strict=True),
@@ -402,7 +408,7 @@ def second_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> Bound
     )
 
 
-def third_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundSet:
+def third_order_bounds(p: Prediction, cert: SmoothnessCertificate) -> BoundSet:
     """Cubic-term radii for the Newton prediction ``-F^{-1} A``.
 
     Curvature-ball statements (gated by ``r >= (4 kappa / 3) xi`` and
@@ -423,10 +429,9 @@ def third_order_bounds(F: SpdOperator, A, cert: SmoothnessCertificate) -> BoundS
     kappa = cert.kappa
     tau3 = cert.tau3
     r = cert.radius
-    p = _predict(F, A)
     xi, b = p.xi, weighted_norm(cert.metric, p.u0)
     gates = [
-        _metric_gate(F, cert),
+        _metric_gate(p.F, cert),
         Gate("fnorm_radius", constants.RADIUS_FACTOR_FNORM * kappa * xi, r),
         Gate("tau3_fnorm", _power(kappa, 3) * tau3 * xi, constants.TAU3_GATE_FNORM, strict=True),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
@@ -477,9 +482,7 @@ def skewness_correction(f: Oracle, xstar, u) -> tuple[float, np.ndarray]:
     return float(t3 @ u) / 6.0, t3 / 2.0
 
 
-def fourth_order_expansion(
-    f: Oracle, xstar, F: SpdOperator, A, cert: SmoothnessCertificate
-) -> ExpansionReport:
+def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> ExpansionReport:
     """Skew-corrected prediction with quartic-scale radii.
 
     The corrected shift is ``abar = -F^{-1} (A + gradT(F^{-1} A))`` and the
@@ -507,13 +510,13 @@ def fourth_order_expansion(
     tau4 = cert.tau4
     r = cert.radius
     D = cert.metric
-    p = _predict(F, A, f, xstar)
+    correction, T = p.skew
+    shift = -p.u0 + correction
     b = weighted_norm(D, p.u0)
-    shift = p.shift
     k2, t3sq, b3 = _power(kappa, 2), _power(tau3, 2), _power(b, 3)
 
     gates = [
-        _metric_gate(F, cert),
+        _metric_gate(p.F, cert),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
         Gate("tau3_dnorm", k2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
         Gate("tau4_dnorm", k2 * tau4 * _power(b, 2), constants.TAU4_GATE_DNORM, strict=True),
@@ -539,34 +542,29 @@ def fourth_order_expansion(
         diagnostics=[
             Gate("mu_proximity", weighted_norm(D, shift + p.u0), proximity),
             Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - p.u0), proximity),
-            Gate("skew_magnitude", abs(p.T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b3),
+            Gate("skew_magnitude", abs(T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b3),
         ],
     )
-    return p.report("4", bounds, cert)
+    return ExpansionReport("4", shift, p.newton_value_change - T, bounds, p, cert)
 
 
 def expansion_for_order(
-    f: Oracle,
-    xstar,
-    F: SpdOperator,
-    A,
-    cert: SmoothnessCertificate,
-    order: int | str,
+    p: Prediction, cert: SmoothnessCertificate, order: int | str
 ) -> ExpansionReport:
-    """The report for one order: 2, 3, 4, or ``"exact"``, which needs ``f.quadratic``."""
+    """The report for one order: 2, 3, 4, or ``"exact"``, which needs ``p.f.quadratic``."""
     if order == "exact":
-        if not f.quadratic:
+        if not p.objective.quadratic:
             raise PreconditionViolated("objective is not quadratic")
-        return exact_quadratic_expansion(F, A)
+        return exact_quadratic_expansion(p)
     if order == 4:
-        return fourth_order_expansion(f, xstar, F, A, cert)
+        return fourth_order_expansion(p, cert)
     if order == 2:
-        bounds = second_order_bounds(F, A, cert)
+        bounds = second_order_bounds(p, cert)
     elif order == 3:
-        bounds = third_order_bounds(F, A, cert)
+        bounds = third_order_bounds(p, cert)
     else:
         raise ValueError(f"unsupported order {order!r}")
-    return _predict(F, A).report(str(order), bounds, cert)
+    return p.report(str(order), bounds, cert)
 
 
 def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> ExpansionReport:
@@ -589,7 +587,7 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
     local_kappa = kappa_between(cert.metric, F)
     if local_kappa > cert.kappa:
         cert = replace(cert, kappa=local_kappa)
-    rep = expansion_for_order(f, xk, F, f.gradient(xk), cert, 3)
+    rep = expansion_for_order(predict(F, f.gradient(xk), f, xk), cert, 3)
     return replace(rep, anchor="iterate")
 
 
@@ -732,10 +730,9 @@ def compare_with_solution(
     met, anything larger is an infinite slack.  A bound participates in
     ``violations`` only when each gate it requires passed.
     """
-    F = report.curvature
+    F, u0 = report.prediction.F, report.prediction.u0
     D = report.certificate.metric if report.certificate is not None else None
     bounds = report.bounds
-    u0 = F.apply_power(-1.0, report.tilt)
     targets = {
         TARGET_SHIFT: actual_shift,
         TARGET_NEWTON: actual_shift + u0,
@@ -782,7 +779,7 @@ def compare_with_solution(
     return ComparisonReport(certifying=bounds.all_gates_pass, entries=entries)
 
 
-def _solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution:
+def solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution:
     """The reference solve of ``g`` from ``x*``, stepping on ``g``'s factored Hessian there."""
     sol = newton_minimize(g, xstar, curvature=curvature)
     solver = {
@@ -812,10 +809,10 @@ def solve_and_compare(
     """
     if not reports:
         return None, []
-    curvature = reports[0].curvature
-    if not all(np.array_equal(rep.curvature.matrix, curvature.matrix) for rep in reports[1:]):
+    curvature = reports[0].prediction.F
+    if not all(np.array_equal(r.prediction.F.matrix, curvature.matrix) for r in reports[1:]):
         raise ValueError("the reports state different curvatures, so not one perturbed problem")
-    solution = _solve_from(g, as_vector(xstar, g.dim), curvature)
+    solution = solve_from(g, as_vector(xstar, g.dim), curvature)
     return solution, [
         compare_with_solution(report, solution.actual_shift, solution.actual_value_change)
         for report in reports
@@ -825,11 +822,11 @@ def solve_and_compare(
 def verify_expansion(
     f: Oracle, xstar, report: ExpansionReport
 ) -> tuple[Solution, ComparisonReport]:
-    """Solve the tilted problem ``f + <., report.tilt>`` and compare with the report.
+    """Solve the tilted problem ``f + <., A>`` of the report's prediction and compare.
 
     The tilt leaves ``f``'s Hessian as it is, so the report's curvature is
     the tilted problem's too.
     """
-    g = linearly_perturb(f, report.tilt)
+    g = linearly_perturb(f, report.prediction.A)
     solution, (comparison,) = solve_and_compare(g, xstar, [report])
     return solution, comparison

@@ -30,8 +30,14 @@ from .errors import (
     MissingThirdDerivative,
     PreconditionViolated,
 )
-from .expand import _predict, _solve_from, expansion_for_order, solve_and_compare
-from .linalg import SpdOperator, spd_from_dense, spd_power_operator, weighted_norm
+from .expand import expansion_for_order, predict, solve_and_compare, solve_from
+from .linalg import (
+    SpdOperator,
+    kappa_between,
+    spd_from_dense,
+    spd_power_operator,
+    weighted_norm,
+)
 from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
 from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
@@ -61,7 +67,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v4"
+REPORT_SCHEMA = "perturbex.report.v5"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _INTEGER = {"type": "integer"}
@@ -125,11 +131,10 @@ CONFIG_SCHEMA = {
                 "mode": {"enum": ["estimated", "declared"]},
                 "samples": _COUNT, "seed": _INTEGER,
                 "inflation": {"type": "number", "minimum": 1}, "radius": _POSITIVE,
-                "kappa": _NONNEGATIVE, "omega": _NONNEGATIVE,
-                "tau3": _NONNEGATIVE, "tau4": _NONNEGATIVE,
+                "omega": _NONNEGATIVE, "tau3": _NONNEGATIVE, "tau4": _NONNEGATIVE,
             },
             _variant("mode", "estimated", "samples", "seed", "inflation", "radius"),
-            _variant("mode", "declared", "radius", "kappa", "omega", "tau3", "tau4"),
+            _variant("mode", "declared", "radius", "omega", "tau3", "tau4"),
             required=["mode"],
         ),
         "certify": _command(
@@ -369,7 +374,7 @@ def _build_certificate(
         return declared_certificate(
             metric=metric,
             radius=radius,
-            kappa=float(spec.get("kappa", 1.0)),
+            kappa=kappa_between(metric, curvature),
             omega=float(spec["omega"]) if "omega" in spec else None,  # 0 would claim f quadratic
             tau3=spec.get("tau3"),
             tau4=spec.get("tau4"),
@@ -462,18 +467,20 @@ def _verified_problem(
     from it.
 
     Returns what a report states once per perturbed problem, ``{"tilt",
-    "certificate", "solution"}`` (the solution is ``None`` when every order
-    is skipped, as no solve is made), and one result per order, ``{"order",
-    "report", "verification"}``, or ``{"order", "skipped"}`` with the reason
-    :func:`expansion_for_order` gives when ``g`` or the certificate does
-    not support the order.
+    "prediction", "certificate", "solution"}`` (the prediction's skew pair
+    is ``None`` unless order 4 was built, and the solution is ``None`` when
+    every order is skipped, as no solve is made), and one result per order,
+    ``{"order", "report", "verification"}``, or ``{"order", "skipped"}``
+    with the reason :func:`expansion_for_order` gives when ``g`` or the
+    certificate does not support the order.
     """
     g, drive, F, cert = perturbed
+    prediction = predict(F, drive, g, xstar)
     results: list[dict[str, Any]] = []
     reports = []
     for order in orders:
         try:
-            rep = expansion_for_order(g, xstar, F, drive, cert, order)
+            rep = expansion_for_order(prediction, cert, order)
         except (
             MissingConstant, MissingThirdDerivative, MissingFourthDerivative, PreconditionViolated
         ) as exc:
@@ -486,6 +493,7 @@ def _verified_problem(
         res["verification"] = comparison.to_dict()
     problem = {
         "tilt": drive.tolist(),
+        "prediction": prediction.to_dict(),
         "certificate": cert.to_dict(),
         "solution": None if solution is None else solution.to_dict(),
     }
@@ -577,6 +585,16 @@ def _fit_slope(eps: list[float], vals: list[float]) -> dict[str, Any]:
     return {"slope": slope, "points_used": len(pts), "note": ""}
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||``, taken from ``v`` over its largest entry when the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 SCALING_HEADER = ["eps", "newton_residual", "skew_residual", "value_error_2", "value_error_4"]
 
 
@@ -601,16 +619,17 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     for eps in eps_grid:
         A = eps * A0
         # Predicted first: a tilt too large to predict is an error before its solve.
-        p = _predict(F, A, f, xstar)
-        solution = _solve_from(linearly_perturb(f, A), xstar, F)
+        p = predict(F, A, f, xstar)
+        correction, T = p.skew
+        solution = solve_from(linearly_perturb(f, A), xstar, F)
         shift, dval = solution.actual_shift, solution.actual_value_change
-        r_newton = float(np.linalg.norm(shift + p.u0))
-        r_skew = float(np.linalg.norm(shift - p.shift))
+        r_newton = _norm(shift + p.u0)
+        r_skew = _norm(shift - (-p.u0 + correction))
         # The order-4 value error is the order-2 one plus T: the same as
         # dval minus the order-4 prediction, but T is added after dval and
         # -xi^2/2 have cancelled, so it is not rounded at the scale of xi^2.
-        resid2 = dval - p.newton_value
-        rows.append([eps, r_newton, r_skew, abs(resid2), abs(resid2 + p.T)])
+        resid2 = dval - p.newton_value_change
+        rows.append([eps, r_newton, r_skew, abs(resid2), abs(resid2 + T)])
 
     columns = list(zip(*rows))[1:]
     slopes = {name: _fit_slope(eps_grid, col) for name, col in zip(SCALING_HEADER[1:], columns)}
@@ -704,7 +723,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         results.append(entry)
 
         o3, o4 = entry["order3"], entry["order4"]
-        pred = np.asarray(o3["report"]["predicted_shift"])
+        pred = np.asarray(entry["prediction"]["newton_shift"])
         e3 = _named(o3["verification"]["entries"], "newton_residual_dinvf")
         e4 = _named(o4["verification"]["entries"], "skew_residual_dinvf")
         rows.append(
@@ -855,12 +874,17 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
         {"problem": logistic, "sweep": {"lambda_grid": [0.0]},
          "certificate": {"mode": "estimated", "samples": 16, "seed": seed + 8}},
     )
-    orders = [entry[key] for entry in report["results"] for key in ("order3", "order4")]
+    (entry,) = report["results"]
+    prediction = entry["prediction"]
     check(
         "ridge-sweep at weight 0: zero shift and zero radii",
         report["exit_code"] == EXIT_OK
-        and not any(np.any(res["report"]["predicted_shift"]) for res in orders)
-        and all(e["radius"] == 0.0 for res in orders for e in res["verification"]["entries"]),
+        and not np.any([prediction["newton_shift"], prediction["skew_correction"]])
+        and all(
+            e["radius"] == 0.0
+            for key in ("order3", "order4")
+            for e in entry[key]["verification"]["entries"]
+        ),
     )
 
     code = EXIT_OK if failures == 0 else EXIT_BOUND_VIOLATED

@@ -12,9 +12,10 @@ Operators that share an eigenbasis share its eigendecomposition:
 
 - ``F.shifted(lam)`` is ``F + lam I`` (a ridge with identity ``G2``), with
   eigenvalues ``F.eigenvalues + lam`` and ``F``'s eigenvectors;
-- ``spd_power_operator(F, t)`` is ``F^t``, and it records
-  ``kappa_between(F^t, F)`` from the eigenvalues, so a metric that is a
-  power of the curvature never costs an eigensolve for ``kappa``.
+- ``spd_power_operator(F, t)`` is ``F^t``, and it records its base ``F``
+  with ``kappa_between(F^t, F)`` from the eigenvalues, so a metric that is
+  a power of the curvature (of any operator with ``F``'s matrix) never
+  costs an eigensolve for ``kappa``.
 
 Every operator, factored or derived, passes the same SPD floor.  A factored
 or shifted operator also passes the eigenfactor round-trip check; a power
@@ -85,6 +86,8 @@ class SpdOperator:
     dim: int = field(init=False)
     # kappa_between(D, self) by metric operator; both are immutable.
     _kappa_by_metric: dict = field(init=False, repr=False, default_factory=dict)
+    # (M, kappa_between(self, M)) when this operator is a power of M.
+    _power_of: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", int(self.matrix.shape[0]))
@@ -185,7 +188,7 @@ def spd_from_dense(matrix) -> SpdOperator:
 def spd_power_operator(M: SpdOperator, t: float) -> SpdOperator:
     """Build ``M^t`` as a new :class:`SpdOperator`, reusing the eigenbasis.
 
-    ``kappa_between(M^t, M)`` is recorded on ``M`` as
+    ``M^t`` records ``M`` and ``kappa_between(M^t, M)`` as
     ``sqrt(max_i lambda_i(M)^(2t - 1))``: ``(M^t)^2 = M^(2t)`` and ``M``
     share eigenvectors, so no eigensolve is needed.  The eigenvalues of
     ``M^t`` must clear the SPD floor; the eigenpairs are ``M``'s, already
@@ -197,9 +200,10 @@ def spd_power_operator(M: SpdOperator, t: float) -> SpdOperator:
     _check_floor(vals)
     vecs = M.eigenvectors[:, order].copy()
     dense = (vecs * vals) @ vecs.T
-    D = SpdOperator(matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs)
-    M._kappa_by_metric[D] = float(np.sqrt((M.eigenvalues ** (2.0 * t - 1.0)).max()))
-    return D
+    kappa = float(np.sqrt((M.eigenvalues ** (2.0 * t - 1.0)).max()))
+    return SpdOperator(
+        matrix=0.5 * (dense + dense.T), eigenvalues=vals, eigenvectors=vecs, _power_of=(M, kappa)
+    )
 
 
 def weighted_norm(M: SpdOperator, v) -> float:
@@ -225,11 +229,18 @@ def kappa_between(D, F: SpdOperator) -> float:
     square root of the largest eigenvalue of ``F^{-1/2} D^2 F^{-1/2}``, once
     per pair of operators: the value is kept on ``F`` keyed by an operator
     ``D`` (array metrics are recomputed on every call).  A metric built by
-    :func:`spd_power_operator` from ``F`` finds its value already kept.
+    :func:`spd_power_operator` from ``F``, or from any operator whose matrix
+    equals ``F``'s, states its value in closed form.
     """
-    cached = F._kappa_by_metric.get(D) if isinstance(D, SpdOperator) else None
-    if cached is not None:
-        return cached
+    if isinstance(D, SpdOperator):
+        if D._power_of is not None:
+            base, kappa = D._power_of
+            # Identity first: the command's metric is a power of this very factor.
+            if base is F or np.array_equal(base.matrix, F.matrix):
+                return kappa
+        cached = F._kappa_by_metric.get(D)
+        if cached is not None:
+            return cached
     D2 = _square_of(D)
     if D2.shape[0] != F.dim:
         raise DimensionMismatch(

@@ -6,8 +6,8 @@ penalized minimizer; the displacement is driven by the penalty gradient
 ``F_pen = grad^2 (f + pen)(x*)``.  On the shifted scale the penalized
 objective is exactly a linear tilt, with drive ``M``, of a function
 minimized at ``x*``, so a bias report is the :class:`ExpansionReport` that
-:func:`expansion_for_order` builds for ``f + pen`` with ``A = M`` and
-``F = F_pen``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``
+:func:`expansion_for_order` builds from the prediction ``predict(F_pen, M,
+f + pen, x*)``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``
 in the certificate's metric ``D``, same verification.  :func:`as_tilt`
 states a tilt ``f + <., A>`` or a penalty in these terms; every perturbed
 problem, here and in the harness, is built by it.
@@ -19,7 +19,7 @@ penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
 from __future__ import annotations
 
 from . import constants
-from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order
+from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order, predict
 from .linalg import SpdOperator, as_vector, spd_from_dense
 from .oracle import Oracle, QuadraticOracle, linearly_perturb, smoothly_penalize
 from .smoothness import SmoothnessCertificate, check_anchor
@@ -57,7 +57,7 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
     both exact (zero radii).
     """
     _, M, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F.matrix)
-    return exact_quadratic_expansion(FG, M)
+    return exact_quadratic_expansion(predict(FG, M))
 
 
 def smooth_penalty_bias(
@@ -78,4 +78,4 @@ def smooth_penalty_bias(
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     g, drive, F = as_tilt(f, upsstar, pen)
-    return expansion_for_order(g, upsstar, F, drive, cert, order)
+    return expansion_for_order(predict(F, drive, g, upsstar), cert, order)

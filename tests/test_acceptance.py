@@ -161,7 +161,7 @@ def theorem_suite():
         label = f"{desc['kind']}-{i}"
         by_order = {}
         for order in (2, 3, 4):
-            rep = px.expansion_for_order(f, xstar, F, A, cert, order)
+            rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
             comp = px.compare_with_solution(rep, shift, dval)
             tally.add(f"{label}/order{order}", rep, comp)
             by_order[order] = comp
@@ -258,7 +258,7 @@ def test_quadratic_predictions_are_exact(criterion):
         prob = px.oracle_from_descriptor(desc)
         rng = np.random.default_rng(900 + k)
         A = 10.0 ** ((k % 5) - 3) * rng.standard_normal(dim)
-        rep = px.exact_quadratic_expansion(prob.curvature, A)
+        rep = px.exact_quadratic_expansion(px.predict(prob.curvature, A))
         _, comp = px.verify_expansion(prob.oracle, prob.minimizer, rep)
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, comp.residual_norms))

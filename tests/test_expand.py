@@ -27,7 +27,7 @@ class TestExactQuadratic:
         # F = diag(2, 4), A = (1, 2): shift -F^{-1}A = (-1/2, -1/2) and
         # value -||F^{-1/2}A||^2/2 = -(1/2 + 1)/2 = -3/4.
         F = px.spd_from_dense(np.diag([2.0, 4.0]))
-        rep = px.exact_quadratic_expansion(F, np.array([1.0, 2.0]))
+        rep = px.exact_quadratic_expansion(px.predict(F, np.array([1.0, 2.0])))
         np.testing.assert_allclose(rep.predicted_shift, [-0.5, -0.5], atol=1e-15)
         assert rep.predicted_value_change == pytest.approx(-0.75, abs=1e-15)
         assert all(b.radius == 0.0 for b in rep.bounds.shift_bounds)
@@ -38,7 +38,7 @@ class TestExactQuadratic:
         center = rng.standard_normal(6)
         f = px.QuadraticOracle(F, center)
         A = rng.standard_normal(6)
-        rep = px.exact_quadratic_expansion(F, A)
+        rep = px.exact_quadratic_expansion(px.predict(F, A))
         _, comp = px.verify_expansion(f, center, rep)
         assert comp.certifying
         assert comp.violations == []
@@ -49,7 +49,7 @@ class TestExactQuadratic:
         F = px.random_spd(rng, 4, cond=9.0)
         A = rng.standard_normal(4)
         B = rng.standard_normal(4)
-        v = lambda t: px.exact_quadratic_expansion(F, t).predicted_value_change
+        v = lambda t: px.exact_quadratic_expansion(px.predict(F, t)).predicted_value_change
         cross = v(A + B) - v(A) - v(B)
         assert cross == pytest.approx(-float(A @ F.apply_power(-1.0, B)), rel=1e-12)
         assert cross == pytest.approx(-float(B @ F.apply_power(-1.0, A)), rel=1e-12)
@@ -60,7 +60,7 @@ class TestSecondOrder:
 
     def _bounds(self):
         cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.2)
-        return px.second_order_bounds(_I1, np.array([1.0]), cert)
+        return px.second_order_bounds(px.predict(_I1, np.array([1.0])), cert)
 
     def test_gates_all_pass(self):
         assert self._bounds().all_gates_pass
@@ -83,7 +83,7 @@ class TestSecondOrder:
 
     def test_omega_cap_gate(self):
         cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.4)
-        bounds = px.second_order_bounds(_I1, np.array([0.1]), cert)
+        bounds = px.second_order_bounds(px.predict(_I1, np.array([0.1])), cert)
         assert not bounds.gate("omega_cap").satisfied
 
 
@@ -93,7 +93,7 @@ class TestThirdOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
         )
-        bounds = px.third_order_bounds(_I1, np.array([1.0]), cert)
+        bounds = px.third_order_bounds(px.predict(_I1, np.array([1.0])), cert)
         by_name = {b.name: b.radius for b in bounds.shift_bounds}
         assert by_name["newton_residual_dinvf"] == pytest.approx(0.3, rel=1e-14)
         assert by_name["shift_d"] == pytest.approx(1.5, rel=1e-14)
@@ -109,7 +109,7 @@ class TestThirdOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
         )
-        bounds = px.third_order_bounds(_I1, np.array([0.5]), cert)
+        bounds = px.third_order_bounds(px.predict(_I1, np.array([0.5])), cert)
         assert bounds.all_gates_pass
         newton = next(
             b for b in bounds.shift_bounds if b.name == "newton_residual_dinvf"
@@ -119,7 +119,7 @@ class TestThirdOrder:
     def test_requires_tau3(self):
         cert = px.declared_certificate(_I1, radius=1.0, kappa=1.0, omega=0.1)
         with pytest.raises(MissingThirdDerivative):
-            px.third_order_bounds(_I1, np.array([0.1]), cert)
+            px.third_order_bounds(px.predict(_I1, np.array([0.1])), cert)
 
 
 class TestSkewness:
@@ -152,14 +152,14 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4, tau4=0.3
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
+        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert rep.bounds.all_gates_pass
         skew = next(
             b for b in rep.bounds.shift_bounds if b.name == "skew_residual_dinvf"
         )
         assert skew.radius == pytest.approx(0.31, rel=1e-12)
         assert rep.bounds.value_bound.upper == pytest.approx(0.2136, rel=1e-12)
-        np.testing.assert_array_equal(rep.skew_correction, np.zeros(1))
+        np.testing.assert_array_equal(rep.prediction.skew[0], np.zeros(1))
 
     def test_cubic_correction_is_computed_exactly(self):
         """For f = x^2/2 + x^3/6 and A = 1: u0 = 1, T = 1/6, skew = -1/2."""
@@ -167,8 +167,8 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=1.0, tau3=1.0, tau4=0.0
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
-        assert rep.skew_correction[0] == pytest.approx(-0.5, abs=1e-15)
+        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
+        assert rep.prediction.skew[0][0] == pytest.approx(-0.5, abs=1e-15)
         assert rep.predicted_shift[0] == pytest.approx(-1.5, abs=1e-15)
         assert rep.predicted_value_change == pytest.approx(-0.5 - 1.0 / 6.0, abs=1e-15)
 
@@ -176,11 +176,11 @@ class TestFourthOrder:
         """shift(A) + shift(-A) = 2 * skew(A): the Newton parts cancel exactly."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        plus = px.fourth_order_expansion(f, xstar, F, A, cert)
-        minus = px.fourth_order_expansion(f, xstar, F, -A, cert)
+        plus = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
+        minus = px.fourth_order_expansion(px.predict(F, -A, f, xstar), cert)
         np.testing.assert_allclose(
             plus.predicted_shift + minus.predicted_shift,
-            2.0 * plus.skew_correction,
+            2.0 * plus.prediction.skew[0],
             atol=1e-15,
         )
 
@@ -188,7 +188,7 @@ class TestFourthOrder:
         """The corrected shift sits within (tau3 / 2) b^2 of the Newton step."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        rep = px.fourth_order_expansion(f, xstar, F, A, cert)
+        rep = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
         diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
         b = px.weighted_norm(cert.metric, F.apply_power(-1.0, A))
@@ -200,21 +200,54 @@ class TestFourthOrder:
         cert = px.declared_certificate(
             _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.5
         )
-        rep = px.fourth_order_expansion(f, np.zeros(1), _I1, np.array([1.0]), cert)
+        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert not rep.bounds.gate("tau4_dnorm").satisfied
+
+
+class TestPrediction:
+    def test_skew_term_is_computed_once_on_demand(self):
+        """For f = x^2/2 + x^3/6 and A = 1: u0 = 1, T = 1/6, skew = -1/2."""
+        calls = []
+        cubic = _cubic_1d()
+        f = px.CustomOracle(
+            dim=1,
+            value=cubic.value,
+            gradient=cubic.gradient,
+            hessian=cubic.hessian,
+            third_dir=lambda x, u: calls.append(1) or cubic.third_dir(x, u),
+        )
+        p = px.predict(_I1, np.array([1.0]), f, np.zeros(1))
+        assert p.to_dict() == {
+            "newton_shift": [-1.0], "newton_value_change": -0.5,
+            "skew_correction": None, "skew_value": None,
+        }
+        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=1.0, tau3=1.0, tau4=0.0)
+        for order in (2, 3, 4, 4):
+            px.expansion_for_order(p, cert, order)
+        assert len(calls) == 1
+        assert p.to_dict()["skew_correction"] == [-0.5]
+        assert p.to_dict()["skew_value"] == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_orders_that_read_the_objective_need_it(self, logistic_certificate):
+        f, xstar, F, cert = logistic_certificate
+        p = px.predict(F, 0.01 * np.ones(f.dim))
+        assert px.expansion_for_order(p, cert, 3).order == "3"
+        for order in (4, "exact"):
+            with pytest.raises(ValueError, match="without f and x"):
+                px.expansion_for_order(p, cert, order)
 
 
 class TestDispatch:
     def test_unknown_order(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         with pytest.raises(ValueError):
-            px.expansion_for_order(f, xstar, F, np.zeros(f.dim), cert, 5)
+            px.expansion_for_order(px.predict(F, np.zeros(f.dim), f, xstar), cert, 5)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_order_tag_matches(self, order, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, A, cert, order)
+        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
         assert rep.order == str(order)
         assert rep.anchor == "base-minimizer"
 
@@ -223,7 +256,7 @@ class TestDispatch:
         A = 0.01 * np.ones(f.dim)
         for g in (f, px.linearly_perturb(f, A)):
             with pytest.raises(PreconditionViolated, match="not quadratic"):
-                px.expansion_for_order(g, xstar, F, A, cert, "exact")
+                px.expansion_for_order(px.predict(F, A, g, xstar), cert, "exact")
 
 
 class TestVerification:
@@ -231,12 +264,13 @@ class TestVerification:
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
         g = px.linearly_perturb(f, A)
-        reports = [px.expansion_for_order(f, xstar, F, A, cert, order) for order in (2, 3)]
+        p = px.predict(F, A, f, xstar)
+        reports = [px.expansion_for_order(p, cert, order) for order in (2, 3)]
         solution, comps = px.solve_and_compare(g, xstar, reports)
         assert len(comps) == 2 and solution.solver["converged"]
         assert px.solve_and_compare(g, xstar, []) == (None, [])
         other = px.spd_from_dense(2.0 * F.matrix)
-        reports.append(px.expansion_for_order(f, xstar, other, A, cert, 3))
+        reports.append(px.expansion_for_order(px.predict(other, A, f, xstar), cert, 3))
         with pytest.raises(ValueError, match="different curvatures"):
             px.solve_and_compare(g, xstar, reports)
 
@@ -246,7 +280,7 @@ class TestVerification:
         rng = np.random.default_rng(17)
         v = rng.standard_normal(f.dim)
         A = 0.02 * v / np.linalg.norm(v)
-        rep = px.expansion_for_order(f, xstar, F, A, cert, order)
+        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
         _, comp = px.verify_expansion(f, xstar, rep)
         assert comp.certifying, rep.bounds.failed_gates()
         assert comp.violations == []
@@ -255,7 +289,7 @@ class TestVerification:
     def test_zero_tilt_has_zero_slack(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = np.zeros(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, A, cert, 3)
+        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, 3)
         _, comp = px.verify_expansion(f, xstar, rep)
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
@@ -267,7 +301,7 @@ class TestVerification:
             _I1, radius=1.0, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
         )
         A = np.array([0.3])
-        rep = px.expansion_for_order(f, np.zeros(1), _I1, A, lying, 3)
+        rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), lying, 3)
         assert rep.bounds.all_gates_pass  # the lie makes every gate easy
         _, comp = px.verify_expansion(f, np.zeros(1), rep)
         assert "newton_residual_dinvf" in comp.violations
@@ -279,7 +313,7 @@ class TestVerification:
             _I1, radius=0.1, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
         )
         A = np.array([0.3])  # dnorm_radius gate fails: 0.45 > 0.1
-        rep = px.expansion_for_order(f, np.zeros(1), _I1, A, cert, 3)
+        rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), cert, 3)
         assert not rep.bounds.all_gates_pass
         _, comp = px.verify_expansion(f, np.zeros(1), rep)
         assert not comp.certifying
@@ -288,7 +322,7 @@ class TestVerification:
     def test_report_roundtrips_through_json(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.ones(f.dim)
-        rep = px.expansion_for_order(f, xstar, F, A, cert, 4)
+        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, 4)
         _, comp = px.verify_expansion(f, xstar, rep)
         blob = json.dumps({"report": rep.to_dict(), "verification": comp.to_dict()})
         parsed = json.loads(blob)

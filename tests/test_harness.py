@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import perturbex.constants as constants
+import perturbex.expand as expand
 import perturbex.harness as harness
 import perturbex.linalg as linalg
 import perturbex.solver as solver
@@ -22,7 +23,9 @@ from perturbex import (
     LogisticOracle,
     QuadraticOracle,
     SumOracle,
+    declared_certificate,
     oracle_from_descriptor,
+    predict,
     smooth_penalty_bias,
     smoothly_penalize,
     solve_and_compare,
@@ -69,7 +72,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v4"
+        assert report["schema"] == "perturbex.report.v5"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -128,7 +131,7 @@ class TestCertify:
     def test_declared_certificate_without_tau4_skips_order4(self, tmp_path):
         payload = _base_config()
         payload["certificate"] = {
-            "mode": "declared", "radius": 0.5, "kappa": 1.0, "omega": 0.1,
+            "mode": "declared", "radius": 0.5, "omega": 0.1,
             "tau3": 0.5,
         }
         payload["orders"] = [3, 4]
@@ -144,7 +147,7 @@ class TestCertify:
     def test_lying_certificate_exits_two(self, tmp_path):
         payload = _base_config()
         payload["certificate"] = {
-            "mode": "declared", "radius": 0.5, "kappa": 1.0, "omega": 1e-12,
+            "mode": "declared", "radius": 0.5, "omega": 1e-12,
             "tau3": 1e-12, "tau4": 1e-12,
         }
         cfg = _write(tmp_path, "cfg.json", payload)
@@ -191,7 +194,7 @@ class TestCertify:
         """
         payload = _base_config()
         payload["orders"] = [2]
-        payload["certificate"] = {"mode": "declared", "radius": 0.5, "kappa": 1.0, "omega": 2.0}
+        payload["certificate"] = {"mode": "declared", "radius": 0.5, "omega": 2.0}
         cfg = _write(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
@@ -248,7 +251,7 @@ def solves(monkeypatch):
 
 
 def _recording(monkeypatch, name):
-    """Keep every report the harness builds through ``harness.<name>``."""
+    """Keep everything the harness builds through ``harness.<name>``."""
     original = getattr(harness, name)
     built = []
 
@@ -421,6 +424,21 @@ class TestKappaOncePerPair:
     def test_ridge_sweep_computes_kappa_once_per_lambda(self, tmp_path, kappa_solves):
         cfg = _write(tmp_path, "cfg.json", _sweep_config([0.05, 0.1]))
         assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(kappa_solves) == 0
+
+    def test_library_penalty_bias_needs_no_eigensolve(self, kappa_solves):
+        """``smooth_penalty_bias`` factors ``F_pen`` afresh; the metric is a power
+        of the command's factor, whose matrix is the same, so kappa is exactly 1."""
+        prob = oracle_from_descriptor(_base_config()["problem"])
+        f = prob.oracle
+        anchor = solver.newton_minimize(f, prob.x0)
+        pen = QuadraticOracle(0.1 * np.eye(f.dim))
+        _, _, F = as_tilt(f, anchor.xhat, pen, anchor.hessian)
+        metric = linalg.spd_power_operator(F, 0.5)
+        cert = declared_certificate(metric, radius=0.5, kappa=1.0, omega=None, tau3=0.5)
+        rep = smooth_penalty_bias(f, anchor.xhat, pen, cert, order=3)
+        assert rep.prediction.F is not F
+        assert rep.bounds.gate("metric_dominated").lhs == 1.0
         assert len(kappa_solves) == 0
 
     def test_unrelated_pair_solves_once(self, kappa_solves):
@@ -956,14 +974,6 @@ class TestOneTiltBuilder:
         assert [entry["order"] for entry in entries] == ["3", "4"]
         for entry in entries:
             rep = smooth_penalty_bias(f, xstar, pen, cert, order=int(entry["order"])).to_dict()
-            # smooth_penalty_bias factors F_pen afresh, so the metric gate's
-            # kappa(D, F_pen) comes from an eigensolve, not from the closed
-            # form kept on the harness's factor; it agrees to rounding.
-            gate = rep["bounds"]["preconditions"][0]
-            held = entry["report"]["bounds"]["preconditions"][0]
-            assert gate["name"] == held["name"] == "metric_dominated"
-            assert held["lhs"] == 1.0 and gate["lhs"] == pytest.approx(1.0, rel=1e-14)
-            gate["lhs"] = held["lhs"]
             assert json.dumps(entry["report"], sort_keys=True) == json.dumps(rep, sort_keys=True)
 
     @pytest.mark.parametrize("kind", ["tilt", "ridge", "smooth"])
@@ -1202,6 +1212,25 @@ class TestNonFiniteSamples:
         assert err.count("\n") == 1 and message in err
         assert [str(w.message) for w in caught] == [] and not out.exists()
 
+    def test_huge_scaling_rows_are_finite(self, tmp_path):
+        """A residual whose sum of squares overflows is taken from the scaled
+        vector: the row at eps 1e100 is finite and raises no warning."""
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "logistic", "dim": 3, "n": 30, "seed": 1},
+            "perturbation": {"kind": "linear", "scale": 1},
+            "scaling": {"eps_grid": [1e100, 1e50]},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert np.isfinite(rows).all()
+        # The skew residual grows as eps^2: the huge row is the small one times 1e100.
+        assert rows[0][2] == pytest.approx(1e100 * rows[1][2], rel=1e-12)
+
     def test_repeated_eps_is_a_one_line_error(self, tmp_path, capsys):
         payload = {
             "seed": 1,
@@ -1217,3 +1246,99 @@ class TestNonFiniteSamples:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "scaling.eps_grid" in err and "non-unique" in err
         assert caught == [] and not out.exists()
+
+
+class TestOnePredictionPerProblem:
+    """Each perturbed problem is predicted once; its skew term is built only for
+    order 4, once; the report states the prediction once, and every order's
+    shift and value change are read from it."""
+
+    @pytest.fixture
+    def skews(self, monkeypatch):
+        original = expand.skewness_correction
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(expand, "skewness_correction", counting)
+        return calls
+
+    def _run(self, tmp_path, command, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    def test_certify_predicts_once(self, tmp_path, monkeypatch):
+        predictions = _recording(monkeypatch, "predict")
+        self._run(tmp_path, "certify", _base_config())
+        assert len(predictions) == 1
+
+    def test_ridge_sweep_predicts_once_per_weight(self, tmp_path, monkeypatch):
+        predictions = _recording(monkeypatch, "predict")
+        self._run(tmp_path, "ridge-sweep", _sweep_config([0.0, 0.05, 0.1]))
+        assert len(predictions) == 3
+
+    @pytest.mark.parametrize(
+        "orders, certificate, evaluated",
+        [
+            ([2, 3], None, 0),
+            ([2, 3, 4], None, 1),
+            ([2, 3, 4], {"mode": "declared", "radius": 0.5, "omega": 0.1, "tau3": 0.5}, 0),
+        ],
+        ids=["orders-2-3", "orders-2-3-4", "declared-without-tau4"],
+    )
+    def test_skew_term_only_for_order_four(self, tmp_path, skews, orders, certificate, evaluated):
+        payload = {**_base_config(), "orders": orders}
+        if certificate is not None:
+            payload["certificate"] = certificate
+        report = self._run(tmp_path, "certify", payload)
+        assert len(skews) == evaluated
+        prediction = report["prediction"]
+        assert (prediction["skew_correction"] is None) == (evaluated == 0)
+        assert (prediction["skew_value"] is None) == (evaluated == 0)
+
+    @staticmethod
+    def _check_orders(prediction, blocks, built):
+        """Each order's shift and value change, recovered from ``prediction`` bit for bit."""
+        assert [block["report"]["order"] for block in blocks] == [rep.order for rep in built]
+        for rep in built:
+            shift, value = prediction["newton_shift"], prediction["newton_value_change"]
+            if rep.order == "4":
+                shift = [n + s for n, s in zip(shift, prediction["skew_correction"])]
+                value = value - prediction["skew_value"]
+            assert rep.predicted_shift.tolist() == shift
+            assert rep.predicted_value_change == value
+        for block in blocks:
+            assert set(block["report"]) == {"order", "anchor", "bounds"}
+            assert "certifying" not in block["report"]["bounds"]
+
+    def test_certify_prediction_is_the_library_prediction(self, tmp_path, monkeypatch):
+        built = _recording(monkeypatch, "expansion_for_order")
+        report = self._run(tmp_path, "certify", _base_config())
+        f = oracle_from_descriptor(report["problem"]).oracle
+        xstar = np.array(report["anchor"]["xstar"])
+        g, drive, F = as_tilt(f, xstar, np.array(report["tilt"]))
+        p = predict(F, drive, g, xstar)
+        p.skew  # computed, as the order-4 report computed it
+        assert report["prediction"] == json.loads(json.dumps(p.to_dict()))
+        self._check_orders(report["prediction"], report["results"], built)
+
+    def test_ridge_sweep_prediction_is_the_library_prediction(self, tmp_path, monkeypatch):
+        built = _recording(monkeypatch, "expansion_for_order")
+        payload = _sweep_config([0.0, 0.1], {"mode": "rank1", "seed": 12})
+        report = self._run(tmp_path, "ridge-sweep", payload)
+        prob = oracle_from_descriptor(report["problem"])
+        anchor = solver.newton_minimize(prob.oracle, prob.x0)
+        cfg = ExperimentConfig.from_dict(payload, "ridge-sweep")
+        ridge = QuadraticOracle(harness._sweep_base_matrix(cfg, prob.oracle.dim))
+        for k, entry in enumerate(report["results"]):
+            pen = ridge.scaled(entry["lambda"])
+            g, drive, F = as_tilt(prob.oracle, anchor.xhat, pen, anchor.hessian)
+            p = predict(F, drive, g, anchor.xhat)
+            p.skew  # computed, as the order-4 report computed it
+            assert entry["prediction"] == json.loads(json.dumps(p.to_dict()))
+            blocks = [entry["order3"], entry["order4"]]
+            self._check_orders(entry["prediction"], blocks, built[2 * k: 2 * k + 2])

@@ -63,7 +63,7 @@ class TestExactRidge:
         rep = px.ridge_bias_exact_quadratic(F, np.zeros((3, 3)), rng.standard_normal(3))
         np.testing.assert_array_equal(rep.predicted_shift, np.zeros(3))
         assert rep.predicted_value_change == 0.0
-        np.testing.assert_array_equal(rep.tilt, np.zeros(3))
+        np.testing.assert_array_equal(rep.prediction.A, np.zeros(3))
 
 
 class TestRidgeBounds:
@@ -98,9 +98,7 @@ class TestRidgeBounds:
         # Zero penalty gives bG = 0; drive the formula through a tilt instead:
         # reuse the bound expression by checking the fourth-order expansion
         # with b = 0.5 directly.
-        exp = px.fourth_order_expansion(
-            f, np.zeros(1), _I1, np.array([0.5]), cert
-        )
+        exp = px.fourth_order_expansion(px.predict(_I1, np.array([0.5]), f, np.zeros(1)), cert)
         skew = next(
             b for b in exp.bounds.shift_bounds if b.name == "skew_residual_dinvf"
         )
@@ -138,7 +136,7 @@ class TestSmoothPenalty:
         f, xstar, G2, cert = ridge_setup
         fG = px.quadratically_penalize(f, G2)
         FG = px.spd_from_dense(fG.hessian(xstar))
-        rep_r = px.expansion_for_order(fG, xstar, FG, G2 @ xstar, cert, 3)
+        rep_r = px.expansion_for_order(px.predict(FG, G2 @ xstar, fG, xstar), cert, 3)
         rep_s = px.smooth_penalty_bias(
             f, xstar, px.QuadraticOracle(G2), cert, order=3
         )
