@@ -10,7 +10,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .diagnostics import CheckResult, DiagnosticsRecord
+from .diagnostics import Gate
 from .errors import (
     BadLabels,
     DimensionMismatch,
@@ -30,7 +30,6 @@ from .expand import (
     BoundSet,
     ComparisonReport,
     ExpansionReport,
-    Gate,
     Prediction,
     RadiusBound,
     Solution,
@@ -134,11 +133,9 @@ __all__ = [
     "estimate_certificate",
     "declared_certificate",
     "taylor_diagnostics",
-    # diagnostics containers
-    "CheckResult",
-    "DiagnosticsRecord",
-    # expansions
+    # checked inequalities
     "Gate",
+    # expansions
     "RadiusBound",
     "ValueBound",
     "BoundSet",

@@ -1,47 +1,38 @@
-"""Structured results for sampled inequality checks."""
+"""The record of one checked inequality, shared by the reports and the audits."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one sampled inequality.
-
-    ``worst_ratio`` is the largest observed lhs/rhs ratio (0 when both sides
-    vanished at every sample); ``witness`` records where the worst sample
-    occurred so a failure can be replayed.
-    """
+@dataclass(frozen=True)
+class Gate:
+    """One checked inequality: ``lhs <= rhs`` (or ``<`` when strict)."""
 
     name: str
-    worst_ratio: float
-    passed: bool
-    witness: dict[str, Any] = field(default_factory=dict)
-    details: dict[str, Any] = field(default_factory=dict)
+    lhs: float
+    rhs: float
+    strict: bool = False
+    satisfied: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lhs", _no_claim(self.lhs))
+        object.__setattr__(self, "rhs", _no_claim(self.rhs))
+        ok = self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
+        object.__setattr__(self, "satisfied", bool(ok))
 
     def to_dict(self) -> dict[str, Any]:
         return dict(vars(self))
 
 
-@dataclass
-class DiagnosticsRecord:
-    """A named bundle of check results plus the sampling metadata."""
+def _no_claim(value: float, sign: float = 1.0) -> float:
+    """``value``, or ``sign * inf`` when it is NaN.
 
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**vars(self), "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+    A radius, bracket end or gate side is NaN only where an overflowed
+    power met a zero factor (a ``tau3`` that underflowed to 0, say).  As
+    an infinity it claims nothing: a radius is advisory, and a gate whose
+    left side it is fails.
+    """
+    return sign * math.inf if math.isnan(value) else value

@@ -36,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from . import constants
-from .diagnostics import CheckResult, DiagnosticsRecord
+from .diagnostics import Gate, _no_claim
 from .errors import (
     HessianNotPd,
     MissingConstant,
@@ -51,7 +51,6 @@ from .smoothness import SmoothnessCertificate
 from .solver import newton_minimize
 
 __all__ = [
-    "Gate",
     "RadiusBound",
     "ValueBound",
     "BoundSet",
@@ -82,43 +81,12 @@ TARGET_NEWTON = "newton_residual"
 TARGET_SKEW = "skew_residual"
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One reported entry inequality: ``lhs <= rhs`` (or ``<`` when strict)."""
-
-    name: str
-    lhs: float
-    rhs: float
-    strict: bool = False
-    satisfied: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lhs", _no_claim(self.lhs))
-        object.__setattr__(self, "rhs", _no_claim(self.rhs))
-        ok = self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
-        object.__setattr__(self, "satisfied", bool(ok))
-
-    def to_dict(self) -> dict[str, Any]:
-        return dict(vars(self))
-
-
 def _power(x: float, k: int) -> float:
     """``x**k`` for ``x >= 0``, or ``+inf`` where a Python float raises ``OverflowError``."""
     try:
         return x**k
     except OverflowError:
         return math.inf
-
-
-def _no_claim(value: float, sign: float = 1.0) -> float:
-    """``value``, or ``sign * inf`` when it is NaN.
-
-    A radius, bracket end or gate side is NaN only where an overflowed
-    :func:`_power` met a zero factor (a ``tau3`` that underflowed to 0,
-    say).  As an infinity it claims nothing: a radius is advisory, and a
-    gate whose left side it is fails.
-    """
-    return sign * math.inf if math.isnan(value) else value
 
 
 def _metric_gate(F: SpdOperator, cert: SmoothnessCertificate) -> Gate:
@@ -603,7 +571,7 @@ def cubic_bound_check(
     r: float,
     samples: int = 100_000,
     seed: int = 0,
-) -> DiagnosticsRecord:
+) -> list[Gate]:
     """Monte-Carlo check of the cubic/quadratic envelope inequalities.
 
     For ``U >= I``, an anchor ``s`` with ``(3/4) r <= ||s|| <= r``, and
@@ -618,6 +586,10 @@ def cubic_bound_check(
     candidates ``(U + rho I)^{-1} U s`` and ``(U - rho I)^{-1} U s`` with
     ``rho = tau r / 3`` are always evaluated (the second clipped to the
     ball), plus ``s`` itself and the boundary point along ``s``.
+
+    Returns the gates ``max_envelope`` and ``min_envelope``: each compares
+    the extreme sampled value with ``(tau/2) ||s||^3`` plus a rounding
+    tolerance.
     """
     s = as_vector(s, U.dim)
     if tau < 0 or r <= 0:
@@ -661,46 +633,10 @@ def cubic_bound_check(
     bound = constants.ENVELOPE_VALUE_FACTOR * tau * snorm**3
     tol = constants.SLACK_TOLERANCE * (1.0 + bound)
 
-    upper_vals = cubic - quad
-    lower_vals = cubic + quad
-    i_max = int(np.argmax(upper_vals))
-    i_min = int(np.argmin(lower_vals))
-    max_val = float(upper_vals[i_max])
-    min_val = float(lower_vals[i_min])
-
-    def _ratio(v: float) -> float:
-        if bound <= 0.0:
-            return 0.0 if v <= tol else np.inf
-        return v / bound
-
-    record = DiagnosticsRecord(
-        name="cubic_bound_check",
-        metadata={
-            "samples": samples,
-            "seed": seed,
-            "tau": tau,
-            "r": r,
-            "anchor_norm": snorm,
-            "bound": bound,
-        },
-    )
-    record.checks.append(
-        CheckResult(
-            name="max_envelope",
-            worst_ratio=_ratio(max_val),
-            passed=bool(max_val <= bound + tol),
-            witness={"point": pts[i_max].tolist(), "value": max_val},
-        )
-    )
-    record.checks.append(
-        CheckResult(
-            name="min_envelope",
-            worst_ratio=_ratio(min_val),
-            passed=bool(min_val <= bound + tol),
-            witness={"point": pts[i_min].tolist(), "value": min_val},
-        )
-    )
-    return record
+    return [
+        Gate("max_envelope", float(np.max(cubic - quad)), bound + tol),
+        Gate("min_envelope", float(np.min(cubic + quad)), bound + tol),
+    ]
 
 
 # ---------------------------------------------------------------------------

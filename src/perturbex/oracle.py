@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import CheckResult, DiagnosticsRecord
+from .diagnostics import Gate
 from .errors import BadLabels, DimensionMismatch, NotPsd
 from .linalg import SpdOperator, as_matrix, as_vector
 
@@ -598,18 +598,18 @@ def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
 # ---------------------------------------------------------------------------
 
 
-def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> DiagnosticsRecord:
+def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
     """Cross-check analytic derivatives against central finite differences.
 
     For each random unit direction the mismatch of order ``k`` is measured
     relative to the scale of the order-``k`` analytic quantity, and the
-    worst case over directions is reported per order.  Orders 3 and 4 are
-    only probed when the oracle advertises analytic forms.
+    worst case over directions is reported per order, as a gate
+    ``order_k`` comparing it with that order's tolerance.  Orders 3 and 4
+    are only probed when the oracle advertises analytic forms.
     """
     x = as_vector(x, f.dim)
     rng = np.random.default_rng(seed)
     h1 = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    h3 = FD_DIR_STEP / 2.0  # the fallbacks' step on unit directions
     U = rng.standard_normal((directions, f.dim)).T
     U /= np.linalg.norm(U, axis=0)
     X = np.repeat(x[:, None], directions, axis=1)
@@ -628,7 +628,8 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> DiagnosticsRec
         worst[2] = max(worst[2], float(np.linalg.norm(fd2 - H @ u)) / hscale)
 
     # Orders 3 and 4 take the base-class central differences of the order
-    # below (step h3), over all directions as one block.
+    # below (step FD_DIR_STEP / 2 on unit directions), over all directions
+    # as one block.
     def worst_relative(fd: np.ndarray, exact: np.ndarray) -> float:
         ratios = np.linalg.norm(fd - exact, axis=0) / (1.0 + np.linalg.norm(exact, axis=0))
         return float(np.max(ratios, initial=0.0))
@@ -639,17 +640,4 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> DiagnosticsRec
         worst[4] = worst_relative(Oracle.fourth_dir_many(f, X, U), f.fourth_dir_many(X, U))
 
     tolerances = {1: 1e-6, 2: 1e-5, 3: 1e-3, 4: 1e-3}
-    record = DiagnosticsRecord(
-        name="fd_probe",
-        metadata={"directions": directions, "seed": seed, "steps": {"h1": h1, "h3": h3}},
-    )
-    for order, mismatch in worst.items():
-        record.checks.append(
-            CheckResult(
-                name=f"order_{order}",
-                worst_ratio=mismatch / tolerances[order],
-                passed=mismatch <= tolerances[order],
-                details={"mismatch": mismatch, "tolerance": tolerances[order]},
-            )
-        )
-    return record
+    return [Gate(f"order_{k}", mismatch, tolerances[k]) for k, mismatch in worst.items()]

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from . import constants
-from .diagnostics import CheckResult, DiagnosticsRecord
+from .diagnostics import Gate
 from .errors import (
     DimensionMismatch,
     MissingFourthDerivative,
@@ -67,8 +67,8 @@ class SmoothnessCertificate:
 
     ``radius`` is measured in ``||D .||``; the constants are only claimed
     on that ball.  A constant is ``None`` when it is not stated: ``tau3`` /
-    ``tau4`` for an oracle without derivatives of that order, or any one a
-    declared certificate omits.
+    ``tau4`` for an oracle without derivatives of that order, a sampled 0 on
+    a non-quadratic oracle, or any one a declared certificate omits.
     """
 
     metric: SpdOperator
@@ -280,7 +280,7 @@ def taylor_diagnostics(
     cert: SmoothnessCertificate,
     samples: int = 100,
     seed: int = 0,
-) -> DiagnosticsRecord:
+) -> list[Gate]:
     """Sampled verification of the four Taylor-remainder inequalities.
 
     With ``tau3``/``tau4`` from the certificate and offsets in the
@@ -297,8 +297,9 @@ def taylor_diagnostics(
     4. the third-order gradient remainder obeys ``(tau4 / 6) ||D u||^3``
        (skipped when ``tau4`` is absent).
 
-    Ratios at or below 1 mean the certificate constants dominate the
-    sampled behavior.
+    Returns one gate per inequality, comparing the worst sampled ratio of
+    its two sides with 1 (plus a rounding tolerance).  Ratios at or below 1
+    mean the certificate constants dominate the sampled behavior.
     """
     x = as_vector(x, f.dim)
     if cert.tau3 is None:
@@ -318,24 +319,21 @@ def taylor_diagnostics(
             return 0.0 if lhs <= floor else np.inf
         return lhs / rhs
 
-    worst = {k: (0.0, {}) for k in (1, 2, 3, 4)}
-    for i in range(samples):
+    fourth = tau4 is not None and f.has_third
+    worst = dict.fromkeys((1, 2, 3, 4), 0.0)
+    for _ in range(samples):
         # check 1 and 4 share the sample offset u
         u = _radial(rng, r, f.dim) * _metric_direction(rng, D)
         du = float(np.linalg.norm(D.apply(u)))
         grad_u = f.gradient(x + u)
         rem1 = grad_u - g0 - H0 @ u
         lhs1 = float(np.linalg.norm(Dinv @ rem1))
-        r1 = ratio(lhs1, 0.5 * tau3 * du**2)
-        if r1 > worst[1][0]:
-            worst[1] = (r1, {"sample": i, "du": du})
+        worst[1] = max(worst[1], ratio(lhs1, 0.5 * tau3 * du**2))
 
-        if tau4 is not None and f.has_third:
+        if fourth:
             rem4 = rem1 - 0.5 * f.third_dir(x, u)
             lhs4 = float(np.linalg.norm(Dinv @ rem4))
-            r4 = ratio(lhs4, tau4 / 6.0 * du**3)
-            if r4 > worst[4][0]:
-                worst[4] = (r4, {"sample": i, "du": du})
+            worst[4] = max(worst[4], ratio(lhs4, tau4 / 6.0 * du**3))
 
         # check 2: Hessian difference between two ball points
         a = _radial(rng, r, f.dim) * _metric_direction(rng, D)
@@ -343,9 +341,7 @@ def taylor_diagnostics(
         diff = Dinv @ (f.hessian(x + b) - f.hessian(x + a)) @ Dinv
         lhs2 = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).max())
         dstep = float(np.linalg.norm(D.apply(b - a)))
-        r2 = ratio(lhs2, tau3 * dstep)
-        if r2 > worst[2][0]:
-            worst[2] = (r2, {"sample": i, "dstep": dstep})
+        worst[2] = max(worst[2], ratio(lhs2, tau3 * dstep))
 
         # check 3: base offset no larger than the step, both points in ball
         step_len = _radial(rng, r, f.dim) * (2.0 / 3.0)
@@ -355,9 +351,7 @@ def taylor_diagnostics(
         base = (cap * rng.uniform()) * _metric_direction(rng, D)
         rem3 = f.gradient(x + base + delta) - f.gradient(x + base) - H0 @ delta
         lhs3 = float(np.linalg.norm(Dinv @ rem3))
-        r3 = ratio(lhs3, 1.5 * tau3 * dd**2)
-        if r3 > worst[3][0]:
-            worst[3] = (r3, {"sample": i, "dstep": dd})
+        worst[3] = max(worst[3], ratio(lhs3, 1.5 * tau3 * dd**2))
 
     names = {
         1: "gradient_remainder",
@@ -365,26 +359,12 @@ def taylor_diagnostics(
         3: "two_point_gradient",
         4: "third_order_remainder",
     }
-    record = DiagnosticsRecord(
-        name="taylor_diagnostics",
-        metadata={"samples": samples, "seed": seed, "radius": r,
-                  "tau3": tau3, "tau4": tau4},
-    )
-    for k in (1, 2, 3, 4):
-        if k == 4 and (tau4 is None or not f.has_third):
-            continue
-        val, wit = worst[k]
-        # The inequalities may be attained with equality (constant third
-        # derivative), so the pass mark allows rounding-level overshoot.
-        record.checks.append(
-            CheckResult(
-                name=names[k],
-                worst_ratio=val,
-                passed=bool(val <= 1.0 + constants.SLACK_TOLERANCE),
-                witness=wit,
-            )
-        )
-    return record
+    # The inequalities may be attained with equality (constant third
+    # derivative), so the pass mark allows rounding-level overshoot.
+    return [
+        Gate(names[k], worst[k], 1.0 + constants.SLACK_TOLERANCE)
+        for k in ((1, 2, 3, 4) if fourth else (1, 2, 3))
+    ]
 
 
 def estimate_certificate(
@@ -406,7 +386,9 @@ def estimate_certificate(
     Pass ``include_omega=False`` when the anchor is not a minimizer of
     ``f`` (the quadratic-remainder constant is anchored to a vanishing
     gradient, but the tensor constants are not); ``omega`` is then not
-    stated (``None``).
+    stated (``None``).  A constant sampled as exactly 0 is stated only when
+    ``f.quadratic``; otherwise it underflowed, and it is left unstated with
+    the raw 0 kept in the provenance.
     """
     xstar = as_vector(xstar, f.dim)
     if curvature is None:
@@ -429,13 +411,21 @@ def estimate_certificate(
         if f.has_fourth
         else None
     )
+
+    def stated(raw: float | None) -> float | None:
+        # A sampled 0 claims exactness, which only a quadratic backs; on any
+        # other oracle it may be an underflow, so the constant goes unstated.
+        if raw is None or (raw == 0.0 and not f.quadratic):
+            return None
+        return raw * inflation
+
     return SmoothnessCertificate(
         metric=metric,
         radius=radius,
         kappa=kappa,
-        omega=None if raw_omega is None else raw_omega * inflation,
-        tau3=None if raw_tau3 is None else raw_tau3 * inflation,
-        tau4=None if raw_tau4 is None else raw_tau4 * inflation,
+        omega=stated(raw_omega),
+        tau3=stated(raw_tau3),
+        tau4=stated(raw_tau4),
         provenance={
             "mode": "estimated",
             "samples": samples,

@@ -381,11 +381,10 @@ def test_cubic_envelope_holds_under_sampling(criterion):
         direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)
         s = direction * r * float(rng.uniform(0.76, 0.999))
-        rec = px.cubic_bound_check(U, s, tau, r, samples=100_000, seed=6000 + t)
-        for check in rec.checks:
-            worst = max(worst, check.worst_ratio)
-            if not check.passed:
-                bad.append((t, check.name, check.worst_ratio))
+        for gate in px.cubic_bound_check(U, s, tau, r, samples=100_000, seed=6000 + t):
+            worst = max(worst, gate.lhs / gate.rhs)
+            if not gate.satisfied:
+                bad.append((t, gate.name, gate.lhs, gate.rhs))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60.0
     passed = criterion(
@@ -400,21 +399,16 @@ def test_remainder_inequalities_and_tightness(criterion, logistic_certificate):
     """Sampled Taylor-remainder ratios stay at or below 1, and the cubic
     model with constant third derivative attains ratio 1 within 0.05."""
     f, xstar, F, cert = logistic_certificate
-    records = [("logistic", px.taylor_diagnostics(f, xstar, cert, samples=200, seed=3))]
+    gates = [("logistic", px.taylor_diagnostics(f, xstar, cert, samples=200, seed=3))]
     lse = px.oracle_from_descriptor(
         {"kind": "logsumexp", "dim": 6, "n": 42, "reg": 0.1, "temp": 0.9, "seed": 14}
     )
     ystar = px.newton_minimize(lse.oracle, lse.x0).xhat
     cert_lse = px.estimate_certificate(lse.oracle, ystar, radius=0.4, samples=150, seed=15)
-    records.append(
+    gates.append(
         ("logsumexp", px.taylor_diagnostics(lse.oracle, ystar, cert_lse, samples=150, seed=16))
     )
-    bad = [
-        (tag, check.name, check.worst_ratio)
-        for tag, rec in records
-        for check in rec.checks
-        if not check.passed
-    ]
+    bad = [(tag, g.name, g.lhs) for tag, found in gates for g in found if not g.satisfied]
 
     # f(x) = x^2/2 + x^3/6 with tau3 declared at the true value 1: the
     # gradient-remainder inequality is an equality, so the sampled worst
@@ -431,10 +425,8 @@ def test_remainder_inequalities_and_tightness(criterion, logistic_certificate):
         metric=px.spd_from_dense(np.eye(1)), radius=1.0,
         kappa=1.0, omega=0.5, tau3=1.0, tau4=0.0,
     )
-    rec1 = px.taylor_diagnostics(cubic, np.zeros(1), cert1, samples=150, seed=4)
-    grad_ratio = next(
-        check.worst_ratio for check in rec1.checks if check.name == "gradient_remainder"
-    )
+    gates1 = px.taylor_diagnostics(cubic, np.zeros(1), cert1, samples=150, seed=4)
+    grad_ratio = next(g.lhs for g in gates1 if g.name == "gradient_remainder")
     tight = abs(grad_ratio - 1.0) <= 0.05
     ok = not bad and tight
     passed = criterion(

@@ -362,16 +362,17 @@ class TestCubicBoundCheck:
 
     def test_generic_instance_passes(self):
         U, s = self._ball_instance()
-        record = px.cubic_bound_check(U, s, tau=0.25, r=1.0, samples=30_000, seed=1)
-        assert record.passed
-        assert {c.name for c in record.checks} == {"max_envelope", "min_envelope"}
+        gates = px.cubic_bound_check(U, s, tau=0.25, r=1.0, samples=30_000, seed=1)
+        assert all(g.satisfied for g in gates)
+        assert [g.name for g in gates] == ["max_envelope", "min_envelope"]
 
     def test_tau_zero_reduces_to_quadratic_identity(self):
         U, s = self._ball_instance(seed=2)
-        record = px.cubic_bound_check(U, s, tau=0.0, r=1.0, samples=5_000, seed=3)
-        assert record.passed
-        for check in record.checks:
-            assert check.worst_ratio <= 1.0
+        gates = px.cubic_bound_check(U, s, tau=0.0, r=1.0, samples=5_000, seed=3)
+        assert all(g.satisfied for g in gates)
+        # Both envelopes reduce to -+ (u - s)' U (u - s), extreme at u = s.
+        for gate in gates:
+            assert gate.lhs == 0.0
 
     @pytest.mark.parametrize(
         "mutate",
@@ -396,4 +397,4 @@ class TestCubicBoundCheck:
         U, s = self._ball_instance(seed=8)
         r1 = px.cubic_bound_check(U, s, tau=0.2, r=1.0, samples=2_000, seed=9)
         r2 = px.cubic_bound_check(U, s, tau=0.2, r=1.0, samples=2_000, seed=9)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2

@@ -1107,26 +1107,8 @@ class TestOverflowingRadii:
                     },
                 },
             ),
-            (
-                "ridge-sweep",
-                {
-                    "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
-                    "sweep": {"lambda_grid": [1e300]},
-                },
-            ),
-            (
-                "certify",
-                {
-                    "problem": {"kind": "logistic", "dim": 2, "n": 20, "seed": 1},
-                    "perturbation": {
-                        "kind": "smooth",
-                        "penalty": {"kind": "quadratic", "dim": 2, "seed": 3},
-                        "weight": 1e300,
-                    },
-                },
-            ),
         ],
-        ids=["declared-constants", "ridge-weight", "smooth-weight"],
+        ids=["declared-constants"],
     )
     def test_exits_cleanly_with_infinite_radii(self, tmp_path, capsys, command, payload):
         cfg = _write(tmp_path, "c.json", payload)
@@ -1149,6 +1131,49 @@ class TestOverflowingRadii:
                     infinite += 1
                     assert not all(satisfied[g] for g in requires)
         assert infinite > 0
+
+
+class TestUnderflowedConstants:
+    """A weight of 1e300 makes the metric ``F^{1/2}`` about 1e150, so the
+    sampled ``tau3`` and ``tau4`` (about 1e-450) underflow to 0; on a
+    non-quadratic objective that 0 is not stated as exactness."""
+
+    def test_ridge_weight_is_a_one_line_error(self, tmp_path, capsys):
+        payload = {
+            "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
+            "sweep": {"lambda_grid": [1e300]},
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        argv = ["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "perturbex: error: order 3 skipped: certificate lacks tau3\n"
+        )
+
+    def test_smooth_weight_skips_every_order(self, tmp_path, capsys):
+        payload = {
+            "problem": {"kind": "logistic", "dim": 2, "n": 20, "seed": 1},
+            "perturbation": {
+                "kind": "smooth",
+                "penalty": {"kind": "quadratic", "dim": 2, "seed": 3},
+                "weight": 1e300,
+            },
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == [
+            "order 2 skipped: certificate lacks omega",
+            "order 3 skipped: certificate lacks tau3",
+            "order 4 skipped: certificate lacks tau3",
+        ]
+        assert _verified_entries(report) == []
+        cert = report["certificate"]
+        assert cert["tau3"] is None and cert["tau4"] is None
+        assert cert["provenance"]["raw"]["tau3"] == 0.0
+        assert cert["provenance"]["raw"]["tau4"] == 0.0
 
 
 class TestNonFiniteSamples:

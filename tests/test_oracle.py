@@ -24,8 +24,35 @@ def test_analytic_derivatives_match_finite_differences(kind, probe_seed):
     rng = np.random.default_rng(probe_seed)
     for _ in range(5):
         x = 0.3 * rng.standard_normal(prob.oracle.dim)
-        record = px.fd_probe(prob.oracle, x, directions=4, seed=probe_seed)
-        assert record.passed, record.to_dict()
+        gates = px.fd_probe(prob.oracle, x, directions=4, seed=probe_seed)
+        assert all(g.satisfied for g in gates), [g.to_dict() for g in gates]
+
+
+@pytest.mark.parametrize(
+    "order, error",
+    # The order-3 mismatch is relative to 1 + ||t||, so an error of relative
+    # 1e-3 in ``third_dir`` stays under its tolerance of 1e-3; 1e-2 does not.
+    [(1, 1e-3), (2, 1e-3), (3, 1e-2)],
+    ids=["gradient", "hessian", "third_dir"],
+)
+def test_fd_probe_catches_a_wrong_derivative(order, error):
+    """Scaling one derivative by ``1 + error`` fails that order's gate,
+    while the gates of the orders below it hold."""
+    f = _zoo("logsumexp", seed=3).oracle
+    scale = {k: 1.0 + (error if k == order else 0.0) for k in (1, 2, 3)}
+    wrong = px.CustomOracle(
+        dim=f.dim,
+        value=f.value,
+        gradient=lambda x: scale[1] * f.gradient(x),
+        hessian=lambda x: scale[2] * f.hessian(x),
+        third_dir=lambda x, u: scale[3] * f.third_dir(x, u),
+        fourth_dir=f.fourth_dir,
+    )
+    x = 0.3 * np.random.default_rng(1).standard_normal(f.dim)
+    gates = {g.name: g for g in px.fd_probe(wrong, x, directions=4, seed=0)}
+    assert not gates[f"order_{order}"].satisfied
+    for below in range(1, order):
+        assert gates[f"order_{below}"].satisfied
 
 
 class TestTensorParity:

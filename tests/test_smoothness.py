@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,21 @@ class TestCertificate:
         assert cert.omega == pytest.approx(raw["omega"] * 1.5)
         assert cert.kappa == pytest.approx(1.0, abs=1e-9)
 
+    def test_underflowed_zero_is_not_stated(self, logistic_anchor):
+        """In a metric of scale 1e150 the sampled tau3 and tau4 underflow to 0."""
+        f, xstar = logistic_anchor
+        D = px.spd_from_dense(1e150 * np.eye(f.dim))
+        cert = px.estimate_certificate(f, xstar, metric=D, radius=1.0, samples=20)
+        assert cert.provenance["raw"]["tau3"] == 0.0
+        assert cert.provenance["raw"]["tau4"] == 0.0
+        assert cert.tau3 is None and cert.tau4 is None
+
+    def test_quadratic_states_zero(self, rng):
+        f = px.QuadraticOracle(px.random_spd(rng, 3, cond=6.0), np.zeros(3))
+        cert = px.estimate_certificate(f, np.zeros(3), radius=1.0, samples=20)
+        assert cert.provenance["raw"] == {"omega": 0.0, "tau3": 0.0, "tau4": 0.0}
+        assert (cert.omega, cert.tau3, cert.tau4) == (0.0, 0.0, 0.0)
+
     def test_declared_certificate_carries_constants(self):
         D = px.spd_from_dense(np.eye(2))
         cert = px.declared_certificate(D, radius=1.0, kappa=1.0, omega=0.1, tau3=0.3)
@@ -144,10 +161,10 @@ class TestTaylorDiagnostics:
         F = px.random_spd(rng, 3, cond=6.0)
         f = px.QuadraticOracle(F, np.zeros(3))
         cert = px.estimate_certificate(f, np.zeros(3), radius=1.0, samples=40, seed=6)
-        record = px.taylor_diagnostics(f, np.zeros(3), cert, samples=40, seed=7)
-        assert record.passed
-        for check in record.checks:
-            assert check.worst_ratio <= 1e-6
+        gates = px.taylor_diagnostics(f, np.zeros(3), cert, samples=40, seed=7)
+        assert all(g.satisfied for g in gates)
+        for gate in gates:
+            assert gate.lhs <= 1e-6
 
     def test_cubic_gradient_remainder_is_tight(self):
         """With f''' = 1 the bound (tau3/2) u^2 is met with equality."""
@@ -155,21 +172,30 @@ class TestTaylorDiagnostics:
         cert = px.declared_certificate(
             _I1, radius=0.5, kappa=1.0, omega=0.5 / 2, tau3=1.0, tau4=0.0
         )
-        record = px.taylor_diagnostics(f, np.zeros(1), cert, samples=150, seed=8)
-        assert record.passed
-        grad_check = record.check("gradient_remainder")
-        assert grad_check.worst_ratio == pytest.approx(1.0, abs=0.05)
+        found = px.taylor_diagnostics(f, np.zeros(1), cert, samples=150, seed=8)
+        gates = {g.name: g for g in found}
+        assert all(g.satisfied for g in gates.values())
+        assert gates["gradient_remainder"].lhs == pytest.approx(1.0, abs=0.05)
 
     def test_all_checks_hold_on_logistic(self, logistic_certificate):
         f, xstar, _, cert = logistic_certificate
-        record = px.taylor_diagnostics(f, xstar, cert, samples=120, seed=9)
-        assert record.passed, record.to_dict()
-        assert {c.name for c in record.checks} == {
+        gates = px.taylor_diagnostics(f, xstar, cert, samples=120, seed=9)
+        assert all(g.satisfied for g in gates), [g.to_dict() for g in gates]
+        assert {g.name for g in gates} == {
             "gradient_remainder",
             "hessian_difference",
             "two_point_gradient",
             "third_order_remainder",
         }
+
+    def test_no_tau4_skips_the_third_order_remainder(self, logistic_certificate):
+        f, xstar, _, cert = logistic_certificate
+        gates = px.taylor_diagnostics(f, xstar, replace(cert, tau4=None), samples=40, seed=9)
+        assert [g.name for g in gates] == [
+            "gradient_remainder",
+            "hessian_difference",
+            "two_point_gradient",
+        ]
 
     def test_two_point_constant_is_tight_only_with_small_base(self):
         """The two-point inequality needs the base offset below the step.
