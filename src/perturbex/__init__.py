@@ -35,7 +35,6 @@ from .expand import (
     Solution,
     ValueBound,
     compare_with_solution,
-    cubic_bound_check,
     distance_to_optimum,
     exact_quadratic_expansion,
     expansion_for_order,
@@ -151,7 +150,6 @@ __all__ = [
     "fourth_order_expansion",
     "expansion_for_order",
     "distance_to_optimum",
-    "cubic_bound_check",
     "compare_with_solution",
     "solve_from",
     "solve_and_compare",

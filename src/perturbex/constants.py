@@ -47,13 +47,6 @@ VALUE_FACTOR_THIRD = 0.25
 # Sanity cap on the computed skew term: |T| <= tau3/6 * b^3.
 SKEW_MAGNITUDE_FACTOR = 1.0 / 6.0
 
-# Auxiliary cubic/quadratic envelope check: the anchor must occupy at least
-# this fraction of the ball, and tau * r may not exceed the cap; both
-# envelope extrema are compared against (tau/2) * ||s||^3.
-ENVELOPE_ANCHOR_FRACTION = 0.75
-ENVELOPE_TAU_R_MAX = 1.0 / 3.0
-ENVELOPE_VALUE_FACTOR = 0.5
-
 # Numerical guards.
 SPD_EIG_FLOOR = 1e-10          # smallest admissible eigenvalue ratio
 SYMMETRY_RTOL = 1e-12          # relative asymmetry allowed in spd inputs
@@ -81,9 +74,6 @@ _EXPECTED = {
     "NEWTON_RESIDUAL_FACTOR": Fraction(3, 4),
     "VALUE_FACTOR_THIRD": Fraction(1, 4),
     "SKEW_MAGNITUDE_FACTOR": Fraction(1, 6),
-    "ENVELOPE_ANCHOR_FRACTION": Fraction(3, 4),
-    "ENVELOPE_TAU_R_MAX": Fraction(1, 3),
-    "ENVELOPE_VALUE_FACTOR": Fraction(1, 2),
 }
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "fourth_order_expansion",
     "expansion_for_order",
     "distance_to_optimum",
-    "cubic_bound_check",
     "verify_expansion",
     "solve_from",
     "solve_and_compare",
@@ -560,86 +559,6 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary envelope check
-# ---------------------------------------------------------------------------
-
-
-def cubic_bound_check(
-    U: SpdOperator,
-    s,
-    tau: float,
-    r: float,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> list[Gate]:
-    """Monte-Carlo check of the cubic/quadratic envelope inequalities.
-
-    For ``U >= I``, an anchor ``s`` with ``(3/4) r <= ||s|| <= r``, and
-    ``tau r <= 1/3``, both envelope extrema over the Euclidean ball of
-    radius ``r`` are controlled by ``(tau / 2) ||s||^3``:
-
-    - ``max_u [ (tau/3) ||u||^3 - (u - s)' U (u - s) ] <= (tau/2) ||s||^3``
-    - ``min_u [ (tau/3) ||u||^3 + (u - s)' U (u - s) ] <= (tau/2) ||s||^3``
-
-    Violated entry conditions raise :class:`PreconditionViolated` naming
-    each failure.  Besides uniform ball samples, the analytic stationary
-    candidates ``(U + rho I)^{-1} U s`` and ``(U - rho I)^{-1} U s`` with
-    ``rho = tau r / 3`` are always evaluated (the second clipped to the
-    ball), plus ``s`` itself and the boundary point along ``s``.
-
-    Returns the gates ``max_envelope`` and ``min_envelope``: each compares
-    the extreme sampled value with ``(tau/2) ||s||^3`` plus a rounding
-    tolerance.
-    """
-    s = as_vector(s, U.dim)
-    if tau < 0 or r <= 0:
-        raise ValueError("tau must be nonnegative and r positive")
-    snorm = float(np.linalg.norm(s))
-    failures = []
-    if snorm < constants.ENVELOPE_ANCHOR_FRACTION * r:
-        failures.append(f"anchor too short: ||s|| = {snorm:.3g} < 3/4 r = {0.75 * r:.3g}")
-    if snorm > r:
-        failures.append(f"anchor outside ball: ||s|| = {snorm:.3g} > r = {r:.3g}")
-    if tau * r > constants.ENVELOPE_TAU_R_MAX:
-        failures.append(f"tau r = {tau * r:.3g} exceeds 1/3")
-    if float(U.eigenvalues[-1]) < 1.0 - 1e-12:
-        failures.append(f"smallest eigenvalue {U.eigenvalues[-1]:.6g} below 1")
-    if failures:
-        raise PreconditionViolated("; ".join(failures))
-
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((samples, U.dim))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    radii = r * rng.uniform(size=samples) ** (1.0 / U.dim)
-    pts = Z * radii[:, None]
-
-    rho = tau * r / 3.0
-    eye = np.eye(U.dim)
-    cand = [
-        np.linalg.solve(U.matrix + rho * eye, U.apply(s)),
-        s.copy(),
-        (r / snorm) * s,
-    ]
-    s_rho = np.linalg.solve(U.matrix - rho * eye, U.apply(s))
-    nrm = float(np.linalg.norm(s_rho))
-    if nrm > r:
-        s_rho *= r / nrm
-    cand.append(s_rho)
-    pts = np.vstack([pts, np.array(cand)])
-
-    diff = pts - s
-    quad = np.einsum("ij,jk,ik->i", diff, U.matrix, diff)
-    cubic = (tau / 3.0) * np.linalg.norm(pts, axis=1) ** 3
-    bound = constants.ENVELOPE_VALUE_FACTOR * tau * snorm**3
-    tol = constants.SLACK_TOLERANCE * (1.0 + bound)
-
-    return [
-        Gate("max_envelope", float(np.max(cubic - quad)), bound + tol),
-        Gate("min_envelope", float(np.min(cubic + quad)), bound + tol),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Verification against the reference solver
 # ---------------------------------------------------------------------------
 
@@ -680,27 +599,27 @@ def compare_with_solution(
     )
 
     checks = [
-        (bound, _norm_of(bound.norm, F, D, targets[bound.target]), bound.radius, shift_floor)
+        (bound, _norm_of(bound.norm, F, D, targets[bound.target]), shift_floor)
         for bound in bounds.shift_bounds
     ]
     vb = bounds.value_bound
     if vb is not None:
         resid = actual_value_change - report.predicted_value_change
-        # A positive residual is measured against the bracket's upper end, a
-        # negative one against its lower end.
-        denom = vb.upper if resid >= 0 else -vb.lower
-        radius = max(abs(vb.lower), abs(vb.upper))
+        # A nonnegative residual is measured against the bracket's upper end,
+        # a negative one against its lower end (at most 0); the entry states
+        # that end's distance from 0.
+        radius = vb.upper if resid >= 0 else abs(vb.lower)
         value = RadiusBound("value", "value", "value", radius, vb.requires)
-        checks.append((value, resid, denom, value_floor))
+        checks.append((value, resid, value_floor))
 
     entries = []
-    for bound, resid, denom, floor in checks:
-        # One rule for every check: a denominator at or below the floor is an
+    for bound, resid, floor in checks:
+        # One rule for every check: a radius at or below the floor is an
         # exactness claim, met only by a residual at or below the floor.
-        if denom <= floor:
+        if bound.radius <= floor:
             slack = 0.0 if abs(resid) <= floor else np.inf
         else:
-            slack = abs(resid) / denom
+            slack = abs(resid) / bound.radius
         entries.append(
             {
                 "name": bound.name,

@@ -687,6 +687,18 @@ def _named(items: list[dict[str, Any]], name: str) -> dict[str, Any]:
     return next(item for item in items if item["name"] == name)
 
 
+def _sweep_cells(entry: dict[str, Any], order: int, name: str) -> list[Any]:
+    """Order ``order``'s ``sweep.csv`` cells of a weight: its ``tau{order}_dnorm``
+    verdict and its entry ``name``'s radius, residual and slack, or four
+    empty cells when the order was skipped."""
+    res = entry.get(f"order{order}")
+    if res is None:
+        return ["", "", "", ""]
+    gate = _named(res["report"]["bounds"]["preconditions"], f"tau{order}_dnorm")
+    e = _named(res["verification"]["entries"], name)
+    return [int(gate["satisfied"]), e["radius"], e["residual"], e["slack"]]
+
+
 def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str, Any]:
     """Sweep ridge weights and verify the order-3 and order-4 bias radii.
 
@@ -697,7 +709,9 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     its ``H0 + lam G2`` instead of evaluating it again.  ``G2`` is
     checked for positive semidefiniteness once (a weight is never
     negative), and ``G2 = I`` shifts the spectrum of one factored ``H0``
-    instead of factoring each ``H0 + lam I`` again.
+    instead of factoring each ``H0 + lam I`` again.  An order that a
+    weight's certificate does not support is skipped for that weight, with
+    a warning naming the weight, as ``certify`` skips it.
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
@@ -710,6 +724,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
 
     rows = []
     results = []
+    warnings = []
     for lam in grid:
         shifted = F0.shifted(lam) if F0 is not None else None
         perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
@@ -718,32 +733,23 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         entry: dict[str, Any] = {"lambda": lam, **problem}
         for res in verified:
             if "skipped" in res:
-                raise PreconditionViolated(res["skipped"])
-            entry[f"order{res.pop('order')}"] = res
+                warnings.append(f"lambda {lam!r}: {res['skipped']}")
+            else:
+                entry[f"order{res.pop('order')}"] = res
         results.append(entry)
 
-        o3, o4 = entry["order3"], entry["order4"]
         pred = np.asarray(entry["prediction"]["newton_shift"])
-        e3 = _named(o3["verification"]["entries"], "newton_residual_dinvf")
-        e4 = _named(o4["verification"]["entries"], "skew_residual_dinvf")
+        solution = entry["solution"]
+        actual = "" if solution is None else float(np.linalg.norm(solution["actual_shift"]))
+        gate3, rad3, res3, slack3 = _sweep_cells(entry, 3, "newton_residual_dinvf")
+        gate4, rad4, res4, slack4 = _sweep_cells(entry, 4, "skew_residual_dinvf")
+        bG = weighted_norm(cert.metric, pred)
+        pred_norm = float(np.linalg.norm(pred))
         rows.append(
-            [
-                lam,
-                weighted_norm(cert.metric, pred),
-                int(_named(o3["report"]["bounds"]["preconditions"], "tau3_dnorm")["satisfied"]),
-                int(_named(o4["report"]["bounds"]["preconditions"], "tau4_dnorm")["satisfied"]),
-                float(np.linalg.norm(pred)),
-                float(np.linalg.norm(entry["solution"]["actual_shift"])),
-                e3["radius"],
-                e3["residual"],
-                e4["radius"],
-                e4["residual"],
-                e3["slack"],
-                e4["slack"],
-            ]
+            [lam, bG, gate3, gate4, pred_norm, actual, rad3, res3, rad4, res4, slack3, slack4]
         )
 
-    verified = [entry[key] for entry in results for key in ("order3", "order4")]
+    verified = [entry[key] for entry in results for key in ("order3", "order4") if key in entry]
     return {
         "schema": REPORT_SCHEMA,
         "command": "ridge-sweep",
@@ -752,6 +758,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         "lambda_grid": grid,
         "rows": rows,
         "results": results,
+        "warnings": warnings,
         "exit_code": _aggregate_exit(verified, require_gates),
     }
 

@@ -602,10 +602,11 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
     """Cross-check analytic derivatives against central finite differences.
 
     For each random unit direction the mismatch of order ``k`` is measured
-    relative to the scale of the order-``k`` analytic quantity, and the
-    worst case over directions is reported per order, as a gate
-    ``order_k`` comparing it with that order's tolerance.  Orders 3 and 4
-    are only probed when the oracle advertises analytic forms.
+    relative to the scale of the order-``k`` analytic quantity (``1 +`` its
+    norm for orders 1 and 2, its norm for orders 3 and 4), and the worst
+    case over directions is reported per order, as a gate ``order_k``
+    comparing it with that order's tolerance.  Orders 3 and 4 are only
+    probed when the oracle advertises analytic forms.
     """
     x = as_vector(x, f.dim)
     rng = np.random.default_rng(seed)
@@ -629,10 +630,13 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
 
     # Orders 3 and 4 take the base-class central differences of the order
     # below (step FD_DIR_STEP / 2 on unit directions), over all directions
-    # as one block.
+    # as one block, and measure the mismatch relative to the analytic
+    # tensor's norm.  The floor only keeps an exactly zero tensor (a
+    # quadratic's, whose differences are exactly zero too) from dividing
+    # by zero.
     def worst_relative(fd: np.ndarray, exact: np.ndarray) -> float:
-        ratios = np.linalg.norm(fd - exact, axis=0) / (1.0 + np.linalg.norm(exact, axis=0))
-        return float(np.max(ratios, initial=0.0))
+        scale = np.maximum(np.linalg.norm(exact, axis=0), np.finfo(float).tiny)
+        return float(np.max(np.linalg.norm(fd - exact, axis=0) / scale, initial=0.0))
 
     if f.has_third:
         worst[3] = worst_relative(Oracle.third_dir_many(f, X, U), f.third_dir_many(X, U))

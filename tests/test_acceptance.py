@@ -366,31 +366,68 @@ def test_error_decay_rates_match_orders(criterion):
     assert passed, (bad, report["rows"])
 
 
+def _envelope_extremes(U: px.SpdOperator, s: np.ndarray, tau: float, r: float, seed: int):
+    """Sampled extremes of the cubic/quadratic envelopes over the ball ``||u|| <= r``.
+
+    Returns ``max (tau/3)||u||^3 - (u - s)'U(u - s)`` and ``min (tau/3)||u||^3
+    + (u - s)'U(u - s)`` over 1e5 uniform ball samples plus the analytic
+    candidates: the stationary points ``(U +- rho I)^{-1} U s`` with
+    ``rho = tau r / 3`` (the second clipped to the ball), ``s`` itself and
+    the boundary point along ``s``.
+    """
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((100_000, U.dim))
+    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+    pts = Z * (r * rng.uniform(size=100_000) ** (1.0 / U.dim))[:, None]
+    rho = tau * r / 3.0
+    inner = np.linalg.solve(U.matrix + rho * np.eye(U.dim), U.apply(s))
+    outer = np.linalg.solve(U.matrix - rho * np.eye(U.dim), U.apply(s))
+    outer *= min(1.0, r / float(np.linalg.norm(outer)))
+    boundary = (r / float(np.linalg.norm(s))) * s
+    pts = np.vstack([pts, inner, s, boundary, outer])
+    diff = pts - s
+    quad = np.einsum("ij,jk,ik->i", diff, U.matrix, diff)
+    cubic = (tau / 3.0) * np.linalg.norm(pts, axis=1) ** 3
+    return float(np.max(cubic - quad)), float(np.min(cubic + quad))
+
+
 def test_cubic_envelope_holds_under_sampling(criterion):
-    """50 random (U, s, tau, r) triples, 1e5 ball samples each, no excess."""
+    """For ``U >= I``, ``(3/4) r <= ||s|| <= r`` and ``tau r <= 1/3``, both
+    envelope extremes stay at or below ``(tau/2) ||s||^3``: 50 random
+    triples, 1e5 ball samples each, no excess.  One more input, with
+    ``tau = 0``, reduces both envelopes to ``-+ (u - s)'U(u - s)``, whose
+    extremes are exactly 0, at ``u = s``."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
     worst = -np.inf
     bad = []
-    for t in range(50):
+    for t in range(51):
         dim = int(rng.integers(2, 9))
         body = px.random_spd(rng, dim, cond=float(rng.uniform(2.0, 40.0)))
         U = px.spd_from_dense(body.matrix + np.eye(dim))  # lifts the spectrum above 1
         r = float(rng.uniform(0.2, 2.0))
-        tau = float(rng.uniform(0.0, 1.0)) / (3.0 * r)
+        tau = float(rng.uniform(0.0, 1.0)) / (3.0 * r) if t < 50 else 0.0
         direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)
         s = direction * r * float(rng.uniform(0.76, 0.999))
-        for gate in px.cubic_bound_check(U, s, tau, r, samples=100_000, seed=6000 + t):
-            worst = max(worst, gate.lhs / gate.rhs)
-            if not gate.satisfied:
-                bad.append((t, gate.name, gate.lhs, gate.rhs))
+        snorm = float(np.linalg.norm(s))
+        # The lemma's hypotheses hold by construction.
+        assert U.eigenvalues.min() >= 1.0 and 0.75 * r <= snorm <= r and tau * r <= 1.0 / 3.0
+        extremes = _envelope_extremes(U, s, tau, r, seed=6000 + t)
+        if tau == 0.0:
+            assert extremes == (0.0, 0.0)
+        bound = 0.5 * tau * snorm**3
+        rhs = bound + 1e-9 * (1.0 + bound)
+        for name, lhs in zip(("max_envelope", "min_envelope"), extremes):
+            worst = max(worst, lhs / rhs)
+            if lhs > rhs:
+                bad.append((t, name, lhs, rhs))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60.0
     passed = criterion(
         "cubic envelope inequalities",
         ok,
-        f"50 triples x 1e5 samples, worst ratio {worst:.3f}, {elapsed:.1f}s",
+        f"50 triples and tau = 0 x 1e5 samples, worst ratio {worst:.3f}, {elapsed:.1f}s",
     )
     assert passed, bad[:5]
 

@@ -319,6 +319,19 @@ class TestVerification:
         assert not comp.certifying
         assert comp.violations == []
 
+    @pytest.mark.parametrize("resid, end", [(0.05, 1.0 / 12.0), (-0.05, 0.125)])
+    def test_value_entry_states_the_bracket_end_it_is_measured_against(self, resid, end):
+        """Order 2's value bracket [-1/8, 1/12] (TestSecondOrder's example) is
+        asymmetric: each residual's slack and stated radius use one end."""
+        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.2)
+        rep = px.expansion_for_order(px.predict(_I1, np.array([1.0])), cert, 2)
+        actual = rep.predicted_value_change + resid
+        comp = px.compare_with_solution(rep, rep.predicted_shift, actual)
+        (entry,) = [e for e in comp.entries if e["name"] == "value"]
+        assert entry["radius"] == pytest.approx(end, rel=1e-14)
+        assert entry["slack"] == entry["residual"] / entry["radius"] * np.sign(resid)
+        assert entry["slack"] == pytest.approx(abs(resid) / end, rel=1e-12)
+
     def test_report_roundtrips_through_json(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.ones(f.dim)
@@ -348,53 +361,3 @@ class TestDistanceToOptimum:
         f, xstar, _, cert = logistic_certificate
         rep = px.distance_to_optimum(f, xstar, cert)
         assert np.linalg.norm(rep.predicted_shift) < 1e-10
-
-
-class TestCubicBoundCheck:
-    def _ball_instance(self, seed=0, dim=3):
-        rng = np.random.default_rng(seed)
-        U = px.random_spd(rng, dim, cond=4.0)
-        # Lift the spectrum above 1 as the check requires.
-        U = px.spd_from_dense(U.matrix + (1.0 - U.eigenvalues[-1] + 0.3) * np.eye(dim))
-        s = rng.standard_normal(dim)
-        s *= 0.85 / np.linalg.norm(s)
-        return U, s
-
-    def test_generic_instance_passes(self):
-        U, s = self._ball_instance()
-        gates = px.cubic_bound_check(U, s, tau=0.25, r=1.0, samples=30_000, seed=1)
-        assert all(g.satisfied for g in gates)
-        assert [g.name for g in gates] == ["max_envelope", "min_envelope"]
-
-    def test_tau_zero_reduces_to_quadratic_identity(self):
-        U, s = self._ball_instance(seed=2)
-        gates = px.cubic_bound_check(U, s, tau=0.0, r=1.0, samples=5_000, seed=3)
-        assert all(g.satisfied for g in gates)
-        # Both envelopes reduce to -+ (u - s)' U (u - s), extreme at u = s.
-        for gate in gates:
-            assert gate.lhs == 0.0
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda U, s: (U, 0.5 * s),  # anchor below (3/4) r
-            lambda U, s: (U, 1.5 * s),  # anchor outside the ball
-            lambda U, s: (px.spd_from_dense(0.5 * U.matrix), s),  # spectrum below 1
-        ],
-    )
-    def test_preconditions_raise(self, mutate):
-        U, s = self._ball_instance(seed=4)
-        U2, s2 = mutate(U, s)
-        with pytest.raises(PreconditionViolated):
-            px.cubic_bound_check(U2, s2, tau=0.25, r=1.0, samples=100, seed=5)
-
-    def test_large_tau_radius_product_raises(self):
-        U, s = self._ball_instance(seed=6)
-        with pytest.raises(PreconditionViolated):
-            px.cubic_bound_check(U, s, tau=0.5, r=1.0, samples=100, seed=7)
-
-    def test_deterministic_in_seed(self):
-        U, s = self._ball_instance(seed=8)
-        r1 = px.cubic_bound_check(U, s, tau=0.2, r=1.0, samples=2_000, seed=9)
-        r2 = px.cubic_bound_check(U, s, tau=0.2, r=1.0, samples=2_000, seed=9)
-        assert r1 == r2

@@ -558,6 +558,8 @@ class TestBenchmarkTracerHooks:
         spec.loader.exec_module(tracer)
         for module, name in tracer.TRACED_FUNCTIONS:
             assert callable(getattr(importlib.import_module(f"perturbex.{module}"), name))
+        for method in tracer.ORACLE_METHODS:
+            assert callable(getattr(sys.modules["perturbex.oracle"].Oracle, method))
         assert isinstance(harness.ExperimentConfig.__dict__["from_file"], classmethod)
 
     def test_trace_mode_wraps_once_and_restores(self, tmp_path):
@@ -894,18 +896,32 @@ class TestRidgeSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "sweep.g2.matrix" in err
 
-    def test_certificate_without_tau4_is_an_error(self, tmp_path, capsys):
-        """A sweep states orders 3 and 4 for every weight; it does not skip one."""
+    def test_certificate_without_tau4_skips_order4(self, tmp_path, capsys):
+        """A declared certificate without tau4 skips order 4 at every weight,
+        with a warning naming the weight, as ``certify`` skips it."""
         payload = {
             "seed": 8,
             "problem": {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": 10},
             "certificate": {"mode": "declared", "radius": 0.5, "omega": 0.1, "tau3": 0.5},
-            "sweep": {"lambda_grid": [0.1]},
+            "sweep": {"lambda_grid": [0.1, 0.2]},
         }
         cfg = _write(tmp_path, "cfg.json", payload)
-        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "tau4" in err
+        out = tmp_path / "o"
+        assert main(["ridge-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == [
+            "lambda 0.1: order 4 skipped: certificate lacks tau4",
+            "lambda 0.2: order 4 skipped: certificate lacks tau4",
+        ]
+        assert all("order3" in e and "order4" not in e for e in report["results"])
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            assert row["radius_o3"] != "" and row["actual_bias_norm"] != ""
+            assert [row[k] for k in ("gate_tau4", "radius_o4", "residual_o4", "slack_o4")] == [
+                "", "", "", ""
+            ]
 
 
 class TestSelftest:
@@ -1138,17 +1154,44 @@ class TestUnderflowedConstants:
     sampled ``tau3`` and ``tau4`` (about 1e-450) underflow to 0; on a
     non-quadratic objective that 0 is not stated as exactness."""
 
-    def test_ridge_weight_is_a_one_line_error(self, tmp_path, capsys):
-        payload = {
-            "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
-            "sweep": {"lambda_grid": [1e300]},
-        }
-        cfg = _write(tmp_path, "c.json", payload)
-        argv = ["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "perturbex: error: order 3 skipped: certificate lacks tau3\n"
-        )
+    def test_ridge_weight_skips_its_orders(self, tmp_path, capsys):
+        """A sweep weight whose certificate leaves tau3 unstated skips its
+        orders with warnings naming it; the other weights are untouched."""
+
+        def sweep(grid, name):
+            payload = {
+                "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
+                "sweep": {"lambda_grid": grid},
+            }
+            out = tmp_path / name
+            argv = ["ridge-sweep", "--config", _write(tmp_path, f"{name}.json", payload),
+                    "--out", str(out), "--seed", "1"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            rows = (out / "sweep.csv").read_text().splitlines()
+            return json.loads((out / "report.json").read_text()), rows
+
+        report, rows = sweep([0.05, 1e300], "mixed")
+        assert report["exit_code"] == 0
+        assert report["warnings"] == [
+            "lambda 1e+300: order 3 skipped: certificate lacks tau3",
+            "lambda 1e+300: order 4 skipped: certificate lacks tau3",
+        ]
+        kept, huge = report["results"]
+        assert "order3" not in huge and "order4" not in huge
+        assert huge["solution"] is None
+        assert huge["certificate"]["tau3"] is None
+        # Every cell that reads a skipped order or the (absent) solve is empty.
+        cells = rows[2].split(",")
+        assert [i for i, cell in enumerate(cells) if cell == ""] == [2, 3, 5, 6, 7, 8, 9, 10, 11]
+
+        alone, alone_rows = sweep([0.05], "alone")
+        assert alone["warnings"] == []
+        assert kept == alone["results"][0]
+        assert rows[:2] == alone_rows
 
     def test_smooth_weight_skips_every_order(self, tmp_path, capsys):
         payload = {

@@ -30,23 +30,25 @@ def test_analytic_derivatives_match_finite_differences(kind, probe_seed):
 
 @pytest.mark.parametrize(
     "order, error",
-    # The order-3 mismatch is relative to 1 + ||t||, so an error of relative
-    # 1e-3 in ``third_dir`` stays under its tolerance of 1e-3; 1e-2 does not.
-    [(1, 1e-3), (2, 1e-3), (3, 1e-2)],
-    ids=["gradient", "hessian", "third_dir"],
+    # The order-3 and order-4 mismatches are relative to the analytic
+    # tensor's norm ||t||, and their tolerance is 1e-3.  Scaling t by
+    # 1 - 1e-3 gives a mismatch of 1e-3 / (1 - 1e-3), just above it (by
+    # 1e-6, far above the differencing error of about 1e-9).
+    [(1, 1e-3), (2, 1e-3), (3, -1e-3), (4, -1e-3)],
+    ids=["gradient", "hessian", "third_dir", "fourth_dir"],
 )
 def test_fd_probe_catches_a_wrong_derivative(order, error):
     """Scaling one derivative by ``1 + error`` fails that order's gate,
     while the gates of the orders below it hold."""
     f = _zoo("logsumexp", seed=3).oracle
-    scale = {k: 1.0 + (error if k == order else 0.0) for k in (1, 2, 3)}
+    scale = {k: 1.0 + (error if k == order else 0.0) for k in (1, 2, 3, 4)}
     wrong = px.CustomOracle(
         dim=f.dim,
         value=f.value,
         gradient=lambda x: scale[1] * f.gradient(x),
         hessian=lambda x: scale[2] * f.hessian(x),
         third_dir=lambda x, u: scale[3] * f.third_dir(x, u),
-        fourth_dir=f.fourth_dir,
+        fourth_dir=lambda x, u: scale[4] * f.fourth_dir(x, u),
     )
     x = 0.3 * np.random.default_rng(1).standard_normal(f.dim)
     gates = {g.name: g for g in px.fd_probe(wrong, x, directions=4, seed=0)}
