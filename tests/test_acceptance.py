@@ -366,32 +366,7 @@ def test_error_decay_rates_match_orders(criterion):
     assert passed, (bad, report["rows"])
 
 
-def _envelope_extremes(U: px.SpdOperator, s: np.ndarray, tau: float, r: float, seed: int):
-    """Sampled extremes of the cubic/quadratic envelopes over the ball ``||u|| <= r``.
-
-    Returns ``max (tau/3)||u||^3 - (u - s)'U(u - s)`` and ``min (tau/3)||u||^3
-    + (u - s)'U(u - s)`` over 1e5 uniform ball samples plus the analytic
-    candidates: the stationary points ``(U +- rho I)^{-1} U s`` with
-    ``rho = tau r / 3`` (the second clipped to the ball), ``s`` itself and
-    the boundary point along ``s``.
-    """
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((100_000, U.dim))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    pts = Z * (r * rng.uniform(size=100_000) ** (1.0 / U.dim))[:, None]
-    rho = tau * r / 3.0
-    inner = np.linalg.solve(U.matrix + rho * np.eye(U.dim), U.apply(s))
-    outer = np.linalg.solve(U.matrix - rho * np.eye(U.dim), U.apply(s))
-    outer *= min(1.0, r / float(np.linalg.norm(outer)))
-    boundary = (r / float(np.linalg.norm(s))) * s
-    pts = np.vstack([pts, inner, s, boundary, outer])
-    diff = pts - s
-    quad = np.einsum("ij,jk,ik->i", diff, U.matrix, diff)
-    cubic = (tau / 3.0) * np.linalg.norm(pts, axis=1) ** 3
-    return float(np.max(cubic - quad)), float(np.min(cubic + quad))
-
-
-def test_cubic_envelope_holds_under_sampling(criterion):
+def test_cubic_envelope_holds_under_sampling(criterion, envelope_extremes):
     """For ``U >= I``, ``(3/4) r <= ||s|| <= r`` and ``tau r <= 1/3``, both
     envelope extremes stay at or below ``(tau/2) ||s||^3``: 50 random
     triples, 1e5 ball samples each, no excess.  One more input, with
@@ -413,7 +388,7 @@ def test_cubic_envelope_holds_under_sampling(criterion):
         snorm = float(np.linalg.norm(s))
         # The lemma's hypotheses hold by construction.
         assert U.eigenvalues.min() >= 1.0 and 0.75 * r <= snorm <= r and tau * r <= 1.0 / 3.0
-        extremes = _envelope_extremes(U, s, tau, r, seed=6000 + t)
+        extremes = envelope_extremes(U, s, tau, r, seed=6000 + t)
         if tau == 0.0:
             assert extremes == (0.0, 0.0)
         bound = 0.5 * tau * snorm**3

@@ -361,3 +361,29 @@ class TestDistanceToOptimum:
         f, xstar, _, cert = logistic_certificate
         rep = px.distance_to_optimum(f, xstar, cert)
         assert np.linalg.norm(rep.predicted_shift) < 1e-10
+
+
+class TestCubicBoundCheck:
+    """The envelope lemma on single instances: for ``U >= I``,
+    ``(3/4) r <= ||s|| <= r`` and ``tau r <= 1/3``, both envelope extremes
+    stay at or below ``(tau/2) ||s||^3``."""
+
+    def _ball_instance(self, seed=0, dim=3):
+        rng = np.random.default_rng(seed)
+        U = px.random_spd(rng, dim, cond=4.0)
+        # Lift the spectrum above 1 as the lemma requires.
+        U = px.spd_from_dense(U.matrix + (1.0 - U.eigenvalues[-1] + 0.3) * np.eye(dim))
+        s = rng.standard_normal(dim)
+        s *= 0.85 / np.linalg.norm(s)
+        return U, s
+
+    def test_generic_instance_passes(self, envelope_extremes):
+        U, s = self._ball_instance()
+        bound = 0.5 * 0.25 * float(np.linalg.norm(s)) ** 3
+        for lhs in envelope_extremes(U, s, tau=0.25, r=1.0, seed=1, samples=30_000):
+            assert lhs <= bound + 1e-9 * (1.0 + bound)
+
+    def test_tau_zero_reduces_to_quadratic_identity(self, envelope_extremes):
+        U, s = self._ball_instance(seed=2)
+        # Both envelopes reduce to -+ (u - s)' U (u - s), extreme at u = s.
+        assert envelope_extremes(U, s, tau=0.0, r=1.0, seed=3, samples=5_000) == (0.0, 0.0)
