@@ -54,7 +54,6 @@ from .linalg import (
     as_vector,
     kappa_between,
     spd_from_dense,
-    spd_power_operator,
     weighted_norm,
 )
 from .oracle import (
@@ -103,7 +102,6 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "spd_from_dense",
-    "spd_power_operator",
     "weighted_norm",
     "kappa_between",
     # oracles and perturbations

@@ -48,9 +48,14 @@ VALUE_FACTOR_THIRD = 0.25
 SKEW_MAGNITUDE_FACTOR = 1.0 / 6.0
 
 # Numerical guards.
-SPD_EIG_FLOOR = 1e-10          # smallest admissible eigenvalue ratio
+# Smallest admissible eigenvalue, relative to the largest absolute row sum
+# ``||M||_inf``: ``M - SPD_EIG_FLOOR ||M||_inf I`` must have a Cholesky
+# factor.  Since ``lambda_max <= ||M||_inf <= sqrt(d) lambda_max``, every
+# matrix with ``lambda_min <= SPD_EIG_FLOOR lambda_max`` fails, and none
+# with ``lambda_min > sqrt(d) SPD_EIG_FLOOR lambda_max`` does.  The floor is
+# exact for a diagonal matrix, whose largest row sum is ``lambda_max``.
+SPD_EIG_FLOOR = 1e-10
 SYMMETRY_RTOL = 1e-12          # relative asymmetry allowed in spd inputs
-RECONSTRUCTION_RTOL = 1e-10    # eigenfactor round-trip accuracy
 ANCHOR_GRAD_RTOL = 1e-8        # "gradient vanishes" threshold for estimators
 BIAS_ANCHOR_GRAD_RTOL = 1e-6   # looser anchor threshold for bias operations
 EXACT_SHIFT_FLOOR = 1e-10      # residual below this counts as exact (shifts)

@@ -18,8 +18,9 @@ exact     ``-F^{-1} A`` (quadratic ``f`` only)        0
                                                       kappa^2 tau3^2) b^3``
 ========  ==========================================  =======================
 
-where ``b = ||D F^{-1} A||``, ``D = cert.metric`` is the metric the
-certificate was measured in (every radius is stated in it), and
+where ``b = ||D F^{-1} A||``, ``D`` is the metric the certificate was
+measured in (every radius is stated in it; ``cert.metric`` is its Gram
+``D^2``), and
 ``T(u) = <grad^3 f(x*), u^3> / 6`` is the skew term.  Gates (the
 inequalities each theorem assumes) are always reported with both sides,
 never raised: a failed gate downgrades the radii to advisory.  A radius
@@ -89,7 +90,7 @@ def _power(x: float, k: int) -> float:
 
 
 def _metric_gate(F: SpdOperator, cert: SmoothnessCertificate) -> Gate:
-    """``D^2 <= kappa^2 F`` for the certificate's metric ``D`` and ``kappa``.
+    """``D^2 <= kappa^2 F`` for the certificate's metric Gram ``D^2`` and ``kappa``.
 
     A tiny relative tolerance is folded into ``rhs``: the certificate's
     ``kappa`` is usually this very ratio, so exact float equality is the
@@ -278,7 +279,7 @@ class Prediction:
         """``(skew_correction, T(u0))``."""
         with np.errstate(over="ignore", invalid="ignore"):
             T, gradT = skewness_correction(self.objective, self.xstar, self.u0)
-            correction = -self.F.apply_power(-1.0, gradT)
+            correction = -self.F.solve(gradT)
             if not (np.isfinite(correction).all() and math.isfinite(T)):
                 raise ValueError("the skew term of the tilt is not finite")
         return correction, T
@@ -301,8 +302,8 @@ def predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> Predictio
     """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term on demand."""
     A = as_vector(A, F.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        u0 = F.apply_power(-1.0, A)
-        xi = float(np.linalg.norm(F.apply_power(-0.5, A)))
+        u0 = F.solve(A)
+        xi = F.dual_norm(A)
         if not (np.isfinite(u0).all() and math.isfinite(xi)):
             raise ValueError("the Newton step F^-1 A of the tilt is not finite")
     return Prediction(F, A, u0, xi, f, xstar)
@@ -563,15 +564,16 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
 # ---------------------------------------------------------------------------
 
 
-def _norm_of(tag: str, F: SpdOperator, D: SpdOperator | None, v: np.ndarray) -> float:
+def _norm_of(tag: str, F: SpdOperator, M: SpdOperator | None, v: np.ndarray) -> float:
+    """The norm ``tag`` of ``v``, for the curvature ``F`` and the metric Gram ``M = D^2``."""
     if tag == NORM_FHALF:
-        return float(np.linalg.norm(F.apply_power(0.5, v)))
-    if D is None:
+        return F.norm(v)
+    if M is None:
         raise ValueError(f"norm {tag!r} needs a metric but the report has none")
     if tag == NORM_D:
-        return weighted_norm(D, v)
+        return weighted_norm(M, v)
     if tag == NORM_DINVF:
-        return float(np.linalg.norm(D.apply_power(-1.0, F.apply(v))))
+        return M.dual_norm(F.apply(v))
     raise ValueError(f"unknown norm tag {tag!r}")
 
 

@@ -31,13 +31,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .expand import expansion_for_order, predict, solve_and_compare, solve_from
-from .linalg import (
-    SpdOperator,
-    kappa_between,
-    spd_from_dense,
-    spd_power_operator,
-    weighted_norm,
-)
+from .linalg import SpdOperator, spd_from_dense, weighted_norm
 from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
 from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
@@ -369,12 +363,12 @@ def _build_certificate(
 ) -> SmoothnessCertificate:
     spec = cfg.certificate
     radius = float(spec.get("radius", 1.0))
-    metric = spd_power_operator(curvature, 0.5)
+    # The metric is D = F^{1/2}: its Gram is the curvature itself, and kappa is 1.
     if spec["mode"] == "declared":
         return declared_certificate(
-            metric=metric,
+            metric=curvature,
             radius=radius,
-            kappa=kappa_between(metric, curvature),
+            kappa=1.0,
             omega=float(spec["omega"]) if "omega" in spec else None,  # 0 would claim f quadratic
             tau3=spec.get("tau3"),
             tau4=spec.get("tau4"),
@@ -383,7 +377,6 @@ def _build_certificate(
         f,
         xstar,
         curvature=curvature,
-        metric=metric,
         radius=radius,
         samples=int(spec.get("samples", 200)),
         seed=int(spec.get("seed", cfg.seed + 1)),
@@ -398,7 +391,6 @@ def _perturbed_problem(
     xstar: np.ndarray,
     perturbation: np.ndarray | Oracle,
     hessian: np.ndarray,
-    curvature: SpdOperator | None = None,
 ) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
     """:func:`as_tilt`'s ``(g, drive, F)`` for a tilt or a penalty, and the certificate.
 
@@ -406,7 +398,7 @@ def _perturbed_problem(
     which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
     checked to minimize ``f`` in its metric.
     """
-    g, drive, F = as_tilt(f, xstar, perturbation, hessian, curvature)
+    g, drive, F = as_tilt(f, xstar, perturbation, hessian)
     penalty = isinstance(perturbation, Oracle)
     cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
     if penalty:
@@ -708,8 +700,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     whose converging step evaluated it; each verification solve starts from
     its ``H0 + lam G2`` instead of evaluating it again.  ``G2`` is
     checked for positive semidefiniteness once (a weight is never
-    negative), and ``G2 = I`` shifts the spectrum of one factored ``H0``
-    instead of factoring each ``H0 + lam I`` again.  An order that a
+    negative), and each ``H0 + lam G2`` is factored once.  An order that a
     weight's certificate does not support is skipped for that weight, with
     a warning naming the weight, as ``certify`` skips it.
     """
@@ -720,14 +711,12 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     ridge = QuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
     H0 = anchor.hessian
-    F0 = spd_from_dense(H0) if np.array_equal(ridge.Q, np.eye(f.dim)) else None
 
     rows = []
     results = []
     warnings = []
     for lam in grid:
-        shifted = F0.shifted(lam) if F0 is not None else None
-        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, shifted)
+        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0)
         _, _, _, cert = perturbed
         problem, verified = _verified_problem(xstar, perturbed, [3, 4])
         entry: dict[str, Any] = {"lambda": lam, **problem}

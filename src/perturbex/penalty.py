@@ -30,12 +30,12 @@ __all__ = [
 ]
 
 
-def as_tilt(f: Oracle, xstar, perturbation, hessian=None, curvature: SpdOperator | None = None):
+def as_tilt(f: Oracle, xstar, perturbation, hessian=None):
     """``(g, drive, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
 
     ``drive`` is ``A`` or ``grad pen(x*)`` and ``F`` is ``g.hessian(x*)``
-    factored.  ``hessian`` (``grad^2 f(x*)``) and ``curvature`` (``F``) are
-    reused when the caller holds them.
+    factored.  ``hessian`` (``grad^2 f(x*)``) is reused when the caller
+    holds it.
     """
     xstar = as_vector(xstar, f.dim)
     H = f.hessian(xstar) if hessian is None else hessian
@@ -46,7 +46,7 @@ def as_tilt(f: Oracle, xstar, perturbation, hessian=None, curvature: SpdOperator
     else:
         drive = as_vector(perturbation, f.dim)
         g = linearly_perturb(f, drive)
-    return g, drive, spd_from_dense(H) if curvature is None else curvature
+    return g, drive, spd_from_dense(H)
 
 
 def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:

@@ -1,7 +1,8 @@
 """Sampled smoothness constants and the certificate that carries them.
 
 The certified radii downstream depend on four numbers measured around an
-anchor point in the geometry of a user-chosen metric ``D``:
+anchor point in the geometry of a user-chosen metric ``D``, held as the
+operator ``M = D^2`` of its Gram (``||D v|| = M.norm(v)``):
 
 ``kappa``
     smallest constant with ``D^2 <= kappa^2 F`` (computed exactly),
@@ -42,7 +43,7 @@ from .errors import (
     MissingThirdDerivative,
     NotAtMinimum,
 )
-from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense, spd_power_operator
+from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense
 from .oracle import Oracle
 
 __all__ = [
@@ -65,7 +66,8 @@ SAMPLE_BLOCK = 32
 class SmoothnessCertificate:
     """Constants of one anchor point, in the geometry of ``metric``.
 
-    ``radius`` is measured in ``||D .||``; the constants are only claimed
+    ``metric`` is the Gram ``M = D^2`` of the metric ``D``.  ``radius`` is
+    measured in ``||D .||``; the constants are only claimed
     on that ball.  A constant is ``None`` when it is not stated: ``tau3`` /
     ``tau4`` for an oracle without derivatives of that order, a sampled 0 on
     a non-quadratic oracle, or any one a declared certificate omits.
@@ -97,11 +99,10 @@ class SmoothnessCertificate:
         return {key: value for key, value in vars(self).items() if key != "metric"}
 
 
-def _metric_direction(rng: np.random.Generator, D: SpdOperator) -> np.ndarray:
-    """A vector with ``||D v|| = 1``, direction uniform in the metric."""
-    z = rng.standard_normal(D.dim)
-    z /= np.linalg.norm(z)
-    return D.apply_power(-1.0, z)
+def _metric_direction(rng: np.random.Generator, M: SpdOperator) -> np.ndarray:
+    """A vector with ``||D v|| = 1``, direction uniform in the metric of Gram ``M``."""
+    z = rng.standard_normal(M.dim)
+    return M.L_inv.T @ (z / np.linalg.norm(z))
 
 
 def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
@@ -112,10 +113,9 @@ def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
-def check_anchor(f: Oracle, xstar: np.ndarray, D: SpdOperator, rtol: float) -> None:
+def check_anchor(f: Oracle, xstar: np.ndarray, M: SpdOperator, rtol: float) -> None:
     """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)``."""
-    g = f.gradient(xstar)
-    resid = float(np.linalg.norm(D.apply_power(-1.0, g)))
+    resid = M.dual_norm(f.gradient(xstar))
     scale = 1.0 + abs(f.value_many(xstar[:, None])[0])
     if resid > rtol * scale:
         raise NotAtMinimum(
@@ -152,10 +152,14 @@ def _draw_samples(
     return cols[0], rad.reshape(blocks, SAMPLE_BLOCK), cols[1] if paired else None
 
 
-def _metric_block(D: SpdOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``v = D^{-1} z / ||z||`` and their metric norms ``||D v||``."""
-    coeffs = (D.eigenvectors.T @ (Z / np.linalg.norm(Z, axis=0))) / D.eigenvalues[:, None]
-    return D.eigenvectors @ coeffs, np.linalg.norm(D.eigenvalues[:, None] * coeffs, axis=0)
+def _metric_block(M: SpdOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``v = L^{-T} z / ||z||`` and their metric norms ``||D v|| = ||L' v||``.
+
+    ``L^{-T} = D^{-1} Q`` for an orthogonal ``Q``, so ``v`` has the law of
+    ``D^{-1} z / ||z||``.
+    """
+    V = M.L_inv.T @ (Z / np.linalg.norm(Z, axis=0))
+    return V, np.linalg.norm(M.L.T @ V, axis=0)
 
 
 def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -177,7 +181,7 @@ def _running_max(worst: float, ratio: np.ndarray, name: str, r: float) -> float:
 def estimate_omega(
     f: Oracle,
     xstar,
-    D: SpdOperator,
+    M: SpdOperator,
     F: SpdOperator,
     r: float,
     samples: int = 200,
@@ -186,19 +190,20 @@ def estimate_omega(
     """Sampled second-order remainder constant at a minimizer.
 
     Maximizes ``2 |f(x* + u) - f(x*) - 0.5 u' F u| / ||D u||^2`` over
-    points of the ``D``-ball of radius ``r``.  The anchor must have a
+    points of the ``D``-ball of radius ``r``, for the metric Gram
+    ``M = D^2``.  The anchor must have a
     vanishing gradient (``NotAtMinimum`` otherwise), since the linear term
     is dropped.
     """
     xstar = as_vector(xstar, f.dim)
     if samples < 1:
         raise ValueError("samples must be positive")
-    check_anchor(f, xstar, D, constants.ANCHOR_GRAD_RTOL)
+    check_anchor(f, xstar, M, constants.ANCHOR_GRAD_RTOL)
     fstar = f.value_many(xstar[:, None])[0]
     Z, rad, _ = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=False)
     worst = 0.0
     for b in range(len(rad)):
-        directions, dnorm = _metric_block(D, Z[b])
+        directions, dnorm = _metric_block(M, Z[b])
         U = directions * rad[b]
         quad = 0.5 * np.einsum("ij,ij->j", U, F.matrix @ U)
         values = _checked(f.value_many(xstar[:, None] + U), (SAMPLE_BLOCK,))
@@ -213,7 +218,7 @@ def estimate_omega(
 def _estimate_tensor_sup(
     f: Oracle,
     x,
-    D: SpdOperator,
+    M: SpdOperator,
     r: float,
     samples: int,
     seed: int,
@@ -227,13 +232,13 @@ def _estimate_tensor_sup(
     contract = f.third_dir_many if order == 3 else f.fourth_dir_many
     worst = 0.0
     for b in range(len(rad)):
-        directions, _ = _metric_block(D, Z[b])
-        V, vnorm = _metric_block(D, W[b])
+        directions, _ = _metric_block(M, Z[b])
+        V, vnorm = _metric_block(M, W[b])
         tens = _checked(contract(x[:, None] + directions * rad[b], V), V.shape)
         # The last slot is maximized in closed form: over ||D w|| = 1 the
         # largest pairing with the contracted tensor is its dual norm,
-        # ||D^{-1} t||, taken here in the eigenbasis of D.
-        numer = np.linalg.norm((D.eigenvectors.T @ tens) / D.eigenvalues[:, None], axis=0)
+        # ||D^{-1} t|| = ||L^{-1} t||.
+        numer = np.linalg.norm(M.L_inv @ tens, axis=0)
         ratio = numer / vnorm ** (order - 1)
         worst = _running_max(worst, ratio[: samples - b * SAMPLE_BLOCK], f"tau{order}", r)
     return worst
@@ -242,7 +247,7 @@ def _estimate_tensor_sup(
 def estimate_tau3(
     f: Oracle,
     x,
-    D: SpdOperator,
+    M: SpdOperator,
     r: float,
     samples: int = 200,
     seed: int = 0,
@@ -257,13 +262,13 @@ def estimate_tau3(
     """
     if not f.has_third:
         raise MissingThirdDerivative("oracle lacks analytic third derivatives")
-    return _estimate_tensor_sup(f, x, D, r, samples, seed, order=3)
+    return _estimate_tensor_sup(f, x, M, r, samples, seed, order=3)
 
 
 def estimate_tau4(
     f: Oracle,
     x,
-    D: SpdOperator,
+    M: SpdOperator,
     r: float,
     samples: int = 200,
     seed: int = 0,
@@ -271,7 +276,7 @@ def estimate_tau4(
     """Sampled fourth-derivative constant; same scheme as :func:`estimate_tau3`."""
     if not f.has_fourth:
         raise MissingFourthDerivative("oracle lacks analytic fourth derivatives")
-    return _estimate_tensor_sup(f, x, D, r, samples, seed, order=4)
+    return _estimate_tensor_sup(f, x, M, r, samples, seed, order=4)
 
 
 def taylor_diagnostics(
@@ -304,14 +309,13 @@ def taylor_diagnostics(
     x = as_vector(x, f.dim)
     if cert.tau3 is None:
         raise MissingThirdDerivative("certificate lacks tau3")
-    D = cert.metric
+    M = cert.metric
     r = cert.radius
     tau3 = cert.tau3
     tau4 = cert.tau4
     rng = np.random.default_rng(seed)
     H0 = f.hessian(x)
     g0 = f.gradient(x)
-    Dinv = D.power(-1.0)
     floor = 1e-12 * (1.0 + float(np.linalg.norm(g0)))
 
     def ratio(lhs: float, rhs: float) -> float:
@@ -323,34 +327,35 @@ def taylor_diagnostics(
     worst = dict.fromkeys((1, 2, 3, 4), 0.0)
     for _ in range(samples):
         # check 1 and 4 share the sample offset u
-        u = _radial(rng, r, f.dim) * _metric_direction(rng, D)
-        du = float(np.linalg.norm(D.apply(u)))
+        u = _radial(rng, r, f.dim) * _metric_direction(rng, M)
+        du = M.norm(u)
         grad_u = f.gradient(x + u)
         rem1 = grad_u - g0 - H0 @ u
-        lhs1 = float(np.linalg.norm(Dinv @ rem1))
+        lhs1 = M.dual_norm(rem1)
         worst[1] = max(worst[1], ratio(lhs1, 0.5 * tau3 * du**2))
 
         if fourth:
             rem4 = rem1 - 0.5 * f.third_dir(x, u)
-            lhs4 = float(np.linalg.norm(Dinv @ rem4))
+            lhs4 = M.dual_norm(rem4)
             worst[4] = max(worst[4], ratio(lhs4, tau4 / 6.0 * du**3))
 
-        # check 2: Hessian difference between two ball points
-        a = _radial(rng, r, f.dim) * _metric_direction(rng, D)
-        b = _radial(rng, r, f.dim) * _metric_direction(rng, D)
-        diff = Dinv @ (f.hessian(x + b) - f.hessian(x + a)) @ Dinv
+        # check 2: Hessian difference between two ball points; L^{-1} H L^{-T}
+        # has the spectrum of D^{-1} H D^{-1}
+        a = _radial(rng, r, f.dim) * _metric_direction(rng, M)
+        b = _radial(rng, r, f.dim) * _metric_direction(rng, M)
+        diff = M.L_inv @ (f.hessian(x + b) - f.hessian(x + a)) @ M.L_inv.T
         lhs2 = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).max())
-        dstep = float(np.linalg.norm(D.apply(b - a)))
+        dstep = M.norm(b - a)
         worst[2] = max(worst[2], ratio(lhs2, tau3 * dstep))
 
         # check 3: base offset no larger than the step, both points in ball
         step_len = _radial(rng, r, f.dim) * (2.0 / 3.0)
-        delta = step_len * _metric_direction(rng, D)
-        dd = float(np.linalg.norm(D.apply(delta)))
+        delta = step_len * _metric_direction(rng, M)
+        dd = M.norm(delta)
         cap = min(dd, r - dd)
-        base = (cap * rng.uniform()) * _metric_direction(rng, D)
+        base = (cap * rng.uniform()) * _metric_direction(rng, M)
         rem3 = f.gradient(x + base + delta) - f.gradient(x + base) - H0 @ delta
-        lhs3 = float(np.linalg.norm(Dinv @ rem3))
+        lhs3 = M.dual_norm(rem3)
         worst[3] = max(worst[3], ratio(lhs3, 1.5 * tau3 * dd**2))
 
     names = {
@@ -380,7 +385,8 @@ def estimate_certificate(
 ) -> SmoothnessCertificate:
     """Measure a full certificate at a minimizer.
 
-    The metric defaults to ``F^{1/2}`` (so ``kappa = 1``); ``kappa`` is
+    The metric (the Gram ``D^2``) defaults to the curvature ``F`` itself, so
+    ``D = F^{1/2}`` and ``kappa = 1``; ``kappa`` is
     computed exactly, the sampled constants are multiplied by ``inflation``
     before storage, and the raw values are retained in the provenance.
     Pass ``include_omega=False`` when the anchor is not a minimizer of
@@ -394,7 +400,7 @@ def estimate_certificate(
     if curvature is None:
         curvature = spd_from_dense(f.hessian(xstar))
     if metric is None:
-        metric = spd_power_operator(curvature, 0.5)
+        metric = curvature
     kappa = kappa_between(metric, curvature)
     raw_omega = (
         estimate_omega(f, xstar, metric, curvature, radius, samples, seed)

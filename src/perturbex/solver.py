@@ -174,7 +174,7 @@ def newton_minimize(
 def _newton_step(held: SpdOperator | np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """The step ``-H^{-1} g`` and its decrement, for a factored or an evaluated ``H``."""
     if isinstance(held, SpdOperator):
-        d = -held.apply_power(-1.0, g)
+        d = -held.solve(g)
     else:
         d = -np.linalg.solve(held, g)
     return d, float(np.sqrt(max(float(-g @ d), 0.0)))

@@ -27,7 +27,7 @@ TILT_FRACTION = 0.4  # of the tightest gate budget
 
 
 def _xi(F: px.SpdOperator, v: np.ndarray) -> float:
-    return float(np.linalg.norm(F.apply_power(-0.5, v)))
+    return F.dual_norm(v)
 
 
 def _tilt_budget(cert: px.SmoothnessCertificate) -> float:
@@ -83,7 +83,7 @@ def _calibrated_penalty(f, xstar, pen_at, w0: float, samples: int, seed: int):
             include_omega=False,
         )
         M = pen.gradient(xstar)
-        bG = px.weighted_norm(cert.metric, FG.apply_power(-1.0, M))
+        bG = px.weighted_norm(cert.metric, FG.solve(M))
         budget = _tilt_budget(cert)
         if 0.15 * budget <= bG <= 0.5 * budget:
             break
@@ -387,7 +387,8 @@ def test_cubic_envelope_holds_under_sampling(criterion, envelope_extremes):
         s = direction * r * float(rng.uniform(0.76, 0.999))
         snorm = float(np.linalg.norm(s))
         # The lemma's hypotheses hold by construction.
-        assert U.eigenvalues.min() >= 1.0 and 0.75 * r <= snorm <= r and tau * r <= 1.0 / 3.0
+        lowest = np.linalg.eigvalsh(U.matrix)[0]
+        assert lowest >= 1.0 and 0.75 * r <= snorm <= r and tau * r <= 1.0 / 3.0
         extremes = envelope_extremes(U, s, tau, r, seed=6000 + t)
         if tau == 0.0:
             assert extremes == (0.0, 0.0)

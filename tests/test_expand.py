@@ -51,8 +51,8 @@ class TestExactQuadratic:
         B = rng.standard_normal(4)
         v = lambda t: px.exact_quadratic_expansion(px.predict(F, t)).predicted_value_change
         cross = v(A + B) - v(A) - v(B)
-        assert cross == pytest.approx(-float(A @ F.apply_power(-1.0, B)), rel=1e-12)
-        assert cross == pytest.approx(-float(B @ F.apply_power(-1.0, A)), rel=1e-12)
+        assert cross == pytest.approx(-float(A @ F.solve(B)), rel=1e-12)
+        assert cross == pytest.approx(-float(B @ F.solve(A)), rel=1e-12)
 
 
 class TestSecondOrder:
@@ -191,7 +191,7 @@ class TestFourthOrder:
         rep = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
         diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
-        b = px.weighted_norm(cert.metric, F.apply_power(-1.0, A))
+        b = px.weighted_norm(cert.metric, F.solve(A))
         assert diag["mu_proximity"].rhs == 0.5 * cert.tau3 * b**2
         assert not diag["mu_proximity_opposite_sign"].satisfied
 
@@ -372,7 +372,8 @@ class TestCubicBoundCheck:
         rng = np.random.default_rng(seed)
         U = px.random_spd(rng, dim, cond=4.0)
         # Lift the spectrum above 1 as the lemma requires.
-        U = px.spd_from_dense(U.matrix + (1.0 - U.eigenvalues[-1] + 0.3) * np.eye(dim))
+        lowest = np.linalg.eigvalsh(U.matrix)[0]
+        U = px.spd_from_dense(U.matrix + (1.0 - lowest + 0.3) * np.eye(dim))
         s = rng.standard_normal(dim)
         s *= 0.85 / np.linalg.norm(s)
         return U, s

@@ -160,8 +160,9 @@ class TestCertify:
         """Sampled constants too small for this log-sum-exp case fail verification.
 
         At the default 200 samples and inflation 1.5 the order-2 value bound
-        and the order-3 Newton residual radius are violated although every
-        gate each one requires passes; the run exits 2.
+        is violated although every gate it requires passes; the run exits 2.
+        The order-3 Newton residual radius is exceeded too, but the sampled
+        tau3 fails the ``tau3_dnorm`` gate, so that radius claims nothing.
         """
         payload = {
             "seed": 3,
@@ -184,7 +185,11 @@ class TestCertify:
             satisfied = {g["name"]: g["satisfied"] for g in bounds["preconditions"]}
             for name in res["verification"]["violations"]:
                 gates_held[res["order"], name] = all(satisfied[g] for g in requires[name])
-        assert gates_held == {("2", "value"): True, ("3", "newton_residual_dinvf"): True}
+        assert gates_held == {("2", "value"): True}
+        third = next(res for res in report["results"] if res["order"] == "3")
+        residual = harness._named(third["verification"]["entries"], "newton_residual_dinvf")
+        gate = harness._named(third["report"]["bounds"]["preconditions"], "tau3_dnorm")
+        assert residual["residual"] > residual["radius"] and not gate["satisfied"]
 
     def test_infinite_advisory_radius_is_strict_json(self, tmp_path):
         """A failed ``stability_margin`` gate leaves infinite advisory radii.
@@ -394,8 +399,7 @@ def _sweep_config(grid, g2=None):
 
 
 class TestKappaOncePerPair:
-    """One ``kappa`` per (metric, curvature) pair, with no eigensolve when the
-    metric is a power of the curvature."""
+    """No eigensolve for ``kappa`` when the metric's Gram is the curvature."""
 
     @pytest.fixture
     def kappa_solves(self, monkeypatch):
@@ -427,15 +431,14 @@ class TestKappaOncePerPair:
         assert len(kappa_solves) == 0
 
     def test_library_penalty_bias_needs_no_eigensolve(self, kappa_solves):
-        """``smooth_penalty_bias`` factors ``F_pen`` afresh; the metric is a power
-        of the command's factor, whose matrix is the same, so kappa is exactly 1."""
+        """``smooth_penalty_bias`` factors ``F_pen`` afresh; the metric's Gram is
+        the command's factor, whose matrix is the same, so kappa is exactly 1."""
         prob = oracle_from_descriptor(_base_config()["problem"])
         f = prob.oracle
         anchor = solver.newton_minimize(f, prob.x0)
         pen = QuadraticOracle(0.1 * np.eye(f.dim))
         _, _, F = as_tilt(f, anchor.xhat, pen, anchor.hessian)
-        metric = linalg.spd_power_operator(F, 0.5)
-        cert = declared_certificate(metric, radius=0.5, kappa=1.0, omega=None, tau3=0.5)
+        cert = declared_certificate(F, radius=0.5, kappa=1.0, omega=None, tau3=0.5)
         rep = smooth_penalty_bias(f, anchor.xhat, pen, cert, order=3)
         assert rep.prediction.F is not F
         assert rep.bounds.gate("metric_dominated").lhs == 1.0
@@ -444,14 +447,14 @@ class TestKappaOncePerPair:
     def test_unrelated_pair_solves_once(self, kappa_solves):
         # D^2 = diag(1, 4, 9) against F = diag(4, 9, 1): the ratio peaks at 9.
         F = linalg.spd_from_dense(np.diag([4.0, 9.0, 1.0]))
-        D = linalg.spd_from_dense(np.diag([1.0, 2.0, 3.0]))
-        assert linalg.kappa_between(D, F) == pytest.approx(3.0, rel=1e-14)
-        assert linalg.kappa_between(D, F) == pytest.approx(3.0, rel=1e-14)
+        M = linalg.spd_from_dense(np.diag([1.0, 4.0, 9.0]))
+        assert linalg.kappa_between(M, F) == pytest.approx(3.0, rel=1e-14)
         assert len(kappa_solves) == 1
 
 
 class TestSweepIsOneFactoredFamily:
-    """A run evaluates ``grad^2 f(x*)`` once; a sweep with ``G2 = I`` factors it once.
+    """A run evaluates ``grad^2 f(x*)`` once; a sweep factors each weight's
+    ``H0 + lam G2`` once, with no eigendecomposition.
 
     Every Hessian evaluation counts, the Newton steps of the anchor and the
     verification solves included: the anchor's converging step is the one
@@ -465,7 +468,8 @@ class TestSweepIsOneFactoredFamily:
     def counts(self, monkeypatch):
         eigh = np.linalg.eigh
         hessian = LogisticOracle.hessian
-        seen = {"eigh": 0, "hessian_points": []}
+        post_init = linalg.SpdOperator.__post_init__
+        seen = {"eigh": 0, "factors": 0, "hessian_points": []}
 
         def counting_eigh(*args, **kwargs):
             seen["eigh"] += 1
@@ -475,8 +479,13 @@ class TestSweepIsOneFactoredFamily:
             seen["hessian_points"].append(np.array(x))
             return hessian(oracle, x)
 
+        def counting_factor(op):
+            seen["factors"] += 1
+            post_init(op)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(LogisticOracle, "hessian", counting_hessian)
+        monkeypatch.setattr(linalg.SpdOperator, "__post_init__", counting_factor)
         return seen
 
     @staticmethod
@@ -484,21 +493,21 @@ class TestSweepIsOneFactoredFamily:
         """Run ``run`` and count its Hessian evaluations at the problem's ``x*``."""
         prob = oracle_from_descriptor(payload["problem"])
         xstar = solver.newton_minimize(prob.oracle, prob.x0).xhat
-        counts["eigh"] = 0
+        counts["eigh"] = counts["factors"] = 0
         counts["hessian_points"].clear()
         run()
         assert len(counts["hessian_points"]) > 1  # the solves' later steps count too
         return sum(np.array_equal(x, xstar) for x in counts["hessian_points"])
 
     @pytest.mark.parametrize(
-        "g2, eighs",
+        "g2, factors",
         [
-            ({"mode": "identity"}, 1),
-            ({"mode": "matrix", "matrix": np.eye(5).tolist()}, 1),
+            ({"mode": "identity"}, 3),
+            ({"mode": "matrix", "matrix": np.eye(5).tolist()}, 3),
             ({"mode": "rank1", "seed": 12}, 3),
         ],
     )
-    def test_factor_and_hessian_counts(self, tmp_path, counts, g2, eighs):
+    def test_factor_and_hessian_counts(self, tmp_path, counts, g2, factors):
         payload = _sweep_config([0.0, 0.05, 0.1], g2)
         cfg = _write(tmp_path, "cfg.json", payload)
         out = str(tmp_path / "o")
@@ -507,7 +516,8 @@ class TestSweepIsOneFactoredFamily:
         )
         assert at_xstar == 1
         assert len(counts["hessian_points"]) == 2 + 2
-        assert counts["eigh"] == eighs
+        assert counts["factors"] == factors  # one per weight
+        assert counts["eigh"] == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
         solvers = [entry["solution"]["solver"] for entry in report["results"]]
@@ -527,26 +537,37 @@ class TestSweepIsOneFactoredFamily:
         assert report["anchor"]["solver"]["hessians"] == 2
         assert report["solution"]["solver"]["hessians"] == 1
 
-    def test_shifted_family_matches_refactoring(self, tmp_path, monkeypatch):
-        """Shifting one factored ``H0`` gives the sweep that factoring each
-        ``H0 + lam I`` gives, up to rounding."""
-        cfg = _write(tmp_path, "cfg.json", _sweep_config([0.0, 0.1, 0.4]))
-        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(
-            linalg.SpdOperator,
-            "shifted",
-            lambda op, lam: linalg.spd_from_dense(op.matrix + lam * np.eye(op.dim)),
-        )
-        assert main(["ridge-sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-        with open(tmp_path / "a" / "sweep.csv", newline="") as fa:
-            rows_a = list(csv.reader(fa))
-        with open(tmp_path / "b" / "sweep.csv", newline="") as fb:
-            rows_b = list(csv.reader(fb))
-        assert rows_a[0] == rows_b[0]
-        for ra, rb in zip(rows_a[1:], rows_b[1:]):
-            for va, vb in zip(ra, rb):
-                if va != vb:
-                    assert float(va) == pytest.approx(float(vb), rel=1e-6, abs=1e-12)
+
+def _no_eigh_configs():
+    smooth = {"kind": "logsumexp", "dim": 6, "n": 12, "reg": 0.0, "temp": 1.0, "seed": 9}
+    tilt = _base_config()
+    ridge = {**tilt, "perturbation": {"kind": "quadratic", "lambda": 0.05}}
+    penalty = {**tilt, "perturbation": {"kind": "smooth", "penalty": smooth, "weight": 0.3}}
+    grid = [0.0, 0.05]
+    rank1 = {"mode": "rank1", "seed": 12}
+    matrix = {"mode": "matrix", "matrix": np.diag(np.arange(1.0, 6.0)).tolist()}
+    return [
+        pytest.param("certify", tilt, id="certify-tilt"),
+        pytest.param("certify", ridge, id="certify-ridge"),
+        pytest.param("certify", penalty, id="certify-smooth"),
+        pytest.param("scaling", _command_config("scaling"), id="scaling"),
+        pytest.param("ridge-sweep", _sweep_config(grid), id="sweep-identity"),
+        pytest.param("ridge-sweep", _sweep_config(grid, rank1), id="sweep-rank1"),
+        pytest.param("ridge-sweep", _sweep_config(grid, matrix), id="sweep-matrix"),
+    ]
+
+
+class TestNoEigendecomposition:
+    """No command takes an eigendecomposition: every operator is a Cholesky factor."""
+
+    @pytest.mark.parametrize("command, payload", _no_eigh_configs())
+    def test_command_never_calls_eigh(self, tmp_path, monkeypatch, command, payload):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestBenchmarkTracerHooks:
@@ -1004,13 +1025,11 @@ class TestOneTiltBuilder:
             "smooth": SumOracle(LogisticOracle(np.eye(4), np.ones(4)), weights=(0.3,)),
         }[kind]
         g, drive, F = as_tilt(f, anchor.xhat, perturbation)
-        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian, F)
-        _, _, F3 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian)
+        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian)
         H = g.hessian(anchor.xhat)
         np.testing.assert_array_equal(F.matrix, linalg.spd_from_dense(H).matrix)
-        np.testing.assert_array_equal(F3.matrix, F.matrix)
+        np.testing.assert_array_equal(F2.matrix, F.matrix)
         np.testing.assert_array_equal(drive2, drive)
-        assert F2 is F
         np.testing.assert_array_equal(g.gradient(anchor.xhat), f.gradient(anchor.xhat) + drive)
 
 

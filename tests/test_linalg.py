@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perturbex as px
+from perturbex import constants
 from perturbex.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 
 class TestSpdFromDense:
-    def test_eigendecomposition_of_frozen_matrix(self):
-        # [[2, 1], [1, 2]] has eigenvalues 3 and 1.
+    def test_cholesky_factor_of_frozen_matrix(self):
+        # [[2, 1], [1, 2]] = L L' with L = [[sqrt 2, 0], [1/sqrt 2, sqrt 3/2]].
         op = px.spd_from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert op.eigenvalues == pytest.approx([3.0, 1.0])
-        assert op.condition_number == pytest.approx(3.0)
+        expected = np.array([[np.sqrt(2.0), 0.0], [np.sqrt(0.5), np.sqrt(1.5)]])
+        np.testing.assert_allclose(op.L, expected, rtol=1e-15)
+        np.testing.assert_allclose(op.L_inv @ op.L, np.eye(2), atol=1e-15)
+        assert op.L_inv[0, 1] == 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -36,12 +39,13 @@ class TestSpdFromDense:
 
     def test_operator_is_write_protected(self):
         op = px.spd_from_dense(np.eye(2))
-        with pytest.raises(ValueError):
-            op.matrix[0, 0] = 5.0
+        for arr in (op.matrix, op.L, op.L_inv):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5.0
 
 
 class TestScaleNearOverflow:
-    """The round-trip check works in units of the largest entry."""
+    """The floor and the factor work in units of the largest entry."""
 
     def _huge(self, rng):
         return 1e300 * px.random_spd(rng, 6, cond=10.0).matrix
@@ -51,108 +55,97 @@ class TestScaleNearOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             op = px.spd_from_dense(M)
-        assert op.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(M / 1e300)[-1] * 1e300)
+            unit = px.spd_from_dense(M / 1e300)
+            v = rng.standard_normal(6)
+            assert op.norm(v) == pytest.approx(1e150 * unit.norm(v), rel=1e-13)
+            assert op.dual_norm(v) == pytest.approx(1e-150 * unit.dual_norm(v), rel=1e-13)
+            np.testing.assert_allclose(op.solve(v), 1e-300 * unit.solve(v), rtol=1e-12)
 
-    def test_corrupted_eigenbasis_still_raises(self, rng, monkeypatch):
-        M = self._huge(rng)
-        eigh = np.linalg.eigh
 
-        def corrupted(A):
-            vals, vecs = eigh(A)
-            vecs = vecs.copy()
-            vecs[:, [0, 1]] = vecs[:, [1, 0]]
-            return vals, vecs
+def _spd_with_ratio(rng, dim: int, ratio: float) -> np.ndarray:
+    """A dense symmetric matrix with eigenvalues 1 and ``ratio`` among others between."""
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    vals = np.concatenate([[1.0, ratio], rng.uniform(max(ratio, 0.0), 1.0, dim - 2)])
+    M = (Q * vals) @ Q.T
+    return 0.5 * (M + M.T)
 
-        monkeypatch.setattr(np.linalg, "eigh", corrupted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotPositiveDefinite, match="round-trip"):
+
+class TestFloor:
+    """The Cholesky floor rejects every matrix the eigenvalue floor rejects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=2, max_value=8),
+        st.floats(min_value=-1.0, max_value=0.99),
+        st.integers(min_value=-200, max_value=200),
+    )
+    def test_every_ratio_below_the_floor_raises(self, seed, dim, fraction, exponent):
+        """``lambda_min / lambda_max`` below ``SPD_EIG_FLOOR``, at any scale, raises."""
+        rng = np.random.default_rng(seed)
+        M = 10.0**exponent * _spd_with_ratio(rng, dim, fraction * constants.SPD_EIG_FLOOR)
+        with pytest.raises(NotPositiveDefinite, match="below floor"):
+            px.spd_from_dense(M)
+
+    @pytest.mark.parametrize("ratio, accepted", [(2e-10, True), (5e-11, False)])
+    def test_diagonal_floor_is_exact(self, ratio, accepted):
+        M = np.diag([1.0, 0.5, ratio])
+        if accepted:
+            assert px.spd_from_dense(M).dim == 3
+        else:
+            with pytest.raises(NotPositiveDefinite, match="below floor"):
                 px.spd_from_dense(M)
 
 
-class TestShifted:
-    def test_matches_refactoring(self, rng):
-        F = px.random_spd(rng, 5, cond=20.0)
-        shifted = F.shifted(0.3)
-        direct = px.spd_from_dense(F.matrix + 0.3 * np.eye(5))
-        assert shifted.eigenvectors is F.eigenvectors
-        np.testing.assert_allclose(shifted.eigenvalues, direct.eigenvalues, rtol=1e-13)
-        np.testing.assert_array_equal(shifted.matrix, F.matrix + 0.3 * np.eye(5))
-        v = rng.standard_normal(5)
-        np.testing.assert_allclose(
-            shifted.apply_power(-1.0, v), direct.apply_power(-1.0, v), rtol=1e-12
-        )
-
-    def test_floor_check_runs(self):
-        F = px.spd_from_dense(np.diag([2.0, 1.0]))
-        with pytest.raises(NotPositiveDefinite, match="below floor"):
-            F.shifted(-1.0)
-
-    def test_round_trip_check_runs(self):
-        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        bad = px.SpdOperator(
-            matrix=np.diag([3.0, 1.0]), eigenvalues=np.array([3.0, 1.0]), eigenvectors=vecs
-        )
-        with pytest.raises(NotPositiveDefinite, match="round-trip"):
-            bad.shifted(0.5)
-
-
 class TestPowers:
+    """The factor gives the square root and the inverse in the Gram sense:
+    ``L L' = M`` and ``L^{-T} L^{-1} = M^{-1}``."""
+
     def test_diagonal_square_root(self):
         op = px.spd_from_dense(np.diag([4.0, 9.0]))
-        half = px.spd_power_operator(op, 0.5)
-        np.testing.assert_allclose(half.matrix, np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_array_equal(op.L, np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(op.L_inv, np.diag([0.5, 1.0 / 3.0]), rtol=1e-15)
 
     def test_inverse_application(self):
         op = px.spd_from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
         v = np.array([1.0, 0.0])
-        np.testing.assert_allclose(
-            op.apply(op.apply_power(-1.0, v)), v, atol=1e-13
-        )
-
-    @pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0, 2.0])
-    def test_power_matches_dense_eig(self, t, rng):
-        M = px.random_spd(rng, 4, cond=30.0)
-        powered = px.spd_power_operator(M, t)
-        w, V = np.linalg.eigh(M.matrix)
-        expected = (V * w**t) @ V.T
-        np.testing.assert_allclose(powered.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(op.apply(op.solve(v)), v, atol=1e-13)
 
     def test_identity_power_is_identity(self):
         op = px.spd_from_dense(np.eye(3))
-        assert np.array_equal(px.spd_power_operator(op, -0.5).matrix, np.eye(3))
+        assert np.array_equal(op.L, np.eye(3)) and np.array_equal(op.L_inv, np.eye(3))
 
     def test_power_below_the_floor_raises(self):
-        """``M^2`` at condition 1e12 fails the floor that ``spd_from_dense`` applies."""
+        """``M^2`` at condition 1e12 fails the floor; ``M`` at 1e6 passes it."""
         M = np.diag(np.geomspace(1.0, 1e-6, 5))
-        op = px.spd_from_dense(M)
+        assert px.spd_from_dense(M).dim == 5
         with pytest.raises(NotPositiveDefinite, match="floor"):
             px.spd_from_dense(M @ M)
-        with pytest.raises(NotPositiveDefinite, match="floor"):
-            px.spd_power_operator(op, 2.0)
-        assert px.spd_power_operator(op, 0.5).condition_number == pytest.approx(1e3)
 
 
 class TestKappaBetween:
-    """kappa is the smallest c with D^2 <= c^2 F."""
+    """kappa is the smallest c with D^2 <= c^2 F, for the metric Gram M = D^2."""
 
     def test_zero_metric(self):
         F = px.spd_from_dense(np.eye(2))
         assert px.kappa_between(np.zeros((2, 2)), F) == 0.0
 
-    def test_metric_equals_sqrt_curvature(self):
+    def test_metric_equals_sqrt_curvature(self, monkeypatch):
+        """``D = F^{1/2}`` has the Gram ``F``: kappa is exactly 1, with no eigensolve."""
         F = px.spd_from_dense(np.array([[3.0, 1.0], [1.0, 2.0]]))
-        D = px.spd_power_operator(F, 0.5)
-        assert px.kappa_between(D, F) == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert px.kappa_between(F, F) == 1.0
+        assert px.kappa_between(px.spd_from_dense(F.matrix.copy()), F) == 1.0
+        assert px.kappa_between(F.matrix.copy(), F) == 1.0
 
     @pytest.mark.parametrize("t", [0.5, 0.25, 1.0, 1.5])
     def test_power_metric_kept_from_eigenvalues(self, rng, t):
-        """A power of ``F`` finds its kappa kept; the eigensolve form agrees."""
+        """A power ``D = F^t`` has kappa ``sqrt(max lambda^(2t - 1))`` from ``F``'s eigenvalues."""
         F = px.random_spd(rng, 6, cond=4.0)
-        D = px.spd_power_operator(F, t)
-        kept = px.kappa_between(D, F)
-        assert kept == np.sqrt((F.eigenvalues ** (2.0 * t - 1.0)).max())
-        assert kept == pytest.approx(px.kappa_between(D.matrix, F), rel=1e-14)
+        w, V = np.linalg.eigh(F.matrix)
+        M = (V * w ** (2.0 * t)) @ V.T
+        kept = float(np.sqrt((w ** (2.0 * t - 1.0)).max()))
+        assert px.kappa_between(0.5 * (M + M.T), F) == pytest.approx(kept, rel=1e-12)
 
     def test_identity_metric_against_diagonal(self):
         # D = I, F = diag(4, 9): D^2 <= c^2 F first holds at c^2 = 1/4.
@@ -161,10 +154,15 @@ class TestKappaBetween:
 
     def test_scaling_is_linear_in_metric(self, rng):
         F = px.random_spd(rng, 3, cond=5.0)
-        D = px.random_spd(rng, 3, cond=3.0)
-        k1 = px.kappa_between(D, F)
-        k2 = px.kappa_between(px.spd_from_dense(2.0 * D.matrix), F)
+        M = px.random_spd(rng, 3, cond=3.0)
+        k1 = px.kappa_between(M, F)
+        k2 = px.kappa_between(px.spd_from_dense(4.0 * M.matrix), F)
         assert k2 == pytest.approx(2.0 * k1, rel=1e-12)
+
+    def test_rejects_a_metric_of_another_dimension(self):
+        F = px.spd_from_dense(np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            px.kappa_between(np.eye(3), F)
 
 
 class TestVectors:
@@ -197,17 +195,43 @@ class TestVectors:
             px.as_matrix(bad, 3)
 
     def test_weighted_norm(self):
-        D = px.spd_from_dense(np.diag([2.0, 3.0]))
-        assert px.weighted_norm(D, [1.0, 0.0]) == pytest.approx(2.0)
+        # D = diag(2, 3) is held as its Gram diag(4, 9).
+        M = px.spd_from_dense(np.diag([4.0, 9.0]))
+        assert px.weighted_norm(M, [1.0, 0.0]) == 2.0
+        assert px.weighted_norm(M, [0.0, 1.0]) == 3.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
 def test_power_roundtrip_property(seed, dim):
-    """F^{1/2} composed with F^{-1/2} is the identity on random vectors."""
+    """``L'`` composed with ``L^{-T}``, and ``F`` with ``F^{-1}``, are the identity."""
     rng = np.random.default_rng(seed)
     F = px.random_spd(rng, dim, cond=50.0)
     v = rng.standard_normal(dim)
-    half = F.apply_power(0.5, v)
-    back = F.apply_power(-0.5, half)
-    np.testing.assert_allclose(back, v, atol=1e-10 * (1 + np.linalg.norm(v)))
+    atol = 1e-10 * (1 + np.linalg.norm(v))
+    np.testing.assert_allclose(F.L_inv.T @ (F.L.T @ v), v, atol=atol)
+    np.testing.assert_allclose(F.solve(F.apply(v)), v, atol=atol)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=8),
+    st.floats(min_value=1.0, max_value=1e6),
+)
+def test_operations_match_dense_numpy(seed, dim, cond):
+    """``solve``, ``norm``, ``dual_norm`` and ``L^{-T} L^{-1}`` against dense NumPy."""
+    rng = np.random.default_rng(seed)
+    F = px.random_spd(rng, dim, cond=cond)
+    inverse = np.linalg.inv(F.matrix)
+    v = rng.standard_normal(dim)
+    rtol = 1e-15 * cond * dim * 10
+    np.testing.assert_allclose(
+        F.solve(v), inverse @ v, rtol=rtol, atol=rtol * np.linalg.norm(inverse @ v)
+    )
+    assert F.norm(v) == pytest.approx(np.sqrt(v @ F.matrix @ v), rel=rtol)
+    assert F.dual_norm(v) == pytest.approx(np.sqrt(v @ inverse @ v), rel=rtol)
+    np.testing.assert_allclose(
+        F.L_inv.T @ F.L_inv, inverse, rtol=rtol, atol=rtol * np.abs(inverse).max()
+    )
+    np.testing.assert_allclose(F.L @ F.L.T, F.matrix, atol=1e-15 * dim)

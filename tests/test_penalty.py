@@ -190,7 +190,7 @@ class TestSmoothPenalty:
         F = px.random_spd(rng, 4, cond=7.0)
         center = rng.standard_normal(4)
         G2 = 0.3 * np.eye(4)
-        metric = px.spd_power_operator(px.spd_from_dense(F.matrix + G2), 0.5)
+        metric = px.spd_from_dense(F.matrix + G2)
         cert = px.declared_certificate(metric=metric, radius=1.0, kappa=1.0, omega=None)
         rep = px.smooth_penalty_bias(
             px.QuadraticOracle(F, center), center, px.QuadraticOracle(G2), cert, "exact"

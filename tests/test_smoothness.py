@@ -41,8 +41,7 @@ class TestOmega:
     def test_quadratic_has_no_remainder(self, rng):
         F = px.random_spd(rng, 4, cond=10.0)
         f = px.QuadraticOracle(F, np.zeros(4))
-        D = px.spd_power_operator(F, 0.5)
-        omega = px.estimate_omega(f, np.zeros(4), D, F, r=1.0, samples=80, seed=0)
+        omega = px.estimate_omega(f, np.zeros(4), F, F, r=1.0, samples=80, seed=0)
         assert omega <= 1e-10
 
     def test_quartic_remainder_matches_closed_form(self):
@@ -75,13 +74,12 @@ class TestTauEstimators:
     def test_quadratic_has_zero_tensors(self, rng):
         F = px.random_spd(rng, 3, cond=4.0)
         f = px.QuadraticOracle(F, np.zeros(3))
-        D = px.spd_power_operator(F, 0.5)
-        assert px.estimate_tau3(f, np.zeros(3), D, r=1.0, samples=30) == 0.0
-        assert px.estimate_tau4(f, np.zeros(3), D, r=1.0, samples=30) == 0.0
+        assert px.estimate_tau3(f, np.zeros(3), F, r=1.0, samples=30) == 0.0
+        assert px.estimate_tau4(f, np.zeros(3), F, r=1.0, samples=30) == 0.0
 
     def test_more_samples_never_shrink_the_estimate(self, logistic_anchor):
         f, xstar = logistic_anchor
-        D = px.spd_power_operator(px.spd_from_dense(f.hessian(xstar)), 0.5)
+        D = px.spd_from_dense(f.hessian(xstar))
         values = [
             px.estimate_tau3(f, xstar, D, r=0.5, samples=n, seed=4)
             for n in (25, 50, 100, 200)
@@ -89,11 +87,13 @@ class TestTauEstimators:
         assert values == sorted(values)
 
     def test_metric_scaling_equivariance(self, logistic_anchor):
-        """tau3 against c*D over the matching ball is tau3 against D over c^3."""
+        """tau3 against c*D over the matching ball is tau3 against D over c^3.
+
+        ``D`` is held as its Gram ``D^2``, so ``c*D`` is held as ``c^2 D^2``."""
         f, xstar = logistic_anchor
-        D = px.spd_power_operator(px.spd_from_dense(f.hessian(xstar)), 0.5)
+        D = px.spd_from_dense(f.hessian(xstar))
         c = 2.0
-        cD = px.spd_from_dense(c * D.matrix)
+        cD = px.spd_from_dense(c**2 * D.matrix)
         t1 = px.estimate_tau3(f, xstar, D, r=0.5, samples=60, seed=5)
         t2 = px.estimate_tau3(f, xstar, cD, r=c * 0.5, samples=60, seed=5)
         assert t2 == pytest.approx(t1 / c**3, rel=1e-12)
@@ -268,8 +268,7 @@ class TestBatchedEstimators:
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
         f, xstar = logistic_anchor
-        F = px.spd_from_dense(f.hessian(xstar))
-        D = px.spd_power_operator(F, 0.5)
+        F = D = px.spd_from_dense(f.hessian(xstar))
         counts = (31, 32, 33, 64, 65)
         estimates = {
             "omega": [px.estimate_omega(f, xstar, D, F, 0.5, n, seed=8) for n in counts],
