@@ -48,14 +48,7 @@ from .expand import (
     verify_expansion,
 )
 from .harness import ExperimentConfig
-from .linalg import (
-    SpdOperator,
-    as_matrix,
-    as_vector,
-    kappa_between,
-    spd_from_dense,
-    weighted_norm,
-)
+from .linalg import SpdOperator, as_matrix, as_vector, kappa_between, spd_from_dense
 from .oracle import (
     CustomOracle,
     LogisticOracle,
@@ -102,7 +95,6 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "spd_from_dense",
-    "weighted_norm",
     "kappa_between",
     # oracles and perturbations
     "Oracle",

@@ -61,7 +61,6 @@ BIAS_ANCHOR_GRAD_RTOL = 1e-6   # looser anchor threshold for bias operations
 EXACT_SHIFT_FLOOR = 1e-10      # residual below this counts as exact (shifts)
 EXACT_VALUE_FLOOR = 1e-12      # residual below this counts as exact (values)
 SLACK_TOLERANCE = 1e-9         # certified bounds may be met up to this slack
-GATE_RTOL = 1e-10              # tolerance for the metric-domination gate
 
 # Default inflation applied to sampled smoothness constants before gating.
 ESTIMATE_INFLATION = 1.5

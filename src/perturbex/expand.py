@@ -20,7 +20,8 @@ exact     ``-F^{-1} A`` (quadratic ``f`` only)        0
 
 where ``b = ||D F^{-1} A||``, ``D`` is the metric the certificate was
 measured in (every radius is stated in it; ``cert.metric`` is its Gram
-``D^2``), and
+``D^2``), ``kappa`` is the smallest constant with ``D^2 <= kappa^2 F``,
+computed from the metric and ``F`` by each order, and
 ``T(u) = <grad^3 f(x*), u^3> / 6`` is the skew term.  Gates (the
 inequalities each theorem assumes) are always reported with both sides,
 never raised: a failed gate downgrades the radii to advisory.  A radius
@@ -46,7 +47,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense, weighted_norm
+from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense
 from .oracle import Oracle, linearly_perturb
 from .smoothness import SmoothnessCertificate
 from .solver import newton_minimize
@@ -87,17 +88,6 @@ def _power(x: float, k: int) -> float:
         return x**k
     except OverflowError:
         return math.inf
-
-
-def _metric_gate(F: SpdOperator, cert: SmoothnessCertificate) -> Gate:
-    """``D^2 <= kappa^2 F`` for the certificate's metric Gram ``D^2`` and ``kappa``.
-
-    A tiny relative tolerance is folded into ``rhs``: the certificate's
-    ``kappa`` is usually this very ratio, so exact float equality is the
-    expected case.
-    """
-    rhs = cert.kappa * (1.0 + constants.GATE_RTOL) + 1e-300
-    return Gate("metric_dominated", kappa_between(cert.metric, F), rhs)
 
 
 @dataclass(frozen=True)
@@ -229,8 +219,7 @@ class Solution:
     """The verification solve of one perturbed problem ``g``, from ``x*``.
 
     ``actual_shift`` is ``x~ - x*`` and ``actual_value_change`` is
-    ``g(x~) - g(x*)``; ``solver`` holds the solve's ``iterations``,
-    ``hessians`` (evaluated), final ``grad_norm_dual`` and ``converged``.
+    ``g(x~) - g(x*)``; ``solver`` is the solve's :meth:`SolveResult.stats`.
     """
 
     actual_shift: np.ndarray
@@ -344,14 +333,13 @@ def second_order_bounds(p: Prediction, cert: SmoothnessCertificate) -> BoundSet:
     """
     if cert.omega is None:
         raise MissingConstant("certificate lacks omega")
-    kappa = cert.kappa
+    kappa = kappa_between(cert.metric, p.F)
     omega = cert.omega
     k2 = _power(kappa, 2)
-    b = weighted_norm(cert.metric, p.u0)
+    b = cert.metric.norm(p.u0)
     gates = [
-        _metric_gate(p.F, cert),
         Gate("omega_cap", omega, constants.OMEGA_MAX),
-        Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / max(kappa, 1e-300)),
+        Gate("tilt_fraction", p.xi, constants.NU_DEFAULT * cert.radius / kappa),
         Gate("stability_margin", omega * k2, 1.0 - constants.NU_DEFAULT, strict=True),
     ]
     names = tuple(g.name for g in gates)
@@ -394,19 +382,18 @@ def third_order_bounds(p: Prediction, cert: SmoothnessCertificate) -> BoundSet:
     """
     if cert.tau3 is None:
         raise MissingThirdDerivative("certificate lacks tau3")
-    kappa = cert.kappa
+    kappa = kappa_between(cert.metric, p.F)
     tau3 = cert.tau3
     r = cert.radius
-    xi, b = p.xi, weighted_norm(cert.metric, p.u0)
+    xi, b = p.xi, cert.metric.norm(p.u0)
     gates = [
-        _metric_gate(p.F, cert),
         Gate("fnorm_radius", constants.RADIUS_FACTOR_FNORM * kappa * xi, r),
         Gate("tau3_fnorm", _power(kappa, 3) * tau3 * xi, constants.TAU3_GATE_FNORM, strict=True),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
         Gate("tau3_dnorm", _power(kappa, 2) * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
     ]
-    fnorm_gates = ("metric_dominated", "fnorm_radius", "tau3_fnorm")
-    dnorm_gates = ("metric_dominated", "dnorm_radius", "tau3_dnorm")
+    fnorm_gates = ("fnorm_radius", "tau3_fnorm")
+    dnorm_gates = ("dnorm_radius", "tau3_dnorm")
     return BoundSet(
         preconditions=gates,
         shift_bounds=[
@@ -473,24 +460,22 @@ def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> Expans
         raise MissingThirdDerivative("certificate lacks tau3")
     if cert.tau4 is None:
         raise MissingFourthDerivative("certificate lacks tau4")
-    kappa = cert.kappa
     tau3 = cert.tau3
     tau4 = cert.tau4
     r = cert.radius
     D = cert.metric
     correction, T = p.skew
     shift = -p.u0 + correction
-    b = weighted_norm(D, p.u0)
-    k2, t3sq, b3 = _power(kappa, 2), _power(tau3, 2), _power(b, 3)
+    b = D.norm(p.u0)
+    k2, t3sq, b3 = _power(kappa_between(D, p.F), 2), _power(tau3, 2), _power(b, 3)
 
     gates = [
-        _metric_gate(p.F, cert),
         Gate("dnorm_radius", constants.RADIUS_FACTOR_DNORM * b, r),
         Gate("tau3_dnorm", k2 * tau3 * b, constants.TAU3_GATE_DNORM, strict=True),
         Gate("tau4_dnorm", k2 * tau4 * _power(b, 2), constants.TAU4_GATE_DNORM, strict=True),
     ]
     all_names = tuple(g.name for g in gates)
-    third_names = ("metric_dominated", "dnorm_radius", "tau3_dnorm")
+    third_names = ("dnorm_radius", "tau3_dnorm")
     skew_radius = (0.5 * tau4 + k2 * t3sq) * b3
     proximity = 0.5 * tau3 * _power(b, 2)
     value_radius = (
@@ -508,8 +493,8 @@ def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> Expans
         ],
         value_bound=ValueBound(-value_radius, value_radius, all_names),
         diagnostics=[
-            Gate("mu_proximity", weighted_norm(D, shift + p.u0), proximity),
-            Gate("mu_proximity_opposite_sign", weighted_norm(D, shift - p.u0), proximity),
+            Gate("mu_proximity", D.norm(shift + p.u0), proximity),
+            Gate("mu_proximity_opposite_sign", D.norm(shift - p.u0), proximity),
             Gate("skew_magnitude", abs(T), constants.SKEW_MAGNITUDE_FACTOR * tau3 * b3),
         ],
     )
@@ -543,18 +528,15 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
     ``A = grad f(xk)`` and ``F = grad^2 f(xk)``: the prediction of
     ``x_opt - xk`` is ``-F^{-1} A``, the predicted value drop
     ``f(x_opt) - f(xk)`` is ``-||F^{-1/2} A||^2 / 2``, and the certificate
-    must describe ``f`` around ``xk``.  Because the curvature is taken at
-    the iterate, the metric ratio is recomputed there (the certificate's
-    ``kappa`` refers to its own anchor) and the larger of the two is used.
+    must describe ``f`` around ``xk``.  The order-3 statements relate the
+    metric only to this ``F``, so their ``kappa`` is the one computed at
+    the iterate.
     """
     xk = as_vector(xk, f.dim)
     try:
         F = spd_from_dense(f.hessian(xk))
     except NotPositiveDefinite as exc:
         raise HessianNotPd(str(exc)) from exc
-    local_kappa = kappa_between(cert.metric, F)
-    if local_kappa > cert.kappa:
-        cert = replace(cert, kappa=local_kappa)
     rep = expansion_for_order(predict(F, f.gradient(xk), f, xk), cert, 3)
     return replace(rep, anchor="iterate")
 
@@ -571,7 +553,7 @@ def _norm_of(tag: str, F: SpdOperator, M: SpdOperator | None, v: np.ndarray) -> 
     if M is None:
         raise ValueError(f"norm {tag!r} needs a metric but the report has none")
     if tag == NORM_D:
-        return weighted_norm(M, v)
+        return M.norm(v)
     if tag == NORM_DINVF:
         return M.dual_norm(F.apply(v))
     raise ValueError(f"unknown norm tag {tag!r}")
@@ -639,13 +621,7 @@ def compare_with_solution(
 def solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution:
     """The reference solve of ``g`` from ``x*``, stepping on ``g``'s factored Hessian there."""
     sol = newton_minimize(g, xstar, curvature=curvature)
-    solver = {
-        "iterations": sol.iterations,
-        "hessians": sol.hessians,
-        "grad_norm_dual": sol.grad_norm_dual,
-        "converged": sol.converged,
-    }
-    return Solution(sol.xhat - xstar, sol.value - sol.start_value, solver)
+    return Solution(sol.xhat - xstar, sol.value - sol.start_value, sol.stats())
 
 
 def solve_and_compare(

@@ -12,6 +12,7 @@ failure), 2 a certified bound was violated, 3 a gate failed while
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -31,7 +32,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .expand import expansion_for_order, predict, solve_and_compare, solve_from
-from .linalg import SpdOperator, spd_from_dense, weighted_norm
+from .linalg import SpdOperator, spd_from_dense
 from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
 from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
@@ -61,7 +62,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v5"
+REPORT_SCHEMA = "perturbex.report.v6"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _INTEGER = {"type": "integer"}
@@ -316,6 +317,18 @@ def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
         fh.write(buf.getvalue())
 
 
+@contextlib.contextmanager
+def _sized_by(key: str):
+    """Raise a float overflow inside as a ``ValueError`` naming the config ``key``.
+
+    Code that expects an overflow silences it with its own ``np.errstate``."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _run_command(
     command: str, config_path: str, out_dir: str, seed: int | None, run
 ) -> dict[str, Any]:
@@ -324,7 +337,8 @@ def _run_command(
         cfg = ExperimentConfig.from_file(config_path, command, seed)
     except jsonschema.ValidationError as error:
         raise ValueError(_config_error_line(error, command)) from None
-    report = run(cfg)
+    with _sized_by("config"):
+        report = run(cfg)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
@@ -341,17 +355,19 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     scale = float(pert.get("scale", 0.1))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
-    return scale * v / np.linalg.norm(v)
+    with _sized_by("perturbation.scale"):
+        return scale * v / np.linalg.norm(v)
 
 
-def _penalty(cfg: ExperimentConfig, dim: int) -> Oracle:
-    """The configured ridge ``0.5 x' G2 x`` or weighted smooth penalty."""
+def _penalty(cfg: ExperimentConfig, dim: int) -> tuple[Oracle, str]:
+    """The configured ridge ``0.5 x' G2 x`` or weighted smooth penalty, and the key sizing it."""
     pert = cfg.perturbation
     if pert["kind"] == "smooth":
         pen = oracle_from_descriptor(pert["penalty"]).oracle
-        return SumOracle(pen, weights=(float(pert.get("weight", 1.0)),))
-    G2 = pert["matrix"] if "matrix" in pert else float(pert.get("lambda", 0.1)) * np.eye(dim)
-    return QuadraticOracle(G2)
+        return SumOracle(pen, weights=(float(pert.get("weight", 1.0)),)), "perturbation.weight"
+    if "matrix" in pert:
+        return QuadraticOracle(pert["matrix"]), "perturbation.matrix"
+    return QuadraticOracle(np.eye(dim)).scaled(pert.get("lambda", 0.1)), "perturbation.lambda"
 
 
 def _build_certificate(
@@ -363,12 +379,11 @@ def _build_certificate(
 ) -> SmoothnessCertificate:
     spec = cfg.certificate
     radius = float(spec.get("radius", 1.0))
-    # The metric is D = F^{1/2}: its Gram is the curvature itself, and kappa is 1.
+    # The metric is D = F^{1/2}: its Gram is the curvature itself.
     if spec["mode"] == "declared":
         return declared_certificate(
             metric=curvature,
             radius=radius,
-            kappa=1.0,
             omega=float(spec["omega"]) if "omega" in spec else None,  # 0 would claim f quadratic
             tau3=spec.get("tau3"),
             tau4=spec.get("tau4"),
@@ -391,14 +406,16 @@ def _perturbed_problem(
     xstar: np.ndarray,
     perturbation: np.ndarray | Oracle,
     hessian: np.ndarray,
+    sized_by: str | None = None,
 ) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
     """:func:`as_tilt`'s ``(g, drive, F)`` for a tilt or a penalty, and the certificate.
 
     A tilt's certificate describes ``f``.  A penalty's describes ``f + pen``,
     which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
-    checked to minimize ``f`` in its metric.
+    checked to minimize ``f`` in its metric.  ``sized_by`` is the key sizing a penalty.
     """
-    g, drive, F = as_tilt(f, xstar, perturbation, hessian)
+    with _sized_by("problem" if sized_by is None else f"problem or {sized_by}"):
+        g, drive, F = as_tilt(f, xstar, perturbation, hessian)
     penalty = isinstance(perturbation, Oracle)
     cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
     if penalty:
@@ -521,8 +538,8 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     linear = cfg.perturbation["kind"] == "linear"
-    perturbation = _linear_tilt(cfg, f.dim) if linear else _penalty(cfg, f.dim)
-    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian)
+    perturbation, key = (_linear_tilt(cfg, f.dim), None) if linear else _penalty(cfg, f.dim)
+    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian, key)
     problem, results = _verified_problem(xstar, perturbed, cfg.orders)
     return {
         "schema": REPORT_SCHEMA,
@@ -532,11 +549,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         "anchor": {
             "xstar": xstar.tolist(),
             "value": anchor.value,
-            "solver": {
-                "iterations": anchor.iterations,
-                "hessians": anchor.hessians,
-                "grad_norm_dual": anchor.grad_norm_dual,
-            },
+            "solver": anchor.stats(),
         },
         **problem,
         "results": results,
@@ -715,8 +728,9 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     rows = []
     results = []
     warnings = []
-    for lam in grid:
-        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0)
+    for i, lam in enumerate(grid):
+        key = f"sweep.lambda_grid.{i}"
+        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, key)
         _, _, _, cert = perturbed
         problem, verified = _verified_problem(xstar, perturbed, [3, 4])
         entry: dict[str, Any] = {"lambda": lam, **problem}
@@ -732,7 +746,7 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
         actual = "" if solution is None else float(np.linalg.norm(solution["actual_shift"]))
         gate3, rad3, res3, slack3 = _sweep_cells(entry, 3, "newton_residual_dinvf")
         gate4, rad4, res4, slack4 = _sweep_cells(entry, 4, "skew_residual_dinvf")
-        bG = weighted_norm(cert.metric, pred)
+        bG = cert.metric.norm(pred)
         pred_norm = float(np.linalg.norm(pred))
         rows.append(
             [lam, bG, gate3, gate4, pred_norm, actual, rad3, res3, rad4, res4, slack3, slack4]

@@ -32,7 +32,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 __all__ = [
     "SpdOperator",
     "spd_from_dense",
-    "weighted_norm",
     "kappa_between",
     "as_vector",
     "as_matrix",
@@ -150,11 +149,6 @@ def spd_from_dense(matrix) -> SpdOperator:
         ) from None
     root = np.sqrt(scale)
     return SpdOperator(matrix=sym, L=factor * root, L_inv=np.tril(np.linalg.inv(factor)) / root)
-
-
-def weighted_norm(M: SpdOperator, v) -> float:
-    """The metric norm ``||D v|| = sqrt(v' M v)`` of the metric whose Gram is ``M = D^2``."""
-    return M.norm(v)
 
 
 def kappa_between(M, F: SpdOperator) -> float:

@@ -1,11 +1,9 @@
 """Sampled smoothness constants and the certificate that carries them.
 
-The certified radii downstream depend on four numbers measured around an
+The certified radii downstream depend on three numbers measured around an
 anchor point in the geometry of a user-chosen metric ``D``, held as the
 operator ``M = D^2`` of its Gram (``||D v|| = M.norm(v)``):
 
-``kappa``
-    smallest constant with ``D^2 <= kappa^2 F`` (computed exactly),
 ``omega``
     worst ratio of the second-order Taylor remainder of ``f`` against
     ``||D u||^2 / 2`` over the trust ball,
@@ -43,7 +41,7 @@ from .errors import (
     MissingThirdDerivative,
     NotAtMinimum,
 )
-from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense
+from .linalg import SpdOperator, as_vector, spd_from_dense
 from .oracle import Oracle
 
 __all__ = [
@@ -62,7 +60,7 @@ __all__ = [
 SAMPLE_BLOCK = 32
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SmoothnessCertificate:
     """Constants of one anchor point, in the geometry of ``metric``.
 
@@ -75,7 +73,6 @@ class SmoothnessCertificate:
 
     metric: SpdOperator
     radius: float
-    kappa: float
     omega: float | None
     tau3: float | None = None
     tau4: float | None = None
@@ -83,16 +80,12 @@ class SmoothnessCertificate:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison quietly, so finiteness is checked first.
-        for name in ("radius", "kappa", "omega", "tau3", "tau4"):
+        for name in ("radius", "omega", "tau3", "tau4"):
             v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+            if v is not None and not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        for name in ("kappa", "omega", "tau3", "tau4"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
     def to_dict(self) -> dict[str, Any]:
         """The constants and provenance; the metric itself is not serialized."""
@@ -386,8 +379,7 @@ def estimate_certificate(
     """Measure a full certificate at a minimizer.
 
     The metric (the Gram ``D^2``) defaults to the curvature ``F`` itself, so
-    ``D = F^{1/2}`` and ``kappa = 1``; ``kappa`` is
-    computed exactly, the sampled constants are multiplied by ``inflation``
+    ``D = F^{1/2}``.  The sampled constants are multiplied by ``inflation``
     before storage, and the raw values are retained in the provenance.
     Pass ``include_omega=False`` when the anchor is not a minimizer of
     ``f`` (the quadratic-remainder constant is anchored to a vanishing
@@ -401,7 +393,6 @@ def estimate_certificate(
         curvature = spd_from_dense(f.hessian(xstar))
     if metric is None:
         metric = curvature
-    kappa = kappa_between(metric, curvature)
     raw_omega = (
         estimate_omega(f, xstar, metric, curvature, radius, samples, seed)
         if include_omega
@@ -428,7 +419,6 @@ def estimate_certificate(
     return SmoothnessCertificate(
         metric=metric,
         radius=radius,
-        kappa=kappa,
         omega=stated(raw_omega),
         tau3=stated(raw_tau3),
         tau4=stated(raw_tau4),
@@ -445,7 +435,7 @@ def estimate_certificate(
 def declared_certificate(
     metric: SpdOperator,
     radius: float,
-    kappa: float,
+    *,
     omega: float | None,
     tau3: float | None = None,
     tau4: float | None = None,
@@ -454,7 +444,6 @@ def declared_certificate(
     return SmoothnessCertificate(
         metric=metric,
         radius=radius,
-        kappa=kappa,
         omega=omega,
         tau3=tau3,
         tau4=tau4,

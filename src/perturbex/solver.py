@@ -60,9 +60,12 @@ class SolveResult:
     grad_norm_dual: float
     iterations: int
     hessians: int
-    converged: bool
     start_value: float
     hessian: np.ndarray
+
+    def stats(self) -> dict[str, float | int]:
+        """``iterations``, ``hessians`` and the final ``grad_norm_dual``, as reported."""
+        return {k: getattr(self, k) for k in ("iterations", "hessians", "grad_norm_dual")}
 
 
 def newton_minimize(
@@ -93,8 +96,8 @@ def newton_minimize(
     Returns
     -------
     SolveResult
-        With ``converged=True``, ``grad_norm_dual <= tol``, the Hessian at
-        ``xhat`` and the value at ``x0``.
+        With ``grad_norm_dual <= tol`` (a solve that fails raises), the
+        Hessian at ``xhat`` and the value at ``x0``.
 
     Raises
     ------
@@ -142,7 +145,7 @@ def newton_minimize(
         if exact and dual_norm <= tol:
             return SolveResult(
                 xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
-                hessians=hessians, converged=True, start_value=start_value,
+                hessians=hessians, start_value=start_value,
                 hessian=held.matrix if isinstance(held, SpdOperator) else held,
             )
         previous, chord, exact = dual_norm, not exact, False

@@ -30,14 +30,14 @@ def _xi(F: px.SpdOperator, v: np.ndarray) -> float:
     return F.dual_norm(v)
 
 
-def _tilt_budget(cert: px.SmoothnessCertificate) -> float:
-    """Largest tilt size (curvature norm) that keeps every gate open.
+def _tilt_budget(cert: px.SmoothnessCertificate, F: px.SpdOperator) -> float:
+    """Largest tilt size (curvature norm) that keeps every gate open at curvature ``F``.
 
     With the default metric ``D = F^{1/2}`` the metric-norm step ``b``
     equals ``xi``, so one number covers the order-2 fraction gate, both
     order-3 radius/tensor gates, and the order-4 quartic gate.
     """
-    k, r = cert.kappa, cert.radius
+    k, r = px.kappa_between(cert.metric, F), cert.radius
     caps = [
         constants.NU_DEFAULT * r / k,
         r / (constants.RADIUS_FACTOR_FNORM * k),
@@ -66,7 +66,8 @@ def _certified_anchor(desc: dict, samples: int, seed: int):
         cert = px.estimate_certificate(
             f, xstar, curvature=F, radius=radius, samples=samples, seed=seed
         )
-        if cert.omega * cert.kappa**2 <= 0.8 * (1.0 - constants.NU_DEFAULT):
+        kappa = px.kappa_between(cert.metric, F)
+        if cert.omega * kappa**2 <= 0.8 * (1.0 - constants.NU_DEFAULT):
             break
     return f, xstar, F, cert
 
@@ -83,8 +84,8 @@ def _calibrated_penalty(f, xstar, pen_at, w0: float, samples: int, seed: int):
             include_omega=False,
         )
         M = pen.gradient(xstar)
-        bG = px.weighted_norm(cert.metric, FG.solve(M))
-        budget = _tilt_budget(cert)
+        bG = cert.metric.norm(FG.solve(M))
+        budget = _tilt_budget(cert, FG)
         if 0.15 * budget <= bG <= 0.5 * budget:
             break
         w *= TILT_FRACTION * budget / max(bG, 1e-30)
@@ -153,7 +154,7 @@ def theorem_suite():
             }
         f, xstar, F, cert = _certified_anchor(desc, samples=120, seed=1000 + i)
         w = np.random.default_rng(2000 + i).standard_normal(f.dim)
-        A = w * (TILT_FRACTION * _tilt_budget(cert) / _xi(F, w))
+        A = w * (TILT_FRACTION * _tilt_budget(cert, F) / _xi(F, w))
         g = px.linearly_perturb(f, A)
         sol = px.newton_minimize(g, xstar)
         shift = sol.xhat - xstar
@@ -436,7 +437,7 @@ def test_remainder_inequalities_and_tightness(criterion, logistic_certificate):
     )
     cert1 = px.SmoothnessCertificate(
         metric=px.spd_from_dense(np.eye(1)), radius=1.0,
-        kappa=1.0, omega=0.5, tau3=1.0, tau4=0.0,
+        omega=0.5, tau3=1.0, tau4=0.0,
     )
     gates1 = px.taylor_diagnostics(cubic, np.zeros(1), cert1, samples=150, seed=4)
     grad_ratio = next(g.lhs for g in gates1 if g.name == "gradient_remainder")

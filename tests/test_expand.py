@@ -59,7 +59,7 @@ class TestSecondOrder:
     """Frozen example: omega = 0.2, kappa = 1, b = xi = 1, radius 2."""
 
     def _bounds(self):
-        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.2)
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.2)
         return px.second_order_bounds(px.predict(_I1, np.array([1.0])), cert)
 
     def test_gates_all_pass(self):
@@ -82,7 +82,7 @@ class TestSecondOrder:
         assert vb.upper == pytest.approx(1.0 / 12.0, rel=1e-14)  # 0.2 / (2 * 1.2)
 
     def test_omega_cap_gate(self):
-        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.4)
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.4)
         bounds = px.second_order_bounds(px.predict(_I1, np.array([0.1])), cert)
         assert not bounds.gate("omega_cap").satisfied
 
@@ -90,9 +90,7 @@ class TestSecondOrder:
 class TestThirdOrder:
     def test_frozen_radii(self):
         """tau3 = 0.4, b = xi = 1: newton radius 0.3, value half-width 0.1."""
-        cert = px.declared_certificate(
-            _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
-        )
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4)
         bounds = px.third_order_bounds(px.predict(_I1, np.array([1.0])), cert)
         by_name = {b.name: b.radius for b in bounds.shift_bounds}
         assert by_name["newton_residual_dinvf"] == pytest.approx(0.3, rel=1e-14)
@@ -106,9 +104,7 @@ class TestThirdOrder:
         assert bounds.gate("tau3_dnorm").satisfied
 
     def test_small_tilt_passes_all_gates(self):
-        cert = px.declared_certificate(
-            _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4
-        )
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4)
         bounds = px.third_order_bounds(px.predict(_I1, np.array([0.5])), cert)
         assert bounds.all_gates_pass
         newton = next(
@@ -117,9 +113,24 @@ class TestThirdOrder:
         assert newton.radius == pytest.approx(0.075, rel=1e-14)
 
     def test_requires_tau3(self):
-        cert = px.declared_certificate(_I1, radius=1.0, kappa=1.0, omega=0.1)
+        cert = px.declared_certificate(_I1, radius=1.0, omega=0.1)
         with pytest.raises(MissingThirdDerivative):
             px.third_order_bounds(px.predict(_I1, np.array([0.1])), cert)
+
+    def test_metric_four_times_the_curvature_has_kappa_two(self, logistic_certificate):
+        """``D^2 = 4 F`` gives the computed ``kappa = 2``: the wide radius is ``(4/3) 2 xi``."""
+        f, xstar, F, _ = logistic_certificate
+        M = px.spd_from_dense(4.0 * F.matrix)
+        cert = px.estimate_certificate(f, xstar, curvature=F, metric=M, radius=1.0, seed=21)
+        p = px.predict(F, 0.02 * np.ones(f.dim), f, xstar)
+        rep = px.expansion_for_order(p, cert, 3)
+        assert px.kappa_between(M, F) == pytest.approx(2.0, rel=1e-12)
+        wide = next(b for b in rep.bounds.shift_bounds if b.name == "shift_d_wide")
+        assert wide.radius == pytest.approx(4.0 / 3.0 * 2.0 * p.xi, rel=1e-12)
+        _, comp = px.verify_expansion(f, xstar, rep)
+        (entry,) = [e for e in comp.entries if e["name"] == "shift_d_wide"]
+        assert entry["certified"] and entry["slack"] <= 1.0
+        assert comp.violations == []
 
 
 class TestSkewness:
@@ -149,9 +160,7 @@ class TestFourthOrder:
     def test_frozen_radii_with_declared_constants(self):
         """tau3 = 0.4, tau4 = 0.3, b = 1: skew radius 0.31, value 0.2136."""
         f = px.QuadraticOracle(_I1, np.zeros(1))  # zero tensors, pure formulas
-        cert = px.declared_certificate(
-            _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.4, tau4=0.3
-        )
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4, tau4=0.3)
         rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert rep.bounds.all_gates_pass
         skew = next(
@@ -164,9 +173,7 @@ class TestFourthOrder:
     def test_cubic_correction_is_computed_exactly(self):
         """For f = x^2/2 + x^3/6 and A = 1: u0 = 1, T = 1/6, skew = -1/2."""
         f = _cubic_1d()
-        cert = px.declared_certificate(
-            _I1, radius=2.0, kappa=1.0, omega=1.0, tau3=1.0, tau4=0.0
-        )
+        cert = px.declared_certificate(_I1, radius=2.0, omega=1.0, tau3=1.0, tau4=0.0)
         rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert rep.prediction.skew[0][0] == pytest.approx(-0.5, abs=1e-15)
         assert rep.predicted_shift[0] == pytest.approx(-1.5, abs=1e-15)
@@ -191,15 +198,13 @@ class TestFourthOrder:
         rep = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
         diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
-        b = px.weighted_norm(cert.metric, F.solve(A))
+        b = cert.metric.norm(F.solve(A))
         assert diag["mu_proximity"].rhs == 0.5 * cert.tau3 * b**2
         assert not diag["mu_proximity_opposite_sign"].satisfied
 
     def test_tau4_gate(self):
         f = px.QuadraticOracle(_I1, np.zeros(1))
-        cert = px.declared_certificate(
-            _I1, radius=2.0, kappa=1.0, omega=0.0, tau3=0.1, tau4=0.5
-        )
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.1, tau4=0.5)
         rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert not rep.bounds.gate("tau4_dnorm").satisfied
 
@@ -221,7 +226,7 @@ class TestPrediction:
             "newton_shift": [-1.0], "newton_value_change": -0.5,
             "skew_correction": None, "skew_value": None,
         }
-        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=1.0, tau3=1.0, tau4=0.0)
+        cert = px.declared_certificate(_I1, radius=2.0, omega=1.0, tau3=1.0, tau4=0.0)
         for order in (2, 3, 4, 4):
             px.expansion_for_order(p, cert, order)
         assert len(calls) == 1
@@ -267,7 +272,8 @@ class TestVerification:
         p = px.predict(F, A, f, xstar)
         reports = [px.expansion_for_order(p, cert, order) for order in (2, 3)]
         solution, comps = px.solve_and_compare(g, xstar, reports)
-        assert len(comps) == 2 and solution.solver["converged"]
+        assert len(comps) == 2
+        assert solution.solver["grad_norm_dual"] <= 1e-12 * (1 + abs(g.value(xstar)))
         assert px.solve_and_compare(g, xstar, []) == (None, [])
         other = px.spd_from_dense(2.0 * F.matrix)
         reports.append(px.expansion_for_order(px.predict(other, A, f, xstar), cert, 3))
@@ -297,9 +303,7 @@ class TestVerification:
     def test_false_certificate_is_caught(self):
         """A deliberately tiny tau3 yields radii the truth must violate."""
         f = _cubic_1d()
-        lying = px.declared_certificate(
-            _I1, radius=1.0, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
-        )
+        lying = px.declared_certificate(_I1, radius=1.0, omega=0.5, tau3=1e-6, tau4=0.0)
         A = np.array([0.3])
         rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), lying, 3)
         assert rep.bounds.all_gates_pass  # the lie makes every gate easy
@@ -309,9 +313,7 @@ class TestVerification:
     def test_uncertified_bounds_never_raise_violations(self):
         """Failed gates exclude a bound from the violation list."""
         f = _cubic_1d()
-        cert = px.declared_certificate(
-            _I1, radius=0.1, kappa=1.0, omega=0.5, tau3=1e-6, tau4=0.0
-        )
+        cert = px.declared_certificate(_I1, radius=0.1, omega=0.5, tau3=1e-6, tau4=0.0)
         A = np.array([0.3])  # dnorm_radius gate fails: 0.45 > 0.1
         rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), cert, 3)
         assert not rep.bounds.all_gates_pass
@@ -323,7 +325,7 @@ class TestVerification:
     def test_value_entry_states_the_bracket_end_it_is_measured_against(self, resid, end):
         """Order 2's value bracket [-1/8, 1/12] (TestSecondOrder's example) is
         asymmetric: each residual's slack and stated radius use one end."""
-        cert = px.declared_certificate(_I1, radius=2.0, kappa=1.0, omega=0.2)
+        cert = px.declared_certificate(_I1, radius=2.0, omega=0.2)
         rep = px.expansion_for_order(px.predict(_I1, np.array([1.0])), cert, 2)
         actual = rep.predicted_value_change + resid
         comp = px.compare_with_solution(rep, rep.predicted_shift, actual)
@@ -351,7 +353,7 @@ class TestDistanceToOptimum:
         assert rep.anchor == "iterate"
         assert rep.bounds.all_gates_pass
         shift_d = next(b for b in rep.bounds.shift_bounds if b.name == "shift_d")
-        true_dist = px.weighted_norm(cert.metric, xstar - xk)
+        true_dist = cert.metric.norm(xstar - xk)
         assert true_dist <= shift_d.radius
         # The Newton step from xk lands much closer than xk started.
         landed = np.linalg.norm(xk + rep.predicted_shift - xstar)

@@ -1,0 +1,153 @@
+"""Every schema-valid config ends in a clean exit.
+
+Configs are drawn from ``harness.COMMAND_SCHEMAS`` itself: the keys, tags,
+enums and bounds come from the schema, so a key added there is fuzzed
+without a change here.  Sizes are capped so that a run allocates little,
+and every number is 0 or log-uniform over the float range.  A run passes
+when its exit code is one the CLI documents, stderr is empty or one
+``perturbex: error:`` line, and it raised no warning.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+import jsonschema
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from perturbex import harness
+from perturbex.cli import main
+
+# Caps on the keys that size a run, and on every array.
+SIZE_CAPS = {"dim": 4, "n": 24, "samples": 16}
+MAX_ITEMS = 3
+MAX_EXPONENT = 308.0
+
+_SMALL_LOGISTIC = {"kind": "logistic", "dim": 3, "n": 12, "seed": 1}
+_DEFINITIONS = harness.CONFIG_SCHEMA["$defs"]
+
+
+def _resolve(schema: dict) -> dict:
+    while "$ref" in schema:
+        schema = _DEFINITIONS[schema["$ref"].rpartition("/")[2]]
+    return schema
+
+
+def _number(draw, schema: dict) -> float:
+    """0 or log-uniform in ``[1e-300, 1e308]``, with a sign where the schema allows one."""
+    floor = schema.get("minimum", schema.get("exclusiveMinimum"))
+    if floor is None and draw(st.booleans()):
+        return -_number(draw, {"minimum": 0})
+    if schema.get("minimum", 0) == 0 and "exclusiveMinimum" not in schema:
+        if draw(st.integers(0, 7)) == 0:
+            return 0.0
+    low = math.log10(floor) if floor else -300.0
+    return 10.0 ** draw(st.floats(low, MAX_EXPONENT))
+
+
+def _value(draw, schema: dict, key: str, ctx: dict):
+    schema = _resolve(schema)
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    kind = schema.get("type")
+    if kind == "object":
+        return _object(draw, schema, ctx)
+    if kind == "integer":
+        if key in SIZE_CAPS:
+            size = draw(st.integers(schema.get("minimum", 0), SIZE_CAPS[key]))
+            if key == "dim":
+                # The first dimension drawn is the problem's; later ones (a
+                # penalty's, a matrix's) mostly match it.
+                size = ctx.setdefault("dim", size)
+                size = draw(st.sampled_from([size, size, size, draw(st.integers(1, 4))]))
+            return size
+        return draw(st.integers(-1, 2**32))
+    if kind == "number":
+        return _number(draw, schema)
+    if kind == "array":
+        items = schema["items"]
+        if _resolve(items).get("type") in ("number", "array") and "minItems" not in schema:
+            # A vector or a matrix: mostly of the problem's dimension.
+            dim = ctx.get("dim", 1)
+            length = draw(st.sampled_from([dim, dim, dim, draw(st.integers(0, MAX_ITEMS + 1))]))
+        else:
+            length = draw(st.integers(schema.get("minItems", 0), MAX_ITEMS))
+        out = [_value(draw, items, key, ctx) for _ in range(length)]
+        if schema.get("uniqueItems"):
+            assume(len({json.dumps(v) for v in out}) == len(out))
+        return out
+    raise AssertionError(f"schema of {key!r} has no strategy: {schema}")
+
+
+def _object(draw, schema: dict, ctx: dict) -> dict:
+    """The tags first, then the keys the matching variants (or the object) allow."""
+    properties = dict(schema.get("properties", {}))
+    required = list(schema.get("required", []))
+    variants = [_resolve(v) for v in schema.get("allOf", [])]
+    tags = [key for key in required if any(key in v["if"]["properties"] for v in variants)]
+    out = {key: _value(draw, properties[key], key, ctx) for key in tags}
+    allowed = set(properties)
+    for variant in variants:
+        if jsonschema.Draft202012Validator(variant["if"]).is_valid(out):
+            then = variant["then"]
+            properties.update(then.get("properties", {}))
+            required += then.get("required", [])
+            allowed = set(then["propertyNames"]["enum"])
+    for key in sorted(allowed, key=list(properties).index):
+        if key not in out and (key in required or draw(st.booleans())):
+            out[key] = _value(draw, properties[key], key, ctx)
+    return out
+
+
+@st.composite
+def runs(draw):
+    """``(command, config, require_gates)`` with a config valid for the command."""
+    command = draw(st.sampled_from(harness.COMMANDS))
+    config = _object(draw, _resolve(harness.COMMAND_SCHEMAS[command]), {})
+    assume(jsonschema.Draft202012Validator(harness.COMMAND_SCHEMAS[command]).is_valid(config))
+    return command, config, command != "scaling" and draw(st.booleans())
+
+
+def _certify(perturbation: dict) -> tuple[str, dict, bool]:
+    return "certify", {"seed": 1, "problem": _SMALL_LOGISTIC, "perturbation": perturbation}, False
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(runs())
+# Values at the top of the float range that once overflowed with a warning.
+@example(_certify({"kind": "linear", "scale": 1e308}))
+@example(_certify({"kind": "quadratic", "lambda": 1e308}))
+@example(
+    _certify(
+        {"kind": "smooth", "weight": 1e308, "penalty": {"kind": "quadratic", "dim": 3, "seed": 2}}
+    )
+)
+def test_every_valid_config_exits_cleanly(run):
+    command, config, require_gates = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv = [command, "--config", path, "--out", os.path.join(tmp, "out")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv + ["--require-gates"] * require_gates)
+    assert code in (0, 1, 2, 3)
+    message = stderr.getvalue()
+    assert message == "" or (
+        message.startswith("perturbex: error:") and message.count("\n") == 1
+    ), message
+    assert [str(w.message) for w in caught] == []

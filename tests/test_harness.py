@@ -72,7 +72,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v5"
+        assert report["schema"] == "perturbex.report.v6"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -420,10 +420,9 @@ class TestKappaOncePerPair:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         assert len(kappa_solves) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["certificate"]["kappa"] == 1.0
+        assert "kappa" not in report["certificate"]
         gates = report["results"][0]["report"]["bounds"]["preconditions"]
-        dominated = next(g for g in gates if g["name"] == "metric_dominated")
-        assert dominated["lhs"] == 1.0 and dominated["satisfied"]
+        assert "metric_dominated" not in {g["name"] for g in gates}
 
     def test_ridge_sweep_computes_kappa_once_per_lambda(self, tmp_path, kappa_solves):
         cfg = _write(tmp_path, "cfg.json", _sweep_config([0.05, 0.1]))
@@ -438,10 +437,11 @@ class TestKappaOncePerPair:
         anchor = solver.newton_minimize(f, prob.x0)
         pen = QuadraticOracle(0.1 * np.eye(f.dim))
         _, _, F = as_tilt(f, anchor.xhat, pen, anchor.hessian)
-        cert = declared_certificate(F, radius=0.5, kappa=1.0, omega=None, tau3=0.5)
+        cert = declared_certificate(F, radius=0.5, omega=None, tau3=0.5)
         rep = smooth_penalty_bias(f, anchor.xhat, pen, cert, order=3)
         assert rep.prediction.F is not F
-        assert rep.bounds.gate("metric_dominated").lhs == 1.0
+        wide = next(b for b in rep.bounds.shift_bounds if b.name == "shift_d_wide")
+        assert wide.radius == constants.SHIFT_FACTOR_FNORM * rep.prediction.xi
         assert len(kappa_solves) == 0
 
     def test_unrelated_pair_solves_once(self, kappa_solves):
@@ -1268,6 +1268,36 @@ class TestNonFiniteSamples:
         assert capsys.readouterr().err == (
             "perturbex: error: the Newton step F^-1 A of the tilt is not finite\n"
         )
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "perturbation, key",
+        [
+            ({"kind": "linear", "scale": 1e308}, "perturbation.scale"),
+            ({"kind": "quadratic", "lambda": 1e308}, "problem or perturbation.lambda"),
+            (
+                {
+                    "kind": "smooth", "weight": 1e308,
+                    "penalty": {"kind": "quadratic", "dim": 3, "seed": 2},
+                },
+                "problem or perturbation.weight",
+            ),
+        ],
+        ids=["scale", "lambda", "weight"],
+    )
+    def test_overflowing_perturbation_names_its_key(self, tmp_path, capsys, perturbation, key):
+        payload = {
+            "seed": 1,
+            "problem": {"kind": "logistic", "dim": 3, "n": 12, "seed": 1},
+            "perturbation": perturbation,
+        }
+        cfg = _write(tmp_path, "c.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["certify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"perturbex: error: {key}: overflow") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(

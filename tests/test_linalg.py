@@ -164,6 +164,25 @@ class TestKappaBetween:
         with pytest.raises(DimensionMismatch):
             px.kappa_between(np.eye(3), F)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+    def test_is_the_smallest_dominating_constant(self, seed, dim):
+        """``kappa^2 F - D^2`` is PSD up to rounding, and with ``(1 - 1e-6) kappa`` it is not.
+
+        This is the domination every order's radii assume of the computed kappa.
+        """
+        rng = np.random.default_rng(seed)
+        F = px.random_spd(rng, dim, cond=float(rng.uniform(1.0, 100.0)))
+        M = px.random_spd(rng, dim, cond=float(rng.uniform(1.0, 100.0)))
+        kappa = px.kappa_between(M, F)
+        rounding = 1e-12 * kappa**2 * np.abs(F.matrix).max()
+
+        def lowest(c: float) -> float:
+            return float(np.linalg.eigvalsh(c**2 * F.matrix - M.matrix)[0])
+
+        assert lowest(kappa) >= -rounding
+        assert lowest((1.0 - 1e-6) * kappa) < -rounding
+
 
 class TestVectors:
     def test_as_vector_accepts_lists(self):
@@ -195,10 +214,10 @@ class TestVectors:
             px.as_matrix(bad, 3)
 
     def test_weighted_norm(self):
-        # D = diag(2, 3) is held as its Gram diag(4, 9).
+        # D = diag(2, 3) is held as its Gram diag(4, 9); its norm is ||D v||.
         M = px.spd_from_dense(np.diag([4.0, 9.0]))
-        assert px.weighted_norm(M, [1.0, 0.0]) == 2.0
-        assert px.weighted_norm(M, [0.0, 1.0]) == 3.0
+        assert M.norm([1.0, 0.0]) == 2.0
+        assert M.norm([0.0, 1.0]) == 3.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -115,7 +115,7 @@ class TestCertificate:
         raw = cert.provenance["raw"]
         assert cert.tau3 == pytest.approx(raw["tau3"] * 1.5)
         assert cert.omega == pytest.approx(raw["omega"] * 1.5)
-        assert cert.kappa == pytest.approx(1.0, abs=1e-9)
+        assert "kappa" not in cert.to_dict()
 
     def test_underflowed_zero_is_not_stated(self, logistic_anchor):
         """In a metric of scale 1e150 the sampled tau3 and tau4 underflow to 0."""
@@ -134,23 +134,32 @@ class TestCertificate:
 
     def test_declared_certificate_carries_constants(self):
         D = px.spd_from_dense(np.eye(2))
-        cert = px.declared_certificate(D, radius=1.0, kappa=1.0, omega=0.1, tau3=0.3)
+        cert = px.declared_certificate(D, radius=1.0, omega=0.1, tau3=0.3)
         assert cert.tau4 is None
         assert cert.provenance == {"mode": "declared"}
 
     def test_negative_constants_rejected(self):
         D = px.spd_from_dense(np.eye(2))
         with pytest.raises(ValueError):
-            px.declared_certificate(D, radius=1.0, kappa=1.0, omega=-0.1)
+            px.declared_certificate(D, radius=1.0, omega=-0.1)
         with pytest.raises(ValueError):
-            px.declared_certificate(D, radius=-1.0, kappa=1.0, omega=0.1)
+            px.declared_certificate(D, radius=-1.0, omega=0.1)
 
-    @pytest.mark.parametrize("field", ["radius", "kappa", "omega", "tau3", "tau4"])
+    def test_constants_are_keyword_only(self):
+        """The old positional ``(metric, radius, kappa, omega)`` call raises, not reading
+        ``kappa`` as ``omega``."""
+        D = px.spd_from_dense(np.eye(2))
+        with pytest.raises(TypeError):
+            px.declared_certificate(D, 1.0, 1.0, 0.1)
+        with pytest.raises(TypeError):
+            px.SmoothnessCertificate(D, 1.0, 0.1)
+
+    @pytest.mark.parametrize("field", ["radius", "omega", "tau3", "tau4"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_constants_rejected(self, field, bad):
         """NaN fails every comparison quietly, so each field is checked finite."""
         D = px.spd_from_dense(np.eye(2))
-        constants = {"radius": 1.0, "kappa": 1.0, "omega": 0.1, "tau3": 0.3, "tau4": 0.2}
+        constants = {"radius": 1.0, "omega": 0.1, "tau3": 0.3, "tau4": 0.2}
         constants[field] = bad
         with pytest.raises(ValueError, match=field):
             px.declared_certificate(D, **constants)
@@ -169,9 +178,7 @@ class TestTaylorDiagnostics:
     def test_cubic_gradient_remainder_is_tight(self):
         """With f''' = 1 the bound (tau3/2) u^2 is met with equality."""
         f = _cubic_1d()
-        cert = px.declared_certificate(
-            _I1, radius=0.5, kappa=1.0, omega=0.5 / 2, tau3=1.0, tau4=0.0
-        )
+        cert = px.declared_certificate(_I1, radius=0.5, omega=0.5 / 2, tau3=1.0, tau4=0.0)
         found = px.taylor_diagnostics(f, np.zeros(1), cert, samples=150, seed=8)
         gates = {g.name: g for g in found}
         assert all(g.satisfied for g in gates.values())

@@ -14,7 +14,7 @@ def test_quadratic_converges_in_one_newton_step(rng):
     center = rng.standard_normal(4)
     f = px.QuadraticOracle(F, center)
     sol = px.newton_minimize(f, np.zeros(4))
-    assert sol.converged
+    assert sol.grad_norm_dual <= 1e-12 * (1 + abs(f.value(np.zeros(4))))
     assert sol.iterations <= 2
     np.testing.assert_allclose(sol.xhat, center, atol=1e-10)
 
@@ -24,7 +24,7 @@ def test_logistic_converges_quickly():
         {"kind": "logistic", "dim": 8, "n": 64, "reg": 0.1, "seed": 2}
     )
     sol = px.newton_minimize(prob.oracle, prob.x0)
-    assert sol.converged
+    assert sol.grad_norm_dual <= 1e-12 * (1 + abs(prob.oracle.value(prob.x0)))
     assert sol.iterations <= 50
     grad = prob.oracle.gradient(sol.xhat)
     assert np.linalg.norm(grad) < 1e-10
@@ -60,7 +60,6 @@ def test_descent_to_tight_tolerance_on_tilted_problem(logistic_anchor):
     A = 0.05 * np.ones(f.dim) / np.sqrt(f.dim)
     g = px.linearly_perturb(f, A)
     sol = px.newton_minimize(g, xstar)
-    assert sol.converged
     assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(xstar)))
 
 
