@@ -63,12 +63,11 @@ from .oracle import (
 )
 from .penalty import ridge_bias_exact_quadratic, smooth_penalty_bias
 from .smoothness import (
+    SampledMax,
     SmoothnessCertificate,
     declared_certificate,
     estimate_certificate,
-    estimate_omega,
-    estimate_tau3,
-    estimate_tau4,
+    sample_constants,
     taylor_diagnostics,
 )
 from .solver import SolveResult, newton_minimize
@@ -116,9 +115,8 @@ __all__ = [
     "newton_minimize",
     # smoothness certificates
     "SmoothnessCertificate",
-    "estimate_omega",
-    "estimate_tau3",
-    "estimate_tau4",
+    "SampledMax",
+    "sample_constants",
     "estimate_certificate",
     "declared_certificate",
     "taylor_diagnostics",

@@ -62,7 +62,7 @@ EXIT_ERROR = 1
 EXIT_BOUND_VIOLATED = 2
 EXIT_GATE_FAILED = 3
 
-REPORT_SCHEMA = "perturbex.report.v6"
+REPORT_SCHEMA = "perturbex.report.v7"
 DEFAULT_EPS_GRID = [2.0**-k for k in range(1, 9)]
 
 _INTEGER = {"type": "integer"}
@@ -414,12 +414,14 @@ def _perturbed_problem(
     which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
     checked to minimize ``f`` in its metric.  ``sized_by`` is the key sizing a penalty.
     """
-    with _sized_by("problem" if sized_by is None else f"problem or {sized_by}"):
+    keys = "problem" if sized_by is None else f"problem or {sized_by}"
+    with _sized_by(keys):
         g, drive, F = as_tilt(f, xstar, perturbation, hessian)
     penalty = isinstance(perturbation, Oracle)
-    cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
-    if penalty:
-        check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
+    with _sized_by(f"{keys} or certificate.radius"):
+        cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
+        if penalty:
+            check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     return g, drive, F, cert
 
 
@@ -535,7 +537,8 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = newton_minimize(f, prob.x0)
+    with _sized_by("problem"):
+        anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     linear = cfg.perturbation["kind"] == "linear"
     perturbation, key = (_linear_tilt(cfg, f.dim), None) if linear else _penalty(cfg, f.dim)
@@ -614,7 +617,8 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = newton_minimize(f, prob.x0)
+    with _sized_by("problem"):
+        anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     A0 = _linear_tilt(cfg, f.dim)
     F = spd_from_dense(anchor.hessian)
@@ -719,7 +723,8 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     """
     prob = oracle_from_descriptor(cfg.problem)
     f = prob.oracle
-    anchor = newton_minimize(f, prob.x0)
+    with _sized_by("problem"):
+        anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     ridge = QuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))

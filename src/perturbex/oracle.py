@@ -17,13 +17,18 @@ flags tell certified operations whether the analytic forms exist, and
 Each value and tensor formula exists once, in batched form:
 ``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P, V)``
 take points as the columns of ``P`` and the directions paired with them as
-the columns of ``V``, and return one result per column.  Logistic,
-log-sum-exp and quadratic problems implement them on a few matrix-matrix
-products (``X @ P``, ``X @ V``, ``X.T @ W``) and run their elementwise
-chains in place on the product they start from.  The scalar ``value``,
+the columns of ``V``, and return one result per column.  ``jet_many(P, V)``
+returns all three at once, ``(values, third, fourth)``, and is what the
+sampled certificate calls.  Logistic and log-sum-exp problems hold their
+formulas in ``jet_many`` alone, on three products with the data: the
+margins or scores ``P' X'`` (one point per row, as ``value_many`` forms
+them, so the values agree bit for bit), the projections ``V' X'``, and one
+``[W3; W4] X`` that contracts both tensors' weights.  Their
+``third_dir_many`` and ``fourth_dir_many`` are parts of ``jet_many``.
+Elsewhere ``jet_many`` composes the three forms.  The scalar ``value``,
 ``third_dir`` and ``fourth_dir`` are one-column calls of the batched forms,
 defined once on :class:`Oracle`, so a scalar result is bit for bit column 0
-of a batched call at the same point.
+of a one-column batched call at the same point.
 
 A logistic or log-sum-exp Hessian is a weighted Gram matrix
 ``X' diag(w) X``.  It is formed as ``B' B`` with ``B = diag(sqrt(w)) X``, a
@@ -104,8 +109,9 @@ class Oracle:
 
     A subclass implements ``value_many``, ``gradient`` and ``hessian``, and
     may implement ``third_dir_many`` / ``fourth_dir_many`` in closed form
-    (setting ``has_third`` / ``has_fourth``).  The fallbacks take central
-    differences with the per-column step ``FD_DIR_STEP / (1 + ||v||)``.
+    (setting ``has_third`` / ``has_fourth``), or ``jet_many`` for all three
+    batched forms at once.  The fallbacks take central differences with the
+    per-column step ``FD_DIR_STEP / (1 + ||v||)``.
     """
 
     dim: int
@@ -143,6 +149,11 @@ class Oracle:
         P, V = _block_pair(P, V, self.dim)
         h = _fd_steps(V)
         return (self.third_dir_many(P + h * V, V) - self.third_dir_many(P - h * V, V)) / (2.0 * h)
+
+    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(value_many(P), third_dir_many(P, V), fourth_dir_many(P, V))``, composed."""
+        P, V = _block_pair(P, V, self.dim)
+        return self.value_many(P), self.third_dir_many(P, V), self.fourth_dir_many(P, V)
 
     def value(self, x) -> float:
         return float(self.value_many(as_vector(x, self.dim)[:, None])[0])
@@ -211,8 +222,7 @@ class QuadraticOracle(Oracle):
     def third_dir_many(self, P, V) -> np.ndarray:
         return np.zeros(_block_pair(P, V, self.dim)[0].shape)
 
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
+    fourth_dir_many = third_dir_many
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -241,7 +251,17 @@ def _add_to_diagonal(H: np.ndarray, c: float) -> np.ndarray:
     return H
 
 
-class LogisticOracle(Oracle):
+class _FusedJet(Oracle):
+    """An oracle whose tensor forms are parts of its ``jet_many``, which holds the formulas."""
+
+    def third_dir_many(self, P, V) -> np.ndarray:
+        return self.jet_many(P, V)[1]
+
+    def fourth_dir_many(self, P, V) -> np.ndarray:
+        return self.jet_many(P, V)[2]
+
+
+class LogisticOracle(_FusedJet):
     """Regularized logistic loss.
 
     ``f(v) = (1/n) sum_i log(1 + exp(-y_i x_i' v)) + 0.5 reg ||v||^2``
@@ -277,9 +297,9 @@ class LogisticOracle(Oracle):
         self.n, self.dim = X.shape
 
     def _margins(self, v: np.ndarray) -> np.ndarray:
-        """``t = y x' v`` per data point, with one column per column of ``v``."""
+        """``t = y x' v`` per data point."""
         t = self.X @ v
-        t *= self.y if t.ndim == 1 else self.y[:, None]
+        t *= self.y
         return t
 
     def gradient(self, x) -> np.ndarray:
@@ -294,17 +314,17 @@ class LogisticOracle(Oracle):
         H = _gram(self.X, s * (1.0 - s) / self.n)
         return _add_to_diagonal(H, self.reg)
 
-    def value_many(self, P) -> np.ndarray:
-        """Mean loss ``log(1 + exp(-t))`` per column, plus the ridge.
+    def _rows(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values, and the sigmoids of the margins with one point per row.
 
-        The loss is ``max(-t, 0) + log1p(exp(-|t|))``, the formula
-        ``np.logaddexp`` evaluates entry by entry, here on vector ufuncs.
+        Each mean is a pairwise sum over a row: the sampled remainders
+        ``f(x + u) - f(x) - ...`` cancel most of the value.  The loss is
+        ``max(-t, 0) + log1p(exp(-|t|))``, the formula ``np.logaddexp``
+        evaluates entry by entry, here on vector ufuncs.
         """
-        P = as_matrix(P, self.dim)
-        # One point per row, so each mean is a pairwise sum over the data: the
-        # sampled remainders f(x + u) - f(x) - ... cancel most of the value.
         T = P.T @ self.X.T
         T *= self.y
+        S = _sigmoid(T.copy())
         loss = np.abs(T)
         np.negative(loss, out=loss)
         np.exp(loss, out=loss)
@@ -312,44 +332,41 @@ class LogisticOracle(Oracle):
         np.negative(T, out=T)
         np.maximum(T, 0.0, out=T)
         loss += T
-        return np.mean(loss, axis=1) + 0.5 * self.reg * _col_dot(P, P)
+        return np.mean(loss, axis=1) + 0.5 * self.reg * _col_dot(P, P), S
 
-    # The tensor forms work in place on the sigmoid block but keep the left
-    # to right order of the class docstring's formulas, so every entry
-    # rounds as the plain expression would.
+    def value_many(self, P) -> np.ndarray:
+        return self._rows(as_matrix(P, self.dim))[0]
 
-    def third_dir_many(self, P, V) -> np.ndarray:
+    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values, and both tensors from one product ``[W3; W4] X``.
+
+        The weights keep the left to right order of the class docstring's
+        formulas, so every entry rounds as the plain expression would.
+        """
         P, V = _block_pair(P, V, self.dim)
-        S = _sigmoid(self._margins(P))
-        L = 1.0 - S
-        L *= S
-        L *= np.subtract(1.0, 2.0 * S, out=S)
-        L *= self.y[:, None]
-        proj = self.X @ V
-        L *= np.square(proj, out=proj)
-        out = self.X.T @ L
-        out /= self.n
-        return out
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        P, V = _block_pair(P, V, self.dim)
-        S = _sigmoid(self._margins(P))
+        k = P.shape[1]
+        values, S = self._rows(P)
+        proj = V.T @ self.X.T
+        W = np.empty((2 * k, self.n))
+        W3, W4 = W[:k], W[k:]
         Q = 1.0 - S
-        L = S * Q
+        curv = S * Q
+        np.multiply(curv, np.subtract(1.0, 2.0 * S), out=W3)
+        W3 *= self.y
+        sq = np.square(proj)
+        W3 *= sq
         S *= 6.0
         S *= Q
-        L *= np.subtract(1.0, S, out=S)
-        proj = self.X @ V
+        np.multiply(curv, np.subtract(1.0, S, out=S), out=W4)
         # proj**2 * proj: an integer power other than 2 goes through pow().
-        cube = np.square(proj, out=Q)
-        cube *= proj
-        L *= cube
-        out = self.X.T @ L
-        out /= self.n
-        return out
+        sq *= proj
+        W4 *= sq
+        R = W @ self.X
+        R /= self.n
+        return values, R[:k].T, R[k:].T
 
 
-class LogSumExpOracle(Oracle):
+class LogSumExpOracle(_FusedJet):
     """Soft maximum of linear scores plus a ridge.
 
     ``f(v) = temp * log sum_i exp(x_i' v / temp) + 0.5 reg ||v||^2``.
@@ -363,7 +380,8 @@ class LogSumExpOracle(Oracle):
     - third:    ``beta^2 sum_i pi_i ((s_i - m)^2 - V) x_i``
     - fourth:   ``beta^3 sum_i pi_i ((s_i - m)^3 - 3 V (s_i - m) - k3) x_i``
 
-    The batched forms take the softmax and the cumulants column by column.
+    ``jet_many`` takes the softmax and the cumulants row by row, one point
+    per row.
     """
 
     has_third = True
@@ -387,7 +405,7 @@ class LogSumExpOracle(Oracle):
         self.n, self.dim = X.shape
 
     def _softmax(self, v: np.ndarray) -> np.ndarray:
-        # Softmax weights of a point, or of each column of a block of points.
+        # Softmax weights of a point.
         z = self.X @ v
         z /= self.temp
         z -= z.max(axis=0)
@@ -410,52 +428,52 @@ class LogSumExpOracle(Oracle):
         H /= self.temp
         return _add_to_diagonal(H, self.reg)
 
-    def _centered_many(self, P: np.ndarray, V: np.ndarray):
-        """Softmax weights and centered score projections, one column per pair."""
-        Pi = self._softmax(P)
-        S = self.X @ V
-        S -= _col_dot(Pi, S)
-        return Pi, S
+    def _rows(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values, and the softmax weights with one point per row.
 
-    def value_many(self, P) -> np.ndarray:
-        P = as_matrix(P, self.dim)
-        # Scores of one point per row, so each sum over the data is pairwise.
+        Each sum over the data runs along a row, so it is pairwise.
+        """
         Z = P.T @ self.X.T
         Z /= self.temp
         m = Z.max(axis=1, keepdims=True)
         Z -= m
         np.exp(Z, out=Z)
-        lse = (m + np.log(Z.sum(axis=1, keepdims=True)))[:, 0]
-        return self.temp * lse + 0.5 * self.reg * _col_dot(P, P)
+        total = Z.sum(axis=1, keepdims=True)
+        lse = (m + np.log(total))[:, 0]
+        Z /= total
+        return self.temp * lse + 0.5 * self.reg * _col_dot(P, P), Z
 
-    # The tensor forms work in place on the centered projections but keep the
-    # left to right order of the class docstring's cumulants, so every entry
-    # rounds as the plain expression would.
+    def value_many(self, P) -> np.ndarray:
+        return self._rows(as_matrix(P, self.dim))[0]
 
-    def third_dir_many(self, P, V) -> np.ndarray:
+    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values, and both tensors from one product ``[W3; W4] X``.
+
+        The weights work in place on the centered projections but keep the
+        left to right order of the class docstring's cumulants, so every
+        entry rounds as the plain expression would.
+        """
         P, V = _block_pair(P, V, self.dim)
-        Pi, C = self._centered_many(P, V)
-        C2 = np.square(C, out=C)
-        C2 -= _col_dot(Pi, C2)
+        k = P.shape[1]
+        values, Pi = self._rows(P)
+        C = V.T @ self.X.T
+        C -= np.einsum("ij,ij->i", Pi, C)[:, None]
+        W = np.empty((2 * k, self.n))
+        C2, C3 = W[:k], W[k:]
+        np.square(C, out=C2)
+        var = np.einsum("ij,ij->i", Pi, C2)[:, None]
+        np.multiply(C2, C, out=C3)
+        k3 = np.einsum("ij,ij->i", Pi, C3)[:, None]
+        C2 -= var
         C2 *= Pi
-        out = self.X.T @ C2
-        out *= (1.0 / self.temp) ** 2
-        return out
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        P, V = _block_pair(P, V, self.dim)
-        Pi, C = self._centered_many(P, V)
-        C3 = np.square(C)
-        var = _col_dot(Pi, C3)
-        C3 *= C
-        k3 = _col_dot(Pi, C3)
         C *= 3.0 * var
         C3 -= C
         C3 -= k3
         C3 *= Pi
-        out = self.X.T @ C3
-        out *= (1.0 / self.temp) ** 3
-        return out
+        R = W @ self.X
+        R[:k] *= (1.0 / self.temp) ** 2
+        R[k:] *= (1.0 / self.temp) ** 3
+        return values, R[:k].T, R[k:].T
 
 
 class CustomOracle(Oracle):
@@ -532,33 +550,39 @@ class SumOracle(Oracle):
         self.has_fourth = all(f.has_fourth for f in oracles)
         self.quadratic = all(f.quadratic for f in oracles)
 
-    def _sum(self, form: Callable[[Oracle], np.ndarray]) -> np.ndarray:
+    def _sum(self, parts) -> np.ndarray:
+        """``sum_i w_i part_i`` over one part per term, in term order."""
         total = None
-        for weight, f in self.terms:
-            part = form(f)
+        for (weight, _), part in zip(self.terms, parts, strict=True):
             if weight != 1.0:
                 part = weight * part
             total = part if total is None else total + part
         return total
 
     def gradient(self, x) -> np.ndarray:
-        grad = self._sum(lambda f: f.gradient(x))
+        grad = self._sum(f.gradient(x) for _, f in self.terms)
         return grad if self.tilt is None else grad + self.tilt
 
     def hessian(self, x) -> np.ndarray:
-        return self._sum(lambda f: f.hessian(x))
+        return self._sum(f.hessian(x) for _, f in self.terms)
 
     def value_many(self, P) -> np.ndarray:
         if self.tilt is None:
-            return self._sum(lambda f: f.value_many(P))
+            return self._sum(f.value_many(P) for _, f in self.terms)
         P = as_matrix(P, self.dim)
-        return self._sum(lambda f: f.value_many(P)) + self.tilt @ P
+        return self._sum(f.value_many(P) for _, f in self.terms) + self.tilt @ P
 
     def third_dir_many(self, P, V) -> np.ndarray:
-        return self._sum(lambda f: f.third_dir_many(P, V))
+        return self._sum(f.third_dir_many(P, V) for _, f in self.terms)
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self._sum(lambda f: f.fourth_dir_many(P, V))
+        return self._sum(f.fourth_dir_many(P, V) for _, f in self.terms)
+
+    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        P, V = _block_pair(P, V, self.dim)
+        jets = [f.jet_many(P, V) for _, f in self.terms]
+        values, third, fourth = (self._sum(jet[i] for jet in jets) for i in range(3))
+        return (values if self.tilt is None else values + self.tilt @ P), third, fourth
 
 
 def linearly_perturb(f: Oracle, A) -> Oracle:

@@ -16,20 +16,24 @@ therefore inflated (factor 1.5 by default) before any gate consumes them;
 the raw values and the sampling settings are kept in the certificate's
 provenance so a reviewer can rescale or resample.
 
-Sampling uses one seeded generator drawing a fixed number of variates per
-sample, so the first ``k`` samples of a longer run coincide with a shorter
-run: estimates are nondecreasing in the sample count for a fixed seed.
-The estimators draw every variate first, in that per-sample order, and then
-evaluate the samples through the oracle's batched forms in blocks of
-``SAMPLE_BLOCK`` columns.  The last block is padded to full width, so a
-sample is always computed at the same block position with the same array
-shapes, and a longer run extends a shorter one bit for bit.
+One sampler, :func:`sample_constants`, measures all three from one draw.
+Its seed spawns three generators (offset directions, radii, tensor
+directions), each filled in one call, so the first ``k`` draws of a longer
+run are a shorter run's: estimates are nondecreasing in the sample count
+for a fixed seed.  Column 0 is the anchor itself, a point for ``tau3`` and
+``tau4``; columns 1 to ``samples`` are the ball points.  The columns are
+evaluated in blocks of ``SAMPLE_BLOCK`` through one oracle call each,
+``jet_many``, which returns the values and both directional tensors.  The
+last block is padded to full width, so a column is always computed at the
+same block position with the same array shapes, and a longer run extends
+a shorter one bit for bit.  The certificate's provenance records where
+each constant peaked: its column and that point's ``D``-norm radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,6 @@ from . import constants
 from .diagnostics import Gate
 from .errors import (
     DimensionMismatch,
-    MissingFourthDerivative,
     MissingThirdDerivative,
     NotAtMinimum,
 )
@@ -46,15 +49,14 @@ from .oracle import Oracle
 
 __all__ = [
     "SmoothnessCertificate",
-    "estimate_omega",
-    "estimate_tau3",
-    "estimate_tau4",
+    "SampledMax",
+    "sample_constants",
     "taylor_diagnostics",
     "estimate_certificate",
     "declared_certificate",
 ]
 
-# Columns per batched oracle call in the sampled estimators.  Wide enough for
+# Columns per batched oracle call in the sampler.  Wide enough for
 # matrix-matrix products to pay, narrow enough to keep the temporaries (a few
 # n x SAMPLE_BLOCK arrays) small.
 SAMPLE_BLOCK = 32
@@ -117,42 +119,36 @@ def check_anchor(f: Oracle, xstar: np.ndarray, M: SpdOperator, rtol: float) -> N
         )
 
 
-def _draw_samples(
-    rng: np.random.Generator, dim: int, r: float, samples: int, paired: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every variate of a run, drawn in the per-sample order of the generator.
+class SampledMax(NamedTuple):
+    """A sampled constant, its column (0 is the anchor) and that point's radius ``||D u||``."""
 
-    Per sample: a normal vector for the offset direction, the radial law,
-    and (``paired``) a normal vector for the tensor direction.  Sample ``i``
-    is column ``i % SAMPLE_BLOCK`` of block ``i // SAMPLE_BLOCK``; each block
-    is a contiguous ``(dim, SAMPLE_BLOCK)`` array (radii: ``SAMPLE_BLOCK``).
-    The last block is padded with unit vectors and radius 0, which evaluate
-    at the anchor and are discarded.
+    value: float
+    column: int
+    radius: float
 
-    The generator writes each vector into a contiguous row, one sample per
-    row; the blocks are that array transposed once.
+
+def _draw(seed: int, dim: int, r: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit directions of every column, in blocks, and the offset radii.
+
+    The seed spawns one generator each for the offset directions, the radii
+    and the tensor directions.  Column 0 is the anchor (radius 0, no offset
+    draw); the last block is padded with unit vectors at radius 0.  A block
+    is ``(dim, 2 * SAMPLE_BLOCK)``: the offset directions, then the tensor
+    directions.
     """
-    blocks = -(-samples // SAMPLE_BLOCK)
-    rows = np.ones((2 if paired else 1, blocks * SAMPLE_BLOCK, dim))
+    columns = samples + 1
+    blocks = -(-columns // SAMPLE_BLOCK)
+    offsets, radii, tensors = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    rows = np.ones((2, blocks * SAMPLE_BLOCK, dim))
+    rows[0, 1:columns] = offsets.standard_normal((samples, dim))
+    rows[1, :columns] = tensors.standard_normal((columns, dim))
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     rad = np.zeros(blocks * SAMPLE_BLOCK)
-    for i in range(samples):
-        rng.standard_normal(out=rows[0, i])
-        rad[i] = _radial(rng, r, dim)
-        if paired:
-            rng.standard_normal(out=rows[1, i])
-    cols = rows.reshape(len(rows), blocks, SAMPLE_BLOCK, dim).transpose(0, 1, 3, 2)
-    cols = np.ascontiguousarray(cols)
-    return cols[0], rad.reshape(blocks, SAMPLE_BLOCK), cols[1] if paired else None
-
-
-def _metric_block(M: SpdOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``v = L^{-T} z / ||z||`` and their metric norms ``||D v|| = ||L' v||``.
-
-    ``L^{-T} = D^{-1} Q`` for an orthogonal ``Q``, so ``v`` has the law of
-    ``D^{-1} z / ||z||``.
-    """
-    V = M.L_inv.T @ (Z / np.linalg.norm(Z, axis=0))
-    return V, np.linalg.norm(M.L.T @ V, axis=0)
+    # Radius law biased toward the shell, as in _radial.
+    rad[1:columns] = r * (0.05 + 0.95 * radii.random(samples) ** (1.0 / dim))
+    # Contiguous for any block count, so every block has one memory layout.
+    cols = np.ascontiguousarray(rows.reshape(2, blocks, SAMPLE_BLOCK, dim).transpose(1, 3, 0, 2))
+    return cols.reshape(blocks, dim, 2 * SAMPLE_BLOCK), rad.reshape(blocks, SAMPLE_BLOCK)
 
 
 def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -164,112 +160,92 @@ def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return block
 
 
-def _running_max(worst: float, ratio: np.ndarray, name: str, r: float) -> float:
-    """``worst`` raised to the largest ``ratio``, which must be finite (``max`` drops NaN)."""
+def _running_max(
+    peak: tuple[float, int], ratio: np.ndarray, first: int, name: str, r: float
+) -> tuple[float, int]:
+    """``peak = (value, column)`` raised to the largest ``ratio``; ``ratio[0]`` is column ``first``.
+
+    Every ratio must be finite (``max`` drops NaN); a tie keeps the earlier column.
+    """
     if not np.all(np.isfinite(ratio)):
         raise ValueError(f"sampled {name} is not finite at radius {r:g}; use a larger radius")
-    return max(worst, float(ratio.max()))
+    j = int(ratio.argmax())
+    return (float(ratio[j]), first + j) if ratio[j] > peak[0] else peak
 
 
-def estimate_omega(
-    f: Oracle,
-    xstar,
-    M: SpdOperator,
-    F: SpdOperator,
-    r: float,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled second-order remainder constant at a minimizer.
-
-    Maximizes ``2 |f(x* + u) - f(x*) - 0.5 u' F u| / ||D u||^2`` over
-    points of the ``D``-ball of radius ``r``, for the metric Gram
-    ``M = D^2``.  The anchor must have a
-    vanishing gradient (``NotAtMinimum`` otherwise), since the linear term
-    is dropped.
-    """
-    xstar = as_vector(xstar, f.dim)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    check_anchor(f, xstar, M, constants.ANCHOR_GRAD_RTOL)
-    fstar = f.value_many(xstar[:, None])[0]
-    Z, rad, _ = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=False)
-    worst = 0.0
-    for b in range(len(rad)):
-        directions, dnorm = _metric_block(M, Z[b])
-        U = directions * rad[b]
-        quad = 0.5 * np.einsum("ij,ij->j", U, F.matrix @ U)
-        values = _checked(f.value_many(xstar[:, None] + U), (SAMPLE_BLOCK,))
-        live = slice(0, samples - b * SAMPLE_BLOCK)  # padding has radius 0: no ratio
-        remainder = np.abs(values[live] - fstar - quad[live])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = 2.0 * remainder / (dnorm[live] * rad[b, live]) ** 2
-        worst = _running_max(worst, ratio, "omega", r)
-    return worst
-
-
-def _estimate_tensor_sup(
+def sample_constants(
     f: Oracle,
     x,
-    M: SpdOperator,
-    r: float,
-    samples: int,
-    seed: int,
-    order: int,
-) -> float:
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    metric: SpdOperator,
+    curvature: SpdOperator,
+    radius: float,
+    samples: int = 200,
+    seed: int = 0,
+    include_omega: bool = True,
+) -> tuple[SampledMax | None, SampledMax | None, SampledMax | None]:
+    """Sampled ``(omega, tau3, tau4)`` over the ``D``-ball of radius ``radius`` around ``x``.
+
+    ``metric`` is the Gram ``M = D^2 = L L'``.  An offset is ``u = rho v``
+    with ``v = L^{-T} z / ||z||``, so ``||D u|| = rho`` and ``v`` has the law
+    of ``D^{-1} z / ||z||``.
+
+    - ``omega`` maximizes ``2 |f(x + u) - f(x) - 0.5 u' F u| / ||D u||^2``
+      over the ball points, for ``F = curvature``.  The linear term is
+      dropped, so ``x`` must have a vanishing gradient (``NotAtMinimum``).
+      ``None`` unless ``include_omega``.
+    - ``tau3`` maximizes ``|<grad^3 f(x + u), w (x) w (x) e>|`` over the
+      anchor and the ball points, each with a direction ``||D w|| = 1``; the
+      last slot ``e`` is maximized exactly via the dual norm.  Symmetric
+      three-linear forms attain their norm on repeated arguments, so this
+      sees every component of the tensor.  ``tau4`` has four slots.  Each is
+      ``None`` when ``f`` lacks it analytically.
+
+    A block of ``SAMPLE_BLOCK`` columns costs one product ``L^{-T} [Z | W]``,
+    one ``f.jet_many`` and one product ``L^{-1} [T3 | T4]``.  A column sits
+    at the same block position with the same array shapes in every run, so
+    a longer run extends a shorter one bit for bit.
+    """
     x = as_vector(x, f.dim)
-    Z, rad, W = _draw_samples(np.random.default_rng(seed), f.dim, r, samples, paired=True)
-    rad[0, 0] = 0.0  # the anchor itself is always sampled
-    contract = f.third_dir_many if order == 3 else f.fourth_dir_many
-    worst = 0.0
-    for b in range(len(rad)):
-        directions, _ = _metric_block(M, Z[b])
-        V, vnorm = _metric_block(M, W[b])
-        tens = _checked(contract(x[:, None] + directions * rad[b], V), V.shape)
-        # The last slot is maximized in closed form: over ||D w|| = 1 the
-        # largest pairing with the contracted tensor is its dual norm,
-        # ||D^{-1} t|| = ||L^{-1} t||.
-        numer = np.linalg.norm(M.L_inv @ tens, axis=0)
-        ratio = numer / vnorm ** (order - 1)
-        worst = _running_max(worst, ratio[: samples - b * SAMPLE_BLOCK], f"tau{order}", r)
-    return worst
-
-
-def estimate_tau3(
-    f: Oracle,
-    x,
-    M: SpdOperator,
-    r: float,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled third-derivative constant over the ``D``-ball of radius ``r``.
-
-    Maximizes ``|<grad^3 f(x + u), v (x) v (x) w>|`` over ball points ``u``
-    and metric-unit directions ``v`` (``||D v|| = 1``); the last slot ``w``
-    is maximized exactly via the dual norm, and the anchor ``u = 0`` is
-    always included.  Symmetric three-linear forms attain their norm on
-    repeated arguments, so this scheme sees every component of the tensor.
-    """
-    if not f.has_third:
-        raise MissingThirdDerivative("oracle lacks analytic third derivatives")
-    return _estimate_tensor_sup(f, x, M, r, samples, seed, order=3)
-
-
-def estimate_tau4(
-    f: Oracle,
-    x,
-    M: SpdOperator,
-    r: float,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled fourth-derivative constant; same scheme as :func:`estimate_tau3`."""
-    if not f.has_fourth:
-        raise MissingFourthDerivative("oracle lacks analytic fourth derivatives")
-    return _estimate_tensor_sup(f, x, M, r, samples, seed, order=4)
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if include_omega:
+        check_anchor(f, x, metric, constants.ANCHOR_GRAD_RTOL)
+    blocks, rad = _draw(seed, f.dim, radius, samples)
+    orders = [order for order, has in ((3, f.has_third), (4, f.has_fourth)) if has]
+    peaks = {}  # name -> (value, column), for the constants sampled
+    fstar = 0.0
+    for b, block in enumerate(blocks):
+        first = b * SAMPLE_BLOCK
+        live = min(samples + 1 - first, SAMPLE_BLOCK)  # columns that are not padding
+        directions = metric.L_inv.T @ block
+        U = directions[:, :SAMPLE_BLOCK] * rad[b]
+        V = directions[:, SAMPLE_BLOCK:]
+        values, *tensors = f.jet_many(x[:, None] + U, V)
+        if include_omega:
+            values = _checked(values, (SAMPLE_BLOCK,))
+            if b == 0:
+                fstar = values[0]  # column 0 is the anchor itself
+            quad = 0.5 * np.einsum("ij,ij->j", U, curvature.matrix @ U)
+            remainder = np.abs(values - fstar - quad)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = 2.0 * remainder / rad[b] ** 2
+            start = 1 if b == 0 else 0  # the anchor has no remainder
+            peak = peaks.get("omega", (-np.inf, 0))
+            peaks["omega"] = _running_max(peak, ratio[start:live], first + start, "omega", radius)
+        if orders:
+            T = np.concatenate([_checked(tensors[o - 3], V.shape) for o in orders], axis=1)
+            # The last slot is maximized in closed form: over ||D e|| = 1 the
+            # largest pairing with the contracted tensor is its dual norm,
+            # ||D^{-1} t|| = ||L^{-1} t||; ||D w|| = 1 leaves no denominator.
+            duals = np.linalg.norm(metric.L_inv @ T, axis=0).reshape(len(orders), SAMPLE_BLOCK)
+            for order, ratio in zip(orders, duals):
+                name = f"tau{order}"
+                peak = peaks.get(name, (-np.inf, 0))
+                peaks[name] = _running_max(peak, ratio[:live], first, name, radius)
+    return tuple(
+        SampledMax(*peaks[name], float(rad.flat[peaks[name][1]])) if name in peaks else None
+        for name in ("omega", "tau3", "tau4")
+    )
 
 
 def taylor_diagnostics(
@@ -376,11 +352,12 @@ def estimate_certificate(
     inflation: float = constants.ESTIMATE_INFLATION,
     include_omega: bool = True,
 ) -> SmoothnessCertificate:
-    """Measure a full certificate at a minimizer.
+    """Measure a full certificate at a minimizer by :func:`sample_constants`.
 
     The metric (the Gram ``D^2``) defaults to the curvature ``F`` itself, so
     ``D = F^{1/2}``.  The sampled constants are multiplied by ``inflation``
-    before storage, and the raw values are retained in the provenance.
+    before storage; the raw values, and the column and radius where each
+    peaked, are retained in the provenance.
     Pass ``include_omega=False`` when the anchor is not a minimizer of
     ``f`` (the quadratic-remainder constant is anchored to a vanishing
     gradient, but the tensor constants are not); ``omega`` is then not
@@ -393,41 +370,34 @@ def estimate_certificate(
         curvature = spd_from_dense(f.hessian(xstar))
     if metric is None:
         metric = curvature
-    raw_omega = (
-        estimate_omega(f, xstar, metric, curvature, radius, samples, seed)
-        if include_omega
-        else None
-    )
-    raw_tau3 = (
-        estimate_tau3(f, xstar, metric, radius, samples, seed + 1)
-        if f.has_third
-        else None
-    )
-    raw_tau4 = (
-        estimate_tau4(f, xstar, metric, radius, samples, seed + 2)
-        if f.has_fourth
-        else None
-    )
+    sampled = sample_constants(f, xstar, metric, curvature, radius, samples, seed, include_omega)
+    sampled = dict(zip(("omega", "tau3", "tau4"), sampled))
+    raw = {name: None if s is None else s.value for name, s in sampled.items()}
+    peak = {
+        name: None if s is None else {"column": s.column, "radius": s.radius}
+        for name, s in sampled.items()
+    }
 
-    def stated(raw: float | None) -> float | None:
+    def stated(name: str) -> float | None:
         # A sampled 0 claims exactness, which only a quadratic backs; on any
         # other oracle it may be an underflow, so the constant goes unstated.
-        if raw is None or (raw == 0.0 and not f.quadratic):
+        if raw[name] is None or (raw[name] == 0.0 and not f.quadratic):
             return None
-        return raw * inflation
+        return raw[name] * inflation
 
     return SmoothnessCertificate(
         metric=metric,
         radius=radius,
-        omega=stated(raw_omega),
-        tau3=stated(raw_tau3),
-        tau4=stated(raw_tau4),
+        omega=stated("omega"),
+        tau3=stated("tau3"),
+        tau4=stated("tau4"),
         provenance={
             "mode": "estimated",
             "samples": samples,
             "seed": seed,
             "inflation": inflation,
-            "raw": {"omega": raw_omega, "tau3": raw_tau3, "tau4": raw_tau4},
+            "raw": raw,
+            "peak": peak,
         },
     )
 

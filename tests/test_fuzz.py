@@ -119,6 +119,16 @@ def _certify(perturbation: dict) -> tuple[str, dict, bool]:
     return "certify", {"seed": 1, "problem": _SMALL_LOGISTIC, "perturbation": perturbation}, False
 
 
+def _overflow(problem: dict, perturbation: dict, orders: list, key: str):
+    """A sampled ``certify`` run that overflows, and the key its error line must name."""
+    certificate = {"mode": "estimated", "samples": 16, "seed": 3, "radius": 0.5}
+    config = {
+        "seed": 1, "problem": problem, "perturbation": perturbation, "orders": orders,
+        "certificate": certificate,
+    }
+    return "certify", config, False, key
+
+
 @settings(
     max_examples=100,
     derandomize=True,
@@ -134,8 +144,28 @@ def _certify(perturbation: dict) -> tuple[str, dict, bool]:
         {"kind": "smooth", "weight": 1e308, "penalty": {"kind": "quadratic", "dim": 3, "seed": 2}}
     )
 )
+# Overflows that once named only ``config``: in the anchor solve, and in the
+# sampled tensors of a nearly flat curvature.
+@example(
+    _overflow(
+        {"kind": "logsumexp", "dim": 2, "n": 3, "seed": 1, "temp": 1.7e308},
+        {"kind": "linear", "scale": 1, "seed": 2}, [2, 3, 4], "problem",
+    )
+)
+@example(
+    _overflow(
+        {"kind": "logistic", "dim": 3, "n": 3, "seed": 1, "reg": 1e-250},
+        {"kind": "linear", "scale": 0.01}, [3], "problem or certificate.radius",
+    )
+)
+@example(
+    _overflow(
+        {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "temp": 1.3e236, "reg": 0},
+        {"kind": "linear", "scale": 1}, [2, 3, 4], "problem or certificate.radius",
+    )
+)
 def test_every_valid_config_exits_cleanly(run):
-    command, config, require_gates = run
+    command, config, require_gates, *named = run
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -151,3 +181,5 @@ def test_every_valid_config_exits_cleanly(run):
         message.startswith("perturbex: error:") and message.count("\n") == 1
     ), message
     assert [str(w.message) for w in caught] == []
+    for key in named:
+        assert code == 1 and message.startswith(f"perturbex: error: {key}: overflow"), message

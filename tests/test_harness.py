@@ -72,7 +72,7 @@ class TestCertify:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "perturbex.report.v6"
+        assert report["schema"] == "perturbex.report.v7"
         assert [r["order"] for r in report["results"]] == ["2", "3", "4"]
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -159,10 +159,11 @@ class TestCertify:
     def test_sampled_underestimate_is_caught(self, tmp_path):
         """Sampled constants too small for this log-sum-exp case fail verification.
 
-        At the default 200 samples and inflation 1.5 the order-2 value bound
-        is violated although every gate it requires passes; the run exits 2.
-        The order-3 Newton residual radius is exceeded too, but the sampled
-        tau3 fails the ``tau3_dnorm`` gate, so that radius claims nothing.
+        At the default 200 samples and inflation 1.5 the order-3 Newton
+        residual radius in the dual metric norm is exceeded although every
+        gate it requires passes (the sampled tau3 passes ``tau3_dnorm``);
+        the run exits 2.  Order 2 claims nothing: the sampled omega fails
+        ``stability_margin``.
         """
         payload = {
             "seed": 3,
@@ -185,11 +186,10 @@ class TestCertify:
             satisfied = {g["name"]: g["satisfied"] for g in bounds["preconditions"]}
             for name in res["verification"]["violations"]:
                 gates_held[res["order"], name] = all(satisfied[g] for g in requires[name])
-        assert gates_held == {("2", "value"): True}
-        third = next(res for res in report["results"] if res["order"] == "3")
-        residual = harness._named(third["verification"]["entries"], "newton_residual_dinvf")
-        gate = harness._named(third["report"]["bounds"]["preconditions"], "tau3_dnorm")
-        assert residual["residual"] > residual["radius"] and not gate["satisfied"]
+        assert gates_held == {("3", "newton_residual_dinvf"): True}
+        second = next(res for res in report["results"] if res["order"] == "2")
+        gate = harness._named(second["report"]["bounds"]["preconditions"], "stability_margin")
+        assert not gate["satisfied"] and not second["verification"]["certifying"]
 
     def test_infinite_advisory_radius_is_strict_json(self, tmp_path):
         """A failed ``stability_margin`` gate leaves infinite advisory radii.

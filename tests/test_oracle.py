@@ -403,6 +403,9 @@ def _batched_zoo():
         "linear-tilt": px.linearly_perturb(logistic, rng.standard_normal(4)),
         "custom-analytic": _quartic_custom(4, analytic=True),
         "custom-fd": _quartic_custom(4, analytic=False),
+        "weighted-tilt": px.SumOracle(
+            logistic, logsumexp, weights=(0.5, 2.0), tilt=rng.standard_normal(4)
+        ),
     }
 
 
@@ -439,6 +442,28 @@ class TestBatchedForms:
             np.testing.assert_allclose(
                 batched, looped, rtol=1e-12, atol=1e-12 * np.abs(looped).max()
             )
+
+    @pytest.mark.parametrize("name", list(_batched_zoo()))
+    @pytest.mark.parametrize("width", [1, 33])
+    def test_jet_holds_the_three_forms(self, name, width):
+        """``jet_many`` gives ``value_many`` and the tensor forms bit for bit, and
+        a scalar form is column 0 of a one-column ``jet_many``."""
+        f = _batched_zoo()[name]
+        rng = np.random.default_rng(width)
+        P = 0.3 * rng.standard_normal((f.dim, width))
+        V = rng.standard_normal((f.dim, width))
+        values, third, fourth = f.jet_many(P, V)
+        assert values.shape == (width,) and third.shape == fourth.shape == (f.dim, width)
+        np.testing.assert_array_equal(values, f.value_many(P))
+        np.testing.assert_array_equal(third, f.third_dir_many(P, V))
+        np.testing.assert_array_equal(fourth, f.fourth_dir_many(P, V))
+        if f.quadratic:
+            assert not third.any() and not fourth.any()
+        x, u = P[:, 0], V[:, 0]
+        one = f.jet_many(x[:, None], u[:, None])
+        assert one[0][0] == f.value(x)
+        np.testing.assert_array_equal(one[1][:, 0], f.third_dir(x, u))
+        np.testing.assert_array_equal(one[2][:, 0], f.fourth_dir(x, u))
 
     @pytest.mark.parametrize("name", ["logistic", "custom-analytic"])
     def test_block_inputs_are_checked(self, name):
@@ -515,6 +540,10 @@ class TestKernels:
             np.testing.assert_allclose(H, expected, rtol=1e-13, atol=0.0)
             assert np.abs(H - H.T).max() <= 1e-15 * np.abs(H).max()
 
+    # The tensor references below are written with one data point per row
+    # (``X @ P``); ``jet_many`` forms its products with one point per row
+    # (``P' X'``), which sums in another order, so they agree to rounding.
+
     def test_logistic_tensor_forms_are_the_plain_expressions(self):
         f, _, P, V = _kernel_pair()
         S = _reference_sigmoid(f.y[:, None] * (f.X @ P))
@@ -523,8 +552,9 @@ class TestKernels:
         third = f.X.T @ (L3 * f.y[:, None] * proj**2) / f.n
         L4 = S * (1.0 - S) * (1.0 - 6.0 * S * (1.0 - S))
         fourth = f.X.T @ (L4 * (proj**2 * proj)) / f.n
-        np.testing.assert_array_equal(f.third_dir_many(P, V), third)
-        np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+        _, jet_third, jet_fourth = f.jet_many(P, V)
+        np.testing.assert_allclose(jet_third, third, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(jet_fourth, fourth, rtol=1e-13, atol=0.0)
 
     def test_logsumexp_tensor_forms_are_the_plain_expressions(self):
         _, f, P, V = _kernel_pair()
@@ -538,8 +568,14 @@ class TestKernels:
         beta = 1.0 / f.temp
         third = beta**2 * (f.X.T @ (Pi * (C2 - var)))
         fourth = beta**3 * (f.X.T @ (Pi * (C3 - 3.0 * var * C - k3)))
-        np.testing.assert_array_equal(f.third_dir_many(P, V), third)
-        np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+        # The cumulants cancel: an entry is held to 1e-13 of the sum of its
+        # terms' sizes, the scale its rounding error has in any order.
+        third_size = beta**2 * (np.abs(f.X.T) @ (Pi * (C2 + var)))
+        fourth_terms = np.abs(C3) + 3.0 * var * np.abs(C) + np.abs(k3)
+        fourth_size = beta**3 * (np.abs(f.X.T) @ (Pi * fourth_terms))
+        _, jet_third, jet_fourth = f.jet_many(P, V)
+        assert np.all(np.abs(jet_third - third) <= 1e-13 * third_size)
+        assert np.all(np.abs(jet_fourth - fourth) <= 1e-13 * fourth_size)
 
     def test_logsumexp_value_is_the_plain_expression(self):
         _, f, P, _ = _kernel_pair()

@@ -7,7 +7,7 @@ import pytest
 
 import perturbex as px
 from perturbex.errors import MissingThirdDerivative, NotAtMinimum
-from perturbex.smoothness import SAMPLE_BLOCK, _draw_samples, _running_max
+from perturbex.smoothness import SAMPLE_BLOCK, _draw, _running_max
 
 
 def _cubic_1d():
@@ -37,11 +37,20 @@ def _quartic_1d():
 _I1 = px.spd_from_dense(np.eye(1))
 
 
+def _omega(f, x, M, F, r, samples=200, seed=0):
+    return px.sample_constants(f, x, M, F, r, samples, seed)[0].value
+
+
+def _tau(order, f, x, M, r, samples=200, seed=0):
+    """``tau3`` or ``tau4`` alone: the anchor need not be a minimizer."""
+    return px.sample_constants(f, x, M, M, r, samples, seed, include_omega=False)[order - 2].value
+
+
 class TestOmega:
     def test_quadratic_has_no_remainder(self, rng):
         F = px.random_spd(rng, 4, cond=10.0)
         f = px.QuadraticOracle(F, np.zeros(4))
-        omega = px.estimate_omega(f, np.zeros(4), F, F, r=1.0, samples=80, seed=0)
+        omega = _omega(f, np.zeros(4), F, F, r=1.0, samples=80, seed=0)
         assert omega <= 1e-10
 
     def test_quartic_remainder_matches_closed_form(self):
@@ -49,39 +58,39 @@ class TestOmega:
         f = _quartic_1d()
         F = _I1
         for r in (0.5, 1.0):
-            omega = px.estimate_omega(f, np.zeros(1), _I1, F, r=r, samples=400, seed=1)
+            omega = _omega(f, np.zeros(1), _I1, F, r=r, samples=400, seed=1)
             assert omega <= r**2 / 6.0 + 1e-12
             assert omega >= 0.8 * r**2 / 6.0
 
     def test_monotone_in_radius(self):
         f = _quartic_1d()
-        small = px.estimate_omega(f, np.zeros(1), _I1, _I1, r=0.5, samples=200, seed=2)
-        large = px.estimate_omega(f, np.zeros(1), _I1, _I1, r=1.0, samples=200, seed=2)
+        small = _omega(f, np.zeros(1), _I1, _I1, r=0.5, samples=200, seed=2)
+        large = _omega(f, np.zeros(1), _I1, _I1, r=1.0, samples=200, seed=2)
         assert small < large
 
     def test_requires_stationary_anchor(self):
         f = _quartic_1d()
         with pytest.raises(NotAtMinimum):
-            px.estimate_omega(f, np.array([0.4]), _I1, _I1, r=0.5)
+            _omega(f, np.array([0.4]), _I1, _I1, r=0.5)
 
 
 class TestTauEstimators:
     def test_constant_third_derivative_is_recovered_exactly(self):
         """f''' = 1 with D = I: every sample sees the ratio 1."""
-        tau = px.estimate_tau3(_cubic_1d(), np.zeros(1), _I1, r=0.5, samples=20, seed=0)
+        tau = _tau(3, _cubic_1d(), np.zeros(1), _I1, r=0.5, samples=20, seed=0)
         assert tau == pytest.approx(1.0, abs=1e-14)
 
     def test_quadratic_has_zero_tensors(self, rng):
         F = px.random_spd(rng, 3, cond=4.0)
         f = px.QuadraticOracle(F, np.zeros(3))
-        assert px.estimate_tau3(f, np.zeros(3), F, r=1.0, samples=30) == 0.0
-        assert px.estimate_tau4(f, np.zeros(3), F, r=1.0, samples=30) == 0.0
+        assert _tau(3, f, np.zeros(3), F, r=1.0, samples=30) == 0.0
+        assert _tau(4, f, np.zeros(3), F, r=1.0, samples=30) == 0.0
 
     def test_more_samples_never_shrink_the_estimate(self, logistic_anchor):
         f, xstar = logistic_anchor
         D = px.spd_from_dense(f.hessian(xstar))
         values = [
-            px.estimate_tau3(f, xstar, D, r=0.5, samples=n, seed=4)
+            _tau(3, f, xstar, D, r=0.5, samples=n, seed=4)
             for n in (25, 50, 100, 200)
         ]
         assert values == sorted(values)
@@ -94,19 +103,23 @@ class TestTauEstimators:
         D = px.spd_from_dense(f.hessian(xstar))
         c = 2.0
         cD = px.spd_from_dense(c**2 * D.matrix)
-        t1 = px.estimate_tau3(f, xstar, D, r=0.5, samples=60, seed=5)
-        t2 = px.estimate_tau3(f, xstar, cD, r=c * 0.5, samples=60, seed=5)
+        t1 = _tau(3, f, xstar, D, r=0.5, samples=60, seed=5)
+        t2 = _tau(3, f, xstar, cD, r=c * 0.5, samples=60, seed=5)
         assert t2 == pytest.approx(t1 / c**3, rel=1e-12)
 
     def test_missing_third_derivative_raises(self):
+        """Without analytic tensors no tau is sampled, and using it raises."""
         blind = px.CustomOracle(
             dim=1,
             value=lambda x: 0.5 * float(x[0]) ** 2,
             gradient=lambda x: x.copy(),
             hessian=lambda x: np.eye(1),
         )
+        omega, tau3, tau4 = px.sample_constants(blind, np.zeros(1), _I1, _I1, 1.0, 20)
+        assert omega.value <= 1e-12 and tau3 is None and tau4 is None
+        cert = px.estimate_certificate(blind, np.zeros(1), radius=1.0, samples=20)
         with pytest.raises(MissingThirdDerivative):
-            px.estimate_tau3(blind, np.zeros(1), _I1, r=1.0)
+            px.taylor_diagnostics(blind, np.zeros(1), cert)
 
 
 class TestCertificate:
@@ -116,6 +129,25 @@ class TestCertificate:
         assert cert.tau3 == pytest.approx(raw["tau3"] * 1.5)
         assert cert.omega == pytest.approx(raw["omega"] * 1.5)
         assert "kappa" not in cert.to_dict()
+
+    def test_peak_is_where_the_constant_was_sampled(self, logistic_certificate):
+        """Each constant, evaluated again with the scalar forms at its peak column."""
+        f, xstar, F, cert = logistic_certificate
+        prov = cert.provenance
+        offsets, tensors, rad = _columns(prov["samples"], f.dim, cert.radius, prov["seed"])
+        for name, peak in prov["peak"].items():
+            c = peak["column"]
+            u = rad[c] * (F.L_inv.T @ offsets[:, c])
+            v = F.L_inv.T @ tensors[:, c]
+            assert peak["radius"] == rad[c] and F.norm(u) == pytest.approx(rad[c], rel=1e-12)
+            if name == "omega":
+                remainder = f.value(xstar + u) - f.value(xstar) - 0.5 * u @ F.apply(u)
+                again = 2.0 * abs(remainder) / rad[c] ** 2
+                assert c > 0 and again == pytest.approx(prov["raw"][name], rel=1e-6)
+            else:
+                tensor = f.third_dir if name == "tau3" else f.fourth_dir
+                again = F.dual_norm(tensor(xstar + u, v))
+                assert again == pytest.approx(prov["raw"][name], rel=1e-12)
 
     def test_underflowed_zero_is_not_stated(self, logistic_anchor):
         """In a metric of scale 1e150 the sampled tau3 and tau4 underflow to 0."""
@@ -258,10 +290,14 @@ class TestBatchedEstimators:
     def test_closed_forms_make_no_scalar_calls(
         self, which, logistic_anchor, logsumexp_anchor, monkeypatch
     ):
-        """The sampled constants go through the batched forms only."""
+        """The sampled constants go through ``jet_many`` only: one call per block
+        of ``samples + 1`` columns, besides ``check_anchor``'s value."""
         f, xstar = logistic_anchor if which == "logistic" else logsumexp_anchor
         calls = []
-        for method in ("value", "third_dir", "fourth_dir"):
+        for method in (
+            "value", "third_dir", "fourth_dir",
+            "value_many", "third_dir_many", "fourth_dir_many", "jet_many",
+        ):
             original = getattr(type(f), method)
 
             def counted(self, *args, _original=original, _method=method):
@@ -269,53 +305,76 @@ class TestBatchedEstimators:
                 return _original(self, *args)
 
             monkeypatch.setattr(type(f), method, counted)
-        cert = px.estimate_certificate(f, xstar, radius=0.5, samples=70, seed=3)
-        assert cert.tau3 > 0 and cert.tau4 > 0 and cert.omega > 0
-        assert calls == []
+        for samples in (1, 31, 32, 70):
+            calls.clear()
+            cert = px.estimate_certificate(f, xstar, radius=0.5, samples=samples, seed=3)
+            assert cert.tau3 > 0 and cert.tau4 > 0 and cert.omega > 0
+            blocks = -(-(samples + 1) // SAMPLE_BLOCK)
+            assert calls == ["value_many"] + ["jet_many"] * blocks, samples
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
+        """Each constant is nondecreasing in the sample count, and a k-sample
+        draw is the first k + 1 columns (the anchor, then the draws) of a longer one."""
         f, xstar = logistic_anchor
         F = D = px.spd_from_dense(f.hessian(xstar))
-        counts = (31, 32, 33, 64, 65)
-        estimates = {
-            "omega": [px.estimate_omega(f, xstar, D, F, 0.5, n, seed=8) for n in counts],
-            "tau3": [px.estimate_tau3(f, xstar, D, 0.5, n, seed=8) for n in counts],
-            "tau4": [px.estimate_tau4(f, xstar, D, 0.5, n, seed=8) for n in counts],
-        }
-        for name, values in estimates.items():
+        counts = (1, 31, 32, 33, 64, 65)
+        runs = [px.sample_constants(f, xstar, D, F, 0.5, n, seed=8) for n in counts]
+        for name, values in zip(("omega", "tau3", "tau4"), zip(*runs)):
+            values = [peak.value for peak in values]
             assert values == sorted(values), (name, values)
+        longest = _columns(counts[-1])
+        for n in counts:
+            for short, long in zip(_columns(n), longest):
+                np.testing.assert_array_equal(short[..., : n + 1], long[..., : n + 1])
 
 
-def _reference_draw(rng, dim, r, samples, paired):
-    """The sampling stream as one loop over samples, column by column."""
-    blocks = -(-samples // SAMPLE_BLOCK)
-    Z = np.ones((blocks, dim, SAMPLE_BLOCK))
-    W = np.ones((blocks, dim, SAMPLE_BLOCK)) if paired else None
-    rad = np.zeros((blocks, SAMPLE_BLOCK))
-    for i in range(samples):
-        b, j = divmod(i, SAMPLE_BLOCK)
-        Z[b, :, j] = rng.standard_normal(dim)
-        rad[b, j] = r * (0.05 + 0.95 * rng.uniform() ** (1.0 / dim))
-        if paired:
-            W[b, :, j] = rng.standard_normal(dim)
-    return Z, rad, W
+def _columns(samples, dim=7, r=0.4, seed=17):
+    """Offset directions, tensor directions and radii of a draw, one column each."""
+    blocks, rad = _draw(seed, dim, r, samples)
+    offsets = np.concatenate(blocks[:, :, :SAMPLE_BLOCK], axis=1)
+    tensors = np.concatenate(blocks[:, :, SAMPLE_BLOCK:], axis=1)
+    return offsets, tensors, rad.reshape(-1)
+
+
+def _reference_draw(dim, r, samples, seed=17):
+    """The sampling stream as one loop over columns, padded to whole blocks.
+
+    The tensor directions are drawn for the anchor too; the offset
+    directions and the radii for columns 1 to ``samples``.
+    """
+    offsets, radii, tensors = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    width = -(-(samples + 1) // SAMPLE_BLOCK) * SAMPLE_BLOCK
+    rows = np.ones((2, width, dim))
+    u = np.empty(samples)
+    for j in range(samples + 1):
+        rows[1, j] = tensors.standard_normal(dim)
+        if j > 0:
+            rows[0, j] = offsets.standard_normal(dim)
+            u[j - 1] = radii.uniform()
+    rad = np.zeros(width)
+    rad[1 : samples + 1] = r * (0.05 + 0.95 * u ** (1.0 / dim))
+    unit = rows / np.linalg.norm(rows, axis=2, keepdims=True)
+    return unit[0].T, unit[1].T, rad
 
 
 @pytest.mark.parametrize("samples", [1, 16, 31, 32, 33, 200])
 @pytest.mark.parametrize("paired", [False, True])
 def test_sampling_stream_is_pinned(samples, paired):
-    """Every variate lands where the per-sample loop puts it, bit for bit."""
+    """Every variate lands where the per-column loop puts it, bit for bit.
+
+    ``paired`` checks the tensor directions paired with the points, else
+    the offset directions."""
     dim, r = 7, 0.4
-    Z, rad, W = _draw_samples(np.random.default_rng(17), dim, r, samples, paired)
-    Zr, radr, Wr = _reference_draw(np.random.default_rng(17), dim, r, samples, paired)
-    np.testing.assert_array_equal(Z, Zr)
-    np.testing.assert_array_equal(rad, radr)
-    assert Z.flags.c_contiguous and all(block.flags.c_contiguous for block in Z)
+    offsets, tensors, rad = _columns(samples, dim, r)
+    ref_offsets, ref_tensors, ref_rad = _reference_draw(dim, r, samples)
     if paired:
-        np.testing.assert_array_equal(W, Wr)
-        assert W.flags.c_contiguous
+        np.testing.assert_array_equal(tensors, ref_tensors)
     else:
-        assert W is None
+        np.testing.assert_array_equal(offsets, ref_offsets)
+    np.testing.assert_array_equal(rad, ref_rad)
+    assert rad[0] == 0.0 and np.all(rad[samples + 1 :] == 0.0)
+    blocks, _ = _draw(17, dim, r, samples)
+    assert blocks.flags.c_contiguous and blocks.shape[2] == 2 * SAMPLE_BLOCK
 
 
 class TestNonFiniteRatios:
@@ -325,19 +384,25 @@ class TestNonFiniteRatios:
         f, xstar = logistic_anchor
         F = px.spd_from_dense(f.hessian(xstar))
         with pytest.raises(ValueError, match="omega.*radius 1e-300"):
-            px.estimate_omega(f, xstar, F, F, 1e-300, samples=40, seed=1)
+            _omega(f, xstar, F, F, 1e-300, samples=40, seed=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_running_max_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="tau3"):
-            _running_max(0.5, np.array([0.1, bad]), "tau3", 1.0)
-        assert _running_max(0.5, np.array([0.1, 2.0]), "tau3", 1.0) == 2.0
+            _running_max((0.5, 3), np.array([0.1, bad]), 32, "tau3", 1.0)
+        assert _running_max((0.5, 3), np.array([0.1, 2.0]), 32, "tau3", 1.0) == (2.0, 33)
+        assert _running_max((0.5, 3), np.array([0.1, 0.5]), 32, "tau3", 1.0) == (0.5, 3)
+        assert _running_max((-np.inf, 0), np.array([0.0, 0.0]), 1, "tau3", 1.0) == (0.0, 1)
 
     def test_tensor_estimate_rejects_non_finite_ratio(self, monkeypatch, logistic_anchor):
         f, xstar = logistic_anchor
-        monkeypatch.setattr(
-            type(f), "third_dir_many", lambda self, P, V: np.full(V.shape, np.finfo(float).max)
-        )
+        original = type(f).jet_many
+
+        def huge_third(self, P, V):
+            values, _, fourth = original(self, P, V)
+            return values, np.full(V.shape, np.finfo(float).max), fourth
+
+        monkeypatch.setattr(type(f), "jet_many", huge_third)
         D = px.spd_from_dense(1e-10 * np.eye(f.dim))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="tau3"):
-            px.estimate_tau3(f, xstar, D, 0.5, samples=8, seed=0)
+            _tau(3, f, xstar, D, 0.5, samples=8, seed=0)
