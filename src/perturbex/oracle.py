@@ -17,18 +17,17 @@ flags tell certified operations whether the analytic forms exist, and
 Each value and tensor formula exists once, in batched form:
 ``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P, V)``
 take points as the columns of ``P`` and the directions paired with them as
-the columns of ``V``, and return one result per column.  ``jet_many(P, V)``
-returns all three at once, ``(values, third, fourth)``, and is what the
-sampled certificate calls.  Logistic and log-sum-exp problems hold their
-formulas in ``jet_many`` alone, on three products with the data: the
-margins or scores ``P' X'`` (one point per row, as ``value_many`` forms
-them, so the values agree bit for bit), the projections ``V' X'``, and one
-``[W3; W4] X`` that contracts both tensors' weights.  Their
-``third_dir_many`` and ``fourth_dir_many`` are parts of ``jet_many``.
-Elsewhere ``jet_many`` composes the three forms.  The scalar ``value``,
-``third_dir`` and ``fourth_dir`` are one-column calls of the batched forms,
-defined once on :class:`Oracle`, so a scalar result is bit for bit column 0
-of a one-column batched call at the same point.
+the columns of ``V``, and return one result per column; ``jet_many(P, V)``
+returns all three, the values only if asked for.  Logistic and log-sum-exp
+problems hold their tensor formulas in ``jet_many`` alone, on three
+products with the data: the margins or scores ``P' X'`` (one point per row,
+as ``value_many`` forms them), the projections of ``V``, and one product
+of ``X`` with both tensors' weights; their ``third_dir_many`` and
+``fourth_dir_many`` are parts of it.  Elsewhere ``jet_many`` composes the
+three forms.  The scalar ``value``, ``third_dir`` and ``fourth_dir`` are
+one-column calls of the batched forms, defined once on :class:`Oracle`, so
+a scalar result is bit for bit column 0 of a one-column batched call at
+the same point.
 
 A logistic or log-sum-exp Hessian is a weighted Gram matrix
 ``X' diag(w) X``.  It is formed as ``B' B`` with ``B = diag(sqrt(w)) X``, a
@@ -68,6 +67,7 @@ __all__ = [
 ]
 
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
+Jet = tuple[np.ndarray | None, np.ndarray, np.ndarray]  # (values, third, fourth) at a block
 
 
 def _weight(w) -> float:
@@ -150,10 +150,11 @@ class Oracle:
         h = _fd_steps(V)
         return (self.third_dir_many(P + h * V, V) - self.third_dir_many(P - h * V, V)) / (2.0 * h)
 
-    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(value_many(P), third_dir_many(P, V), fourth_dir_many(P, V))``, composed."""
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        """The three batched forms, composed; the values are ``None`` unless ``with_values``."""
         P, V = _block_pair(P, V, self.dim)
-        return self.value_many(P), self.third_dir_many(P, V), self.fourth_dir_many(P, V)
+        values = self.value_many(P) if with_values else None
+        return values, self.third_dir_many(P, V), self.fourth_dir_many(P, V)
 
     def value(self, x) -> float:
         return float(self.value_many(as_vector(x, self.dim)[:, None])[0])
@@ -255,10 +256,10 @@ class _FusedJet(Oracle):
     """An oracle whose tensor forms are parts of its ``jet_many``, which holds the formulas."""
 
     def third_dir_many(self, P, V) -> np.ndarray:
-        return self.jet_many(P, V)[1]
+        return self.jet_many(P, V, with_values=False)[1]
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self.jet_many(P, V)[2]
+        return self.jet_many(P, V, with_values=False)[2]
 
 
 class LogisticOracle(_FusedJet):
@@ -296,35 +297,32 @@ class LogisticOracle(_FusedJet):
         self.reg = float(reg)
         self.n, self.dim = X.shape
 
-    def _margins(self, v: np.ndarray) -> np.ndarray:
-        """``t = y x' v`` per data point."""
-        t = self.X @ v
-        t *= self.y
-        return t
-
     def gradient(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
-        s = _sigmoid(self._margins(v))
+        s = _sigmoid(self.y * (self.X @ v))
         return self.X.T @ (self.y * (s - 1.0)) / self.n + self.reg * v
 
     def hessian(self, x) -> np.ndarray:
         """``X' diag(s (1 - s) / n) X + reg I``, the Gram matrix on BLAS ``syrk``."""
         v = as_vector(x, self.dim)
-        s = _sigmoid(self._margins(v))
+        s = _sigmoid(self.y * (self.X @ v))
         H = _gram(self.X, s * (1.0 - s) / self.n)
         return _add_to_diagonal(H, self.reg)
 
-    def _rows(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values, and the sigmoids of the margins with one point per row.
+    def _margin_rows(self, P: np.ndarray) -> np.ndarray:
+        """The margins ``t = y x' p`` with one point ``p`` per row."""
+        T = P.T @ self.X.T
+        T *= self.y
+        return T
+
+    def _values(self, T: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Mean loss over each row of the margins ``T`` (overwritten), plus the ridge.
 
         Each mean is a pairwise sum over a row: the sampled remainders
         ``f(x + u) - f(x) - ...`` cancel most of the value.  The loss is
         ``max(-t, 0) + log1p(exp(-|t|))``, the formula ``np.logaddexp``
         evaluates entry by entry, here on vector ufuncs.
         """
-        T = P.T @ self.X.T
-        T *= self.y
-        S = _sigmoid(T.copy())
         loss = np.abs(T)
         np.negative(loss, out=loss)
         np.exp(loss, out=loss)
@@ -332,27 +330,30 @@ class LogisticOracle(_FusedJet):
         np.negative(T, out=T)
         np.maximum(T, 0.0, out=T)
         loss += T
-        return np.mean(loss, axis=1) + 0.5 * self.reg * _col_dot(P, P), S
+        return np.mean(loss, axis=1) + 0.5 * self.reg * _col_dot(P, P)
 
     def value_many(self, P) -> np.ndarray:
-        return self._rows(as_matrix(P, self.dim))[0]
+        P = as_matrix(P, self.dim)
+        return self._values(self._margin_rows(P), P)
 
-    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, and both tensors from one product ``[W3; W4] X``.
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        """Values, and both tensors from one product ``X' [W3, W4]``.
 
-        The weights keep the left to right order of the class docstring's
-        formulas, so every entry rounds as the plain expression would.
+        The weights take one point per column and keep the left to right
+        order of the class docstring's formulas, so every entry rounds as
+        the plain expression would.
         """
         P, V = _block_pair(P, V, self.dim)
-        k = P.shape[1]
-        values, S = self._rows(P)
-        proj = V.T @ self.X.T
-        W = np.empty((2 * k, self.n))
-        W3, W4 = W[:k], W[k:]
+        T = self._margin_rows(P)
+        S = _sigmoid(T.T.copy())
+        values = self._values(T, P) if with_values else None
+        proj = self.X @ V
+        W = np.empty((2, *proj.shape))
+        W3, W4 = W
         Q = 1.0 - S
         curv = S * Q
         np.multiply(curv, np.subtract(1.0, 2.0 * S), out=W3)
-        W3 *= self.y
+        W3 *= self.y[:, None]
         sq = np.square(proj)
         W3 *= sq
         S *= 6.0
@@ -361,9 +362,9 @@ class LogisticOracle(_FusedJet):
         # proj**2 * proj: an integer power other than 2 goes through pow().
         sq *= proj
         W4 *= sq
-        R = W @ self.X
+        R = self.X.T @ W
         R /= self.n
-        return values, R[:k].T, R[k:].T
+        return values, R[0], R[1]
 
 
 class LogSumExpOracle(_FusedJet):
@@ -380,8 +381,8 @@ class LogSumExpOracle(_FusedJet):
     - third:    ``beta^2 sum_i pi_i ((s_i - m)^2 - V) x_i``
     - fourth:   ``beta^3 sum_i pi_i ((s_i - m)^3 - 3 V (s_i - m) - k3) x_i``
 
-    ``jet_many`` takes the softmax and the cumulants row by row, one point
-    per row.
+    ``jet_many`` takes the softmax and the cumulants with one point per
+    column: the cumulants cancel, so their sums keep this order.
     """
 
     has_third = True
@@ -428,52 +429,54 @@ class LogSumExpOracle(_FusedJet):
         H /= self.temp
         return _add_to_diagonal(H, self.reg)
 
-    def _rows(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values, and the softmax weights with one point per row.
-
-        Each sum over the data runs along a row, so it is pairwise.
-        """
+    def _exp_scores(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``exp(z - max z)`` of the scores ``z = P' X' / temp`` by rows, and each row's max."""
         Z = P.T @ self.X.T
         Z /= self.temp
         m = Z.max(axis=1, keepdims=True)
         Z -= m
         np.exp(Z, out=Z)
-        total = Z.sum(axis=1, keepdims=True)
-        lse = (m + np.log(total))[:, 0]
-        Z /= total
-        return self.temp * lse + 0.5 * self.reg * _col_dot(P, P), Z
+        return Z, m
+
+    def _values(self, E: np.ndarray, m: np.ndarray, P: np.ndarray) -> np.ndarray:
+        # Each sum over the data runs along a row of E, so it is pairwise.
+        lse = (m + np.log(E.sum(axis=1, keepdims=True)))[:, 0]
+        return self.temp * lse + 0.5 * self.reg * _col_dot(P, P)
 
     def value_many(self, P) -> np.ndarray:
-        return self._rows(as_matrix(P, self.dim))[0]
+        P = as_matrix(P, self.dim)
+        return self._values(*self._exp_scores(P), P)
 
-    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, and both tensors from one product ``[W3; W4] X``.
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        """Values, and both tensors from one product ``X' [W3, W4]``.
 
         The weights work in place on the centered projections but keep the
         left to right order of the class docstring's cumulants, so every
         entry rounds as the plain expression would.
         """
         P, V = _block_pair(P, V, self.dim)
-        k = P.shape[1]
-        values, Pi = self._rows(P)
-        C = V.T @ self.X.T
-        C -= np.einsum("ij,ij->i", Pi, C)[:, None]
-        W = np.empty((2 * k, self.n))
-        C2, C3 = W[:k], W[k:]
+        E, m = self._exp_scores(P)
+        Pi = E.T.copy()  # one point per column
+        Pi /= Pi.sum(axis=0)
+        values = self._values(E, m, P) if with_values else None
+        C = self.X @ V
+        C -= _col_dot(Pi, C)
+        W = np.empty((2, *C.shape))
+        C2, C3 = W
         np.square(C, out=C2)
-        var = np.einsum("ij,ij->i", Pi, C2)[:, None]
+        var = _col_dot(Pi, C2)
         np.multiply(C2, C, out=C3)
-        k3 = np.einsum("ij,ij->i", Pi, C3)[:, None]
+        k3 = _col_dot(Pi, C3)
         C2 -= var
         C2 *= Pi
         C *= 3.0 * var
         C3 -= C
         C3 -= k3
         C3 *= Pi
-        R = W @ self.X
-        R[:k] *= (1.0 / self.temp) ** 2
-        R[k:] *= (1.0 / self.temp) ** 3
-        return values, R[:k].T, R[k:].T
+        third, fourth = self.X.T @ W
+        third *= (1.0 / self.temp) ** 2
+        fourth *= (1.0 / self.temp) ** 3
+        return values, third, fourth
 
 
 class CustomOracle(Oracle):
@@ -578,11 +581,14 @@ class SumOracle(Oracle):
     def fourth_dir_many(self, P, V) -> np.ndarray:
         return self._sum(f.fourth_dir_many(P, V) for _, f in self.terms)
 
-    def jet_many(self, P, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
         P, V = _block_pair(P, V, self.dim)
-        jets = [f.jet_many(P, V) for _, f in self.terms]
-        values, third, fourth = (self._sum(jet[i] for jet in jets) for i in range(3))
-        return (values if self.tilt is None else values + self.tilt @ P), third, fourth
+        jets = [f.jet_many(P, V, with_values) for _, f in self.terms]
+        third, fourth = (self._sum(jet[i] for jet in jets) for i in (1, 2))
+        values = self._sum(jet[0] for jet in jets) if with_values else None
+        if values is not None and self.tilt is not None:
+            values = values + self.tilt @ P
+        return values, third, fourth
 
 
 def linearly_perturb(f: Oracle, A) -> Oracle:

@@ -16,18 +16,15 @@ therefore inflated (factor 1.5 by default) before any gate consumes them;
 the raw values and the sampling settings are kept in the certificate's
 provenance so a reviewer can rescale or resample.
 
-One sampler, :func:`sample_constants`, measures all three from one draw.
-Its seed spawns three generators (offset directions, radii, tensor
-directions), each filled in one call, so the first ``k`` draws of a longer
-run are a shorter run's: estimates are nondecreasing in the sample count
-for a fixed seed.  Column 0 is the anchor itself, a point for ``tau3`` and
-``tau4``; columns 1 to ``samples`` are the ball points.  The columns are
-evaluated in blocks of ``SAMPLE_BLOCK`` through one oracle call each,
-``jet_many``, which returns the values and both directional tensors.  The
-last block is padded to full width, so a column is always computed at the
-same block position with the same array shapes, and a longer run extends
-a shorter one bit for bit.  The certificate's provenance records where
-each constant peaked: its column and that point's ``D``-norm radius.
+One sampler, :func:`sample_constants`, measures all three from one draw
+whose first ``k`` columns are a shorter run's: estimates are nondecreasing
+in the sample count for a fixed seed.  Column 0 is the anchor itself, a
+point for ``tau3`` and ``tau4``; columns 1 to ``samples`` are the ball
+points.  Blocks of ``SAMPLE_BLOCK`` columns go through one oracle call
+each, ``jet_many``, the last one padded to full width, so a column is
+always computed with the same array shapes and a longer run extends a
+shorter one bit for bit.  The provenance records where each constant
+peaked: its column and that point's ``D``-norm radius.
 """
 
 from __future__ import annotations
@@ -39,11 +36,7 @@ import numpy as np
 
 from . import constants
 from .diagnostics import Gate
-from .errors import (
-    DimensionMismatch,
-    MissingThirdDerivative,
-    NotAtMinimum,
-)
+from .errors import DimensionMismatch, MissingThirdDerivative, NotAtMinimum
 from .linalg import SpdOperator, as_vector, spd_from_dense
 from .oracle import Oracle
 
@@ -131,14 +124,15 @@ def _draw(seed: int, dim: int, r: float, samples: int) -> tuple[np.ndarray, np.n
     """The unit directions of every column, in blocks, and the offset radii.
 
     The seed spawns one generator each for the offset directions, the radii
-    and the tensor directions.  Column 0 is the anchor (radius 0, no offset
-    draw); the last block is padded with unit vectors at radius 0.  A block
-    is ``(dim, 2 * SAMPLE_BLOCK)``: the offset directions, then the tensor
-    directions.
+    and the tensor directions, each filled in one call.  Column 0 is the
+    anchor (radius 0); padding is unit vectors at radius 0.  A block holds
+    the offset directions, then the tensor directions.
     """
     columns = samples + 1
     blocks = -(-columns // SAMPLE_BLOCK)
-    offsets, radii, tensors = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    # Any integer seeds a run: a negative one is taken modulo 2**64.
+    root = np.random.SeedSequence(seed % 2**64)
+    offsets, radii, tensors = map(np.random.default_rng, root.spawn(3))
     rows = np.ones((2, blocks * SAMPLE_BLOCK, dim))
     rows[0, 1:columns] = offsets.standard_normal((samples, dim))
     rows[1, :columns] = tensors.standard_normal((columns, dim))
@@ -163,10 +157,9 @@ def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _running_max(
     peak: tuple[float, int], ratio: np.ndarray, first: int, name: str, r: float
 ) -> tuple[float, int]:
-    """``peak = (value, column)`` raised to the largest ``ratio``; ``ratio[0]`` is column ``first``.
+    """``peak = (value, column)`` raised to the largest finite ``ratio`` (column ``first`` on).
 
-    Every ratio must be finite (``max`` drops NaN); a tie keeps the earlier column.
-    """
+    A non-finite ratio raises (``max`` drops NaN); a tie keeps the earlier column."""
     if not np.all(np.isfinite(ratio)):
         raise ValueError(f"sampled {name} is not finite at radius {r:g}; use a larger radius")
     j = int(ratio.argmax())
@@ -201,9 +194,9 @@ def sample_constants(
       ``None`` when ``f`` lacks it analytically.
 
     A block of ``SAMPLE_BLOCK`` columns costs one product ``L^{-T} [Z | W]``,
-    one ``f.jet_many`` and one product ``L^{-1} [T3 | T4]``.  A column sits
-    at the same block position with the same array shapes in every run, so
-    a longer run extends a shorter one bit for bit.
+    one ``f.jet_many`` (values only when ``omega`` is sampled) and one
+    product ``L^{-1} [T3 | T4]``; an oracle without both tensors is asked
+    only for what is sampled, so no absent tensor is differenced.
     """
     x = as_vector(x, f.dim)
     if samples < 1:
@@ -219,8 +212,12 @@ def sample_constants(
         live = min(samples + 1 - first, SAMPLE_BLOCK)  # columns that are not padding
         directions = metric.L_inv.T @ block
         U = directions[:, :SAMPLE_BLOCK] * rad[b]
-        V = directions[:, SAMPLE_BLOCK:]
-        values, *tensors = f.jet_many(x[:, None] + U, V)
+        P, V = x[:, None] + U, directions[:, SAMPLE_BLOCK:]
+        if len(orders) == 2:
+            values, *tensors = f.jet_many(P, V, with_values=include_omega)
+        else:  # no finite differences of a tensor that is not sampled
+            values = f.value_many(P) if include_omega else None
+            tensors = [(f.third_dir_many if o == 3 else f.fourth_dir_many)(P, V) for o in orders]
         if include_omega:
             values = _checked(values, (SAMPLE_BLOCK,))
             if b == 0:
@@ -233,7 +230,7 @@ def sample_constants(
             peak = peaks.get("omega", (-np.inf, 0))
             peaks["omega"] = _running_max(peak, ratio[start:live], first + start, "omega", radius)
         if orders:
-            T = np.concatenate([_checked(tensors[o - 3], V.shape) for o in orders], axis=1)
+            T = np.concatenate([_checked(t, V.shape) for t in tensors], axis=1)
             # The last slot is maximized in closed form: over ||D e|| = 1 the
             # largest pairing with the contracted tensor is its dual norm,
             # ||D^{-1} t|| = ||L^{-1} t||; ||D w|| = 1 leaves no denominator.

@@ -129,6 +129,16 @@ def _overflow(problem: dict, perturbation: dict, orders: list, key: str):
     return "certify", config, False, key
 
 
+def _penalized(perturbation: dict, **certificate) -> tuple[str, dict, bool, int]:
+    """A sampled log-sum-exp ``certify`` run with a penalty, and its exit code."""
+    problem = {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "reg": 0}
+    certificate = {"mode": "estimated", "samples": 16, "seed": 3, **certificate}
+    config = {
+        "seed": 1, "problem": problem, "perturbation": perturbation, "certificate": certificate,
+    }
+    return "certify", config, False, 0
+
+
 @settings(
     max_examples=100,
     derandomize=True,
@@ -164,8 +174,18 @@ def _overflow(problem: dict, perturbation: dict, orders: list, key: str):
         {"kind": "linear", "scale": 1}, [2, 3, 4], "problem or certificate.radius",
     )
 )
+# Penalties on a ball of radius 1e200: values there are 0 * inf, tensors
+# finite, and a penalty samples no omega, so no value is formed there.
+@example(_penalized({"kind": "quadratic", "lambda": 0.1}, radius=1e200))
+@example(
+    _penalized(
+        {"kind": "smooth", "penalty": {"kind": "quadratic", "dim": 3, "seed": 2}}, radius=1e200
+    )
+)
+# A negative certificate seed, which the schema allows.
+@example(_penalized({"kind": "quadratic", "lambda": 0.1}, seed=-1))
 def test_every_valid_config_exits_cleanly(run):
-    command, config, require_gates, *named = run
+    command, config, require_gates, *expected = run
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -181,5 +201,8 @@ def test_every_valid_config_exits_cleanly(run):
         message.startswith("perturbex: error:") and message.count("\n") == 1
     ), message
     assert [str(w.message) for w in caught] == []
-    for key in named:
-        assert code == 1 and message.startswith(f"perturbex: error: {key}: overflow"), message
+    for want in expected:
+        if isinstance(want, int):
+            assert code == want, message
+        else:
+            assert code == 1 and message.startswith(f"perturbex: error: {want}: overflow"), message

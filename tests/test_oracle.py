@@ -540,9 +540,9 @@ class TestKernels:
             np.testing.assert_allclose(H, expected, rtol=1e-13, atol=0.0)
             assert np.abs(H - H.T).max() <= 1e-15 * np.abs(H).max()
 
-    # The tensor references below are written with one data point per row
-    # (``X @ P``); ``jet_many`` forms its products with one point per row
-    # (``P' X'``), which sums in another order, so they agree to rounding.
+    # The tensor references below are the formulas ``third_dir_many`` and
+    # ``fourth_dir_many`` held before ``jet_many`` fused them, with one point
+    # per column, as ``jet_many`` forms its weights.
 
     def test_logistic_tensor_forms_are_the_plain_expressions(self):
         f, _, P, V = _kernel_pair()
@@ -568,14 +568,9 @@ class TestKernels:
         beta = 1.0 / f.temp
         third = beta**2 * (f.X.T @ (Pi * (C2 - var)))
         fourth = beta**3 * (f.X.T @ (Pi * (C3 - 3.0 * var * C - k3)))
-        # The cumulants cancel: an entry is held to 1e-13 of the sum of its
-        # terms' sizes, the scale its rounding error has in any order.
-        third_size = beta**2 * (np.abs(f.X.T) @ (Pi * (C2 + var)))
-        fourth_terms = np.abs(C3) + 3.0 * var * np.abs(C) + np.abs(k3)
-        fourth_size = beta**3 * (np.abs(f.X.T) @ (Pi * fourth_terms))
         _, jet_third, jet_fourth = f.jet_many(P, V)
-        assert np.all(np.abs(jet_third - third) <= 1e-13 * third_size)
-        assert np.all(np.abs(jet_fourth - fourth) <= 1e-13 * fourth_size)
+        np.testing.assert_allclose(jet_third, third, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(jet_fourth, fourth, rtol=1e-13, atol=0.0)
 
     def test_logsumexp_value_is_the_plain_expression(self):
         _, f, P, _ = _kernel_pair()

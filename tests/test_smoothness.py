@@ -285,32 +285,76 @@ def logsumexp_anchor():
     return prob.oracle, sol.xhat
 
 
+def _counted_calls(f, monkeypatch) -> list[str]:
+    """The oracle methods called on ``f``'s class from now on, in order.
+
+    A ``jet_many`` asked for no values is recorded as ``jet_many/tensors``.
+    """
+    calls = []
+    for method in (
+        "value", "third_dir", "fourth_dir",
+        "value_many", "third_dir_many", "fourth_dir_many", "jet_many",
+    ):
+        original = getattr(type(f), method)
+
+        def counted(self, *args, _original=original, _method=method, **kwargs):
+            calls.append(_method if kwargs.get("with_values", True) else _method + "/tensors")
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(f), method, counted)
+    return calls
+
+
 class TestBatchedEstimators:
     @pytest.mark.parametrize("which", ["logistic", "logsumexp"])
     def test_closed_forms_make_no_scalar_calls(
         self, which, logistic_anchor, logsumexp_anchor, monkeypatch
     ):
         """The sampled constants go through ``jet_many`` only: one call per block
-        of ``samples + 1`` columns, besides ``check_anchor``'s value."""
+        of ``samples + 1`` columns, besides ``check_anchor``'s value.  Without
+        omega it is asked for no values."""
         f, xstar = logistic_anchor if which == "logistic" else logsumexp_anchor
-        calls = []
-        for method in (
-            "value", "third_dir", "fourth_dir",
-            "value_many", "third_dir_many", "fourth_dir_many", "jet_many",
-        ):
-            original = getattr(type(f), method)
-
-            def counted(self, *args, _original=original, _method=method):
-                calls.append(_method)
-                return _original(self, *args)
-
-            monkeypatch.setattr(type(f), method, counted)
+        calls = _counted_calls(f, monkeypatch)
         for samples in (1, 31, 32, 70):
+            blocks = -(-(samples + 1) // SAMPLE_BLOCK)
             calls.clear()
             cert = px.estimate_certificate(f, xstar, radius=0.5, samples=samples, seed=3)
             assert cert.tau3 > 0 and cert.tau4 > 0 and cert.omega > 0
-            blocks = -(-(samples + 1) // SAMPLE_BLOCK)
             assert calls == ["value_many"] + ["jet_many"] * blocks, samples
+            calls.clear()
+            cert = px.estimate_certificate(
+                f, xstar, radius=0.5, samples=samples, seed=3, include_omega=False
+            )
+            assert cert.tau3 > 0 and cert.tau4 > 0 and cert.omega is None
+            assert calls == ["jet_many/tensors"] * blocks, samples
+
+    @pytest.mark.parametrize("third", [False, True])
+    def test_absent_tensors_are_not_differenced(self, third, monkeypatch):
+        """An oracle without both tensors is asked per block for the values and
+        the tensor it has, and no Hessian is differenced for the one it lacks."""
+        hessians = []
+
+        def hessian(x):
+            hessians.append(x)
+            return np.diag(1.0 + x**2)
+
+        f = px.CustomOracle(
+            dim=3,
+            value=lambda x: 0.5 * float(x @ x) + float(np.sum(x**4)) / 12.0,
+            gradient=lambda x: x + x**3 / 3.0,
+            hessian=hessian,
+            third_dir=(lambda x, u: 2.0 * x * u**2) if third else None,
+        )
+        calls = _counted_calls(f, monkeypatch)
+        per_block = ["value_many", "third_dir_many"] if third else ["value_many"]
+        for samples in (1, 32, 70):
+            blocks = -(-(samples + 1) // SAMPLE_BLOCK)
+            calls.clear()
+            hessians.clear()
+            cert = px.estimate_certificate(f, np.zeros(3), radius=0.5, samples=samples, seed=3)
+            assert cert.omega > 0 and (cert.tau3 is not None) == third and cert.tau4 is None
+            assert calls == ["value_many"] + per_block * blocks, samples
+            assert len(hessians) == 1  # the curvature at the anchor
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
         """Each constant is nondecreasing in the sample count, and a k-sample
@@ -398,8 +442,8 @@ class TestNonFiniteRatios:
         f, xstar = logistic_anchor
         original = type(f).jet_many
 
-        def huge_third(self, P, V):
-            values, _, fourth = original(self, P, V)
+        def huge_third(self, P, V, with_values=True):
+            values, _, fourth = original(self, P, V, with_values)
             return values, np.full(V.shape, np.finfo(float).max), fourth
 
         monkeypatch.setattr(type(f), "jet_many", huge_third)
