@@ -268,9 +268,9 @@ class Prediction:
         """``(skew_correction, T(u0))``."""
         with np.errstate(over="ignore", invalid="ignore"):
             T, gradT = skewness_correction(self.objective, self.xstar, self.u0)
-            correction = -self.F.solve(gradT)
-            if not (np.isfinite(correction).all() and math.isfinite(T)):
-                raise ValueError("the skew term of the tilt is not finite")
+            correction = -(self.F.L_inv.T @ (self.F.L_inv @ gradT))
+        if not (np.isfinite(correction).all() and math.isfinite(T)):
+            raise FloatingPointError("overflow in the skew term of the tilt")
         return correction, T
 
     def report(self, order: str, bounds: BoundSet, cert=None) -> ExpansionReport:

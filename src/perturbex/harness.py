@@ -32,7 +32,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .expand import expansion_for_order, predict, solve_and_compare, solve_from
-from .linalg import SpdOperator, spd_from_dense
+from .linalg import SpdOperator, check_floor, spd_from_dense
 from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
 from .penalty import as_tilt, ridge_bias_exact_quadratic
 from .smoothness import (
@@ -344,19 +344,19 @@ def _run_command(
     return report
 
 
-def _linear_tilt(cfg: ExperimentConfig, dim: int) -> np.ndarray:
+def _linear_tilt(cfg: ExperimentConfig, dim: int) -> tuple[np.ndarray, str]:
     pert = cfg.perturbation
     if "vector" in pert:
         A = np.asarray(pert["vector"], dtype=float)
         if A.shape != (dim,):
             raise ValueError(f"perturbation vector has shape {A.shape}, need ({dim},)")
-        return A
+        return A, "perturbation.vector"
     seed = int(pert.get("seed", cfg.seed + 2))
     scale = float(pert.get("scale", 0.1))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     with _sized_by("perturbation.scale"):
-        return scale * v / np.linalg.norm(v)
+        return scale * v / np.linalg.norm(v), "perturbation.scale"
 
 
 def _penalty(cfg: ExperimentConfig, dim: int) -> tuple[Oracle, str]:
@@ -405,8 +405,8 @@ def _perturbed_problem(
     f: Oracle,
     xstar: np.ndarray,
     perturbation: np.ndarray | Oracle,
-    hessian: np.ndarray,
-    sized_by: str | None = None,
+    curvature: SpdOperator,
+    sized_by: str,
 ) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
     """:func:`as_tilt`'s ``(g, drive, F)`` for a tilt or a penalty, and the certificate.
 
@@ -414,10 +414,10 @@ def _perturbed_problem(
     which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
     checked to minimize ``f`` in its metric.  ``sized_by`` is the key sizing a penalty.
     """
-    keys = "problem" if sized_by is None else f"problem or {sized_by}"
-    with _sized_by(keys):
-        g, drive, F = as_tilt(f, xstar, perturbation, hessian)
     penalty = isinstance(perturbation, Oracle)
+    keys = f"problem or {sized_by}" if penalty else "problem"
+    with _sized_by(keys):
+        g, drive, F = as_tilt(f, xstar, perturbation, curvature)
     with _sized_by(f"{keys} or certificate.radius"):
         cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
         if penalty:
@@ -530,7 +530,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
 
     A penalty is a linear tilt of ``f + pen`` with drive ``grad pen(x*)``, so
     both kinds are one perturbed problem (:func:`_perturbed_problem`).  It is
-    built, factored and solved once, from the ``grad^2 f(x*)`` that the
+    built and solved once, from the factored ``grad^2 f(x*)`` that the
     anchor solve's converging step evaluated, and every order's report is
     checked against that solution; an order that ``g`` or its certificate
     does not support is skipped with a warning.
@@ -541,9 +541,10 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
         anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
     linear = cfg.perturbation["kind"] == "linear"
-    perturbation, key = (_linear_tilt(cfg, f.dim), None) if linear else _penalty(cfg, f.dim)
-    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.hessian, key)
-    problem, results = _verified_problem(xstar, perturbed, cfg.orders)
+    perturbation, key = (_linear_tilt if linear else _penalty)(cfg, f.dim)
+    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.curvature, key)
+    with _sized_by(f"problem or {key}"):
+        problem, results = _verified_problem(xstar, perturbed, cfg.orders)
     return {
         "schema": REPORT_SCHEMA,
         "command": "certify",
@@ -620,8 +621,9 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     with _sized_by("problem"):
         anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
-    A0 = _linear_tilt(cfg, f.dim)
-    F = spd_from_dense(anchor.hessian)
+    A0, _ = _linear_tilt(cfg, f.dim)
+    F = anchor.curvature
+    check_floor(F.matrix)
     eps_grid = list(cfg.raw.get("scaling", {}).get("eps_grid", DEFAULT_EPS_GRID))
 
     rows = []
@@ -714,8 +716,8 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     Each weight is one perturbed problem, built, factored and solved once.
     The weights are one family: every penalized curvature is
     ``H0 + lam G2`` with ``H0 = grad^2 f(x*)`` taken from the anchor solve,
-    whose converging step evaluated it; each verification solve starts from
-    its ``H0 + lam G2`` instead of evaluating it again.  ``G2`` is
+    whose converging step evaluated and factored it; each verification solve
+    starts from its ``H0 + lam G2`` instead of evaluating it again.  ``G2`` is
     checked for positive semidefiniteness once (a weight is never
     negative), and each ``H0 + lam G2`` is factored once.  An order that a
     weight's certificate does not support is skipped for that weight, with
@@ -728,16 +730,16 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     xstar = anchor.xhat
     ridge = QuadraticOracle(_sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
-    H0 = anchor.hessian
 
     rows = []
     results = []
     warnings = []
     for i, lam in enumerate(grid):
         key = f"sweep.lambda_grid.{i}"
-        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), H0, key)
+        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), anchor.curvature, key)
         _, _, _, cert = perturbed
-        problem, verified = _verified_problem(xstar, perturbed, [3, 4])
+        with _sized_by(f"problem or {key}"):
+            problem, verified = _verified_problem(xstar, perturbed, [3, 4])
         entry: dict[str, Any] = {"lambda": lam, **problem}
         for res in verified:
             if "skipped" in res:

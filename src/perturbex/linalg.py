@@ -14,10 +14,10 @@ Cholesky factor ``M = L L'`` serves every use of ``F`` and of ``D``:
 - ``dual_norm(t) = ||L^{-1} t||``, the dual metric norm ``||D^{-1} t||``;
 - ``L^{-T} Z`` maps normal columns ``Z`` to metric directions.
 
-NumPy has no triangular solve (``np.linalg.solve`` runs an LU per call), so
-an operator keeps the explicit inverse factor ``L^{-1}`` as well.  No
-eigendecomposition is taken: the SPD floor is a Cholesky test of a shifted
-matrix (:func:`spd_from_dense`).
+NumPy has no triangular solve, so :func:`factor` keeps ``L^{-1}`` as well,
+and every curvature, each Hessian the solver evaluates included, is factored
+once and handed on.  No eigendecomposition is taken: the SPD floor is a
+Cholesky test of a shifted matrix (:func:`check_floor`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 __all__ = [
     "SpdOperator",
+    "factor",
+    "check_floor",
     "spd_from_dense",
     "kappa_between",
     "as_vector",
@@ -106,22 +108,62 @@ class SpdOperator:
         return f"SpdOperator(dim={self.dim})"
 
 
+# Diagonal blocks of at most this many rows are inverted by np.linalg.inv.
+TRI_INV_LEAF = 64
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular ``L``, by 2x2 blocks.
+
+    ``[[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 14),
+    recursing to leaves of at most ``TRI_INV_LEAF`` rows, each
+    ``tril(inv(leaf))``; a matrix that small is its own leaf.
+    """
+    n = len(L)
+    if n <= TRI_INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    R = np.zeros_like(L)
+    R[:h, :h] = A = _tril_inv(L[:h, :h])
+    R[h:, h:] = C = _tril_inv(L[h:, h:])
+    R[h:, :h] = -(C @ (L[h:, :h] @ A))
+    return R
+
+
+def factor(matrix: np.ndarray) -> SpdOperator:
+    """Cholesky-factor the symmetric part of ``matrix``, unchecked, in units of its
+    largest entry ``s`` so that no entry overflows: ``sym(M) / s = U U'``,
+    ``L = sqrt(s) U``.  Raises ``np.linalg.LinAlgError`` if there is no factor."""
+    scale = np.abs(matrix).max()
+    sym = 0.5 * (matrix + matrix.T)
+    U = np.linalg.cholesky(sym / scale if scale > 0.0 else sym)
+    root = np.sqrt(scale)
+    return SpdOperator(matrix=sym, L=U * root, L_inv=_tril_inv(U) / root)
+
+
+def check_floor(matrix: np.ndarray) -> None:
+    """Raise :class:`NotPositiveDefinite` unless ``M / s - SPD_EIG_FLOOR ||M / s||_inf I``
+    has a Cholesky factor, for a symmetric ``M`` with largest entry ``s``: since
+    ``lambda_max <= ||M||_inf``, any ``M`` with an eigenvalue at or below
+    ``SPD_EIG_FLOOR * lambda_max`` raises, and any other has a factor."""
+    scale = np.abs(matrix).max()
+    unit = matrix / scale if scale > 0.0 else matrix
+    row_sum = float(np.abs(unit).sum(axis=1).max())
+    try:
+        np.linalg.cholesky(unit - constants.SPD_EIG_FLOOR * row_sum * np.eye(len(unit)))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue below floor {constants.SPD_EIG_FLOOR:.0e} * "
+            f"{row_sum * scale:.3e} (the largest absolute row sum)"
+        ) from None
+
+
 def spd_from_dense(matrix) -> SpdOperator:
-    """Validate a dense symmetric positive definite matrix and factor it.
+    """Validate a dense symmetric positive definite matrix and :func:`factor` it.
 
-    Parameters
-    ----------
-    matrix : array_like
-        Square matrix.  Asymmetry beyond ``1e-12`` relative to the largest
-        entry raises :class:`NotSymmetric`.  :class:`NotPositiveDefinite` is
-        raised unless ``M / s - SPD_EIG_FLOOR ||M / s||_inf I`` has a
-        Cholesky factor, with ``s`` the largest entry.  Since
-        ``lambda_max <= ||M||_inf``, every matrix with an eigenvalue at or
-        below ``SPD_EIG_FLOOR * lambda_max`` raises.
-
-    Returns
-    -------
-    SpdOperator
+    Asymmetry beyond ``1e-12`` relative to the largest entry raises
+    :class:`NotSymmetric`; the symmetric part is held to :func:`check_floor`.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -134,21 +176,8 @@ def spd_from_dense(matrix) -> SpdOperator:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {constants.SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    sym = 0.5 * (M + M.T)
-    # In units of the largest entry, so that entries near the top of the
-    # float range cannot overflow the factor.
-    unit = sym / scale if scale > 0.0 else sym
-    row_sum = float(np.abs(unit).sum(axis=1).max())
-    try:
-        np.linalg.cholesky(unit - constants.SPD_EIG_FLOOR * row_sum * np.eye(len(unit)))
-        factor = np.linalg.cholesky(unit)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue below floor {constants.SPD_EIG_FLOOR:.0e} * "
-            f"{row_sum * scale:.3e} (the largest absolute row sum)"
-        ) from None
-    root = np.sqrt(scale)
-    return SpdOperator(matrix=sym, L=factor * root, L_inv=np.tril(np.linalg.inv(factor)) / root)
+    check_floor(0.5 * (M + M.T))
+    return factor(M)
 
 
 def kappa_between(M, F: SpdOperator) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import constants
 from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order, predict
-from .linalg import SpdOperator, as_vector, spd_from_dense
+from .linalg import SpdOperator, as_vector, check_floor, spd_from_dense
 from .oracle import Oracle, QuadraticOracle, linearly_perturb, smoothly_penalize
 from .smoothness import SmoothnessCertificate, check_anchor
 
@@ -30,23 +30,25 @@ __all__ = [
 ]
 
 
-def as_tilt(f: Oracle, xstar, perturbation, hessian=None):
+def as_tilt(f: Oracle, xstar, perturbation, curvature: SpdOperator | None = None):
     """``(g, drive, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
 
     ``drive`` is ``A`` or ``grad pen(x*)`` and ``F`` is ``g.hessian(x*)``
-    factored.  ``hessian`` (``grad^2 f(x*)``) is reused when the caller
-    holds it.
+    factored.  A caller that holds ``grad^2 f(x*)`` factored passes it as
+    ``curvature``: a tilt's ``F`` is then that factor, held to the SPD floor.
     """
     xstar = as_vector(xstar, f.dim)
-    H = f.hessian(xstar) if hessian is None else hessian
+    H = f.hessian(xstar) if curvature is None else curvature.matrix
     if isinstance(perturbation, Oracle):
         g = smoothly_penalize(f, perturbation)
         drive = perturbation.gradient(xstar)
-        H = H + perturbation.hessian(xstar)
-    else:
-        drive = as_vector(perturbation, f.dim)
-        g = linearly_perturb(f, drive)
-    return g, drive, spd_from_dense(H)
+        return g, drive, spd_from_dense(H + perturbation.hessian(xstar))
+    drive = as_vector(perturbation, f.dim)
+    g = linearly_perturb(f, drive)
+    if curvature is None:
+        return g, drive, spd_from_dense(H)
+    check_floor(H)
+    return g, drive, curvature
 
 
 def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
@@ -56,7 +58,7 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
     bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
     both exact (zero radii).
     """
-    _, M, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F.matrix)
+    _, M, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F)
     return exact_quadratic_expansion(predict(FG, M))
 
 

@@ -16,12 +16,13 @@ decrement is ``CHORD_CONTRACTION * tol`` or less, the Hessian at the
 current point is evaluated.  Stepping one contraction past ``tol`` keeps
 the returned point well inside the tolerance, as the quadratic last step
 of plain Newton does.  The stopping rule stays exact: the decrement is
-measured with ``f``'s Hessian at the returned point, which passed a
-Cholesky test (or is the caller's curvature, when that point is the
-start).  A verification solve started near ``x*`` thus evaluates one
-Hessian, at its last iterate.  The result carries that Hessian, the value
-at the start point and the number of Hessians evaluated, so
-``g(x~) - g(x*)`` needs no extra value call.
+measured with ``f``'s Hessian at the returned point (or the caller's
+curvature, when that point is the start).  Each Hessian evaluated is factored
+once, by a Cholesky that is also its positive-definiteness test, and the
+steps use that factor.  A verification solve started near ``x*`` thus
+evaluates one Hessian, at its last iterate.  The result carries its factor,
+the start value and the number of Hessians evaluated, so ``g(x~) - g(x*)``
+needs no value call and no caller factors again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HessianNotPd, LineSearchFailed, MaxIterExceeded
-from .linalg import SpdOperator, as_vector
+from .linalg import SpdOperator, as_vector, factor
 from .oracle import Oracle
 
 __all__ = ["SolveResult", "newton_minimize"]
@@ -50,9 +51,9 @@ CHORD_CONTRACTION = 0.1
 class SolveResult:
     """A converged solve.
 
-    ``value`` and ``hessian`` are ``f`` and its Hessian at ``xhat``;
-    ``start_value`` is ``f`` at the start point.  ``iterations`` counts the
-    steps taken and ``hessians`` the Hessians evaluated.
+    ``value`` and ``curvature`` are ``f`` and its factored Hessian at ``xhat``
+    (the caller's curvature if ``xhat`` is the start); ``start_value`` is ``f``
+    at the start.  ``iterations`` counts the steps and ``hessians`` the Hessians evaluated.
     """
 
     xhat: np.ndarray
@@ -61,7 +62,7 @@ class SolveResult:
     iterations: int
     hessians: int
     start_value: float
-    hessian: np.ndarray
+    curvature: SpdOperator
 
     def stats(self) -> dict[str, float | int]:
         """``iterations``, ``hessians`` and the final ``grad_norm_dual``, as reported."""
@@ -97,12 +98,12 @@ def newton_minimize(
     -------
     SolveResult
         With ``grad_norm_dual <= tol`` (a solve that fails raises), the
-        Hessian at ``xhat`` and the value at ``x0``.
+        factored Hessian at ``xhat`` and the value at ``x0``.
 
     Raises
     ------
     HessianNotPd
-        If a Cholesky factorization of an evaluated Hessian fails.
+        If an evaluated Hessian has no Cholesky factor.
     DimensionMismatch
         If ``curvature`` is not ``f.dim``-dimensional.
     LineSearchFailed
@@ -134,19 +135,17 @@ def newton_minimize(
         if chord:
             usable = usable and dual_norm <= CHORD_CONTRACTION * previous
         if not (exact or usable):
-            held = f.hessian(x)
-            hessians += 1
-            exact = True
             try:
-                np.linalg.cholesky(held)
+                held = factor(f.hessian(x))
             except np.linalg.LinAlgError:
                 raise HessianNotPd(f"Hessian not positive definite at iteration {iteration}")
+            hessians += 1
+            exact = True
             d, dual_norm = _newton_step(held, g)
         if exact and dual_norm <= tol:
             return SolveResult(
                 xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
-                hessians=hessians, start_value=start_value,
-                hessian=held.matrix if isinstance(held, SpdOperator) else held,
+                hessians=hessians, start_value=start_value, curvature=held,
             )
         previous, chord, exact = dual_norm, not exact, False
         if dual_norm <= PURE_NEWTON_THRESHOLD:
@@ -174,10 +173,7 @@ def newton_minimize(
     raise MaxIterExceeded(f"Newton decrement {dual_norm:.3e} > {tol:.3e} after {max_iter} iterations")
 
 
-def _newton_step(held: SpdOperator | np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """The step ``-H^{-1} g`` and its decrement, for a factored or an evaluated ``H``."""
-    if isinstance(held, SpdOperator):
-        d = -held.solve(g)
-    else:
-        d = -np.linalg.solve(held, g)
-    return d, float(np.sqrt(max(float(-g @ d), 0.0)))
+def _newton_step(held: SpdOperator, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step ``-H^{-1} g`` and its decrement ``||L^{-1} g||``, for ``H = L L'``."""
+    w = held.L_inv @ g
+    return -(held.L_inv.T @ w), float(np.linalg.norm(w))

@@ -119,9 +119,12 @@ def _certify(perturbation: dict) -> tuple[str, dict, bool]:
     return "certify", {"seed": 1, "problem": _SMALL_LOGISTIC, "perturbation": perturbation}, False
 
 
-def _overflow(problem: dict, perturbation: dict, orders: list, key: str):
-    """A sampled ``certify`` run that overflows, and the key its error line must name."""
+def _overflow(problem: dict, perturbation: dict, orders: list, key: str, declared=False):
+    """A sampled (or ``declared``) ``certify`` run that overflows, and the key
+    its error line must name."""
     certificate = {"mode": "estimated", "samples": 16, "seed": 3, "radius": 0.5}
+    if declared:
+        certificate = {"mode": "declared", "omega": 0.1, "tau3": 0.5, "tau4": 2.0, "radius": 0.5}
     config = {
         "seed": 1, "problem": problem, "perturbation": perturbation, "orders": orders,
         "certificate": certificate,
@@ -172,6 +175,29 @@ def _penalized(perturbation: dict, **certificate) -> tuple[str, dict, bool, int]
     _overflow(
         {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "temp": 1.3e236, "reg": 0},
         {"kind": "linear", "scale": 1}, [2, 3, 4], "problem or certificate.radius",
+    )
+)
+# The same problem with declared constants: the prediction's F^-1 A of
+# about 1e237 overflows in verification, and for order 4 in its skew term.
+@example(
+    _overflow(
+        {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "temp": 1.3e236, "reg": 0},
+        {"kind": "linear", "scale": 1, "seed": 2}, [2], "problem or perturbation.scale",
+        declared=True,
+    )
+)
+@example(
+    _overflow(
+        {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "temp": 1.3e236, "reg": 0},
+        {"kind": "linear", "scale": 1, "seed": 2}, [3], "problem or perturbation.scale",
+        declared=True,
+    )
+)
+@example(
+    _overflow(
+        {"kind": "logsumexp", "dim": 3, "n": 12, "seed": 1, "temp": 1.3e236, "reg": 0},
+        {"kind": "linear", "scale": 1, "seed": 2}, [2, 3, 4], "problem or perturbation.scale",
+        declared=True,
     )
 )
 # Penalties on a ball of radius 1e200: values there are 0 * inf, tensors

@@ -436,7 +436,7 @@ class TestKappaOncePerPair:
         f = prob.oracle
         anchor = solver.newton_minimize(f, prob.x0)
         pen = QuadraticOracle(0.1 * np.eye(f.dim))
-        _, _, F = as_tilt(f, anchor.xhat, pen, anchor.hessian)
+        _, _, F = as_tilt(f, anchor.xhat, pen, anchor.curvature)
         cert = declared_certificate(F, radius=0.5, omega=None, tau3=0.5)
         rep = smooth_penalty_bias(f, anchor.xhat, pen, cert, order=3)
         assert rep.prediction.F is not F
@@ -453,15 +453,18 @@ class TestKappaOncePerPair:
 
 
 class TestSweepIsOneFactoredFamily:
-    """A run evaluates ``grad^2 f(x*)`` once; a sweep factors each weight's
-    ``H0 + lam G2`` once, with no eigendecomposition.
+    """A run evaluates and factors ``grad^2 f(x*)`` once; a sweep factors each
+    weight's ``H0 + lam G2`` once, with no eigendecomposition.
 
     Every Hessian evaluation counts, the Newton steps of the anchor and the
     verification solves included: the anchor's converging step is the one
     evaluation at ``x*``, and each verification solve starts from it.  The
     anchor evaluates two Hessians (at the start point and at ``x*``), each
     verification solve at a non-zero tilt one (at its end) and a weight-0
-    solve none.
+    solve none.  Each evaluated Hessian is factored once, where it is
+    evaluated, so a run's factorizations are its Hessians plus one per
+    weight, and no matrix reaches ``np.linalg.cholesky`` twice, but for the
+    weight-0 ``H0 + 0 G2``, which is ``H0`` itself.
     """
 
     @pytest.fixture
@@ -469,7 +472,8 @@ class TestSweepIsOneFactoredFamily:
         eigh = np.linalg.eigh
         hessian = LogisticOracle.hessian
         post_init = linalg.SpdOperator.__post_init__
-        seen = {"eigh": 0, "factors": 0, "hessian_points": []}
+        cholesky = np.linalg.cholesky
+        seen = {"eigh": 0, "factors": 0, "hessian_points": [], "cholesky": []}
 
         def counting_eigh(*args, **kwargs):
             seen["eigh"] += 1
@@ -483,10 +487,22 @@ class TestSweepIsOneFactoredFamily:
             seen["factors"] += 1
             post_init(op)
 
+        def recording_cholesky(a):
+            seen["cholesky"].append(np.array(a))
+            return cholesky(a)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
         monkeypatch.setattr(LogisticOracle, "hessian", counting_hessian)
         monkeypatch.setattr(linalg.SpdOperator, "__post_init__", counting_factor)
         return seen
+
+    @staticmethod
+    def _repeats(matrices) -> int:
+        """How many of ``matrices`` equal, bit for bit, one before them."""
+        return sum(
+            any(np.array_equal(a, b) for b in matrices[:i]) for i, a in enumerate(matrices)
+        )
 
     @staticmethod
     def _evaluations_at_anchor(counts, payload, run):
@@ -495,6 +511,7 @@ class TestSweepIsOneFactoredFamily:
         xstar = solver.newton_minimize(prob.oracle, prob.x0).xhat
         counts["eigh"] = counts["factors"] = 0
         counts["hessian_points"].clear()
+        counts["cholesky"].clear()
         run()
         assert len(counts["hessian_points"]) > 1  # the solves' later steps count too
         return sum(np.array_equal(x, xstar) for x in counts["hessian_points"])
@@ -516,7 +533,12 @@ class TestSweepIsOneFactoredFamily:
         )
         assert at_xstar == 1
         assert len(counts["hessian_points"]) == 2 + 2
-        assert counts["factors"] == factors  # one per weight
+        # One per Hessian evaluated and one per weight.
+        assert counts["factors"] == len(counts["hessian_points"]) + factors
+        # Each factorization and each floor test runs one Cholesky; only the
+        # weight-0 curvature H0 + 0 G2 = H0 repeats the anchor's.
+        assert len(counts["cholesky"]) == counts["factors"] + factors
+        assert self._repeats(counts["cholesky"]) == 1
         assert counts["eigh"] == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
@@ -532,10 +554,25 @@ class TestSweepIsOneFactoredFamily:
         )
         assert at_xstar == 1
         assert len(counts["hessian_points"]) == 2 + 1
+        # The tilt steps on the anchor's factor, held to the floor once.
+        assert counts["factors"] == len(counts["hessian_points"])
+        assert len(counts["cholesky"]) == counts["factors"] + 1
+        assert self._repeats(counts["cholesky"]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
         assert report["anchor"]["solver"]["hessians"] == 2
         assert report["solution"]["solver"]["hessians"] == 1
+
+    def test_scaling_steps_on_the_anchor_factor(self, tmp_path, counts):
+        payload = _command_config("scaling")
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = str(tmp_path / "o")
+        self._evaluations_at_anchor(
+            counts, payload, lambda: main(["scaling", "--config", cfg, "--out", out])
+        )
+        assert counts["factors"] == len(counts["hessian_points"])
+        assert len(counts["cholesky"]) == counts["factors"] + 1
+        assert self._repeats(counts["cholesky"]) == 0
 
 
 def _no_eigh_configs():
@@ -1025,7 +1062,7 @@ class TestOneTiltBuilder:
             "smooth": SumOracle(LogisticOracle(np.eye(4), np.ones(4)), weights=(0.3,)),
         }[kind]
         g, drive, F = as_tilt(f, anchor.xhat, perturbation)
-        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.hessian)
+        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.curvature)
         H = g.hessian(anchor.xhat)
         np.testing.assert_array_equal(F.matrix, linalg.spd_from_dense(H).matrix)
         np.testing.assert_array_equal(F2.matrix, F.matrix)
@@ -1453,7 +1490,7 @@ class TestOnePredictionPerProblem:
         ridge = QuadraticOracle(harness._sweep_base_matrix(cfg, prob.oracle.dim))
         for k, entry in enumerate(report["results"]):
             pen = ridge.scaled(entry["lambda"])
-            g, drive, F = as_tilt(prob.oracle, anchor.xhat, pen, anchor.hessian)
+            g, drive, F = as_tilt(prob.oracle, anchor.xhat, pen, anchor.curvature)
             p = predict(F, drive, g, anchor.xhat)
             p.skew  # computed, as the order-4 report computed it
             assert entry["prediction"] == json.loads(json.dumps(p.to_dict()))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perturbex as px
-from perturbex import constants
+from perturbex import constants, linalg
 from perturbex.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 
@@ -42,6 +42,51 @@ class TestSpdFromDense:
         for arr in (op.matrix, op.L, op.L_inv):
             with pytest.raises(ValueError):
                 arr[0, 0] = 5.0
+
+
+def _cholesky_factor(rng, dim: int, cond: float) -> np.ndarray:
+    M = px.random_spd(rng, dim, cond=cond).matrix
+    return np.linalg.cholesky(M / np.abs(M).max())
+
+
+class TestTriangularInverse:
+    """``_tril_inv`` inverts a Cholesky factor by 2x2 blocks above 64 rows."""
+
+    # Higham (Accuracy and Stability of Numerical Algorithms, 2002, ch. 14)
+    # bounds the left residual of a triangular inverse componentwise,
+    # |X L - I| <= gamma_d |X| |L| with gamma_d = d u / (1 - d u).  A block
+    # adds two products, each accurate to gamma_d in the same terms, so the
+    # block inverse is held to the sum of three such bounds, rounded up to 4.
+    RESIDUAL_CONSTANT = 4.0
+    DIMS = [65, 127, 128, 200, 257]
+
+    @pytest.mark.parametrize("dim", [1, 2, 17, 63, 64])
+    def test_small_factor_is_one_leaf(self, rng, dim):
+        L = _cholesky_factor(rng, dim, 1e3)
+        np.testing.assert_array_equal(linalg._tril_inv(L), np.tril(np.linalg.inv(L)))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("cond", [10.0, 1e3])
+    def test_block_inverse_componentwise_residual(self, rng, dim, cond):
+        L = _cholesky_factor(rng, dim, cond)
+        R = linalg._tril_inv(L)
+        assert not np.triu(R, 1).any()
+        bound = self.RESIDUAL_CONSTANT * dim * np.finfo(float).eps / 2 * (np.abs(R) @ np.abs(L))
+        assert np.all(np.abs(R @ L - np.eye(dim)) <= bound)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_ill_conditioned_block_inverse_normwise_residual(self, rng, dim):
+        """The leaves come from ``np.linalg.inv``, an LU with partial pivoting,
+        which is bounded only normwise: ``||X L - I|| <= c d u kappa(L)``.
+        Componentwise, a cond-1e6 leaf alone (the whole inverse at d <= 64)
+        can exceed the bound above by 70x, so an ill-conditioned factor is
+        held to the normwise bound with the same constant."""
+        L = _cholesky_factor(rng, dim, 1e6)
+        R = linalg._tril_inv(L)
+        assert not np.triu(R, 1).any()
+        kappa = np.linalg.norm(L, np.inf) * np.linalg.norm(R, np.inf)
+        residual = np.linalg.norm(R @ L - np.eye(dim), np.inf)
+        assert residual <= self.RESIDUAL_CONSTANT * dim * np.finfo(float).eps / 2 * kappa
 
 
 class TestScaleNearOverflow:

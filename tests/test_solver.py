@@ -90,9 +90,16 @@ def tilted(request):
 
 
 def _exact_decrement(g, x) -> float:
-    """``sqrt(grad' H^{-1} grad)`` at ``x`` from ``g``'s own Hessian there."""
+    """``sqrt(grad' H^{-1} grad)`` at ``x`` from ``g``'s own Hessian there, by LU."""
     grad = g.gradient(x)
     return float(np.sqrt(grad @ np.linalg.solve(g.hessian(x), grad)))
+
+
+def _assert_exact_decrement(g, sol) -> None:
+    """The decrement is the returned factor's dual norm of the gradient at
+    ``xhat``, bit for bit, and the LU reference to rounding."""
+    assert sol.grad_norm_dual == sol.curvature.dual_norm(g.gradient(sol.xhat))
+    assert sol.grad_norm_dual == pytest.approx(_exact_decrement(g, sol.xhat), rel=1e-12)
 
 
 def _hessian_points(monkeypatch, g) -> list:
@@ -114,7 +121,7 @@ class TestHeldHessian:
     def test_decrement_is_exact_at_xhat(self, tilted):
         g, x0, F = tilted
         sol = px.newton_minimize(g, x0, curvature=F)
-        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+        _assert_exact_decrement(g, sol)
         assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(x0)))
 
     def test_held_and_plain_solves_agree(self, tilted):
@@ -146,10 +153,15 @@ class TestHeldHessian:
         np.testing.assert_array_equal(points[0], sol.xhat)
 
     def test_result_carries_end_hessian_and_start_value(self, tilted):
+        """The returned curvature is the Hessian at ``xhat`` and the factor
+        ``spd_from_dense`` makes of it, bit for bit."""
         g, x0, F = tilted
         for curvature in (None, F):
             sol = px.newton_minimize(g, x0, curvature=curvature)
-            np.testing.assert_array_equal(sol.hessian, g.hessian(sol.xhat))
+            np.testing.assert_array_equal(sol.curvature.matrix, g.hessian(sol.xhat))
+            again = px.spd_from_dense(sol.curvature.matrix)
+            np.testing.assert_array_equal(sol.curvature.L, again.L)
+            np.testing.assert_array_equal(sol.curvature.L_inv, again.L_inv)
             assert sol.start_value == g.value(x0)
             assert sol.value == g.value(sol.xhat)
 
@@ -160,7 +172,8 @@ class TestHeldHessian:
         points = _hessian_points(monkeypatch, g)
         sol = px.newton_minimize(g, xhat, curvature=G)
         assert sol.iterations == sol.hessians == len(points) == 0
-        assert sol.hessian is G.matrix
+        assert sol.curvature is G
+        assert sol.grad_norm_dual == G.dual_norm(g.gradient(xhat))
 
     @pytest.mark.parametrize("poor", ["10H", "H/10", "identity"])
     def test_poor_curvature_still_converges(self, tilted, poor):
@@ -171,7 +184,7 @@ class TestHeldHessian:
             "identity": px.spd_from_dense(np.eye(g.dim)),
         }[poor]
         sol = px.newton_minimize(g, x0, curvature=curvature)
-        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+        _assert_exact_decrement(g, sol)
         assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(x0)))
         np.testing.assert_allclose(sol.xhat, px.newton_minimize(g, x0).xhat, rtol=0, atol=1e-10)
 
@@ -213,6 +226,8 @@ def test_any_held_curvature_reaches_the_exact_decrement(kind, dim, seed, scale, 
     sol = px.newton_minimize(g, xstar, curvature=held)
     tol = 1e-12 * (1 + abs(g.value(xstar)))
     if sol.iterations:
-        assert sol.grad_norm_dual == _exact_decrement(g, sol.xhat)
+        _assert_exact_decrement(g, sol)
+    else:
+        assert sol.curvature is held
     assert sol.grad_norm_dual <= tol
     np.testing.assert_allclose(sol.xhat, px.newton_minimize(g, xstar).xhat, rtol=0, atol=1e-9)
