@@ -45,7 +45,6 @@ from .expand import (
     solve_and_compare,
     solve_from,
     third_order_bounds,
-    verify_expansion,
 )
 from .harness import ExperimentConfig
 from .linalg import SpdOperator, as_matrix, as_vector, kappa_between, spd_from_dense
@@ -141,7 +140,6 @@ __all__ = [
     "compare_with_solution",
     "solve_from",
     "solve_and_compare",
-    "verify_expansion",
     # penalty bias
     "ridge_bias_exact_quadratic",
     "smooth_penalty_bias",

@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense
-from .oracle import Oracle, linearly_perturb
+from .oracle import Oracle, linearly_perturb, smoothly_penalize
 from .smoothness import SmoothnessCertificate
 from .solver import newton_minimize
 
@@ -68,7 +68,6 @@ __all__ = [
     "fourth_order_expansion",
     "expansion_for_order",
     "distance_to_optimum",
-    "verify_expansion",
     "solve_from",
     "solve_and_compare",
     "compare_with_solution",
@@ -237,27 +236,23 @@ class Solution:
 
 @dataclass(frozen=True)
 class Prediction:
-    """The prediction of one perturbed problem ``f + <., A>``, made once for every order.
+    """A perturbed problem ``g`` and its prediction, made once for every order.
 
+    ``g`` is ``f + <., A>`` or ``f + pen`` with drive ``A = grad pen(x*)``,
+    either way a tilt by ``A`` of a function minimized at ``x*``; verification
+    solves it from ``x*``.  ``F`` is ``g``'s factored Hessian at ``x*``,
     ``u0 = F^{-1} A`` and ``xi = ||F^{-1/2} A||``.  Every order predicts the
     Newton shift ``-u0`` and value change ``-xi^2 / 2``; order 4 adds
     ``skew_correction = -F^{-1} gradT(u0)`` to the shift and subtracts
-    ``T(u0)``.  The skew term needs ``f`` and ``x*`` and is computed on
-    first use, once.
+    ``T(u0)``, taken from ``g`` at ``x*`` on first use, once.
     """
 
+    g: Oracle
+    xstar: np.ndarray
     F: SpdOperator
     A: np.ndarray
     u0: np.ndarray
     xi: float
-    f: Oracle | None = None
-    xstar: np.ndarray | None = None
-
-    @property
-    def objective(self) -> Oracle:
-        if self.f is None:
-            raise ValueError("the prediction was made without f and x*")
-        return self.f
 
     @property
     def newton_value_change(self) -> float:
@@ -267,7 +262,7 @@ class Prediction:
     def skew(self) -> tuple[np.ndarray, float]:
         """``(skew_correction, T(u0))``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            T, gradT = skewness_correction(self.objective, self.xstar, self.u0)
+            T, gradT = skewness_correction(self.g, self.xstar, self.u0)
             correction = -(self.F.L_inv.T @ (self.F.L_inv @ gradT))
         if not (np.isfinite(correction).all() and math.isfinite(T)):
             raise FloatingPointError("overflow in the skew term of the tilt")
@@ -287,15 +282,33 @@ class Prediction:
         }
 
 
-def predict(F: SpdOperator, A, f: Oracle | None = None, xstar=None) -> Prediction:
-    """The Newton step of the tilt ``A``; with ``f`` and ``x*``, its skew term on demand."""
-    A = as_vector(A, F.dim)
+def predict(f: Oracle, xstar, perturbation, *, curvature: SpdOperator | None = None) -> Prediction:
+    """The :class:`Prediction` of ``f``, minimized at ``x*``, under a tilt or a penalty.
+
+    A vector is a tilt ``A``: ``g = f + <., A>``.  An :class:`Oracle` is a
+    penalty: ``g = f + pen``, driven by ``A = grad pen(x*)``.  ``curvature``,
+    ``grad^2 f(x*)`` factored by the caller, is used as it is, unchecked, for a
+    tilt and for a penalty whose Hessian at ``x*`` is zero; any other ``F`` is
+    factored and held to the SPD floor.
+    """
+    xstar = as_vector(xstar, f.dim)
+    if isinstance(perturbation, Oracle):
+        g, A = smoothly_penalize(f, perturbation), perturbation.gradient(xstar)
+        H_pen = perturbation.hessian(xstar)
+        if curvature is None or H_pen.any():
+            H = f.hessian(xstar) if curvature is None else curvature.matrix
+            curvature = spd_from_dense(H + H_pen)
+    else:
+        A = as_vector(perturbation, f.dim)
+        g = linearly_perturb(f, A)
+        if curvature is None:
+            curvature = spd_from_dense(f.hessian(xstar))
     with np.errstate(over="ignore", invalid="ignore"):
-        u0 = F.solve(A)
-        xi = F.dual_norm(A)
+        u0 = curvature.solve(A)
+        xi = curvature.dual_norm(A)
         if not (np.isfinite(u0).all() and math.isfinite(xi)):
             raise ValueError("the Newton step F^-1 A of the tilt is not finite")
-    return Prediction(F, A, u0, xi, f, xstar)
+    return Prediction(g, xstar, curvature, A, u0, xi)
 
 
 def exact_quadratic_expansion(p: Prediction) -> ExpansionReport:
@@ -504,9 +517,9 @@ def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> Expans
 def expansion_for_order(
     p: Prediction, cert: SmoothnessCertificate, order: int | str
 ) -> ExpansionReport:
-    """The report for one order: 2, 3, 4, or ``"exact"``, which needs ``p.f.quadratic``."""
+    """The report for one order: 2, 3, 4, or ``"exact"``, which needs a quadratic ``p.g``."""
     if order == "exact":
-        if not p.objective.quadratic:
+        if not p.g.quadratic:
             raise PreconditionViolated("objective is not quadratic")
         return exact_quadratic_expansion(p)
     if order == 4:
@@ -523,8 +536,8 @@ def expansion_for_order(
 def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> ExpansionReport:
     """Certified Newton prediction of the optimum from an off-minimum point.
 
-    ``f`` is a linear tilt of the function ``f(x) - <x, grad f(xk)>`` whose
-    minimizer is ``xk`` itself, so the cubic-term radii apply verbatim with
+    ``f`` is a linear tilt of the function ``h(x) = f(x) - <x, grad f(xk)>``
+    whose minimizer is ``xk`` itself, so the cubic-term radii apply verbatim with
     ``A = grad f(xk)`` and ``F = grad^2 f(xk)``: the prediction of
     ``x_opt - xk`` is ``-F^{-1} A``, the predicted value drop
     ``f(x_opt) - f(xk)`` is ``-||F^{-1/2} A||^2 / 2``, and the certificate
@@ -537,7 +550,8 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
         F = spd_from_dense(f.hessian(xk))
     except NotPositiveDefinite as exc:
         raise HessianNotPd(str(exc)) from exc
-    rep = expansion_for_order(predict(F, f.gradient(xk), f, xk), cert, 3)
+    A = f.gradient(xk)
+    rep = expansion_for_order(predict(linearly_perturb(f, -A), xk, A, curvature=F), cert, 3)
     return replace(rep, anchor="iterate")
 
 
@@ -625,16 +639,15 @@ def solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution
 
 
 def solve_and_compare(
-    g: Oracle, xstar, reports: list[ExpansionReport]
+    reports: list[ExpansionReport],
 ) -> tuple[Solution | None, list[ComparisonReport]]:
-    """Solve a perturbed problem once and compare every report against it.
+    """Solve the reports' perturbed problem once and compare every report against it.
 
-    ``g`` is minimized from ``x*`` by the damped Newton reference solver;
-    the resulting shift ``x~ - x*`` and value change ``g(x~) - g(x*)`` are
-    measured against every radius of each report.  The solver steps on the
-    reports' one curvature, ``g``'s factored Hessian at ``x*`` (reports that
-    differ in it raise ``ValueError``), and the start is never the
-    prediction, so the reference does not depend on what it checks.
+    The reports' one prediction ``p`` names the problem (others raise
+    ``ValueError``): the damped Newton reference solver minimizes ``p.g``
+    from ``p.xstar``, stepping on ``p.F``, never from the prediction, so the
+    reference does not depend on what it checks.  The shift ``x~ - x*`` and
+    value change ``g(x~) - g(x*)`` are measured against every radius.
 
     Returns the one :class:`Solution` and a comparison per report.  With no
     reports there is nothing to check, no solve is made and the solution
@@ -642,24 +655,11 @@ def solve_and_compare(
     """
     if not reports:
         return None, []
-    curvature = reports[0].prediction.F
-    if not all(np.array_equal(r.prediction.F.matrix, curvature.matrix) for r in reports[1:]):
-        raise ValueError("the reports state different curvatures, so not one perturbed problem")
-    solution = solve_from(g, as_vector(xstar, g.dim), curvature)
+    p = reports[0].prediction
+    if any(r.prediction is not p for r in reports[1:]):
+        raise ValueError("the reports state different predictions, so not one perturbed problem")
+    solution = solve_from(p.g, p.xstar, p.F)
     return solution, [
         compare_with_solution(report, solution.actual_shift, solution.actual_value_change)
         for report in reports
     ]
-
-
-def verify_expansion(
-    f: Oracle, xstar, report: ExpansionReport
-) -> tuple[Solution, ComparisonReport]:
-    """Solve the tilted problem ``f + <., A>`` of the report's prediction and compare.
-
-    The tilt leaves ``f``'s Hessian as it is, so the report's curvature is
-    the tilted problem's too.
-    """
-    g = linearly_perturb(f, report.prediction.A)
-    solution, (comparison,) = solve_and_compare(g, xstar, [report])
-    return solution, comparison

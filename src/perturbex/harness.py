@@ -26,15 +26,17 @@ import numpy as np
 
 from . import constants
 from .errors import (
+    DimensionMismatch,
     MissingConstant,
     MissingFourthDerivative,
     MissingThirdDerivative,
+    NotPsd,
     PreconditionViolated,
 )
 from .expand import expansion_for_order, predict, solve_and_compare, solve_from
 from .linalg import SpdOperator, check_floor, spd_from_dense
-from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe, linearly_perturb
-from .penalty import as_tilt, ridge_bias_exact_quadratic
+from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe
+from .penalty import ridge_bias_exact_quadratic
 from .smoothness import (
     SmoothnessCertificate,
     check_anchor,
@@ -349,7 +351,7 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> tuple[np.ndarray, str]:
     if "vector" in pert:
         A = np.asarray(pert["vector"], dtype=float)
         if A.shape != (dim,):
-            raise ValueError(f"perturbation vector has shape {A.shape}, need ({dim},)")
+            raise ValueError(f"perturbation.vector: shape {A.shape}, need ({dim},)")
         return A, "perturbation.vector"
     seed = int(pert.get("seed", cfg.seed + 2))
     scale = float(pert.get("scale", 0.1))
@@ -359,15 +361,30 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> tuple[np.ndarray, str]:
         return scale * v / np.linalg.norm(v), "perturbation.scale"
 
 
+def _ridge(key: str, G2) -> QuadraticOracle:
+    """The ridge ``0.5 x' G2 x`` of the config matrix at ``key``, which must be
+    square, symmetric and positive semidefinite."""
+    try:
+        return QuadraticOracle(G2)
+    except (DimensionMismatch, NotPsd) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _penalty(cfg: ExperimentConfig, dim: int) -> tuple[Oracle, str]:
     """The configured ridge ``0.5 x' G2 x`` or weighted smooth penalty, and the key sizing it."""
     pert = cfg.perturbation
     if pert["kind"] == "smooth":
+        key, sized_by = "perturbation.penalty.dim", "perturbation.weight"
         pen = oracle_from_descriptor(pert["penalty"]).oracle
-        return SumOracle(pen, weights=(float(pert.get("weight", 1.0)),)), "perturbation.weight"
-    if "matrix" in pert:
-        return QuadraticOracle(pert["matrix"]), "perturbation.matrix"
-    return QuadraticOracle(np.eye(dim)).scaled(pert.get("lambda", 0.1)), "perturbation.lambda"
+        pen = SumOracle(pen, weights=(float(pert.get("weight", 1.0)),))
+    elif "matrix" in pert:
+        key = sized_by = "perturbation.matrix"
+        pen = _ridge(key, pert["matrix"])
+    else:
+        return QuadraticOracle(np.eye(dim)).scaled(pert.get("lambda", 0.1)), "perturbation.lambda"
+    if pen.dim != dim:
+        raise ValueError(f"{key}: penalty has dimension {pen.dim}, problem has {dim}")
+    return pen, sized_by
 
 
 def _build_certificate(
@@ -398,31 +415,6 @@ def _build_certificate(
         inflation=float(spec.get("inflation", constants.ESTIMATE_INFLATION)),
         include_omega=include_omega,
     )
-
-
-def _perturbed_problem(
-    cfg: ExperimentConfig,
-    f: Oracle,
-    xstar: np.ndarray,
-    perturbation: np.ndarray | Oracle,
-    curvature: SpdOperator,
-    sized_by: str,
-) -> tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate]:
-    """:func:`as_tilt`'s ``(g, drive, F)`` for a tilt or a penalty, and the certificate.
-
-    A tilt's certificate describes ``f``.  A penalty's describes ``f + pen``,
-    which ``x*`` does not minimize: it has no sampled omega, and ``x*`` is
-    checked to minimize ``f`` in its metric.  ``sized_by`` is the key sizing a penalty.
-    """
-    penalty = isinstance(perturbation, Oracle)
-    keys = f"problem or {sized_by}" if penalty else "problem"
-    with _sized_by(keys):
-        g, drive, F = as_tilt(f, xstar, perturbation, curvature)
-    with _sized_by(f"{keys} or certificate.radius"):
-        cert = _build_certificate(cfg, g if penalty else f, xstar, F, include_omega=not penalty)
-        if penalty:
-            check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    return g, drive, F, cert
 
 
 def _summary_rows(results: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
@@ -468,47 +460,65 @@ def _verified(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
 
 
 def _verified_problem(
+    cfg: ExperimentConfig,
+    f: Oracle,
     xstar: np.ndarray,
-    perturbed: tuple[Oracle, np.ndarray, SpdOperator, SmoothnessCertificate],
+    perturbation: np.ndarray | Oracle,
+    curvature: SpdOperator,
+    key: str,
     orders: list,
-) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Each order's report for ``perturbed = (g, drive, F, cert)``, verified by one solve.
+) -> tuple[SmoothnessCertificate, dict[str, Any], list[dict[str, Any]]]:
+    """The tilt or penalty ``perturbation`` of ``f``, sized by ``key``, predicted
+    from the factored ``curvature = grad^2 f(x*)``, certified, and each order
+    verified by one solve.
 
-    ``F`` is ``g``'s factored Hessian at ``x*``; the solve starts at ``x*``
-    from it.
+    A ``curvature`` that :func:`predict` keeps unchecked is held to the SPD
+    floor here.  A tilt's certificate describes ``f``.  A penalty's describes
+    ``f + pen``, which ``x*`` does not minimize: it has no sampled omega, and
+    ``x*`` is checked to minimize ``f`` in its metric.
 
-    Returns what a report states once per perturbed problem, ``{"tilt",
-    "prediction", "certificate", "solution"}`` (the prediction's skew pair
-    is ``None`` unless order 4 was built, and the solution is ``None`` when
-    every order is skipped, as no solve is made), and one result per order,
-    ``{"order", "report", "verification"}``, or ``{"order", "skipped"}``
-    with the reason :func:`expansion_for_order` gives when ``g`` or the
-    certificate does not support the order.
+    Returns the certificate; ``{"tilt", "prediction", "certificate",
+    "solution"}`` (a skew pair only if order 4 was built, no solution if
+    every order was skipped); and per order ``{"order", "report",
+    "verification"}``, or ``{"order", "skipped"}`` with the reason
+    :func:`expansion_for_order` gives.
     """
-    g, drive, F, cert = perturbed
-    prediction = predict(F, drive, g, xstar)
+    penalty = isinstance(perturbation, Oracle)
+    keys = f"problem or {key}" if penalty else "problem"
+    with _sized_by(keys):
+        prediction = predict(f, xstar, perturbation, curvature=curvature)
+        if prediction.F is curvature:
+            check_floor(curvature.matrix)
+    with _sized_by(f"{keys} or certificate.radius"):
+        cert = _build_certificate(
+            cfg, prediction.g if penalty else f, xstar, prediction.F, include_omega=not penalty
+        )
+        if penalty:
+            check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
     results: list[dict[str, Any]] = []
     reports = []
-    for order in orders:
-        try:
-            rep = expansion_for_order(prediction, cert, order)
-        except (
-            MissingConstant, MissingThirdDerivative, MissingFourthDerivative, PreconditionViolated
-        ) as exc:
-            results.append({"order": str(order), "skipped": f"order {order} skipped: {exc}"})
-            continue
-        reports.append(rep)
-        results.append({"order": str(order), "report": rep.to_dict()})
-    solution, comparisons = solve_and_compare(g, xstar, reports)
-    for res, comparison in zip(_verified(results), comparisons):
-        res["verification"] = comparison.to_dict()
-    problem = {
-        "tilt": drive.tolist(),
-        "prediction": prediction.to_dict(),
-        "certificate": cert.to_dict(),
-        "solution": None if solution is None else solution.to_dict(),
-    }
-    return problem, results
+    with _sized_by(f"problem or {key}"):
+        for order in orders:
+            try:
+                rep = expansion_for_order(prediction, cert, order)
+            except (
+                MissingConstant, MissingThirdDerivative, MissingFourthDerivative,
+                PreconditionViolated,
+            ) as exc:
+                results.append({"order": str(order), "skipped": f"order {order} skipped: {exc}"})
+                continue
+            reports.append(rep)
+            results.append({"order": str(order), "report": rep.to_dict()})
+        solution, comparisons = solve_and_compare(reports)
+        for res, comparison in zip(_verified(results), comparisons):
+            res["verification"] = comparison.to_dict()
+        problem = {
+            "tilt": prediction.A.tolist(),
+            "prediction": prediction.to_dict(),
+            "certificate": cert.to_dict(),
+            "solution": None if solution is None else solution.to_dict(),
+        }
+    return cert, problem, results
 
 
 def _aggregate_exit(results: list[dict[str, Any]], require_gates: bool) -> int:
@@ -529,7 +539,7 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     """Run the configured expansion orders and verify each against the solver.
 
     A penalty is a linear tilt of ``f + pen`` with drive ``grad pen(x*)``, so
-    both kinds are one perturbed problem (:func:`_perturbed_problem`).  It is
+    both kinds are one perturbed problem (:func:`_verified_problem`).  It is
     built and solved once, from the factored ``grad^2 f(x*)`` that the
     anchor solve's converging step evaluated, and every order's report is
     checked against that solution; an order that ``g`` or its certificate
@@ -542,9 +552,9 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     xstar = anchor.xhat
     linear = cfg.perturbation["kind"] == "linear"
     perturbation, key = (_linear_tilt if linear else _penalty)(cfg, f.dim)
-    perturbed = _perturbed_problem(cfg, f, xstar, perturbation, anchor.curvature, key)
-    with _sized_by(f"problem or {key}"):
-        problem, results = _verified_problem(xstar, perturbed, cfg.orders)
+    _, problem, results = _verified_problem(
+        cfg, f, xstar, perturbation, anchor.curvature, key, cfg.orders
+    )
     return {
         "schema": REPORT_SCHEMA,
         "command": "certify",
@@ -621,26 +631,26 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     with _sized_by("problem"):
         anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
-    A0, _ = _linear_tilt(cfg, f.dim)
+    A0, key = _linear_tilt(cfg, f.dim)
     F = anchor.curvature
     check_floor(F.matrix)
     eps_grid = list(cfg.raw.get("scaling", {}).get("eps_grid", DEFAULT_EPS_GRID))
 
     rows = []
-    for eps in eps_grid:
-        A = eps * A0
-        # Predicted first: a tilt too large to predict is an error before its solve.
-        p = predict(F, A, f, xstar)
-        correction, T = p.skew
-        solution = solve_from(linearly_perturb(f, A), xstar, F)
-        shift, dval = solution.actual_shift, solution.actual_value_change
-        r_newton = _norm(shift + p.u0)
-        r_skew = _norm(shift - (-p.u0 + correction))
-        # The order-4 value error is the order-2 one plus T: the same as
-        # dval minus the order-4 prediction, but T is added after dval and
-        # -xi^2/2 have cancelled, so it is not rounded at the scale of xi^2.
-        resid2 = dval - p.newton_value_change
-        rows.append([eps, r_newton, r_skew, abs(resid2), abs(resid2 + T)])
+    for i, eps in enumerate(eps_grid):
+        with _sized_by(f"problem or {key} or scaling.eps_grid.{i}"):
+            # Predicted first: a tilt too large to predict is an error before its solve.
+            p = predict(f, xstar, eps * A0, curvature=F)
+            correction, T = p.skew
+            solution = solve_from(p.g, xstar, F)
+            shift, dval = solution.actual_shift, solution.actual_value_change
+            r_newton = _norm(shift + p.u0)
+            r_skew = _norm(shift - (-p.u0 + correction))
+            # The order-4 value error is the order-2 one plus T: the same as
+            # dval minus the order-4 prediction, but T is added after dval and
+            # -xi^2/2 have cancelled, so it is not rounded at the scale of xi^2.
+            resid2 = dval - p.newton_value_change
+            rows.append([eps, r_newton, r_skew, abs(resid2), abs(resid2 + T)])
 
     columns = list(zip(*rows))[1:]
     slopes = {name: _fit_slope(eps_grid, col) for name, col in zip(SCALING_HEADER[1:], columns)}
@@ -689,7 +699,7 @@ def _sweep_base_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
         return np.outer(v, v)
     G2 = np.asarray(spec["matrix"], dtype=float)
     if G2.shape != (dim, dim):
-        raise ValueError(f"sweep matrix has shape {G2.shape}, need ({dim},{dim})")
+        raise ValueError(f"sweep.g2.matrix: shape {G2.shape}, need ({dim}, {dim})")
     return G2
 
 
@@ -728,18 +738,16 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     with _sized_by("problem"):
         anchor = newton_minimize(f, prob.x0)
     xstar = anchor.xhat
-    ridge = QuadraticOracle(_sweep_base_matrix(cfg, f.dim))
+    ridge = _ridge("sweep.g2.matrix", _sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
 
     rows = []
     results = []
     warnings = []
     for i, lam in enumerate(grid):
-        key = f"sweep.lambda_grid.{i}"
-        perturbed = _perturbed_problem(cfg, f, xstar, ridge.scaled(lam), anchor.curvature, key)
-        _, _, _, cert = perturbed
-        with _sized_by(f"problem or {key}"):
-            problem, verified = _verified_problem(xstar, perturbed, [3, 4])
+        cert, problem, verified = _verified_problem(
+            cfg, f, xstar, ridge.scaled(lam), anchor.curvature, f"sweep.lambda_grid.{i}", [3, 4]
+        )
         entry: dict[str, Any] = {"lambda": lam, **problem}
         for res in verified:
             if "skipped" in res:
@@ -807,7 +815,7 @@ def cmd_ridge_sweep(
 # ---------------------------------------------------------------------------
 
 
-def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
+def run_selftest(seed: int = 0) -> tuple[int, list[str]]:
     """Fast consistency battery; returns (exit_code, log lines)."""
     lines: list[str] = []
     failures = 0
@@ -853,7 +861,9 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
     logistic = {"kind": "logistic", "dim": 4, "n": 32, "reg": 0.2, "seed": seed + 7}
     prob = oracle_from_descriptor(logistic)
     sol = newton_minimize(prob.oracle, prob.x0)
-    cert = estimate_certificate(prob.oracle, sol.xhat, radius=0.5, samples=120, seed=seed + 8)
+    cert = estimate_certificate(
+        prob.oracle, sol.xhat, curvature=sol.curvature, radius=0.5, samples=120, seed=seed + 8
+    )
     gates = taylor_diagnostics(prob.oracle, sol.xhat, cert, samples=80, seed=seed + 9)
     worst = max(g.lhs for g in gates)
     check("taylor remainders", all(g.satisfied for g in gates), f"worst ratio {worst:.3f}")
@@ -906,14 +916,13 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> tuple[int, list[str]]:
 
     code = EXIT_OK if failures == 0 else EXIT_BOUND_VIOLATED
     lines.append(f"selftest: {'all checks passed' if failures == 0 else f'{failures} failure(s)'}")
-    if verbose:
-        for line in lines:
-            print(line)
     return code, lines
 
 
 def cmd_selftest(out_dir: str | None = None, seed: int = 0) -> int:
-    code, lines = run_selftest(seed=seed, verbose=True)
+    code, lines = run_selftest(seed=seed)
+    for line in lines:
+        print(line)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(

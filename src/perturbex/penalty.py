@@ -6,11 +6,10 @@ penalized minimizer; the displacement is driven by the penalty gradient
 ``F_pen = grad^2 (f + pen)(x*)``.  On the shifted scale the penalized
 objective is exactly a linear tilt, with drive ``M``, of a function
 minimized at ``x*``, so a bias report is the :class:`ExpansionReport` that
-:func:`expansion_for_order` builds from the prediction ``predict(F_pen, M,
-f + pen, x*)``: same predictions, same radii with ``b = ||D F_pen^{-1} M||``
-in the certificate's metric ``D``, same verification.  :func:`as_tilt`
-states a tilt ``f + <., A>`` or a penalty in these terms; every perturbed
-problem, here and in the harness, is built by it.
+:func:`expansion_for_order` builds from the prediction ``predict(f, x*,
+pen)``, which states the perturbed problem ``f + pen``: same predictions,
+same radii with ``b = ||D F_pen^{-1} M||`` in the certificate's metric
+``D``, same verification, ``solve_and_compare([report])``.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`QuadraticOracle`
 penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
@@ -20,35 +19,14 @@ from __future__ import annotations
 
 from . import constants
 from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order, predict
-from .linalg import SpdOperator, as_vector, check_floor, spd_from_dense
-from .oracle import Oracle, QuadraticOracle, linearly_perturb, smoothly_penalize
+from .linalg import SpdOperator, as_vector
+from .oracle import Oracle, QuadraticOracle
 from .smoothness import SmoothnessCertificate, check_anchor
 
 __all__ = [
     "ridge_bias_exact_quadratic",
     "smooth_penalty_bias",
 ]
-
-
-def as_tilt(f: Oracle, xstar, perturbation, curvature: SpdOperator | None = None):
-    """``(g, drive, F)`` of ``f + <., A>`` (a vector) or ``f + pen`` (an oracle) at ``x*``.
-
-    ``drive`` is ``A`` or ``grad pen(x*)`` and ``F`` is ``g.hessian(x*)``
-    factored.  A caller that holds ``grad^2 f(x*)`` factored passes it as
-    ``curvature``: a tilt's ``F`` is then that factor, held to the SPD floor.
-    """
-    xstar = as_vector(xstar, f.dim)
-    H = f.hessian(xstar) if curvature is None else curvature.matrix
-    if isinstance(perturbation, Oracle):
-        g = smoothly_penalize(f, perturbation)
-        drive = perturbation.gradient(xstar)
-        return g, drive, spd_from_dense(H + perturbation.hessian(xstar))
-    drive = as_vector(perturbation, f.dim)
-    g = linearly_perturb(f, drive)
-    if curvature is None:
-        return g, drive, spd_from_dense(H)
-    check_floor(H)
-    return g, drive, curvature
 
 
 def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
@@ -58,8 +36,8 @@ def ridge_bias_exact_quadratic(F: SpdOperator, G2, upsstar) -> ExpansionReport:
     bias ``-F_G^{-1} M`` and value change ``-||F_G^{-1/2} M||^2 / 2``,
     both exact (zero radii).
     """
-    _, M, FG = as_tilt(QuadraticOracle(F), upsstar, QuadraticOracle(G2), F)
-    return exact_quadratic_expansion(predict(FG, M))
+    p = predict(QuadraticOracle(F, upsstar), upsstar, QuadraticOracle(G2), curvature=F)
+    return exact_quadratic_expansion(p)
 
 
 def smooth_penalty_bias(
@@ -75,9 +53,8 @@ def smooth_penalty_bias(
     certificate must describe ``f + pen`` around ``x*``.  A
     :class:`QuadraticOracle` penalty gives the ridge bias.  The order is
     :func:`expansion_for_order`'s, for ``f + pen``.  Verify the report
-    against the penalized problem ``smoothly_penalize(f, pen)``.
+    with ``solve_and_compare([report])``, which solves ``f + pen``.
     """
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
-    g, drive, F = as_tilt(f, upsstar, pen)
-    return expansion_for_order(predict(F, drive, g, upsstar), cert, order)
+    return expansion_for_order(predict(f, upsstar, pen), cert, order)

@@ -107,7 +107,8 @@ def newton_minimize(
     DimensionMismatch
         If ``curvature`` is not ``f.dim``-dimensional.
     LineSearchFailed
-        If backtracking underflows the step size.
+        If backtracking underflows the step size, or no step on the Hessian
+        at an iterate moves it.
     MaxIterExceeded
         If the tolerance is not reached within ``max_iter`` steps.
     """
@@ -134,43 +135,52 @@ def newton_minimize(
         usable = held is not None and dual_norm > CHORD_CONTRACTION * tol
         if chord:
             usable = usable and dual_norm <= CHORD_CONTRACTION * previous
-        if not (exact or usable):
-            try:
-                held = factor(f.hessian(x))
-            except np.linalg.LinAlgError:
-                raise HessianNotPd(f"Hessian not positive definite at iteration {iteration}")
-            hessians += 1
-            exact = True
-            d, dual_norm = _newton_step(held, g)
-        if exact and dual_norm <= tol:
-            return SolveResult(
-                xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
-                hessians=hessians, start_value=start_value, curvature=held,
-            )
-        previous, chord, exact = dual_norm, not exact, False
-        if dual_norm <= PURE_NEWTON_THRESHOLD:
-            # Quadratic convergence zone: the Armijo decrease (~ decrement^2)
-            # is below the floating-point resolution of the value, so take
-            # the undamped step instead of comparing values.
-            x = x + d
-            fx = f.value(x)
-            continue
-        slope = float(g @ d)
-        step = 1.0
         while True:
-            trial = x + step * d
-            ftrial = f.value(trial)
-            if ftrial <= fx + ARMIJO_SLOPE * step * slope:
-                break
-            step *= BACKTRACK_FACTOR
-            if step < MIN_STEP:
-                raise LineSearchFailed(
-                    f"step underflow at iteration {iteration} (value {fx:.6g})"
+            if not (exact or usable):
+                try:
+                    held = factor(f.hessian(x))
+                except np.linalg.LinAlgError:
+                    raise HessianNotPd(f"Hessian not positive definite at iteration {iteration}")
+                hessians += 1
+                exact = True
+                d, dual_norm = _newton_step(held, g)
+            if exact and dual_norm <= tol:
+                return SolveResult(
+                    xhat=x, value=fx, grad_norm_dual=dual_norm, iterations=iteration,
+                    hessians=hessians, start_value=start_value, curvature=held,
                 )
-        x = trial
-        fx = ftrial
+            # Quadratic convergence zone: the Armijo decrease (~ decrement^2)
+            # is below the floating-point resolution of the value, so the
+            # undamped step is taken instead of comparing values.
+            moved = _line_search(f, x, fx, g, d, dual_norm > PURE_NEWTON_THRESHOLD, iteration)
+            if moved is not None:
+                break
+            # No step leaves x: a curvature held from an earlier point gives
+            # way to the Hessian at x, and on that Hessian the solve is stuck.
+            if exact:
+                raise LineSearchFailed(f"null step at iteration {iteration} (value {fx:.6g})")
+            usable = False
+        previous, chord, exact = dual_norm, not exact, False
+        x, fx = moved
 
     raise MaxIterExceeded(f"Newton decrement {dual_norm:.3e} > {tol:.3e} after {max_iter} iterations")
+
+
+def _line_search(f: Oracle, x, fx: float, g, d, damped: bool, iteration: int):
+    """The first of ``x + d``, ``x + d / 2``, ... that meets the Armijo condition
+    (``x + d`` unless ``damped``) and its value; ``None`` once one leaves ``x`` as it is."""
+    slope = float(g @ d)
+    step = 1.0
+    trial = x + d
+    while not np.array_equal(trial, x):
+        ftrial = f.value(trial)
+        if not damped or ftrial <= fx + ARMIJO_SLOPE * step * slope:
+            return trial, ftrial
+        step *= BACKTRACK_FACTOR
+        if step < MIN_STEP:
+            raise LineSearchFailed(f"step underflow at iteration {iteration} (value {fx:.6g})")
+        trial = x + step * d
+    return None
 
 
 def _newton_step(held: SpdOperator, g: np.ndarray) -> tuple[np.ndarray, float]:

@@ -162,7 +162,7 @@ def theorem_suite():
         label = f"{desc['kind']}-{i}"
         by_order = {}
         for order in (2, 3, 4):
-            rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
+            rep = px.expansion_for_order(px.predict(f, xstar, A, curvature=F), cert, order)
             comp = px.compare_with_solution(rep, shift, dval)
             tally.add(f"{label}/order{order}", rep, comp)
             by_order[order] = comp
@@ -259,8 +259,8 @@ def test_quadratic_predictions_are_exact(criterion):
         prob = px.oracle_from_descriptor(desc)
         rng = np.random.default_rng(900 + k)
         A = 10.0 ** ((k % 5) - 3) * rng.standard_normal(dim)
-        rep = px.exact_quadratic_expansion(px.predict(prob.curvature, A))
-        _, comp = px.verify_expansion(prob.oracle, prob.minimizer, rep)
+        p = px.predict(prob.oracle, prob.minimizer, A, curvature=prob.curvature)
+        _, (comp,) = px.solve_and_compare([px.exact_quadratic_expansion(p)])
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, comp.residual_norms))
     elapsed = time.perf_counter() - t0
@@ -292,8 +292,7 @@ def test_ridge_bias_is_exact_on_quadratics(criterion):
         else:
             G2 = lam * px.random_spd(rng, dim, cond=8.0).matrix
         rep = px.ridge_bias_exact_quadratic(prob.curvature, G2, prob.minimizer)
-        penalized = px.quadratically_penalize(prob.oracle, G2)
-        _, (comp,) = px.solve_and_compare(penalized, prob.minimizer, [rep])
+        _, (comp,) = px.solve_and_compare([rep])
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, lam, comp.residual_norms))
     elapsed = time.perf_counter() - t0

@@ -11,6 +11,14 @@ from perturbex.errors import MissingThirdDerivative, PreconditionViolated
 _I1 = px.spd_from_dense(np.eye(1))
 
 
+def _predict(F, A, f=None, xstar=None):
+    """The tilt ``A`` of ``f`` (the quadratic of ``F`` by default) at ``x*`` (0 by
+    default), stepping on the caller's curvature ``F``."""
+    f = px.QuadraticOracle(F) if f is None else f
+    xstar = np.zeros(F.dim) if xstar is None else xstar
+    return px.predict(f, xstar, A, curvature=F)
+
+
 def _cubic_1d():
     return px.CustomOracle(
         dim=1,
@@ -27,7 +35,7 @@ class TestExactQuadratic:
         # F = diag(2, 4), A = (1, 2): shift -F^{-1}A = (-1/2, -1/2) and
         # value -||F^{-1/2}A||^2/2 = -(1/2 + 1)/2 = -3/4.
         F = px.spd_from_dense(np.diag([2.0, 4.0]))
-        rep = px.exact_quadratic_expansion(px.predict(F, np.array([1.0, 2.0])))
+        rep = px.exact_quadratic_expansion(_predict(F, np.array([1.0, 2.0])))
         np.testing.assert_allclose(rep.predicted_shift, [-0.5, -0.5], atol=1e-15)
         assert rep.predicted_value_change == pytest.approx(-0.75, abs=1e-15)
         assert all(b.radius == 0.0 for b in rep.bounds.shift_bounds)
@@ -38,8 +46,8 @@ class TestExactQuadratic:
         center = rng.standard_normal(6)
         f = px.QuadraticOracle(F, center)
         A = rng.standard_normal(6)
-        rep = px.exact_quadratic_expansion(px.predict(F, A))
-        _, comp = px.verify_expansion(f, center, rep)
+        rep = px.exact_quadratic_expansion(_predict(F, A, f, center))
+        _, (comp,) = px.solve_and_compare([rep])
         assert comp.certifying
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
@@ -49,7 +57,7 @@ class TestExactQuadratic:
         F = px.random_spd(rng, 4, cond=9.0)
         A = rng.standard_normal(4)
         B = rng.standard_normal(4)
-        v = lambda t: px.exact_quadratic_expansion(px.predict(F, t)).predicted_value_change
+        v = lambda t: px.exact_quadratic_expansion(_predict(F, t)).predicted_value_change
         cross = v(A + B) - v(A) - v(B)
         assert cross == pytest.approx(-float(A @ F.solve(B)), rel=1e-12)
         assert cross == pytest.approx(-float(B @ F.solve(A)), rel=1e-12)
@@ -60,7 +68,7 @@ class TestSecondOrder:
 
     def _bounds(self):
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.2)
-        return px.second_order_bounds(px.predict(_I1, np.array([1.0])), cert)
+        return px.second_order_bounds(_predict(_I1, np.array([1.0])), cert)
 
     def test_gates_all_pass(self):
         assert self._bounds().all_gates_pass
@@ -83,7 +91,7 @@ class TestSecondOrder:
 
     def test_omega_cap_gate(self):
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.4)
-        bounds = px.second_order_bounds(px.predict(_I1, np.array([0.1])), cert)
+        bounds = px.second_order_bounds(_predict(_I1, np.array([0.1])), cert)
         assert not bounds.gate("omega_cap").satisfied
 
 
@@ -91,7 +99,7 @@ class TestThirdOrder:
     def test_frozen_radii(self):
         """tau3 = 0.4, b = xi = 1: newton radius 0.3, value half-width 0.1."""
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4)
-        bounds = px.third_order_bounds(px.predict(_I1, np.array([1.0])), cert)
+        bounds = px.third_order_bounds(_predict(_I1, np.array([1.0])), cert)
         by_name = {b.name: b.radius for b in bounds.shift_bounds}
         assert by_name["newton_residual_dinvf"] == pytest.approx(0.3, rel=1e-14)
         assert by_name["shift_d"] == pytest.approx(1.5, rel=1e-14)
@@ -105,7 +113,7 @@ class TestThirdOrder:
 
     def test_small_tilt_passes_all_gates(self):
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4)
-        bounds = px.third_order_bounds(px.predict(_I1, np.array([0.5])), cert)
+        bounds = px.third_order_bounds(_predict(_I1, np.array([0.5])), cert)
         assert bounds.all_gates_pass
         newton = next(
             b for b in bounds.shift_bounds if b.name == "newton_residual_dinvf"
@@ -115,19 +123,19 @@ class TestThirdOrder:
     def test_requires_tau3(self):
         cert = px.declared_certificate(_I1, radius=1.0, omega=0.1)
         with pytest.raises(MissingThirdDerivative):
-            px.third_order_bounds(px.predict(_I1, np.array([0.1])), cert)
+            px.third_order_bounds(_predict(_I1, np.array([0.1])), cert)
 
     def test_metric_four_times_the_curvature_has_kappa_two(self, logistic_certificate):
         """``D^2 = 4 F`` gives the computed ``kappa = 2``: the wide radius is ``(4/3) 2 xi``."""
         f, xstar, F, _ = logistic_certificate
         M = px.spd_from_dense(4.0 * F.matrix)
         cert = px.estimate_certificate(f, xstar, curvature=F, metric=M, radius=1.0, seed=21)
-        p = px.predict(F, 0.02 * np.ones(f.dim), f, xstar)
+        p = _predict(F, 0.02 * np.ones(f.dim), f, xstar)
         rep = px.expansion_for_order(p, cert, 3)
         assert px.kappa_between(M, F) == pytest.approx(2.0, rel=1e-12)
         wide = next(b for b in rep.bounds.shift_bounds if b.name == "shift_d_wide")
         assert wide.radius == pytest.approx(4.0 / 3.0 * 2.0 * p.xi, rel=1e-12)
-        _, comp = px.verify_expansion(f, xstar, rep)
+        _, (comp,) = px.solve_and_compare([rep])
         (entry,) = [e for e in comp.entries if e["name"] == "shift_d_wide"]
         assert entry["certified"] and entry["slack"] <= 1.0
         assert comp.violations == []
@@ -161,7 +169,7 @@ class TestFourthOrder:
         """tau3 = 0.4, tau4 = 0.3, b = 1: skew radius 0.31, value 0.2136."""
         f = px.QuadraticOracle(_I1, np.zeros(1))  # zero tensors, pure formulas
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.4, tau4=0.3)
-        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
+        rep = px.fourth_order_expansion(_predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert rep.bounds.all_gates_pass
         skew = next(
             b for b in rep.bounds.shift_bounds if b.name == "skew_residual_dinvf"
@@ -174,7 +182,7 @@ class TestFourthOrder:
         """For f = x^2/2 + x^3/6 and A = 1: u0 = 1, T = 1/6, skew = -1/2."""
         f = _cubic_1d()
         cert = px.declared_certificate(_I1, radius=2.0, omega=1.0, tau3=1.0, tau4=0.0)
-        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
+        rep = px.fourth_order_expansion(_predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert rep.prediction.skew[0][0] == pytest.approx(-0.5, abs=1e-15)
         assert rep.predicted_shift[0] == pytest.approx(-1.5, abs=1e-15)
         assert rep.predicted_value_change == pytest.approx(-0.5 - 1.0 / 6.0, abs=1e-15)
@@ -183,8 +191,8 @@ class TestFourthOrder:
         """shift(A) + shift(-A) = 2 * skew(A): the Newton parts cancel exactly."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        plus = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
-        minus = px.fourth_order_expansion(px.predict(F, -A, f, xstar), cert)
+        plus = px.fourth_order_expansion(_predict(F, A, f, xstar), cert)
+        minus = px.fourth_order_expansion(_predict(F, -A, f, xstar), cert)
         np.testing.assert_allclose(
             plus.predicted_shift + minus.predicted_shift,
             2.0 * plus.prediction.skew[0],
@@ -195,7 +203,7 @@ class TestFourthOrder:
         """The corrected shift sits within (tau3 / 2) b^2 of the Newton step."""
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.arange(1.0, f.dim + 1)
-        rep = px.fourth_order_expansion(px.predict(F, A, f, xstar), cert)
+        rep = px.fourth_order_expansion(_predict(F, A, f, xstar), cert)
         diag = {g.name: g for g in rep.bounds.diagnostics}
         assert diag["mu_proximity"].satisfied
         b = cert.metric.norm(F.solve(A))
@@ -205,7 +213,7 @@ class TestFourthOrder:
     def test_tau4_gate(self):
         f = px.QuadraticOracle(_I1, np.zeros(1))
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.0, tau3=0.1, tau4=0.5)
-        rep = px.fourth_order_expansion(px.predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
+        rep = px.fourth_order_expansion(_predict(_I1, np.array([1.0]), f, np.zeros(1)), cert)
         assert not rep.bounds.gate("tau4_dnorm").satisfied
 
 
@@ -221,7 +229,7 @@ class TestPrediction:
             hessian=cubic.hessian,
             third_dir=lambda x, u: calls.append(1) or cubic.third_dir(x, u),
         )
-        p = px.predict(_I1, np.array([1.0]), f, np.zeros(1))
+        p = _predict(_I1, np.array([1.0]), f, np.zeros(1))
         assert p.to_dict() == {
             "newton_shift": [-1.0], "newton_value_change": -0.5,
             "skew_correction": None, "skew_value": None,
@@ -233,26 +241,36 @@ class TestPrediction:
         assert p.to_dict()["skew_correction"] == [-0.5]
         assert p.to_dict()["skew_value"] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
-    def test_orders_that_read_the_objective_need_it(self, logistic_certificate):
+    @pytest.mark.parametrize("kind", ["tilt", "penalty"])
+    def test_prediction_states_its_problem(self, kind, logistic_certificate):
+        """``g`` is ``f + <., A>`` or ``f + pen``, with the drive ``A`` and ``g``'s
+        factored Hessian ``F`` at ``x*``; verification solves that ``g``."""
         f, xstar, F, cert = logistic_certificate
-        p = px.predict(F, 0.01 * np.ones(f.dim))
-        assert px.expansion_for_order(p, cert, 3).order == "3"
-        for order in (4, "exact"):
-            with pytest.raises(ValueError, match="without f and x"):
-                px.expansion_for_order(p, cert, order)
+        A = 0.01 * np.ones(f.dim)
+        pen = px.QuadraticOracle(0.1 * np.eye(f.dim))
+        p = px.predict(f, xstar, A if kind == "tilt" else pen, curvature=F)
+        np.testing.assert_array_equal(p.xstar, xstar)
+        np.testing.assert_array_equal(p.g.gradient(xstar), f.gradient(xstar) + p.A)
+        np.testing.assert_allclose(p.F.matrix, p.g.hessian(xstar), rtol=1e-14)
+        assert (p.F is F) == (kind == "tilt")
+        solution, (comp,) = px.solve_and_compare([px.expansion_for_order(p, cert, 3)])
+        xhat = xstar + solution.actual_shift
+        assert p.F.dual_norm(p.g.gradient(xhat)) <= 1e-10
+        with pytest.raises(TypeError):
+            px.predict(F, A, f, xstar)  # the old positional form binds nothing silently
 
 
 class TestDispatch:
     def test_unknown_order(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         with pytest.raises(ValueError):
-            px.expansion_for_order(px.predict(F, np.zeros(f.dim), f, xstar), cert, 5)
+            px.expansion_for_order(_predict(F, np.zeros(f.dim), f, xstar), cert, 5)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_order_tag_matches(self, order, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
-        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
+        rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, order)
         assert rep.order == str(order)
         assert rep.anchor == "base-minimizer"
 
@@ -261,7 +279,7 @@ class TestDispatch:
         A = 0.01 * np.ones(f.dim)
         for g in (f, px.linearly_perturb(f, A)):
             with pytest.raises(PreconditionViolated, match="not quadratic"):
-                px.expansion_for_order(px.predict(F, A, g, xstar), cert, "exact")
+                px.expansion_for_order(_predict(F, A, g, xstar), cert, "exact")
 
 
 class TestVerification:
@@ -269,16 +287,16 @@ class TestVerification:
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
         g = px.linearly_perturb(f, A)
-        p = px.predict(F, A, f, xstar)
+        p = _predict(F, A, f, xstar)
         reports = [px.expansion_for_order(p, cert, order) for order in (2, 3)]
-        solution, comps = px.solve_and_compare(g, xstar, reports)
+        solution, comps = px.solve_and_compare(reports)
         assert len(comps) == 2
         assert solution.solver["grad_norm_dual"] <= 1e-12 * (1 + abs(g.value(xstar)))
-        assert px.solve_and_compare(g, xstar, []) == (None, [])
+        assert px.solve_and_compare([]) == (None, [])
         other = px.spd_from_dense(2.0 * F.matrix)
-        reports.append(px.expansion_for_order(px.predict(other, A, f, xstar), cert, 3))
-        with pytest.raises(ValueError, match="different curvatures"):
-            px.solve_and_compare(g, xstar, reports)
+        reports.append(px.expansion_for_order(_predict(other, A, f, xstar), cert, 3))
+        with pytest.raises(ValueError, match="different predictions"):
+            px.solve_and_compare(reports)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_logistic_orders_certify_with_slack(self, order, logistic_certificate):
@@ -286,8 +304,8 @@ class TestVerification:
         rng = np.random.default_rng(17)
         v = rng.standard_normal(f.dim)
         A = 0.02 * v / np.linalg.norm(v)
-        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, order)
-        _, comp = px.verify_expansion(f, xstar, rep)
+        rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, order)
+        _, (comp,) = px.solve_and_compare([rep])
         assert comp.certifying, rep.bounds.failed_gates()
         assert comp.violations == []
         assert comp.max_certified_slack <= 1.0
@@ -295,8 +313,8 @@ class TestVerification:
     def test_zero_tilt_has_zero_slack(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = np.zeros(f.dim)
-        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, 3)
-        _, comp = px.verify_expansion(f, xstar, rep)
+        rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, 3)
+        _, (comp,) = px.solve_and_compare([rep])
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -305,9 +323,9 @@ class TestVerification:
         f = _cubic_1d()
         lying = px.declared_certificate(_I1, radius=1.0, omega=0.5, tau3=1e-6, tau4=0.0)
         A = np.array([0.3])
-        rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), lying, 3)
+        rep = px.expansion_for_order(_predict(_I1, A, f, np.zeros(1)), lying, 3)
         assert rep.bounds.all_gates_pass  # the lie makes every gate easy
-        _, comp = px.verify_expansion(f, np.zeros(1), rep)
+        _, (comp,) = px.solve_and_compare([rep])
         assert "newton_residual_dinvf" in comp.violations
 
     def test_uncertified_bounds_never_raise_violations(self):
@@ -315,9 +333,9 @@ class TestVerification:
         f = _cubic_1d()
         cert = px.declared_certificate(_I1, radius=0.1, omega=0.5, tau3=1e-6, tau4=0.0)
         A = np.array([0.3])  # dnorm_radius gate fails: 0.45 > 0.1
-        rep = px.expansion_for_order(px.predict(_I1, A, f, np.zeros(1)), cert, 3)
+        rep = px.expansion_for_order(_predict(_I1, A, f, np.zeros(1)), cert, 3)
         assert not rep.bounds.all_gates_pass
-        _, comp = px.verify_expansion(f, np.zeros(1), rep)
+        _, (comp,) = px.solve_and_compare([rep])
         assert not comp.certifying
         assert comp.violations == []
 
@@ -326,7 +344,7 @@ class TestVerification:
         """Order 2's value bracket [-1/8, 1/12] (TestSecondOrder's example) is
         asymmetric: each residual's slack and stated radius use one end."""
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.2)
-        rep = px.expansion_for_order(px.predict(_I1, np.array([1.0])), cert, 2)
+        rep = px.expansion_for_order(_predict(_I1, np.array([1.0])), cert, 2)
         actual = rep.predicted_value_change + resid
         comp = px.compare_with_solution(rep, rep.predicted_shift, actual)
         (entry,) = [e for e in comp.entries if e["name"] == "value"]
@@ -337,8 +355,8 @@ class TestVerification:
     def test_report_roundtrips_through_json(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.ones(f.dim)
-        rep = px.expansion_for_order(px.predict(F, A, f, xstar), cert, 4)
-        _, comp = px.verify_expansion(f, xstar, rep)
+        rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, 4)
+        _, (comp,) = px.solve_and_compare([rep])
         blob = json.dumps({"report": rep.to_dict(), "verification": comp.to_dict()})
         parsed = json.loads(blob)
         assert parsed["report"]["order"] == "4"

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -210,6 +211,22 @@ def _penalized(perturbation: dict, **certificate) -> tuple[str, dict, bool, int]
 )
 # A negative certificate seed, which the schema allows.
 @example(_penalized({"kind": "quadratic", "lambda": 0.1}, seed=-1))
+# A tilt that moves the solve to x near -2e139, where no step of the Newton
+# direction leaves x: the solve stops there, where it once spent 100 iterations.
+@example(
+    (
+        "scaling",
+        {
+            "seed": 1,
+            "problem": {"kind": "logsumexp", "dim": 1, "n": 2, "temp": 1.23e-54, "reg": 0.1,
+                        "seed": 0},
+            "perturbation": {"kind": "linear", "scale": 1},
+            "scaling": {"eps_grid": [2.16e138, 1]},
+        },
+        False,
+        re.compile(r"perturbex: error: null step at iteration [0-3] "),
+    )
+)
 def test_every_valid_config_exits_cleanly(run):
     command, config, require_gates, *expected = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -230,5 +247,7 @@ def test_every_valid_config_exits_cleanly(run):
     for want in expected:
         if isinstance(want, int):
             assert code == want, message
+        elif isinstance(want, re.Pattern):
+            assert code == 1 and want.match(message), message
         else:
             assert code == 1 and message.startswith(f"perturbex: error: {want}: overflow"), message

@@ -27,13 +27,10 @@ from perturbex import (
     oracle_from_descriptor,
     predict,
     smooth_penalty_bias,
-    smoothly_penalize,
     solve_and_compare,
-    verify_expansion,
 )
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
-from perturbex.penalty import as_tilt
 
 
 def _write(tmp_path, name, payload):
@@ -321,7 +318,7 @@ class TestOneSolvePerProblem:
         entries = _verified_entries(report)
         assert len(entries) == len(built) == 3
         for entry, rep in zip(entries, built):
-            solution, alone = verify_expansion(f, xstar, rep)
+            solution, (alone,) = solve_and_compare([rep])
             assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
             assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 
@@ -339,13 +336,12 @@ class TestOneSolvePerProblem:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         f = oracle_from_descriptor(report["problem"]).oracle
-        penalized = smoothly_penalize(f, QuadraticOracle(0.2 * np.eye(4)))
         xstar = np.array(report["anchor"]["xstar"])
         entries = _verified_entries(report)
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            solution, (alone,) = solve_and_compare(penalized, xstar, [rep])
+            solution, (alone,) = solve_and_compare([rep])
             assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
             assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 
@@ -436,7 +432,7 @@ class TestKappaOncePerPair:
         f = prob.oracle
         anchor = solver.newton_minimize(f, prob.x0)
         pen = QuadraticOracle(0.1 * np.eye(f.dim))
-        _, _, F = as_tilt(f, anchor.xhat, pen, anchor.curvature)
+        F = predict(f, anchor.xhat, pen, curvature=anchor.curvature).F
         cert = declared_certificate(F, radius=0.5, omega=None, tau3=0.5)
         rep = smooth_penalty_bias(f, anchor.xhat, pen, cert, order=3)
         assert rep.prediction.F is not F
@@ -454,7 +450,7 @@ class TestKappaOncePerPair:
 
 class TestSweepIsOneFactoredFamily:
     """A run evaluates and factors ``grad^2 f(x*)`` once; a sweep factors each
-    weight's ``H0 + lam G2`` once, with no eigendecomposition.
+    non-zero weight's ``H0 + lam G2`` once, with no eigendecomposition.
 
     Every Hessian evaluation counts, the Newton steps of the anchor and the
     verification solves included: the anchor's converging step is the one
@@ -462,9 +458,9 @@ class TestSweepIsOneFactoredFamily:
     anchor evaluates two Hessians (at the start point and at ``x*``), each
     verification solve at a non-zero tilt one (at its end) and a weight-0
     solve none.  Each evaluated Hessian is factored once, where it is
-    evaluated, so a run's factorizations are its Hessians plus one per
-    weight, and no matrix reaches ``np.linalg.cholesky`` twice, but for the
-    weight-0 ``H0 + 0 G2``, which is ``H0`` itself.
+    evaluated, and weight 0's ``H0 + 0 G2`` is ``H0``, whose factor the anchor
+    hands on, so a run's factorizations are its Hessians plus one per
+    non-zero weight, and no matrix reaches ``np.linalg.cholesky`` twice.
     """
 
     @pytest.fixture
@@ -517,14 +513,14 @@ class TestSweepIsOneFactoredFamily:
         return sum(np.array_equal(x, xstar) for x in counts["hessian_points"])
 
     @pytest.mark.parametrize(
-        "g2, factors",
+        "g2, weights",
         [
             ({"mode": "identity"}, 3),
             ({"mode": "matrix", "matrix": np.eye(5).tolist()}, 3),
             ({"mode": "rank1", "seed": 12}, 3),
         ],
     )
-    def test_factor_and_hessian_counts(self, tmp_path, counts, g2, factors):
+    def test_factor_and_hessian_counts(self, tmp_path, counts, g2, weights):
         payload = _sweep_config([0.0, 0.05, 0.1], g2)
         cfg = _write(tmp_path, "cfg.json", payload)
         out = str(tmp_path / "o")
@@ -533,12 +529,12 @@ class TestSweepIsOneFactoredFamily:
         )
         assert at_xstar == 1
         assert len(counts["hessian_points"]) == 2 + 2
-        # One per Hessian evaluated and one per weight.
-        assert counts["factors"] == len(counts["hessian_points"]) + factors
-        # Each factorization and each floor test runs one Cholesky; only the
-        # weight-0 curvature H0 + 0 G2 = H0 repeats the anchor's.
-        assert len(counts["cholesky"]) == counts["factors"] + factors
-        assert self._repeats(counts["cholesky"]) == 1
+        # One per Hessian evaluated and one per non-zero weight.
+        assert counts["factors"] == len(counts["hessian_points"]) + weights - 1
+        # Each factorization and each weight's floor test runs one Cholesky,
+        # and no matrix reaches it twice.
+        assert len(counts["cholesky"]) == counts["factors"] + weights
+        assert self._repeats(counts["cholesky"]) == 0
         assert counts["eigh"] == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["exit_code"] == 0
@@ -821,6 +817,86 @@ class TestConfigValidation:
         assert err.count("\n") == 1 and ("dimension 2" in err or "shape (2,)" in err)
 
     @pytest.mark.parametrize(
+        "command, edit, key",
+        [
+            (
+                "scaling",
+                lambda c: c.update(
+                    problem={"kind": "logsumexp", "dim": 1, "n": 2, "temp": 1e-3, "reg": 0.0,
+                             "seed": 3},
+                    perturbation={"kind": "linear", "scale": 1.0},
+                    scaling={"eps_grid": [2.16e138, 1e100]},
+                ),
+                "problem or perturbation.scale or scaling.eps_grid.0",
+            ),
+            (
+                "certify",
+                lambda c: c.update(perturbation={"kind": "linear", "vector": [1.0, 2.0]}),
+                "perturbation.vector",
+            ),
+            (
+                "certify",
+                lambda c: c.update(
+                    perturbation={"kind": "quadratic", "matrix": np.eye(2).tolist()}
+                ),
+                "perturbation.matrix",
+            ),
+            (
+                "certify",
+                lambda c: c.update(
+                    perturbation={"kind": "smooth",
+                                  "penalty": {"kind": "quadratic", "dim": 2, "seed": 1}}
+                ),
+                "perturbation.penalty.dim",
+            ),
+            (
+                "certify",
+                lambda c: c.update(
+                    perturbation={"kind": "quadratic", "matrix": np.triu(np.ones((6, 6))).tolist()}
+                ),
+                "perturbation.matrix",
+            ),
+            (
+                "certify",
+                lambda c: c.update(
+                    perturbation={"kind": "quadratic", "matrix": (-np.eye(6)).tolist()}
+                ),
+                "perturbation.matrix",
+            ),
+            (
+                "ridge-sweep",
+                lambda c: c["sweep"].update(g2={"mode": "matrix", "matrix": np.eye(2).tolist()}),
+                "sweep.g2.matrix",
+            ),
+            (
+                "ridge-sweep",
+                lambda c: c["sweep"].update(
+                    g2={"mode": "matrix", "matrix": np.triu(np.ones((5, 5))).tolist()}
+                ),
+                "sweep.g2.matrix",
+            ),
+            (
+                "ridge-sweep",
+                lambda c: c["sweep"].update(g2={"mode": "matrix", "matrix": (-np.eye(5)).tolist()}),
+                "sweep.g2.matrix",
+            ),
+        ],
+        ids=[
+            "scaling-overflow", "vector-shape", "matrix-shape", "penalty-dim", "matrix-asymmetric",
+            "matrix-indefinite", "g2-shape", "g2-asymmetric", "g2-indefinite",
+        ],
+    )
+    def test_perturbation_error_names_its_key(self, tmp_path, capsys, command, edit, key):
+        """A perturbation the program cannot use exits 1 with one line led by its key."""
+        sweep = command == "ridge-sweep"
+        payload = _sweep_config([0.0, 0.1]) if sweep else _command_config(command)
+        edit(payload)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"perturbex: error: {key}: "), err
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("certificate", "radius", {"mode": "declared", "radius": float("nan")}),
@@ -991,13 +1067,13 @@ class TestSelftest:
 
     def test_corrupted_constant_is_detected(self, monkeypatch):
         monkeypatch.setattr(constants, "OMEGA_MAX", 0.5)
-        code, lines = run_selftest(verbose=False)
+        code, lines = run_selftest()
         assert code == 2
         assert "FAIL" in lines[0]
         assert "OMEGA_MAX" in lines[0]
 
     def test_log_names_each_command_run(self):
-        code, lines = run_selftest(verbose=False)
+        code, lines = run_selftest()
         assert code == 0
         assert any(line.startswith("selftest: certify ") for line in lines)
         assert any(line.startswith("selftest: ridge-sweep ") for line in lines)
@@ -1016,7 +1092,7 @@ class TestSelftest:
             )
 
         monkeypatch.setattr(harness, "expansion_for_order", shifted)
-        code, lines = run_selftest(verbose=False)
+        code, lines = run_selftest()
         assert code == 2
         failed = [line for line in lines if "... FAIL" in line]
         assert len(failed) == 3
@@ -1024,7 +1100,7 @@ class TestSelftest:
 
 
 class TestOneTiltBuilder:
-    """Every perturbed problem is stated by ``penalty.as_tilt``."""
+    """Every perturbed problem is stated by ``predict``."""
 
     def test_smooth_penalty_bias_matches_certify(self, tmp_path, monkeypatch):
         certs = _recording(monkeypatch, "_build_certificate")
@@ -1061,13 +1137,13 @@ class TestOneTiltBuilder:
             "ridge": QuadraticOracle(0.2 * np.eye(4)),
             "smooth": SumOracle(LogisticOracle(np.eye(4), np.ones(4)), weights=(0.3,)),
         }[kind]
-        g, drive, F = as_tilt(f, anchor.xhat, perturbation)
-        _, drive2, F2 = as_tilt(f, anchor.xhat, perturbation, anchor.curvature)
-        H = g.hessian(anchor.xhat)
-        np.testing.assert_array_equal(F.matrix, linalg.spd_from_dense(H).matrix)
-        np.testing.assert_array_equal(F2.matrix, F.matrix)
-        np.testing.assert_array_equal(drive2, drive)
-        np.testing.assert_array_equal(g.gradient(anchor.xhat), f.gradient(anchor.xhat) + drive)
+        p = predict(f, anchor.xhat, perturbation)
+        held = predict(f, anchor.xhat, perturbation, curvature=anchor.curvature)
+        H = p.g.hessian(anchor.xhat)
+        np.testing.assert_array_equal(p.F.matrix, linalg.spd_from_dense(H).matrix)
+        np.testing.assert_array_equal(held.F.matrix, p.F.matrix)
+        np.testing.assert_array_equal(held.A, p.A)
+        np.testing.assert_array_equal(p.g.gradient(anchor.xhat), f.gradient(anchor.xhat) + p.A)
 
 
 class TestPenaltyOmega:
@@ -1474,8 +1550,7 @@ class TestOnePredictionPerProblem:
         report = self._run(tmp_path, "certify", _base_config())
         f = oracle_from_descriptor(report["problem"]).oracle
         xstar = np.array(report["anchor"]["xstar"])
-        g, drive, F = as_tilt(f, xstar, np.array(report["tilt"]))
-        p = predict(F, drive, g, xstar)
+        p = predict(f, xstar, np.array(report["tilt"]))
         p.skew  # computed, as the order-4 report computed it
         assert report["prediction"] == json.loads(json.dumps(p.to_dict()))
         self._check_orders(report["prediction"], report["results"], built)
@@ -1490,8 +1565,7 @@ class TestOnePredictionPerProblem:
         ridge = QuadraticOracle(harness._sweep_base_matrix(cfg, prob.oracle.dim))
         for k, entry in enumerate(report["results"]):
             pen = ridge.scaled(entry["lambda"])
-            g, drive, F = as_tilt(prob.oracle, anchor.xhat, pen, anchor.curvature)
-            p = predict(F, drive, g, anchor.xhat)
+            p = predict(prob.oracle, anchor.xhat, pen, curvature=anchor.curvature)
             p.skew  # computed, as the order-4 report computed it
             assert entry["prediction"] == json.loads(json.dumps(p.to_dict()))
             blocks = [entry["order3"], entry["order4"]]

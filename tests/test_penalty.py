@@ -35,8 +35,7 @@ def _ridge(f, xstar, G2, cert, order=3):
 
 def _verify(f, xstar, G2, rep):
     """Solve ``f + ridge`` from ``x*`` and check one bias report against it."""
-    penalized = px.smoothly_penalize(f, px.QuadraticOracle(G2))
-    return px.solve_and_compare(penalized, xstar, [rep])[1][0]
+    return px.solve_and_compare([rep])[1][0]
 
 
 class TestExactRidge:
@@ -53,8 +52,7 @@ class TestExactRidge:
         f = px.QuadraticOracle(F, center)
         G2mat = 0.3 * np.eye(4)
         rep = px.ridge_bias_exact_quadratic(F, G2mat, center)
-        penalized = px.quadratically_penalize(f, G2mat)
-        _, (comp,) = px.solve_and_compare(penalized, center, [rep])
+        _, (comp,) = px.solve_and_compare([rep])
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -96,7 +94,9 @@ class TestRidgeBounds:
         # Zero penalty gives bG = 0; drive the formula through a tilt instead:
         # reuse the bound expression by checking the fourth-order expansion
         # with b = 0.5 directly.
-        exp = px.fourth_order_expansion(px.predict(_I1, np.array([0.5]), f, np.zeros(1)), cert)
+        exp = px.fourth_order_expansion(
+            px.predict(f, np.zeros(1), np.array([0.5]), curvature=_I1), cert
+        )
         skew = next(
             b for b in exp.bounds.shift_bounds if b.name == "skew_residual_dinvf"
         )
@@ -132,7 +132,7 @@ class TestSmoothPenalty:
         f, xstar, G2, cert = ridge_setup
         fG = px.quadratically_penalize(f, G2)
         FG = px.spd_from_dense(fG.hessian(xstar))
-        rep_r = px.expansion_for_order(px.predict(FG, G2 @ xstar, fG, xstar), cert, 3)
+        rep_r = px.expansion_for_order(px.predict(fG, xstar, G2 @ xstar, curvature=FG), cert, 3)
         rep_s = px.smooth_penalty_bias(
             f, xstar, px.QuadraticOracle(G2), cert, order=3
         )
@@ -161,8 +161,35 @@ class TestSmoothPenalty:
         )
         for order in (3, 4):
             rep = px.smooth_penalty_bias(f, xstar, pen, cert, order)
-            _, (comp,) = px.solve_and_compare(fG, xstar, [rep])
+            _, (comp,) = px.solve_and_compare([rep])
             assert comp.certifying, rep.bounds.failed_gates()
+            assert comp.violations == []
+
+    @pytest.mark.parametrize("weight", [0.005, 0.02, 0.05])
+    def test_bias_report_is_verified_on_the_penalized_problem(self, weight):
+        """``solve_and_compare([report])`` solves ``f + pen``, the problem the
+        report was predicted for, bit for bit as a solve of
+        ``smoothly_penalize(f, pen)`` from ``x*``; orders 3 and 4 certify."""
+        prob = px.oracle_from_descriptor(
+            {"kind": "logistic", "dim": 5, "n": 40, "reg": 0.1, "seed": 6}
+        )
+        f = prob.oracle
+        xstar = px.newton_minimize(f, prob.x0).xhat
+        pen = px.QuadraticOracle(weight * np.eye(5))
+        fG = px.smoothly_penalize(f, pen)
+        FG = px.spd_from_dense(fG.hessian(xstar))
+        cert = px.estimate_certificate(
+            fG, xstar, curvature=FG, radius=0.5, samples=60, seed=5, include_omega=False
+        )
+        expected = px.solve_from(fG, xstar, FG)
+        for order in (3, 4):
+            solution, (comp,) = px.solve_and_compare(
+                [px.smooth_penalty_bias(f, xstar, pen, cert, order)]
+            )
+            np.testing.assert_array_equal(solution.actual_shift, expected.actual_shift)
+            assert solution.actual_value_change == expected.actual_value_change
+            assert solution.solver == expected.solver
+            assert comp.certifying
             assert comp.violations == []
 
     def test_rejects_off_minimum_anchor(self, ridge_setup):

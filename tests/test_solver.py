@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perturbex as px
-from perturbex.errors import DimensionMismatch, HessianNotPd, MaxIterExceeded
+from perturbex.errors import (
+    DimensionMismatch,
+    HessianNotPd,
+    LineSearchFailed,
+    MaxIterExceeded,
+)
 
 
 def test_quadratic_converges_in_one_newton_step(rng):
@@ -71,6 +76,50 @@ def test_solution_is_stationary_for_every_start(rng):
         x0 = rng.standard_normal(5)
         sol = px.newton_minimize(prob.oracle, x0)
         assert np.linalg.norm(prob.oracle.gradient(sol.xhat)) < 1e-9
+
+
+class TestNullStep:
+    """A step that leaves ``x`` unchanged ends the solve at once on the Hessian
+    at ``x``; a curvature held from an earlier point first gives way to it."""
+
+    def test_null_step_on_the_hessian_at_x_raises_at_once(self):
+        # f(x) = x + 500 (x - c)^2 at x = c = 1e16: the Newton step is -1e-3,
+        # below half the float spacing (2) of x, for every damping.
+        c = 1e16
+        f = px.CustomOracle(
+            dim=1,
+            value=lambda x: float(x[0] + 500.0 * (x[0] - c) ** 2),
+            gradient=lambda x: np.array([1.0 + 1e3 * (x[0] - c)]),
+            hessian=lambda x: np.array([[1e3]]),
+        )
+        with pytest.raises(LineSearchFailed, match="null step at iteration 0 "):
+            px.newton_minimize(f, np.array([c]), tol=1e-12)
+
+    def test_held_curvature_gives_way_before_the_solve_fails(self, monkeypatch):
+        """The tilted log-sum-exp of ``scaling``'s huge-tilt config: its chord
+        step at x near -2e139 leaves x unchanged, so the Hessian there is
+        evaluated, and its step leaves x unchanged too."""
+        prob = px.oracle_from_descriptor(
+            {"kind": "logsumexp", "dim": 1, "n": 2, "temp": 1.23e-54, "reg": 0.1, "seed": 0}
+        )
+        anchor = px.newton_minimize(prob.oracle, prob.x0)
+        v = np.random.default_rng(3).standard_normal(1)
+        p = px.predict(prob.oracle, anchor.xhat, 2.16e138 * v / np.linalg.norm(v),
+                       curvature=anchor.curvature)
+        points = _hessian_points(monkeypatch, p.g)
+        gradients = []
+        gradient = type(p.g).gradient
+        monkeypatch.setattr(
+            type(p.g), "gradient", lambda g, x: gradients.append(np.array(x)) or gradient(g, x)
+        )
+        with pytest.raises(LineSearchFailed, match="null step at iteration 3 "):
+            px.newton_minimize(p.g, anchor.xhat, curvature=p.F)
+        assert len(gradients) == 4
+        # The last two Hessians: where the chord steps stopped contracting,
+        # and at the point of the null step, where the solve fails.
+        assert len(points) == 2
+        np.testing.assert_array_equal(points[-1], gradients[-1])
+        assert abs(points[-1][0]) > 1e139
 
 
 def _tilted(kind: str, scale: float):
