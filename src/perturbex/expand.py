@@ -307,7 +307,7 @@ def predict(f: Oracle, xstar, perturbation, *, curvature: SpdOperator | None = N
         u0 = curvature.solve(A)
         xi = curvature.dual_norm(A)
         if not (np.isfinite(u0).all() and math.isfinite(xi)):
-            raise ValueError("the Newton step F^-1 A of the tilt is not finite")
+            raise FloatingPointError("the Newton step F^-1 A of the tilt is not finite")
     return Prediction(g, xstar, curvature, A, u0, xi)
 
 

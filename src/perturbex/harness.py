@@ -44,8 +44,8 @@ from .smoothness import (
     estimate_certificate,
     taylor_diagnostics,
 )
-from .solver import newton_minimize
-from .zoo import oracle_from_descriptor
+from .solver import SolveResult, newton_minimize
+from .zoo import ZooProblem, oracle_from_descriptor
 
 __all__ = [
     "ExperimentConfig",
@@ -346,6 +346,30 @@ def _run_command(
     return report
 
 
+def _seed(cfg: ExperimentConfig, spec: dict[str, Any], key: str, offset: int = 0) -> int:
+    """The seed at ``key``, else the top-level ``seed`` plus ``offset``, checked non-negative."""
+    seed = spec["seed"] if "seed" in spec else cfg.seed + offset
+    if seed < 0:
+        source = key if "seed" in spec else f"seed (+ {offset}, the default {key})"
+        raise ValueError(f"{source}: expected a non-negative integer, got {seed}")
+    return int(seed)
+
+
+def _matrix(key: str, rows: list) -> np.ndarray:
+    """The config matrix at ``key``, whose rows must have one length."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{key}: rows of different lengths")
+    return np.asarray(rows, dtype=float)
+
+
+def _anchored(cfg: ExperimentConfig) -> tuple[ZooProblem, SolveResult]:
+    """The configured problem and its anchor solve."""
+    _seed(cfg, cfg.problem, "problem.seed")
+    prob = oracle_from_descriptor(cfg.problem)
+    with _sized_by("problem"):
+        return prob, newton_minimize(prob.oracle, prob.x0)
+
+
 def _linear_tilt(cfg: ExperimentConfig, dim: int) -> tuple[np.ndarray, str]:
     pert = cfg.perturbation
     if "vector" in pert:
@@ -353,7 +377,7 @@ def _linear_tilt(cfg: ExperimentConfig, dim: int) -> tuple[np.ndarray, str]:
         if A.shape != (dim,):
             raise ValueError(f"perturbation.vector: shape {A.shape}, need ({dim},)")
         return A, "perturbation.vector"
-    seed = int(pert.get("seed", cfg.seed + 2))
+    seed = _seed(cfg, pert, "perturbation.seed", 2)
     scale = float(pert.get("scale", 0.1))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
@@ -375,11 +399,12 @@ def _penalty(cfg: ExperimentConfig, dim: int) -> tuple[Oracle, str]:
     pert = cfg.perturbation
     if pert["kind"] == "smooth":
         key, sized_by = "perturbation.penalty.dim", "perturbation.weight"
+        _seed(cfg, pert["penalty"], "perturbation.penalty.seed")
         pen = oracle_from_descriptor(pert["penalty"]).oracle
         pen = SumOracle(pen, weights=(float(pert.get("weight", 1.0)),))
     elif "matrix" in pert:
         key = sized_by = "perturbation.matrix"
-        pen = _ridge(key, pert["matrix"])
+        pen = _ridge(key, _matrix(key, pert["matrix"]))
     else:
         return QuadraticOracle(np.eye(dim)).scaled(pert.get("lambda", 0.1)), "perturbation.lambda"
     if pen.dim != dim:
@@ -484,11 +509,11 @@ def _verified_problem(
     :func:`expansion_for_order` gives.
     """
     penalty = isinstance(perturbation, Oracle)
-    keys = f"problem or {key}" if penalty else "problem"
-    with _sized_by(keys):
+    with _sized_by(f"problem or {key}"):
         prediction = predict(f, xstar, perturbation, curvature=curvature)
-        if prediction.F is curvature:
-            check_floor(curvature.matrix)
+    if prediction.F is curvature:
+        check_floor(curvature.matrix)  # of entries scaled to at most 1: no overflow
+    keys = f"problem or {key}" if penalty else "problem"
     with _sized_by(f"{keys} or certificate.radius"):
         cert = _build_certificate(
             cfg, prediction.g if penalty else f, xstar, prediction.F, include_omega=not penalty
@@ -545,11 +570,8 @@ def run_certify(cfg: ExperimentConfig, require_gates: bool = False) -> dict[str,
     checked against that solution; an order that ``g`` or its certificate
     does not support is skipped with a warning.
     """
-    prob = oracle_from_descriptor(cfg.problem)
-    f = prob.oracle
-    with _sized_by("problem"):
-        anchor = newton_minimize(f, prob.x0)
-    xstar = anchor.xhat
+    prob, anchor = _anchored(cfg)
+    f, xstar = prob.oracle, anchor.xhat
     linear = cfg.perturbation["kind"] == "linear"
     perturbation, key = (_linear_tilt if linear else _penalty)(cfg, f.dim)
     _, problem, results = _verified_problem(
@@ -626,11 +648,8 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
     prediction (plus the order-2 value error for reference).  Log-log
     slopes are fitted over the points above the 1e-12 numerical floor.
     """
-    prob = oracle_from_descriptor(cfg.problem)
-    f = prob.oracle
-    with _sized_by("problem"):
-        anchor = newton_minimize(f, prob.x0)
-    xstar = anchor.xhat
+    prob, anchor = _anchored(cfg)
+    f, xstar = prob.oracle, anchor.xhat
     A0, key = _linear_tilt(cfg, f.dim)
     F = anchor.curvature
     check_floor(F.matrix)
@@ -693,11 +712,11 @@ def _sweep_base_matrix(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     if mode == "identity":
         return np.eye(dim)
     if mode == "rank1":
-        rng = np.random.default_rng(int(spec.get("seed", cfg.seed + 3)))
+        rng = np.random.default_rng(_seed(cfg, spec, "sweep.g2.seed", 3))
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         return np.outer(v, v)
-    G2 = np.asarray(spec["matrix"], dtype=float)
+    G2 = _matrix("sweep.g2.matrix", spec["matrix"])
     if G2.shape != (dim, dim):
         raise ValueError(f"sweep.g2.matrix: shape {G2.shape}, need ({dim}, {dim})")
     return G2
@@ -733,11 +752,8 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     weight's certificate does not support is skipped for that weight, with
     a warning naming the weight, as ``certify`` skips it.
     """
-    prob = oracle_from_descriptor(cfg.problem)
-    f = prob.oracle
-    with _sized_by("problem"):
-        anchor = newton_minimize(f, prob.x0)
-    xstar = anchor.xhat
+    prob, anchor = _anchored(cfg)
+    f, xstar = prob.oracle, anchor.xhat
     ridge = _ridge("sweep.g2.matrix", _sweep_base_matrix(cfg, f.dim))
     grid = list(cfg.raw.get("sweep", {}).get("lambda_grid", [0.0, 0.05, 0.1, 0.2]))
 

@@ -9,25 +9,21 @@ only higher-order access the rest of the package ever needs:
 ``fourth_dir(x, u)``
     the vector ``<grad^4 f(x), u (x) u (x) u (x) e_i>``.
 
-Problems that lack analytic higher derivatives fall back to symmetric
-finite differences of the Hessian; the ``has_third`` / ``has_fourth``
-flags tell certified operations whether the analytic forms exist, and
-``quadratic`` whether the function is exactly quadratic.
-
-Each value and tensor formula exists once, in batched form:
-``value_many(P)``, ``third_dir_many(P, V)`` and ``fourth_dir_many(P, V)``
-take points as the columns of ``P`` and the directions paired with them as
-the columns of ``V``, and return one result per column; ``jet_many(P, V)``
-returns all three, the values only if asked for.  Logistic and log-sum-exp
-problems hold their tensor formulas in ``jet_many`` alone, on three
-products with the data: the margins or scores ``P' X'`` (one point per row,
-as ``value_many`` forms them), the projections of ``V``, and one product
-of ``X`` with both tensors' weights; their ``third_dir_many`` and
-``fourth_dir_many`` are parts of it.  Elsewhere ``jet_many`` composes the
-three forms.  The scalar ``value``, ``third_dir`` and ``fourth_dir`` are
-one-column calls of the batched forms, defined once on :class:`Oracle`, so
-a scalar result is bit for bit column 0 of a one-column batched call at
-the same point.
+A subclass implements ``value_many(P)`` at the points in the columns of
+``P``, ``gradient``, ``hessian`` and ``jet_many(P, V)``: the values (only
+if asked for) and both tensor forms at the points paired with the
+directions in the columns of ``V``, with ``None`` for a tensor that has no
+closed form.  The rest is derived once, on :class:`Oracle`:
+``third_dir_many`` and ``fourth_dir_many`` are ``jet_many``'s tensors, or
+the central differences :func:`_fd_third` and :func:`_fd_fourth` where
+they are ``None``; the scalar ``value``, ``third_dir`` and ``fourth_dir``
+are one-column batched calls, so each is bit for bit column 0 of one.
+The ``has_third`` / ``has_fourth`` flags declare which tensors ``jet_many``
+returns, and ``quadratic`` whether the function is exactly quadratic.
+Logistic and log-sum-exp problems form their tensors on three products
+with the data: the margins or scores ``P' X'`` (one point per row, as
+``value_many`` forms them), the projections of ``V``, and one product of
+``X`` with both tensors' weights.
 
 A logistic or log-sum-exp Hessian is a weighted Gram matrix
 ``X' diag(w) X``.  It is formed as ``B' B`` with ``B = diag(sqrt(w)) X``, a
@@ -67,7 +63,7 @@ __all__ = [
 ]
 
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
-Jet = tuple[np.ndarray | None, np.ndarray, np.ndarray]  # (values, third, fourth) at a block
+Jet = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]  # (values, third, fourth)
 
 
 def _weight(w) -> float:
@@ -104,14 +100,30 @@ def _fd_steps(V: np.ndarray) -> np.ndarray:
     return FD_DIR_STEP / (1.0 + np.linalg.norm(V, axis=0))
 
 
+def _fd_third(f: Oracle, P, V) -> np.ndarray:
+    """Third directional derivative of ``f``: central differences of its Hessian by columns."""
+    P, V = _block_pair(P, V, f.dim)
+    out = np.empty(P.shape)
+    for j, h in enumerate(_fd_steps(V)):
+        p, v = P[:, j], V[:, j]
+        out[:, j] = (f.hessian(p + h * v) - f.hessian(p - h * v)) @ v / (2.0 * h)
+    return out
+
+
+def _fd_fourth(f: Oracle, P, V) -> np.ndarray:
+    """Fourth directional derivative of ``f``: central differences of ``f.third_dir_many``."""
+    P, V = _block_pair(P, V, f.dim)
+    h = _fd_steps(V)
+    return (f.third_dir_many(P + h * V, V) - f.third_dir_many(P - h * V, V)) / (2.0 * h)
+
+
 class Oracle:
     """Base class of every problem oracle.
 
-    A subclass implements ``value_many``, ``gradient`` and ``hessian``, and
-    may implement ``third_dir_many`` / ``fourth_dir_many`` in closed form
-    (setting ``has_third`` / ``has_fourth``), or ``jet_many`` for all three
-    batched forms at once.  The fallbacks take central differences with the
-    per-column step ``FD_DIR_STEP / (1 + ||v||)``.
+    A subclass implements ``value_many``, ``gradient``, ``hessian`` and
+    ``jet_many``, whose tensors are ``None`` where it has no closed form;
+    ``has_third`` / ``has_fourth`` declare which it returns.  The batched
+    tensor forms and the scalar forms are derived here.
     """
 
     dim: int
@@ -129,32 +141,20 @@ class Oracle:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def third_dir_many(self, P, V) -> np.ndarray:
-        """Third directional derivative at column pairs of ``P`` and ``V``.
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        """``(values, third, fourth)`` at the column pairs of ``P`` and ``V``: the values
+        ``None`` unless ``with_values``, a tensor ``None`` if it has no closed form."""
+        raise NotImplementedError
 
-        The fallback differences the Hessian column by column.
-        """
-        P, V = _block_pair(P, V, self.dim)
-        out = np.empty(P.shape)
-        for j, h in enumerate(_fd_steps(V)):
-            p, v = P[:, j], V[:, j]
-            out[:, j] = (self.hessian(p + h * v) - self.hessian(p - h * v)) @ v / (2.0 * h)
-        return out
+    def third_dir_many(self, P, V) -> np.ndarray:
+        """Third directional derivative at column pairs of ``P`` and ``V``."""
+        third = self.jet_many(P, V, with_values=False)[1]
+        return _fd_third(self, P, V) if third is None else third
 
     def fourth_dir_many(self, P, V) -> np.ndarray:
-        """Fourth directional derivative at column pairs of ``P`` and ``V``.
-
-        The fallback differences ``third_dir_many`` over the whole block.
-        """
-        P, V = _block_pair(P, V, self.dim)
-        h = _fd_steps(V)
-        return (self.third_dir_many(P + h * V, V) - self.third_dir_many(P - h * V, V)) / (2.0 * h)
-
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
-        """The three batched forms, composed; the values are ``None`` unless ``with_values``."""
-        P, V = _block_pair(P, V, self.dim)
-        values = self.value_many(P) if with_values else None
-        return values, self.third_dir_many(P, V), self.fourth_dir_many(P, V)
+        """Fourth directional derivative at column pairs of ``P`` and ``V``."""
+        fourth = self.jet_many(P, V, with_values=False)[2]
+        return _fd_fourth(self, P, V) if fourth is None else fourth
 
     def value(self, x) -> float:
         return float(self.value_many(as_vector(x, self.dim)[:, None])[0])
@@ -220,10 +220,10 @@ class QuadraticOracle(Oracle):
         Dp = as_matrix(P, self.dim) - self.center[:, None]
         return 0.5 * _col_dot(Dp, self.Q @ Dp)
 
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return np.zeros(_block_pair(P, V, self.dim)[0].shape)
-
-    fourth_dir_many = third_dir_many
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        P, V = _block_pair(P, V, self.dim)
+        values = self.value_many(P) if with_values else None
+        return values, np.zeros(P.shape), np.zeros(P.shape)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -252,17 +252,7 @@ def _add_to_diagonal(H: np.ndarray, c: float) -> np.ndarray:
     return H
 
 
-class _FusedJet(Oracle):
-    """An oracle whose tensor forms are parts of its ``jet_many``, which holds the formulas."""
-
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return self.jet_many(P, V, with_values=False)[1]
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self.jet_many(P, V, with_values=False)[2]
-
-
-class LogisticOracle(_FusedJet):
+class LogisticOracle(Oracle):
     """Regularized logistic loss.
 
     ``f(v) = (1/n) sum_i log(1 + exp(-y_i x_i' v)) + 0.5 reg ||v||^2``
@@ -367,7 +357,7 @@ class LogisticOracle(_FusedJet):
         return values, R[0], R[1]
 
 
-class LogSumExpOracle(_FusedJet):
+class LogSumExpOracle(Oracle):
     """Soft maximum of linear scores plus a ridge.
 
     ``f(v) = temp * log sum_i exp(x_i' v / temp) + 0.5 reg ||v||^2``.
@@ -500,9 +490,11 @@ class CustomOracle(Oracle):
         self.has_third = third_dir is not None
         self.has_fourth = fourth_dir is not None
 
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        return np.array([float(self._value(p)) for p in P.T])
+
     def value_many(self, P) -> np.ndarray:
-        P = as_matrix(P, self.dim)
-        return np.array([float(self._value(P[:, j])) for j in range(P.shape[1])])
+        return self._values(as_matrix(P, self.dim))
 
     def gradient(self, x) -> np.ndarray:
         return np.asarray(self._gradient(as_vector(x, self.dim)), dtype=float)
@@ -510,22 +502,19 @@ class CustomOracle(Oracle):
     def hessian(self, x) -> np.ndarray:
         return np.asarray(self._hessian(as_vector(x, self.dim)), dtype=float)
 
-    def _looped(self, fn, P, V) -> np.ndarray:
+    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+        """The callables looped over the columns; ``None`` for a tensor given none."""
         P, V = _block_pair(P, V, self.dim)
-        out = np.empty(P.shape)
-        for j in range(P.shape[1]):
-            out[:, j] = as_vector(fn(P[:, j], V[:, j]), self.dim)
-        return out
 
-    def third_dir_many(self, P, V) -> np.ndarray:
-        if self._third is None:
-            return super().third_dir_many(P, V)
-        return self._looped(self._third, P, V)
+        def looped(fn) -> np.ndarray:
+            out = np.empty(P.shape)
+            for j in range(P.shape[1]):
+                out[:, j] = as_vector(fn(P[:, j], V[:, j]), self.dim)
+            return out
 
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        if self._fourth is None:
-            return super().fourth_dir_many(P, V)
-        return self._looped(self._fourth, P, V)
+        values = self._values(P) if with_values else None
+        third, fourth = (None if fn is None else looped(fn) for fn in (self._third, self._fourth))
+        return values, third, fourth
 
 
 class SumOracle(Oracle):
@@ -535,8 +524,9 @@ class SumOracle(Oracle):
     ``SumOracle(f, weights=(w,))``, a linear tilt (:func:`linearly_perturb`) and a
     penalized objective (:func:`smoothly_penalize`) are each one of these.
     Every form is the sum of the terms' forms in term order, each term
-    multiplied by its weight unless the weight is 1.  The tilt enters the
-    value and the gradient only.  Each flag holds when it holds for every term.
+    multiplied by its weight unless the weight is 1, and ``None`` in
+    ``jet_many`` where a term's is.  The tilt enters the value and the
+    gradient only.  Each flag holds when it holds for every term.
     """
 
     def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
@@ -575,17 +565,13 @@ class SumOracle(Oracle):
         P = as_matrix(P, self.dim)
         return self._sum(f.value_many(P) for _, f in self.terms) + self.tilt @ P
 
-    def third_dir_many(self, P, V) -> np.ndarray:
-        return self._sum(f.third_dir_many(P, V) for _, f in self.terms)
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        return self._sum(f.fourth_dir_many(P, V) for _, f in self.terms)
-
     def jet_many(self, P, V, with_values: bool = True) -> Jet:
         P, V = _block_pair(P, V, self.dim)
         jets = [f.jet_many(P, V, with_values) for _, f in self.terms]
-        third, fourth = (self._sum(jet[i] for jet in jets) for i in (1, 2))
-        values = self._sum(jet[0] for jet in jets) if with_values else None
+        values, third, fourth = (
+            None if any(jet[i] is None for jet in jets) else self._sum(jet[i] for jet in jets)
+            for i in range(3)
+        )
         if values is not None and self.tilt is not None:
             values = values + self.tilt @ P
         return values, third, fourth
@@ -658,20 +644,19 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
         fd2 = (f.gradient(x + h1 * u) - f.gradient(x - h1 * u)) / (2.0 * h1)
         worst[2] = max(worst[2], float(np.linalg.norm(fd2 - H @ u)) / hscale)
 
-    # Orders 3 and 4 take the base-class central differences of the order
-    # below (step FD_DIR_STEP / 2 on unit directions), over all directions
-    # as one block, and measure the mismatch relative to the analytic
-    # tensor's norm.  The floor only keeps an exactly zero tensor (a
-    # quadratic's, whose differences are exactly zero too) from dividing
-    # by zero.
+    # Orders 3 and 4 compare _fd_third / _fd_fourth (step FD_DIR_STEP / 2 on
+    # unit directions, all directions as one block) with the analytic tensor,
+    # relative to its norm.  The floor only keeps an exactly zero tensor (a
+    # quadratic's, whose differences are exactly zero too) from dividing by
+    # zero.
     def worst_relative(fd: np.ndarray, exact: np.ndarray) -> float:
         scale = np.maximum(np.linalg.norm(exact, axis=0), np.finfo(float).tiny)
         return float(np.max(np.linalg.norm(fd - exact, axis=0) / scale, initial=0.0))
 
     if f.has_third:
-        worst[3] = worst_relative(Oracle.third_dir_many(f, X, U), f.third_dir_many(X, U))
+        worst[3] = worst_relative(_fd_third(f, X, U), f.third_dir_many(X, U))
     if f.has_fourth:
-        worst[4] = worst_relative(Oracle.fourth_dir_many(f, X, U), f.fourth_dir_many(X, U))
+        worst[4] = worst_relative(_fd_fourth(f, X, U), f.fourth_dir_many(X, U))
 
     tolerances = {1: 1e-6, 2: 1e-5, 3: 1e-3, 4: 1e-3}
     return [Gate(f"order_{k}", mismatch, tolerances[k]) for k, mismatch in worst.items()]

@@ -145,8 +145,10 @@ def _draw(seed: int, dim: int, r: float, samples: int) -> tuple[np.ndarray, np.n
     return cols.reshape(blocks, dim, 2 * SAMPLE_BLOCK), rad.reshape(blocks, SAMPLE_BLOCK)
 
 
-def _checked(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """An oracle's batched result, checked for its shape and finite entries."""
+def _checked(block: np.ndarray | None, shape: tuple[int, ...], f: Oracle) -> np.ndarray:
+    """A part of ``f.jet_many`` that was asked for or declared, checked present, shaped, finite."""
+    if block is None:
+        raise ValueError(f"{type(f).__name__}.jet_many gave None for a part its flags declare")
     if block.shape != shape:
         raise DimensionMismatch(f"expected a block of shape {shape}, got {block.shape}")
     if not np.all(np.isfinite(block)):
@@ -195,8 +197,9 @@ def sample_constants(
 
     A block of ``SAMPLE_BLOCK`` columns costs one product ``L^{-T} [Z | W]``,
     one ``f.jet_many`` (values only when ``omega`` is sampled) and one
-    product ``L^{-1} [T3 | T4]``; an oracle without both tensors is asked
-    only for what is sampled, so no absent tensor is differenced.
+    product ``L^{-1} [T3 | T4]``.  A tensor that ``jet_many`` returns as
+    ``None`` is not sampled, never differenced; one that ``f``'s flag
+    declares must be there.
     """
     x = as_vector(x, f.dim)
     if samples < 1:
@@ -213,13 +216,9 @@ def sample_constants(
         directions = metric.L_inv.T @ block
         U = directions[:, :SAMPLE_BLOCK] * rad[b]
         P, V = x[:, None] + U, directions[:, SAMPLE_BLOCK:]
-        if len(orders) == 2:
-            values, *tensors = f.jet_many(P, V, with_values=include_omega)
-        else:  # no finite differences of a tensor that is not sampled
-            values = f.value_many(P) if include_omega else None
-            tensors = [(f.third_dir_many if o == 3 else f.fourth_dir_many)(P, V) for o in orders]
+        values, *tensors = f.jet_many(P, V, with_values=include_omega)
         if include_omega:
-            values = _checked(values, (SAMPLE_BLOCK,))
+            values = _checked(values, (SAMPLE_BLOCK,), f)
             if b == 0:
                 fstar = values[0]  # column 0 is the anchor itself
             quad = 0.5 * np.einsum("ij,ij->j", U, curvature.matrix @ U)
@@ -230,7 +229,7 @@ def sample_constants(
             peak = peaks.get("omega", (-np.inf, 0))
             peaks["omega"] = _running_max(peak, ratio[start:live], first + start, "omega", radius)
         if orders:
-            T = np.concatenate([_checked(t, V.shape) for t in tensors], axis=1)
+            T = np.concatenate([_checked(tensors[o - 3], V.shape, f) for o in orders], axis=1)
             # The last slot is maximized in closed form: over ||D e|| = 1 the
             # largest pairing with the contracted tensor is its dual norm,
             # ||D^{-1} t|| = ||L^{-1} t||; ||D w|| = 1 leaves no denominator.

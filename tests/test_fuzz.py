@@ -143,12 +143,45 @@ def _penalized(perturbation: dict, **certificate) -> tuple[str, dict, bool, int]
     return "certify", config, False, 0
 
 
-@settings(
+def _keyed(command: str, config: dict, line: str) -> tuple[str, dict, bool, re.Pattern]:
+    """A run that exits 1 with the error ``line``, which leads with a config key."""
+    pattern = re.compile(re.escape(f"perturbex: error: {line}\n"))
+    return command, {"seed": 1, **config}, False, pattern
+
+
+_NEWTON = "the Newton step F^-1 A of the tilt is not finite"
+_NEGATIVE = "expected a non-negative integer, got"
+# A tilt of scale 3.5e280 on a ridge of 5.5e96: F^-1 A overflows.
+_FLAT_TILT = {
+    "problem": {"kind": "logsumexp", "dim": 1, "n": 20, "reg": 5.5e96, "seed": 1},
+    "perturbation": {"kind": "linear", "scale": 3.5e280},
+}
+_QUADRATIC = {"kind": "quadratic", "dim": 3, "seed": 1}
+
+
+def _run_cli(command: str, config: dict, require_gates: bool) -> tuple[int, str, list[str]]:
+    """Exit code, stderr and warning messages of one CLI run of ``config``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv = [command, "--config", path, "--out", os.path.join(tmp, "out")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv + ["--require-gates"] * require_gates)
+    return code, stderr.getvalue(), [str(w.message) for w in caught]
+
+
+_SETTINGS = settings(
     max_examples=100,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+
+
+@_SETTINGS
 @given(runs())
 # Values at the top of the float range that once overflowed with a warning.
 @example(_certify({"kind": "linear", "scale": 1e308}))
@@ -227,23 +260,61 @@ def _penalized(perturbation: dict, **certificate) -> tuple[str, dict, bool, int]
         re.compile(r"perturbex: error: null step at iteration [0-3] "),
     )
 )
+# Errors that once named no key: a Newton step F^-1 A that overflows, a
+# negative seed, and a matrix whose rows differ in length.
+@example(_keyed("certify", _FLAT_TILT, f"problem or perturbation.scale: {_NEWTON}"))
+@example(
+    _keyed(
+        "scaling", {**_FLAT_TILT, "scaling": {"eps_grid": [1, 0.5]}},
+        f"problem or perturbation.scale or scaling.eps_grid.0: {_NEWTON}",
+    )
+)
+@example(
+    _keyed(
+        "ridge-sweep", {"problem": {**_QUADRATIC, "seed": -1}}, f"problem.seed: {_NEGATIVE} -1"
+    )
+)
+@example(
+    _keyed(
+        "certify", {"problem": _QUADRATIC, "perturbation": {"kind": "linear", "seed": -1}},
+        f"perturbation.seed: {_NEGATIVE} -1",
+    )
+)
+@example(
+    _keyed(
+        "ridge-sweep", {"problem": _QUADRATIC, "sweep": {"g2": {"mode": "rank1", "seed": -5}}},
+        f"sweep.g2.seed: {_NEGATIVE} -5",
+    )
+)
+@example(
+    _keyed(
+        "ridge-sweep",
+        {"seed": -4, "problem": _QUADRATIC, "sweep": {"g2": {"mode": "rank1"}}},
+        f"seed (+ 3, the default sweep.g2.seed): {_NEGATIVE} -1",
+    )
+)
+@example(
+    _keyed(
+        "ridge-sweep",
+        {"problem": _QUADRATIC, "sweep": {"g2": {"mode": "matrix", "matrix": [[1, 0, 0], [0]]}}},
+        "sweep.g2.matrix: rows of different lengths",
+    )
+)
+@example(
+    _keyed(
+        "certify",
+        {"problem": _QUADRATIC, "perturbation": {"kind": "quadratic", "matrix": [[1], [0, 1]]}},
+        "perturbation.matrix: rows of different lengths",
+    )
+)
 def test_every_valid_config_exits_cleanly(run):
     command, config, require_gates, *expected = run
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
-        argv = [command, "--config", path, "--out", os.path.join(tmp, "out")]
-        stderr = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(argv + ["--require-gates"] * require_gates)
+    code, message, caught = _run_cli(command, config, require_gates)
     assert code in (0, 1, 2, 3)
-    message = stderr.getvalue()
     assert message == "" or (
         message.startswith("perturbex: error:") and message.count("\n") == 1
     ), message
-    assert [str(w.message) for w in caught] == []
+    assert caught == []
     for want in expected:
         if isinstance(want, int):
             assert code == want, message
@@ -251,3 +322,112 @@ def test_every_valid_config_exits_cleanly(run):
             assert code == 1 and want.match(message), message
         else:
             assert code == 1 and message.startswith(f"perturbex: error: {want}: overflow"), message
+
+
+# The well-posed box: log-uniform bounds on every number a config sizes a run
+# with.  Seeds, shapes and matrices are valid, penalties positive
+# semidefinite.  A run in the box may violate a sampled bound (exit 2) or
+# fail a gate under --require-gates (exit 3), but never errs (exit 1).
+WELL_POSED = {
+    "reg": (1e-2, 10.0), "temp": (0.1, 10.0), "cond": (1.0, 1e3),
+    "scale": (1e-3, 1.0), "lambda": (1e-3, 1.0), "weight": (1e-3, 1.0), "eps": (1e-3, 1.0),
+    "radius": (0.1, 2.0), "inflation": (1.0, 10.0), "constant": (1e-3, 10.0),
+}
+
+
+@st.composite
+def well_posed_runs(draw):
+    """``(command, config, require_gates)`` with every number in ``WELL_POSED``."""
+
+    def number(key: str) -> float:
+        lo, hi = WELL_POSED[key]
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    def some(**keys) -> dict:
+        """Each key drawn, or left to its default."""
+        return {key: value() for key, value in keys.items() if draw(st.booleans())}
+
+    def seed() -> int:
+        return draw(st.integers(0, 2**32))
+
+    def count(low: int, high: int) -> int:
+        return draw(st.integers(low, high))
+
+    dim = count(1, SIZE_CAPS["dim"])
+
+    def problem() -> dict:
+        kind = draw(st.sampled_from(["quadratic", "logistic", "logsumexp"]))
+        desc = {"kind": kind, "dim": dim, "seed": seed()}
+        if kind == "quadratic":
+            return {**desc, **some(cond=lambda: number("cond"))}
+        desc.update(some(n=lambda: count(1, SIZE_CAPS["n"]), reg=lambda: number("reg")))
+        return {**desc, **some(temp=lambda: number("temp"))} if kind == "logsumexp" else desc
+
+    def diagonal() -> list:
+        entries = [number("lambda") for _ in range(dim)]
+        return [[entries[i] if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+
+    def tilt() -> dict:
+        if draw(st.booleans()):
+            return {"kind": "linear", "vector": [number("scale") for _ in range(dim)]}
+        return {"kind": "linear", **some(scale=lambda: number("scale"), seed=seed)}
+
+    def certificate() -> dict:
+        radius = some(radius=lambda: number("radius"))
+        if draw(st.booleans()):
+            declared = some(**dict.fromkeys(("omega", "tau3", "tau4"), lambda: number("constant")))
+            return {"mode": "declared", **radius, **declared}
+        return {
+            "mode": "estimated", "samples": count(1, SIZE_CAPS["samples"]),
+            "seed": count(-1, 2**32), **radius, **some(inflation=lambda: number("inflation")),
+        }
+
+    def eps_grid() -> dict:
+        grid = [number("eps") for _ in range(count(2, MAX_ITEMS))]
+        assume(len(set(grid)) == len(grid))
+        return {"eps_grid": grid}
+
+    def penalty() -> dict:
+        kind = draw(st.sampled_from(["linear", "lambda", "matrix", "smooth"]))
+        if kind == "linear":
+            return tilt()
+        if kind == "smooth":
+            weight = some(weight=lambda: number("weight"))
+            return {"kind": "smooth", "penalty": problem(), **weight}
+        if kind == "matrix":
+            return {"kind": "quadratic", "matrix": diagonal()}
+        return {"kind": "quadratic", **some(**{"lambda": lambda: number("lambda")})}
+
+    def orders() -> list:
+        return draw(st.lists(st.sampled_from(["exact", 2, 3, 4]), min_size=1, max_size=3,
+                             unique=True))
+
+    def g2() -> dict:
+        mode = draw(st.sampled_from(["identity", "rank1", "matrix"]))
+        if mode == "matrix":
+            return {"mode": mode, "matrix": diagonal()}
+        return {"mode": mode, **some(seed=seed)}
+
+    def lambda_grid() -> list:
+        return [0.0 if draw(st.booleans()) else number("lambda") for _ in range(count(1, 3))]
+
+    command = draw(st.sampled_from(harness.COMMANDS))
+    config = {"seed": seed(), "problem": problem()}
+    if command == "scaling":
+        return command, {**config, **some(perturbation=tilt, scaling=eps_grid)}, False
+    config.update(some(certificate=certificate))
+    if command == "certify":
+        config.update(some(perturbation=penalty, orders=orders))
+    else:
+        config["sweep"] = some(lambda_grid=lambda_grid, g2=g2)
+    return command, config, draw(st.booleans())
+
+
+@_SETTINGS
+@given(well_posed_runs())
+def test_well_posed_configs_exit_without_error(run):
+    command, config, require_gates = run
+    assert jsonschema.Draft202012Validator(harness.COMMAND_SCHEMAS[command]).is_valid(config)
+    code, message, caught = _run_cli(command, config, require_gates)
+    assert code in (0, 2, 3), message
+    assert message == "" and caught == []

@@ -1379,7 +1379,8 @@ class TestNonFiniteSamples:
             code = main(["certify", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "perturbex: error: the Newton step F^-1 A of the tilt is not finite\n"
+            "perturbex: error: problem or perturbation.vector: "
+            "the Newton step F^-1 A of the tilt is not finite\n"
         )
         assert [str(w.message) for w in caught] == []
 

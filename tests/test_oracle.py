@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import perturbex as px
+from perturbex import oracle as oracle_module
 from perturbex.errors import BadLabels, DimensionMismatch, NotPsd
+from perturbex.oracle import _fd_fourth, _fd_third
 
 
 def _zoo(kind, seed=0, dim=4):
@@ -406,6 +408,7 @@ def _batched_zoo():
         "weighted-tilt": px.SumOracle(
             logistic, logsumexp, weights=(0.5, 2.0), tilt=rng.standard_normal(4)
         ),
+        "sum-custom-fd": px.SumOracle(_quartic_custom(4, analytic=False), logistic),
     }
 
 
@@ -453,17 +456,24 @@ class TestBatchedForms:
         P = 0.3 * rng.standard_normal((f.dim, width))
         V = rng.standard_normal((f.dim, width))
         values, third, fourth = f.jet_many(P, V)
-        assert values.shape == (width,) and third.shape == fourth.shape == (f.dim, width)
+        assert values.shape == (width,)
         np.testing.assert_array_equal(values, f.value_many(P))
-        np.testing.assert_array_equal(third, f.third_dir_many(P, V))
-        np.testing.assert_array_equal(fourth, f.fourth_dir_many(P, V))
-        if f.quadratic:
-            assert not third.any() and not fourth.any()
         x, u = P[:, 0], V[:, 0]
         one = f.jet_many(x[:, None], u[:, None])
         assert one[0][0] == f.value(x)
-        np.testing.assert_array_equal(one[1][:, 0], f.third_dir(x, u))
-        np.testing.assert_array_equal(one[2][:, 0], f.fourth_dir(x, u))
+        tensors = (
+            (third, one[1], f.third_dir_many, f.third_dir, f.has_third),
+            (fourth, one[2], f.fourth_dir_many, f.fourth_dir, f.has_fourth),
+        )
+        for tensor, column, many, scalar, has in tensors:
+            if not has:  # no closed form: derived by finite differences
+                assert tensor is None and column is None
+                continue
+            assert tensor.shape == (f.dim, width)
+            np.testing.assert_array_equal(tensor, many(P, V))
+            np.testing.assert_array_equal(column[:, 0], scalar(x, u))
+            if f.quadratic:
+                assert not tensor.any()
 
     @pytest.mark.parametrize("name", ["logistic", "custom-analytic"])
     def test_block_inputs_are_checked(self, name):
@@ -479,6 +489,49 @@ class TestBatchedForms:
             f.value_many(np.zeros((f.dim + 1, 3)))
         with pytest.raises(DimensionMismatch):
             f.fourth_dir_many(P, np.zeros((f.dim, 2)))
+
+
+class TestOneExtensionPoint:
+    """``jet_many`` is the one batched higher-order form an oracle implements."""
+
+    def test_only_the_base_class_derives_the_tensor_forms(self):
+        classes = [
+            cls for cls in vars(oracle_module).values()
+            if isinstance(cls, type) and issubclass(cls, px.Oracle)
+        ]
+        for cls in classes:
+            assert "jet_many" in vars(cls), cls
+            derived = {"third_dir_many", "fourth_dir_many"} & set(vars(cls))
+            assert derived == ({"third_dir_many", "fourth_dir_many"} if cls is px.Oracle else set())
+
+    @pytest.mark.parametrize("name", list(_batched_zoo()))
+    @pytest.mark.parametrize("with_values", [False, True])
+    def test_jet_tensors_match_the_flags(self, name, with_values):
+        """A tensor is ``None`` exactly where its flag is false; where it is
+        there, the derived form is that tensor bit for bit."""
+        f = _batched_zoo()[name]
+        rng = np.random.default_rng(3)
+        P = 0.3 * rng.standard_normal((f.dim, 5))
+        V = rng.standard_normal((f.dim, 5))
+        values, third, fourth = f.jet_many(P, V, with_values=with_values)
+        assert (values is None) == (not with_values)
+        assert (third is None) == (not f.has_third)
+        assert (fourth is None) == (not f.has_fourth)
+        if f.has_third:
+            np.testing.assert_array_equal(f.third_dir_many(P, V), third)
+        if f.has_fourth:
+            np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+
+    def test_sum_with_a_tensorless_term_differences_the_sum(self):
+        """A term without closed-form tensors leaves the sum without them, so its
+        derived forms are the finite differences of the whole sum."""
+        f = _batched_zoo()["sum-custom-fd"]
+        assert not f.has_third and not f.has_fourth
+        rng = np.random.default_rng(4)
+        P = 0.3 * rng.standard_normal((f.dim, 6))
+        V = rng.standard_normal((f.dim, 6))
+        np.testing.assert_array_equal(f.third_dir_many(P, V), _fd_third(f, P, V))
+        np.testing.assert_array_equal(f.fourth_dir_many(P, V), _fd_fourth(f, P, V))
 
 
 def _kernel_pair(seed=5, n=60, dim=7):

@@ -330,8 +330,8 @@ class TestBatchedEstimators:
 
     @pytest.mark.parametrize("third", [False, True])
     def test_absent_tensors_are_not_differenced(self, third, monkeypatch):
-        """An oracle without both tensors is asked per block for the values and
-        the tensor it has, and no Hessian is differenced for the one it lacks."""
+        """An oracle without both tensors makes one ``jet_many`` call per block,
+        and no Hessian is differenced for the tensor it lacks."""
         hessians = []
 
         def hessian(x):
@@ -346,7 +346,7 @@ class TestBatchedEstimators:
             third_dir=(lambda x, u: 2.0 * x * u**2) if third else None,
         )
         calls = _counted_calls(f, monkeypatch)
-        per_block = ["value_many", "third_dir_many"] if third else ["value_many"]
+        per_block = ["jet_many"]
         for samples in (1, 32, 70):
             blocks = -(-(samples + 1) // SAMPLE_BLOCK)
             calls.clear()
@@ -355,6 +355,24 @@ class TestBatchedEstimators:
             assert cert.omega > 0 and (cert.tau3 is not None) == third and cert.tau4 is None
             assert calls == ["value_many"] + per_block * blocks, samples
             assert len(hessians) == 1  # the curvature at the anchor
+
+    @pytest.mark.parametrize("flag", ["has_third", "has_fourth"])
+    def test_a_declared_tensor_must_be_returned(self, flag):
+        """A flag that promises a tensor ``jet_many`` does not return is a
+        one-line error naming the oracle class."""
+
+        class Liar(px.CustomOracle):
+            pass
+
+        f = Liar(
+            dim=2,
+            value=lambda x: 0.5 * float(x @ x),
+            gradient=lambda x: x,
+            hessian=lambda x: np.eye(2),
+        )
+        setattr(f, flag, True)
+        with pytest.raises(ValueError, match=r"^Liar\.jet_many gave None for a part its flags"):
+            px.estimate_certificate(f, np.zeros(2), radius=0.5, samples=4)
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
         """Each constant is nondecreasing in the sample count, and a k-sample
