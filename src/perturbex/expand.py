@@ -440,14 +440,13 @@ def skewness_correction(f: Oracle, xstar, u) -> tuple[float, np.ndarray]:
 
     Returns ``(T(u), gradT(u))`` with
     ``gradT(u) = <grad^3 f(x*), u^2, .> / 2``.  ``T`` is odd in ``u`` and
-    ``gradT`` is even.
+    ``gradT`` is even.  The tensor is ``f.jet_many``'s, never differenced.
     """
-    if not f.has_third:
-        raise MissingThirdDerivative("oracle lacks analytic third derivatives")
-    xstar = as_vector(xstar, f.dim)
     u = as_vector(u, f.dim)
-    t3 = f.third_dir(xstar, u)
-    return float(t3 @ u) / 6.0, t3 / 2.0
+    t3 = f.jet_many(as_vector(xstar, f.dim)[:, None], u[:, None], with_values=False)[1]
+    if t3 is None:
+        raise MissingThirdDerivative("oracle lacks analytic third derivatives")
+    return float(t3[:, 0] @ u) / 6.0, t3[:, 0] / 2.0
 
 
 def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> ExpansionReport:

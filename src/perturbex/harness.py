@@ -230,14 +230,15 @@ class ExperimentConfig:
         error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(raw))
         if error is not None:
             raise error
+        cfg = cls(raw=raw)
         if "certificate" in CONFIG_SCHEMA["$defs"][command]["properties"]:
-            cert = raw.get("certificate", {"mode": "estimated"})
+            cert = cfg.certificate
             if cert["mode"] == "estimated" and "seed" not in cert and "seed" not in raw:
                 raise ValueError(
                     "estimated certificates need a seed: set certificate.seed, "
                     "a top-level seed or --seed"
                 )
-        return cls(raw=raw)
+        return cfg
 
     @classmethod
     def from_file(cls, path: str, command: str, seed: int | None = None) -> "ExperimentConfig":
@@ -260,7 +261,7 @@ class ExperimentConfig:
 
     @property
     def perturbation(self) -> dict[str, Any]:
-        return self.raw.get("perturbation", {"kind": "linear", "scale": 0.1})
+        return self.raw.get("perturbation", {"kind": "linear"})
 
     @property
     def orders(self) -> list:
@@ -430,15 +431,15 @@ def _build_certificate(
             tau3=spec.get("tau3"),
             tau4=spec.get("tau4"),
         )
+    casts = {"samples": int, "inflation": float}  # unset: estimate_certificate's defaults
     return estimate_certificate(
         f,
         xstar,
         curvature=curvature,
         radius=radius,
-        samples=int(spec.get("samples", 200)),
         seed=int(spec.get("seed", cfg.seed + 1)),
-        inflation=float(spec.get("inflation", constants.ESTIMATE_INFLATION)),
         include_omega=include_omega,
+        **{key: cast(spec[key]) for key, cast in casts.items() if key in spec},
     )
 
 

@@ -18,8 +18,8 @@ closed form.  The rest is derived once, on :class:`Oracle`:
 the central differences :func:`_fd_third` and :func:`_fd_fourth` where
 they are ``None``; the scalar ``value``, ``third_dir`` and ``fourth_dir``
 are one-column batched calls, so each is bit for bit column 0 of one.
-The ``has_third`` / ``has_fourth`` flags declare which tensors ``jet_many``
-returns, and ``quadratic`` whether the function is exactly quadratic.
+An oracle has a tensor exactly when ``jet_many`` returns it; the one flag,
+``quadratic``, says whether the function is exactly quadratic.
 Logistic and log-sum-exp problems form their tensors on three products
 with the data: the margins or scores ``P' X'`` (one point per row, as
 ``value_many`` forms them), the projections of ``V``, and one product of
@@ -121,14 +121,11 @@ class Oracle:
     """Base class of every problem oracle.
 
     A subclass implements ``value_many``, ``gradient``, ``hessian`` and
-    ``jet_many``, whose tensors are ``None`` where it has no closed form;
-    ``has_third`` / ``has_fourth`` declare which it returns.  The batched
-    tensor forms and the scalar forms are derived here.
+    ``jet_many``, whose tensors are ``None`` where it has no closed form.
+    The batched tensor forms and the scalar forms are derived here.
     """
 
     dim: int
-    has_third: bool = False
-    has_fourth: bool = False
     quadratic: bool = False
 
     def value_many(self, P) -> np.ndarray:
@@ -176,8 +173,6 @@ class QuadraticOracle(Oracle):
     derivatives vanish.
     """
 
-    has_third = True
-    has_fourth = True
     quadratic = True
 
     def __init__(self, Q, center=None) -> None:
@@ -265,9 +260,6 @@ class LogisticOracle(Oracle):
     and the chain rule through ``t`` contributes one factor of ``y x`` per
     order (even powers of ``y`` cancel since ``y^2 = 1``).
     """
-
-    has_third = True
-    has_fourth = True
 
     def __init__(self, X, y, reg: float = 0.0) -> None:
         X = np.asarray(X, dtype=float)
@@ -374,9 +366,6 @@ class LogSumExpOracle(Oracle):
     ``jet_many`` takes the softmax and the cumulants with one point per
     column: the cumulants cancel, so their sums keep this order.
     """
-
-    has_third = True
-    has_fourth = True
 
     def __init__(self, X, temp: float = 1.0, reg: float = 0.0) -> None:
         X = np.asarray(X, dtype=float)
@@ -487,8 +476,6 @@ class CustomOracle(Oracle):
         self._hessian = hessian
         self._third = third_dir
         self._fourth = fourth_dir
-        self.has_third = third_dir is not None
-        self.has_fourth = fourth_dir is not None
 
     def _values(self, P: np.ndarray) -> np.ndarray:
         return np.array([float(self._value(p)) for p in P.T])
@@ -526,7 +513,7 @@ class SumOracle(Oracle):
     Every form is the sum of the terms' forms in term order, each term
     multiplied by its weight unless the weight is 1, and ``None`` in
     ``jet_many`` where a term's is.  The tilt enters the value and the
-    gradient only.  Each flag holds when it holds for every term.
+    gradient only.  It is ``quadratic`` when every term is.
     """
 
     def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
@@ -539,8 +526,6 @@ class SumOracle(Oracle):
             if f.dim != self.dim:
                 raise DimensionMismatch(f"a summand has dimension {f.dim}, the first {self.dim}")
         self.tilt = None if tilt is None else as_vector(tilt, self.dim)
-        self.has_third = all(f.has_third for f in oracles)
-        self.has_fourth = all(f.has_fourth for f in oracles)
         self.quadratic = all(f.quadratic for f in oracles)
 
     def _sum(self, parts) -> np.ndarray:
@@ -622,7 +607,7 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
     norm for orders 1 and 2, its norm for orders 3 and 4), and the worst
     case over directions is reported per order, as a gate ``order_k``
     comparing it with that order's tolerance.  Orders 3 and 4 are only
-    probed when the oracle advertises analytic forms.
+    probed where ``jet_many`` returns the tensor.
     """
     x = as_vector(x, f.dim)
     rng = np.random.default_rng(seed)
@@ -653,10 +638,11 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
         scale = np.maximum(np.linalg.norm(exact, axis=0), np.finfo(float).tiny)
         return float(np.max(np.linalg.norm(fd - exact, axis=0) / scale, initial=0.0))
 
-    if f.has_third:
-        worst[3] = worst_relative(_fd_third(f, X, U), f.third_dir_many(X, U))
-    if f.has_fourth:
-        worst[4] = worst_relative(_fd_fourth(f, X, U), f.fourth_dir_many(X, U))
+    _, third, fourth = f.jet_many(X, U, with_values=False)
+    if third is not None:
+        worst[3] = worst_relative(_fd_third(f, X, U), third)
+    if fourth is not None:
+        worst[4] = worst_relative(_fd_fourth(f, X, U), fourth)
 
     tolerances = {1: 1e-6, 2: 1e-5, 3: 1e-3, 4: 1e-3}
     return [Gate(f"order_{k}", mismatch, tolerances[k]) for k, mismatch in worst.items()]

@@ -23,8 +23,10 @@ point for ``tau3`` and ``tau4``; columns 1 to ``samples`` are the ball
 points.  Blocks of ``SAMPLE_BLOCK`` columns go through one oracle call
 each, ``jet_many``, the last one padded to full width, so a column is
 always computed with the same array shapes and a longer run extends a
-shorter one bit for bit.  The provenance records where each constant
-peaked: its column and that point's ``D``-norm radius.
+shorter one bit for bit.  A tensor is sampled when the first block's
+``jet_many`` returns it, and never taken by finite differences.  The
+provenance records where each constant peaked: its column and that
+point's ``D``-norm radius.
 """
 
 from __future__ import annotations
@@ -146,9 +148,10 @@ def _draw(seed: int, dim: int, r: float, samples: int) -> tuple[np.ndarray, np.n
 
 
 def _checked(block: np.ndarray | None, shape: tuple[int, ...], f: Oracle) -> np.ndarray:
-    """A part of ``f.jet_many`` that was asked for or declared, checked present, shaped, finite."""
+    """A part of ``f.jet_many`` asked for or given before, checked present, shaped, finite."""
     if block is None:
-        raise ValueError(f"{type(f).__name__}.jet_many gave None for a part its flags declare")
+        name = type(f).__name__
+        raise ValueError(f"{name}.jet_many gave None for a part asked for or given before")
     if block.shape != shape:
         raise DimensionMismatch(f"expected a block of shape {shape}, got {block.shape}")
     if not np.all(np.isfinite(block)):
@@ -193,13 +196,12 @@ def sample_constants(
       last slot ``e`` is maximized exactly via the dual norm.  Symmetric
       three-linear forms attain their norm on repeated arguments, so this
       sees every component of the tensor.  ``tau4`` has four slots.  Each is
-      ``None`` when ``f`` lacks it analytically.
+      ``None`` when ``f.jet_many`` returns no such tensor.
 
     A block of ``SAMPLE_BLOCK`` columns costs one product ``L^{-T} [Z | W]``,
     one ``f.jet_many`` (values only when ``omega`` is sampled) and one
-    product ``L^{-1} [T3 | T4]``.  A tensor that ``jet_many`` returns as
-    ``None`` is not sampled, never differenced; one that ``f``'s flag
-    declares must be there.
+    product ``L^{-1} [T3 | T4]``.  The tensors sampled are those the first
+    block's ``jet_many`` returns; a later block must return them too.
     """
     x = as_vector(x, f.dim)
     if samples < 1:
@@ -207,7 +209,6 @@ def sample_constants(
     if include_omega:
         check_anchor(f, x, metric, constants.ANCHOR_GRAD_RTOL)
     blocks, rad = _draw(seed, f.dim, radius, samples)
-    orders = [order for order, has in ((3, f.has_third), (4, f.has_fourth)) if has]
     peaks = {}  # name -> (value, column), for the constants sampled
     fstar = 0.0
     for b, block in enumerate(blocks):
@@ -217,6 +218,8 @@ def sample_constants(
         U = directions[:, :SAMPLE_BLOCK] * rad[b]
         P, V = x[:, None] + U, directions[:, SAMPLE_BLOCK:]
         values, *tensors = f.jet_many(P, V, with_values=include_omega)
+        if b == 0:
+            orders = [order for order, t in zip((3, 4), tensors) if t is not None]
         if include_omega:
             values = _checked(values, (SAMPLE_BLOCK,), f)
             if b == 0:
@@ -265,7 +268,8 @@ def taylor_diagnostics(
        ``tau3 ||D u|| ||D (u1 - u)||`` grows without bound relative to the
        step),
     4. the third-order gradient remainder obeys ``(tau4 / 6) ||D u||^3``
-       (skipped when ``tau4`` is absent).
+       (skipped when ``tau4`` is absent or ``f.jet_many`` returns no third
+       tensor; it is never differenced).
 
     Returns one gate per inequality, comparing the worst sampled ratio of
     its two sides with 1 (plus a rounding tolerance).  Ratios at or below 1
@@ -288,8 +292,7 @@ def taylor_diagnostics(
             return 0.0 if lhs <= floor else np.inf
         return lhs / rhs
 
-    fourth = tau4 is not None and f.has_third
-    worst = dict.fromkeys((1, 2, 3, 4), 0.0)
+    worst = dict.fromkeys((1, 2, 3), 0.0)
     for _ in range(samples):
         # check 1 and 4 share the sample offset u
         u = _radial(rng, r, f.dim) * _metric_direction(rng, M)
@@ -299,10 +302,11 @@ def taylor_diagnostics(
         lhs1 = M.dual_norm(rem1)
         worst[1] = max(worst[1], ratio(lhs1, 0.5 * tau3 * du**2))
 
-        if fourth:
-            rem4 = rem1 - 0.5 * f.third_dir(x, u)
+        third = None if tau4 is None else f.jet_many(x[:, None], u[:, None], with_values=False)[1]
+        if third is not None:
+            rem4 = rem1 - 0.5 * third[:, 0]
             lhs4 = M.dual_norm(rem4)
-            worst[4] = max(worst[4], ratio(lhs4, tau4 / 6.0 * du**3))
+            worst[4] = max(worst.get(4, 0.0), ratio(lhs4, tau4 / 6.0 * du**3))
 
         # check 2: Hessian difference between two ball points; L^{-1} H L^{-T}
         # has the spectrum of D^{-1} H D^{-1}
@@ -331,10 +335,7 @@ def taylor_diagnostics(
     }
     # The inequalities may be attained with equality (constant third
     # derivative), so the pass mark allows rounding-level overshoot.
-    return [
-        Gate(names[k], worst[k], 1.0 + constants.SLACK_TOLERANCE)
-        for k in ((1, 2, 3, 4) if fourth else (1, 2, 3))
-    ]
+    return [Gate(names[k], w, 1.0 + constants.SLACK_TOLERANCE) for k, w in worst.items()]
 
 
 def estimate_certificate(

@@ -408,3 +408,70 @@ class TestCubicBoundCheck:
         U, s = self._ball_instance(seed=2)
         # Both envelopes reduce to -+ (u - s)' U (u - s), extreme at u = s.
         assert envelope_extremes(U, s, tau=0.0, r=1.0, seed=3, samples=5_000) == (0.0, 0.0)
+
+
+class _Delegate(px.Oracle):
+    """An :class:`Oracle` subclass that implements the four methods by
+    delegating to ``f`` and sets no attribute but ``dim``.  With
+    ``tensors=False`` its ``jet_many`` returns no tensors."""
+
+    def __init__(self, f, tensors=True):
+        self.f, self.dim, self.tensors = f, f.dim, tensors
+        self.hessians = 0
+
+    def value_many(self, P):
+        return self.f.value_many(P)
+
+    def gradient(self, x):
+        return self.f.gradient(x)
+
+    def hessian(self, x):
+        self.hessians += 1
+        return self.f.hessian(x)
+
+    def jet_many(self, P, V, with_values=True):
+        values, third, fourth = self.f.jet_many(P, V, with_values)
+        return (values, third, fourth) if self.tensors else (values, None, None)
+
+
+class TestTensorsAreWhatJetReturns:
+    """An oracle has a tensor exactly when its ``jet_many`` returns it."""
+
+    @staticmethod
+    def _anchor():
+        descriptor = {"kind": "logistic", "dim": 3, "n": 20, "reg": 0.1, "seed": 2}
+        prob = px.oracle_from_descriptor(descriptor)
+        sol = px.newton_minimize(prob.oracle, prob.x0)
+        return prob.oracle, sol.xhat, sol.curvature, np.array([0.1, -0.05, 0.02])
+
+    def test_returned_tensors_are_sampled_built_and_probed(self):
+        f, xstar, F, A = self._anchor()
+        g = _Delegate(f)
+        cert = px.estimate_certificate(g, xstar, curvature=F, radius=0.5, samples=40, seed=3)
+        direct = px.estimate_certificate(f, xstar, curvature=F, radius=0.5, samples=40, seed=3)
+        assert cert.tau3 is not None and cert.tau4 is not None
+        assert (cert.tau3, cert.tau4) == (direct.tau3, direct.tau4)
+        p = px.predict(g, xstar, A, curvature=F)
+        assert [px.expansion_for_order(p, cert, k).order for k in (3, 4)] == ["3", "4"]
+        gates = px.fd_probe(g, xstar, directions=4)
+        assert [gate.name for gate in gates] == ["order_1", "order_2", "order_3", "order_4"]
+        assert all(gate.satisfied for gate in gates)
+
+    def test_without_tensors_order_4_is_skipped_and_nothing_differenced(self):
+        class Stale(_Delegate):
+            # Attributes of an older oracle contract; nothing may read them.
+            has_third = has_fourth = True
+
+        f, xstar, F, A = self._anchor()
+        g = Stale(f, tensors=False)
+        cert = px.declared_certificate(F, 0.5, omega=0.1, tau3=0.5, tau4=0.5)
+        p = px.predict(g, xstar, A, curvature=F)
+        for order in (2, 3):
+            px.expansion_for_order(p, cert, order)
+        g.hessians = 0
+        with pytest.raises(MissingThirdDerivative, match="^oracle lacks analytic third"):
+            px.expansion_for_order(p, cert, 4)
+        assert g.hessians == 0
+        assert [gate.name for gate in px.fd_probe(g, xstar, directions=4)] == [
+            "order_1", "order_2",
+        ]

@@ -9,6 +9,12 @@ from perturbex.errors import BadLabels, DimensionMismatch, NotPsd
 from perturbex.oracle import _fd_fourth, _fd_third
 
 
+def _tensors(f):
+    """Which of the third and fourth tensors ``f.jet_many`` returns."""
+    _, third, fourth = f.jet_many(np.zeros((f.dim, 1)), np.ones((f.dim, 1)), with_values=False)
+    return third is not None, fourth is not None
+
+
 def _zoo(kind, seed=0, dim=4):
     extra = {}
     if kind == "logistic":
@@ -132,7 +138,7 @@ class TestQuadratics:
         center = rng.standard_normal(3)
         f = px.QuadraticOracle(F, center)
         np.testing.assert_allclose(f.gradient(center), np.zeros(3), atol=1e-14)
-        assert f.has_third and f.has_fourth
+        assert _tensors(f) == (True, True)
 
     def test_psd_quadratic_allows_singular(self):
         pen = px.QuadraticOracle(np.diag([1.0, 0.0]))
@@ -275,6 +281,7 @@ class TestOneSum:
             np.testing.assert_array_equal(value, expected[name], err_msg=name)
 
     def test_flags_are_the_and_of_the_terms(self):
+        """A sum has a tensor exactly when every term's ``jet_many`` returns it."""
         third_only = px.CustomOracle(
             dim=4,
             value=lambda x: 0.0,
@@ -286,10 +293,9 @@ class TestOneSum:
         for a in oracles:
             for b in oracles:
                 both = px.SumOracle(a, b, weights=(0.5, 2.0), tilt=np.ones(4))
-                assert both.has_third == (a.has_third and b.has_third)
-                assert both.has_fourth == (a.has_fourth and b.has_fourth)
+                assert _tensors(both) == tuple(p and q for p, q in zip(_tensors(a), _tensors(b)))
             for g in (px.SumOracle(a, weights=(0.5,)), px.linearly_perturb(a, np.ones(4))):
-                assert (g.has_third, g.has_fourth) == (a.has_third, a.has_fourth)
+                assert _tensors(g) == _tensors(a)
 
     def test_quadratic_flag_composes_like_the_tensor_flags(self, rng):
         F = px.random_spd(rng, 4, cond=8.0)
@@ -353,12 +359,13 @@ class TestFiniteDifferenceFallbacks:
             gradient=lambda x: np.array([float(x[0]) ** 2 / 2.0]),
             hessian=lambda x: np.array([[float(x[0])]]),
         )
-        assert not f.has_third
+        assert _tensors(f) == (False, False)
         # d^3/dx^3 (x^3/6) = 1, contracted twice with u = 2 gives 4.
         approx = f.third_dir(np.array([0.3]), np.array([2.0]))
         assert approx[0] == pytest.approx(4.0, rel=1e-6)
 
     def test_sum_oracle_combines_capability_flags(self):
+        """A term without tensors leaves the sum's ``jet_many`` without them."""
         quad = _zoo("quadratic").oracle
         blind = px.CustomOracle(
             dim=quad.dim,
@@ -367,8 +374,7 @@ class TestFiniteDifferenceFallbacks:
             hessian=lambda x: np.zeros((quad.dim, quad.dim)),
         )
         both = px.SumOracle(quad, blind)
-        assert not both.has_third
-        assert not both.has_fourth
+        assert _tensors(both) == (False, False)
 
 
 def _quartic_custom(dim, analytic):
@@ -410,6 +416,10 @@ def _batched_zoo():
         ),
         "sum-custom-fd": px.SumOracle(_quartic_custom(4, analytic=False), logistic),
     }
+
+
+# The zoo entries without closed-form tensors: their ``jet_many`` returns neither.
+_TENSORLESS = {"custom-fd", "sum-custom-fd"}
 
 
 class TestBatchedForms:
@@ -461,9 +471,10 @@ class TestBatchedForms:
         x, u = P[:, 0], V[:, 0]
         one = f.jet_many(x[:, None], u[:, None])
         assert one[0][0] == f.value(x)
+        has = name not in _TENSORLESS
         tensors = (
-            (third, one[1], f.third_dir_many, f.third_dir, f.has_third),
-            (fourth, one[2], f.fourth_dir_many, f.fourth_dir, f.has_fourth),
+            (third, one[1], f.third_dir_many, f.third_dir, has),
+            (fourth, one[2], f.fourth_dir_many, f.fourth_dir, has),
         )
         for tensor, column, many, scalar, has in tensors:
             if not has:  # no closed form: derived by finite differences
@@ -504,29 +515,38 @@ class TestOneExtensionPoint:
             derived = {"third_dir_many", "fourth_dir_many"} & set(vars(cls))
             assert derived == ({"third_dir_many", "fourth_dir_many"} if cls is px.Oracle else set())
 
+    def test_no_class_declares_its_tensors(self):
+        """An oracle has a tensor when ``jet_many`` returns it; no attribute says so."""
+        classes = [
+            cls for cls in vars(oracle_module).values()
+            if isinstance(cls, type) and issubclass(cls, px.Oracle)
+        ]
+        for f in [*classes, *_batched_zoo().values()]:
+            assert not hasattr(f, "has_third") and not hasattr(f, "has_fourth"), f
+
     @pytest.mark.parametrize("name", list(_batched_zoo()))
     @pytest.mark.parametrize("with_values", [False, True])
     def test_jet_tensors_match_the_flags(self, name, with_values):
-        """A tensor is ``None`` exactly where its flag is false; where it is
-        there, the derived form is that tensor bit for bit."""
+        """A tensor is ``None`` exactly where the oracle has no closed form for it;
+        where it is there, the derived form is that tensor bit for bit."""
         f = _batched_zoo()[name]
         rng = np.random.default_rng(3)
         P = 0.3 * rng.standard_normal((f.dim, 5))
         V = rng.standard_normal((f.dim, 5))
         values, third, fourth = f.jet_many(P, V, with_values=with_values)
         assert (values is None) == (not with_values)
-        assert (third is None) == (not f.has_third)
-        assert (fourth is None) == (not f.has_fourth)
-        if f.has_third:
+        has = name not in _TENSORLESS
+        assert (third is None) == (not has)
+        assert (fourth is None) == (not has)
+        if has:
             np.testing.assert_array_equal(f.third_dir_many(P, V), third)
-        if f.has_fourth:
             np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
 
     def test_sum_with_a_tensorless_term_differences_the_sum(self):
         """A term without closed-form tensors leaves the sum without them, so its
         derived forms are the finite differences of the whole sum."""
         f = _batched_zoo()["sum-custom-fd"]
-        assert not f.has_third and not f.has_fourth
+        assert _tensors(f) == (False, False)
         rng = np.random.default_rng(4)
         P = 0.3 * rng.standard_normal((f.dim, 6))
         V = rng.standard_normal((f.dim, 6))

@@ -356,23 +356,33 @@ class TestBatchedEstimators:
             assert calls == ["value_many"] + per_block * blocks, samples
             assert len(hessians) == 1  # the curvature at the anchor
 
-    @pytest.mark.parametrize("flag", ["has_third", "has_fourth"])
-    def test_a_declared_tensor_must_be_returned(self, flag):
-        """A flag that promises a tensor ``jet_many`` does not return is a
-        one-line error naming the oracle class."""
+    @pytest.mark.parametrize("dropped", [1, 2], ids=["third", "fourth"])
+    def test_a_later_block_must_return_the_first_blocks_tensors(self, dropped):
+        """A tensor that the first block's ``jet_many`` returns and a later
+        block's does not is a one-line error naming the oracle class."""
 
-        class Liar(px.CustomOracle):
-            pass
+        class Fickle(px.CustomOracle):
+            def jet_many(self, P, V, with_values=True):
+                jet = list(super().jet_many(P, V, with_values))
+                self.blocks += 1
+                if self.blocks > 1:
+                    jet[dropped] = None
+                return tuple(jet)
 
-        f = Liar(
+        f = Fickle(
             dim=2,
             value=lambda x: 0.5 * float(x @ x),
             gradient=lambda x: x,
             hessian=lambda x: np.eye(2),
+            third_dir=lambda x, u: np.zeros(2),
+            fourth_dir=lambda x, u: np.zeros(2),
         )
-        setattr(f, flag, True)
-        with pytest.raises(ValueError, match=r"^Liar\.jet_many gave None for a part its flags"):
-            px.estimate_certificate(f, np.zeros(2), radius=0.5, samples=4)
+        f.blocks = 0
+        with pytest.raises(
+            ValueError, match=r"^Fickle\.jet_many gave None for a part asked for or given before$"
+        ):
+            px.estimate_certificate(f, np.zeros(2), radius=0.5, samples=SAMPLE_BLOCK)
+        assert f.blocks == 2
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
         """Each constant is nondecreasing in the sample count, and a k-sample
