@@ -356,10 +356,10 @@ class TestBatchedEstimators:
             assert calls == ["value_many"] + per_block * blocks, samples
             assert len(hessians) == 1  # the curvature at the anchor
 
-    @pytest.mark.parametrize("dropped", [1, 2], ids=["third", "fourth"])
-    def test_a_later_block_must_return_the_first_blocks_tensors(self, dropped):
-        """A tensor that the first block's ``jet_many`` returns and a later
-        block's does not is a one-line error naming the oracle class."""
+    @pytest.mark.parametrize("dropped", [1, 2], ids=["has_third", "has_fourth"])
+    def test_a_declared_tensor_must_be_returned(self, dropped):
+        """The first block's ``jet_many`` declares the oracle's tensors; a later
+        block that does not return one is a one-line error naming the oracle class."""
 
         class Fickle(px.CustomOracle):
             def jet_many(self, P, V, with_values=True):
