@@ -56,7 +56,6 @@ from .oracle import (
     QuadraticOracle,
     SumOracle,
     fd_probe,
-    linearly_perturb,
     quadratically_penalize,
     smoothly_penalize,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "LogSumExpOracle",
     "CustomOracle",
     "SumOracle",
-    "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
     "fd_probe",

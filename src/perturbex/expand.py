@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import SpdOperator, as_vector, kappa_between, spd_from_dense
-from .oracle import Oracle, linearly_perturb, smoothly_penalize
+from .oracle import Oracle, SumOracle, smoothly_penalize
 from .smoothness import SmoothnessCertificate
 from .solver import newton_minimize
 
@@ -300,7 +300,7 @@ def predict(f: Oracle, xstar, perturbation, *, curvature: SpdOperator | None = N
             curvature = spd_from_dense(H + H_pen)
     else:
         A = as_vector(perturbation, f.dim)
-        g = linearly_perturb(f, A)
+        g = SumOracle(f, tilt=A)
         if curvature is None:
             curvature = spd_from_dense(f.hessian(xstar))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -440,13 +440,11 @@ def skewness_correction(f: Oracle, xstar, u) -> tuple[float, np.ndarray]:
 
     Returns ``(T(u), gradT(u))`` with
     ``gradT(u) = <grad^3 f(x*), u^2, .> / 2``.  ``T`` is odd in ``u`` and
-    ``gradT`` is even.  The tensor is ``f.jet_many``'s, never differenced.
+    ``gradT`` is even.  The tensor is ``f.third_dir``'s, never differenced.
     """
     u = as_vector(u, f.dim)
-    t3 = f.jet_many(as_vector(xstar, f.dim)[:, None], u[:, None], with_values=False)[1]
-    if t3 is None:
-        raise MissingThirdDerivative("oracle lacks analytic third derivatives")
-    return float(t3[:, 0] @ u) / 6.0, t3[:, 0] / 2.0
+    t3 = f.third_dir(xstar, u)
+    return float(t3 @ u) / 6.0, t3 / 2.0
 
 
 def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> ExpansionReport:
@@ -550,7 +548,7 @@ def distance_to_optimum(f: Oracle, xk, cert: SmoothnessCertificate) -> Expansion
     except NotPositiveDefinite as exc:
         raise HessianNotPd(str(exc)) from exc
     A = f.gradient(xk)
-    rep = expansion_for_order(predict(linearly_perturb(f, -A), xk, A, curvature=F), cert, 3)
+    rep = expansion_for_order(predict(SumOracle(f, tilt=-A), xk, A, curvature=F), cert, 3)
     return replace(rep, anchor="iterate")
 
 

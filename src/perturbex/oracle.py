@@ -10,20 +10,20 @@ only higher-order access the rest of the package ever needs:
     the vector ``<grad^4 f(x), u (x) u (x) u (x) e_i>``.
 
 A subclass implements ``value_many(P)`` at the points in the columns of
-``P``, ``gradient``, ``hessian`` and ``jet_many(P, V)``: the values (only
-if asked for) and both tensor forms at the points paired with the
-directions in the columns of ``V``, with ``None`` for a tensor that has no
-closed form.  The rest is derived once, on :class:`Oracle`:
-``third_dir_many`` and ``fourth_dir_many`` are ``jet_many``'s tensors, or
-the central differences :func:`_fd_third` and :func:`_fd_fourth` where
-they are ``None``; the scalar ``value``, ``third_dir`` and ``fourth_dir``
-are one-column batched calls, so each is bit for bit column 0 of one.
-An oracle has a tensor exactly when ``jet_many`` returns it; the one flag,
-``quadratic``, says whether the function is exactly quadratic.
-Logistic and log-sum-exp problems form their tensors on three products
-with the data: the margins or scores ``P' X'`` (one point per row, as
-``value_many`` forms them), the projections of ``V``, and one product of
-``X`` with both tensors' weights.
+``P``, ``gradient``, ``hessian`` and ``jet_many(P, V, parts)``: the values
+and the two tensor forms at the points paired with the directions in the
+columns of ``V``, each ``None`` unless ``parts`` names it (all three by
+default) and a tensor ``None`` if it has no closed form.  The scalar
+``value``, ``third_dir`` and ``fourth_dir`` are derived on
+:class:`Oracle`: each asks a one-column ``jet_many`` for its one part, so
+it is bit for bit column 0 of a batched call, and a missing tensor raises.
+Only :func:`_fd_third` and :func:`_fd_fourth`, :func:`fd_probe`'s
+references, difference a tensor.  An oracle has a tensor exactly when
+``jet_many`` returns it; the one flag, ``quadratic``, says whether the
+function is exactly quadratic.  Logistic and log-sum-exp problems form
+their tensors on three products with the data: the margins or scores
+``P' X'`` (one point per row, as ``value_many`` forms them), the
+projections of ``V``, and one product of ``X`` with the tensors' weights.
 
 A logistic or log-sum-exp Hessian is a weighted Gram matrix
 ``X' diag(w) X``.  It is formed as ``B' B`` with ``B = diag(sqrt(w)) X``, a
@@ -45,8 +45,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import constants
 from .diagnostics import Gate
 from .errors import BadLabels, DimensionMismatch, NotPsd
+from .errors import MissingFourthDerivative, MissingThirdDerivative
 from .linalg import SpdOperator, as_matrix, as_vector
 
 __all__ = [
@@ -56,13 +58,13 @@ __all__ = [
     "LogSumExpOracle",
     "CustomOracle",
     "SumOracle",
-    "linearly_perturb",
     "quadratically_penalize",
     "smoothly_penalize",
     "fd_probe",
 ]
 
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
+PARTS = ("values", "third", "fourth")  # the parts of a jet, in the order jet_many returns them
 Jet = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]  # (values, third, fourth)
 
 
@@ -111,18 +113,22 @@ def _fd_third(f: Oracle, P, V) -> np.ndarray:
 
 
 def _fd_fourth(f: Oracle, P, V) -> np.ndarray:
-    """Fourth directional derivative of ``f``: central differences of ``f.third_dir_many``."""
+    """Fourth directional derivative of ``f``: central differences of its third tensor."""
     P, V = _block_pair(P, V, f.dim)
     h = _fd_steps(V)
-    return (f.third_dir_many(P + h * V, V) - f.third_dir_many(P - h * V, V)) / (2.0 * h)
+    ends = (P + h * V, P - h * V)
+    plus, minus = (f.jet_many(Q, V, parts=("third",))[1] for Q in ends)
+    if plus is None:  # no closed form: differences of _fd_third
+        plus, minus = (_fd_third(f, Q, V) for Q in ends)
+    return (plus - minus) / (2.0 * h)
 
 
 class Oracle:
     """Base class of every problem oracle.
 
     A subclass implements ``value_many``, ``gradient``, ``hessian`` and
-    ``jet_many``, whose tensors are ``None`` where it has no closed form.
-    The batched tensor forms and the scalar forms are derived here.
+    ``jet_many``, which forms only the parts asked for and gives ``None``
+    for a tensor with no closed form.  The scalar forms are derived here.
     """
 
     dim: int
@@ -138,29 +144,25 @@ class Oracle:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
-        """``(values, third, fourth)`` at the column pairs of ``P`` and ``V``: the values
-        ``None`` unless ``with_values``, a tensor ``None`` if it has no closed form."""
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
+        """``(values, third, fourth)`` at the column pairs of ``P`` and ``V``: a part
+        ``None`` unless ``parts`` names it, a tensor ``None`` if it has no closed form."""
         raise NotImplementedError
-
-    def third_dir_many(self, P, V) -> np.ndarray:
-        """Third directional derivative at column pairs of ``P`` and ``V``."""
-        third = self.jet_many(P, V, with_values=False)[1]
-        return _fd_third(self, P, V) if third is None else third
-
-    def fourth_dir_many(self, P, V) -> np.ndarray:
-        """Fourth directional derivative at column pairs of ``P`` and ``V``."""
-        fourth = self.jet_many(P, V, with_values=False)[2]
-        return _fd_fourth(self, P, V) if fourth is None else fourth
 
     def value(self, x) -> float:
         return float(self.value_many(as_vector(x, self.dim)[:, None])[0])
 
     def third_dir(self, x, u) -> np.ndarray:
-        return self.third_dir_many(*_one_column(x, u, self.dim))[:, 0]
+        third = self.jet_many(*_one_column(x, u, self.dim), parts=("third",))[1]
+        if third is None:
+            raise MissingThirdDerivative("oracle lacks analytic third derivatives")
+        return third[:, 0]
 
     def fourth_dir(self, x, u) -> np.ndarray:
-        return self.fourth_dir_many(*_one_column(x, u, self.dim))[:, 0]
+        fourth = self.jet_many(*_one_column(x, u, self.dim), parts=("fourth",))[2]
+        if fourth is None:
+            raise MissingFourthDerivative("oracle lacks analytic fourth derivatives")
+        return fourth[:, 0]
 
 
 class QuadraticOracle(Oracle):
@@ -184,7 +186,7 @@ class QuadraticOracle(Oracle):
                 raise DimensionMismatch(f"expected a square matrix, got shape {Q.shape}")
             as_matrix(Q, Q.shape[0])  # finite entries
             scale = max(np.abs(Q).max(), 1e-300)
-            if np.abs(Q - Q.T).max() > 1e-12 * scale:
+            if np.abs(Q - Q.T).max() > constants.SYMMETRY_RTOL * scale:
                 raise NotPsd("quadratic matrix is not symmetric")
             Q = 0.5 * (Q + Q.T)
             lo = float(np.linalg.eigvalsh(Q)[0])
@@ -215,10 +217,10 @@ class QuadraticOracle(Oracle):
         Dp = as_matrix(P, self.dim) - self.center[:, None]
         return 0.5 * _col_dot(Dp, self.Q @ Dp)
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
         P, V = _block_pair(P, V, self.dim)
-        values = self.value_many(P) if with_values else None
-        return values, np.zeros(P.shape), np.zeros(P.shape)
+        values = self.value_many(P) if "values" in parts else None
+        return values, *(np.zeros(P.shape) if t in parts else None for t in PARTS[1:])
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -318,35 +320,40 @@ class LogisticOracle(Oracle):
         P = as_matrix(P, self.dim)
         return self._values(self._margin_rows(P), P)
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
-        """Values, and both tensors from one product ``X' [W3, W4]``.
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
+        """Values, and the tensors asked for from one product ``X' [W3, W4]``.
 
         The weights take one point per column and keep the left to right
         order of the class docstring's formulas, so every entry rounds as
-        the plain expression would.
+        the plain expression would, for any ``parts``.
         """
         P, V = _block_pair(P, V, self.dim)
+        third, fourth = "third" in parts, "fourth" in parts
         T = self._margin_rows(P)
         S = _sigmoid(T.T.copy())
-        values = self._values(T, P) if with_values else None
+        values = self._values(T, P) if "values" in parts else None
+        if not (third or fourth):
+            return values, None, None
         proj = self.X @ V
-        W = np.empty((2, *proj.shape))
-        W3, W4 = W
+        W = np.empty((third + fourth, *proj.shape))  # [W3, W4], or the one asked for
+        W3, W4 = W[0], W[-1]
         Q = 1.0 - S
         curv = S * Q
-        np.multiply(curv, np.subtract(1.0, 2.0 * S), out=W3)
-        W3 *= self.y[:, None]
         sq = np.square(proj)
-        W3 *= sq
-        S *= 6.0
-        S *= Q
-        np.multiply(curv, np.subtract(1.0, S, out=S), out=W4)
-        # proj**2 * proj: an integer power other than 2 goes through pow().
-        sq *= proj
-        W4 *= sq
+        if third:
+            np.multiply(curv, np.subtract(1.0, 2.0 * S), out=W3)
+            W3 *= self.y[:, None]
+            W3 *= sq
+        if fourth:
+            S *= 6.0
+            S *= Q
+            np.multiply(curv, np.subtract(1.0, S, out=S), out=W4)
+            # proj**2 * proj: an integer power other than 2 goes through pow().
+            sq *= proj
+            W4 *= sq
         R = self.X.T @ W
         R /= self.n
-        return values, R[0], R[1]
+        return values, R[0] if third else None, R[-1] if fourth else None
 
 
 class LogSumExpOracle(Oracle):
@@ -426,36 +433,42 @@ class LogSumExpOracle(Oracle):
         P = as_matrix(P, self.dim)
         return self._values(*self._exp_scores(P), P)
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
-        """Values, and both tensors from one product ``X' [W3, W4]``.
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
+        """Values, and the tensors asked for from one product ``X' [W3, W4]``.
 
         The weights work in place on the centered projections but keep the
         left to right order of the class docstring's cumulants, so every
-        entry rounds as the plain expression would.
+        entry rounds as the plain expression would, for any ``parts``.
         """
         P, V = _block_pair(P, V, self.dim)
+        third, fourth = "third" in parts, "fourth" in parts
         E, m = self._exp_scores(P)
         Pi = E.T.copy()  # one point per column
         Pi /= Pi.sum(axis=0)
-        values = self._values(E, m, P) if with_values else None
+        values = self._values(E, m, P) if "values" in parts else None
+        if not (third or fourth):
+            return values, None, None
         C = self.X @ V
         C -= _col_dot(Pi, C)
-        W = np.empty((2, *C.shape))
-        C2, C3 = W
-        np.square(C, out=C2)
+        W = np.empty((third + fourth, *C.shape))  # [C2, C3], or the one asked for
+        C2 = np.square(C, out=W[0] if third else None)
         var = _col_dot(Pi, C2)
-        np.multiply(C2, C, out=C3)
-        k3 = _col_dot(Pi, C3)
-        C2 -= var
-        C2 *= Pi
-        C *= 3.0 * var
-        C3 -= C
-        C3 -= k3
-        C3 *= Pi
-        third, fourth = self.X.T @ W
-        third *= (1.0 / self.temp) ** 2
-        fourth *= (1.0 / self.temp) ** 3
-        return values, third, fourth
+        if fourth:  # reads C2 before the third tensor's weights center it
+            C3 = np.multiply(C2, C, out=W[-1])
+            k3 = _col_dot(Pi, C3)
+            C *= 3.0 * var
+            C3 -= C
+            C3 -= k3
+            C3 *= Pi
+        if third:
+            C2 -= var
+            C2 *= Pi
+        R = self.X.T @ W
+        if third:
+            R[0] *= (1.0 / self.temp) ** 2
+        if fourth:
+            R[-1] *= (1.0 / self.temp) ** 3
+        return values, R[0] if third else None, R[-1] if fourth else None
 
 
 class CustomOracle(Oracle):
@@ -474,8 +487,7 @@ class CustomOracle(Oracle):
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
-        self._third = third_dir
-        self._fourth = fourth_dir
+        self._tensors = (third_dir, fourth_dir)
 
     def _values(self, P: np.ndarray) -> np.ndarray:
         return np.array([float(self._value(p)) for p in P.T])
@@ -489,8 +501,8 @@ class CustomOracle(Oracle):
     def hessian(self, x) -> np.ndarray:
         return np.asarray(self._hessian(as_vector(x, self.dim)), dtype=float)
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
-        """The callables looped over the columns; ``None`` for a tensor given none."""
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
+        """The callables of the parts asked for, looped over the columns."""
         P, V = _block_pair(P, V, self.dim)
 
         def looped(fn) -> np.ndarray:
@@ -499,16 +511,16 @@ class CustomOracle(Oracle):
                 out[:, j] = as_vector(fn(P[:, j], V[:, j]), self.dim)
             return out
 
-        values = self._values(P) if with_values else None
-        third, fourth = (None if fn is None else looped(fn) for fn in (self._third, self._fourth))
-        return values, third, fourth
+        values = self._values(P) if "values" in parts else None
+        fns = [fn if part in parts else None for part, fn in zip(PARTS[1:], self._tensors)]
+        return values, *(None if fn is None else looped(fn) for fn in fns)
 
 
 class SumOracle(Oracle):
     """``sum_i w_i f_i + <., tilt>``: nonnegatively weighted oracles and a tilt.
 
     The one composition rule: a sum ``SumOracle(f, g)``, a scaling
-    ``SumOracle(f, weights=(w,))``, a linear tilt (:func:`linearly_perturb`) and a
+    ``SumOracle(f, weights=(w,))``, a linear tilt ``SumOracle(f, tilt=A)`` and a
     penalized objective (:func:`smoothly_penalize`) are each one of these.
     Every form is the sum of the terms' forms in term order, each term
     multiplied by its weight unless the weight is 1, and ``None`` in
@@ -550,9 +562,9 @@ class SumOracle(Oracle):
         P = as_matrix(P, self.dim)
         return self._sum(f.value_many(P) for _, f in self.terms) + self.tilt @ P
 
-    def jet_many(self, P, V, with_values: bool = True) -> Jet:
+    def jet_many(self, P, V, parts=PARTS) -> Jet:
         P, V = _block_pair(P, V, self.dim)
-        jets = [f.jet_many(P, V, with_values) for _, f in self.terms]
+        jets = [f.jet_many(P, V, parts=parts) for _, f in self.terms]
         values, third, fourth = (
             None if any(jet[i] is None for jet in jets) else self._sum(jet[i] for jet in jets)
             for i in range(3)
@@ -560,11 +572,6 @@ class SumOracle(Oracle):
         if values is not None and self.tilt is not None:
             values = values + self.tilt @ P
         return values, third, fourth
-
-
-def linearly_perturb(f: Oracle, A) -> Oracle:
-    """Return ``g(x) = f(x) + <x, A>``."""
-    return SumOracle(f, tilt=A)
 
 
 def quadratically_penalize(f: Oracle, penalty_sq) -> Oracle:
@@ -638,7 +645,7 @@ def fd_probe(f: Oracle, x, directions: int = 8, seed: int = 0) -> list[Gate]:
         scale = np.maximum(np.linalg.norm(exact, axis=0), np.finfo(float).tiny)
         return float(np.max(np.linalg.norm(fd - exact, axis=0) / scale, initial=0.0))
 
-    _, third, fourth = f.jet_many(X, U, with_values=False)
+    _, third, fourth = f.jet_many(X, U, parts=("third", "fourth"))
     if third is not None:
         worst[3] = worst_relative(_fd_third(f, X, U), third)
     if fourth is not None:

@@ -40,7 +40,7 @@ from . import constants
 from .diagnostics import Gate
 from .errors import DimensionMismatch, MissingThirdDerivative, NotAtMinimum
 from .linalg import SpdOperator, as_vector, spd_from_dense
-from .oracle import Oracle
+from .oracle import PARTS, Oracle
 
 __all__ = [
     "SmoothnessCertificate",
@@ -95,11 +95,9 @@ def _metric_direction(rng: np.random.Generator, M: SpdOperator) -> np.ndarray:
     return M.L_inv.T @ (z / np.linalg.norm(z))
 
 
-def _radial(rng: np.random.Generator, r: float, dim: int) -> float:
-    # Radius law biased toward the shell; floored away from zero so ratios
-    # of tiny cancellations cannot dominate the running max.  ``random()``
-    # draws the same double as ``uniform()`` on [0, 1).
-    u = rng.random()
+def _radial(u, r: float, dim: int):
+    # Radius law of uniform ``u`` (a float or an array), biased toward the shell;
+    # floored away from zero so tiny cancellations cannot dominate the running max.
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
@@ -140,8 +138,7 @@ def _draw(seed: int, dim: int, r: float, samples: int) -> tuple[np.ndarray, np.n
     rows[1, :columns] = tensors.standard_normal((columns, dim))
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     rad = np.zeros(blocks * SAMPLE_BLOCK)
-    # Radius law biased toward the shell, as in _radial.
-    rad[1:columns] = r * (0.05 + 0.95 * radii.random(samples) ** (1.0 / dim))
+    rad[1:columns] = _radial(radii.random(samples), r, dim)
     # Contiguous for any block count, so every block has one memory layout.
     cols = np.ascontiguousarray(rows.reshape(2, blocks, SAMPLE_BLOCK, dim).transpose(1, 3, 0, 2))
     return cols.reshape(blocks, dim, 2 * SAMPLE_BLOCK), rad.reshape(blocks, SAMPLE_BLOCK)
@@ -217,7 +214,7 @@ def sample_constants(
         directions = metric.L_inv.T @ block
         U = directions[:, :SAMPLE_BLOCK] * rad[b]
         P, V = x[:, None] + U, directions[:, SAMPLE_BLOCK:]
-        values, *tensors = f.jet_many(P, V, with_values=include_omega)
+        values, *tensors = f.jet_many(P, V, parts=PARTS if include_omega else PARTS[1:])
         if b == 0:
             orders = [order for order, t in zip((3, 4), tensors) if t is not None]
         if include_omega:
@@ -295,14 +292,14 @@ def taylor_diagnostics(
     worst = dict.fromkeys((1, 2, 3), 0.0)
     for _ in range(samples):
         # check 1 and 4 share the sample offset u
-        u = _radial(rng, r, f.dim) * _metric_direction(rng, M)
+        u = _radial(rng.random(), r, f.dim) * _metric_direction(rng, M)
         du = M.norm(u)
         grad_u = f.gradient(x + u)
         rem1 = grad_u - g0 - H0 @ u
         lhs1 = M.dual_norm(rem1)
         worst[1] = max(worst[1], ratio(lhs1, 0.5 * tau3 * du**2))
 
-        third = None if tau4 is None else f.jet_many(x[:, None], u[:, None], with_values=False)[1]
+        third = None if tau4 is None else f.jet_many(x[:, None], u[:, None], parts=("third",))[1]
         if third is not None:
             rem4 = rem1 - 0.5 * third[:, 0]
             lhs4 = M.dual_norm(rem4)
@@ -310,15 +307,15 @@ def taylor_diagnostics(
 
         # check 2: Hessian difference between two ball points; L^{-1} H L^{-T}
         # has the spectrum of D^{-1} H D^{-1}
-        a = _radial(rng, r, f.dim) * _metric_direction(rng, M)
-        b = _radial(rng, r, f.dim) * _metric_direction(rng, M)
+        a = _radial(rng.random(), r, f.dim) * _metric_direction(rng, M)
+        b = _radial(rng.random(), r, f.dim) * _metric_direction(rng, M)
         diff = M.L_inv @ (f.hessian(x + b) - f.hessian(x + a)) @ M.L_inv.T
         lhs2 = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).max())
         dstep = M.norm(b - a)
         worst[2] = max(worst[2], ratio(lhs2, tau3 * dstep))
 
         # check 3: base offset no larger than the step, both points in ball
-        step_len = _radial(rng, r, f.dim) * (2.0 / 3.0)
+        step_len = _radial(rng.random(), r, f.dim) * (2.0 / 3.0)
         delta = step_len * _metric_direction(rng, M)
         dd = M.norm(delta)
         cap = min(dd, r - dd)

@@ -155,7 +155,7 @@ def theorem_suite():
         f, xstar, F, cert = _certified_anchor(desc, samples=120, seed=1000 + i)
         w = np.random.default_rng(2000 + i).standard_normal(f.dim)
         A = w * (TILT_FRACTION * _tilt_budget(cert, F) / _xi(F, w))
-        g = px.linearly_perturb(f, A)
+        g = px.SumOracle(f, tilt=A)
         sol = px.newton_minimize(g, xstar)
         shift = sol.xhat - xstar
         dval = sol.value - g.value(xstar)

@@ -7,6 +7,7 @@ import pytest
 
 import perturbex as px
 from perturbex.errors import MissingThirdDerivative, PreconditionViolated
+from perturbex.oracle import PARTS
 
 _I1 = px.spd_from_dense(np.eye(1))
 
@@ -277,7 +278,7 @@ class TestDispatch:
     def test_exact_order_needs_a_quadratic_objective(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
-        for g in (f, px.linearly_perturb(f, A)):
+        for g in (f, px.SumOracle(f, tilt=A)):
             with pytest.raises(PreconditionViolated, match="not quadratic"):
                 px.expansion_for_order(_predict(F, A, g, xstar), cert, "exact")
 
@@ -286,7 +287,7 @@ class TestVerification:
     def test_reports_of_one_problem_share_its_curvature(self, logistic_certificate):
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
-        g = px.linearly_perturb(f, A)
+        g = px.SumOracle(f, tilt=A)
         p = _predict(F, A, f, xstar)
         reports = [px.expansion_for_order(p, cert, order) for order in (2, 3)]
         solution, comps = px.solve_and_compare(reports)
@@ -429,8 +430,8 @@ class _Delegate(px.Oracle):
         self.hessians += 1
         return self.f.hessian(x)
 
-    def jet_many(self, P, V, with_values=True):
-        values, third, fourth = self.f.jet_many(P, V, with_values)
+    def jet_many(self, P, V, parts=PARTS):
+        values, third, fourth = self.f.jet_many(P, V, parts)
         return (values, third, fourth) if self.tensors else (values, None, None)
 
 

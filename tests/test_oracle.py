@@ -5,13 +5,19 @@ import pytest
 
 import perturbex as px
 from perturbex import oracle as oracle_module
-from perturbex.errors import BadLabels, DimensionMismatch, NotPsd
-from perturbex.oracle import _fd_fourth, _fd_third
+from perturbex.errors import (
+    BadLabels,
+    DimensionMismatch,
+    MissingFourthDerivative,
+    MissingThirdDerivative,
+    NotPsd,
+)
+from perturbex.oracle import PARTS, _fd_fourth, _fd_third
 
 
 def _tensors(f):
     """Which of the third and fourth tensors ``f.jet_many`` returns."""
-    _, third, fourth = f.jet_many(np.zeros((f.dim, 1)), np.ones((f.dim, 1)), with_values=False)
+    _, third, fourth = f.jet_many(np.zeros((f.dim, 1)), np.ones((f.dim, 1)), ("third", "fourth"))
     return third is not None, fourth is not None
 
 
@@ -164,8 +170,8 @@ class TestPerturbations:
     def test_linear_tilt_roundtrip(self, rng):
         f = _zoo("logistic").oracle
         A = rng.standard_normal(f.dim)
-        g = px.linearly_perturb(f, A)
-        h = px.linearly_perturb(g, -A)
+        g = px.SumOracle(f, tilt=A)
+        h = px.SumOracle(g, tilt=-A)
         x = rng.standard_normal(f.dim)
         assert abs(h.value(x) - f.value(x)) < 1e-14 * (1 + abs(f.value(x)))
         np.testing.assert_allclose(h.gradient(x), f.gradient(x), atol=1e-14)
@@ -237,8 +243,8 @@ def _five_forms(f, x, P, V):
         "value_many": f.value_many(P),
         "gradient": f.gradient(x),
         "hessian": f.hessian(x),
-        "third_dir_many": f.third_dir_many(P, V),
-        "fourth_dir_many": f.fourth_dir_many(P, V),
+        "third": f.jet_many(P, V, ("third",))[1],
+        "fourth": f.jet_many(P, V, ("fourth",))[2],
     }
 
 
@@ -266,8 +272,8 @@ class TestOneSum:
         quad = px.QuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]), rng.standard_normal(4))
         tilt = rng.standard_normal(4)
         if nested:
-            g = px.linearly_perturb(
-                px.smoothly_penalize(logistic, px.SumOracle(logsumexp, weights=(0.3,))), tilt
+            g = px.SumOracle(
+                px.smoothly_penalize(logistic, px.SumOracle(logsumexp, weights=(0.3,))), tilt=tilt
             )
             weighted = [(1.0, logistic), (0.3, logsumexp)]
         else:
@@ -294,7 +300,7 @@ class TestOneSum:
             for b in oracles:
                 both = px.SumOracle(a, b, weights=(0.5, 2.0), tilt=np.ones(4))
                 assert _tensors(both) == tuple(p and q for p, q in zip(_tensors(a), _tensors(b)))
-            for g in (px.SumOracle(a, weights=(0.5,)), px.linearly_perturb(a, np.ones(4))):
+            for g in (px.SumOracle(a, weights=(0.5,)), px.SumOracle(a, tilt=np.ones(4))):
                 assert _tensors(g) == _tensors(a)
 
     def test_quadratic_flag_composes_like_the_tensor_flags(self, rng):
@@ -306,9 +312,9 @@ class TestOneSum:
         assert not px.Oracle.quadratic and not logistic.quadratic
         assert not _quartic_custom(4, analytic=True).quadratic
         assert px.SumOracle(quad, ridge, weights=(0.5, 2.0), tilt=np.ones(4)).quadratic
-        assert px.linearly_perturb(px.smoothly_penalize(quad, ridge), np.ones(4)).quadratic
+        assert px.SumOracle(px.smoothly_penalize(quad, ridge), tilt=np.ones(4)).quadratic
         assert not px.SumOracle(quad, logistic, weights=(0.5, 2.0)).quadratic
-        assert not px.linearly_perturb(logistic, np.ones(4)).quadratic
+        assert not px.SumOracle(logistic, tilt=np.ones(4)).quadratic
 
     def test_rejects_mismatched_terms(self):
         f = _zoo("logistic").oracle
@@ -350,7 +356,8 @@ class TestOneSum:
 
 
 class TestFiniteDifferenceFallbacks:
-    """Oracles without closed forms still expose usable tensor directions."""
+    """Oracles without closed forms raise on a tensor read; only the probe's
+    references ``_fd_third`` / ``_fd_fourth`` difference their Hessians."""
 
     def test_fd_third_dir_on_cubic(self):
         f = px.CustomOracle(
@@ -360,8 +367,13 @@ class TestFiniteDifferenceFallbacks:
             hessian=lambda x: np.array([[float(x[0])]]),
         )
         assert _tensors(f) == (False, False)
+        x, u = np.array([0.3]), np.array([2.0])
+        with pytest.raises(MissingThirdDerivative, match="oracle lacks analytic third"):
+            f.third_dir(x, u)
+        with pytest.raises(MissingFourthDerivative, match="oracle lacks analytic fourth"):
+            f.fourth_dir(x, u)
         # d^3/dx^3 (x^3/6) = 1, contracted twice with u = 2 gives 4.
-        approx = f.third_dir(np.array([0.3]), np.array([2.0]))
+        approx = _fd_third(f, x[:, None], u[:, None])[:, 0]
         assert approx[0] == pytest.approx(4.0, rel=1e-6)
 
     def test_sum_oracle_combines_capability_flags(self):
@@ -408,7 +420,7 @@ def _batched_zoo():
         "psd-quadratic": psd,
         "sum": px.SumOracle(logistic, psd),
         "scaled": px.SumOracle(logsumexp, weights=(0.25,)),
-        "linear-tilt": px.linearly_perturb(logistic, rng.standard_normal(4)),
+        "linear-tilt": px.SumOracle(logistic, tilt=rng.standard_normal(4)),
         "custom-analytic": _quartic_custom(4, analytic=True),
         "custom-fd": _quartic_custom(4, analytic=False),
         "weighted-tilt": px.SumOracle(
@@ -443,13 +455,21 @@ class TestBatchedForms:
         if width == 1:
             np.testing.assert_array_equal(f.value_many(P), looped)
         np.testing.assert_allclose(f.value_many(P), looped, rtol=1e-12)
-        for many, one in (
-            (f.third_dir_many, f.third_dir),
-            (f.fourth_dir_many, f.fourth_dir),
+        for part, one, fd, missing in (
+            ("third", f.third_dir, _fd_third, MissingThirdDerivative),
+            ("fourth", f.fourth_dir, _fd_fourth, MissingFourthDerivative),
         ):
-            batched = many(P, V)
+            batched = f.jet_many(P, V, (part,))[PARTS.index(part)]
+            columns = [(P[:, [j]], V[:, [j]]) for j in range(width)]
+            if name in _TENSORLESS:  # no closed form: the read raises, the differences serve
+                assert batched is None
+                with pytest.raises(missing):
+                    one(P[:, 0], V[:, 0])
+                batched = fd(f, P, V)
+                looped = np.column_stack([fd(f, p, v)[:, 0] for p, v in columns])
+            else:
+                looped = np.column_stack([one(p[:, 0], v[:, 0]) for p, v in columns])
             assert batched.shape == (f.dim, width)
-            looped = np.column_stack([one(P[:, j], V[:, j]) for j in range(width)])
             if width == 1:
                 np.testing.assert_array_equal(batched, looped)
             np.testing.assert_allclose(
@@ -473,18 +493,28 @@ class TestBatchedForms:
         assert one[0][0] == f.value(x)
         has = name not in _TENSORLESS
         tensors = (
-            (third, one[1], f.third_dir_many, f.third_dir, has),
-            (fourth, one[2], f.fourth_dir_many, f.fourth_dir, has),
+            (third, one[1], f.third_dir, has),
+            (fourth, one[2], f.fourth_dir, has),
         )
-        for tensor, column, many, scalar, has in tensors:
-            if not has:  # no closed form: derived by finite differences
+        for tensor, column, scalar, has in tensors:
+            if not has:  # no closed form
                 assert tensor is None and column is None
                 continue
             assert tensor.shape == (f.dim, width)
-            np.testing.assert_array_equal(tensor, many(P, V))
             np.testing.assert_array_equal(column[:, 0], scalar(x, u))
             if f.quadratic:
                 assert not tensor.any()
+        # Each part asked for alone is the same part of the full jet, bit for
+        # bit, and every part not asked for is None.
+        for part, full in zip(PARTS, (values, third, fourth)):
+            alone = f.jet_many(P, V, (part,))
+            for other, got in zip(PARTS, alone):
+                if other != part:
+                    assert got is None, (part, other)
+                elif full is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, full, err_msg=part)
 
     @pytest.mark.parametrize("name", ["logistic", "custom-analytic"])
     def test_block_inputs_are_checked(self, name):
@@ -495,25 +525,28 @@ class TestBatchedForms:
         with pytest.raises(ValueError):
             f.value_many(bad)
         with pytest.raises(ValueError):
-            f.third_dir_many(P, bad)
+            f.jet_many(P, bad, ("third",))
         with pytest.raises(DimensionMismatch):
             f.value_many(np.zeros((f.dim + 1, 3)))
         with pytest.raises(DimensionMismatch):
-            f.fourth_dir_many(P, np.zeros((f.dim, 2)))
+            f.jet_many(P, np.zeros((f.dim, 2)), ("fourth",))
 
 
 class TestOneExtensionPoint:
     """``jet_many`` is the one batched higher-order form an oracle implements."""
 
     def test_only_the_base_class_derives_the_tensor_forms(self):
+        """The base class derives the one-column forms; no class has a batched
+        tensor form besides ``jet_many``."""
         classes = [
             cls for cls in vars(oracle_module).values()
             if isinstance(cls, type) and issubclass(cls, px.Oracle)
         ]
+        scalar = {"value", "third_dir", "fourth_dir"}
         for cls in classes:
             assert "jet_many" in vars(cls), cls
-            derived = {"third_dir_many", "fourth_dir_many"} & set(vars(cls))
-            assert derived == ({"third_dir_many", "fourth_dir_many"} if cls is px.Oracle else set())
+            assert scalar & set(vars(cls)) == (scalar if cls is px.Oracle else set())
+            assert not hasattr(cls, "third_dir_many") and not hasattr(cls, "fourth_dir_many")
 
     def test_no_class_declares_its_tensors(self):
         """An oracle has a tensor when ``jet_many`` returns it; no attribute says so."""
@@ -533,25 +566,93 @@ class TestOneExtensionPoint:
         rng = np.random.default_rng(3)
         P = 0.3 * rng.standard_normal((f.dim, 5))
         V = rng.standard_normal((f.dim, 5))
-        values, third, fourth = f.jet_many(P, V, with_values=with_values)
+        values, third, fourth = f.jet_many(P, V, parts=PARTS if with_values else PARTS[1:])
         assert (values is None) == (not with_values)
         has = name not in _TENSORLESS
         assert (third is None) == (not has)
         assert (fourth is None) == (not has)
         if has:
-            np.testing.assert_array_equal(f.third_dir_many(P, V), third)
-            np.testing.assert_array_equal(f.fourth_dir_many(P, V), fourth)
+            np.testing.assert_array_equal(f.jet_many(P, V, ("third",))[1], third)
+            np.testing.assert_array_equal(f.jet_many(P, V, ("fourth",))[2], fourth)
 
     def test_sum_with_a_tensorless_term_differences_the_sum(self):
-        """A term without closed-form tensors leaves the sum without them, so its
-        derived forms are the finite differences of the whole sum."""
+        """A term without closed-form tensors leaves the sum without them: its
+        one-column reads raise, and the probe's references difference the whole
+        sum to the terms' tensors."""
         f = _batched_zoo()["sum-custom-fd"]
         assert _tensors(f) == (False, False)
         rng = np.random.default_rng(4)
         P = 0.3 * rng.standard_normal((f.dim, 6))
         V = rng.standard_normal((f.dim, 6))
-        np.testing.assert_array_equal(f.third_dir_many(P, V), _fd_third(f, P, V))
-        np.testing.assert_array_equal(f.fourth_dir_many(P, V), _fd_fourth(f, P, V))
+        with pytest.raises(MissingThirdDerivative):
+            f.third_dir(P[:, 0], V[:, 0])
+        with pytest.raises(MissingFourthDerivative):
+            f.fourth_dir(P[:, 0], V[:, 0])
+        # The sum is the quartic 0.5 |x|^2 + sum x_i^4 / 12 plus a logistic loss.
+        _, third, fourth = _zoo("logistic").oracle.jet_many(P, V, ("third", "fourth"))
+        for fd, exact, rtol in (
+            (_fd_third(f, P, V), 2.0 * P * V**2 + third, 1e-9),
+            (_fd_fourth(f, P, V), 2.0 * V**3 + fourth, 1e-6),
+        ):
+            error = np.linalg.norm(fd - exact, axis=0) / np.linalg.norm(exact, axis=0)
+            assert error.max() <= rtol, error
+
+
+def _counting_quartic(dim=3):
+    """``_quartic_custom(dim, analytic=True)`` whose value and tensor callables count
+    their calls."""
+    base = _quartic_custom(dim, analytic=True)
+    calls = dict.fromkeys(PARTS, 0)
+
+    def counted(part, fn):
+        def call(*args):
+            calls[part] += 1
+            return fn(*args)
+
+        return call
+
+    f = px.CustomOracle(
+        dim=dim,
+        value=counted("values", base.value),
+        gradient=base.gradient,
+        hessian=base.hessian,
+        third_dir=counted("third", base.third_dir),
+        fourth_dir=counted("fourth", base.fourth_dir),
+    )
+    return f, calls
+
+
+class TestOnlyThePartsAskedFor:
+    """A caller forms only the parts of ``jet_many`` it reads, so a
+    ``CustomOracle`` runs no callable of a part nobody asked for."""
+
+    def test_one_column_reads_run_one_callable(self):
+        f, calls = _counting_quartic()
+        x, u = np.array([0.3, -0.1, 0.2]), np.array([1.0, -0.5, 2.0])
+        np.testing.assert_array_equal(f.third_dir(x, u), 2.0 * x * u**2)
+        assert calls == {"values": 0, "third": 1, "fourth": 0}
+        np.testing.assert_array_equal(f.fourth_dir(x, u), 2.0 * u**3)
+        assert calls == {"values": 0, "third": 1, "fourth": 1}
+
+    def test_tensors_alone_run_no_value_callable(self):
+        f, calls = _counting_quartic()
+        rng = np.random.default_rng(2)
+        P, V = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        values, third, fourth = f.jet_many(P, V, ("third",))
+        assert values is None and fourth is None and third.shape == (3, 5)
+        assert calls == {"values": 0, "third": 5, "fourth": 0}
+
+    def test_skew_term_and_check_4_run_no_fourth_callable(self):
+        f, calls = _counting_quartic()
+        xstar, u = np.zeros(3), np.array([0.2, -0.1, 0.3])
+        px.skewness_correction(f, xstar, u)
+        assert calls == {"values": 0, "third": 1, "fourth": 0}
+        cert = px.declared_certificate(
+            px.spd_from_dense(np.eye(3)), radius=0.5, omega=0.1, tau3=1.0, tau4=3.0
+        )
+        gates = px.taylor_diagnostics(f, xstar, cert, samples=10, seed=0)
+        assert gates[-1].name == "third_order_remainder"
+        assert calls == {"values": 0, "third": 1 + 10, "fourth": 0}
 
 
 def _kernel_pair(seed=5, n=60, dim=7):
@@ -613,8 +714,8 @@ class TestKernels:
             np.testing.assert_allclose(H, expected, rtol=1e-13, atol=0.0)
             assert np.abs(H - H.T).max() <= 1e-15 * np.abs(H).max()
 
-    # The tensor references below are the formulas ``third_dir_many`` and
-    # ``fourth_dir_many`` held before ``jet_many`` fused them, with one point
+    # The tensor references below are the formulas the batched tensor forms
+    # held before ``jet_many`` fused them, with one point
     # per column, as ``jet_many`` forms its weights.
 
     def test_logistic_tensor_forms_are_the_plain_expressions(self):

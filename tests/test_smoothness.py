@@ -7,6 +7,7 @@ import pytest
 
 import perturbex as px
 from perturbex.errors import MissingThirdDerivative, NotAtMinimum
+from perturbex.oracle import PARTS
 from perturbex.smoothness import SAMPLE_BLOCK, _draw, _running_max
 
 
@@ -291,14 +292,12 @@ def _counted_calls(f, monkeypatch) -> list[str]:
     A ``jet_many`` asked for no values is recorded as ``jet_many/tensors``.
     """
     calls = []
-    for method in (
-        "value", "third_dir", "fourth_dir",
-        "value_many", "third_dir_many", "fourth_dir_many", "jet_many",
-    ):
+    for method in ("value", "third_dir", "fourth_dir", "value_many", "jet_many"):
         original = getattr(type(f), method)
 
         def counted(self, *args, _original=original, _method=method, **kwargs):
-            calls.append(_method if kwargs.get("with_values", True) else _method + "/tensors")
+            values = "values" in kwargs.get("parts", PARTS)
+            calls.append(_method if values else _method + "/tensors")
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(type(f), method, counted)
@@ -362,8 +361,8 @@ class TestBatchedEstimators:
         block that does not return one is a one-line error naming the oracle class."""
 
         class Fickle(px.CustomOracle):
-            def jet_many(self, P, V, with_values=True):
-                jet = list(super().jet_many(P, V, with_values))
+            def jet_many(self, P, V, parts=PARTS):
+                jet = list(super().jet_many(P, V, parts))
                 self.blocks += 1
                 if self.blocks > 1:
                     jet[dropped] = None
@@ -422,7 +421,7 @@ def _reference_draw(dim, r, samples, seed=17):
         rows[1, j] = tensors.standard_normal(dim)
         if j > 0:
             rows[0, j] = offsets.standard_normal(dim)
-            u[j - 1] = radii.uniform()
+            u[j - 1] = radii.uniform()  # the same double as the sampler's random()
     rad = np.zeros(width)
     rad[1 : samples + 1] = r * (0.05 + 0.95 * u ** (1.0 / dim))
     unit = rows / np.linalg.norm(rows, axis=2, keepdims=True)
@@ -470,8 +469,8 @@ class TestNonFiniteRatios:
         f, xstar = logistic_anchor
         original = type(f).jet_many
 
-        def huge_third(self, P, V, with_values=True):
-            values, _, fourth = original(self, P, V, with_values)
+        def huge_third(self, P, V, parts=PARTS):
+            values, _, fourth = original(self, P, V, parts)
             return values, np.full(V.shape, np.finfo(float).max), fourth
 
         monkeypatch.setattr(type(f), "jet_many", huge_third)

@@ -63,7 +63,7 @@ def test_descent_to_tight_tolerance_on_tilted_problem(logistic_anchor):
     """
     f, xstar = logistic_anchor
     A = 0.05 * np.ones(f.dim) / np.sqrt(f.dim)
-    g = px.linearly_perturb(f, A)
+    g = px.SumOracle(f, tilt=A)
     sol = px.newton_minimize(g, xstar)
     assert sol.grad_norm_dual <= 1e-12 * (1 + abs(g.value(xstar)))
 
@@ -129,7 +129,7 @@ def _tilted(kind: str, scale: float):
     prob = px.oracle_from_descriptor(desc)
     xstar = px.newton_minimize(prob.oracle, prob.x0).xhat
     A = scale * np.random.default_rng(3).standard_normal(prob.oracle.dim)
-    g = px.linearly_perturb(prob.oracle, A)
+    g = px.SumOracle(prob.oracle, tilt=A)
     return g, xstar, px.spd_from_dense(g.hessian(xstar))
 
 
@@ -270,7 +270,7 @@ def test_any_held_curvature_reaches_the_exact_decrement(kind, dim, seed, scale, 
     prob = px.oracle_from_descriptor(desc)
     xstar = px.newton_minimize(prob.oracle, prob.x0).xhat
     A = scale * np.random.default_rng(seed).standard_normal(dim) / np.sqrt(dim)
-    g = px.linearly_perturb(prob.oracle, A)
+    g = px.SumOracle(prob.oracle, tilt=A)
     held = px.spd_from_dense(held_scale * g.hessian(xstar))
     sol = px.newton_minimize(g, xstar, curvature=held)
     tol = 1e-12 * (1 + abs(g.value(xstar)))
