@@ -17,6 +17,7 @@ from .errors import (
     HessianNotPd,
     LineSearchFailed,
     MaxIterExceeded,
+    MissingConstant,
     MissingFourthDerivative,
     MissingThirdDerivative,
     NotAtMinimum,
@@ -42,8 +43,6 @@ from .expand import (
     predict,
     second_order_bounds,
     skewness_correction,
-    solve_and_compare,
-    solve_from,
     third_order_bounds,
 )
 from .harness import ExperimentConfig
@@ -82,6 +81,7 @@ __all__ = [
     "BadLabels",
     "MissingThirdDerivative",
     "MissingFourthDerivative",
+    "MissingConstant",
     "NotAtMinimum",
     "HessianNotPd",
     "MaxIterExceeded",
@@ -136,8 +136,6 @@ __all__ = [
     "expansion_for_order",
     "distance_to_optimum",
     "compare_with_solution",
-    "solve_from",
-    "solve_and_compare",
     # penalty bias
     "ridge_bias_exact_quadratic",
     "smooth_penalty_bias",

@@ -42,8 +42,6 @@ from .diagnostics import Gate, _no_claim
 from .errors import (
     HessianNotPd,
     MissingConstant,
-    MissingFourthDerivative,
-    MissingThirdDerivative,
     NotPositiveDefinite,
     PreconditionViolated,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "fourth_order_expansion",
     "expansion_for_order",
     "distance_to_optimum",
-    "solve_from",
-    "solve_and_compare",
     "compare_with_solution",
 ]
 
@@ -244,7 +240,8 @@ class Prediction:
     ``u0 = F^{-1} A`` and ``xi = ||F^{-1/2} A||``.  Every order predicts the
     Newton shift ``-u0`` and value change ``-xi^2 / 2``; order 4 adds
     ``skew_correction = -F^{-1} gradT(u0)`` to the shift and subtracts
-    ``T(u0)``, taken from ``g`` at ``x*`` on first use, once.
+    ``T(u0)``, taken from ``g`` at ``x*`` on first use, once.  The
+    verification solve, :attr:`solution`, is likewise made on first read, once.
     """
 
     g: Oracle
@@ -267,6 +264,16 @@ class Prediction:
         if not (np.isfinite(correction).all() and math.isfinite(T)):
             raise FloatingPointError("overflow in the skew term of the tilt")
         return correction, T
+
+    @cached_property
+    def solution(self) -> Solution:
+        """The damped Newton solve of ``g`` from ``x*``, stepping on ``F``.
+
+        It starts from ``x*``, never from the prediction, so the reference
+        does not depend on what it checks.
+        """
+        sol = newton_minimize(self.g, self.xstar, curvature=self.F)
+        return Solution(sol.xhat - self.xstar, sol.value - sol.start_value, sol.stats())
 
     def report(self, order: str, bounds: BoundSet, cert=None) -> ExpansionReport:
         return ExpansionReport(order, -self.u0, self.newton_value_change, bounds, self, cert)
@@ -394,7 +401,7 @@ def third_order_bounds(p: Prediction, cert: SmoothnessCertificate) -> BoundSet:
     - ``||D^{-1} F (x~ - x* + F^{-1} A)|| <= (3 tau3 / 4) b^2``
     """
     if cert.tau3 is None:
-        raise MissingThirdDerivative("certificate lacks tau3")
+        raise MissingConstant("certificate lacks tau3")
     kappa = kappa_between(cert.metric, p.F)
     tau3 = cert.tau3
     r = cert.radius
@@ -467,9 +474,9 @@ def fourth_order_expansion(p: Prediction, cert: SmoothnessCertificate) -> Expans
     its own cap ``|T| <= (tau3 / 6) b^3``.
     """
     if cert.tau3 is None:
-        raise MissingThirdDerivative("certificate lacks tau3")
+        raise MissingConstant("certificate lacks tau3")
     if cert.tau4 is None:
-        raise MissingFourthDerivative("certificate lacks tau4")
+        raise MissingConstant("certificate lacks tau4")
     tau3 = cert.tau3
     tau4 = cert.tau4
     r = cert.radius
@@ -570,10 +577,9 @@ def _norm_of(tag: str, F: SpdOperator, M: SpdOperator | None, v: np.ndarray) -> 
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
-def compare_with_solution(
-    report: ExpansionReport, actual_shift: np.ndarray, actual_value_change: float
-) -> ComparisonReport:
-    """Measure solver-truth residuals against a report's radii.
+def compare_with_solution(report: ExpansionReport, solution: Solution) -> ComparisonReport:
+    """Measure the residuals of a solve, ``report.prediction.solution`` as a
+    rule, against a report's radii.
 
     Radii of zero are exactness claims; residuals below the numerical
     floors (``1e-10`` for shifts, ``1e-12`` relative for values) count as
@@ -583,6 +589,7 @@ def compare_with_solution(
     F, u0 = report.prediction.F, report.prediction.u0
     D = report.certificate.metric if report.certificate is not None else None
     bounds = report.bounds
+    actual_shift = solution.actual_shift
     targets = {
         TARGET_SHIFT: actual_shift,
         TARGET_NEWTON: actual_shift + u0,
@@ -599,7 +606,7 @@ def compare_with_solution(
     ]
     vb = bounds.value_bound
     if vb is not None:
-        resid = actual_value_change - report.predicted_value_change
+        resid = solution.actual_value_change - report.predicted_value_change
         # A nonnegative residual is measured against the bracket's upper end,
         # a negative one against its lower end (at most 0); the entry states
         # that end's distance from 0.
@@ -627,36 +634,3 @@ def compare_with_solution(
             }
         )
     return ComparisonReport(certifying=bounds.all_gates_pass, entries=entries)
-
-
-def solve_from(g: Oracle, xstar: np.ndarray, curvature: SpdOperator) -> Solution:
-    """The reference solve of ``g`` from ``x*``, stepping on ``g``'s factored Hessian there."""
-    sol = newton_minimize(g, xstar, curvature=curvature)
-    return Solution(sol.xhat - xstar, sol.value - sol.start_value, sol.stats())
-
-
-def solve_and_compare(
-    reports: list[ExpansionReport],
-) -> tuple[Solution | None, list[ComparisonReport]]:
-    """Solve the reports' perturbed problem once and compare every report against it.
-
-    The reports' one prediction ``p`` names the problem (others raise
-    ``ValueError``): the damped Newton reference solver minimizes ``p.g``
-    from ``p.xstar``, stepping on ``p.F``, never from the prediction, so the
-    reference does not depend on what it checks.  The shift ``x~ - x*`` and
-    value change ``g(x~) - g(x*)`` are measured against every radius.
-
-    Returns the one :class:`Solution` and a comparison per report.  With no
-    reports there is nothing to check, no solve is made and the solution
-    is ``None``.
-    """
-    if not reports:
-        return None, []
-    p = reports[0].prediction
-    if any(r.prediction is not p for r in reports[1:]):
-        raise ValueError("the reports state different predictions, so not one perturbed problem")
-    solution = solve_from(p.g, p.xstar, p.F)
-    return solution, [
-        compare_with_solution(report, solution.actual_shift, solution.actual_value_change)
-        for report in reports
-    ]

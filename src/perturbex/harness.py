@@ -28,12 +28,10 @@ from . import constants
 from .errors import (
     DimensionMismatch,
     MissingConstant,
-    MissingFourthDerivative,
-    MissingThirdDerivative,
     NotPsd,
     PreconditionViolated,
 )
-from .expand import expansion_for_order, predict, solve_and_compare, solve_from
+from .expand import compare_with_solution, expansion_for_order, predict
 from .linalg import SpdOperator, check_floor, spd_from_dense
 from .oracle import Oracle, QuadraticOracle, SumOracle, fd_probe
 from .penalty import ridge_bias_exact_quadratic
@@ -527,22 +525,19 @@ def _verified_problem(
         for order in orders:
             try:
                 rep = expansion_for_order(prediction, cert, order)
-            except (
-                MissingConstant, MissingThirdDerivative, MissingFourthDerivative,
-                PreconditionViolated,
-            ) as exc:
+            except (MissingConstant, PreconditionViolated) as exc:
                 results.append({"order": str(order), "skipped": f"order {order} skipped: {exc}"})
                 continue
             reports.append(rep)
             results.append({"order": str(order), "report": rep.to_dict()})
-        solution, comparisons = solve_and_compare(reports)
-        for res, comparison in zip(_verified(results), comparisons):
-            res["verification"] = comparison.to_dict()
+        # Every report is built before the one solve, which is made only if one was.
+        for res, rep in zip(_verified(results), reports):
+            res["verification"] = compare_with_solution(rep, prediction.solution).to_dict()
         problem = {
             "tilt": prediction.A.tolist(),
             "prediction": prediction.to_dict(),
             "certificate": cert.to_dict(),
-            "solution": None if solution is None else solution.to_dict(),
+            "solution": prediction.solution.to_dict() if reports else None,
         }
     return cert, problem, results
 
@@ -662,8 +657,7 @@ def run_scaling(cfg: ExperimentConfig) -> dict[str, Any]:
             # Predicted first: a tilt too large to predict is an error before its solve.
             p = predict(f, xstar, eps * A0, curvature=F)
             correction, T = p.skew
-            solution = solve_from(p.g, xstar, F)
-            shift, dval = solution.actual_shift, solution.actual_value_change
+            shift, dval = p.solution.actual_shift, p.solution.actual_value_change
             r_newton = _norm(shift + p.u0)
             r_skew = _norm(shift - (-p.u0 + correction))
             # The order-4 value error is the order-2 one plus T: the same as

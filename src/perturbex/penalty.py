@@ -9,7 +9,8 @@ minimized at ``x*``, so a bias report is the :class:`ExpansionReport` that
 :func:`expansion_for_order` builds from the prediction ``predict(f, x*,
 pen)``, which states the perturbed problem ``f + pen``: same predictions,
 same radii with ``b = ||D F_pen^{-1} M||`` in the certificate's metric
-``D``, same verification, ``solve_and_compare([report])``.
+``D``, same verification against ``report.prediction.solution``, the solve of
+``f + pen``.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`QuadraticOracle`
 penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
@@ -53,7 +54,7 @@ def smooth_penalty_bias(
     certificate must describe ``f + pen`` around ``x*``.  A
     :class:`QuadraticOracle` penalty gives the ridge bias.  The order is
     :func:`expansion_for_order`'s, for ``f + pen``.  Verify the report
-    with ``solve_and_compare([report])``, which solves ``f + pen``.
+    against ``report.prediction.solution``, the solve of ``f + pen``.
     """
     upsstar = as_vector(upsstar, f.dim)
     check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import constants
 from .diagnostics import Gate
-from .errors import DimensionMismatch, MissingThirdDerivative, NotAtMinimum
+from .errors import DimensionMismatch, MissingConstant, NotAtMinimum
 from .linalg import SpdOperator, as_vector, spd_from_dense
 from .oracle import PARTS, Oracle
 
@@ -274,7 +274,7 @@ def taylor_diagnostics(
     """
     x = as_vector(x, f.dim)
     if cert.tau3 is None:
-        raise MissingThirdDerivative("certificate lacks tau3")
+        raise MissingConstant("certificate lacks tau3")
     M = cert.metric
     r = cert.radius
     tau3 = cert.tau3

@@ -112,11 +112,10 @@ class _Tally:
 def _verify_bias_pair(tally: _Tally, fG, rep3, rep4, xstar, label: str) -> None:
     """Solve the penalized problem ``fG`` once, then grade both bias orders."""
     sol = px.newton_minimize(fG, xstar)
-    bias = sol.xhat - xstar
-    dval = sol.value - fG.value(xstar)
+    solution = px.Solution(sol.xhat - xstar, sol.value - fG.value(xstar), sol.stats())
     comps = {}
     for rep in (rep3, rep4):
-        comp = px.compare_with_solution(rep, bias, dval)
+        comp = px.compare_with_solution(rep, solution)
         tally.add(f"{label}/order{rep.order}", rep, comp)
         comps[rep.order] = comp
     prox = {g.name: g for g in rep4.bounds.diagnostics}["mu_proximity"]
@@ -157,13 +156,12 @@ def theorem_suite():
         A = w * (TILT_FRACTION * _tilt_budget(cert, F) / _xi(F, w))
         g = px.SumOracle(f, tilt=A)
         sol = px.newton_minimize(g, xstar)
-        shift = sol.xhat - xstar
-        dval = sol.value - g.value(xstar)
+        solution = px.Solution(sol.xhat - xstar, sol.value - g.value(xstar), sol.stats())
         label = f"{desc['kind']}-{i}"
         by_order = {}
         for order in (2, 3, 4):
             rep = px.expansion_for_order(px.predict(f, xstar, A, curvature=F), cert, order)
-            comp = px.compare_with_solution(rep, shift, dval)
+            comp = px.compare_with_solution(rep, solution)
             tally.add(f"{label}/order{order}", rep, comp)
             by_order[order] = comp
         tally.pairs.append(
@@ -260,7 +258,7 @@ def test_quadratic_predictions_are_exact(criterion):
         rng = np.random.default_rng(900 + k)
         A = 10.0 ** ((k % 5) - 3) * rng.standard_normal(dim)
         p = px.predict(prob.oracle, prob.minimizer, A, curvature=prob.curvature)
-        _, (comp,) = px.solve_and_compare([px.exact_quadratic_expansion(p)])
+        comp = px.compare_with_solution(px.exact_quadratic_expansion(p), p.solution)
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, comp.residual_norms))
     elapsed = time.perf_counter() - t0
@@ -292,7 +290,7 @@ def test_ridge_bias_is_exact_on_quadratics(criterion):
         else:
             G2 = lam * px.random_spd(rng, dim, cond=8.0).matrix
         rep = px.ridge_bias_exact_quadratic(prob.curvature, G2, prob.minimizer)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = px.compare_with_solution(rep, rep.prediction.solution)
         if comp.violations or comp.max_certified_slack != 0.0:
             failures.append((desc, lam, comp.residual_norms))
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import perturbex as px
-from perturbex.errors import MissingThirdDerivative, PreconditionViolated
+import perturbex.expand as expand
+import perturbex.harness as harness
+from perturbex.errors import (
+    HessianNotPd,
+    MissingConstant,
+    MissingThirdDerivative,
+    PreconditionViolated,
+)
 from perturbex.oracle import PARTS
 
 _I1 = px.spd_from_dense(np.eye(1))
@@ -18,6 +25,11 @@ def _predict(F, A, f=None, xstar=None):
     f = px.QuadraticOracle(F) if f is None else f
     xstar = np.zeros(F.dim) if xstar is None else xstar
     return px.predict(f, xstar, A, curvature=F)
+
+
+def _compare(rep):
+    """``rep`` checked against its prediction's verification solve."""
+    return px.compare_with_solution(rep, rep.prediction.solution)
 
 
 def _cubic_1d():
@@ -48,7 +60,7 @@ class TestExactQuadratic:
         f = px.QuadraticOracle(F, center)
         A = rng.standard_normal(6)
         rep = px.exact_quadratic_expansion(_predict(F, A, f, center))
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         assert comp.certifying
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
@@ -123,7 +135,7 @@ class TestThirdOrder:
 
     def test_requires_tau3(self):
         cert = px.declared_certificate(_I1, radius=1.0, omega=0.1)
-        with pytest.raises(MissingThirdDerivative):
+        with pytest.raises(MissingConstant, match="^certificate lacks tau3$"):
             px.third_order_bounds(_predict(_I1, np.array([0.1])), cert)
 
     def test_metric_four_times_the_curvature_has_kappa_two(self, logistic_certificate):
@@ -136,7 +148,7 @@ class TestThirdOrder:
         assert px.kappa_between(M, F) == pytest.approx(2.0, rel=1e-12)
         wide = next(b for b in rep.bounds.shift_bounds if b.name == "shift_d_wide")
         assert wide.radius == pytest.approx(4.0 / 3.0 * 2.0 * p.xi, rel=1e-12)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         (entry,) = [e for e in comp.entries if e["name"] == "shift_d_wide"]
         assert entry["certified"] and entry["slack"] <= 1.0
         assert comp.violations == []
@@ -254,8 +266,7 @@ class TestPrediction:
         np.testing.assert_array_equal(p.g.gradient(xstar), f.gradient(xstar) + p.A)
         np.testing.assert_allclose(p.F.matrix, p.g.hessian(xstar), rtol=1e-14)
         assert (p.F is F) == (kind == "tilt")
-        solution, (comp,) = px.solve_and_compare([px.expansion_for_order(p, cert, 3)])
-        xhat = xstar + solution.actual_shift
+        xhat = xstar + p.solution.actual_shift
         assert p.F.dual_norm(p.g.gradient(xhat)) <= 1e-10
         with pytest.raises(TypeError):
             px.predict(F, A, f, xstar)  # the old positional form binds nothing silently
@@ -284,20 +295,42 @@ class TestDispatch:
 
 
 class TestVerification:
-    def test_reports_of_one_problem_share_its_curvature(self, logistic_certificate):
+    def test_reports_of_one_problem_share_its_curvature(self, logistic_certificate, monkeypatch):
+        """Every report of one prediction is checked against one solve of its
+        ``g``, stepping on its ``F`` and made on the first read of
+        ``p.solution``; a run whose orders are all skipped makes none."""
+        solves = []
+        solve = expand.newton_minimize
+
+        def counting(*args, **kwargs):
+            solves.append((args, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(expand, "newton_minimize", counting)
         f, xstar, F, cert = logistic_certificate
         A = 0.01 * np.ones(f.dim)
         g = px.SumOracle(f, tilt=A)
         p = _predict(F, A, f, xstar)
         reports = [px.expansion_for_order(p, cert, order) for order in (2, 3)]
-        solution, comps = px.solve_and_compare(reports)
-        assert len(comps) == 2
-        assert solution.solver["grad_norm_dual"] <= 1e-12 * (1 + abs(g.value(xstar)))
-        assert px.solve_and_compare([]) == (None, [])
-        other = px.spd_from_dense(2.0 * F.matrix)
-        reports.append(px.expansion_for_order(_predict(other, A, f, xstar), cert, 3))
-        with pytest.raises(ValueError, match="different predictions"):
-            px.solve_and_compare(reports)
+        assert solves == []
+        comps = [_compare(rep) for rep in reports]
+        assert p.solution is p.solution
+        ((args, kwargs),) = solves
+        assert args == (p.g, p.xstar) and kwargs == {"curvature": p.F}
+        assert [c.certifying for c in comps] == [True, True]
+        assert p.solution.solver["grad_norm_dual"] <= 1e-12 * (1 + abs(g.value(xstar)))
+        skipped = px.ExperimentConfig.from_dict(
+            {
+                "problem": {"kind": "logistic", "dim": 3, "n": 20, "seed": 1},
+                "perturbation": {"kind": "linear", "scale": 0.1, "seed": 2},
+                "orders": ["exact"],
+                "certificate": {"mode": "declared", "tau3": 0.0},
+            },
+            "certify",
+        )
+        report = harness.run_certify(skipped)
+        assert report["solution"] is None and report["warnings"]
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_logistic_orders_certify_with_slack(self, order, logistic_certificate):
@@ -306,7 +339,7 @@ class TestVerification:
         v = rng.standard_normal(f.dim)
         A = 0.02 * v / np.linalg.norm(v)
         rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, order)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         assert comp.certifying, rep.bounds.failed_gates()
         assert comp.violations == []
         assert comp.max_certified_slack <= 1.0
@@ -315,7 +348,7 @@ class TestVerification:
         f, xstar, F, cert = logistic_certificate
         A = np.zeros(f.dim)
         rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, 3)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -326,7 +359,7 @@ class TestVerification:
         A = np.array([0.3])
         rep = px.expansion_for_order(_predict(_I1, A, f, np.zeros(1)), lying, 3)
         assert rep.bounds.all_gates_pass  # the lie makes every gate easy
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         assert "newton_residual_dinvf" in comp.violations
 
     def test_uncertified_bounds_never_raise_violations(self):
@@ -336,7 +369,7 @@ class TestVerification:
         A = np.array([0.3])  # dnorm_radius gate fails: 0.45 > 0.1
         rep = px.expansion_for_order(_predict(_I1, A, f, np.zeros(1)), cert, 3)
         assert not rep.bounds.all_gates_pass
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         assert not comp.certifying
         assert comp.violations == []
 
@@ -347,7 +380,7 @@ class TestVerification:
         cert = px.declared_certificate(_I1, radius=2.0, omega=0.2)
         rep = px.expansion_for_order(_predict(_I1, np.array([1.0])), cert, 2)
         actual = rep.predicted_value_change + resid
-        comp = px.compare_with_solution(rep, rep.predicted_shift, actual)
+        comp = px.compare_with_solution(rep, px.Solution(rep.predicted_shift, actual, {}))
         (entry,) = [e for e in comp.entries if e["name"] == "value"]
         assert entry["radius"] == pytest.approx(end, rel=1e-14)
         assert entry["slack"] == entry["residual"] / entry["radius"] * np.sign(resid)
@@ -357,7 +390,7 @@ class TestVerification:
         f, xstar, F, cert = logistic_certificate
         A = 0.02 * np.ones(f.dim)
         rep = px.expansion_for_order(_predict(F, A, f, xstar), cert, 4)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = _compare(rep)
         blob = json.dumps({"report": rep.to_dict(), "verification": comp.to_dict()})
         parsed = json.loads(blob)
         assert parsed["report"]["order"] == "4"
@@ -382,6 +415,17 @@ class TestDistanceToOptimum:
         f, xstar, _, cert = logistic_certificate
         rep = px.distance_to_optimum(f, xstar, cert)
         assert np.linalg.norm(rep.predicted_shift) < 1e-10
+
+    def test_indefinite_hessian_at_the_iterate_raises(self):
+        saddle = px.CustomOracle(
+            dim=2,
+            value=lambda x: float(x[0] ** 2 - x[1] ** 2),
+            gradient=lambda x: np.array([2 * x[0], -2 * x[1]]),
+            hessian=lambda x: np.diag([2.0, -2.0]),
+        )
+        cert = px.declared_certificate(px.spd_from_dense(np.eye(2)), radius=1.0, omega=0.0)
+        with pytest.raises(HessianNotPd):
+            px.distance_to_optimum(saddle, np.ones(2), cert)
 
 
 class TestCubicBoundCheck:

@@ -23,11 +23,11 @@ from perturbex import (
     LogisticOracle,
     QuadraticOracle,
     SumOracle,
+    compare_with_solution,
     declared_certificate,
     oracle_from_descriptor,
     predict,
     smooth_penalty_bias,
-    solve_and_compare,
 )
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
@@ -318,7 +318,8 @@ class TestOneSolvePerProblem:
         entries = _verified_entries(report)
         assert len(entries) == len(built) == 3
         for entry, rep in zip(entries, built):
-            solution, (alone,) = solve_and_compare([rep])
+            solution = dataclasses.replace(rep.prediction).solution  # a solve of its own
+            alone = compare_with_solution(rep, solution)
             assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
             assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 
@@ -341,7 +342,8 @@ class TestOneSolvePerProblem:
         assert [e["order"] for e in entries] == ["exact", "3", "4"]
         assert len(built) == 3
         for entry, rep in zip(entries, built):
-            solution, (alone,) = solve_and_compare([rep])
+            solution = dataclasses.replace(rep.prediction).solution  # a solve of its own
+            alone = compare_with_solution(rep, solution)
             assert entry["verification"] == json.loads(json.dumps(alone.to_dict()))
             assert report["solution"] == json.loads(json.dumps(solution.to_dict()))
 

@@ -35,7 +35,7 @@ def _ridge(f, xstar, G2, cert, order=3):
 
 def _verify(f, xstar, G2, rep):
     """Solve ``f + ridge`` from ``x*`` and check one bias report against it."""
-    return px.solve_and_compare([rep])[1][0]
+    return px.compare_with_solution(rep, rep.prediction.solution)
 
 
 class TestExactRidge:
@@ -52,7 +52,7 @@ class TestExactRidge:
         f = px.QuadraticOracle(F, center)
         G2mat = 0.3 * np.eye(4)
         rep = px.ridge_bias_exact_quadratic(F, G2mat, center)
-        _, (comp,) = px.solve_and_compare([rep])
+        comp = px.compare_with_solution(rep, rep.prediction.solution)
         assert comp.violations == []
         assert comp.max_certified_slack == 0.0
 
@@ -161,13 +161,13 @@ class TestSmoothPenalty:
         )
         for order in (3, 4):
             rep = px.smooth_penalty_bias(f, xstar, pen, cert, order)
-            _, (comp,) = px.solve_and_compare([rep])
+            comp = px.compare_with_solution(rep, rep.prediction.solution)
             assert comp.certifying, rep.bounds.failed_gates()
             assert comp.violations == []
 
     @pytest.mark.parametrize("weight", [0.005, 0.02, 0.05])
     def test_bias_report_is_verified_on_the_penalized_problem(self, weight):
-        """``solve_and_compare([report])`` solves ``f + pen``, the problem the
+        """``report.prediction.solution`` solves ``f + pen``, the problem the
         report was predicted for, bit for bit as a solve of
         ``smoothly_penalize(f, pen)`` from ``x*``; orders 3 and 4 certify."""
         prob = px.oracle_from_descriptor(
@@ -181,14 +181,14 @@ class TestSmoothPenalty:
         cert = px.estimate_certificate(
             fG, xstar, curvature=FG, radius=0.5, samples=60, seed=5, include_omega=False
         )
-        expected = px.solve_from(fG, xstar, FG)
+        expected = px.newton_minimize(fG, xstar, curvature=FG)
         for order in (3, 4):
-            solution, (comp,) = px.solve_and_compare(
-                [px.smooth_penalty_bias(f, xstar, pen, cert, order)]
-            )
-            np.testing.assert_array_equal(solution.actual_shift, expected.actual_shift)
-            assert solution.actual_value_change == expected.actual_value_change
-            assert solution.solver == expected.solver
+            rep = px.smooth_penalty_bias(f, xstar, pen, cert, order)
+            solution = rep.prediction.solution
+            comp = px.compare_with_solution(rep, solution)
+            np.testing.assert_array_equal(solution.actual_shift, expected.xhat - xstar)
+            assert solution.actual_value_change == expected.value - expected.start_value
+            assert solution.solver == expected.stats()
             assert comp.certifying
             assert comp.violations == []
 

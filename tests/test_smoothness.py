@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import perturbex as px
-from perturbex.errors import MissingThirdDerivative, NotAtMinimum
+from perturbex.errors import DimensionMismatch, MissingConstant, NotAtMinimum
 from perturbex.oracle import PARTS
 from perturbex.smoothness import SAMPLE_BLOCK, _draw, _running_max
 
@@ -119,7 +119,7 @@ class TestTauEstimators:
         omega, tau3, tau4 = px.sample_constants(blind, np.zeros(1), _I1, _I1, 1.0, 20)
         assert omega.value <= 1e-12 and tau3 is None and tau4 is None
         cert = px.estimate_certificate(blind, np.zeros(1), radius=1.0, samples=20)
-        with pytest.raises(MissingThirdDerivative):
+        with pytest.raises(MissingConstant, match="^certificate lacks tau3$"):
             px.taylor_diagnostics(blind, np.zeros(1), cert)
 
 
@@ -382,6 +382,36 @@ class TestBatchedEstimators:
         ):
             px.estimate_certificate(f, np.zeros(2), radius=0.5, samples=SAMPLE_BLOCK)
         assert f.blocks == 2
+
+    @pytest.mark.parametrize(
+        "third, error, message",
+        [
+            (lambda V: V[:, 1:], DimensionMismatch, "^expected a block of shape"),
+            (lambda V: V * np.nan, ValueError, "^oracle returned non-finite entries$"),
+        ],
+        ids=["shape", "non-finite"],
+    )
+    def test_a_returned_block_is_shaped_and_finite(self, third, error, message):
+        class Malformed(px.Oracle):
+            """``|x|^2 / 2`` in 2-d, whose ``jet_many`` third tensor is ``third(V)``."""
+
+            dim = 2
+
+            def value_many(self, P):
+                return 0.5 * np.einsum("ij,ij->j", P, P)
+
+            def gradient(self, x):
+                return np.array(x, dtype=float)
+
+            def hessian(self, x):
+                return np.eye(2)
+
+            def jet_many(self, P, V, parts=PARTS):
+                return self.value_many(P) if "values" in parts else None, third(V), None
+
+        I2 = px.spd_from_dense(np.eye(2))
+        with pytest.raises(error, match=message):
+            px.sample_constants(Malformed(), np.zeros(2), I2, I2, 0.5, samples=4)
 
     def test_longer_runs_extend_shorter_ones_across_blocks(self, logistic_anchor):
         """Each constant is nondecreasing in the sample count, and a k-sample

@@ -54,6 +54,19 @@ def test_max_iter_exceeded():
         px.newton_minimize(prob.oracle, prob.x0 + 3.0, tol=1e-12, max_iter=1)
 
 
+def test_step_underflow_raises():
+    """No damped step lowers the value (0 at the start, 1 elsewhere), so
+    backtracking halves the step below its floor."""
+    f = px.CustomOracle(
+        dim=1,
+        value=lambda x: 0.0 if x[0] == 0.0 else 1.0,
+        gradient=lambda x: np.array([1.0]),
+        hessian=lambda x: np.array([[1.0]]),
+    )
+    with pytest.raises(LineSearchFailed, match=r"^step underflow at iteration 0 \(value 0\)$"):
+        px.newton_minimize(f, np.zeros(1))
+
+
 def test_descent_to_tight_tolerance_on_tilted_problem(logistic_anchor):
     """Solves started at the old minimizer reach ~1e-12 decrements.
 
