@@ -56,6 +56,13 @@ SKEW_MAGNITUDE_FACTOR = 1.0 / 6.0
 # exact for a diagonal matrix, whose largest row sum is ``lambda_max``.
 SPD_EIG_FLOOR = 1e-10
 SYMMETRY_RTOL = 1e-12          # relative asymmetry allowed in spd inputs
+# Most negative eigenvalue, relative to the largest absolute entry, that a
+# positive semidefinite quadratic matrix may show: ``eigvalsh`` of an exactly
+# singular input (a rank-one ridge) rounds its zero eigenvalues to either sign.
+PSD_EIG_RTOL = 1e-10
+# The same for a smooth penalty's Hessian at a convexity probe point, looser
+# because that Hessian is computed by the oracle and carries its rounding.
+PENALTY_PROBE_EIG_RTOL = 1e-8
 ANCHOR_GRAD_RTOL = 1e-8        # "gradient vanishes" threshold for estimators
 BIAS_ANCHOR_GRAD_RTOL = 1e-6   # looser anchor threshold for bias operations
 EXACT_SHIFT_FLOOR = 1e-10      # residual below this counts as exact (shifts)

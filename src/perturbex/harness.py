@@ -405,7 +405,8 @@ def _penalty(cfg: ExperimentConfig, dim: int) -> tuple[Oracle, str]:
         key = sized_by = "perturbation.matrix"
         pen = _ridge(key, _matrix(key, pert["matrix"]))
     else:
-        return QuadraticOracle(np.eye(dim)).scaled(pert.get("lambda", 0.1)), "perturbation.lambda"
+        ridge = QuadraticOracle(np.eye(dim))
+        return SumOracle(ridge, weights=(pert.get("lambda", 0.1),)), "perturbation.lambda"
     if pen.dim != dim:
         raise ValueError(f"{key}: penalty has dimension {pen.dim}, problem has {dim}")
     return pen, sized_by
@@ -757,7 +758,8 @@ def run_ridge_sweep(cfg: ExperimentConfig, require_gates: bool = False) -> dict[
     warnings = []
     for i, lam in enumerate(grid):
         cert, problem, verified = _verified_problem(
-            cfg, f, xstar, ridge.scaled(lam), anchor.curvature, f"sweep.lambda_grid.{i}", [3, 4]
+            cfg, f, xstar, SumOracle(ridge, weights=(lam,)), anchor.curvature,
+            f"sweep.lambda_grid.{i}", [3, 4],
         )
         entry: dict[str, Any] = {"lambda": lam, **problem}
         for res in verified:

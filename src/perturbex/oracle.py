@@ -33,14 +33,14 @@ the last bit.
 
 Every quadratic is one :class:`QuadraticOracle` ``0.5 (x - c)' Q (x - c)``:
 an objective built from a factored :class:`SpdOperator`, or a penalty from a
-positive semidefinite array.  Every perturbed objective is one
-:class:`SumOracle` ``sum_i w_i f_i + <., A>`` with nonnegative weights: a
-linear tilt, a scaling and a penalty differ only in their terms.
+positive semidefinite array.  Every weighted term and every perturbed
+objective is one :class:`SumOracle` ``sum_i w_i f_i + <., A>`` with
+nonnegative weights: a linear tilt, a scaling (a ridge weight ``lam`` too)
+and a penalty differ only in their terms.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable
 
 import numpy as np
@@ -190,21 +190,11 @@ class QuadraticOracle(Oracle):
                 raise NotPsd("quadratic matrix is not symmetric")
             Q = 0.5 * (Q + Q.T)
             lo = float(np.linalg.eigvalsh(Q)[0])
-            if lo < -1e-10 * scale:
+            if lo < -constants.PSD_EIG_RTOL * scale:
                 raise NotPsd(f"quadratic matrix has negative eigenvalue {lo:.3e}")
         self.Q = Q
         self.dim = Q.shape[0]
         self.center = np.zeros(self.dim) if center is None else as_vector(center, self.dim)
-
-    def scaled(self, weight: float) -> QuadraticOracle:
-        """``0.5 (x - c)' (weight Q) (x - c)`` for a finite nonnegative weight.
-
-        Not checked again: a nonnegative multiple of a checked matrix is
-        symmetric positive semidefinite.
-        """
-        out = copy.copy(self)
-        out.Q = _weight(weight) * self.Q
-        return out
 
     def gradient(self, x) -> np.ndarray:
         return self.Q @ (as_vector(x, self.dim) - self.center)
@@ -520,8 +510,9 @@ class SumOracle(Oracle):
     """``sum_i w_i f_i + <., tilt>``: nonnegatively weighted oracles and a tilt.
 
     The one composition rule: a sum ``SumOracle(f, g)``, a scaling
-    ``SumOracle(f, weights=(w,))``, a linear tilt ``SumOracle(f, tilt=A)`` and a
-    penalized objective (:func:`smoothly_penalize`) are each one of these.
+    ``SumOracle(f, weights=(w,))`` (a weighted ridge or smooth penalty
+    included), a linear tilt ``SumOracle(f, tilt=A)`` and a penalized
+    objective (:func:`smoothly_penalize`) are each one of these.
     Every form is the sum of the terms' forms in term order, each term
     multiplied by its weight unless the weight is 1, and ``None`` in
     ``jet_many`` where a term's is.  The tilt enters the value and the
@@ -596,7 +587,8 @@ def smoothly_penalize(f: Oracle, pen: Oracle) -> Oracle:
         point = rng.standard_normal(pen.dim)
         H = pen.hessian(point)
         scale = max(np.abs(H).max(), 1e-300)
-        if float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) < -1e-8 * scale:
+        lo = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
+        if lo < -constants.PENALTY_PROBE_EIG_RTOL * scale:
             raise NotPsd("penalty Hessian is indefinite at a probe point")
     return penalized
 

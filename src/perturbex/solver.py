@@ -2,9 +2,11 @@
 
 Convergence is declared in the Hessian-dual norm
 ``||grad^2 f(x)^{-1/2} grad f(x)||`` (the Newton decrement), which is the
-natural scale-free measure for the certified comparisons downstream: a
-decrement of ``1e-12`` pins the minimizer far below every tolerance the
-bound checks use.
+natural scale-free measure for the certified comparisons downstream.  The
+tolerance ``tol = DECREMENT_RTOL (1 + |f(x0)|)``, a decrement of ``1e-12``
+on a unit value, pins the minimizer far below every tolerance the bound
+checks use; a solve that has not reached it after ``MAX_ITER`` steps fails.
+Both are module constants, read at each call.
 
 Each step uses the newest curvature the solve holds (the chord method;
 Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003,
@@ -45,6 +47,8 @@ PURE_NEWTON_THRESHOLD = 1e-5
 # A held curvature is kept while each step made with it cuts the decrement by
 # this factor.
 CHORD_CONTRACTION = 0.1
+DECREMENT_RTOL = 1e-12  # the target decrement, relative to 1 + |f(x0)|
+MAX_ITER = 100  # steps before a solve fails
 
 
 @dataclass
@@ -69,14 +73,9 @@ class SolveResult:
         return {k: getattr(self, k) for k in ("iterations", "hessians", "grad_norm_dual")}
 
 
-def newton_minimize(
-    f: Oracle,
-    x0,
-    tol: float | None = None,
-    max_iter: int = 100,
-    curvature: SpdOperator | None = None,
-) -> SolveResult:
-    """Minimize ``f`` from ``x0`` by damped Newton with backtracking.
+def newton_minimize(f: Oracle, x0, curvature: SpdOperator | None = None) -> SolveResult:
+    """Minimize ``f`` from ``x0`` by damped Newton with backtracking, to the
+    decrement ``tol = DECREMENT_RTOL (1 + |f(x0)|)`` within ``MAX_ITER`` steps.
 
     Parameters
     ----------
@@ -84,10 +83,6 @@ def newton_minimize(
         Objective; its Hessian must be positive definite along the path.
     x0 : array_like
         Starting point.
-    tol : float, optional
-        Target Newton decrement.  Defaults to ``1e-12 * (1 + |f(x0)|)``.
-    max_iter : int
-        Iteration cap; exceeding it raises :class:`MaxIterExceeded`.
     curvature : SpdOperator, optional
         ``f``'s factored Hessian at ``x0``, when the caller holds it; the
         first step and the decrement at ``x0`` use it in place of
@@ -110,7 +105,7 @@ def newton_minimize(
         If backtracking underflows the step size, or no step on the Hessian
         at an iterate moves it.
     MaxIterExceeded
-        If the tolerance is not reached within ``max_iter`` steps.
+        If the tolerance is not reached within ``MAX_ITER`` steps.
     """
     x = as_vector(x0, f.dim).copy()
     if curvature is not None and curvature.dim != f.dim:
@@ -118,14 +113,13 @@ def newton_minimize(
             f"expected a {f.dim}-dimensional curvature, got {curvature.dim}"
         )
     fx = start_value = f.value(x)
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(fx))
+    tol = DECREMENT_RTOL * (1.0 + abs(fx))
     dual_norm = previous = np.inf
     # The newest curvature, whether it was taken at the current x, and
     # whether the last step was made with it held from an earlier point.
     held, exact, chord, hessians = curvature, curvature is not None, False, 0
 
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         g = f.gradient(x)
         if held is not None:
             d, dual_norm = _newton_step(held, g)
@@ -163,7 +157,7 @@ def newton_minimize(
         previous, chord, exact = dual_norm, not exact, False
         x, fx = moved
 
-    raise MaxIterExceeded(f"Newton decrement {dual_norm:.3e} > {tol:.3e} after {max_iter} iterations")
+    raise MaxIterExceeded(f"Newton decrement {dual_norm:.3e} > {tol:.3e} after {MAX_ITER} iterations")
 
 
 def _line_search(f: Oracle, x, fx: float, g, d, damped: bool, iteration: int):

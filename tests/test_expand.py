@@ -271,6 +271,18 @@ class TestPrediction:
         with pytest.raises(TypeError):
             px.predict(F, A, f, xstar)  # the old positional form binds nothing silently
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_weighted_ridge_factors_its_curvature_unless_zero(self, lam, logistic_certificate):
+        """A ridge of weight 0 leaves the prediction on the caller's ``F``; a
+        positive weight ``lam`` factors ``F + lam G2``."""
+        f, xstar, F, _ = logistic_certificate
+        G2 = np.diag(np.arange(1.0, f.dim + 1))
+        pen = px.SumOracle(px.QuadraticOracle(G2), weights=(lam,))
+        p = px.predict(f, xstar, pen, curvature=F)
+        assert (p.F is F) == (lam == 0.0)
+        np.testing.assert_array_equal(p.F.matrix, F.matrix + lam * G2)
+        np.testing.assert_array_equal(p.A, lam * (G2 @ xstar))
+
 
 class TestDispatch:
     def test_unknown_order(self, logistic_certificate):

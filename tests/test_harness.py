@@ -1567,7 +1567,7 @@ class TestOnePredictionPerProblem:
         cfg = ExperimentConfig.from_dict(payload, "ridge-sweep")
         ridge = QuadraticOracle(harness._sweep_base_matrix(cfg, prob.oracle.dim))
         for k, entry in enumerate(report["results"]):
-            pen = ridge.scaled(entry["lambda"])
+            pen = SumOracle(ridge, weights=(entry["lambda"],))
             p = predict(prob.oracle, anchor.xhat, pen, curvature=anchor.curvature)
             p.skew  # computed, as the order-4 report computed it
             assert entry["prediction"] == json.loads(json.dumps(p.to_dict()))

@@ -155,15 +155,16 @@ class TestQuadratics:
             px.QuadraticOracle(np.diag([1.0, -1e-3]))
 
     def test_psd_quadratic_scaled_skips_the_check(self, rng, monkeypatch):
+        """A weighted checked quadratic, and a penalty made of it, run no
+        second ``eigvalsh``; the weight leaves the base matrix as it was."""
         v = rng.standard_normal(3)
         base = px.QuadraticOracle(np.outer(v, v))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a second check would fail
-        pen = base.scaled(0.3)
-        assert isinstance(pen, px.QuadraticOracle) and pen.Q is not base.Q
-        np.testing.assert_array_equal(pen.Q, 0.3 * np.outer(v, v))
+        pen = px.SumOracle(base, weights=(0.3,))
+        penalized = px.smoothly_penalize(_zoo("quadratic", dim=3).oracle, pen)
+        assert pen.quadratic and penalized.quadratic
+        np.testing.assert_array_equal(pen.hessian(v), 0.3 * np.outer(v, v))
         np.testing.assert_array_equal(base.Q, np.outer(v, v))
-        with pytest.raises(ValueError):
-            base.scaled(-1.0)
 
 
 class TestPerturbations:
@@ -221,14 +222,12 @@ class TestScaledOracle:
         lambda f: px.QuadraticOracle(np.diag([1.0, np.inf])),
         lambda f: px.SumOracle(f, weights=(np.nan,)),
         lambda f: px.SumOracle(f, weights=(np.inf,)),
-        lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.inf),
-        lambda f: px.QuadraticOracle(np.eye(4)).scaled(np.nan),
         lambda f: px.SumOracle(f, f, weights=(1.0, np.nan)),
         lambda f: px.SumOracle(f, weights=(-np.inf,)),
     ],
     ids=[
-        "quadratic-nan", "quadratic-inf", "scaled-nan", "scaled-inf",
-        "quadratic-scaled-inf", "quadratic-scaled-nan", "sum-nan", "sum-minus-inf",
+        "quadratic-nan", "quadratic-inf", "scaled-nan", "scaled-inf", "sum-nan",
+        "sum-minus-inf",
     ],
 )
 def test_non_finite_input_is_rejected(build):
@@ -308,7 +307,7 @@ class TestOneSum:
         quad = px.QuadraticOracle(F, rng.standard_normal(4))
         ridge = px.QuadraticOracle(np.diag([1.0, 0.0, 2.0, 0.5]))
         logistic = _zoo("logistic").oracle
-        assert quad.quadratic and ridge.scaled(0.3).quadratic
+        assert quad.quadratic and ridge.quadratic
         assert not px.Oracle.quadratic and not logistic.quadratic
         assert not _quartic_custom(4, analytic=True).quadratic
         assert px.SumOracle(quad, ridge, weights=(0.5, 2.0), tilt=np.ones(4)).quadratic

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perturbex as px
+import perturbex.solver as solver
 from perturbex.errors import (
     DimensionMismatch,
     HessianNotPd,
@@ -46,12 +47,13 @@ def test_indefinite_hessian_raises():
         px.newton_minimize(f, np.array([1.0, 1.0]))
 
 
-def test_max_iter_exceeded():
+def test_max_iter_exceeded(monkeypatch):
     prob = px.oracle_from_descriptor(
         {"kind": "logistic", "dim": 6, "n": 48, "reg": 0.05, "seed": 5}
     )
-    with pytest.raises(MaxIterExceeded):
-        px.newton_minimize(prob.oracle, prob.x0 + 3.0, tol=1e-12, max_iter=1)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    with pytest.raises(MaxIterExceeded, match=r" after 1 iterations$"):
+        px.newton_minimize(prob.oracle, prob.x0 + 3.0)
 
 
 def test_step_underflow_raises():
@@ -96,17 +98,18 @@ class TestNullStep:
     at ``x``; a curvature held from an earlier point first gives way to it."""
 
     def test_null_step_on_the_hessian_at_x_raises_at_once(self):
-        # f(x) = x + 500 (x - c)^2 at x = c = 1e16: the Newton step is -1e-3,
-        # below half the float spacing (2) of x, for every damping.
+        # f(x) = (x - c) + 500 (x - c)^2 at x = c = 1e16: the Newton step is
+        # -1e-3, below half the float spacing (2) of x, for every damping.  The
+        # value is 0 there, so the decrement 1e3^-1/2 is far above the target 1e-12.
         c = 1e16
         f = px.CustomOracle(
             dim=1,
-            value=lambda x: float(x[0] + 500.0 * (x[0] - c) ** 2),
+            value=lambda x: float((x[0] - c) + 500.0 * (x[0] - c) ** 2),
             gradient=lambda x: np.array([1.0 + 1e3 * (x[0] - c)]),
             hessian=lambda x: np.array([[1e3]]),
         )
-        with pytest.raises(LineSearchFailed, match="null step at iteration 0 "):
-            px.newton_minimize(f, np.array([c]), tol=1e-12)
+        with pytest.raises(LineSearchFailed, match=r"^null step at iteration 0 \(value 0\)$"):
+            px.newton_minimize(f, np.array([c]))
 
     def test_held_curvature_gives_way_before_the_solve_fails(self, monkeypatch):
         """The tilted log-sum-exp of ``scaling``'s huge-tilt config: its chord
