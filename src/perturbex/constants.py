@@ -63,8 +63,9 @@ PSD_EIG_RTOL = 1e-10
 # The same for a smooth penalty's Hessian at a convexity probe point, looser
 # because that Hessian is computed by the oracle and carries its rounding.
 PENALTY_PROBE_EIG_RTOL = 1e-8
-ANCHOR_GRAD_RTOL = 1e-8        # "gradient vanishes" threshold for estimators
-BIAS_ANCHOR_GRAD_RTOL = 1e-6   # looser anchor threshold for bias operations
+# The one "gradient vanishes" threshold, relative to 1 + |f(x*)|, of every
+# anchor taken as a minimizer: a sampled omega's and every penalty's.
+ANCHOR_GRAD_RTOL = 1e-8
 EXACT_SHIFT_FLOOR = 1e-10      # residual below this counts as exact (shifts)
 EXACT_VALUE_FLOOR = 1e-12      # residual below this counts as exact (values)
 SLACK_TOLERANCE = 1e-9         # certified bounds may be met up to this slack

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     MissingConstant,
     NotPsd,
+    NotSymmetric,
     PreconditionViolated,
 )
 from .expand import compare_with_solution, expansion_for_order, predict
@@ -389,7 +390,7 @@ def _ridge(key: str, G2) -> QuadraticOracle:
     square, symmetric and positive semidefinite."""
     try:
         return QuadraticOracle(G2)
-    except (DimensionMismatch, NotPsd) as exc:
+    except (DimensionMismatch, NotPsd, NotSymmetric) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -519,7 +520,7 @@ def _verified_problem(
             cfg, prediction.g if penalty else f, xstar, prediction.F, include_omega=not penalty
         )
         if penalty:
-            check_anchor(f, xstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
+            check_anchor(f, xstar, cert.metric)
     results: list[dict[str, Any]] = []
     reports = []
     with _sized_by(f"problem or {key}"):

@@ -18,6 +18,12 @@ NumPy has no triangular solve, so :func:`factor` keeps ``L^{-1}`` as well,
 and every curvature, each Hessian the solver evaluates included, is factored
 once and handed on.  No eigendecomposition is taken: the SPD floor is a
 Cholesky test of a shifted matrix (:func:`check_floor`).
+
+Each input rule is stated here once: :func:`as_vector` and :func:`as_matrix`
+(a finite 1-d or 2-d array), :func:`as_symmetric` (a square finite matrix
+asymmetric by at most ``SYMMETRY_RTOL`` of its largest entry, taken as its
+symmetric part) and :func:`as_nonnegative` (a finite nonnegative, or
+positive, number).
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ __all__ = [
     "kappa_between",
     "as_vector",
     "as_matrix",
+    "as_symmetric",
+    "as_nonnegative",
 ]
 
 
@@ -52,16 +60,40 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_matrix(M, dim: int) -> np.ndarray:
-    """Coerce a block of column vectors to a finite 2-d float array with ``dim`` rows."""
+def as_matrix(M, dim: int | None = None) -> np.ndarray:
+    """Coerce ``M`` to a finite 2-d float array, optionally checking its row count."""
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {arr.shape}")
-    if arr.shape[0] != dim:
+    if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"expected {dim} rows, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
     return arr
+
+
+def as_symmetric(matrix) -> np.ndarray:
+    """The symmetric part ``(M + M') / 2`` of a square finite ``M``, which raises
+    :class:`NotSymmetric` if asymmetric beyond ``SYMMETRY_RTOL`` of its largest entry."""
+    M = as_matrix(matrix)
+    if M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+    scale = np.abs(M).max()
+    asym = np.abs(M - M.T).max()
+    if asym > constants.SYMMETRY_RTOL * max(scale, 1e-300):
+        raise NotSymmetric(
+            f"asymmetry {asym:.3e} exceeds {constants.SYMMETRY_RTOL:.0e} * {scale:.3e}"
+        )
+    return 0.5 * (M + M.T)
+
+
+def as_nonnegative(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float, checked finite and nonnegative, or positive if ``positive``."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,39 +192,24 @@ def check_floor(matrix: np.ndarray) -> None:
 
 
 def spd_from_dense(matrix) -> SpdOperator:
-    """Validate a dense symmetric positive definite matrix and :func:`factor` it.
-
-    Asymmetry beyond ``1e-12`` relative to the largest entry raises
-    :class:`NotSymmetric`; the symmetric part is held to :func:`check_floor`.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    scale = np.abs(M).max()
-    asym = np.abs(M - M.T).max()
-    if asym > constants.SYMMETRY_RTOL * max(scale, 1e-300):
-        raise NotSymmetric(
-            f"asymmetry {asym:.3e} exceeds {constants.SYMMETRY_RTOL:.0e} * {scale:.3e}"
-        )
-    check_floor(0.5 * (M + M.T))
+    """:func:`factor` the symmetric part (:func:`as_symmetric`) of a dense
+    matrix, held to :func:`check_floor`."""
+    M = as_symmetric(matrix)
+    check_floor(M)
     return factor(M)
 
 
 def kappa_between(M, F: SpdOperator) -> float:
     """Smallest ``kappa`` with ``D^2 <= kappa^2 F`` for the metric Gram ``M = D^2``.
 
-    ``M`` may be an :class:`SpdOperator` or any symmetric positive
-    semidefinite array (a zero metric gives ``kappa = 0``).  A metric that is
-    ``F`` itself, or equal to it, gives exactly 1; any other is the square
+    ``M`` may be an :class:`SpdOperator` or a positive semidefinite array
+    (:func:`as_symmetric`; a zero metric gives ``kappa = 0``).  A metric that
+    is ``F`` itself, or equal to it, gives exactly 1; any other is the square
     root of the largest eigenvalue of ``L^{-1} M L^{-T}`` for ``F = L L'``.
     """
     if M is F:
         return 1.0
-    mat = M.matrix if isinstance(M, SpdOperator) else np.asarray(M, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+    mat = M.matrix if isinstance(M, SpdOperator) else as_symmetric(M)
     if mat.shape[0] != F.dim:
         raise DimensionMismatch(f"metric has dimension {mat.shape[0]}, curvature has {F.dim}")
     if np.array_equal(mat, F.matrix):

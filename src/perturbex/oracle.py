@@ -49,7 +49,7 @@ from . import constants
 from .diagnostics import Gate
 from .errors import BadLabels, DimensionMismatch, NotPsd
 from .errors import MissingFourthDerivative, MissingThirdDerivative
-from .linalg import SpdOperator, as_matrix, as_vector
+from .linalg import SpdOperator, as_matrix, as_nonnegative, as_symmetric, as_vector
 
 __all__ = [
     "Oracle",
@@ -66,14 +66,6 @@ __all__ = [
 FD_DIR_STEP = 1e-4  # base step for Hessian differencing, scaled by 1/(1+|u|)
 PARTS = ("values", "third", "fourth")  # the parts of a jet, in the order jet_many returns them
 Jet = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]  # (values, third, fourth)
-
-
-def _weight(w) -> float:
-    """A term weight as a float, checked finite and nonnegative."""
-    w = float(w)
-    if not (np.isfinite(w) and w >= 0):
-        raise ValueError(f"weight must be finite and nonnegative, got {w}")
-    return w
 
 
 def _block_pair(P, V, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +161,10 @@ class QuadraticOracle(Oracle):
     """``f(x) = 0.5 (x - c)' Q (x - c)`` for symmetric positive semidefinite ``Q``.
 
     ``Q`` is a factored :class:`SpdOperator`, trusted as checked, or an
-    array, checked here for finiteness, symmetry and positive
-    semidefiniteness (it may be singular, as a ridge penalty ``0.5 x' G2 x``
-    is).  The center ``c`` defaults to the origin; third and fourth
-    derivatives vanish.
+    array, taken as its symmetric part (:func:`as_symmetric`) and checked
+    positive semidefinite here (it may be singular, as a ridge penalty
+    ``0.5 x' G2 x`` is).  The center ``c`` defaults to the origin; third
+    and fourth derivatives vanish.
     """
 
     quadratic = True
@@ -181,16 +173,9 @@ class QuadraticOracle(Oracle):
         if isinstance(Q, SpdOperator):
             Q = Q.matrix
         else:
-            Q = np.asarray(Q, dtype=float)
-            if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-                raise DimensionMismatch(f"expected a square matrix, got shape {Q.shape}")
-            as_matrix(Q, Q.shape[0])  # finite entries
-            scale = max(np.abs(Q).max(), 1e-300)
-            if np.abs(Q - Q.T).max() > constants.SYMMETRY_RTOL * scale:
-                raise NotPsd("quadratic matrix is not symmetric")
-            Q = 0.5 * (Q + Q.T)
+            Q = as_symmetric(Q)
             lo = float(np.linalg.eigvalsh(Q)[0])
-            if lo < -constants.PSD_EIG_RTOL * scale:
+            if lo < -constants.PSD_EIG_RTOL * max(np.abs(Q).max(), 1e-300):
                 raise NotPsd(f"quadratic matrix has negative eigenvalue {lo:.3e}")
         self.Q = Q
         self.dim = Q.shape[0]
@@ -254,21 +239,17 @@ class LogisticOracle(Oracle):
     """
 
     def __init__(self, X, y, reg: float = 0.0) -> None:
-        X = np.asarray(X, dtype=float)
+        X = as_matrix(X)
         y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise DimensionMismatch(f"design matrix must be 2-d, got {X.shape}")
         if y.shape != (X.shape[0],):
             raise DimensionMismatch(
                 f"labels shape {y.shape} does not match {X.shape[0]} rows"
             )
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise BadLabels("labels must all be -1 or +1")
-        if reg < 0:
-            raise ValueError("reg must be nonnegative")
         self.X = X
         self.y = y
-        self.reg = float(reg)
+        self.reg = as_nonnegative(reg, "reg")
         self.n, self.dim = X.shape
 
     def gradient(self, x) -> np.ndarray:
@@ -365,21 +346,14 @@ class LogSumExpOracle(Oracle):
     """
 
     def __init__(self, X, temp: float = 1.0, reg: float = 0.0) -> None:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DimensionMismatch(f"design matrix must be 2-d, got {X.shape}")
-        if temp <= 0:
-            raise ValueError("temp must be positive")
+        self.X = as_matrix(X)
+        self.temp = as_nonnegative(temp, "temp", positive=True)
         with np.errstate(all="ignore"):
             # Derivatives up to the fourth scale as 1/temp**3: keep one power spare.
-            if not np.isfinite(1.0 / np.float64(temp) ** 4):
-                raise ValueError(f"temp {temp!r} is too small: 1/temp**4 overflows")
-        if reg < 0:
-            raise ValueError("reg must be nonnegative")
-        self.X = X
-        self.temp = float(temp)
-        self.reg = float(reg)
-        self.n, self.dim = X.shape
+            if not np.isfinite(1.0 / np.float64(self.temp) ** 4):
+                raise ValueError(f"temp {self.temp!r} is too small: 1/temp**4 overflows")
+        self.reg = as_nonnegative(reg, "reg")
+        self.n, self.dim = self.X.shape
 
     def _softmax(self, v: np.ndarray) -> np.ndarray:
         # Softmax weights of a point.
@@ -520,8 +494,8 @@ class SumOracle(Oracle):
     """
 
     def __init__(self, *oracles: Oracle, weights=None, tilt=None) -> None:
-        weights = [1.0] * len(oracles) if weights is None else [_weight(w) for w in weights]
-        self.terms = list(zip(weights, oracles, strict=True))
+        pairs = zip([1.0] * len(oracles) if weights is None else weights, oracles, strict=True)
+        self.terms = [(as_nonnegative(w, "weight"), f) for w, f in pairs]
         if not self.terms:
             raise ValueError("a sum needs at least one oracle")
         self.dim = oracles[0].dim

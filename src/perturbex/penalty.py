@@ -13,12 +13,12 @@ same radii with ``b = ||D F_pen^{-1} M||`` in the certificate's metric
 ``f + pen``.
 
 The ridge case ``pen(x) = 0.5 x' G2 x`` is a :class:`QuadraticOracle`
-penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.
+penalty, with ``M = G2 x*`` and ``F_pen = F + G2``.  The anchor is held to
+the test of a sampled omega's, :func:`check_anchor` (``ANCHOR_GRAD_RTOL``).
 """
 
 from __future__ import annotations
 
-from . import constants
 from .expand import ExpansionReport, exact_quadratic_expansion, expansion_for_order, predict
 from .linalg import SpdOperator, as_vector
 from .oracle import Oracle, QuadraticOracle
@@ -50,12 +50,13 @@ def smooth_penalty_bias(
 ) -> ExpansionReport:
     """Bias report of one order for a smooth convex penalty.
 
-    ``x*`` must minimize ``f``, measured in the certificate's metric; the
-    certificate must describe ``f + pen`` around ``x*``.  A
+    ``x*`` must minimize ``f`` in the certificate's metric, to
+    ``ANCHOR_GRAD_RTOL`` (else :class:`NotAtMinimum`); the certificate
+    must describe ``f + pen`` around ``x*``.  A
     :class:`QuadraticOracle` penalty gives the ridge bias.  The order is
     :func:`expansion_for_order`'s, for ``f + pen``.  Verify the report
     against ``report.prediction.solution``, the solve of ``f + pen``.
     """
     upsstar = as_vector(upsstar, f.dim)
-    check_anchor(f, upsstar, cert.metric, constants.BIAS_ANCHOR_GRAD_RTOL)
+    check_anchor(f, upsstar, cert.metric)
     return expansion_for_order(predict(f, upsstar, pen), cert, order)

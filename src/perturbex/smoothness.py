@@ -39,7 +39,7 @@ import numpy as np
 from . import constants
 from .diagnostics import Gate
 from .errors import DimensionMismatch, MissingConstant, NotAtMinimum
-from .linalg import SpdOperator, as_vector, spd_from_dense
+from .linalg import SpdOperator, as_nonnegative, as_vector, spd_from_dense
 from .oracle import PARTS, Oracle
 
 __all__ = [
@@ -76,13 +76,10 @@ class SmoothnessCertificate:
     provenance: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison quietly, so finiteness is checked first.
-        for name in ("radius", "omega", "tau3", "tau4"):
-            v = getattr(self, name)
-            if v is not None and not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        as_nonnegative(self.radius, "radius", positive=True)
+        for name in ("omega", "tau3", "tau4"):
+            if getattr(self, name) is not None:
+                as_nonnegative(getattr(self, name), name)
 
     def to_dict(self) -> dict[str, Any]:
         """The constants and provenance; the metric itself is not serialized."""
@@ -101,8 +98,10 @@ def _radial(u, r: float, dim: int):
     return r * (0.05 + 0.95 * u ** (1.0 / dim))
 
 
-def check_anchor(f: Oracle, xstar: np.ndarray, M: SpdOperator, rtol: float) -> None:
-    """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)``."""
+def check_anchor(f: Oracle, xstar: np.ndarray, M: SpdOperator) -> None:
+    """Raise ``NotAtMinimum`` unless ``||D^{-1} grad f(x*)|| <= rtol (1 + |f(x*)|)`` with
+    ``rtol = ANCHOR_GRAD_RTOL``: the one test of a minimizer, a sampled omega's and a penalty's."""
+    rtol = constants.ANCHOR_GRAD_RTOL
     resid = M.dual_norm(f.gradient(xstar))
     scale = 1.0 + abs(f.value_many(xstar[:, None])[0])
     if resid > rtol * scale:
@@ -203,8 +202,9 @@ def sample_constants(
     x = as_vector(x, f.dim)
     if samples < 1:
         raise ValueError("samples must be positive")
+    radius = as_nonnegative(radius, "radius", positive=True)
     if include_omega:
-        check_anchor(f, x, metric, constants.ANCHOR_GRAD_RTOL)
+        check_anchor(f, x, metric)
     blocks, rad = _draw(seed, f.dim, radius, samples)
     peaks = {}  # name -> (value, column), for the constants sampled
     fstar = 0.0

@@ -605,13 +605,19 @@ class TestNoEigendecomposition:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def _bench_module(name):
+    """``bench/<name>.py``, loaded by path: the benchmark directory is not a package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracerHooks:
     def test_traced_names_exist(self):
         """``bench/tracer.py`` patches each of these names; all must resolve."""
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
-        spec = importlib.util.spec_from_file_location("bench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = _bench_module("tracer")
         for module, name in tracer.TRACED_FUNCTIONS:
             assert callable(getattr(importlib.import_module(f"perturbex.{module}"), name))
         for method in tracer.ORACLE_METHODS:
@@ -624,10 +630,7 @@ class TestBenchmarkTracerHooks:
         A class that defines only ``__init__`` inherits its methods, so it
         must not be patched a second time: no wrapper may wrap another one.
         """
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
-        spec = importlib.util.spec_from_file_location("bench_tracer", path)
-        tracer_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_module)
+        tracer_module = _bench_module("tracer")
 
         oracle_module = sys.modules["perturbex.oracle"]
         owners = [
@@ -674,6 +677,31 @@ class TestBenchmarkTracerHooks:
         assert {
             "oracle.hessian", "solver.anchor", "solver.verify", "smoothness.certificate"
         } <= names
+
+
+class TestBenchmarkPools:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["certify-small", "certify-large", "ridge-sweep"])
+    def test_every_pool_config_passes_the_input_checks(self, workload, seed):
+        """Each config of ``bench/workloads.py`` passes the schema, and its problem
+        oracle, its tilt or ridge and its certificate radius pass the construction-time
+        checks, built as the commands build them, without a solve.  A tightened
+        input check that rejected one would otherwise first show as a failed
+        benchmark run."""
+        pool = _bench_module("workloads").pool(workload, seed)
+        assert pool
+        for _, command, raw in pool:
+            cfg = ExperimentConfig.from_dict(raw, command)
+            harness._seed(cfg, cfg.problem, "problem.seed")
+            f = oracle_from_descriptor(cfg.problem).oracle
+            linalg.as_nonnegative(cfg.certificate.get("radius", 1.0), "radius", positive=True)
+            if command == "certify":
+                linear = cfg.perturbation["kind"] == "linear"
+                (harness._linear_tilt if linear else harness._penalty)(cfg, f.dim)
+                continue
+            ridge = harness._ridge("sweep.g2.matrix", harness._sweep_base_matrix(cfg, f.dim))
+            for lam in cfg.raw["sweep"]["lambda_grid"]:
+                SumOracle(ridge, weights=(lam,))
 
 
 class TestConfigValidation:
@@ -819,7 +847,7 @@ class TestConfigValidation:
         assert err.count("\n") == 1 and ("dimension 2" in err or "shape (2,)" in err)
 
     @pytest.mark.parametrize(
-        "command, edit, key",
+        "command, edit, key, says",
         [
             (
                 "scaling",
@@ -829,19 +857,19 @@ class TestConfigValidation:
                     perturbation={"kind": "linear", "scale": 1.0},
                     scaling={"eps_grid": [2.16e138, 1e100]},
                 ),
-                "problem or perturbation.scale or scaling.eps_grid.0",
+                "problem or perturbation.scale or scaling.eps_grid.0", "",
             ),
             (
                 "certify",
                 lambda c: c.update(perturbation={"kind": "linear", "vector": [1.0, 2.0]}),
-                "perturbation.vector",
+                "perturbation.vector", "",
             ),
             (
                 "certify",
                 lambda c: c.update(
                     perturbation={"kind": "quadratic", "matrix": np.eye(2).tolist()}
                 ),
-                "perturbation.matrix",
+                "perturbation.matrix", "",
             ),
             (
                 "certify",
@@ -849,38 +877,38 @@ class TestConfigValidation:
                     perturbation={"kind": "smooth",
                                   "penalty": {"kind": "quadratic", "dim": 2, "seed": 1}}
                 ),
-                "perturbation.penalty.dim",
+                "perturbation.penalty.dim", "",
             ),
             (
                 "certify",
                 lambda c: c.update(
                     perturbation={"kind": "quadratic", "matrix": np.triu(np.ones((6, 6))).tolist()}
                 ),
-                "perturbation.matrix",
+                "perturbation.matrix", "asymmetry",
             ),
             (
                 "certify",
                 lambda c: c.update(
                     perturbation={"kind": "quadratic", "matrix": (-np.eye(6)).tolist()}
                 ),
-                "perturbation.matrix",
+                "perturbation.matrix", "",
             ),
             (
                 "ridge-sweep",
                 lambda c: c["sweep"].update(g2={"mode": "matrix", "matrix": np.eye(2).tolist()}),
-                "sweep.g2.matrix",
+                "sweep.g2.matrix", "",
             ),
             (
                 "ridge-sweep",
                 lambda c: c["sweep"].update(
                     g2={"mode": "matrix", "matrix": np.triu(np.ones((5, 5))).tolist()}
                 ),
-                "sweep.g2.matrix",
+                "sweep.g2.matrix", "asymmetry",
             ),
             (
                 "ridge-sweep",
                 lambda c: c["sweep"].update(g2={"mode": "matrix", "matrix": (-np.eye(5)).tolist()}),
-                "sweep.g2.matrix",
+                "sweep.g2.matrix", "",
             ),
         ],
         ids=[
@@ -888,8 +916,9 @@ class TestConfigValidation:
             "matrix-indefinite", "g2-shape", "g2-asymmetric", "g2-indefinite",
         ],
     )
-    def test_perturbation_error_names_its_key(self, tmp_path, capsys, command, edit, key):
-        """A perturbation the program cannot use exits 1 with one line led by its key."""
+    def test_perturbation_error_names_its_key(self, tmp_path, capsys, command, edit, key, says):
+        """A perturbation the program cannot use exits 1 with one line led by its key
+        and holding ``says``."""
         sweep = command == "ridge-sweep"
         payload = _sweep_config([0.0, 0.1]) if sweep else _command_config(command)
         edit(payload)
@@ -897,6 +926,7 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"perturbex: error: {key}: "), err
+        assert says in err, err
 
     @pytest.mark.parametrize(
         "section, key, value",

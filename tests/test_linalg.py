@@ -25,6 +25,16 @@ class TestSpdFromDense:
         with pytest.raises(NotSymmetric):
             px.spd_from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_quadratic_rejects_asymmetric(self):
+        """A quadratic's array is held to the same symmetry rule, not reported as indefinite."""
+        with pytest.raises(NotSymmetric, match="asymmetry"):
+            px.QuadraticOracle(np.triu(np.ones((3, 3))))
+
+    def test_kappa_rejects_an_asymmetric_metric(self):
+        """An asymmetric array metric raises; it is not symmetrized in silence."""
+        with pytest.raises(NotSymmetric, match="asymmetry"):
+            px.kappa_between(np.triu(np.ones((3, 3))), px.spd_from_dense(np.eye(3)))
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             px.spd_from_dense(np.diag([1.0, -1.0]))

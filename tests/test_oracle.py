@@ -215,6 +215,13 @@ class TestScaledOracle:
             px.SumOracle(_zoo("quadratic").oracle, weights=(-1.0,))
 
 
+def _one_nan(X):
+    """A copy of ``X`` whose first entry is NaN."""
+    X = X.copy()
+    X[0, 0] = np.nan
+    return X
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -224,14 +231,21 @@ class TestScaledOracle:
         lambda f: px.SumOracle(f, weights=(np.inf,)),
         lambda f: px.SumOracle(f, f, weights=(1.0, np.nan)),
         lambda f: px.SumOracle(f, weights=(-np.inf,)),
+        lambda f: px.LogisticOracle(f.X, f.y, reg=np.nan),
+        lambda f: px.LogisticOracle(f.X, f.y, reg=np.inf),
+        lambda f: px.LogisticOracle(_one_nan(f.X), f.y),
+        lambda f: px.LogSumExpOracle(f.X, reg=np.nan),
+        lambda f: px.LogSumExpOracle(f.X, temp=np.inf),
     ],
     ids=[
         "quadratic-nan", "quadratic-inf", "scaled-nan", "scaled-inf", "sum-nan",
-        "sum-minus-inf",
+        "sum-minus-inf", "logistic-reg-nan", "logistic-reg-inf", "logistic-x-nan",
+        "logsumexp-reg-nan", "logsumexp-temp-inf",
     ],
 )
 def test_non_finite_input_is_rejected(build):
-    """A NaN or infinite matrix entry or weight fails at construction, not later."""
+    """A NaN or infinite matrix entry, weight, ``reg`` or ``temp`` fails at
+    construction, not later."""
     with pytest.raises(ValueError):
         build(_zoo("logistic").oracle)
 

@@ -197,6 +197,20 @@ class TestSmoothPenalty:
         with pytest.raises(NotAtMinimum):
             _ridge(f, xstar + 0.5, G2, cert)
 
+    def test_anchor_is_held_to_the_estimators_tolerance(self, ridge_setup):
+        """An anchor whose metric-dual gradient is about ``1e-7 (1 + |f(x*)|)`` is no
+        minimizer: the penalty's anchor test is a sampled omega's, ``ANCHOR_GRAD_RTOL``."""
+        f, xstar, G2, cert = ridge_setup
+
+        def ratio(x):
+            return cert.metric.dual_norm(f.gradient(x)) / (1.0 + abs(f.value(x)))
+
+        step = 1e-6 * np.ones(f.dim)
+        anchor = xstar + step * (1e-7 / ratio(xstar + step))
+        assert ratio(anchor) == pytest.approx(1e-7, rel=0.05)
+        with pytest.raises(NotAtMinimum):
+            _ridge(f, anchor, G2, cert)
+
     def test_order_validation(self, ridge_setup):
         """The certificate and the problem decide the orders; no order list does."""
         f, xstar, G2, cert = ridge_setup

@@ -197,6 +197,14 @@ class TestCertificate:
         with pytest.raises(ValueError, match=field):
             px.declared_certificate(D, **constants)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+    def test_sampled_radius_is_checked_before_the_draw(self, logistic_anchor, radius):
+        """The sampler names a radius that is not finite and positive, by the
+        certificate's rule, before it draws a point."""
+        f, xstar = logistic_anchor
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            px.estimate_certificate(f, xstar, radius=radius, samples=8)
+
 
 class TestTaylorDiagnostics:
     def test_quadratic_remainders_vanish(self, rng):
