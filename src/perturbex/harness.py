@@ -5,6 +5,10 @@ draw is seeded from the config, reports carry no timestamps, and JSON is
 serialized with sorted keys, so rerunning a config reproduces its report
 byte for byte.
 
+Configs are checked against ``CONFIG_SCHEMA``, the one statement of what a
+command reads, by the small interpreter of that schema below; a bad config
+raises a ``ValueError`` whose message is the line naming its key.
+
 Exit codes: 0 all certified bounds verified, 1 error (bad config, solver
 failure), 2 a certified bound was violated, 3 a gate failed while
 ``require_gates`` was set.
@@ -17,11 +21,12 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from . import constants
@@ -195,25 +200,188 @@ CONFIG_SCHEMA = {
 COMMANDS = ("certify", "scaling", "ridge-sweep")
 COMMAND_SCHEMAS = {cmd: {**CONFIG_SCHEMA, "$ref": f"#/$defs/{cmd}"} for cmd in COMMANDS}
 
-# Built once; every config load reuses its command's validator.  The document
-# itself is checked against the metaschema by the tests, not on every import.
-_VALIDATORS = {cmd: jsonschema.Draft202012Validator(s) for cmd, s in COMMAND_SCHEMAS.items()}
+# ---------------------------------------------------------------------------
+# The schema's interpreter
+# ---------------------------------------------------------------------------
+#
+# CONFIG_SCHEMA is read by the interpreter below, not by a JSON Schema
+# library, so that no run imports one.  It implements the keywords the
+# document uses, as Draft 2020-12 defines them, and reports the error that
+# jsonschema's ``best_match`` picks, worded as jsonschema words it; the tests
+# hold the two to one verdict and one line.
 
 
-def _config_error_line(error: jsonschema.ValidationError, command: str) -> str:
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+# Draft 2020-12's types: a bool is no number, and a float with no fraction is
+# an integer.  NaN and Infinity load as strings (see from_file).
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ),
+}
+
+_TRUE, _FALSE = object(), object()
+
+
+def _unbool(value: Any) -> Any:
+    """``value``, with ``True`` and ``False`` made unequal to 1 and 0."""
+    return _TRUE if value is True else _FALSE if value is False else value
+
+
+def _equal(one: Any, two: Any) -> bool:
+    """JSON equality: a bool equals only itself, ``1 == 1.0``, containers by item."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key]) for key, value in one.items()
+        )
+    return _unbool(one) == _unbool(two)
+
+
+def _unique(items: list) -> bool:
+    """No two items equal: neighbours once sorted, or every pair if they do not sort."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except (NotImplementedError, TypeError):
+        seen: list = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
+# For each keyword that checks the value in hand: whether ``value`` satisfies
+# the keyword's ``arg``, and the message when it does not.  A bound or a
+# length constrains only a value of its type.
+_CHECKS = {
+    "type": (
+        lambda arg, value: _TYPES[arg](value),
+        lambda arg, value: f"{value!r} is not of type {arg!r}",
+    ),
+    "enum": (
+        lambda arg, value: any(_equal(each, value) for each in arg),
+        lambda arg, value: f"{value!r} is not one of {arg!r}",
+    ),
+    "const": (lambda arg, value: _equal(value, arg), lambda arg, value: f"{arg!r} was expected"),
+    "minimum": (
+        lambda arg, value: not (_is_number(value) and value < arg),
+        lambda arg, value: f"{value!r} is less than the minimum of {arg!r}",
+    ),
+    "exclusiveMinimum": (
+        lambda arg, value: not (_is_number(value) and value <= arg),
+        lambda arg, value: f"{value!r} is less than or equal to the minimum of {arg!r}",
+    ),
+    "minItems": (
+        lambda arg, value: not (isinstance(value, list) and len(value) < arg),
+        lambda arg, value: f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}",
+    ),
+    "uniqueItems": (
+        lambda arg, value: not (arg and isinstance(value, list)) or _unique(value),
+        lambda arg, value: f"{value!r} has non-unique elements",
+    ),
+}
+
+# Keys the walk passes over: annotations, the definitions ``$ref`` reads, and
+# ``then``, which ``if`` reads.
+_UNCHECKED = frozenset({"$schema", "$defs", "title", "then"})
+# Every keyword the interpreter knows; the tests hold CONFIG_SCHEMA to these.
+_KEYWORDS = _UNCHECKED | _CHECKS.keys() | {
+    "$ref", "allOf", "if", "properties", "items", "propertyNames", "required",
+    "additionalProperties",
+}
+
+
+def _errors(schema: dict[str, Any], value: Any, path: tuple = ()):
+    """Each way ``value`` at ``path`` fails ``schema``: ``(path, keyword, schema, value)``.
+
+    ``schema`` and ``value`` are the innermost ones the error is about.
+    Keywords are visited in the schema's order, as jsonschema visits them,
+    since the first of equally relevant errors is the one reported.  A
+    ``required`` yields once however many keys are missing: those errors
+    would be equally relevant and are reported alike.  ``additionalProperties``
+    is only ever ``false`` here.
+    """
+    for keyword, arg in schema.items():
+        if keyword in _UNCHECKED:
+            continue
+        if keyword == "$ref":  # always "#/$defs/<name>"
+            yield from _errors(CONFIG_SCHEMA["$defs"][arg.rpartition("/")[2]], value, path)
+        elif keyword == "allOf":
+            for part in arg:
+                yield from _errors(part, value, path)
+        elif keyword == "if":
+            if "then" in schema and next(_errors(arg, value), None) is None:
+                yield from _errors(schema["then"], value, path)
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, part in arg.items():
+                    if key in value:
+                        yield from _errors(part, value[key], (*path, key))
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _errors(arg, item, (*path, index))
+        elif keyword == "propertyNames":
+            if isinstance(value, dict):
+                for key in value:
+                    for _, _, part, name in _errors(arg, key):
+                        yield path, keyword, part, name
+        elif keyword == "required":
+            if isinstance(value, dict) and not all(key in value for key in arg):
+                yield path, keyword, schema, value
+        elif keyword == "additionalProperties":
+            known = schema.get("properties", {})
+            if isinstance(value, dict) and any(key not in known for key in value):
+                yield path, keyword, schema, value
+        elif not _CHECKS[keyword][0](arg, value):
+            yield path, keyword, schema, value
+
+
+def _error_line(error: tuple, command: str) -> str:
     """``<dotted.path>: <message>``; a missing or unread key ends the path."""
-    path = [str(part) for part in error.absolute_path]
-    message = error.message
-    if error.validator == "required":
-        path.append(next(k for k in error.validator_value if k not in error.instance))
+    path, keyword, schema, value = error
+    keys = [str(part) for part in path]
+    if keyword == "required":
+        keys.append(next(key for key in schema["required"] if key not in value))
         message = "required key is missing"
-    elif error.validator == "additionalProperties":
-        path.append(next(k for k in error.instance if k not in error.schema["properties"]))
+    elif keyword == "additionalProperties":
+        keys.append(next(key for key in value if key not in schema["properties"]))
         message = f"not read by {command}"
-    elif "propertyNames" in error.schema_path:  # a variant's keys, see _variant
-        path.append(error.instance)
-        message = f"not one of the {error.schema['title']}"
-    return f"{'.'.join(path) or 'config'}: {message}"
+    elif keyword == "propertyNames":  # a variant's keys, see _variant
+        keys.append(value)
+        message = f"not one of the {schema['title']}"
+    else:
+        message = _CHECKS[keyword][1](schema[keyword], value)
+    return f"{'.'.join(keys) or 'config'}: {message}"
+
+
+def _config_error(raw: Any, command: str) -> str | None:
+    """The line of the error in ``raw`` as a config of ``command``, or ``None``.
+
+    Of several errors this is the one jsonschema's ``best_match`` reports:
+    the shallowest, then the one whose path sorts last, then one whose value
+    is not of its schema's type; of equals, the first found.
+    """
+    best = rank = None
+    for error in _errors(COMMAND_SCHEMAS[command], raw):
+        path, _, schema, value = error
+        mistyped = "type" not in schema or not _TYPES[schema["type"]](value)
+        if rank is None or (-len(path), path, mistyped) > rank:
+            best, rank = error, (-len(path), path, mistyped)
+    return None if best is None else _error_line(best, command)
 
 
 @dataclass
@@ -225,10 +393,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any], command: str) -> "ExperimentConfig":
         """Validate ``raw`` as a config of ``command``."""
-        # The error jsonschema.validate(raw, COMMAND_SCHEMAS[command]) would raise.
-        error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(raw))
-        if error is not None:
-            raise error
+        line = _config_error(raw, command)
+        if line is not None:
+            raise ValueError(line)
         cfg = cls(raw=raw)
         if "certificate" in CONFIG_SCHEMA["$defs"][command]["properties"]:
             cert = cfg.certificate
@@ -335,10 +502,7 @@ def _run_command(
     command: str, config_path: str, out_dir: str, seed: int | None, run
 ) -> dict[str, Any]:
     """Load ``command``'s config with a seed override, run it and write ``report.json``."""
-    try:
-        cfg = ExperimentConfig.from_file(config_path, command, seed)
-    except jsonschema.ValidationError as error:
-        raise ValueError(_config_error_line(error, command)) from None
+    cfg = ExperimentConfig.from_file(config_path, command, seed)
     with _sized_by("config"):
         report = run(cfg)
     os.makedirs(out_dir, exist_ok=True)

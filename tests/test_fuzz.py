@@ -1,4 +1,5 @@
-"""Every schema-valid config ends in a clean exit.
+"""Every schema-valid config ends in a clean exit, and every config gets
+the verdict and error line jsonschema gives it.
 
 Configs are drawn from ``harness.COMMAND_SCHEMAS`` itself: the keys, tags,
 enums and bounds come from the schema, so a key added there is fuzzed
@@ -6,6 +7,9 @@ without a change here.  Sizes are capped so that a run allocates little,
 and every number is 0 or log-uniform over the float range.  A run passes
 when its exit code is one the CLI documents, stderr is empty or one
 ``perturbex: error:`` line, and it raised no warning.
+
+The package validates configs with its own interpreter of the schema;
+jsonschema, a test dependency only, is the reference it is held to.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import tempfile
 import warnings
 
 import jsonschema
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,35 @@ MAX_EXPONENT = 308.0
 
 _SMALL_LOGISTIC = {"kind": "logistic", "dim": 3, "n": 12, "seed": 1}
 _DEFINITIONS = harness.CONFIG_SCHEMA["$defs"]
+_VALIDATORS = {
+    cmd: jsonschema.Draft202012Validator(schema) for cmd, schema in harness.COMMAND_SCHEMAS.items()
+}
+
+
+def _config_error_line(error: jsonschema.ValidationError, command: str) -> str:
+    """``<dotted.path>: <message>``; a missing or unread key ends the path."""
+    path = [str(part) for part in error.absolute_path]
+    message = error.message
+    if error.validator == "required":
+        path.append(next(k for k in error.validator_value if k not in error.instance))
+        message = "required key is missing"
+    elif error.validator == "additionalProperties":
+        path.append(next(k for k in error.instance if k not in error.schema["properties"]))
+        message = f"not read by {command}"
+    elif "propertyNames" in error.schema_path:  # a variant's keys, see harness._variant
+        path.append(error.instance)
+        message = f"not one of the {error.schema['title']}"
+    return f"{'.'.join(path) or 'config'}: {message}"
+
+
+def reference_line(raw, command: str) -> str | None:
+    """The reference error line of ``raw`` as a config of ``command``, or ``None``.
+
+    jsonschema's ``best_match`` picks the error, worded as the package
+    worded it when it validated with jsonschema.
+    """
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(raw))
+    return None if error is None else _config_error_line(error, command)
 
 
 def _resolve(schema: dict) -> dict:
@@ -112,7 +146,7 @@ def runs(draw):
     """``(command, config, require_gates)`` with a config valid for the command."""
     command = draw(st.sampled_from(harness.COMMANDS))
     config = _object(draw, _resolve(harness.COMMAND_SCHEMAS[command]), {})
-    assume(jsonschema.Draft202012Validator(harness.COMMAND_SCHEMAS[command]).is_valid(config))
+    assume(_VALIDATORS[command].is_valid(config))
     return command, config, command != "scaling" and draw(st.booleans())
 
 
@@ -427,7 +461,121 @@ def well_posed_runs(draw):
 @given(well_posed_runs())
 def test_well_posed_configs_exit_without_error(run):
     command, config, require_gates = run
-    assert jsonschema.Draft202012Validator(harness.COMMAND_SCHEMAS[command]).is_valid(config)
+    assert _VALIDATORS[command].is_valid(config)
     code, message, caught = _run_cli(command, config, require_gates)
     assert code in (0, 2, 3), message
     assert message == "" and caught == []
+
+
+def _schema_keys(schema) -> set[str]:
+    """Every property name in the document: the keys an edit may add."""
+    keys = set()
+    if isinstance(schema, dict):
+        keys |= set(schema.get("properties", {}))
+        for value in schema.values():
+            keys |= _schema_keys(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            keys |= _schema_keys(value)
+    return keys
+
+
+_ADDED_KEYS = sorted(_schema_keys(harness.CONFIG_SCHEMA) | {"unread"})
+# Other JSON types, numbers out of every range the schema states, huge
+# floats, and the strings NaN and Infinity load as.
+_REPLACEMENTS = [
+    None, True, False, "text", [], {}, [1, "x"], {"kind": "linear"},
+    0, 1, -1, 2, 7, 0.5, -0.5, 2.0, -1e-300, 2**53, -(2**53),
+    1e308, -1e308, 1.7976931348623157e308, "NaN", "Infinity", "-Infinity",
+]
+
+
+def _slots(value):
+    """``(container, key)`` of every value inside ``value``, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from _slots(item)
+
+
+@st.composite
+def edited_configs(draw):
+    """``(command, config)``: a drawn config with one key dropped, one added,
+    or one value (or the whole config) replaced."""
+    command = draw(st.sampled_from(harness.COMMANDS))
+    config = _object(draw, _resolve(harness.COMMAND_SCHEMAS[command]), {})
+    slots = list(_slots(config))
+    edit = draw(st.sampled_from(["drop", "add", "replace"]))
+    if edit == "drop":
+        entries = [(c, k) for c, k in slots if isinstance(c, dict)]
+        if entries:
+            container, key = draw(st.sampled_from(entries))
+            del container[key]
+    elif edit == "add":
+        objects = [config] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        target = draw(st.sampled_from(objects))
+        target[draw(st.sampled_from(_ADDED_KEYS))] = draw(st.sampled_from(_REPLACEMENTS))
+    else:
+        slot = draw(st.sampled_from([None, *slots]))
+        replacement = draw(st.sampled_from(_REPLACEMENTS))
+        if slot is None:
+            return command, replacement
+        container, key = slot
+        container[key] = replacement
+    return command, config
+
+
+@settings(
+    max_examples=1000,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(edited_configs())
+def test_validation_agrees_with_jsonschema(case):
+    """The package's verdict is jsonschema's, and so is its line for an invalid config."""
+    command, raw = case
+    line = harness._config_error(raw, command)
+    assert (line is None) == _VALIDATORS[command].is_valid(raw)
+    assert line == reference_line(raw, command)
+
+
+_BASE = {
+    "seed": 1, "problem": _SMALL_LOGISTIC,
+    "certificate": {"mode": "estimated", "samples": 8, "seed": 2, "radius": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        # Two depths: the shallower error.
+        (
+            {**_BASE, "seed": "one", "problem": {**_SMALL_LOGISTIC, "dim": 0}},
+            "seed: 'one' is not of type 'integer'",
+        ),
+        # Two siblings: the one whose path sorts last.
+        (
+            {**_BASE, "certificate": {**_BASE["certificate"], "samples": -3, "radius": "wide"}},
+            "certificate.samples: -3 is less than the minimum of 1",
+        ),
+        # A type error and a range error on one key: the first in schema order.
+        (
+            {**_BASE, "problem": {**_SMALL_LOGISTIC, "dim": 0.5}},
+            "problem.dim: 0.5 is not of type 'integer'",
+        ),
+        # A missing key and an unread one on one object: the unread key, whose
+        # error lies in a schema with no type.
+        (
+            {**_BASE, "problem": {"kind": "quadratic", "dim": 2, "reg": 1}},
+            "problem.reg: not one of the keys read when kind is 'quadratic'",
+        ),
+    ],
+    ids=["depths", "siblings", "type-and-range", "missing-and-unread"],
+)
+def test_the_error_reported_among_several(raw, line):
+    """Lines recorded when the package validated with jsonschema."""
+    assert len(list(_VALIDATORS["certify"].iter_errors(raw))) == 2
+    assert harness._config_error(raw, "certify") == line
+    assert reference_line(raw, "certify") == line

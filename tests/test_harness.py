@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -31,6 +32,7 @@ from perturbex import (
 )
 from perturbex.cli import main
 from perturbex.harness import ExperimentConfig, run_selftest
+from test_fuzz import reference_line
 
 
 def _write(tmp_path, name, payload):
@@ -768,6 +770,54 @@ class TestConfigValidation:
         with pytest.raises(jsonschema.SchemaError):
             jsonschema.Draft202012Validator.check_schema(broken)
 
+    def test_every_schema_keyword_is_interpreted(self):
+        """The package's interpreter implements each keyword the document uses,
+        so a keyword added to the schema is never skipped in silence."""
+        seen = set()
+
+        def walk(schema):
+            for keyword, arg in schema.items():
+                seen.add(keyword)
+                assert keyword in harness._KEYWORDS, keyword
+                if keyword == "type":
+                    assert arg in harness._TYPES, arg
+                elif keyword == "additionalProperties":
+                    assert arg is False
+                elif keyword == "$ref":
+                    assert arg.rpartition("/")[0] == "#/$defs", arg
+                    assert arg.rpartition("/")[2] in harness.CONFIG_SCHEMA["$defs"], arg
+                elif keyword in ("items", "if", "then", "propertyNames"):
+                    walk(arg)
+                elif keyword in ("$defs", "properties"):
+                    for part in arg.values():
+                        walk(part)
+                elif keyword == "allOf":
+                    for part in arg:
+                        walk(part)
+
+        for schema in harness.COMMAND_SCHEMAS.values():
+            walk(schema)
+        assert seen == harness._KEYWORDS
+
+    def test_runs_without_jsonschema(self, tmp_path):
+        """Importing the package, a certify run and selftest need no jsonschema."""
+        config = _write(tmp_path, "cfg.json", _base_config())
+        script = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from perturbex.cli import main\n"
+            f"codes = [main(['certify', '--config', {config!r}, '--out', {str(tmp_path / 'c')!r}]),\n"
+            f"         main(['selftest', '--out', {str(tmp_path / 's')!r}])]\n"
+            "sys.exit(max(codes))\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -780,15 +830,16 @@ class TestConfigValidation:
         ],
     )
     def test_cached_validator_raises_what_validate_raises(self, edit):
-        """The validator built once at import reports the error jsonschema.validate would."""
+        """The package's validator raises a ``ValueError`` holding the line of
+        the error jsonschema reports."""
         raw = _base_config()
         edit(raw)
-        with pytest.raises(jsonschema.ValidationError) as expected:
+        with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(raw, harness.COMMAND_SCHEMAS["certify"])
-        with pytest.raises(jsonschema.ValidationError) as got:
+        with pytest.raises(ValueError) as got:
             ExperimentConfig.from_dict(raw, "certify")
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        assert type(got.value) is ValueError
+        assert str(got.value) == reference_line(raw, "certify")
 
     @pytest.mark.parametrize(
         "command, edit, key",
